@@ -13,10 +13,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"msc/internal/geom"
 )
@@ -65,8 +66,11 @@ var (
 // Duplicate edges are merged keeping the minimum length (parallel physical
 // links reduce to their most reliable member for shortest-path purposes).
 type Builder struct {
-	n      int
-	edges  map[[2]NodeID]float64
+	n     int
+	edges []Edge // canonical; in AddEdge order until Build sorts them
+	// sorted says edges are sorted by (U, V) with parallel edges merged,
+	// and shared with the graphs built from them.
+	sorted bool
 	coords []geom.Point
 	labels []string
 	err    error
@@ -74,7 +78,14 @@ type Builder struct {
 
 // NewBuilder returns a Builder for a graph with n nodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, edges: make(map[[2]NodeID]float64)}
+	return &Builder{n: n}
+}
+
+// Grow reserves room for m more AddEdge calls, so that a caller who knows
+// the edge count up front builds without regrowing the edge list.
+func (b *Builder) Grow(m int) *Builder {
+	b.edges = slices.Grow(b.edges, m)
+	return b
 }
 
 // AddEdge records an undirected edge between u and v with the given length.
@@ -91,13 +102,10 @@ func (b *Builder) AddEdge(u, v NodeID, length float64) *Builder {
 	case math.IsNaN(length) || math.IsInf(length, 0) || length < 0:
 		b.err = fmt.Errorf("%w: (%d,%d) length %v", ErrBadLength, u, v, length)
 	default:
-		if u > v {
-			u, v = v, u
-		}
-		key := [2]NodeID{u, v}
-		if old, ok := b.edges[key]; !ok || length < old {
-			b.edges[key] = length
-		}
+		// After a Build the list is clipped, so this append copies it
+		// instead of writing into a built graph's edges.
+		b.edges = append(b.edges, Edge{U: u, V: v, Length: length}.Canon())
+		b.sorted = false
 	}
 	return b
 }
@@ -135,26 +143,67 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	if !b.sorted {
+		slices.SortFunc(b.edges, func(x, y Edge) int {
+			if x.U != y.U {
+				return cmp.Compare(x.U, y.U)
+			}
+			return cmp.Compare(x.V, y.V)
+		})
+		b.edges = slices.Clip(mergeParallel(b.edges))
+		b.sorted = true
+	}
 	g := &Graph{
 		adj:    make([][]Arc, b.n),
-		edges:  make([]Edge, 0, len(b.edges)),
+		edges:  b.edges,
 		coords: b.coords,
 		labels: b.labels,
 	}
-	for key, length := range b.edges {
-		g.edges = append(g.edges, Edge{U: key[0], V: key[1], Length: length})
-	}
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].U != g.edges[j].U {
-			return g.edges[i].U < g.edges[j].U
-		}
-		return g.edges[i].V < g.edges[j].V
-	})
+	// Lay every adjacency list out in one backing array, in edge order
+	// (so each list is sorted by neighbour), each list capped so that an
+	// append to one cannot overwrite the next. next[u] counts u's degree,
+	// then tracks the next free slot of u's list, ending at its end.
+	next := make([]int, b.n)
 	for _, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, Length: e.Length})
-		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, Length: e.Length})
+		next[e.U]++
+		next[e.V]++
+	}
+	end := 0
+	for u, deg := range next {
+		next[u] = end
+		end += deg
+	}
+	arcs := make([]Arc, end)
+	for _, e := range g.edges {
+		arcs[next[e.U]] = Arc{To: e.V, Length: e.Length}
+		next[e.U]++
+		arcs[next[e.V]] = Arc{To: e.U, Length: e.Length}
+		next[e.V]++
+	}
+	start := 0
+	for u, end := range next {
+		if end > start {
+			g.adj[u] = arcs[start:end:end]
+		}
+		start = end
 	}
 	return g, nil
+}
+
+// mergeParallel collapses each run of parallel edges in the sorted edges
+// to its shortest member, in place.
+func mergeParallel(edges []Edge) []Edge {
+	out := edges[:0]
+	for _, e := range edges {
+		if k := len(out) - 1; k >= 0 && out[k].U == e.U && out[k].V == e.V {
+			if e.Length < out[k].Length {
+				out[k].Length = e.Length
+			}
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // MustBuild is Build but panics on error; for tests and static literals.

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"msc/internal/geom"
@@ -206,4 +209,115 @@ func TestMustBuildPanics(t *testing.T) {
 		}
 	}()
 	NewBuilder(1).AddEdge(0, 0, 1).MustBuild()
+}
+
+// mapBuilder is the map-based Builder that the slice-and-sort one
+// replaced, kept as the reference: every edge keyed in a map (the minimum
+// length winning), then the keys sorted and the lists appended per edge.
+type mapBuilder struct {
+	n     int
+	edges map[[2]NodeID]float64
+}
+
+func (b *mapBuilder) AddEdge(u, v NodeID, length float64) {
+	if u > v {
+		u, v = v, u
+	}
+	key := [2]NodeID{u, v}
+	if old, ok := b.edges[key]; !ok || length < old {
+		b.edges[key] = length
+	}
+}
+
+func (b *mapBuilder) Build() (edges []Edge, adj [][]Arc) {
+	for key, length := range b.edges {
+		edges = append(edges, Edge{U: key[0], V: key[1], Length: length})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].U != edges[j].U {
+			return edges[i].U < edges[j].U
+		}
+		return edges[i].V < edges[j].V
+	})
+	adj = make([][]Arc, b.n)
+	for _, e := range edges {
+		adj[e.U] = append(adj[e.U], Arc{To: e.V, Length: e.Length})
+		adj[e.V] = append(adj[e.V], Arc{To: e.U, Length: e.Length})
+	}
+	return edges, adj
+}
+
+// TestBuilderMatchesMapReference: on random multigraphs with duplicate
+// and reversed-endpoint AddEdge calls, Build gives the reference's edges,
+// the same min-length merge, and every neighbour list in the same order.
+func TestBuilderMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		b := NewBuilder(n)
+		ref := &mapBuilder{n: n, edges: make(map[[2]NodeID]float64)}
+		for i := rng.Intn(4 * n); i > 0 && n > 1; i-- {
+			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if u == v {
+				continue
+			}
+			length := float64(rng.Intn(8)) / 4 // repeats, so ties get merged too
+			b.AddEdge(u, v, length)
+			ref.AddEdge(u, v, length)
+			if rng.Intn(3) == 0 { // the same edge again, reversed
+				length = float64(rng.Intn(8)) / 4
+				b.AddEdge(v, u, length)
+				ref.AddEdge(v, u, length)
+			}
+		}
+		g := b.MustBuild()
+		wantEdges, wantAdj := ref.Build()
+		if len(wantEdges) == 0 {
+			wantEdges = []Edge{}
+		}
+		if got := append([]Edge{}, g.Edges()...); !reflect.DeepEqual(got, wantEdges) {
+			t.Fatalf("trial %d: edges\ngot  %v\nwant %v", trial, got, wantEdges)
+		}
+		for u := 0; u < n; u++ {
+			if got := g.Neighbors(NodeID(u)); !reflect.DeepEqual(got, wantAdj[u]) {
+				t.Fatalf("trial %d: Neighbors(%d)\ngot  %v\nwant %v", trial, u, got, wantAdj[u])
+			}
+		}
+	}
+}
+
+// TestNeighborsAppendIsolated: the adjacency lists share one backing
+// array, so each must be capped: appending to one list must not overwrite
+// the next node's arcs.
+func TestNeighborsAppendIsolated(t *testing.T) {
+	g := NewBuilder(4).AddEdge(0, 1, 1).AddEdge(1, 2, 2).AddEdge(2, 3, 3).AddEdge(0, 3, 4).MustBuild()
+	before := make([][]Arc, g.N())
+	for u := range before {
+		before[u] = append([]Arc(nil), g.Neighbors(NodeID(u))...)
+	}
+	for u := 0; u < g.N(); u++ {
+		_ = append(g.Neighbors(NodeID(u)), Arc{To: 99, Length: 99})
+	}
+	for u := range before {
+		if got := g.Neighbors(NodeID(u)); !reflect.DeepEqual(got, before[u]) {
+			t.Fatalf("Neighbors(%d) = %v after appends, want %v", u, got, before[u])
+		}
+	}
+}
+
+// TestBuilderReuse: a builder keeps its edges across Build, and adding to
+// it afterwards leaves the graphs already built untouched.
+func TestBuilderReuse(t *testing.T) {
+	b := NewBuilder(3).AddEdge(2, 1, 1).AddEdge(0, 1, 2)
+	g1 := b.MustBuild()
+	g2 := b.AddEdge(2, 0, 3).AddEdge(1, 0, 0.5).MustBuild()
+	if want := []Edge{{0, 1, 2}, {1, 2, 1}}; !reflect.DeepEqual(g1.Edges(), want) {
+		t.Fatalf("first graph edges = %v, want %v", g1.Edges(), want)
+	}
+	if want := []Edge{{0, 1, 0.5}, {0, 2, 3}, {1, 2, 1}}; !reflect.DeepEqual(g2.Edges(), want) {
+		t.Fatalf("second graph edges = %v, want %v", g2.Edges(), want)
+	}
+	if l, _ := g1.EdgeLength(0, 1); l != 2 {
+		t.Fatalf("first graph's (0,1) = %v after the builder merged a shorter one, want 2", l)
+	}
 }

@@ -97,15 +97,18 @@ func WriteCostTable(w io.Writer, ct CostTable) error {
 }
 
 // ReadCostTable decodes and validates a shortcut price table. Malformed
-// JSON, unknown fields, and tables violating the price invariants all come
-// back as a *ValidationError wrapping ErrInvalid; ReadCostTable never
-// panics, whatever the input.
+// JSON, unknown fields, trailing data after the table, and tables
+// violating the price invariants all come back as a *ValidationError
+// wrapping ErrInvalid; ReadCostTable never panics, whatever the input.
 func ReadCostTable(r io.Reader) (CostTable, error) {
 	var ct CostTable
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ct); err != nil {
 		return CostTable{}, &ValidationError{Format: "cost-table", Field: "document", Msg: "decode: " + err.Error()}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return CostTable{}, &ValidationError{Format: "cost-table", Field: "document", Msg: "trailing data after the table"}
 	}
 	if err := ct.Validate(); err != nil {
 		return CostTable{}, err

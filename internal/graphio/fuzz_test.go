@@ -3,9 +3,34 @@ package graphio
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// documentSeeds are hostile and borderline documents: the seed corpus of
+// FuzzReadDocument and part of FuzzReadDocumentDiff's.
+var documentSeeds = []string{
+	`{"nodes":3,"edges":[{"u":0,"v":1,"p_fail":0.1}],"pairs":[[0,2]],"failure_threshold":0.2,"budget":1}`,
+	`{"nodes":0}`,
+	`{"nodes":-5,"edges":[]}`,
+	`{"nodes":2147483647}`,
+	`{"nodes":2,"edges":[{"u":0,"v":0,"p_fail":0}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":1.0}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":-0.5}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":0.1},{"u":1,"v":0,"p_fail":0.2}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":5,"p_fail":0.1}]}`,
+	`{"nodes":3,"coords":[[0,0]],"edges":[]}`,
+	`{"nodes":2,"labels":["a"],"edges":[]}`,
+	`{"nodes":2,"edges":[],"pairs":[[0,0]]}`,
+	`{"nodes":2,"edges":[],"pairs":[[0,1],[1,0]]}`,
+	`{"nodes":2,"edges":[],"failure_threshold":1.5}`,
+	`{"nodes":2,"edges":[],"budget":-3}`,
+	`{"nodes":2,"coords":[[1e999,0],[0,0]],"edges":[]}`,
+	`not json at all`,
+	``,
+	`{}`,
+}
 
 // FuzzReadDocument feeds arbitrary bytes to the JSON reader. The
 // contract under hostile input is sharp: either a Document whose
@@ -13,25 +38,9 @@ import (
 // wrapping ErrInvalid — never a panic, never a silently malformed
 // document.
 func FuzzReadDocument(f *testing.F) {
-	f.Add([]byte(`{"nodes":3,"edges":[{"u":0,"v":1,"p_fail":0.1}],"pairs":[[0,2]],"failure_threshold":0.2,"budget":1}`))
-	f.Add([]byte(`{"nodes":0}`))
-	f.Add([]byte(`{"nodes":-5,"edges":[]}`))
-	f.Add([]byte(`{"nodes":2147483647}`))
-	f.Add([]byte(`{"nodes":2,"edges":[{"u":0,"v":0,"p_fail":0}]}`))
-	f.Add([]byte(`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":1.0}]}`))
-	f.Add([]byte(`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":-0.5}]}`))
-	f.Add([]byte(`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":0.1},{"u":1,"v":0,"p_fail":0.2}]}`))
-	f.Add([]byte(`{"nodes":2,"edges":[{"u":0,"v":5,"p_fail":0.1}]}`))
-	f.Add([]byte(`{"nodes":3,"coords":[[0,0]],"edges":[]}`))
-	f.Add([]byte(`{"nodes":2,"labels":["a"],"edges":[]}`))
-	f.Add([]byte(`{"nodes":2,"edges":[],"pairs":[[0,0]]}`))
-	f.Add([]byte(`{"nodes":2,"edges":[],"pairs":[[0,1],[1,0]]}`))
-	f.Add([]byte(`{"nodes":2,"edges":[],"failure_threshold":1.5}`))
-	f.Add([]byte(`{"nodes":2,"edges":[],"budget":-3}`))
-	f.Add([]byte(`{"nodes":2,"coords":[[1e999,0],[0,0]],"edges":[]}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{}`))
+	for _, s := range documentSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
@@ -49,6 +58,41 @@ func FuzzReadDocument(f *testing.F) {
 		}
 		if _, perr := doc.PairSet(); perr != nil {
 			t.Fatalf("validated document fails PairSet: %v", perr)
+		}
+	})
+}
+
+// FuzzReadDocumentDiff holds the streaming decoder to encoding/json: on
+// arbitrary bytes it never panics, every error wraps ErrInvalid, and
+// whatever it accepts, the encoding/json oracle accepts as the same
+// Document.
+func FuzzReadDocumentDiff(f *testing.F) {
+	for _, s := range documentSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range semanticsSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range strictSeeds {
+		f.Add([]byte(s))
+	}
+	for _, data := range corpusDocuments(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("ReadJSON error %v does not wrap ErrInvalid", err)
+			}
+			return
+		}
+		want, err := readJSONReflect(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("ReadJSON accepted what encoding/json rejects (%v):\n%q", err, data)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("documents differ on %q:\nReadJSON      %+v\nencoding/json %+v", data, got, want)
 		}
 	})
 }

@@ -90,7 +90,7 @@ func (doc Document) Graph() (*graph.Graph, error) {
 	if err := doc.Validate(); err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(doc.Nodes)
+	b := graph.NewBuilder(doc.Nodes).Grow(len(doc.Edges))
 	if doc.Coords != nil {
 		coords := make([]geom.Point, len(doc.Coords))
 		for i, c := range doc.Coords {
@@ -127,15 +127,15 @@ func WriteJSON(w io.Writer, doc Document) error {
 	return enc.Encode(doc)
 }
 
-// ReadJSON decodes and validates a document. Malformed JSON and
-// documents violating the structural invariants (see Document.Validate)
-// both come back as a *ValidationError wrapping ErrInvalid; ReadJSON
-// never panics, whatever the input.
+// ReadJSON decodes and validates a document in one streaming pass over r
+// (see decoder), then one Validate pass. Malformed JSON, trailing data
+// after the document, and documents violating the structural invariants
+// (see Document.Validate) all come back as a *ValidationError wrapping
+// ErrInvalid; ReadJSON never panics, whatever the input.
 func ReadJSON(r io.Reader) (Document, error) {
-	var doc Document
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return Document{}, &ValidationError{Format: "json", Field: "document", Msg: "decode: " + err.Error()}
+	doc, err := newDecoder(r).document()
+	if err != nil {
+		return Document{}, err
 	}
 	if err := doc.Validate(); err != nil {
 		return Document{}, err

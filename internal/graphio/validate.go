@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"msc/internal/graph"
 )
@@ -56,9 +57,10 @@ func lineErr(line int, field, format string, args ...any) error {
 // node count in (0, MaxNodes], coordinate/label arity, finite
 // coordinates, edge endpoints in range with p_fail ∈ [0, 1) and no NaN/∞,
 // no self-loops or duplicate edges, pairs in range and distinct, the
-// threshold in [0, 1), and a non-negative budget. ReadJSON calls it on
-// every decoded document; callers constructing documents in code may call
-// it directly.
+// threshold in [0, 1), and a non-negative budget. The error names the
+// first offending element in document order. ReadJSON calls it on every
+// decoded document; callers constructing documents in code may call it
+// directly.
 func (doc Document) Validate() error {
 	if doc.Nodes <= 0 {
 		return jsonErr("nodes", "must be positive, got %d", doc.Nodes)
@@ -77,44 +79,47 @@ func (doc Document) Validate() error {
 	if doc.Labels != nil && len(doc.Labels) != doc.Nodes {
 		return jsonErr("labels", "%d entries for %d nodes", len(doc.Labels), doc.Nodes)
 	}
-	seenEdges := make(map[[2]int32]bool, len(doc.Edges))
+	// The first bad element of a list is reported unless a duplicate comes
+	// before it.
+	bad, err := len(doc.Edges), error(nil)
 	for i, e := range doc.Edges {
-		field := fmt.Sprintf("edges[%d]", i)
 		if e.U < 0 || e.V < 0 || int(e.U) >= doc.Nodes || int(e.V) >= doc.Nodes {
-			return jsonErr(field, "endpoint (%d,%d) outside 0..%d", e.U, e.V, doc.Nodes-1)
+			bad, err = i, jsonErr(fmt.Sprintf("edges[%d]", i), "endpoint (%d,%d) outside 0..%d", e.U, e.V, doc.Nodes-1)
+			break
 		}
 		if e.U == e.V {
-			return jsonErr(field, "self-loop at node %d", e.U)
+			bad, err = i, jsonErr(fmt.Sprintf("edges[%d]", i), "self-loop at node %d", e.U)
+			break
 		}
 		if math.IsNaN(e.Fail) || e.Fail < 0 || e.Fail >= 1 {
-			return jsonErr(field+".p_fail", "%v outside [0, 1)", e.Fail)
+			bad, err = i, jsonErr(fmt.Sprintf("edges[%d].p_fail", i), "%v outside [0, 1)", e.Fail)
+			break
 		}
-		key := [2]int32{e.U, e.V}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
-		if seenEdges[key] {
-			return jsonErr(field, "duplicate edge (%d,%d)", e.U, e.V)
-		}
-		seenEdges[key] = true
 	}
-	seenPairs := make(map[[2]int32]bool, len(doc.Pairs))
+	edges := doc.Edges[:bad]
+	if i := firstRepeat(len(edges), func(i int) uint64 { return pairKey(edges[i].U, edges[i].V) }); i >= 0 {
+		return jsonErr(fmt.Sprintf("edges[%d]", i), "duplicate edge (%d,%d)", edges[i].U, edges[i].V)
+	}
+	if err != nil {
+		return err
+	}
+	bad = len(doc.Pairs)
 	for i, p := range doc.Pairs {
-		field := fmt.Sprintf("pairs[%d]", i)
 		if p[0] < 0 || p[1] < 0 || int(p[0]) >= doc.Nodes || int(p[1]) >= doc.Nodes {
-			return jsonErr(field, "pair (%d,%d) outside 0..%d", p[0], p[1], doc.Nodes-1)
+			bad, err = i, jsonErr(fmt.Sprintf("pairs[%d]", i), "pair (%d,%d) outside 0..%d", p[0], p[1], doc.Nodes-1)
+			break
 		}
 		if p[0] == p[1] {
-			return jsonErr(field, "pair of node %d with itself", p[0])
+			bad, err = i, jsonErr(fmt.Sprintf("pairs[%d]", i), "pair of node %d with itself", p[0])
+			break
 		}
-		key := [2]int32{p[0], p[1]}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
-		if seenPairs[key] {
-			return jsonErr(field, "duplicate pair (%d,%d)", p[0], p[1])
-		}
-		seenPairs[key] = true
+	}
+	ps := doc.Pairs[:bad]
+	if i := firstRepeat(len(ps), func(i int) uint64 { return pairKey(ps[i][0], ps[i][1]) }); i >= 0 {
+		return jsonErr(fmt.Sprintf("pairs[%d]", i), "duplicate pair (%d,%d)", ps[i][0], ps[i][1])
+	}
+	if err != nil {
+		return err
 	}
 	if math.IsNaN(doc.FailureThreshold) || doc.FailureThreshold < 0 || doc.FailureThreshold >= 1 {
 		return jsonErr("failure_threshold", "%v outside [0, 1)", doc.FailureThreshold)
@@ -123,6 +128,43 @@ func (doc Document) Validate() error {
 		return jsonErr("budget", "must be non-negative, got %d", doc.Budget)
 	}
 	return nil
+}
+
+// pairKey packs the unordered pair {u, v} of non-negative ids into one
+// sortable key.
+func pairKey(u, v int32) uint64 {
+	return uint64(uint32(min(u, v)))<<32 | uint64(uint32(max(u, v)))
+}
+
+// firstRepeat returns the least i whose key(i) equals key(j) for some
+// j < i, or -1. It sorts the keys instead of hashing them; only when the
+// sort finds a repeat does a second pass look for the first one in
+// document order.
+func firstRepeat(n int, key func(int) uint64) int {
+	sorted := make([]uint64, n)
+	for i := range sorted {
+		sorted[i] = key(i)
+	}
+	slices.Sort(sorted)
+	var repeated []uint64 // ascending, each key once
+	for i := 1; i < n; i++ {
+		if sorted[i] == sorted[i-1] && (len(repeated) == 0 || repeated[len(repeated)-1] != sorted[i]) {
+			repeated = append(repeated, sorted[i])
+		}
+	}
+	if len(repeated) == 0 {
+		return -1
+	}
+	seen := make([]bool, len(repeated))
+	for i := 0; i < n; i++ {
+		if j, ok := slices.BinarySearch(repeated, key(i)); ok {
+			if seen[j] {
+				return i
+			}
+			seen[j] = true
+		}
+	}
+	return -1 // unreachable: the sort found a repeat
 }
 
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
