@@ -1,133 +1,166 @@
 package core
 
 import (
-	"msc/internal/bitset"
+	"cmp"
+	"slices"
+
 	"msc/internal/graph"
 	"msc/internal/maxcover"
 	"msc/internal/telemetry"
 )
 
 // buildBounds materializes the coverage structures behind the two
-// submodular bound functions (paper §V-B). Both derive from the all-pairs
-// table D of the raw network:
+// submodular bound functions (paper §V-B). Both derive from the d_t-balls
+// of the raw network's distance table D:
 //
 //   - μ (lower bound): restrict every path to use at most one shortcut.
 //     Candidate f=(a,b) then satisfies a fixed pair set
-//     S_f = { {u,w} ∈ S : min(D[u][a]+D[b][w], D[u][b]+D[a][w]) ≤ d_t },
+//     S_f = { {u,w} ∈ S : min(D[a][u]+D[b][w], D[b][u]+D[a][w]) ≤ d_t },
 //     and μ(F) = |S_∅ ∪ ⋃_{f∈F} S_f| — a coverage function, hence
 //     monotone submodular, and μ ≤ σ everywhere (the restriction can only
-//     lengthen paths).
+//     lengthen paths). Only candidates with one endpoint in u's ball and
+//     the other in w's ball can satisfy {u,w}, so the sets are built pair
+//     by pair from the two balls into an explicit sparse family.
 //
 //   - ν (upper bound): a pair endpoint x is "covered" by F when some
 //     shortcut endpoint is within d_t of x. With node weight
 //     w(x) = ½ × (multiplicity of x in S), ν(F) = Σ weights of covered
 //     endpoints + |S_∅|. Any pair newly satisfied by F must have both
 //     endpoints covered (its path enters/leaves the shortcut region within
-//     budget), so ν ≥ σ; weighted coverage is submodular.
+//     budget), so ν ≥ σ; weighted coverage is submodular. Candidate (a,b)
+//     covers ball(a) ∪ ball(b), which the factored pair-union family
+//     represents by the t balls alone.
 //
 // The |S_∅| offset keeps ν ≥ σ on instances where some pairs already meet
 // the threshold (the paper assumes none do; adding a constant preserves
 // both the bound and submodularity).
+//
+// The build reads every candidate row once, with the same D operands as a
+// per-candidate scan, so μ, ν and their greedy selections equal, bit for
+// bit, those of the dense one-bitset-per-candidate reference kept in
+// bounds_diff_test.go.
 func (inst *Instance) buildBounds() {
 	inst.boundsOnce.Do(func() {
-		inst.buildMuSets()
-		inst.buildNuSets()
+		m := inst.ps.Len()
+		d := inst.thr.D
+		// ν universe: distinct nodes appearing in S. Node weight is half the
+		// total importance of the pairs it appears in — ½ × multiplicity
+		// when unweighted, matching §V-B2 exactly.
+		nuNodes := inst.ps.Nodes()
+		nuIndex := make(map[graph.NodeID]int, len(nuNodes))
+		for i, v := range nuNodes {
+			nuIndex[v] = i
+		}
+		nuWeights := make([]float64, len(nuNodes))
+		for i, p := range inst.ps.Pairs() {
+			half := float64(inst.weights[i]) / 2
+			nuWeights[nuIndex[p.U]] += half
+			nuWeights[nuIndex[p.W]] += half
+		}
+		// One pass over the candidate rows gathers the ν balls and, for
+		// every pair not satisfied at baseline, the candidates within d_t
+		// of each endpoint with D[a][u] and D[a][w] as read from row a.
+		t := len(inst.candNodes)
+		uBall := make([][]ballEntry, m)
+		wBall := make([][]ballEntry, m)
+		balls := &maxcover.Lists{}
+		var ball []int32
+		for a, v := range inst.candNodes {
+			row := inst.table.Row(v)
+			for i, p := range inst.ps.Pairs() {
+				if inst.satisfied0.Contains(i) {
+					continue // handled by the Initial set
+				}
+				if row[p.U] <= d {
+					uBall[i] = append(uBall[i], ballEntry{int32(a), row[p.U]})
+				}
+				if row[p.W] <= d {
+					wBall[i] = append(wBall[i], ballEntry{int32(a), row[p.W]})
+				}
+			}
+			ball = ball[:0]
+			for i, x := range nuNodes {
+				if row[x] <= d {
+					ball = append(ball, int32(i))
+				}
+			}
+			balls.Append(ball)
+		}
+		// Candidate {x,y} satisfies pair i when D[x][u] + D[y][w] ≤ d_t for
+		// one of its two orientations. Distances are non-negative and
+		// float addition is monotone, so with w's ball sorted by distance
+		// each x stops at the first y over the threshold.
+		var keys []uint64 // candidate·m + pair, one per (set, element)
+		for i := range uBall {
+			slices.SortFunc(wBall[i], func(p, q ballEntry) int { return cmp.Compare(p.d, q.d) })
+			for _, x := range uBall[i] {
+				for _, y := range wBall[i] {
+					if x.d+y.d > d {
+						break
+					}
+					if x.pos != y.pos {
+						c := maxcover.PairID(t, int(min(x.pos, y.pos)), int(max(x.pos, y.pos)))
+						keys = append(keys, uint64(c)*uint64(m)+uint64(i))
+					}
+				}
+			}
+		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		mu := &maxcover.Sparse{N: inst.numCand}
+		var set []int32
+		for j, key := range keys {
+			set = append(set, int32(key%uint64(m)))
+			if j+1 == len(keys) || keys[j+1]/uint64(m) != key/uint64(m) {
+				mu.IDs = append(mu.IDs, int(key/uint64(m)))
+				mu.Sets.Append(set)
+				set = set[:0]
+			}
+		}
+		inst.mu = maxcover.Problem{Universe: m, Sparse: mu, Initial: inst.satisfied0, K: inst.k}
+		if inst.totalWeight != m {
+			inst.mu.Weights = make([]float64, m)
+			for i, w := range inst.weights {
+				inst.mu.Weights[i] = float64(w)
+			}
+		}
+		inst.nu = maxcover.Problem{Weights: nuWeights, Universe: len(nuNodes), Pairs: balls, K: inst.k}
 	})
 }
 
-// maxBoundCandidates caps the candidate universe for which the μ/ν
-// coverage structures may be materialized: buildMuSets/buildNuSets
-// allocate one bitset per candidate pair, O(n²) of them, which is fine at
-// paper scale but multiple terabytes at n=10⁶. Above the cap (t ≈ 4100
-// candidate nodes) BoundsTractable reports false and round-event
-// diagnostics skip μ/ν with a -1 sentinel instead of crashing the solve.
-// Solvers that *need* the bounds (sandwich, mu, nu) still build them
-// unconditionally — at that scale they were never feasible.
+// ballEntry is one candidate within d_t of a pair endpoint: its position
+// in candNodes and its distance.
+type ballEntry struct {
+	pos int32
+	d   float64
+}
+
+// maxBoundCandidates caps the candidate universe for which round-event
+// diagnostics evaluate μ/ν. The coverage structures themselves are sparse,
+// but building them reads all t candidate rows of n distances each — t
+// full Dijkstra runs, and on the dense backend an O(n²) table — which is
+// routine at paper scale but days of row computation at n=10⁶. Above the
+// cap (t ≈ 4100 candidate nodes) BoundsTractable reports false and
+// round-event diagnostics skip μ/ν with a -1 sentinel instead of stalling
+// the solve. Solvers that *need* the bounds (sandwich, mu, nu) still build
+// them unconditionally.
 const maxBoundCandidates = 8 << 20
 
 // BoundsTractable reports whether the μ/ν coverage structures can be
-// materialized within a sane memory budget (~hundreds of MB, not TB).
+// built within a sane row-reading budget.
 func (inst *Instance) BoundsTractable() bool {
 	return inst.numCand <= maxBoundCandidates
 }
 
 // diagBounds returns μ/ν of a selection for round-event diagnostics, or
 // the (-1, -1) sentinel when building the coverage structures is
-// intractable. Telemetry must never force an O(n²) allocation the solve
-// itself does not need.
+// intractable. Telemetry must never force the t-row read the solve itself
+// does not need.
 func diagBounds(p Problem, sel []int) (mu, nu float64) {
 	if !p.BoundsTractable() {
 		return -1, -1
 	}
 	return p.Mu(sel), p.Nu(sel)
-}
-
-func (inst *Instance) buildMuSets() {
-	m := inst.ps.Len()
-	inst.muSets = make([]*bitset.Set, inst.numCand)
-	// Iterate candidates in row-major triangular order over the candidate
-	// nodes so the candidate index advances in lockstep with (a, b).
-	t := len(inst.candNodes)
-	idx := 0
-	for ai := 0; ai < t; ai++ {
-		rowA := inst.table.Row(inst.candNodes[ai])
-		for bi := ai + 1; bi < t; bi++ {
-			rowB := inst.table.Row(inst.candNodes[bi])
-			s := bitset.New(m)
-			for i, p := range inst.ps.Pairs() {
-				if inst.satisfied0.Contains(i) {
-					continue // handled by the Initial set
-				}
-				d1 := rowA[p.U] + rowB[p.W]
-				d2 := rowB[p.U] + rowA[p.W]
-				if d1 <= inst.thr.D || d2 <= inst.thr.D {
-					s.Add(i)
-				}
-			}
-			inst.muSets[idx] = s
-			idx++
-		}
-	}
-}
-
-func (inst *Instance) buildNuSets() {
-	// Universe: distinct nodes appearing in S. Node weight is half the
-	// total importance of the pairs it appears in — ½ × multiplicity when
-	// unweighted, matching §V-B2 exactly.
-	inst.nuNodes = inst.ps.Nodes()
-	inst.nuIndex = make(map[graph.NodeID]int, len(inst.nuNodes))
-	inst.nuWeights = make([]float64, len(inst.nuNodes))
-	for i, v := range inst.nuNodes {
-		inst.nuIndex[v] = i
-	}
-	for i, p := range inst.ps.Pairs() {
-		half := float64(inst.weights[i]) / 2
-		inst.nuWeights[inst.nuIndex[p.U]] += half
-		inst.nuWeights[inst.nuIndex[p.W]] += half
-	}
-	// perNode[vi] = pair-node indices within d_t of candidate node vi.
-	t := len(inst.candNodes)
-	perNode := make([]*bitset.Set, t)
-	for vi := 0; vi < t; vi++ {
-		s := bitset.New(len(inst.nuNodes))
-		row := inst.table.Row(inst.candNodes[vi])
-		for i, x := range inst.nuNodes {
-			if row[x] <= inst.thr.D {
-				s.Add(i)
-			}
-		}
-		perNode[vi] = s
-	}
-	inst.nuSets = make([]*bitset.Set, inst.numCand)
-	idx := 0
-	for ai := 0; ai < t; ai++ {
-		for bi := ai + 1; bi < t; bi++ {
-			s := perNode[ai].Clone()
-			s.UnionWith(perNode[bi])
-			inst.nuSets[idx] = s
-			idx++
-		}
-	}
 }
 
 // Mu evaluates the lower bound μ on a selection: the total weight of
@@ -136,12 +169,8 @@ func (inst *Instance) buildNuSets() {
 func (inst *Instance) Mu(sel []int) float64 {
 	telemetry.Global().MuEvals.Add(1)
 	inst.buildBounds()
-	covered := inst.satisfied0.Clone()
-	for _, c := range sel {
-		covered.UnionWith(inst.muSets[c])
-	}
 	total := 0.0
-	covered.ForEach(func(i int) {
+	inst.mu.Covered(sel).ForEach(func(i int) {
 		total += float64(inst.weights[i])
 	})
 	return total
@@ -152,36 +181,20 @@ func (inst *Instance) Mu(sel []int) float64 {
 func (inst *Instance) Nu(sel []int) float64 {
 	telemetry.Global().NuEvals.Add(1)
 	inst.buildBounds()
-	covered := bitset.New(len(inst.nuNodes))
-	for _, c := range sel {
-		covered.UnionWith(inst.nuSets[c])
-	}
 	total := float64(inst.baseSigma)
-	covered.ForEach(func(i int) {
-		total += inst.nuWeights[i]
+	inst.nu.Covered(sel).ForEach(func(i int) {
+		total += inst.nu.Weights[i]
 	})
 	return total
 }
 
 // MuProblem exposes μ as a max-coverage instance (budget k) for the greedy
 // arm F_μ of the sandwich algorithm. The coverage elements are pairs,
-// weighted by importance (nil weights when uniform, keeping the faster
-// popcount marginals).
+// weighted by importance (nil weights when uniform). Callers must not
+// modify the shared family.
 func (inst *Instance) MuProblem() maxcover.Problem {
 	inst.buildBounds()
-	p := maxcover.Problem{
-		Sets:    inst.muSets,
-		Initial: inst.satisfied0,
-		K:       inst.k,
-	}
-	if inst.totalWeight != inst.ps.Len() {
-		weights := make([]float64, inst.ps.Len())
-		for i, w := range inst.weights {
-			weights[i] = float64(w)
-		}
-		p.Weights = weights
-	}
-	return p
+	return inst.mu
 }
 
 // NuProblem exposes ν as a weighted max-coverage instance (budget k) for
@@ -189,9 +202,5 @@ func (inst *Instance) MuProblem() maxcover.Problem {
 // which sets greedy picks.
 func (inst *Instance) NuProblem() maxcover.Problem {
 	inst.buildBounds()
-	return maxcover.Problem{
-		Weights: inst.nuWeights,
-		Sets:    inst.nuSets,
-		K:       inst.k,
-	}
+	return inst.nu
 }

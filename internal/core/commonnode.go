@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"msc/internal/bitset"
 	"msc/internal/graph"
 	"msc/internal/maxcover"
 )
@@ -55,27 +54,33 @@ func SolveCommonNode(inst *Instance) (CommonNodeResult, error) {
 		}
 	}
 	n := inst.N()
-	// Candidate v ∈ V\{u} covers pair i iff D(v, other[i]) ≤ d_t.
-	sets := make([]*bitset.Set, 0, n-1)
+	// Candidate v ∈ V\{u} covers pair i iff D(v, other[i]) ≤ d_t; set id j
+	// is the j-th such v.
+	sets := &maxcover.Sparse{N: n - 1}
 	cands := make([]graph.NodeID, 0, n-1)
+	var set []int32
 	for v := 0; v < n; v++ {
 		if graph.NodeID(v) == u {
 			continue
 		}
-		s := bitset.New(m)
+		set = set[:0]
 		row := inst.Table().Row(graph.NodeID(v))
 		for i, w := range other {
 			if row[w] <= inst.Threshold().D {
-				s.Add(i)
+				set = append(set, int32(i))
 			}
 		}
-		sets = append(sets, s)
+		if len(set) > 0 {
+			sets.IDs = append(sets.IDs, len(cands))
+			sets.Sets.Append(set)
+		}
 		cands = append(cands, graph.NodeID(v))
 	}
 	prob := maxcover.Problem{
-		Sets:    sets,
-		Initial: inst.satisfied0,
-		K:       inst.K(),
+		Universe: m,
+		Sparse:   sets,
+		Initial:  inst.satisfied0,
+		K:        inst.K(),
 	}
 	if inst.totalWeight != m {
 		weights := make([]float64, m)
@@ -84,7 +89,7 @@ func SolveCommonNode(inst *Instance) (CommonNodeResult, error) {
 		}
 		prob.Weights = weights
 	}
-	res := maxcover.LazyGreedy(prob)
+	res := maxcover.Greedy(prob)
 	sel := make([]int, len(res.Chosen))
 	for i, c := range res.Chosen {
 		sel[i] = inst.CandidateIndex(graph.Edge{U: u, V: cands[c]})

@@ -246,24 +246,17 @@ func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
 // As a monotone submodular maximization, the selection is a (1−1/e)
 // approximation of the best possible μ; on budgeted problems it runs the
 // weighted-greedy knapsack form instead (½(1−1/e) for μ).
-func GreedyMu(p Problem) Placement {
-	if bp, ok := asBudgeted(p); ok {
-		mp := bp.MuProblem()
-		return newPlacement(p, submodular.WeightedGreedy(len(mp.Sets), bp.Budget(), bp.Cost, maxcover.NewOracle(mp)))
-	}
-	res := maxcover.LazyGreedy(p.MuProblem())
-	return newPlacement(p, res.Chosen)
-}
+func GreedyMu(p Problem) Placement { return greedyCoverage(p, p.MuProblem()) }
 
 // GreedyNu greedily maximizes the submodular upper bound ν (§V-B2) via its
 // weighted max-coverage form, then reports the true σ of the resulting
 // placement. On budgeted problems it runs the weighted-greedy knapsack
 // form.
-func GreedyNu(p Problem) Placement {
+func GreedyNu(p Problem) Placement { return greedyCoverage(p, p.NuProblem()) }
+
+func greedyCoverage(p Problem, cp maxcover.Problem) Placement {
 	if bp, ok := asBudgeted(p); ok {
-		np := bp.NuProblem()
-		return newPlacement(p, submodular.WeightedGreedy(len(np.Sets), bp.Budget(), bp.Cost, maxcover.NewOracle(np)))
+		return newPlacement(p, submodular.WeightedGreedy(cp.NumSets(), bp.Budget(), bp.Cost, maxcover.NewOracle(cp)))
 	}
-	res := maxcover.LazyGreedy(p.NuProblem())
-	return newPlacement(p, res.Chosen)
+	return newPlacement(p, maxcover.Greedy(cp).Chosen)
 }

@@ -68,9 +68,9 @@ type Problem interface {
 	Mu(sel []int) float64
 	// Nu evaluates the submodular upper bound ν (§V-B2).
 	Nu(sel []int) float64
-	// BoundsTractable reports whether the μ/ν coverage structures fit in
-	// memory; when false, diagnostics must not call Mu/Nu (they would
-	// allocate O(n²) candidate sets).
+	// BoundsTractable reports whether the μ/ν coverage structures can be
+	// built cheaply; when false, diagnostics must not call Mu/Nu (the
+	// build reads every candidate row).
 	BoundsTractable() bool
 	// MuProblem returns μ as a max-coverage instance with budget k.
 	MuProblem() maxcover.Problem
@@ -168,16 +168,13 @@ type Instance struct {
 	totalWeight int
 	baseSigma   int
 
-	// Lazily-built coverage structures for μ and ν. boundsOnce guards the
-	// build: parallel scans may race to the first Mu/Nu call, and a bare
-	// nil-check would let two goroutines build (and publish) the sets
-	// concurrently.
+	// Lazily-built coverage problems for μ (sparse family over pairs) and
+	// ν (pair-union family over pair nodes weighted ½ × multiplicity).
+	// boundsOnce guards the build: parallel scans may race to the first
+	// Mu/Nu call, and a bare nil-check would let two goroutines build (and
+	// publish) the structures concurrently.
 	boundsOnce sync.Once
-	muSets     []*bitset.Set // per candidate: pairs satisfied using only that shortcut
-	nuSets     []*bitset.Set // per candidate: pair-node indices covered
-	nuWeights  []float64     // per pair-node index: ½ × multiplicity
-	nuNodes    []graph.NodeID
-	nuIndex    map[graph.NodeID]int
+	mu, nu     maxcover.Problem
 
 	// Lazily-built flat query arrays for the sharded σ oracle, guarded for
 	// the same reason as boundsOnce.

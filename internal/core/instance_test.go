@@ -128,7 +128,7 @@ func TestRestrictedUniverseExcludesPairNodes(t *testing.T) {
 func TestMuProblemGreedyMatchesMuEvaluator(t *testing.T) {
 	rng := xrand.New(81)
 	inst := testInstance(t, 16, 7, 3, 0.8, rng)
-	res := maxcover.LazyGreedy(inst.MuProblem())
+	res := maxcover.Greedy(inst.MuProblem())
 	// The coverage value of the greedy run must equal μ of the selection.
 	if got := inst.Mu(res.Chosen); got != res.Value+float64(inst.BaseSigma()) {
 		t.Fatalf("μ(%v) = %v, coverage gain %v + base %d", res.Chosen, got, res.Value, inst.BaseSigma())
@@ -138,7 +138,7 @@ func TestMuProblemGreedyMatchesMuEvaluator(t *testing.T) {
 func TestNuProblemGreedyMatchesNuEvaluator(t *testing.T) {
 	rng := xrand.New(91)
 	inst := testInstance(t, 16, 7, 3, 0.8, rng)
-	res := maxcover.LazyGreedy(inst.NuProblem())
+	res := maxcover.Greedy(inst.NuProblem())
 	if got := inst.Nu(res.Chosen); got != res.Value+float64(inst.BaseSigma()) {
 		t.Fatalf("ν(%v) = %v, coverage gain %v + base %d", res.Chosen, got, res.Value, inst.BaseSigma())
 	}

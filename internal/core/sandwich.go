@@ -34,11 +34,13 @@ type SandwichResult struct {
 //
 //	σ(F_app) ≥ (σ(F_σ)/ν(F_σ)) · (1 − 1/e) · σ(F*).
 //
-// Options (e.g. Parallelism, WithSink) are forwarded to the F_σ arm, whose
-// candidate scans dominate the run; the μ/ν arms run on the lazy-greedy
-// coverage solver, which is already cheap. With a sink attached, the F_σ arm
-// emits its per-round trace and Sandwich itself emits one closing
-// SandwichEvent summarizing the three arms and the bound.
+// Options (e.g. Parallelism, WithSink) are forwarded to the F_σ arm, the
+// only arm with a sharded candidate scan; the μ/ν arms run the serial
+// coverage greedy of internal/maxcover over structures built from the
+// candidates' d_t-balls. Those arms are not free: building the bounds reads
+// every candidate row in full. With a sink attached, the F_σ arm emits its
+// per-round trace and Sandwich itself emits one closing SandwichEvent
+// summarizing the three arms and the bound.
 func Sandwich(p Problem, opts ...Option) SandwichResult {
 	cfg := resolveConfig(opts)
 	defer cfg.release()
@@ -84,9 +86,9 @@ func Sandwich(p Problem, opts ...Option) SandwichResult {
 	if _, budgeted := asBudgeted(p); budgeted {
 		res.ApproxFactor /= 2 // the weighted-greedy arms only carry ½(1−1/e)
 	}
-	// The μ/ν arms run the cheap lazy-greedy coverage solver open-loop, so
-	// only the F_σ arm observes cancellation; its stop reason describes the
-	// whole run, re-attached with the winning arm's σ.
+	// The μ/ν arms run the coverage greedy open-loop, so only the F_σ arm
+	// observes cancellation; its stop reason describes the whole run,
+	// re-attached with the winning arm's σ.
 	res.Best.Stop = StopInfo{
 		Reason: res.FSigma.Stop.Reason,
 		Rounds: res.FSigma.Stop.Rounds,

@@ -136,8 +136,8 @@ func TestDiagBoundsIntractableSentinel(t *testing.T) {
 			t.Fatalf("round %d carries μ=%v ν=%v, want the -1 sentinel on an intractable instance", r.Round, r.Mu, r.Nu)
 		}
 	}
-	if inst.muSets != nil || inst.nuSets != nil {
-		t.Fatal("emitting round events materialized the μ/ν coverage sets")
+	if inst.mu.Sparse != nil || inst.nu.Pairs != nil {
+		t.Fatal("emitting round events built the μ/ν coverage structures")
 	}
 	if pl.Sigma < 0 || len(pl.Selection) > k {
 		t.Fatalf("placement invalid: σ=%d, %d shortcuts", pl.Sigma, len(pl.Selection))

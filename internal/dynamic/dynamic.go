@@ -178,79 +178,95 @@ func (p *Problem) MuProblem() maxcover.Problem {
 	for i, inst := range p.insts {
 		subs[i] = inst.MuProblem()
 	}
-	return concatCoverage(subs, p.NumCandidates(), p.k)
+	return concatCoverage(subs, p.k)
 }
 
-// NuProblem concatenates the per-instance ν weighted coverage universes.
+// NuProblem concatenates the per-instance ν weighted coverage universes:
+// candidate node v's ball is the union of its per-instance balls.
 func (p *Problem) NuProblem() maxcover.Problem {
 	subs := make([]maxcover.Problem, len(p.insts))
 	for i, inst := range p.insts {
 		subs[i] = inst.NuProblem()
 	}
-	return concatCoverage(subs, p.NumCandidates(), p.k)
+	return concatCoverage(subs, p.k)
 }
 
-// concatCoverage merges per-instance coverage problems over the same
-// candidate family into one problem whose universe is the disjoint union.
-func concatCoverage(subs []maxcover.Problem, numCand, k int) maxcover.Problem {
-	totalU := 0
-	offsets := make([]int, len(subs))
+// concatCoverage merges per-instance coverage problems of one family shape
+// over the same candidate ids into one problem whose universe is the
+// disjoint union. Offsets grow with the instance index, so concatenating
+// sorted per-instance lists in instance order keeps every list sorted.
+func concatCoverage(subs []maxcover.Problem, k int) maxcover.Problem {
+	out := maxcover.Problem{K: k}
+	offsets := make([]int32, len(subs))
 	weighted := false
-	hasInitial := false
 	for i, sub := range subs {
-		offsets[i] = totalU
-		totalU += subUniverse(sub)
-		if sub.Weights != nil {
-			weighted = true
-		}
-		if sub.Initial != nil {
-			hasInitial = true
-		}
+		offsets[i] = int32(out.Universe)
+		out.Universe += sub.Universe
+		weighted = weighted || sub.Weights != nil
 	}
-	out := maxcover.Problem{K: k, Sets: make([]*bitset.Set, numCand)}
 	if weighted {
-		out.Weights = make([]float64, totalU)
-		for i, sub := range subs {
-			off := offsets[i]
+		out.Weights = make([]float64, 0, out.Universe)
+		for _, sub := range subs {
 			if sub.Weights != nil {
-				copy(out.Weights[off:], sub.Weights)
-			} else {
-				for j := 0; j < subUniverse(sub); j++ {
-					out.Weights[off+j] = 1
-				}
-			}
-		}
-	}
-	if hasInitial {
-		init := bitset.New(totalU)
-		for i, sub := range subs {
-			if sub.Initial == nil {
+				out.Weights = append(out.Weights, sub.Weights...)
 				continue
 			}
-			off := offsets[i]
-			sub.Initial.ForEach(func(j int) { init.Add(off + j) })
+			for j := 0; j < sub.Universe; j++ {
+				out.Weights = append(out.Weights, 1)
+			}
 		}
-		out.Initial = init
 	}
-	for c := 0; c < numCand; c++ {
-		s := bitset.New(totalU)
+	for i, sub := range subs {
+		if sub.Initial == nil {
+			continue
+		}
+		if out.Initial == nil {
+			out.Initial = bitset.New(out.Universe)
+		}
+		sub.Initial.ForEach(func(j int) { out.Initial.Add(int(offsets[i]) + j) })
+	}
+	var list []int32
+	// appendShifted appends sub i's list xs, shifted into the joint universe.
+	appendShifted := func(i int, xs []int32) {
+		for _, x := range xs {
+			list = append(list, offsets[i]+x)
+		}
+	}
+	if subs[0].Pairs != nil {
+		out.Pairs = &maxcover.Lists{}
+		for v := 0; v < subs[0].Pairs.Len(); v++ {
+			list = list[:0]
+			for i, sub := range subs {
+				appendShifted(i, sub.Pairs.At(v))
+			}
+			out.Pairs.Append(list)
+		}
+		return out
+	}
+	// Sparse families: a merge over the ascending id lists, with one
+	// cursor per instance.
+	out.Sparse = &maxcover.Sparse{N: subs[0].Sparse.N}
+	cursor := make([]int, len(subs))
+	for {
+		id := -1
 		for i, sub := range subs {
-			off := offsets[i]
-			sub.Sets[c].ForEach(func(j int) { s.Add(off + j) })
+			if c := cursor[i]; c < len(sub.Sparse.IDs) && (id < 0 || sub.Sparse.IDs[c] < id) {
+				id = sub.Sparse.IDs[c]
+			}
 		}
-		out.Sets[c] = s
+		if id < 0 {
+			return out
+		}
+		list = list[:0]
+		for i, sub := range subs {
+			if c := cursor[i]; c < len(sub.Sparse.IDs) && sub.Sparse.IDs[c] == id {
+				appendShifted(i, sub.Sparse.Sets.At(c))
+				cursor[i]++
+			}
+		}
+		out.Sparse.IDs = append(out.Sparse.IDs, id)
+		out.Sparse.Sets.Append(list)
 	}
-	return out
-}
-
-func subUniverse(p maxcover.Problem) int {
-	if len(p.Sets) > 0 {
-		return p.Sets[0].Len()
-	}
-	if p.Initial != nil {
-		return p.Initial.Len()
-	}
-	return len(p.Weights)
 }
 
 // NewSearch returns an incremental evaluator whose gains are summed across
