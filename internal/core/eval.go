@@ -15,15 +15,15 @@ const (
 	EvalModeAuto EvalMode = ""
 	// EvalIncremental merges a committed shortcut into every endpoint
 	// distance row in O(n) (two overlay row queries instead of one per
-	// endpoint) and patches the gains array with a delta rescan that skips
-	// pairs whose rows the merge left untouched. Placements, σ values, and
-	// gains arrays are identical to EvalRebuild — the eval-differential
-	// suite locks that in — so this is the default.
+	// endpoint), skipping rows the commit cannot change; the next gains
+	// read rescans the near lists of the merged rows. Placements, σ
+	// values, and gains arrays are identical to EvalRebuild — the
+	// eval-differential suite locks that in — so this is the default.
 	EvalIncremental EvalMode = "incremental"
-	// EvalRebuild recomputes every endpoint distance row and rescans the
-	// full candidate grid after every mutation: the straight-line reference
-	// path the incremental engine is verified against, and a useful
-	// baseline for benchmarking the merge.
+	// EvalRebuild recomputes every endpoint distance row after every
+	// mutation and rescans on every gains read: the straight-line
+	// reference path the incremental engine is verified against, and a
+	// useful baseline for benchmarking the merge.
 	EvalRebuild EvalMode = "rebuild"
 )
 

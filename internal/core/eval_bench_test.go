@@ -49,12 +49,11 @@ func BenchmarkGreedySigmaEvalIncremental(b *testing.B) { benchGreedyEval(b, Eval
 func BenchmarkGreedySigmaEvalRebuild(b *testing.B)     { benchGreedyEval(b, EvalRebuild) }
 
 // benchAddScan times one greedy round's state work — commit a shortcut,
-// then produce the next round's gains array. That pairing is the unit the
-// incremental engine optimizes: its Add patches the live gains in place
-// (two overlay row queries + O(n) row merges + delta rescan of the touched
-// pairs) so the following GainsAdd is a pure return, while the rebuild
-// path's cheap Add defers everything to a full cold scan. Timing Add alone
-// would credit the rebuild path for work it merely postponed.
+// then produce the next round's gains array. Under EvalIncremental, Add
+// merges two overlay rows into the endpoint rows and the GainsAdd that
+// follows cold-scans the near lists; under EvalRebuild, Add only marks the
+// rows stale and GainsAdd rebuilds them before the same scan. Timing Add
+// alone would credit the rebuild path for work it merely postponed.
 func benchAddScan(b *testing.B, mode EvalMode) {
 	rng := xrand.New(309)
 	inst0 := benchInstance(b, 600, 30, 8, 0.8, rng)
@@ -75,8 +74,8 @@ func benchAddScan(b *testing.B, mode EvalMode) {
 		s.Add(cand)
 		s.GainsAdd()
 		b.StopTimer()
-		s.RemoveAt(s.Len() - 1) // rebuilds; not timed
-		s.GainsAdd()            // re-warm so every Add patches live gains
+		s.RemoveAt(s.Len() - 1) // leaves the rows stale; not timed
+		s.GainsAdd()            // rebuild now, so the timed Add starts from live rows
 		b.StartTimer()
 	}
 }

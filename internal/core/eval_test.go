@@ -14,11 +14,11 @@ import (
 )
 
 // This file is the eval-differential suite: for every placement algorithm,
-// an instance evaluated incrementally (O(n) row merges + delta gains
-// rescans on Add) and one evaluated by full rebuilds must produce
-// byte-identical placements, and within the incremental mode the patched
-// gains array must match a cold rescan of the merged rows bit for bit.
-// Run under -race it also certifies the sharded merge and gains patch.
+// an instance evaluated incrementally (O(n) row merges on Add) and one
+// evaluated by full rebuilds must produce byte-identical placements, and
+// within the incremental mode the cached gains array must match a cold
+// rescan of the merged rows bit for bit. Run under -race it also
+// certifies the sharded merge and gains scan.
 
 // evalPair builds an incremental-mode and a rebuild-mode instance over the
 // same graph, pair set, threshold, budget, and distance table, so the only
@@ -126,12 +126,12 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 	}
 }
 
-// TestEvalGainsPatchMatchesColdScan is the bit-identity check at the heart
-// of the incremental engine: after every Add, the gains array the delta
-// patch maintained in place must equal — cell for cell — what a cold fused
-// rescan of the (merged) rows computes, and σ must agree with the
-// instance's overlay oracle. It also exercises the RemoveAt rebuild
-// fallback and the first cold scan after it.
+// TestEvalGainsPatchMatchesColdScan checks the gains cache of the
+// incremental engine: the array GainsAdd returns after every Add must
+// equal — cell for cell — a forced cold rescan of the same (merged) rows,
+// so a commit can never leave a stale array behind, and σ must agree with
+// the instance's overlay oracle. It also exercises the RemoveAt rebuild
+// and the first scan after it.
 func TestEvalGainsPatchMatchesColdScan(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, workers := range []int{1, 8} {
@@ -149,7 +149,7 @@ func TestEvalGainsPatchMatchesColdScan(t *testing.T) {
 					s.gainsValid = false // force the cold path over the same rows
 					cold := s.GainsAdd()
 					if !reflect.DeepEqual(warm, cold) {
-						t.Fatalf("%s: patched gains differ from cold rescan\npatched %v\ncold    %v", step, warm, cold)
+						t.Fatalf("%s: cached gains differ from cold rescan\ncached %v\ncold   %v", step, warm, cold)
 					}
 					if oracle := s.inst.Sigma(s.sel); s.sigma != oracle {
 						t.Fatalf("%s: search σ %d, oracle σ %d", step, s.sigma, oracle)
@@ -170,7 +170,7 @@ func TestEvalGainsPatchMatchesColdScan(t *testing.T) {
 				if adds == 0 {
 					t.Skip("no improving shortcut on this instance")
 				}
-				// RemoveAt must drop the live gains and rebuild exactly.
+				// RemoveAt must drop the live gains and leave the rows to rebuild.
 				s.RemoveAt(0)
 				if s.gainsValid {
 					t.Fatal("gains still marked valid after RemoveAt")
@@ -188,7 +188,7 @@ func TestEvalGainsPatchMatchesColdScan(t *testing.T) {
 // TestEvalCountersWorkerInvariance pins the new counters' determinism: the
 // same incremental greedy run at 1 and at 8 workers must report identical
 // totals for every counter, including rows merged/unchanged and pairs
-// rescanned/skipped, and the run must actually exercise the delta paths.
+// rescanned, and the run must actually exercise the merge path.
 func TestEvalCountersWorkerInvariance(t *testing.T) {
 	countRun := func(workers int) telemetry.CounterSnapshot {
 		rng := xrand.New(9950)
@@ -260,8 +260,7 @@ func TestEvalStatsRoundTrace(t *testing.T) {
 }
 
 // TestEvalMergeStress is the -race certification of the sharded merge and
-// gains patch at a size where every pass (row pre-pass, classification,
-// delta patch, in-place merge) runs multi-shard for many rounds, and the
+// gains scan at a size where both run multi-shard for many rounds, and the
 // final placement still matches the rebuild reference.
 func TestEvalMergeStress(t *testing.T) {
 	if testing.Short() {

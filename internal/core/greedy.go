@@ -104,6 +104,7 @@ func GreedySigma(p Problem, opts ...Option) Placement {
 		sel := s.Selection()
 		e := p.CandidateEdge(cand)
 		minNS, maxNS, shards := lastScanShards(s)
+		// pairsSkipped reads 0: every gains refresh is a cold scan.
 		rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := lastEvalStats(s)
 		obs.ObserveRound(time.Since(start))
 		sigma, sigmaWorst := sigmaParts(s)
@@ -202,6 +203,7 @@ func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
 			sel := s.Selection()
 			e := bp.CandidateEdge(bestC)
 			minNS, maxNS, shards := lastScanShards(s)
+			// pairsSkipped reads 0: every gains refresh is a cold scan.
 			rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := lastEvalStats(s)
 			sigma, sigmaWorst := sigmaParts(s)
 			mu, nu := diagBounds(bp, sel)

@@ -221,8 +221,8 @@ type Options struct {
 	// disables the layer. Ignored by the dense and lazy backends.
 	Landmarks int
 	// EvalMode selects how searches built from the instance maintain their
-	// state across Add commits: incremental O(n) row merges with delta
-	// gains rescans (the default), or the full-rebuild reference path.
+	// state across Add commits: incremental O(n) row merges (the default),
+	// or the full-rebuild reference path.
 	// Placements, σ values, and gains arrays are identical across modes;
 	// the zero value resolves via SetDefaultEvalMode.
 	EvalMode EvalMode

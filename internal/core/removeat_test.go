@@ -7,11 +7,12 @@ import (
 )
 
 // TestRemoveAtRebuildBitIdentical is the regression the survivable failure
-// evaluator leans on: RemoveAt always takes the rebuild path (a deletion
-// can lengthen distances, and min-merges cannot undo a min), and the state
-// it leaves — distance rows, pair distances, σ, and the next gains scan —
-// must be bit-identical to a search built cold on the reduced selection,
-// under both eval modes and after incremental (merge-path) adds.
+// evaluator leans on: RemoveAt always leaves the rows stale for a rebuild
+// (a deletion can lengthen distances, and min-merges cannot undo a min),
+// and the state the rebuild produces — distance rows, pair distances, σ,
+// and the next gains scan — must be bit-identical to a search built cold
+// on the reduced selection, under both eval modes and after incremental
+// (merge-path) adds.
 func TestRemoveAtRebuildBitIdentical(t *testing.T) {
 	for _, mode := range []EvalMode{EvalIncremental, EvalRebuild} {
 		rng := xrand.New(5150)
@@ -22,8 +23,8 @@ func TestRemoveAtRebuildBitIdentical(t *testing.T) {
 				t.Fatalf("mode=%s: NewSearch returned %T", mode, warm)
 			}
 			warm.incremental = mode == EvalIncremental
-			// Grow through the mode's Add path, with warm gains state live so
-			// removal must invalidate a patched array, not a cold one.
+			// Grow through the mode's Add path, with a gains array read before
+			// every commit so removal must drop a live array, not a cold one.
 			adds := rng.SampleDistinct(inst.NumCandidates(), 4)
 			for _, c := range adds {
 				warm.GainsAdd()
@@ -31,8 +32,13 @@ func TestRemoveAtRebuildBitIdentical(t *testing.T) {
 			}
 			pos := rng.Intn(len(adds))
 			warm.RemoveAt(pos)
+			if !warm.stale || warm.gainsValid {
+				t.Fatalf("mode=%s trial=%d: RemoveAt left rows or gains live", mode, trial)
+			}
 
 			cold, _ := inst.NewSearch(warm.sel).(*instSearch)
+			warm.sync()
+			cold.sync()
 			if warm.sigma != cold.sigma {
 				t.Fatalf("mode=%s trial=%d: σ after RemoveAt %d != cold %d", mode, trial, warm.sigma, cold.sigma)
 			}
@@ -49,9 +55,6 @@ func TestRemoveAtRebuildBitIdentical(t *testing.T) {
 					t.Fatalf("mode=%s trial=%d: pairDist[%d] %v != cold %v",
 						mode, trial, i, warm.pairDist[i], cold.pairDist[i])
 				}
-			}
-			if warm.gainsValid {
-				t.Fatalf("mode=%s trial=%d: RemoveAt left gainsValid set", mode, trial)
 			}
 			wg := append([]int(nil), warm.GainsAdd()...)
 			cg := cold.GainsAdd()

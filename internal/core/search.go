@@ -24,30 +24,38 @@ import (
 //
 // (a walk through f more than once can drop the repeat uses without getting
 // longer, since edge lengths are non-negative and f itself has length 0).
-// This is what lets GreedySigma and AEA scan all O(n²) candidate additions
-// per round with a tight two-float-compare inner loop instead of re-running
-// a shortest-path computation per candidate.
+// This is what lets GreedySigma and AEA score every candidate addition per
+// round with a two-float-compare inner loop instead of re-running a
+// shortest-path computation per candidate. Both summands of a passing term
+// are themselves ≤ d_t, so only cells with both endpoints within d_t of the
+// pair can gain: GainsAdd walks, per unsatisfied pair, just the triangle of
+// that pair's near-candidate list (DESIGN.md §8, §13).
 //
-// Under EvalIncremental (the default) the same identity also maintains the
-// state across commits: Add computes only the two overlay rows d_F(a,·) and
-// d_F(b,·) of the new shortcut's endpoints and merges them into every
-// endpoint row in O(n), instead of recomputing all rows from a fresh
-// overlay. Before the merge overwrites the rows, the live gains array is
-// patched in place from the same two rows, so the next BestAdd pays no
-// rescan for pairs the commit did not touch (see DESIGN.md §8). RemoveAt
-// always falls back to a full rebuild: a deletion can lengthen distances,
-// and min-merges cannot undo a min. EvalRebuild disables all of this and
-// rebuilds after every mutation — the reference path the eval-differential
+// The rows are built lazily. NewSearch and RemoveAt only record the
+// selection and mark the rows stale; the first call that reads rows, σ or
+// gains (Sigma, GainAdd, BestAdd, GainsAdd, Add, clone) rebuilds them once,
+// with the worker count in force at that moment. SigmaDrops, Len, Contains
+// and Selection need no rows, so AEA's NewSearch → SigmaDrops → RemoveAt →
+// GainsAdd pays a single rebuild. A removal can only mark the rows stale: a
+// deletion can lengthen distances, and min-merges cannot undo a min.
+//
+// Under EvalIncremental (the default) Add computes only the two overlay
+// rows d_F(a,·) and d_F(b,·) of the new shortcut's endpoints and merges
+// them into every endpoint row in O(n), skipping rows the commit cannot
+// change, then marks the gains array stale; the next GainsAdd cold-scans
+// the near lists, and repeated GainsAdd calls between mutations return the
+// cached array. EvalRebuild rebuilds the rows after every mutation and
+// rescans on every GainsAdd — the reference path the eval-differential
 // suite compares against.
 //
 // Concurrency: an instSearch is single-caller like every Search, but with
 // SetWorkers > 1 its scans shard internally — GainsAdd splits the
 // triangular candidate grid into contiguous row ranges writing disjoint
 // segments of the gains array, SigmaDrops splits the per-position σ
-// re-evaluations, and Add shards the row merge (and the gains patch) the
-// same way. All shared inputs (the instance, the overlay, the distance
-// rows during a scan) are read-only while workers run, so the results are
-// byte-identical to the serial scan.
+// re-evaluations, and Add shards the row merge the same way. All shared
+// inputs (the instance, the overlay, the distance rows during a scan) are
+// read-only while workers run, so the results are byte-identical to the
+// serial scan.
 type instSearch struct {
 	inst    *Instance
 	sel     []int
@@ -55,7 +63,7 @@ type instSearch struct {
 	ctx     context.Context // supervision context polled mid-scan; nil = never
 
 	endpoints []graph.NodeID // distinct pair endpoints
-	rows      [][]float64    // rows[i][x] = d_F(endpoints[i], x)
+	rows      [][]float64    // rows[i][x] = d_F(endpoints[i], x); nil until the first rebuild
 	pairU     []int32        // row index of pair i's U endpoint
 	pairW     []int32        // row index of pair i's W endpoint
 	pairDist  []float64      // d_F(u,w) per pair
@@ -65,6 +73,15 @@ type instSearch struct {
 	rest      []int          // scratch for SigmaDrop (single-caller path)
 	dropRest  [][]int        // per-shard scratch for SigmaDrops
 	sigma     int
+
+	// stale marks rows, pairDist and σ as not yet built for sel; sync
+	// rebuilds them on the first read.
+	stale bool
+	// gainsValid marks gains as exactly what a cold scan over the current
+	// rows would produce (EvalIncremental only). Set by a completed cold
+	// scan, dropped by every mutation and by interruption.
+	gainsValid  bool
+	incremental bool // resolved Instance eval mode
 
 	// Cached triangular-grid shard bounds for the current worker count
 	// (triRowBounds allocates, and the warm scan path must not).
@@ -77,47 +94,19 @@ type instSearch struct {
 	shardRun  func(shard, lo, hi int)
 	gainsBody func(aiLo, aiHi int)
 
-	// Incremental evaluation state (EvalIncremental; DESIGN.md §8).
-	incremental bool // resolved Instance eval mode
-	// gainsValid marks gains/inGains as exactly what a cold scan over the
-	// CURRENT rows would produce. Set by a completed cold scan, kept up to
-	// date by Add's delta patch, dropped by RemoveAt and interruption.
-	gainsValid bool
-	inGains    []bool    // per pair: gains holds its contribution (i.e. it was unsatisfied at the last sync)
-	rowShort   []float64 // scratch: d_F(a,·) of the committing shortcut (a,b)... [rowA]
-	rowShortB  []float64 // ... and d_F(b,·) [rowB]
-	mergeSrc   []graph.NodeID
-	mergeDst   [][]float64
-	// Per-Add merge scratch: firstChange[r] is the first node index the
-	// commit improved in row r (−1 = row untouched); changedCand[r] holds
-	// the changed candidate positions whose NEW value is ≤ d_t — the only
-	// positions through which a candidate cell can newly satisfy the pair
-	// (both summands of a term ≤ d_t must themselves be ≤ d_t).
-	firstChange []int
-	changedCand [][]int32
-	shardCnt    []int64 // per-shard changed-row counts of the last merge
+	// Incremental commit scratch: the overlay rows d_F(a,·), d_F(b,·) of
+	// the committing shortcut (a,b) and the per-shard changed-row counts of
+	// the last merge.
+	rowShort  []float64
+	rowShortB []float64
+	mergeSrc  []graph.NodeID
+	mergeDst  [][]float64
+	shardCnt  []int64
 
-	// Pair classification scratch for the delta gains patch.
-	dropPairs  []int32 // pairs the commit newly satisfied
-	fullPairs  []int32 // changed pairs past the delta cutoff: fused full rescan
-	deltaPairs []int32 // changed pairs rescanned only at changed positions
-	deltaOff   []int32 // deltaPos offsets, one extra leading 0
-	deltaPos   []int32 // arena of per-pair merged changed-position lists
-
-	// Pruned-scan state. pruneScan restricts each cold-scan pair to its
-	// near-candidate list (the candidates within d_t of either endpoint):
-	// a candidate cell (a,b) can only gain through ru[a]+rw[b] ≤ d_t or
-	// ru[b]+rw[a] ≤ d_t, and with non-negative distances both summands of
-	// a passing term are themselves ≤ d_t, so every gaining cell has both
-	// endpoints in the list — scanning the list's triangle is exactly
-	// equivalent to the full grid. On a sparse (bounded) backend the
-	// lists are the d_t-balls and the saving is the whole point; the
-	// candidate universe it skips feeds the CandidatesPruned counter,
-	// accumulated while the lists are built (serially), so the total is
-	// identical at every worker count. sparseBest additionally replaces
-	// the dense gains array — numCand ints, ~40 GB at n=10⁵ — with a
-	// sparse aggregation in BestAdd.
-	pruneScan  bool
+	// Near-candidate lists of the current unsat set (buildCandU): the
+	// candidate positions within d_t of either pair endpoint, ascending per
+	// pair. sparseBest additionally replaces the dense gains array —
+	// numCand ints, ~40 GB at n=10⁵ — with a sparse aggregation in BestAdd.
 	sparseBest bool
 	candUOff   []int   // per-unsat-pair offsets into candU (len(unsat)+1)
 	candU      []int32 // arena: near-candidate positions, ascending per pair
@@ -136,8 +125,7 @@ type instSearch struct {
 	prefDist []float64
 
 	// EvalStats accumulators, drained by LastEvalStats.
-	evRowsMerged, evRowsUnchanged    int64
-	evPairsRescanned, evPairsSkipped int64
+	evRowsMerged, evRowsUnchanged, evPairsRescanned int64
 
 	// Scan-timing telemetry (ScanTimer); off unless a trace sink asked for
 	// it, so the default gains scan never reads the clock.
@@ -167,35 +155,22 @@ func (inst *Instance) NewSearch(sel []int) Search {
 }
 
 // newInstSearch returns the plain incremental evaluator positioned at sel
-// (copied), bypassing the survivability dispatch — the survivable search
-// uses it to build its per-scenario sub-searches on the same instance.
+// (copied) with its rows stale, bypassing the survivability dispatch — the
+// survivable search uses it to build its per-scenario sub-searches on the
+// same instance.
 func (inst *Instance) newInstSearch(sel []int) *instSearch {
-	s := inst.newSearchState(sel)
-	s.rebuild()
-	return s
-}
-
-// newSearchState allocates an instSearch positioned at sel with every
-// scratch buffer sized, but with the distance rows still unset: callers
-// either rebuild() (cold start) or copy rows from a sibling (clone).
-func (inst *Instance) newSearchState(sel []int) *instSearch {
 	s := &instSearch{
 		inst:        inst,
 		sel:         append([]int(nil), sel...),
 		workers:     1,
 		endpoints:   inst.ps.Nodes(),
 		incremental: inst.evalMode == EvalIncremental,
+		sparseBest:  inst.numCand >= sparseGainsThreshold,
+		stale:       true,
 	}
-	_, sparse := inst.table.(shortestpath.SparseSource)
-	s.pruneScan = sparse || inst.numCand >= sparseGainsThreshold
-	s.sparseBest = s.pruneScan && inst.numCand >= sparseGainsThreshold
 	rowIdx := make(map[graph.NodeID]int, len(s.endpoints))
 	for i, e := range s.endpoints {
 		rowIdx[e] = i
-	}
-	s.rows = make([][]float64, len(s.endpoints))
-	for i := range s.rows {
-		s.rows[i] = make([]float64, inst.g.N())
 	}
 	m := inst.ps.Len()
 	s.pairU = make([]int32, m)
@@ -205,38 +180,39 @@ func (inst *Instance) newSearchState(sel []int) *instSearch {
 		s.pairW[i] = int32(rowIdx[p.W])
 	}
 	s.pairDist = make([]float64, m)
-	if s.incremental {
-		s.inGains = make([]bool, m)
-		s.firstChange = make([]int, len(s.rows))
-		s.changedCand = make([][]int32, len(s.rows))
-		// Classification scratch sized up front so the delta patch of a
-		// warm search never allocates.
-		s.dropPairs = make([]int32, 0, m)
-		s.fullPairs = make([]int32, 0, m)
-		s.deltaPairs = make([]int32, 0, m)
-		s.deltaOff = make([]int32, 0, m+1)
-	}
 	return s
+}
+
+// allocRows sizes the endpoint rows on first use.
+func (s *instSearch) allocRows() {
+	if s.rows != nil {
+		return
+	}
+	s.rows = make([][]float64, len(s.endpoints))
+	for i := range s.rows {
+		s.rows[i] = make([]float64, s.inst.g.N())
+	}
 }
 
 // clone returns an independent search positioned at the same selection:
 // the distance rows, pair distances, σ, and — when live — the gains array
-// are copied, so the clone needs no shortest-path work at all. The
+// are copied, so the clone needs no shortest-path work of its own. The
 // survivable search uses this to snapshot the pre-commit state as the
 // failure scenario of the shortcut being committed.
 func (s *instSearch) clone() *instSearch {
-	c := s.inst.newSearchState(s.sel)
+	s.sync()
+	c := s.inst.newInstSearch(s.sel)
 	c.workers = s.workers
 	c.ctx = s.ctx
+	c.allocRows()
 	for i := range s.rows {
 		copy(c.rows[i], s.rows[i])
 	}
 	copy(c.pairDist, s.pairDist)
 	c.sigma = s.sigma
+	c.stale = false
 	if s.gainsValid {
-		c.gains = make([]int, len(s.gains))
-		copy(c.gains, s.gains)
-		copy(c.inGains, s.inGains)
+		c.gains = append([]int(nil), s.gains...)
 		c.gainsValid = true
 	}
 	return c
@@ -262,21 +238,20 @@ func (s *instSearch) interrupted() bool {
 // EnableScanTiming implements ScanTimer.
 func (s *instSearch) EnableScanTiming(on bool) { s.timeScan = on }
 
-// LastScanShards implements ScanTimer. Under EvalIncremental the most
-// recent timed scan may be Add's delta gains patch rather than a cold
-// GainsAdd pass — both shard over the same grid row ranges.
+// LastScanShards implements ScanTimer: the per-shard times of the most
+// recent timed cold gains scan.
 func (s *instSearch) LastScanShards() (minNS, maxNS int64, shards int) {
 	return s.scanMinNS, s.scanMaxNS, s.scanShards
 }
 
 // LastEvalStats implements EvalStats: it drains the incremental-evaluation
 // work accumulated since the previous call (or since construction).
+// pairsSkipped is always 0: every gains refresh is a cold near-list scan,
+// so no pair's contribution is ever carried over.
 func (s *instSearch) LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64) {
-	rowsMerged, rowsUnchanged = s.evRowsMerged, s.evRowsUnchanged
-	pairsRescanned, pairsSkipped = s.evPairsRescanned, s.evPairsSkipped
-	s.evRowsMerged, s.evRowsUnchanged = 0, 0
-	s.evPairsRescanned, s.evPairsSkipped = 0, 0
-	return rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped
+	rowsMerged, rowsUnchanged, pairsRescanned = s.evRowsMerged, s.evRowsUnchanged, s.evPairsRescanned
+	s.evRowsMerged, s.evRowsUnchanged, s.evPairsRescanned = 0, 0, 0
+	return rowsMerged, rowsUnchanged, pairsRescanned, 0
 }
 
 // recordScanShards reduces the per-shard wall times in s.shardNS[:shards].
@@ -306,10 +281,9 @@ func (s *instSearch) gridBounds() []int {
 
 // scanShardsRun runs body over the shard row ranges of the triangular
 // candidate grid (inline when one shard), recording per-shard wall times
-// when scan timing is on. Both the cold gains scan and the delta patch go
-// through here, so their gains writes shard identically. The trampoline
-// handed to ParallelFor is built once and reads the current body from
-// scanBody, keeping the warm scan path allocation-free.
+// when scan timing is on. The trampoline handed to ParallelFor is built
+// once and reads the current body from scanBody, keeping the warm scan
+// path allocation-free.
 func (s *instSearch) scanShardsRun(body func(aiLo, aiHi int)) {
 	bounds := s.gridBounds()
 	shards := len(bounds) - 1
@@ -336,12 +310,28 @@ func (s *instSearch) scanShardsRun(body func(aiLo, aiHi int)) {
 	}
 }
 
+// sync rebuilds the rows when a constructor or a mutation left them stale.
+func (s *instSearch) sync() {
+	if s.stale {
+		s.rebuild()
+	}
+}
+
+// markStale records that sel changed without the rows following it: the
+// next read rebuilds them, and the gains array is dropped with them.
+func (s *instSearch) markStale() {
+	s.stale = true
+	s.gainsValid = false
+}
+
 // rebuild recomputes every endpoint row from a fresh overlay and refreshes
 // the pair distances; any live gains state is dropped.
 func (s *instSearch) rebuild() {
+	s.allocRows()
 	ov := shortestpath.NewOverlay(s.inst.table, SelectionEdges(s.inst, s.sel))
 	shortestpath.NewEvaluator(ov, s.workers).DistRows(s.endpoints, s.rows)
 	s.recomputeSigma()
+	s.stale = false
 	s.gainsValid = false
 }
 
@@ -357,7 +347,10 @@ func (s *instSearch) recomputeSigma() {
 	}
 }
 
-func (s *instSearch) Sigma() int { return s.sigma }
+func (s *instSearch) Sigma() int {
+	s.sync()
+	return s.sigma
+}
 
 func (s *instSearch) Selection() []int { return append([]int(nil), s.sel...) }
 
@@ -374,6 +367,7 @@ func (s *instSearch) Contains(cand int) bool {
 
 func (s *instSearch) GainAdd(cand int) int {
 	telemetry.Global().CandidateEvals.Add(1)
+	s.sync()
 	e := s.inst.CandidateEdge(cand)
 	a, b := e.U, e.V
 	dt := s.inst.thr.D
@@ -441,8 +435,8 @@ type sparseScratch struct {
 // over the w-ball, ru[b] ≤ d_t − rw[a] over the u-ball, the second
 // skipping cells the first already counted), so the walk touches only
 // gaining cells, not the whole near-list triangle. The visited cells are
-// exactly the nonzero cells of the dense scan (see the pruneScan
-// invariant) and the sums are exact integer adds, so the result matches
+// exactly the nonzero cells of the gains scan (see the near-list
+// invariant in the instSearch header) and the sums are exact integer adds, so the result matches
 // the dense argmax, including the (0, 0) answer of an all-zero scan.
 // Workers split the ai range by equal inverse-index load; each keeps a
 // local best and the combine is a total order on (gain desc, cell index
@@ -455,6 +449,7 @@ func (s *instSearch) bestAddSparse() (cand, gain int) {
 	if s.inst.numCand == 0 {
 		return -1, 0
 	}
+	s.sync()
 	dt := s.inst.thr.D
 	s.unsat = s.unsat[:0]
 	for i := range s.pairDist {
@@ -708,17 +703,16 @@ func (s *instSearch) buildCandU() {
 // GainsAdd computes the σ gain of every candidate addition. The returned
 // slice is reused across calls.
 //
-// Under EvalIncremental the array is usually already current: Add patches
-// it in place when it commits a shortcut, so a warm call returns without
-// scanning anything. A cold scan — the first call, or the first after a
-// RemoveAt or an interrupted patch — runs the fused per-pair grid walk: for
-// each unsatisfied pair it visits every candidate cell with two float
-// compares.
+// Under EvalIncremental the array is cached until the next mutation, so a
+// repeated call returns without scanning. Otherwise it runs a cold scan:
+// for each unsatisfied pair it collects the near-candidate list and walks
+// only that list's triangle of candidate cells with two float compares
+// per cell.
 //
 // With workers > 1 the triangular candidate grid is split into contiguous
-// row ranges of roughly equal cell count; each worker runs the same fused
-// scan over its rows, writing the disjoint gains segment those rows map
-// to. The distance rows are read-only during the scan and the per-cell
+// row ranges of roughly equal cell count; each worker runs the same scan
+// over its rows, writing the disjoint gains segment those rows map to. The
+// distance rows are read-only during the scan and the per-cell
 // accumulations are exact integer adds, so the gains array — and hence
 // every argmax taken over it — is identical to the serial scan's.
 func (s *instSearch) GainsAdd() []int {
@@ -726,18 +720,19 @@ func (s *instSearch) GainsAdd() []int {
 	// width, identical for every worker count and both eval modes, and the
 	// inner loops stay untouched.
 	telemetry.Global().CandidateEvals.Add(int64(s.inst.numCand))
+	s.sync()
 	if s.gains == nil {
 		s.gains = make([]int, s.inst.numCand)
 	}
-	if s.incremental && s.gainsValid {
-		return s.gains
+	if !s.gainsValid {
+		s.coldScan()
 	}
-	s.coldScan()
 	return s.gains
 }
 
 // coldScan recomputes the gains array from scratch: zero it, collect the
-// unsatisfied pairs, and run the fused grid scan over them.
+// unsatisfied pairs and their near-candidate lists, and run the pruned
+// grid scan over them.
 func (s *instSearch) coldScan() {
 	for i := range s.gains {
 		s.gains[i] = 0
@@ -745,69 +740,28 @@ func (s *instSearch) coldScan() {
 	dt := s.inst.thr.D
 	s.unsat = s.unsat[:0]
 	for i := range s.pairDist {
-		un := s.pairDist[i] > dt
-		if un {
+		if s.pairDist[i] > dt {
 			s.unsat = append(s.unsat, i)
-		}
-		if s.incremental {
-			s.inGains[i] = un
 		}
 	}
 	telemetry.Global().PairsRescanned.Add(int64(len(s.unsat)))
 	s.evPairsRescanned += int64(len(s.unsat))
 	obs.ObserveMerge(0, int64(len(s.unsat)))
-	if s.pruneScan {
-		s.buildCandU()
-		if s.gainsBody == nil {
-			s.gainsBody = s.gainsPrunedRows
-		}
-	} else if s.gainsBody == nil {
-		s.gainsBody = s.gainsRows // method value; built once, reused warm
+	s.buildCandU()
+	if s.gainsBody == nil {
+		s.gainsBody = s.gainsPrunedRows // method value; built once, reused warm
 	}
 	s.scanShardsRun(s.gainsBody)
 	s.gainsValid = s.incremental && !s.interrupted()
 }
 
-// gainsRows runs the fused gains scan restricted to candidate-grid rows
-// [aiLo, aiHi), accumulating into the gains segment those rows own. The
-// unsat scratch must already hold the unsatisfied pair indices.
-func (s *instSearch) gainsRows(aiLo, aiHi int) {
-	if aiLo >= aiHi {
-		return
-	}
-	nodes := s.inst.candNodes
-	t := len(nodes)
-	dt := s.inst.thr.D
-	for _, i := range s.unsat {
-		if s.interrupted() {
-			return
-		}
-		w := int(s.inst.weights[i])
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
-		idx := rowStart(t, aiLo)
-		for ai := aiLo; ai < aiHi; ai++ {
-			a := nodes[ai]
-			ca := dt - ru[a]
-			cb := dt - rw[a]
-			for bi := ai + 1; bi < t; bi++ {
-				b := nodes[bi]
-				if rw[b] <= ca || ru[b] <= cb {
-					s.gains[idx] += w
-				}
-				idx++
-			}
-		}
-	}
-}
-
-// gainsPrunedRows is gainsRows restricted to each pair's near-candidate
-// list (buildCandU must have run for the current unsat set): only cells
-// with both endpoints in the list can gain, so walking the list's
-// triangle — clipped to grid rows [aiLo, aiHi), the same shard ownership
-// as the dense scan — writes exactly the cells the dense scan would
-// increment, in the same per-pair order. The gains array is bit-identical
-// at every worker count and to the unpruned scan.
+// gainsPrunedRows runs the gains scan restricted to candidate-grid rows
+// [aiLo, aiHi), accumulating into the gains segment those rows own.
+// buildCandU must have run for the current unsat set: only cells with both
+// endpoints in a pair's near list can gain, so walking the list's triangle
+// — clipped to the shard's grid rows — increments exactly the cells a
+// walk over the full grid would, in the same per-pair order. The gains
+// array is bit-identical at every worker count.
 func (s *instSearch) gainsPrunedRows(aiLo, aiHi int) {
 	if aiLo >= aiHi {
 		return
@@ -898,44 +852,38 @@ func (s *instSearch) BestDrop() (pos, sigma int) {
 	return pos, sigma
 }
 
-// Add commits candidate cand. Under EvalRebuild this recomputes every row
-// from a fresh overlay; under EvalIncremental it merges the shortcut into
-// the existing rows in O(n) per row and patches the live gains array.
+// Add commits candidate cand. Under EvalRebuild it only records the
+// selection and marks the rows stale; under EvalIncremental it merges the
+// shortcut into the existing rows in O(n) per row and marks the gains
+// array stale.
 func (s *instSearch) Add(cand int) {
 	if !s.incremental {
 		s.sel = append(s.sel, cand)
-		s.rebuild()
+		s.markStale()
 		return
 	}
+	s.sync()
 	s.mergeAdd(cand)
 }
 
 // RemoveAt removes the selection element at position pos. Deletions always
-// rebuild, in both eval modes: removing a shortcut can lengthen distances,
-// and the incremental min-merge has no way to undo a min — the information
-// about which pre-merge value a cell held is gone.
+// leave the rows stale for a rebuild, in both eval modes: removing a
+// shortcut can lengthen distances, and the incremental min-merge has no
+// way to undo a min — the information about which pre-merge value a cell
+// held is gone.
 func (s *instSearch) RemoveAt(pos int) {
 	s.sel = append(s.sel[:pos], s.sel[pos+1:]...)
-	s.rebuild()
+	s.markStale()
 }
 
 // mergeAdd is the incremental commit path. With f=(a,b) the new shortcut,
-// it runs up to four passes:
-//
-//  1. Query the two overlay rows d_F(a,·), d_F(b,·) over the PRE-commit
-//     selection (2 row queries — the only shortest-path work of the
-//     commit, independent of the number of endpoint rows).
-//  2. A read-only merge pre-pass per endpoint row finding the first
-//     improved node (none ⇒ the row provably cannot change — RowsUnchanged)
-//     and, when the gains array is live, the changed candidate positions
-//     with new value ≤ d_t — the only positions through which any
-//     candidate cell can newly satisfy a pair.
-//  3. When the gains array is live: patch it in place (classifyPairs +
-//     patchRows) while the rows still hold their pre-commit values —
-//     new values are recomputed on the fly from the same min expression
-//     the merge applies, so the patched array is bit-identical to a cold
-//     scan over the merged rows.
-//  4. Merge the rows in place and refresh pairDist/σ.
+// it queries the two overlay rows d_F(a,·), d_F(b,·) over the PRE-commit
+// selection (the only shortest-path work of the commit, independent of the
+// number of endpoint rows), then min-merges them into every endpoint row.
+// Each row is scanned up to its first improved node; a row with none
+// provably cannot change and is skipped (RowsUnchanged). The pair
+// distances and σ are refreshed from the merged rows and the gains array
+// is marked stale.
 func (s *instSearch) mergeAdd(cand int) {
 	e := s.inst.CandidateEdge(cand)
 	fa, fb := int(e.U), int(e.V)
@@ -958,9 +906,6 @@ func (s *instSearch) mergeAdd(cand int) {
 	s.sel = append(s.sel, cand)
 
 	rows := len(s.rows)
-	track := s.gainsValid
-	dt := s.inst.thr.D
-	pos := s.inst.candPos // nil when candidate positions are node ids
 	shards := s.workers
 	if shards > rows {
 		shards = rows
@@ -975,47 +920,36 @@ func (s *instSearch) mergeAdd(cand int) {
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	// Pass 2: per-row merge pre-pass (read-only; rows and the two shortcut
-	// rows are shared, every write is row-indexed and disjoint).
+	// Rows and the two shortcut rows are shared; every write is
+	// row-indexed and disjoint.
 	ParallelFor(s.workers, rows, func(shard, lo, hi int) {
 		changed := int64(0)
 		for r := lo; r < hi; r++ {
 			row := s.rows[r]
 			da, db := row[fa], row[fb]
-			first := -1
-			for x, old := range row {
+			x := 0
+			for ; x < len(row); x++ {
 				nd := da + rowB[x]
 				if d := db + rowA[x]; d < nd {
 					nd = d
 				}
-				if nd < old {
-					first = x
+				if nd < row[x] {
 					break
 				}
 			}
-			s.firstChange[r] = first
-			if first < 0 {
-				continue
+			if x == len(row) {
+				continue // no node improves: the row cannot change
 			}
 			changed++
-			if !track {
-				continue
-			}
-			cc := s.changedCand[r][:0]
-			for x := first; x < len(row); x++ {
+			for ; x < len(row); x++ {
 				nd := da + rowB[x]
 				if d := db + rowA[x]; d < nd {
 					nd = d
 				}
-				if nd < row[x] && nd <= dt {
-					if pos == nil {
-						cc = append(cc, int32(x))
-					} else if p, ok := pos[graph.NodeID(x)]; ok {
-						cc = append(cc, p)
-					}
+				if nd < row[x] {
+					row[x] = nd
 				}
 			}
-			s.changedCand[r] = cc
 		}
 		cnt[shard] = changed
 	})
@@ -1029,296 +963,6 @@ func (s *instSearch) mergeAdd(cand int) {
 	s.evRowsMerged += merged
 	s.evRowsUnchanged += int64(rows) - merged
 	obs.ObserveMerge(merged, 0)
-
-	// Pass 3: patch the live gains array before the merge overwrites the
-	// old row values the patch subtracts against.
-	if track {
-		s.classifyPairs(fa, fb, rowA, rowB)
-		s.scanShardsRun(func(aiLo, aiHi int) { s.patchRows(fa, fb, rowA, rowB, aiLo, aiHi) })
-		if s.interrupted() {
-			s.gainsValid = false
-		}
-	}
-
-	// Pass 4: merge the rows in place and refresh the pair distances.
-	ParallelFor(s.workers, rows, func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			first := s.firstChange[r]
-			if first < 0 {
-				continue
-			}
-			row := s.rows[r]
-			da, db := row[fa], row[fb]
-			for x := first; x < len(row); x++ {
-				nd := da + rowB[x]
-				if d := db + rowA[x]; d < nd {
-					nd = d
-				}
-				if nd < row[x] {
-					row[x] = nd
-				}
-			}
-		}
-	})
+	s.gainsValid = false
 	s.recomputeSigma()
-}
-
-// classifyPairs sorts every pair carrying a gains contribution into the
-// delta-patch work lists: newly satisfied pairs (contribution must leave
-// gains), untouched pairs (PairsSkipped — their contribution stays
-// verbatim), and changed pairs, rescanned either only at their changed
-// candidate positions or — past the cutoff where the dense fused pass is
-// cheaper — over the full grid. Classification is serial, so the lists and
-// the counters are identical for every worker count.
-func (s *instSearch) classifyPairs(fa, fb int, rowA, rowB []float64) {
-	dt := s.inst.thr.D
-	t := len(s.inst.candNodes)
-	s.dropPairs = s.dropPairs[:0]
-	s.fullPairs = s.fullPairs[:0]
-	s.deltaPairs = s.deltaPairs[:0]
-	s.deltaOff = append(s.deltaOff[:0], 0)
-	s.deltaPos = s.deltaPos[:0]
-	skipped := int64(0)
-	for i, p := range s.inst.ps.Pairs() {
-		if !s.inGains[i] {
-			continue // satisfied at the last sync: no contribution to maintain
-		}
-		// New pair distance, by the same min expression (same operand
-		// values) the row merge applies — bit-identical to the merged row.
-		ru := s.rows[s.pairU[i]]
-		nd := s.pairDist[i]
-		if d := ru[fa] + rowB[p.W]; d < nd {
-			nd = d
-		}
-		if d := ru[fb] + rowA[p.W]; d < nd {
-			nd = d
-		}
-		if nd <= dt {
-			s.dropPairs = append(s.dropPairs, int32(i))
-			s.inGains[i] = false
-			continue
-		}
-		var cu, cw []int32
-		if s.firstChange[s.pairU[i]] >= 0 {
-			cu = s.changedCand[s.pairU[i]]
-		}
-		if s.firstChange[s.pairW[i]] >= 0 {
-			cw = s.changedCand[s.pairW[i]]
-		}
-		if len(cu) == 0 && len(cw) == 0 {
-			skipped++
-			continue
-		}
-		// Delta cutoff: each changed position costs one grid row + one grid
-		// column at roughly twice the fused scan's per-cell work, so past
-		// ~t/4 positions the dense pass wins.
-		if 4*(len(cu)+len(cw)) >= t {
-			s.fullPairs = append(s.fullPairs, int32(i))
-			continue
-		}
-		// Merge the two sorted unique position lists into the arena.
-		a, b := 0, 0
-		for a < len(cu) || b < len(cw) {
-			switch {
-			case b >= len(cw) || (a < len(cu) && cu[a] < cw[b]):
-				s.deltaPos = append(s.deltaPos, cu[a])
-				a++
-			case a >= len(cu) || cw[b] < cu[a]:
-				s.deltaPos = append(s.deltaPos, cw[b])
-				b++
-			default:
-				s.deltaPos = append(s.deltaPos, cu[a])
-				a++
-				b++
-			}
-		}
-		s.deltaPairs = append(s.deltaPairs, int32(i))
-		s.deltaOff = append(s.deltaOff, int32(len(s.deltaPos)))
-	}
-	rescanned := int64(len(s.dropPairs) + len(s.fullPairs) + len(s.deltaPairs))
-	g := telemetry.Global()
-	g.PairsRescanned.Add(rescanned)
-	g.PairsSkipped.Add(skipped)
-	s.evPairsRescanned += rescanned
-	s.evPairsSkipped += skipped
-	obs.ObserveMerge(0, rescanned)
-}
-
-// patchRows applies the classified delta patch to the gains segment owned
-// by candidate-grid rows [aiLo, aiHi). It runs BEFORE the row merge: old
-// values are read straight from the rows, new values recomputed on the fly
-// with the merge's own min expression, so every satisfaction test matches
-// what a cold scan over the merged rows would compute, bit for bit.
-func (s *instSearch) patchRows(fa, fb int, rowA, rowB []float64, aiLo, aiHi int) {
-	if aiLo >= aiHi {
-		return
-	}
-	nodes := s.inst.candNodes
-	t := len(nodes)
-	dt := s.inst.thr.D
-	// Newly satisfied pairs: subtract the old contribution wholesale.
-	for _, pi := range s.dropPairs {
-		if s.interrupted() {
-			return
-		}
-		i := int(pi)
-		w := int(s.inst.weights[i])
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
-		idx := rowStart(t, aiLo)
-		for ai := aiLo; ai < aiHi; ai++ {
-			a := nodes[ai]
-			ca := dt - ru[a]
-			cb := dt - rw[a]
-			for bi := ai + 1; bi < t; bi++ {
-				b := nodes[bi]
-				if rw[b] <= ca || ru[b] <= cb {
-					s.gains[idx] -= w
-				}
-				idx++
-			}
-		}
-	}
-	// Changed pairs past the delta cutoff: one fused old/new pass. Merged
-	// rows only shrink, so a satisfied cell stays satisfied and the update
-	// is +w exactly where the cell newly satisfies.
-	for _, pi := range s.fullPairs {
-		if s.interrupted() {
-			return
-		}
-		i := int(pi)
-		w := int(s.inst.weights[i])
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
-		ruFA, ruFB := ru[fa], ru[fb]
-		rwFA, rwFB := rw[fa], rw[fb]
-		idx := rowStart(t, aiLo)
-		for ai := aiLo; ai < aiHi; ai++ {
-			a := nodes[ai]
-			oa := dt - ru[a]
-			ob := dt - rw[a]
-			nua := ru[a]
-			if d := ruFA + rowB[a]; d < nua {
-				nua = d
-			}
-			if d := ruFB + rowA[a]; d < nua {
-				nua = d
-			}
-			nwa := rw[a]
-			if d := rwFA + rowB[a]; d < nwa {
-				nwa = d
-			}
-			if d := rwFB + rowA[a]; d < nwa {
-				nwa = d
-			}
-			ca := dt - nua
-			cb := dt - nwa
-			for bi := ai + 1; bi < t; bi++ {
-				b := nodes[bi]
-				if rw[b] <= oa || ru[b] <= ob {
-					idx++ // already satisfied before; still satisfied
-					continue
-				}
-				nwb := rw[b]
-				if d := rwFA + rowB[b]; d < nwb {
-					nwb = d
-				}
-				if d := rwFB + rowA[b]; d < nwb {
-					nwb = d
-				}
-				nub := ru[b]
-				if d := ruFA + rowB[b]; d < nub {
-					nub = d
-				}
-				if d := ruFB + rowA[b]; d < nub {
-					nub = d
-				}
-				if nwb <= ca || nub <= cb {
-					s.gains[idx] += w
-				}
-				idx++
-			}
-		}
-	}
-	// Delta pairs: only cells with an endpoint among the pair's changed
-	// candidate positions can flip — a newly satisfying term needs both of
-	// its summands ≤ d_t, and the summand that changed is then a changed
-	// position with new value ≤ d_t. Each position c contributes its grid
-	// row (c, ·) and its grid column (·, c); column cells whose other
-	// endpoint is also in C are skipped (the row pass owns them).
-	for di, pi := range s.deltaPairs {
-		if s.interrupted() {
-			return
-		}
-		i := int(pi)
-		C := s.deltaPos[s.deltaOff[di]:s.deltaOff[di+1]]
-		w := int(s.inst.weights[i])
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
-		ruFA, ruFB := ru[fa], ru[fb]
-		rwFA, rwFB := rw[fa], rw[fb]
-		newRu := func(x graph.NodeID) float64 {
-			nd := ru[x]
-			if d := ruFA + rowB[x]; d < nd {
-				nd = d
-			}
-			if d := ruFB + rowA[x]; d < nd {
-				nd = d
-			}
-			return nd
-		}
-		newRw := func(x graph.NodeID) float64 {
-			nd := rw[x]
-			if d := rwFA + rowB[x]; d < nd {
-				nd = d
-			}
-			if d := rwFB + rowA[x]; d < nd {
-				nd = d
-			}
-			return nd
-		}
-		for ci, c32 := range C {
-			c := int(c32)
-			if c >= aiLo && c < aiHi {
-				// Grid row c: cells (c, bi) for bi > c.
-				a := nodes[c]
-				oa := dt - ru[a]
-				ob := dt - rw[a]
-				ca := dt - newRu(a)
-				cb := dt - newRw(a)
-				idx := rowStart(t, c)
-				for bi := c + 1; bi < t; bi++ {
-					b := nodes[bi]
-					if !(rw[b] <= oa || ru[b] <= ob) && (newRw(b) <= ca || newRu(b) <= cb) {
-						s.gains[idx] += w
-					}
-					idx++
-				}
-			}
-			// Grid column c: cells (ai, c) for ai < c, ai ∉ C.
-			hi := c
-			if hi > aiHi {
-				hi = aiHi
-			}
-			if hi <= aiLo {
-				continue
-			}
-			b := nodes[c]
-			nwb := newRw(b)
-			nub := newRu(b)
-			p := 0
-			for ai := aiLo; ai < hi; ai++ {
-				for p < ci && int(C[p]) < ai {
-					p++
-				}
-				if p < ci && int(C[p]) == ai {
-					continue
-				}
-				a := nodes[ai]
-				if !(rw[b] <= dt-ru[a] || ru[b] <= dt-rw[a]) && (nwb <= dt-newRu(a) || nub <= dt-newRw(a)) {
-					s.gains[rowStart(t, ai)+c-ai-1] += w
-				}
-			}
-		}
-	}
 }

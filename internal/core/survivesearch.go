@@ -20,11 +20,11 @@ import (
 //   - scen[j] evaluates the shortcut-failure scenario S \ {S[j]}, in
 //     selection-position order. Add(c) grows each existing scenario by the
 //     committed shortcut via its own incremental row min-merge against the
-//     surviving set — rows a commit does not touch are skipped by the
-//     merge's firstChange pre-pass, which is exactly the "invalidated only
+//     surviving set — rows a commit does not touch are skipped once the
+//     merge finds no improved node in them, which is exactly the "invalidated only
 //     for scenarios whose rows a new shortcut touched" contract — and the
 //     new scenario S∪{c} \ {c} = S is a clone of the free search taken
-//     BEFORE the commit, inheriting its warm rows and live gains for free.
+//     BEFORE the commit, inheriting its rows and live gains for free.
 //   - nodeScen[v] (SurviveNode) evaluates σ on the cached G−v scenario
 //     instance over the shortcuts that survive v; shortcuts incident to v
 //     are excluded from the scenario's selection outright (merging a dead
@@ -32,8 +32,8 @@ import (
 //     node). Pairs incident to v contribute the constant nodeVac[v].
 //
 // All scenario state is memoized across greedy rounds: a round costs one
-// O(n)-row merge per live scenario plus warm (patched, scan-free) gains
-// reads, never |S|+1 rebuilds.
+// O(n)-row merge per live scenario plus one near-list gains scan per
+// scenario, never |S|+1 rebuilds.
 type surviveSearch struct {
 	inst *Instance
 
@@ -144,8 +144,9 @@ func (s *surviveSearch) Len() int { return s.free.Len() }
 
 func (s *surviveSearch) Contains(cand int) bool { return s.free.Contains(cand) }
 
-// timedGains runs a scenario's (usually warm) gains scan, feeding the
-// per-scenario eval-cost histogram when the ops plane is up.
+// timedGains runs a scenario's gains scan (a cold near-list scan after each
+// commit, a cached return otherwise), feeding the per-scenario eval-cost
+// histogram when the ops plane is up.
 func (s *surviveSearch) timedGains(sc *instSearch, timed bool) []int {
 	if !timed {
 		return sc.GainsAdd()
@@ -171,7 +172,7 @@ func (s *surviveSearch) timedAdd(sc *instSearch, cand int, timed bool) {
 // GainsAdd returns the L-gain of every candidate addition: gain[c] =
 // L(S∪{c}) − L(S), exact. σ⁻(S∪{c}) folds, per candidate, the drop-c
 // scenario (σ(S), the free search's current value), every shortcut
-// scenario's σ + its own warm gain for c, and every node scenario's
+// scenario's σ + its own gain for c, and every node scenario's
 // vac + σ + gain — with candidates incident to a failed node pinned to
 // that scenario's current σ, since a shortcut dies with its endpoint. The
 // slice is scratch reused across calls.
@@ -263,7 +264,7 @@ func (s *surviveSearch) BestAdd() (cand, gain int) {
 }
 
 // Add commits candidate cand: the pre-commit free search is cloned as the
-// new shortcut's own failure scenario (warm rows and gains inherited, no
+// new shortcut's own failure scenario (rows and gains inherited, no
 // shortest-path work), the commit is merged incrementally into every
 // existing scenario it can touch, and σ⁻ is refolded.
 func (s *surviveSearch) Add(cand int) {

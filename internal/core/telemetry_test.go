@@ -278,8 +278,10 @@ func TestCounterTotalsSerialParallelEquivalence(t *testing.T) {
 // sink attached, the candidate-scan hot path (GainAdd and a warm serial
 // GainsAdd) performs zero allocations per operation — instrumentation is
 // one atomic add, never an allocation. Both eval modes are covered: under
-// EvalIncremental a warm GainsAdd is a pure return, under EvalRebuild it
-// re-runs the fused grid scan — neither may allocate.
+// EvalIncremental a repeated GainsAdd returns the cached array, under
+// EvalRebuild it re-runs the near-list cold scan — and the cold scan is
+// also forced under EvalIncremental. Once its arenas are warm, none may
+// allocate.
 func TestCandidateScanZeroAllocs(t *testing.T) {
 	rng := xrand.New(306)
 	inst := testInstance(t, 24, 10, 4, 0.8, rng)
@@ -295,6 +297,17 @@ func TestCandidateScanZeroAllocs(t *testing.T) {
 
 		if allocs := testing.AllocsPerRun(50, func() { s.GainsAdd() }); allocs != 0 {
 			t.Errorf("%s: GainsAdd (serial, warm) allocates %v/op", mode, allocs)
+		}
+		is := s.(*instSearch)
+		cold := func() {
+			is.gainsValid = false
+			s.GainsAdd()
+		}
+		if allocs := testing.AllocsPerRun(50, cold); allocs != 0 {
+			t.Errorf("%s: cold near-list GainsAdd (serial, warm arenas) allocates %v/op", mode, allocs)
+		}
+		if len(is.candU) == 0 {
+			t.Errorf("%s: cold scan built no near lists", mode)
 		}
 		if allocs := testing.AllocsPerRun(50, func() { s.GainAdd(3) }); allocs != 0 {
 			t.Errorf("%s: GainAdd allocates %v/op", mode, allocs)
@@ -336,8 +349,8 @@ func benchInstance(tb testing.TB, n, m, k int, dt float64, rng *xrand.Rand) *Ins
 
 // BenchmarkGainsAddSerialNoSink is the alloc/op evidence the acceptance
 // criteria call for; run with -benchmem. It pins EvalRebuild so every
-// iteration re-runs the fused grid scan — under the incremental default a
-// warm GainsAdd is a pure return and would measure nothing.
+// iteration re-runs the near-list cold scan — under the incremental default
+// a repeated GainsAdd returns the cached array and would measure nothing.
 func BenchmarkGainsAddSerialNoSink(b *testing.B) {
 	rng := xrand.New(307)
 	inst0 := benchInstance(b, 64, 20, 6, 0.8, rng)

@@ -71,9 +71,8 @@ var (
 		"Endpoint distance rows changed by one incremental shortcut commit.",
 		ExpBuckets(1, 4, 10)) // 1 … ~262k
 
-	// RescanPairs is the number of pairs one gains scan recomputed — the
-	// full unsatisfied set on a cold scan, only the changed pairs on a
-	// delta rescan.
+	// RescanPairs is the number of pairs one gains scan recomputed: the
+	// full unsatisfied set, since every gains refresh is a cold scan.
 	RescanPairs = NewHistogram(Default(), "msc_rescan_pairs",
 		"Pairs whose gains contribution one scan recomputed.",
 		ExpBuckets(1, 4, 10))

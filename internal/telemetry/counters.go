@@ -52,10 +52,12 @@ type Counters struct {
 	RowsMerged    atomic.Int64
 	RowsUnchanged atomic.Int64
 	// PairsRescanned counts pairs whose per-candidate gains contribution
-	// was (re)computed by a gains scan — every unsatisfied pair on a cold
-	// scan, only the changed-row and newly-satisfied pairs on a delta
-	// rescan. PairsSkipped counts unsatisfied pairs a delta rescan proved
-	// it could keep verbatim (no endpoint row changed).
+	// was computed by a gains scan: every unsatisfied pair, once per cold
+	// scan. PairsSkipped is no longer written and always reads 0: every
+	// gains refresh is a cold near-list scan, so no pair's contribution is
+	// ever carried over from an earlier scan. The field stays so the
+	// counter's JSON name, its /metrics series and the readers of both
+	// keep working.
 	PairsRescanned atomic.Int64
 	PairsSkipped   atomic.Int64
 	// CandidatesPruned counts candidate cells a pruned gains scan proved

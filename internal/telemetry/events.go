@@ -50,10 +50,12 @@ type RoundEvent struct {
 	Shards     int   `json:"shards"`
 	// Incremental-evaluation work of the round (core.EvalStats):
 	// RowsMerged/RowsUnchanged split the endpoint distance rows by whether
-	// the committed shortcut's O(n) merge changed them; PairsRescanned/
-	// PairsSkipped split the round's gains scan by whether a pair's
-	// per-candidate contribution had to be recomputed. All 0 on the
-	// rebuild evaluation path and for emitters without incremental state.
+	// the committed shortcut's O(n) merge changed them (both 0 on the
+	// rebuild evaluation path); PairsRescanned counts the pairs the round's
+	// gains scans covered. PairsSkipped always reads 0: every gains refresh
+	// is a cold scan of all unsatisfied pairs, so none is carried over. It
+	// is kept for the readers of the pairs_skipped field. All 0 for
+	// emitters without incremental state.
 	RowsMerged     int64 `json:"rows_merged"`
 	RowsUnchanged  int64 `json:"rows_unchanged"`
 	PairsRescanned int64 `json:"pairs_rescanned"`
