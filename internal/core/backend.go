@@ -21,9 +21,10 @@ const (
 	// precedence over the threshold).
 	BackendAuto DistBackend = ""
 	// BackendDense materializes the full n×n table eagerly (n Dijkstras
-	// at construction). Right when most rows get read: bound coverage
-	// construction, common-node coverage, threshold sweeps over one
-	// network.
+	// at construction). Right when most rows get read in full:
+	// common-node coverage, threshold sweeps over one network. The μ/ν
+	// bound construction reads only d_t-balls, which the lazy and bounded
+	// backends compute without a full row.
 	BackendDense DistBackend = "dense"
 	// BackendLazy computes Dijkstra rows on demand and memoizes them in a
 	// sharded cache, with the social-pair endpoint rows pinned. Right when

@@ -3,9 +3,11 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 
 	"msc/internal/graph"
 	"msc/internal/maxcover"
+	"msc/internal/shortestpath"
 	"msc/internal/telemetry"
 )
 
@@ -35,10 +37,10 @@ import (
 // the threshold (the paper assumes none do; adding a constant preserves
 // both the bound and submodularity).
 //
-// The build reads every candidate row once, with the same D operands as a
-// per-candidate scan, so μ, ν and their greedy selections equal, bit for
-// bit, those of the dense one-bitset-per-candidate reference kept in
-// bounds_diff_test.go.
+// The build reads only each candidate's d_t-ball, restricted to the pair
+// nodes (readBalls), with the same D operands a full-row scan would read,
+// so μ, ν and their greedy selections equal, bit for bit, those of the
+// dense one-bitset-per-candidate reference kept in bounds_diff_test.go.
 func (inst *Instance) buildBounds() {
 	inst.boundsOnce.Do(func() {
 		m := inst.ps.Len()
@@ -47,41 +49,47 @@ func (inst *Instance) buildBounds() {
 		// total importance of the pairs it appears in — ½ × multiplicity
 		// when unweighted, matching §V-B2 exactly.
 		nuNodes := inst.ps.Nodes()
-		nuIndex := make(map[graph.NodeID]int, len(nuNodes))
+		nuIndex := make([]int32, inst.g.N())
+		for v := range nuIndex {
+			nuIndex[v] = -1
+		}
 		for i, v := range nuNodes {
-			nuIndex[v] = i
+			nuIndex[v] = int32(i)
 		}
 		nuWeights := make([]float64, len(nuNodes))
+		// ends lists, per pair node, the endpoints it is of pairs not
+		// satisfied at baseline (those are handled by the Initial set),
+		// as pair·2 + (0 for U, 1 for W).
+		ends := make([][]int32, len(nuNodes))
 		for i, p := range inst.ps.Pairs() {
 			half := float64(inst.weights[i]) / 2
-			nuWeights[nuIndex[p.U]] += half
-			nuWeights[nuIndex[p.W]] += half
+			u, w := nuIndex[p.U], nuIndex[p.W]
+			nuWeights[u] += half
+			nuWeights[w] += half
+			if !inst.satisfied0.Contains(i) {
+				ends[u] = append(ends[u], int32(2*i))
+				ends[w] = append(ends[w], int32(2*i+1))
+			}
 		}
-		// One pass over the candidate rows gathers the ν balls and, for
-		// every pair not satisfied at baseline, the candidates within d_t
-		// of each endpoint with D[a][u] and D[a][w] as read from row a.
+		// One pass over the candidate balls, in candidate order, gathers
+		// the ν balls and, for every pair not satisfied at baseline, the
+		// candidates within d_t of each endpoint with D[a][u] and D[a][w]
+		// as read from a's ball.
 		t := len(inst.candNodes)
 		uBall := make([][]ballEntry, m)
 		wBall := make([][]ballEntry, m)
 		balls := &maxcover.Lists{}
 		var ball []int32
-		for a, v := range inst.candNodes {
-			row := inst.table.Row(v)
-			for i, p := range inst.ps.Pairs() {
-				if inst.satisfied0.Contains(i) {
-					continue // handled by the Initial set
-				}
-				if row[p.U] <= d {
-					uBall[i] = append(uBall[i], ballEntry{int32(a), row[p.U]})
-				}
-				if row[p.W] <= d {
-					wBall[i] = append(wBall[i], ballEntry{int32(a), row[p.W]})
-				}
-			}
+		for a, hits := range inst.readBalls(nuNodes, nuIndex) {
 			ball = ball[:0]
-			for i, x := range nuNodes {
-				if row[x] <= d {
-					ball = append(ball, int32(i))
+			for _, h := range hits {
+				ball = append(ball, h.nu)
+				for _, e := range ends[h.nu] {
+					if e&1 == 0 {
+						uBall[e>>1] = append(uBall[e>>1], ballEntry{int32(a), h.d})
+					} else {
+						wBall[e>>1] = append(wBall[e>>1], ballEntry{int32(a), h.d})
+					}
 				}
 			}
 			balls.Append(ball)
@@ -135,26 +143,104 @@ type ballEntry struct {
 	d   float64
 }
 
+// ballHit is one pair node within d_t of a candidate: its position in the
+// pair-node list and its distance.
+type ballHit struct {
+	nu int32
+	d  float64
+}
+
+// readBalls returns each candidate's d_t-ball restricted to the pair
+// nodes, ascending by pair-node position, read on Options.Parallelism
+// workers that pull candidates from a shared counter. A candidate's hits
+// depend on the candidate alone, so the result is identical for every
+// worker count and schedule. The ball comes from one place per backend:
+//
+//   - a SparseSource (the bounded backend) serves its cached sparse row,
+//     so no dense row is ever materialized;
+//   - the lazy backend runs an uncached bounded Dijkstra at d_t, except
+//     for candidates that are pair endpoints: their pinned rows are read
+//     through the cache here, on the pool, because the σ search reads
+//     them right after;
+//   - any other source (the dense table) serves its resident row, read
+//     at the pair nodes only.
+//
+// Every path yields exactly the entries ≤ d_t of the row Row(v) returns,
+// so the hits are those a full-row scan would find, bit for bit.
+func (inst *Instance) readBalls(nuNodes []graph.NodeID, nuIndex []int32) [][]ballHit {
+	d := inst.thr.D
+	workers := ResolveParallelism(inst.parallelism)
+	out := make([][]ballHit, len(inst.candNodes))
+	var next atomic.Int64
+	ParallelFor(workers, workers, func(int, int, int) {
+		var ids []int32
+		var dist []float64
+		for {
+			a := int(next.Add(1) - 1)
+			if a >= len(inst.candNodes) {
+				return
+			}
+			v := inst.candNodes[a]
+			var hits []ballHit
+			switch src := inst.table.(type) {
+			case shortestpath.SparseSource:
+				r := src.SparseRow(v)
+				for i := 0; i < r.Len(); i++ {
+					if x, dx := r.Entry(i); dx <= d && nuIndex[x] >= 0 {
+						hits = append(hits, ballHit{nuIndex[x], dx})
+					}
+				}
+			case *shortestpath.LazyTable:
+				if nuIndex[v] >= 0 {
+					hits = rowHits(src.Row(v), nuNodes, d)
+					break
+				}
+				ids, dist = src.Ball(v, d, ids[:0], dist[:0])
+				for i, x := range ids {
+					if j := nuIndex[x]; j >= 0 {
+						hits = append(hits, ballHit{j, dist[i]})
+					}
+				}
+			default:
+				hits = rowHits(src.Row(v), nuNodes, d)
+			}
+			out[a] = hits
+		}
+	})
+	return out
+}
+
+// rowHits returns the pair nodes within d of a full row.
+func rowHits(row []float64, nuNodes []graph.NodeID, d float64) []ballHit {
+	var hits []ballHit
+	for j, x := range nuNodes {
+		if row[x] <= d {
+			hits = append(hits, ballHit{int32(j), row[x]})
+		}
+	}
+	return hits
+}
+
 // maxBoundCandidates caps the candidate universe for which round-event
-// diagnostics evaluate μ/ν. The coverage structures themselves are sparse,
-// but building them reads all t candidate rows of n distances each — t
-// full Dijkstra runs, and on the dense backend an O(n²) table — which is
-// routine at paper scale but days of row computation at n=10⁶. Above the
-// cap (t ≈ 4100 candidate nodes) BoundsTractable reports false and
-// round-event diagnostics skip μ/ν with a -1 sentinel instead of stalling
-// the solve. Solvers that *need* the bounds (sandwich, mu, nu) still build
-// them unconditionally.
+// diagnostics evaluate μ/ν. The coverage structures are sparse and the
+// build reads only the t candidates' d_t-balls (readBalls), but that is
+// still t searches (one bounded Dijkstra or cached row per candidate, and
+// on the dense backend an O(n²) table up front) that no 10⁶-node run has
+// yet measured. Above the cap (t ≈ 4100 candidate nodes) BoundsTractable
+// reports false and round-event diagnostics skip μ/ν with a -1 sentinel
+// instead of stalling the solve. Solvers that *need* the bounds
+// (sandwich, mu, nu) still build them unconditionally.
 const maxBoundCandidates = 8 << 20
 
 // BoundsTractable reports whether the μ/ν coverage structures can be
-// built within a sane row-reading budget.
+// built within a sane ball-reading budget.
 func (inst *Instance) BoundsTractable() bool {
 	return inst.numCand <= maxBoundCandidates
 }
 
 // diagBounds returns μ/ν of a selection for round-event diagnostics, or
 // the (-1, -1) sentinel when building the coverage structures is
-// intractable. Telemetry must never force the t-row read the solve itself
+// intractable. Telemetry must never force the t-ball read the solve itself
 // does not need.
 func diagBounds(p Problem, sel []int) (mu, nu float64) {
 	if !p.BoundsTractable() {

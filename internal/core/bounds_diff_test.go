@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"msc/internal/core"
 	"msc/internal/dynamic"
 	"msc/internal/failprob"
+	"msc/internal/gen/rgg"
+	"msc/internal/gen/social"
 	"msc/internal/graph"
 	"msc/internal/pairs"
 	"msc/internal/shortestpath"
@@ -311,21 +314,88 @@ func equalSel(a, b []int) bool {
 	return true
 }
 
+// ballWorlds draws the graphs of the backend sweep: a paper-style RGG and
+// a venue-clustered social network, both with raw −ln(1−p) lengths at the
+// benchmark's p_t, and an integer-length graph whose pairs and
+// one-shortcut paths land exactly on d_t = 4.
+func ballWorlds(t *testing.T, rng *xrand.Rand) []ballWorld {
+	t.Helper()
+	const n = 40
+	var out []ballWorld
+	g, err := rgg.Generate(rgg.Config{N: n, Radius: 1.6 * math.Sqrt(math.Log(n)/(math.Pi*n)), FailureAtRadius: 0.08, RequireConnected: true}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, ballWorld{name: "rgg", g: g, dt: -math.Log(1 - 0.11)})
+	net, err := social.Generate(social.ScaledConfig(n), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, ballWorld{name: "social", g: net.Graph, dt: -math.Log(1 - 0.23)})
+	gi, _, _ := diffWorld(t, 30, 8, 4, true, true, rng)
+	out = append(out, ballWorld{name: "integer", g: gi, dt: 4})
+	for i, w := range out {
+		ps, err := pairs.SampleViolating(shortestpath.NewTable(w.g, 0), w.dt, 8, rng)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		out[i].ps = ps
+	}
+	return out
+}
+
+type ballWorld struct {
+	name string
+	g    *graph.Graph
+	dt   float64
+	ps   *pairs.Set
+}
+
+// ballBackends are the distance backends of the sweep; the capped ones
+// force row eviction while the bounds are built.
+var ballBackends = []struct {
+	name string
+	opts core.Options
+}{
+	{"dense", core.Options{DistBackend: core.BackendDense}},
+	{"lazy", core.Options{DistBackend: core.BackendLazy}},
+	{"lazy-capped", core.Options{DistBackend: core.BackendLazy, LazyMaxRows: 3}},
+	{"bounded", core.Options{DistBackend: core.BackendBounded}},
+	{"bounded-capped", core.Options{DistBackend: core.BackendBounded, LazyMaxRows: 3}},
+}
+
 // TestBoundsDifferential pins the ball-derived μ/ν families to the dense
-// reference over 24 seeds in six regimes: unit weights (alternating the
-// dense and lazy backends, and on integer lengths where distances hit d_t
-// exactly), weighted pairs, pairs satisfied at baseline, the
-// pair-endpoint-free candidate universe, unit- and length-priced budgets
-// through the weighted greedy, and a dynamic problem.
+// reference over 24 seeds. Every distance backend, at Parallelism 1, 2
+// and 8, is checked on RGG and social graphs with raw lengths and on
+// integer lengths where distances hit d_t exactly; the reference reads
+// the backend's own full rows, so on the bounded backend it follows the
+// float32 metric. Six more regimes run on the dense and lazy backends:
+// unit weights (also on integer lengths), weighted pairs, pairs
+// satisfied at baseline, the pair-endpoint-free candidate universe, unit-
+// and length-priced budgets through the weighted greedy, and a dynamic
+// problem.
 func TestBoundsDifferential(t *testing.T) {
 	const dt = 1.2
 	satisfiedSeen := 0
+	muSets := map[string]int{} // per ball world, μ sets seen across seeds
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := xrand.New(seed)
 		checkInst := func(name string, inst *core.Instance) {
 			t.Helper()
 			r := buildRef(inst)
 			checkBoundsDiff(t, name, inst, r.mu, r.nu, r.muValue, r.nuValue, rng)
+		}
+
+		for _, w := range ballWorlds(t, rng) {
+			for _, be := range ballBackends {
+				for _, par := range []int{1, 2, 8} {
+					opts := be.opts
+					opts.Parallelism = par
+					inst := diffInstance(t, w.g, w.ps, w.dt, 3, opts)
+					checkInst(fmt.Sprintf("seed %d %s/%s/par%d", seed, w.name, be.name, par), inst)
+					muSets[w.name] += len(inst.MuProblem().Sparse.IDs)
+				}
+			}
 		}
 
 		g, ps, table := diffWorld(t, 30, 8, dt, true, false, rng)
@@ -385,5 +455,45 @@ func TestBoundsDifferential(t *testing.T) {
 	}
 	if satisfiedSeen == 0 {
 		t.Fatal("no seed produced a pair satisfied at baseline")
+	}
+	for name, n := range muSets {
+		if n == 0 {
+			t.Fatalf("%s: no candidate satisfied any pair; the sweep checked empty μ families only", name)
+		}
+	}
+}
+
+// TestBoundsReadBallsOnly pins what the μ/ν build reads: on the bounded
+// backend it materializes no dense row, and on the lazy backend it
+// computes (and caches) full rows only for the pinned pair endpoints,
+// whose rows the σ search reads anyway; every other candidate costs one
+// uncached ball.
+func TestBoundsReadBallsOnly(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := xrand.New(seed)
+		for _, w := range ballWorlds(t, rng) {
+			for _, exclude := range []bool{false, true} {
+				name := fmt.Sprintf("seed %d %s exclude=%v", seed, w.name, exclude)
+				bounded := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendBounded, ExcludePairEndpoints: exclude})
+				bounded.MuProblem()
+				bounded.NuProblem()
+				if s := bounded.Table().(*shortestpath.BoundedTable).Stats(); s.DenseRows != 0 {
+					t.Fatalf("%s: bounded build materialized %d dense rows", name, s.DenseRows)
+				}
+
+				lazy := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendLazy, LazyMaxRows: 3, ExcludePairEndpoints: exclude})
+				lt := lazy.Table().(*shortestpath.LazyTable)
+				before := lt.Stats().Computes
+				lazy.MuProblem()
+				lazy.NuProblem()
+				want := int64(len(w.ps.Nodes()))
+				if exclude {
+					want = before // no candidate is a pair endpoint
+				}
+				if got := lt.Stats().Computes; got != want {
+					t.Fatalf("%s: lazy build left %d row computes (%d before), want %d: only pinned endpoint rows", name, got, before, want)
+				}
+			}
+		}
 	}
 }

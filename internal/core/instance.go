@@ -70,7 +70,7 @@ type Problem interface {
 	Nu(sel []int) float64
 	// BoundsTractable reports whether the μ/ν coverage structures can be
 	// built cheaply; when false, diagnostics must not call Mu/Nu (the
-	// build reads every candidate row).
+	// build reads every candidate's d_t-ball).
 	BoundsTractable() bool
 	// MuProblem returns μ as a max-coverage instance with budget k.
 	MuProblem() maxcover.Problem
@@ -142,6 +142,10 @@ type Instance struct {
 	// evalMode is the resolved Options.EvalMode governing searches.
 	evalMode EvalMode
 
+	// parallelism is Options.Parallelism, resolved when the μ/ν build
+	// reads the candidate balls.
+	parallelism int
+
 	// survive is the resolved Options.Survive failure model; SurviveNone
 	// keeps the paper's fault-free objective (survive.go).
 	survive Survivability
@@ -207,9 +211,11 @@ type Options struct {
 	// except the Dijkstra and row-cache ones are identical across
 	// backends.
 	DistBackend DistBackend
-	// Parallelism bounds the workers used to build the dense table; <= 0
-	// resolves like the solvers' Parallelism option (package default,
-	// else GOMAXPROCS). The table is identical for every worker count.
+	// Parallelism bounds the workers used to build the dense table and to
+	// read the candidates' d_t-balls for the μ/ν bounds; <= 0 resolves
+	// like the solvers' Parallelism option (package default, else
+	// GOMAXPROCS). The table and the bounds are identical for every
+	// worker count.
 	Parallelism int
 	// LazyMaxRows caps the lazy backend's cached non-pinned rows; 0 means
 	// unbounded. Social-pair endpoint rows are always pinned and exempt.
@@ -294,6 +300,7 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 	var evalOpt EvalMode
 	if opts != nil {
 		evalOpt = opts.EvalMode
+		inst.parallelism = opts.Parallelism
 	}
 	switch em := resolveEvalMode(evalOpt); em {
 	case EvalIncremental, EvalRebuild:

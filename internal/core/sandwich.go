@@ -38,7 +38,9 @@ type SandwichResult struct {
 // only arm with a sharded candidate scan; the μ/ν arms run the serial
 // coverage greedy of internal/maxcover over structures built from the
 // candidates' d_t-balls. Those arms are not free: building the bounds reads
-// every candidate row in full. With a sink attached, the F_σ arm emits its
+// every candidate's d_t-ball, on Options.Parallelism workers of the
+// instance (a bounded Dijkstra or a cached row per candidate, see
+// Instance.readBalls). With a sink attached, the F_σ arm emits its
 // per-round trace and Sandwich itself emits one closing SandwichEvent
 // summarizing the three arms and the bound.
 func Sandwich(p Problem, opts ...Option) SandwichResult {

@@ -4,13 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"msc/internal/graph"
-	"msc/internal/indexheap"
 	"msc/internal/obs"
 	"msc/internal/telemetry"
 )
@@ -176,18 +174,17 @@ type BoundedStats struct {
 //
 // The cache layer is LazyTable's, verbatim: sharded, concurrency-safe,
 // one sync.Once per entry, FIFO eviction under MaxRows, Pin for
-// never-evict rows. Dijkstra scratch (heap, distance buffer, touched
-// list) lives in a sync.Pool so warm rows allocate only their own sparse
-// payload. An optional ALT landmark layer answers provably-unreachable
-// Dist queries without a row at all.
+// never-evict rows. Rows come from a ballFinder, whose pooled scratch
+// lets warm rows allocate only their own sparse payload. An optional ALT
+// landmark layer answers provably-unreachable Dist queries without a row
+// at all.
 type BoundedTable struct {
-	g      *graph.Graph
 	n      int
 	reach  float64
 	shards []boundedShard
 	lm     *Landmarks
 
-	scratch sync.Pool // *boundedScratch
+	balls *ballFinder // pooled bounded-Dijkstra scratch
 
 	// dense holds rows materialized through Row (the DistanceSource
 	// dense-row contract: valid and immutable for the caller's
@@ -223,14 +220,6 @@ type boundedRow struct {
 	bytes atomic.Int64
 }
 
-type boundedScratch struct {
-	h *indexheap.Heap
-	// dist is kept +Inf-filled between runs; each run resets exactly the
-	// entries it touched.
-	dist    []float64
-	touched []int32
-}
-
 // NewBoundedTable wraps g in a bounded-reach sparse distance source. The
 // graph must stay immutable for the table's lifetime. It rejects a NaN
 // or negative reach: a NaN bound would silently degenerate to full
@@ -251,11 +240,11 @@ func NewBoundedTable(g *graph.Graph, opts BoundedOptions) (*BoundedTable, error)
 		shards = opts.MaxRows
 	}
 	t := &BoundedTable{
-		g:      g,
 		n:      g.N(),
 		reach:  opts.Reach,
 		shards: make([]boundedShard, shards),
 		dense:  make(map[graph.NodeID][]float64),
+		balls:  newBallFinder(g),
 	}
 	for i := range t.shards {
 		sh := &t.shards[i]
@@ -267,12 +256,6 @@ func NewBoundedTable(g *graph.Graph, opts BoundedOptions) (*BoundedTable, error)
 		sh.cap = opts.MaxRows / shards
 		if i < opts.MaxRows%shards {
 			sh.cap++
-		}
-	}
-	t.scratch.New = func() any {
-		return &boundedScratch{
-			h:    indexheap.New(t.n),
-			dist: newDistSlice(t.n),
 		}
 	}
 	if opts.Landmarks > 0 {
@@ -396,10 +379,10 @@ func (t *BoundedTable) SparseRow(u graph.NodeID) SparseRow {
 		telemetry.Global().RowCacheComputes.Add(1)
 		if obs.Enabled() {
 			start := time.Now()
-			e.row = t.computeRow(u)
+			e.row = t.balls.sparseRow(u, t.reach)
 			obs.ObserveRowCompute(time.Since(start))
 		} else {
-			e.row = t.computeRow(u)
+			e.row = t.balls.sparseRow(u, t.reach)
 		}
 		b := e.row.Bytes()
 		e.bytes.Store(b)
@@ -407,63 +390,6 @@ func (t *BoundedTable) SparseRow(u graph.NodeID) SparseRow {
 		rowBytesResident.Add(b)
 	})
 	return e.row
-}
-
-// computeRow runs a bounded Dijkstra from src on pooled scratch and packs
-// the settled ball into a SparseRow. Counter discipline matches
-// dijkstraInto: one DijkstraRuns increment and one EdgeRelaxations flush
-// per run, so per-run totals stay deterministic at every worker count.
-func (t *BoundedTable) computeRow(src graph.NodeID) SparseRow {
-	sc := t.scratch.Get().(*boundedScratch)
-	relaxed := int64(0)
-	h, dist := sc.h, sc.dist
-	touched := sc.touched[:0]
-	bound := t.reach
-	g := t.g
-	dist[src] = 0
-	touched = append(touched, int32(src))
-	h.Push(int(src), 0)
-	for h.Len() > 0 {
-		u, du := h.Pop()
-		if du > bound {
-			// Every remaining tentative distance is ≥ du > bound: heap
-			// keys pop in non-decreasing order, and dist[] mirrors the
-			// current keys. The ≤ bound filter below discards them, so
-			// only the heap bookkeeping needs resetting.
-			h.Reset()
-			break
-		}
-		for _, a := range g.Neighbors(graph.NodeID(u)) {
-			if nd := du + a.Length; nd < dist[a.To] {
-				if math.IsInf(dist[a.To], 1) {
-					touched = append(touched, int32(a.To))
-				}
-				dist[a.To] = nd
-				relaxed++
-				h.Push(int(a.To), nd)
-			}
-		}
-	}
-	ids := make([]int32, 0, len(touched))
-	for _, v := range touched {
-		if dist[v] <= bound {
-			ids = append(ids, v)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ds := make([]float32, len(ids))
-	for i, v := range ids {
-		ds[i] = float32(dist[v])
-	}
-	for _, v := range touched {
-		dist[v] = Inf
-	}
-	sc.touched = touched[:0]
-	t.scratch.Put(sc)
-	c := telemetry.Global()
-	c.DijkstraRuns.Add(1)
-	c.EdgeRelaxations.Add(relaxed)
-	return SparseRow{ids: ids, dist: ds}
 }
 
 // Stats snapshots the table's counters. Consistent at a quiescent point,

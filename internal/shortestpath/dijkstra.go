@@ -23,7 +23,7 @@ var Inf = math.Inf(1)
 // Unreachable nodes get +Inf.
 func Dijkstra(g *graph.Graph, src graph.NodeID) []float64 {
 	dist := newDistSlice(g.N())
-	dijkstraInto(g, src, math.Inf(1), dist, nil)
+	dijkstraInto(g, src, dist, nil)
 	return dist
 }
 
@@ -36,23 +36,26 @@ func DijkstraWithParents(g *graph.Graph, src graph.NodeID) (dist []float64, pare
 	for i := range parent {
 		parent[i] = -1
 	}
-	dijkstraInto(g, src, math.Inf(1), dist, parent)
+	dijkstraInto(g, src, dist, parent)
 	return dist, parent
 }
 
 // BoundedDijkstra returns distances from src, exploring only nodes within
-// maxDist; nodes farther away (or unreachable) get +Inf. This powers the
-// coverage-set construction, which only cares about "within d_t".
+// maxDist; nodes farther away (or unreachable) get +Inf. It scatters one
+// ballFinder run into a dense row.
 func BoundedDijkstra(g *graph.Graph, src graph.NodeID, maxDist float64) []float64 {
+	ids, ds := newBallFinder(g).ball(src, maxDist, nil, nil)
 	dist := newDistSlice(g.N())
-	dijkstraInto(g, src, maxDist, dist, nil)
+	for i, v := range ids {
+		dist[v] = ds[i]
+	}
 	return dist
 }
 
 // dijkstraInto runs Dijkstra from src into the provided dist slice
-// (pre-filled with +Inf), stopping once the frontier exceeds bound. If
-// parent is non-nil it is filled with shortest-path predecessors.
-func dijkstraInto(g *graph.Graph, src graph.NodeID, bound float64, dist []float64, parent []graph.NodeID) {
+// (pre-filled with +Inf). If parent is non-nil it is filled with
+// shortest-path predecessors.
+func dijkstraInto(g *graph.Graph, src graph.NodeID, dist []float64, parent []graph.NodeID) {
 	// Relaxations tally into a local; one atomic flush per run keeps the
 	// hot loop free of shared writes while the per-run totals (and thus
 	// any sum of runs) stay deterministic at every worker count.
@@ -67,16 +70,6 @@ func dijkstraInto(g *graph.Graph, src graph.NodeID, bound float64, dist []float6
 	h.Push(int(src), 0)
 	for h.Len() > 0 {
 		u, du := h.Pop()
-		if du > bound {
-			// Everything left in the heap is at least this far away.
-			// Reset their tentative distances back to Inf.
-			dist[u] = math.Inf(1)
-			for h.Len() > 0 {
-				v, _ := h.Pop()
-				dist[v] = math.Inf(1)
-			}
-			return
-		}
 		for _, a := range g.Neighbors(graph.NodeID(u)) {
 			if nd := du + a.Length; nd < dist[a.To] {
 				dist[a.To] = nd

@@ -30,9 +30,10 @@ type LazyStats struct {
 	Hits int64
 	// Misses counts calls that had to create a new row entry.
 	Misses int64
-	// Computes counts Dijkstra runs. Without a row cap this equals the
-	// number of distinct rows ever requested — each row is computed
-	// exactly once no matter how many goroutines race for it.
+	// Computes counts full-row Dijkstra runs. Without a row cap this
+	// equals the number of distinct rows ever requested — each row is
+	// computed exactly once no matter how many goroutines race for it.
+	// Ball runs are not row computes and do not count.
 	Computes int64
 	// Evictions counts rows dropped to respect MaxRows.
 	Evictions int64
@@ -55,6 +56,7 @@ type LazyTable struct {
 	g      *graph.Graph
 	n      int
 	shards []lazyShard
+	balls  *ballFinder
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -97,7 +99,7 @@ func NewLazyTable(g *graph.Graph, opts LazyOptions) *LazyTable {
 		// every shard can hold at least one row.
 		shards = opts.MaxRows
 	}
-	t := &LazyTable{g: g, n: g.N(), shards: make([]lazyShard, shards)}
+	t := &LazyTable{g: g, n: g.N(), shards: make([]lazyShard, shards), balls: newBallFinder(g)}
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.rows = make(map[graph.NodeID]*lazyRow)
@@ -194,6 +196,15 @@ func (t *LazyTable) Row(u graph.NodeID) []float64 {
 		}
 	})
 	return e.dist
+}
+
+// Ball appends u's nodes within bound, ascending by id, and their
+// distances to ids and dist, bypassing the cache: one bounded Dijkstra on
+// pooled scratch, with entries bit-identical to Row(u)'s entries ≤ bound
+// (see ballFinder). Consumers that read nothing above a threshold use it in
+// place of Row for rows they will not read again.
+func (t *LazyTable) Ball(u graph.NodeID, bound float64, ids []int32, dist []float64) ([]int32, []float64) {
+	return t.balls.ball(u, bound, ids, dist)
 }
 
 // Stats snapshots the cache counters. Consistent when taken at a quiescent

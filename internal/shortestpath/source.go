@@ -6,9 +6,11 @@ import "msc/internal/graph"
 // metric of a fixed graph. Three implementations exist:
 //
 //   - Table materializes every row eagerly (n Dijkstras, n² float64s) and
-//     answers queries by plain indexing. Best when most rows will be
-//     touched (bound construction, common-node coverage, experiments that
-//     sweep thresholds over one network).
+//     answers queries by plain indexing. Best when most rows will be read
+//     in full (common-node coverage, experiments that sweep thresholds
+//     over one network). Consumers that read only d_t-balls, such as the
+//     μ/ν bound construction, get them without full rows from the other
+//     two sources (LazyTable.Ball, SparseRow).
 //
 //   - LazyTable computes rows on demand and memoizes them in a sharded,
 //     concurrency-safe cache. Best when only a sparse set of rows is ever
