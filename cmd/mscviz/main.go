@@ -60,11 +60,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 	defer f.Close()
-	doc, err := msc.ReadInstanceJSON(f)
-	if err != nil {
-		return err
-	}
-	g, err := doc.Graph()
+	doc, g, err := msc.ReadInstanceGraph(f)
 	if err != nil {
 		return err
 	}

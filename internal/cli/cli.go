@@ -100,7 +100,7 @@ func AddLandmarksFlag(fs *flag.FlagSet) *int {
 // validated by the command via msc.ParseEvalMode / core.ParseEvalMode.
 func AddEvalModeFlag(fs *flag.FlagSet) *string {
 	return fs.String("eval", "auto",
-		"search evaluation mode: auto|incremental|rebuild (incremental = O(n) row merges and delta gains rescans on Add; rebuild = full recompute reference path; placements are identical either way)")
+		"search evaluation mode: auto|incremental|rebuild (incremental = merge each committed shortcut into the endpoints' d_t-balls, then rescan the near lists; rebuild = recompute every ball after each change, the reference path; placements are identical either way)")
 }
 
 // AddSurviveFlag registers the -survive flag shared by the solver-facing

@@ -138,6 +138,7 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 		res.Trace = make([]int, 0, opts.Iterations-startIter)
 	}
 	stop := StopInfo{Reason: StopEvalBudget, Rounds: startIter}
+	var scratch Search // the greedy swaps' search, reused across children
 	checkpoint := func() {
 		if opts.CheckpointSink == nil {
 			return
@@ -171,7 +172,7 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 			start = time.Now()
 		}
 		parent := pop[rng.Intn(len(pop))]
-		child := deriveChild(p, bp, parent, opts.Delta, rng, workers)
+		child := deriveChild(p, bp, parent, opts.Delta, rng, workers, &scratch)
 		if child.sigma > best.sigma {
 			best = child
 		}
@@ -254,7 +255,7 @@ func greedySeed(p Problem, bp BudgetProblem, k, numCand int, rng *xrand.Rand, wo
 // identical for every worker count. On budgeted problems (bp != nil) the
 // incoming candidate must fit the budget headroom after the drop; when
 // nothing fits the swap degenerates to a pure drop.
-func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng *xrand.Rand, workers int) aeaSol {
+func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng *xrand.Rand, workers int, scratch *Search) aeaSol {
 	numCand := p.NumCandidates()
 	if numCand == 0 {
 		// Degenerate universe: nothing to swap in (and randomAbsent would
@@ -264,7 +265,7 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 	if rng.Float64() <= 1-delta {
 		// Greedy swap on an incremental search state, argmax ties broken
 		// uniformly at random.
-		s := p.NewSearch(parent.sel)
+		s := childSearch(p, scratch, parent.sel)
 		setSearchWorkers(s, workers)
 		if s.Len() > 0 {
 			s.RemoveAt(randomBestDrop(s, rng))
@@ -303,6 +304,20 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 	}
 	child = append(child, randomAbsentSel(child, numCand, rng))
 	return aeaSol{sel: child, sigma: SigmaOf(p, child, workers)}
+}
+
+// childSearch returns a search positioned at sel. A plain σ search left in
+// *scratch by an earlier child is repositioned, so its balls, near lists
+// and gains array are reused instead of reallocated every iteration; any
+// other search is built fresh and kept in *scratch.
+func childSearch(p Problem, scratch *Search, sel []int) Search {
+	if s, ok := (*scratch).(*instSearch); ok {
+		s.reposition(sel)
+		return s
+	}
+	s := p.NewSearch(sel)
+	*scratch = s
+	return s
 }
 
 // randomBestDrop returns a uniformly random position among those whose

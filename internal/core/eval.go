@@ -14,13 +14,13 @@ const (
 	// SetDefaultEvalMode, else to EvalIncremental.
 	EvalModeAuto EvalMode = ""
 	// EvalIncremental merges a committed shortcut into every endpoint
-	// distance row in O(n) (two overlay row queries instead of one per
-	// endpoint), skipping rows the commit cannot change; the next gains
-	// read rescans the near lists of the merged rows. Placements, σ
+	// d_t-ball in O(ball) (two overlay ball queries instead of one per
+	// endpoint), skipping balls the commit cannot change; the next gains
+	// read rescans the near lists of the merged balls. Placements, σ
 	// values, and gains arrays are identical to EvalRebuild — the
 	// eval-differential suite locks that in — so this is the default.
 	EvalIncremental EvalMode = "incremental"
-	// EvalRebuild recomputes every endpoint distance row after every
+	// EvalRebuild recomputes every endpoint d_t-ball after every
 	// mutation and rescans on every gains read: the straight-line
 	// reference path the incremental engine is verified against, and a
 	// useful baseline for benchmarking the merge.

@@ -13,13 +13,14 @@ import (
 )
 
 // This file checks the near-list gains scan against a dense reference and
-// pins the lazy-row contract of instSearch: rows are built once, on the
+// pins the lazy-ball contract of instSearch: balls are built once, on the
 // first read, and every read after any mutation sequence matches a search
 // built fresh on the same selection.
 
 // gainsRowsDense is the reference gains scan: for every unsatisfied pair
 // it visits every cell of the full triangular candidate grid with the same
-// two-compare test the search uses. It reads only the search's rows and
+// two-compare test the search uses, reading each distance from the
+// endpoint balls (+Inf outside). It reads only the search's balls and
 // pair distances, so it checks the near-list pruning from outside.
 func gainsRowsDense(s *instSearch) []int {
 	s.sync()
@@ -32,16 +33,16 @@ func gainsRowsDense(s *instSearch) []int {
 			continue
 		}
 		w := int(s.inst.weights[i])
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
+		ru := s.balls[s.pairU[i]]
+		rw := s.balls[s.pairW[i]]
 		idx := rowStart(t, 0)
 		for ai := 0; ai < t; ai++ {
 			a := nodes[ai]
-			ca := dt - ru[a]
-			cb := dt - rw[a]
+			ca := dt - ru.At(a)
+			cb := dt - rw.At(a)
 			for bi := ai + 1; bi < t; bi++ {
 				b := nodes[bi]
-				if rw[b] <= ca || ru[b] <= cb {
+				if rw.At(b) <= ca || ru.At(b) <= cb {
 					gains[idx] += w
 				}
 				idx++
@@ -197,10 +198,11 @@ func TestGainsScanDifferential(t *testing.T) {
 }
 
 // TestEvalSearchMatchesFreshBuild drives random interleavings of
-// NewSearch, Add, RemoveAt and clone in both eval modes and requires, after
-// every operation, that Sigma, GainsAdd and the distance rows equal those
-// of a search built fresh on the same selection. Lengths are dyadic, so
-// merged and rebuilt rows agree bit for bit, not just up to rounding.
+// NewSearch, reposition, Add, RemoveAt and clone in both eval modes and
+// requires, after every operation, that Sigma, GainsAdd and the endpoint
+// balls equal those of a search built fresh on the same selection. Lengths
+// are dyadic, so merged and rebuilt balls agree bit for bit, not just up
+// to rounding.
 func TestEvalSearchMatchesFreshBuild(t *testing.T) {
 	for _, mode := range []EvalMode{EvalIncremental, EvalRebuild} {
 		for seed := int64(0); seed < 10; seed++ {
@@ -212,9 +214,12 @@ func TestEvalSearchMatchesFreshBuild(t *testing.T) {
 				inst := scanInstance(t, g, ps, 0.8, BackendDense, mode, rng)
 				s := inst.newInstSearch(nil)
 				for op := 0; op < 24; op++ {
-					switch k := rng.Intn(6); {
+					switch k := rng.Intn(7); {
 					case k == 0:
 						s = inst.newInstSearch(s.sel)
+					case k == 6:
+						// AEA's reuse: the same search moved to another selection.
+						s.reposition(rng.SampleDistinct(inst.NumCandidates(), rng.Intn(4)))
 					case k == 1:
 						s = s.clone()
 					case k == 2 && s.Len() > 0:
@@ -235,8 +240,8 @@ func TestEvalSearchMatchesFreshBuild(t *testing.T) {
 					if oracle := inst.Sigma(s.sel); s.Sigma() != oracle {
 						t.Fatalf("op %d: σ %d, overlay oracle %d", op, s.Sigma(), oracle)
 					}
-					if !reflect.DeepEqual(s.rows, fresh.rows) {
-						t.Fatalf("op %d sel=%v: rows differ from a fresh build", op, s.sel)
+					if err := ballsBitEqual(s.balls, fresh.balls); err != nil {
+						t.Fatalf("op %d sel=%v: balls differ from a fresh build: %v", op, s.sel, err)
 					}
 					got := append([]int(nil), s.GainsAdd()...)
 					if want := fresh.GainsAdd(); !reflect.DeepEqual(got, want) {
@@ -280,7 +285,7 @@ func TestLazyRowsAEASwapOneRebuild(t *testing.T) {
 
 // TestLazyRowsUnreadSearchComputesNothing pins that a search which is
 // only positioned, mutated and asked about its selection never computes
-// (or allocates) distance rows.
+// (or allocates) endpoint balls.
 func TestLazyRowsUnreadSearchComputesNothing(t *testing.T) {
 	rng := xrand.New(7500)
 	inst := testInstance(t, 18, 7, 4, 0.8, rng)
@@ -295,8 +300,8 @@ func TestLazyRowsUnreadSearchComputesNothing(t *testing.T) {
 	if d := telemetry.Global().Snapshot().Sub(before); d.OverlayRows != 0 || d.DijkstraRuns != 0 {
 		t.Errorf("unread search computed rows: %d overlay rows, %d Dijkstra runs", d.OverlayRows, d.DijkstraRuns)
 	}
-	if s.rows != nil {
-		t.Error("unread search allocated its rows")
+	if s.balls != nil {
+		t.Error("unread search allocated its balls")
 	}
 }
 

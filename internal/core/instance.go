@@ -136,7 +136,7 @@ type Instance struct {
 	// restricts the universe to non-pair nodes (see EXPERIMENTS.md for
 	// why the paper's Tables I–II imply that restriction).
 	candNodes []graph.NodeID
-	candPos   map[graph.NodeID]int32 // nil when candNodes is the identity
+	candPos   []int32 // node → candidate position, -1 outside; nil when candNodes is the identity
 	numCand   int
 
 	// evalMode is the resolved Options.EvalMode governing searches.
@@ -185,6 +185,11 @@ type Instance struct {
 	queryOnce sync.Once
 	queryU    []graph.NodeID
 	queryW    []graph.NodeID
+
+	// Memoized raw-network d_t-balls the searches compose their endpoint
+	// balls from (baseBalls), one per node ever asked for.
+	ballMu   sync.Mutex
+	ballMemo map[graph.NodeID]*memoBall
 }
 
 // Errors returned by NewInstance.
@@ -227,7 +232,7 @@ type Options struct {
 	// disables the layer. Ignored by the dense and lazy backends.
 	Landmarks int
 	// EvalMode selects how searches built from the instance maintain their
-	// state across Add commits: incremental O(n) row merges (the default),
+	// state across Add commits: incremental d_t-ball merges (the default),
 	// or the full-rebuild reference path.
 	// Placements, σ values, and gains arrays are identical across modes;
 	// the zero value resolves via SetDefaultEvalMode.
@@ -323,10 +328,11 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 		for _, v := range ps.Nodes() {
 			isPairNode[v] = true
 		}
-		inst.candPos = make(map[graph.NodeID]int32)
-		for v := 0; v < g.N(); v++ {
+		inst.candPos = make([]int32, g.N())
+		for v := range inst.candPos {
+			inst.candPos[v] = -1
 			if !isPairNode[graph.NodeID(v)] {
-				inst.candPos[graph.NodeID(v)] = int32(len(inst.candNodes))
+				inst.candPos[v] = int32(len(inst.candNodes))
 				inst.candNodes = append(inst.candNodes, graph.NodeID(v))
 			}
 		}
@@ -440,9 +446,8 @@ func (inst *Instance) CandidateIndex(e graph.Edge) int {
 	if inst.candPos == nil {
 		return candidateIndex(len(inst.candNodes), e)
 	}
-	pu, okU := inst.candPos[e.U]
-	pv, okV := inst.candPos[e.V]
-	if !okU || !okV {
+	pu, pv := inst.candPos[e.U], inst.candPos[e.V]
+	if pu < 0 || pv < 0 {
 		panic(fmt.Sprintf("core: edge (%d,%d) outside restricted candidate universe", e.U, e.V))
 	}
 	return candidateIndex(len(inst.candNodes), graph.Edge{U: graph.NodeID(pu), V: graph.NodeID(pv)})
@@ -524,6 +529,40 @@ func (inst *Instance) Sigma(sel []int) int {
 	}
 	return total
 }
+
+// memoBall is one memoized base ball; once publishes b.
+type memoBall struct {
+	once sync.Once
+	b    shortestpath.Ball
+}
+
+// baseBall returns u's d_t-ball in the raw network, read from the distance
+// source on first use (shortestpath.ReadBall: the bounded backend's sparse
+// row, a dense or lazy row filtered once) and memoized on the instance.
+// Safe for concurrent use; every caller sees the same immutable ball.
+func (inst *Instance) baseBall(u graph.NodeID) shortestpath.Ball {
+	inst.ballMu.Lock()
+	e, ok := inst.ballMemo[u]
+	if !ok {
+		if inst.ballMemo == nil {
+			inst.ballMemo = make(map[graph.NodeID]*memoBall)
+		}
+		e = new(memoBall)
+		inst.ballMemo[u] = e
+	}
+	inst.ballMu.Unlock()
+	e.once.Do(func() { e.b = shortestpath.ReadBall(inst.table, u, inst.thr.D) })
+	return e.b
+}
+
+// baseBallSource adapts Instance.baseBall to shortestpath.BallSource.
+type baseBallSource struct{ inst *Instance }
+
+func (b baseBallSource) Ball(u graph.NodeID) shortestpath.Ball { return b.inst.baseBall(u) }
+
+// baseBalls returns the instance's memoized raw-network d_t-balls as the
+// source the overlay composes search balls from.
+func (inst *Instance) baseBalls() shortestpath.BallSource { return baseBallSource{inst} }
 
 // SigmaEdges is Sigma for an explicit edge set.
 func (inst *Instance) SigmaEdges(es []graph.Edge) int {

@@ -9,7 +9,7 @@ import (
 // TestRemoveAtRebuildBitIdentical is the regression the survivable failure
 // evaluator leans on: RemoveAt always leaves the rows stale for a rebuild
 // (a deletion can lengthen distances, and min-merges cannot undo a min),
-// and the state the rebuild produces — distance rows, pair distances, σ,
+// and the state the rebuild produces — endpoint balls, pair distances, σ,
 // and the next gains scan — must be bit-identical to a search built cold
 // on the reduced selection, under both eval modes and after incremental
 // (merge-path) adds.
@@ -42,13 +42,8 @@ func TestRemoveAtRebuildBitIdentical(t *testing.T) {
 			if warm.sigma != cold.sigma {
 				t.Fatalf("mode=%s trial=%d: σ after RemoveAt %d != cold %d", mode, trial, warm.sigma, cold.sigma)
 			}
-			for r := range warm.rows {
-				for x := range warm.rows[r] {
-					if warm.rows[r][x] != cold.rows[r][x] {
-						t.Fatalf("mode=%s trial=%d: row %d col %d: %v != cold %v",
-							mode, trial, r, x, warm.rows[r][x], cold.rows[r][x])
-					}
-				}
+			if err := ballsBitEqual(warm.balls, cold.balls); err != nil {
+				t.Fatalf("mode=%s trial=%d: %v", mode, trial, err)
 			}
 			for i := range warm.pairDist {
 				if warm.pairDist[i] != cold.pairDist[i] {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,10 +15,14 @@ import (
 
 // instSearch is the incremental σ evaluator for a single-topology Instance.
 //
-// It maintains, for the current placement F, the full distance row
-// d_F(e, ·) of every distinct pair endpoint e. With those rows in hand, the
-// marginal effect of adding one more shortcut f=(a,b) is exact and O(1) per
-// pair:
+// It maintains, for the current placement F, the d_t-ball of every
+// distinct pair endpoint e: the nodes x with d_F(e,x) ≤ d_t, ascending by
+// id, with those distances. Nodes outside a ball read as +Inf. The
+// objective only asks whether d_F(u,w) ≤ d_t, and every prefix of a walk
+// of length ≤ d_t is itself ≤ d_t (edge lengths are non-negative), so the
+// balls carry everything the search reads (DESIGN.md §13). With them in
+// hand, the marginal effect of adding one more shortcut f=(a,b) is exact
+// and O(1) per pair:
 //
 //	d_{F∪{f}}(u,w) = min( d_F(u,w),
 //	                      d_F(u,a) + d_F(b,w),
@@ -27,58 +33,60 @@ import (
 // This is what lets GreedySigma and AEA score every candidate addition per
 // round with a two-float-compare inner loop instead of re-running a
 // shortest-path computation per candidate. Both summands of a passing term
-// are themselves ≤ d_t, so only cells with both endpoints within d_t of the
-// pair can gain: GainsAdd walks, per unsatisfied pair, just the triangle of
-// that pair's near-candidate list (DESIGN.md §8, §13).
+// are themselves ≤ d_t, so only cells with both endpoints in the union of
+// the pair's two balls can gain: GainsAdd walks, per unsatisfied pair, just
+// the triangle of that pair's near-candidate list, read straight off the
+// two balls (DESIGN.md §8, §13).
 //
-// The rows are built lazily. NewSearch and RemoveAt only record the
-// selection and mark the rows stale; the first call that reads rows, σ or
-// gains (Sigma, GainAdd, BestAdd, GainsAdd, Add, clone) rebuilds them once,
-// with the worker count in force at that moment. SigmaDrops, Len, Contains
-// and Selection need no rows, so AEA's NewSearch → SigmaDrops → RemoveAt →
-// GainsAdd pays a single rebuild. A removal can only mark the rows stale: a
-// deletion can lengthen distances, and min-merges cannot undo a min.
+// The balls are built lazily. NewSearch and RemoveAt only record the
+// selection and mark the balls stale; the first call that reads balls, σ
+// or gains (Sigma, GainAdd, BestAdd, GainsAdd, Add, clone) rebuilds them
+// once, with the worker count in force at that moment. SigmaDrops, Len,
+// Contains and Selection need no balls, so AEA's NewSearch → SigmaDrops →
+// RemoveAt → GainsAdd pays a single rebuild. A removal can only mark the
+// balls stale: a deletion can lengthen distances, and min-merges cannot
+// undo a min.
 //
 // Under EvalIncremental (the default) Add computes only the two overlay
-// rows d_F(a,·) and d_F(b,·) of the new shortcut's endpoints and merges
-// them into every endpoint row in O(n), skipping rows the commit cannot
-// change, then marks the gains array stale; the next GainsAdd cold-scans
-// the near lists, and repeated GainsAdd calls between mutations return the
-// cached array. EvalRebuild rebuilds the rows after every mutation and
-// rescans on every GainsAdd — the reference path the eval-differential
-// suite compares against.
+// balls of the new shortcut's endpoints and merges them into every
+// endpoint ball that reaches a or b within d_t — a sorted three-way merge,
+// O(ball) per ball — then marks the gains array stale; the next GainsAdd
+// cold-scans the near lists, and repeated GainsAdd calls between mutations
+// return the cached array. EvalRebuild rebuilds the balls after every
+// mutation and rescans on every GainsAdd — the reference path the
+// eval-differential suite compares against.
 //
 // Concurrency: an instSearch is single-caller like every Search, but with
 // SetWorkers > 1 its scans shard internally — GainsAdd splits the
 // triangular candidate grid into contiguous row ranges writing disjoint
 // segments of the gains array, SigmaDrops splits the per-position σ
-// re-evaluations, and Add shards the row merge the same way. All shared
-// inputs (the instance, the overlay, the distance rows during a scan) are
-// read-only while workers run, so the results are byte-identical to the
-// serial scan.
+// re-evaluations, and the rebuild and Add shard the balls the same way.
+// All shared inputs (the instance, the overlay, the balls during a scan)
+// are read-only while workers run, so the results are byte-identical to
+// the serial scan.
 type instSearch struct {
 	inst    *Instance
 	sel     []int
 	workers int             // shard count for scans; 1 = serial
 	ctx     context.Context // supervision context polled mid-scan; nil = never
 
-	endpoints []graph.NodeID // distinct pair endpoints
-	rows      [][]float64    // rows[i][x] = d_F(endpoints[i], x); nil until the first rebuild
-	pairU     []int32        // row index of pair i's U endpoint
-	pairW     []int32        // row index of pair i's W endpoint
-	pairDist  []float64      // d_F(u,w) per pair
-	gains     []int          // scratch for BestAdd, len NumCandidates
-	unsat     []int          // scratch: unsatisfied pair indices
-	drops     []int          // scratch for SigmaDrops
-	rest      []int          // scratch for SigmaDrop (single-caller path)
-	dropRest  [][]int        // per-shard scratch for SigmaDrops
+	endpoints []graph.NodeID      // distinct pair endpoints
+	balls     []shortestpath.Ball // balls[i] = d_t-ball of endpoints[i] in G ∪ F; nil until the first rebuild
+	pairU     []int32             // ball index of pair i's U endpoint
+	pairW     []int32             // ball index of pair i's W endpoint
+	pairDist  []float64           // d_F(u,w) per pair; +Inf beyond d_t
+	gains     []int               // scratch for BestAdd, len NumCandidates
+	unsat     []int               // scratch: unsatisfied pair indices
+	drops     []int               // scratch for SigmaDrops
+	rest      []int               // scratch for SigmaDrop (single-caller path)
+	dropRest  [][]int             // per-shard scratch for SigmaDrops
 	sigma     int
 
-	// stale marks rows, pairDist and σ as not yet built for sel; sync
+	// stale marks balls, pairDist and σ as not yet built for sel; sync
 	// rebuilds them on the first read.
 	stale bool
 	// gainsValid marks gains as exactly what a cold scan over the current
-	// rows would produce (EvalIncremental only). Set by a completed cold
+	// balls would produce (EvalIncremental only). Set by a completed cold
 	// scan, dropped by every mutation and by interruption.
 	gainsValid  bool
 	incremental bool // resolved Instance eval mode
@@ -94,35 +102,42 @@ type instSearch struct {
 	shardRun  func(shard, lo, hi int)
 	gainsBody func(aiLo, aiHi int)
 
-	// Incremental commit scratch: the overlay rows d_F(a,·), d_F(b,·) of
-	// the committing shortcut (a,b) and the per-shard changed-row counts of
-	// the last merge.
-	rowShort  []float64
-	rowShortB []float64
+	// Incremental commit scratch: the overlay balls of the committing
+	// shortcut's endpoints, the per-shard merge outputs and the per-shard
+	// changed-ball counts of the last merge.
 	mergeSrc  []graph.NodeID
-	mergeDst  [][]float64
+	mergeBall []shortestpath.Ball
+	mergeOut  []shortestpath.Ball
 	shardCnt  []int64
 
 	// Near-candidate lists of the current unsat set (buildCandU): the
 	// candidate positions within d_t of either pair endpoint, ascending per
-	// pair. sparseBest additionally replaces the dense gains array —
-	// numCand ints, ~40 GB at n=10⁵ — with a sparse aggregation in BestAdd.
+	// pair, with the two endpoint distances aligned to each entry.
+	// sparseBest additionally replaces the dense gains array — numCand
+	// ints, ~40 GB at n=10⁵ — with a sparse aggregation in BestAdd.
 	sparseBest bool
-	candUOff   []int   // per-unsat-pair offsets into candU (len(unsat)+1)
-	candU      []int32 // arena: near-candidate positions, ascending per pair
-	// Sparse BestAdd scratch: the inverse near-list index (for each
-	// candidate position, which unsat pairs list it and where) and the
-	// per-worker gain accumulators.
-	byAOff  []int32         // per-position offsets into byAPair (t+1)
-	byAPair []int32         // arena: unsat-pair ordinals listing each position
-	accW    []sparseScratch // per-worker accumulator scratch, sized lazily
+	candUOff   []int     // per-unsat-pair offsets into candU (len(unsat)+1)
+	candU      []int32   // arena: near-candidate positions, ascending per pair
+	candRu     []float64 // arena: d_F(u, position) of the owning pair (+Inf beyond d_t)
+	candRw     []float64 // arena: d_F(w, position) of the owning pair (+Inf beyond d_t)
+	// Sparse BestAdd scratch: the inverse near-list index, grouping arena
+	// entries by position (keys sorted by position, then arena index), and
+	// the per-worker gain accumulators indexed by group.
+	byKey    []uint64        // position<<32 | arena index, ascending
+	byOff    []int32         // per-group offsets into byKey (groups+1)
+	groupPos []int32         // per-group candidate position, ascending
+	group    []int32         // per arena entry: its position's group
+	owner    []int32         // per arena entry: its unsat-pair ordinal
+	accW     []sparseScratch // per-worker accumulator scratch, sized lazily
 	// Per-pair distance-sorted balls: for unsat pair ui, segment 2·ui is
-	// the u-ball (positions with ru ≤ d_t, ascending by ru) and segment
-	// 2·ui+1 the w-ball (ascending by rw), so "every b with
-	// rw[b] ≤ d_t − ru[a]" is a prefix instead of a filtered scan.
-	prefOff  []int
-	prefPos  []int32
-	prefDist []float64
+	// the u-ball (groups with ru ≤ d_t, ascending by ru, carrying rw as
+	// prefOther) and segment 2·ui+1 the w-ball (ascending by rw), so
+	// "every b with rw[b] ≤ d_t − ru[a]" is a prefix instead of a filtered
+	// scan.
+	prefOff   []int
+	prefPos   []int32
+	prefDist  []float64
+	prefOther []float64
 
 	// EvalStats accumulators, drained by LastEvalStats.
 	evRowsMerged, evRowsUnchanged, evPairsRescanned int64
@@ -155,7 +170,7 @@ func (inst *Instance) NewSearch(sel []int) Search {
 }
 
 // newInstSearch returns the plain incremental evaluator positioned at sel
-// (copied) with its rows stale, bypassing the survivability dispatch — the
+// (copied) with its balls stale, bypassing the survivability dispatch — the
 // survivable search uses it to build its per-scenario sub-searches on the
 // same instance.
 func (inst *Instance) newInstSearch(sel []int) *instSearch {
@@ -168,35 +183,24 @@ func (inst *Instance) newInstSearch(sel []int) *instSearch {
 		sparseBest:  inst.numCand >= sparseGainsThreshold,
 		stale:       true,
 	}
-	rowIdx := make(map[graph.NodeID]int, len(s.endpoints))
+	ballIdx := make(map[graph.NodeID]int, len(s.endpoints))
 	for i, e := range s.endpoints {
-		rowIdx[e] = i
+		ballIdx[e] = i
 	}
 	m := inst.ps.Len()
 	s.pairU = make([]int32, m)
 	s.pairW = make([]int32, m)
 	for i, p := range inst.ps.Pairs() {
-		s.pairU[i] = int32(rowIdx[p.U])
-		s.pairW[i] = int32(rowIdx[p.W])
+		s.pairU[i] = int32(ballIdx[p.U])
+		s.pairW[i] = int32(ballIdx[p.W])
 	}
 	s.pairDist = make([]float64, m)
 	return s
 }
 
-// allocRows sizes the endpoint rows on first use.
-func (s *instSearch) allocRows() {
-	if s.rows != nil {
-		return
-	}
-	s.rows = make([][]float64, len(s.endpoints))
-	for i := range s.rows {
-		s.rows[i] = make([]float64, s.inst.g.N())
-	}
-}
-
 // clone returns an independent search positioned at the same selection:
-// the distance rows, pair distances, σ, and — when live — the gains array
-// are copied, so the clone needs no shortest-path work of its own. The
+// the balls, pair distances, σ, and — when live — the gains array are
+// copied, so the clone needs no shortest-path work of its own. The
 // survivable search uses this to snapshot the pre-commit state as the
 // failure scenario of the shortcut being committed.
 func (s *instSearch) clone() *instSearch {
@@ -204,9 +208,9 @@ func (s *instSearch) clone() *instSearch {
 	c := s.inst.newInstSearch(s.sel)
 	c.workers = s.workers
 	c.ctx = s.ctx
-	c.allocRows()
-	for i := range s.rows {
-		copy(c.rows[i], s.rows[i])
+	c.balls = make([]shortestpath.Ball, len(s.balls))
+	for i, b := range s.balls {
+		c.balls[i] = shortestpath.Ball{IDs: slices.Clone(b.IDs), Dist: slices.Clone(b.Dist)}
 	}
 	copy(c.pairDist, s.pairDist)
 	c.sigma = s.sigma
@@ -310,36 +314,39 @@ func (s *instSearch) scanShardsRun(body func(aiLo, aiHi int)) {
 	}
 }
 
-// sync rebuilds the rows when a constructor or a mutation left them stale.
+// sync rebuilds the balls when a constructor or a mutation left them
+// stale.
 func (s *instSearch) sync() {
 	if s.stale {
 		s.rebuild()
 	}
 }
 
-// markStale records that sel changed without the rows following it: the
+// markStale records that sel changed without the balls following it: the
 // next read rebuilds them, and the gains array is dropped with them.
 func (s *instSearch) markStale() {
 	s.stale = true
 	s.gainsValid = false
 }
 
-// rebuild recomputes every endpoint row from a fresh overlay and refreshes
-// the pair distances; any live gains state is dropped.
+// rebuild recomputes every endpoint ball from a fresh overlay and
+// refreshes the pair distances; any live gains state is dropped.
 func (s *instSearch) rebuild() {
-	s.allocRows()
+	if s.balls == nil {
+		s.balls = make([]shortestpath.Ball, len(s.endpoints))
+	}
 	ov := shortestpath.NewOverlay(s.inst.table, SelectionEdges(s.inst, s.sel))
-	shortestpath.NewEvaluator(ov, s.workers).DistRows(s.endpoints, s.rows)
+	shortestpath.NewEvaluator(ov, s.workers).DistBalls(s.inst.baseBalls(), s.inst.thr.D, s.endpoints, s.balls)
 	s.recomputeSigma()
 	s.stale = false
 	s.gainsValid = false
 }
 
-// recomputeSigma refreshes pairDist and σ from the current rows.
+// recomputeSigma refreshes pairDist and σ from the current balls.
 func (s *instSearch) recomputeSigma() {
 	s.sigma = 0
 	for i, p := range s.inst.ps.Pairs() {
-		d := s.rows[s.pairU[i]][p.W]
+		d := s.balls[s.pairU[i]].At(p.W)
 		s.pairDist[i] = d
 		if d <= s.inst.thr.D {
 			s.sigma += int(s.inst.weights[i])
@@ -376,9 +383,9 @@ func (s *instSearch) GainAdd(cand int) int {
 		if s.pairDist[i] <= dt {
 			continue // already satisfied; adding edges cannot unsatisfy
 		}
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
-		if ru[a]+rw[b] <= dt || ru[b]+rw[a] <= dt {
+		ru := s.balls[s.pairU[i]]
+		rw := s.balls[s.pairW[i]]
+		if ru.At(a)+rw.At(b) <= dt || ru.At(b)+rw.At(a) <= dt {
 			gain += int(s.inst.weights[i])
 		}
 	}
@@ -415,9 +422,9 @@ func (s *instSearch) BestAdd() (cand, gain int) {
 var sparseGainsThreshold = 1 << 26
 
 // sparseScratch is one worker's accumulator state for the sparse
-// BestAdd: gain sums per candidate position for the ai row being
-// scanned, an epoch stamp marking which entries of acc are live, and the
-// list of stamped positions for the argmax pass.
+// BestAdd: gain sums per position group for the ai row being scanned, an
+// epoch stamp marking which entries of acc are live, and the list of
+// stamped groups for the argmax pass.
 type sparseScratch struct {
 	acc     []int
 	stamp   []int32
@@ -426,24 +433,25 @@ type sparseScratch struct {
 
 // bestAddSparse is BestAdd for huge candidate universes: instead of a
 // dense gains array (numCand ints) it aggregates gains one grid row at a
-// time. For each near-candidate position ai it visits — via the inverse
-// index built from the near lists — every (unsat pair, passing cell
-// (ai, bj)) contribution, summing weights into a per-position
-// accumulator, then argmaxes the row and moves on; peak memory is O(t)
-// per worker instead of O(t²). The passing b's for a fixed pair and a
-// are enumerated as two distance-sorted prefixes (rw[b] ≤ d_t − ru[a]
-// over the w-ball, ru[b] ≤ d_t − rw[a] over the u-ball, the second
-// skipping cells the first already counted), so the walk touches only
-// gaining cells, not the whole near-list triangle. The visited cells are
-// exactly the nonzero cells of the gains scan (see the near-list
-// invariant in the instSearch header) and the sums are exact integer adds, so the result matches
-// the dense argmax, including the (0, 0) answer of an all-zero scan.
-// Workers split the ai range by equal inverse-index load; each keeps a
-// local best and the combine is a total order on (gain desc, cell index
-// asc), so the answer is identical at every worker count. Counter
-// discipline mirrors a cold scan: CandidateEvals advances by the logical
-// universe size, PairsRescanned by the unsatisfied pair count,
-// CandidatesPruned by the skipped cells.
+// time. For each position ai on some near list it visits — via the
+// inverse index built from the near lists — every (unsat pair, passing
+// cell (ai, bj)) contribution, summing weights into a per-position
+// accumulator, then argmaxes the row and moves on; peak memory is
+// O(Σ near list) instead of O(t²), and positions on no near list cost
+// nothing. The passing b's for a fixed pair and a are enumerated as two
+// distance-sorted prefixes (rw[b] ≤ d_t − ru[a] over the w-ball,
+// ru[b] ≤ d_t − rw[a] over the u-ball, the second skipping cells the first
+// already counted), so the walk touches only gaining cells, not the whole
+// near-list triangle. The visited cells are exactly the nonzero cells of
+// the gains scan (see the near-list invariant in the instSearch header)
+// and the sums are exact integer adds, so the result matches the dense
+// argmax, including the (0, 0) answer of an all-zero scan. Workers split
+// the listed positions by equal inverse-index load; each keeps a local
+// best and the combine is a total order on (gain desc, cell index asc), so
+// the answer is identical at every worker count. Counter discipline
+// mirrors a cold scan: CandidateEvals advances by the logical universe
+// size, PairsRescanned by the unsatisfied pair count, CandidatesPruned by
+// the skipped cells.
 func (s *instSearch) bestAddSparse() (cand, gain int) {
 	telemetry.Global().CandidateEvals.Add(int64(s.inst.numCand))
 	if s.inst.numCand == 0 {
@@ -451,25 +459,14 @@ func (s *instSearch) bestAddSparse() (cand, gain int) {
 	}
 	s.sync()
 	dt := s.inst.thr.D
-	s.unsat = s.unsat[:0]
-	for i := range s.pairDist {
-		if s.pairDist[i] > dt {
-			s.unsat = append(s.unsat, i)
-		}
-	}
-	telemetry.Global().PairsRescanned.Add(int64(len(s.unsat)))
-	s.evPairsRescanned += int64(len(s.unsat))
-	obs.ObserveMerge(0, int64(len(s.unsat)))
+	s.collectUnsat()
 	s.buildCandU()
 	s.buildByA()
 	s.buildPrefixes()
-	nodes := s.inst.candNodes
-	t := len(nodes)
+	t := len(s.inst.candNodes)
+	groups := len(s.groupPos)
 
-	workers := s.workers
-	if workers > t {
-		workers = t
-	}
+	workers := min(s.workers, groups)
 	if workers < 1 {
 		workers = 1
 	}
@@ -481,19 +478,15 @@ func (s *instSearch) bestAddSparse() (cand, gain int) {
 	bestGain := make([]int, workers)
 	ParallelFor(workers, workers, func(w, _, _ int) {
 		sc := &s.accW[w]
-		if len(sc.acc) < t {
-			sc.acc = make([]int, t)
-			sc.stamp = make([]int32, t)
+		if len(sc.acc) < groups {
+			sc.acc = make([]int, groups)
+			sc.stamp = make([]int32, groups)
 		}
 		acc, stamp := sc.acc, sc.stamp
 		touched := sc.touched[:0]
 		epoch := int32(0)
 		best, bg := -1, 0
-		for ai := bounds[w]; ai < bounds[w+1]; ai++ {
-			lo, hi := s.byAOff[ai], s.byAOff[ai+1]
-			if lo == hi {
-				continue
-			}
+		for ga := bounds[w]; ga < bounds[w+1]; ga++ {
 			if s.interrupted() {
 				break
 			}
@@ -506,60 +499,59 @@ func (s *instSearch) bestAddSparse() (cand, gain int) {
 				}
 			}
 			touched = touched[:0]
-			a := nodes[ai]
-			for k := lo; k < hi; k++ {
-				ui := s.byAPair[k]
-				i := s.unsat[ui]
-				w := int(s.inst.weights[i])
-				ru := s.rows[s.pairU[i]]
-				rw := s.rows[s.pairW[i]]
-				ca := dt - ru[a]
-				cb := dt - rw[a]
+			for _, key := range s.byKey[s.byOff[ga]:s.byOff[ga+1]] {
+				k := uint32(key)
+				ui := s.owner[k]
+				w := int(s.inst.weights[s.unsat[ui]])
+				ca := dt - s.candRu[k]
+				cb := dt - s.candRw[k]
 				// b's satisfying ru[a] + rw[b] ≤ d_t: a prefix of the
 				// w-ball in ascending-rw order.
-				pos := s.prefPos[s.prefOff[2*ui+1]:s.prefOff[2*ui+2]]
-				dist := s.prefDist[s.prefOff[2*ui+1]:s.prefOff[2*ui+2]]
+				lo, hi := s.prefOff[2*ui+1], s.prefOff[2*ui+2]
+				pos, dist := s.prefPos[lo:hi], s.prefDist[lo:hi]
 				for j := 0; j < len(pos); j++ {
 					if dist[j] > ca {
 						break
 					}
-					bj := pos[j]
-					if int(bj) <= ai {
+					gb := pos[j]
+					if int(gb) <= ga {
 						continue // cell owned by the lower position's row
 					}
-					if stamp[bj] != epoch {
-						stamp[bj] = epoch
-						acc[bj] = w
-						touched = append(touched, bj)
+					if stamp[gb] != epoch {
+						stamp[gb] = epoch
+						acc[gb] = w
+						touched = append(touched, gb)
 					} else {
-						acc[bj] += w
+						acc[gb] += w
 					}
 				}
 				// b's satisfying rw[a] + ru[b] ≤ d_t, skipping those the
 				// first prefix already counted for this pair.
-				pos = s.prefPos[s.prefOff[2*ui]:s.prefOff[2*ui+1]]
-				dist = s.prefDist[s.prefOff[2*ui]:s.prefOff[2*ui+1]]
+				lo, hi = s.prefOff[2*ui], s.prefOff[2*ui+1]
+				pos, dist = s.prefPos[lo:hi], s.prefDist[lo:hi]
+				other := s.prefOther[lo:hi]
 				for j := 0; j < len(pos); j++ {
 					if dist[j] > cb {
 						break
 					}
-					bj := pos[j]
-					if int(bj) <= ai || rw[nodes[bj]] <= ca {
+					gb := pos[j]
+					if int(gb) <= ga || other[j] <= ca {
 						continue
 					}
-					if stamp[bj] != epoch {
-						stamp[bj] = epoch
-						acc[bj] = w
-						touched = append(touched, bj)
+					if stamp[gb] != epoch {
+						stamp[gb] = epoch
+						acc[gb] = w
+						touched = append(touched, gb)
 					} else {
-						acc[bj] += w
+						acc[gb] += w
 					}
 				}
 			}
+			ai := int(s.groupPos[ga])
 			base := rowStart(t, ai) - ai - 1
-			for _, bj := range touched {
-				g := acc[bj]
-				idx := base + int(bj)
+			for _, gb := range touched {
+				g := acc[gb]
+				idx := base + int(s.groupPos[gb])
 				if g > bg || (g == bg && (best < 0 || idx < best)) {
 					best, bg = idx, g
 				}
@@ -577,47 +569,48 @@ func (s *instSearch) bestAddSparse() (cand, gain int) {
 	return best, bg
 }
 
-// buildByA inverts the near-candidate lists of buildCandU: for each
-// candidate position, the unsat-pair ordinals whose near list contains
-// it. Counting sort over the candU arena; byAOff is the prefix-sum
-// offset table.
+// buildByA inverts the near-candidate lists of buildCandU: it sorts the
+// arena entries by candidate position into groups, one per position that
+// some near list holds, and records each entry's group and unsat-pair
+// ordinal. Its cost is O(E log E) in the arena size E, independent of the
+// candidate count.
 func (s *instSearch) buildByA() {
-	t := len(s.inst.candNodes)
-	if cap(s.byAOff) < t+1 {
-		s.byAOff = make([]int32, t+1)
-	}
-	off := s.byAOff[:t+1]
-	for i := range off {
-		off[i] = 0
-	}
-	for _, p := range s.candU {
-		off[p+1]++
-	}
-	for i := 0; i < t; i++ {
-		off[i+1] += off[i]
-	}
 	n := len(s.candU)
-	if cap(s.byAPair) < n {
-		s.byAPair = make([]int32, n)
+	s.byKey = slices.Grow(s.byKey[:0], n)
+	for k, p := range s.candU {
+		s.byKey = append(s.byKey, uint64(p)<<32|uint64(k))
 	}
-	s.byAPair = s.byAPair[:n]
-	fill := make([]int32, t)
-	for ui := 0; ui < len(s.unsat); ui++ {
-		u := s.candU[s.candUOff[ui]:s.candUOff[ui+1]]
-		for _, p := range u {
-			s.byAPair[off[p]+fill[p]] = int32(ui)
-			fill[p]++
+	slices.Sort(s.byKey)
+	if cap(s.group) < n {
+		s.group = make([]int32, n)
+		s.owner = make([]int32, n)
+	}
+	s.group, s.owner = s.group[:n], s.owner[:n]
+	for ui := range s.unsat {
+		for k := s.candUOff[ui]; k < s.candUOff[ui+1]; k++ {
+			s.owner[k] = int32(ui)
 		}
 	}
-	s.byAOff = off
+	s.byOff = s.byOff[:0]
+	s.groupPos = s.groupPos[:0]
+	for j, key := range s.byKey {
+		p := int32(key >> 32)
+		if j == 0 || p != s.groupPos[len(s.groupPos)-1] {
+			s.byOff = append(s.byOff, int32(j))
+			s.groupPos = append(s.groupPos, p)
+		}
+		s.group[uint32(key)] = int32(len(s.groupPos) - 1)
+	}
+	s.byOff = append(s.byOff, int32(n))
 }
 
-// prefixSorter orders a (position, distance) segment by ascending
-// distance; the relative order of equal distances is irrelevant — a
-// prefix cut at d_t − ru[a] keeps or drops them together.
+// prefixSorter orders a (group, distance, other distance) segment by
+// ascending distance; the relative order of equal distances is irrelevant
+// — a prefix cut at d_t − ru[a] keeps or drops them together.
 type prefixSorter struct {
-	pos  []int32
-	dist []float64
+	pos   []int32
+	dist  []float64
+	other []float64
 }
 
 func (p prefixSorter) Len() int           { return len(p.pos) }
@@ -625,79 +618,151 @@ func (p prefixSorter) Less(i, j int) bool { return p.dist[i] < p.dist[j] }
 func (p prefixSorter) Swap(i, j int) {
 	p.pos[i], p.pos[j] = p.pos[j], p.pos[i]
 	p.dist[i], p.dist[j] = p.dist[j], p.dist[i]
+	p.other[i], p.other[j] = p.other[j], p.other[i]
 }
 
 // buildPrefixes fills the per-pair distance-sorted balls backing the
-// prefix walks of bestAddSparse: for each unsat pair, the positions
-// within d_t of u sorted by ru, then those within d_t of w sorted by rw.
+// prefix walks of bestAddSparse: for each unsat pair, the groups of the
+// near-list entries within d_t of u sorted by ru (carrying rw), then those
+// within d_t of w sorted by rw (carrying ru).
 func (s *instSearch) buildPrefixes() {
 	dt := s.inst.thr.D
-	nodes := s.inst.candNodes
 	s.prefOff = s.prefOff[:0]
 	s.prefPos = s.prefPos[:0]
 	s.prefDist = s.prefDist[:0]
-	for ui, i := range s.unsat {
-		u := s.candU[s.candUOff[ui]:s.candUOff[ui+1]]
-		for _, side := range [2]*[]float64{&s.rows[s.pairU[i]], &s.rows[s.pairW[i]]} {
-			r := *side
+	s.prefOther = s.prefOther[:0]
+	total := 0
+	for k := range s.candU {
+		if s.candRu[k] <= dt {
+			total++
+		}
+		if s.candRw[k] <= dt {
+			total++
+		}
+	}
+	s.prefPos = slices.Grow(s.prefPos, total)
+	s.prefDist = slices.Grow(s.prefDist, total)
+	s.prefOther = slices.Grow(s.prefOther, total)
+	for ui := range s.unsat {
+		lo, hi := s.candUOff[ui], s.candUOff[ui+1]
+		for _, side := range [2][2][]float64{{s.candRu, s.candRw}, {s.candRw, s.candRu}} {
+			near, other := side[0][lo:hi], side[1][lo:hi]
 			start := len(s.prefPos)
 			s.prefOff = append(s.prefOff, start)
-			for _, p := range u {
-				if d := r[nodes[p]]; d <= dt {
-					s.prefPos = append(s.prefPos, p)
+			for k, d := range near {
+				if d <= dt {
+					s.prefPos = append(s.prefPos, s.group[lo+k])
 					s.prefDist = append(s.prefDist, d)
+					s.prefOther = append(s.prefOther, other[k])
 				}
 			}
-			sort.Sort(prefixSorter{s.prefPos[start:], s.prefDist[start:]})
+			sort.Sort(prefixSorter{s.prefPos[start:], s.prefDist[start:], s.prefOther[start:]})
 		}
 	}
 	s.prefOff = append(s.prefOff, len(s.prefPos))
 }
 
-// byALoadBounds splits the candidate-position range into worker shards of
-// roughly equal inverse-index load (the per-position near-list entry
-// counts, which is what the row scans cost).
+// byALoadBounds splits the position groups into worker shards of roughly
+// equal inverse-index load (the per-position near-list entry counts,
+// which is what the row scans cost).
 func (s *instSearch) byALoadBounds(workers int) []int {
-	t := len(s.inst.candNodes)
-	total := int64(len(s.byAPair))
+	groups := len(s.groupPos)
+	total := int64(len(s.byKey))
 	bounds := make([]int, workers+1)
-	bounds[workers] = t
-	ai := 0
+	bounds[workers] = groups
+	ga := 0
 	for w := 1; w < workers; w++ {
 		target := total * int64(w) / int64(workers)
-		for ai < t && int64(s.byAOff[ai]) < target {
-			ai++
+		for ga < groups && int64(s.byOff[ga]) < target {
+			ga++
 		}
-		bounds[w] = ai
+		bounds[w] = ga
 	}
 	return bounds
 }
 
+// collectUnsat fills unsat with the pairs beyond d_t and accounts them as
+// rescanned.
+func (s *instSearch) collectUnsat() {
+	dt := s.inst.thr.D
+	s.unsat = s.unsat[:0]
+	for i := range s.pairDist {
+		if s.pairDist[i] > dt {
+			s.unsat = append(s.unsat, i)
+		}
+	}
+	telemetry.Global().PairsRescanned.Add(int64(len(s.unsat)))
+	s.evPairsRescanned += int64(len(s.unsat))
+	obs.ObserveMerge(0, int64(len(s.unsat)))
+}
+
 // buildCandU fills the per-pair near-candidate lists for the pairs in
-// unsat: the candidate positions within d_t of either pair endpoint, in
-// ascending position order. Runs serially; the cells it proves zero-gain
+// unsat: the union of the pair's two balls restricted to candidate nodes,
+// as ascending positions with the two ball distances aligned (+Inf where
+// a node is in one ball only). It merges the two sorted balls, so a list
+// costs O(ball), not O(t). Runs serially; the cells it proves zero-gain
 // feed CandidatesPruned here, which keeps the counter identical at every
 // worker count.
 func (s *instSearch) buildCandU() {
-	nodes := s.inst.candNodes
-	dt := s.inst.thr.D
 	s.candUOff = s.candUOff[:0]
 	s.candU = s.candU[:0]
+	s.candRu = s.candRu[:0]
+	s.candRw = s.candRw[:0]
+	// Size the arena once for the largest possible lists: append's growth
+	// steps would allocate several times the final size at scale.
+	total := 0
+	for _, i := range s.unsat {
+		total += s.balls[s.pairU[i]].Len() + s.balls[s.pairW[i]].Len()
+	}
+	s.candU = slices.Grow(s.candU, total)
+	s.candRu = slices.Grow(s.candRu, total)
+	s.candRw = slices.Grow(s.candRw, total)
 	pruned := int64(0)
 	for _, i := range s.unsat {
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
-		s.candUOff = append(s.candUOff, len(s.candU))
-		for ci, x := range nodes {
-			if ru[x] <= dt || rw[x] <= dt {
-				s.candU = append(s.candU, int32(ci))
-			}
-		}
-		u := int64(len(s.candU) - s.candUOff[len(s.candUOff)-1])
+		start := len(s.candU)
+		s.candUOff = append(s.candUOff, start)
+		s.appendNear(s.balls[s.pairU[i]], s.balls[s.pairW[i]])
+		u := int64(len(s.candU) - start)
 		pruned += int64(s.inst.numCand) - u*(u-1)/2
 	}
 	s.candUOff = append(s.candUOff, len(s.candU))
 	telemetry.Global().CandidatesPruned.Add(pruned)
+}
+
+// appendNear appends to the near-list arena the union of balls bu and bw,
+// ascending by id, keeping candidate nodes only: each as its candidate
+// position with its distance in each ball (+Inf when absent). Candidate
+// positions ascend with node ids, so the entries ascend by position.
+func (s *instSearch) appendNear(bu, bw shortestpath.Ball) {
+	inf := math.Inf(1)
+	pos := s.inst.candPos
+	t := len(s.inst.candNodes)
+	j, k := 0, 0
+	for j < len(bu.IDs) || k < len(bw.IDs) {
+		var x int32
+		du, dw := inf, inf
+		switch {
+		case k == len(bw.IDs) || (j < len(bu.IDs) && bu.IDs[j] < bw.IDs[k]):
+			x, du = bu.IDs[j], bu.Dist[j]
+			j++
+		case j == len(bu.IDs) || bw.IDs[k] < bu.IDs[j]:
+			x, dw = bw.IDs[k], bw.Dist[k]
+			k++
+		default:
+			x, du, dw = bu.IDs[j], bu.Dist[j], bw.Dist[k]
+			j++
+			k++
+		}
+		if pos != nil {
+			x = pos[x]
+		}
+		if x < 0 || int(x) >= t {
+			continue // not a candidate node
+		}
+		s.candU = append(s.candU, x)
+		s.candRu = append(s.candRu, du)
+		s.candRw = append(s.candRw, dw)
+	}
 }
 
 // GainsAdd computes the σ gain of every candidate addition. The returned
@@ -712,7 +777,7 @@ func (s *instSearch) buildCandU() {
 // With workers > 1 the triangular candidate grid is split into contiguous
 // row ranges of roughly equal cell count; each worker runs the same scan
 // over its rows, writing the disjoint gains segment those rows map to. The
-// distance rows are read-only during the scan and the per-cell
+// balls and near lists are read-only during the scan and the per-cell
 // accumulations are exact integer adds, so the gains array — and hence
 // every argmax taken over it — is identical to the serial scan's.
 func (s *instSearch) GainsAdd() []int {
@@ -737,16 +802,7 @@ func (s *instSearch) coldScan() {
 	for i := range s.gains {
 		s.gains[i] = 0
 	}
-	dt := s.inst.thr.D
-	s.unsat = s.unsat[:0]
-	for i := range s.pairDist {
-		if s.pairDist[i] > dt {
-			s.unsat = append(s.unsat, i)
-		}
-	}
-	telemetry.Global().PairsRescanned.Add(int64(len(s.unsat)))
-	s.evPairsRescanned += int64(len(s.unsat))
-	obs.ObserveMerge(0, int64(len(s.unsat)))
+	s.collectUnsat()
 	s.buildCandU()
 	if s.gainsBody == nil {
 		s.gainsBody = s.gainsPrunedRows // method value; built once, reused warm
@@ -766,31 +822,27 @@ func (s *instSearch) gainsPrunedRows(aiLo, aiHi int) {
 	if aiLo >= aiHi {
 		return
 	}
-	nodes := s.inst.candNodes
-	t := len(nodes)
+	t := len(s.inst.candNodes)
 	dt := s.inst.thr.D
 	for ui, i := range s.unsat {
 		if s.interrupted() {
 			return
 		}
 		w := int(s.inst.weights[i])
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
-		u := s.candU[s.candUOff[ui]:s.candUOff[ui+1]]
-		lo := sort.Search(len(u), func(j int) bool { return int(u[j]) >= aiLo })
-		for x := lo; x < len(u); x++ {
+		lo, hi := s.candUOff[ui], s.candUOff[ui+1]
+		u, ru, rw := s.candU[lo:hi], s.candRu[lo:hi], s.candRw[lo:hi]
+		x0 := sort.Search(len(u), func(j int) bool { return int(u[j]) >= aiLo })
+		for x := x0; x < len(u); x++ {
 			ai := int(u[x])
 			if ai >= aiHi {
 				break
 			}
-			a := nodes[ai]
-			ca := dt - ru[a]
-			cb := dt - rw[a]
+			ca := dt - ru[x]
+			cb := dt - rw[x]
 			base := rowStart(t, ai) - ai - 1
-			for _, bj := range u[x+1:] {
-				b := nodes[bj]
-				if rw[b] <= ca || ru[b] <= cb {
-					s.gains[base+int(bj)] += w
+			for y := x + 1; y < len(u); y++ {
+				if rw[y] <= ca || ru[y] <= cb {
+					s.gains[base+int(u[y])] += w
 				}
 			}
 		}
@@ -853,9 +905,9 @@ func (s *instSearch) BestDrop() (pos, sigma int) {
 }
 
 // Add commits candidate cand. Under EvalRebuild it only records the
-// selection and marks the rows stale; under EvalIncremental it merges the
-// shortcut into the existing rows in O(n) per row and marks the gains
-// array stale.
+// selection and marks the balls stale; under EvalIncremental it merges the
+// shortcut into the existing balls (mergeAdd) and marks the gains array
+// stale.
 func (s *instSearch) Add(cand int) {
 	if !s.incremental {
 		s.sel = append(s.sel, cand)
@@ -866,91 +918,94 @@ func (s *instSearch) Add(cand int) {
 	s.mergeAdd(cand)
 }
 
+// reposition moves the search to sel (copied), in the state NewSearch(sel)
+// would build: balls stale, gains dropped. It keeps every buffer for the
+// next rebuild and scan to reuse.
+func (s *instSearch) reposition(sel []int) {
+	s.sel = append(s.sel[:0], sel...)
+	s.markStale()
+}
+
 // RemoveAt removes the selection element at position pos. Deletions always
-// leave the rows stale for a rebuild, in both eval modes: removing a
+// leave the balls stale for a rebuild, in both eval modes: removing a
 // shortcut can lengthen distances, and the incremental min-merge has no
-// way to undo a min — the information about which pre-merge value a cell
-// held is gone.
+// way to undo a min — the information about which pre-merge value an
+// entry held is gone.
 func (s *instSearch) RemoveAt(pos int) {
 	s.sel = append(s.sel[:pos], s.sel[pos+1:]...)
 	s.markStale()
 }
 
 // mergeAdd is the incremental commit path. With f=(a,b) the new shortcut,
-// it queries the two overlay rows d_F(a,·), d_F(b,·) over the PRE-commit
+// it queries the two overlay balls of a and b over the PRE-commit
 // selection (the only shortest-path work of the commit, independent of the
-// number of endpoint rows), then min-merges them into every endpoint row.
-// Each row is scanned up to its first improved node; a row with none
-// provably cannot change and is skipped (RowsUnchanged). The pair
-// distances and σ are refreshed from the merged rows and the gains array
-// is marked stale.
+// number of endpoint balls). Then each endpoint ball e within d_t of a or
+// b becomes the sorted three-way merge
+//
+//	ball(e) ∪ (d_F(e,a) + ball(b)) ∪ (d_F(e,b) + ball(a)),
+//
+// minimum per node, truncated at d_t — the dense min-merge's arithmetic on
+// the only entries that can land within d_t. A ball reaching neither a nor
+// b, or one the merge does not improve, provably cannot change and is
+// kept (RowsUnchanged). The pair distances and σ are refreshed from the
+// merged balls and the gains array is marked stale.
 func (s *instSearch) mergeAdd(cand int) {
 	e := s.inst.CandidateEdge(cand)
-	fa, fb := int(e.U), int(e.V)
-	n := s.inst.g.N()
-	if s.rowShort == nil {
-		s.rowShort = make([]float64, n)
-		s.rowShortB = make([]float64, n)
+	dt := s.inst.thr.D
+	if s.mergeBall == nil {
 		s.mergeSrc = make([]graph.NodeID, 2)
-		s.mergeDst = make([][]float64, 2)
+		s.mergeBall = make([]shortestpath.Ball, 2)
 	}
-	rowA, rowB := s.rowShort, s.rowShortB
 	ov := shortestpath.NewOverlay(s.inst.table, SelectionEdges(s.inst, s.sel))
-	s.mergeSrc[0], s.mergeSrc[1] = graph.NodeID(fa), graph.NodeID(fb)
-	s.mergeDst[0], s.mergeDst[1] = rowA, rowB
-	evWorkers := s.workers
-	if evWorkers > 2 {
-		evWorkers = 2
-	}
-	shortestpath.NewEvaluator(ov, evWorkers).DistRows(s.mergeSrc, s.mergeDst)
+	s.mergeSrc[0], s.mergeSrc[1] = e.U, e.V
+	shortestpath.NewEvaluator(ov, min(s.workers, 2)).DistBalls(s.inst.baseBalls(), dt, s.mergeSrc, s.mergeBall)
 	s.sel = append(s.sel, cand)
+	ballA, ballB := s.mergeBall[0], s.mergeBall[1]
 
-	rows := len(s.rows)
-	shards := s.workers
-	if shards > rows {
-		shards = rows
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if cap(s.shardCnt) < shards {
+	rows := len(s.balls)
+	shards := max(min(s.workers, rows), 1)
+	if len(s.shardCnt) < shards {
 		s.shardCnt = make([]int64, shards)
+		s.mergeOut = append(s.mergeOut, make([]shortestpath.Ball, shards-len(s.mergeOut))...)
 	}
 	cnt := s.shardCnt[:shards]
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	// Rows and the two shortcut rows are shared; every write is
-	// row-indexed and disjoint.
+	// The balls of a and b are shared and read-only; every write is
+	// ball-indexed or shard-indexed and disjoint.
 	ParallelFor(s.workers, rows, func(shard, lo, hi int) {
 		changed := int64(0)
+		var shift [3]float64
+		var merge [3]shortestpath.Ball
+		out := s.mergeOut[shard]
 		for r := lo; r < hi; r++ {
-			row := s.rows[r]
-			da, db := row[fa], row[fb]
-			x := 0
-			for ; x < len(row); x++ {
-				nd := da + rowB[x]
-				if d := db + rowA[x]; d < nd {
-					nd = d
-				}
-				if nd < row[x] {
-					break
-				}
+			b := s.balls[r]
+			shift[0], merge[0] = 0, b
+			k, size := 1, b.Len()
+			if da := b.At(e.U); da <= dt {
+				shift[k], merge[k] = da, ballB
+				k, size = k+1, size+ballB.Len()
 			}
-			if x == len(row) {
-				continue // no node improves: the row cannot change
+			if db := b.At(e.V); db <= dt {
+				shift[k], merge[k] = db, ballA
+				k, size = k+1, size+ballA.Len()
+			}
+			if k == 1 {
+				continue // the ball reaches neither endpoint: it cannot change
+			}
+			var improved bool
+			out.IDs, out.Dist = slices.Grow(out.IDs[:0], size), slices.Grow(out.Dist[:0], size)
+			out, improved = shortestpath.AppendMinMerge(out, dt, shift[:k], merge[:k])
+			if !improved {
+				continue
 			}
 			changed++
-			for ; x < len(row); x++ {
-				nd := da + rowB[x]
-				if d := db + rowA[x]; d < nd {
-					nd = d
-				}
-				if nd < row[x] {
-					row[x] = nd
-				}
-			}
+			b.IDs = append(b.IDs[:0], out.IDs...)
+			b.Dist = append(b.Dist[:0], out.Dist...)
+			s.balls[r] = b
 		}
+		s.mergeOut[shard] = out
 		cnt[shard] = changed
 	})
 	var merged int64

@@ -247,8 +247,8 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 func (inst *Instance) foldIncident(v int, fn func(c int)) {
 	pv := v
 	if inst.candPos != nil {
-		p, ok := inst.candPos[graph.NodeID(v)]
-		if !ok {
+		p := inst.candPos[v]
+		if p < 0 {
 			return
 		}
 		pv = int(p)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"msc/internal/geom"
 )
@@ -139,6 +140,34 @@ func TestComponents(t *testing.T) {
 	largest := g.LargestComponent()
 	if len(largest) != 3 || largest[0] != 0 {
 		t.Fatalf("largest = %v", largest)
+	}
+}
+
+// TestComponentsLargePathLinear runs Components on a 10⁵-node path whose
+// BFS from node 0 visits the ids in descending order — the worst case of
+// an insertion sort, ≈5·10⁹ swaps. A linear-log sort finishes in
+// milliseconds; the bound fails loudly if the component sort turns
+// quadratic again.
+func TestComponentsLargePathLinear(t *testing.T) {
+	const n = 100_000
+	b := NewBuilder(n)
+	b.AddEdge(0, n-1, 1)
+	for v := n - 1; v > 1; v-- {
+		b.AddEdge(NodeID(v), NodeID(v-1), 1)
+	}
+	g := b.MustBuild()
+	start := time.Now()
+	comps := g.Components()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Components on a %d-node path took %v: the component sort is quadratic", n, took)
+	}
+	if len(comps) != 1 || len(comps[0]) != n {
+		t.Fatalf("got %d components, want one of %d nodes", len(comps), n)
+	}
+	for i, v := range comps[0] {
+		if v != NodeID(i) {
+			t.Fatalf("component not sorted at %d: %d", i, v)
+		}
 	}
 }
 

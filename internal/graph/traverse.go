@@ -1,6 +1,10 @@
 package graph
 
-import "msc/internal/geom"
+import (
+	"slices"
+
+	"msc/internal/geom"
+)
 
 // Components returns the connected components of g, each as a sorted slice
 // of node ids, ordered by their smallest member.
@@ -31,7 +35,7 @@ func (g *Graph) Components() [][]NodeID {
 		comps = append(comps, comp)
 	}
 	for _, c := range comps {
-		sortNodeIDs(c)
+		slices.Sort(c)
 	}
 	return comps
 }
@@ -118,12 +122,4 @@ func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, []NodeID) {
 	}
 	mapping := append([]NodeID(nil), keep...)
 	return sub, mapping
-}
-
-func sortNodeIDs(ids []NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

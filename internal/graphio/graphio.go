@@ -90,6 +90,11 @@ func (doc Document) Graph() (*graph.Graph, error) {
 	if err := doc.Validate(); err != nil {
 		return nil, err
 	}
+	return doc.build()
+}
+
+// build reconstructs the network from a document that passed Validate.
+func (doc Document) build() (*graph.Graph, error) {
 	b := graph.NewBuilder(doc.Nodes).Grow(len(doc.Edges))
 	if doc.Coords != nil {
 		coords := make([]geom.Point, len(doc.Coords))
@@ -141,6 +146,21 @@ func ReadJSON(r io.Reader) (Document, error) {
 		return Document{}, err
 	}
 	return doc, nil
+}
+
+// ReadJSONGraph is ReadJSON followed by Document.Graph with a single
+// Validate pass between them: the loader for callers that need both the
+// document and its network. Its errors are exactly ReadJSON's.
+func ReadJSONGraph(r io.Reader) (Document, *graph.Graph, error) {
+	doc, err := ReadJSON(r)
+	if err != nil {
+		return Document{}, nil, err
+	}
+	g, err := doc.build()
+	if err != nil {
+		return Document{}, nil, err
+	}
+	return doc, g, nil
 }
 
 // WriteEdgeList encodes "u v p_fail" lines.

@@ -238,3 +238,52 @@ func TestWriteDOT(t *testing.T) {
 		}
 	}
 }
+
+// TestReadJSONGraphMatchesTwoStep holds the single-validation loader to
+// the two-step ReadJSON + Document.Graph path: the same document and
+// graph on valid input, and the same *ValidationError on malformed
+// documents, malformed JSON and trailing data.
+func TestReadJSONGraphMatchesTwoStep(t *testing.T) {
+	var valid bytes.Buffer
+	ps := pairs.MustNewSet(4, []pairs.Pair{{U: 0, W: 3}, {U: 1, W: 3}})
+	if err := WriteJSON(&valid, FromGraph(sampleGraph(t), ps, 0.25, 2)); err != nil {
+		t.Fatal(err)
+	}
+	inputs := []string{
+		valid.String(),
+		`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":1}]}`,
+		`{"nodes":3,"edges":[{"u":0,"v":1,"p_fail":0.1},{"u":1,"v":0,"p_fail":0.1}]}`,
+		`{"nodes":3,"pairs":[[0,1],[2,2]]}`,
+		`{"nodes":2,"coords":[[0,0]]}`,
+		`{"nodes":0}`,
+		`{"nodes":2} trailing`,
+		`not json`,
+	}
+	for _, in := range inputs {
+		doc, g, err := ReadJSONGraph(strings.NewReader(in))
+		wantDoc, wantErr := ReadJSON(strings.NewReader(in))
+		if wantErr != nil {
+			var verr *ValidationError
+			if err == nil || err.Error() != wantErr.Error() || !errors.As(err, &verr) {
+				t.Errorf("%q: ReadJSONGraph error %v, want ReadJSON's %v as a *ValidationError", in, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		wantG, gerr := wantDoc.Graph()
+		if gerr != nil {
+			t.Fatal(gerr)
+		}
+		if doc.Nodes != wantDoc.Nodes || len(doc.Edges) != len(wantDoc.Edges) || len(doc.Pairs) != len(wantDoc.Pairs) {
+			t.Fatalf("%q: document differs from ReadJSON's", in)
+		}
+		we := wantG.Edges()
+		for i, e := range g.Edges() {
+			if e != we[i] {
+				t.Fatalf("%q: edge %d = %+v, want %+v", in, i, e, we[i])
+			}
+		}
+	}
+}

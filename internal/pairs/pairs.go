@@ -8,6 +8,7 @@ package pairs
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"msc/internal/graph"
 	"msc/internal/shortestpath"
@@ -107,7 +108,7 @@ func (s *Set) Nodes() []graph.NodeID {
 	for v := range s.weight {
 		out = append(out, v)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -227,12 +228,4 @@ func SampleViolatingWithCommonNode(t shortestpath.DistanceSource, dt float64, m 
 		chosen[i] = candidates[j]
 	}
 	return NewSet(n, chosen)
-}
-
-func sortNodeIDs(ids []graph.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

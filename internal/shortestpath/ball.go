@@ -132,3 +132,129 @@ func (sc *ballScratch) reset(in []int32) {
 	}
 	sc.touched = sc.touched[:0]
 }
+
+// Ball is a distance row truncated at a bound: the nodes within the bound
+// of a source, ascending by id, with their distances. Every node absent
+// from the ball reads as +Inf. The σ search keeps one per pair endpoint in
+// place of an n-length row.
+type Ball struct {
+	IDs  []int32
+	Dist []float64
+}
+
+// Len returns the number of in-ball entries.
+func (b Ball) Len() int { return len(b.IDs) }
+
+// At returns the stored distance to v, or +Inf if v is outside the ball.
+func (b Ball) At(v graph.NodeID) float64 {
+	lo, hi := 0, len(b.IDs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.IDs[mid] < int32(v) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(b.IDs) && b.IDs[lo] == int32(v) {
+		return b.Dist[lo]
+	}
+	return Inf
+}
+
+// BallSource serves the base-graph balls Overlay.DistBall composes. Ball(u)
+// must hold exactly the entries of Row(u) that are ≤ the bound the caller
+// passes to DistBall, bit for bit; callers must not modify it.
+type BallSource interface {
+	Ball(u graph.NodeID) Ball
+}
+
+// ReadBall returns u's ball at bound read from src: the entries ≤ bound of
+// src's sparse row when src is a SparseSource, of Row(u) otherwise, so the
+// values are Row(u)'s bit for bit. The slices are allocated at the ball's
+// exact length.
+func ReadBall(src DistanceSource, u graph.NodeID, bound float64) Ball {
+	if ss, ok := src.(SparseSource); ok {
+		r := ss.SparseRow(u)
+		k := 0
+		for _, d := range r.dist {
+			if float64(d) <= bound {
+				k++
+			}
+		}
+		b := Ball{IDs: make([]int32, 0, k), Dist: make([]float64, 0, k)}
+		for i, d := range r.dist {
+			if float64(d) <= bound {
+				b.IDs = append(b.IDs, r.ids[i])
+				b.Dist = append(b.Dist, float64(d))
+			}
+		}
+		return b
+	}
+	row := src.Row(u)
+	k := 0
+	for _, d := range row {
+		if d <= bound {
+			k++
+		}
+	}
+	b := Ball{IDs: make([]int32, 0, k), Dist: make([]float64, 0, k)}
+	for x, d := range row {
+		if d <= bound {
+			b.IDs = append(b.IDs, int32(x))
+			b.Dist = append(b.Dist, d)
+		}
+	}
+	return b
+}
+
+// AppendMinMerge appends to dst the entrywise minimum of the shifted balls
+// shift[i] + balls[i], ascending by id, keeping only entries ≤ bound. The
+// sums and the minimum are the ones a dense scatter-min of the same rows
+// computes, so every kept entry equals the dense value bit for bit.
+// improved reports whether some kept entry is strictly below balls[0]'s
+// entry at that id (+Inf when absent): false means the merge left
+// shift[0] + balls[0] unchanged.
+//
+// Each output entry costs one pass over the cursors, so a merge is
+// O(len(balls) · Σ len); callers merge a handful of balls at a time.
+func AppendMinMerge(dst Ball, bound float64, shift []float64, balls []Ball) (out Ball, improved bool) {
+	var curBuf [8]int
+	var cur []int
+	if len(balls) <= len(curBuf) {
+		cur = curBuf[:len(balls)]
+	} else {
+		cur = make([]int, len(balls))
+	}
+	for {
+		next, found := int32(0), false
+		for i, b := range balls {
+			if c := cur[i]; c < len(b.IDs) && (!found || b.IDs[c] < next) {
+				next, found = b.IDs[c], true
+			}
+		}
+		if !found {
+			return dst, improved
+		}
+		best, base := Inf, Inf
+		for i, b := range balls {
+			if c := cur[i]; c < len(b.IDs) && b.IDs[c] == next {
+				d := shift[i] + b.Dist[c]
+				if i == 0 {
+					base = d
+				}
+				if d < best {
+					best = d
+				}
+				cur[i] = c + 1
+			}
+		}
+		if best <= bound {
+			dst.IDs = append(dst.IDs, next)
+			dst.Dist = append(dst.Dist, best)
+			if best < base {
+				improved = true
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ func (e *PanicError) Error() string {
 
 // Evaluator batches distance queries against one Overlay across multiple
 // goroutines. An Overlay is immutable after construction, so per-pair Dist
-// and per-source DistRow queries are embarrassingly parallel; the
+// and per-source DistBall queries are embarrassingly parallel; the
 // evaluator shards query lists into contiguous blocks, one goroutine per
 // shard, and reduces per-shard totals in shard order. Results are
 // therefore deterministic and identical to a serial scan for every worker
@@ -82,24 +82,24 @@ func (e *Evaluator) CountWithin(us, ws []graph.NodeID, weights []int32, bound fl
 	return total
 }
 
-// DistRows fills rows[i] with the augmented distance row of srcs[i], one
-// source per unit of sharded work. Each DistRow call owns its output row
-// and internal scratch, so the rows are independent.
-func (e *Evaluator) DistRows(srcs []graph.NodeID, rows [][]float64) {
-	if len(srcs) != len(rows) {
-		panic("shortestpath: DistRows length mismatch")
+// DistBalls sets balls[i] to the augmented ball of srcs[i] at bound (see
+// Overlay.DistBall), reusing each entry's slices, one source per unit of
+// sharded work. Each call owns its output entry, so the balls are
+// independent and identical for every worker count.
+func (e *Evaluator) DistBalls(base BallSource, bound float64, srcs []graph.NodeID, balls []Ball) {
+	if len(srcs) != len(balls) {
+		panic("shortestpath: DistBalls length mismatch")
+	}
+	run := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			balls[i] = e.ov.DistBall(base, srcs[i], bound, Ball{IDs: balls[i].IDs[:0], Dist: balls[i].Dist[:0]})
+		}
 	}
 	if e.workers <= 1 || len(srcs) < 2 {
-		for i, src := range srcs {
-			e.ov.DistRow(src, rows[i])
-		}
+		run(0, 0, len(srcs))
 		return
 	}
-	e.shard(len(srcs), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.ov.DistRow(srcs[i], rows[i])
-		}
-	})
+	e.shard(len(srcs), run)
 }
 
 // shard splits [0, n) into contiguous blocks, one goroutine per non-empty

@@ -113,53 +113,53 @@ func TestEvaluatorCountWithinLengthMismatch(t *testing.T) {
 	e.CountWithin([]graph.NodeID{0, 1}, []graph.NodeID{2}, nil, 1)
 }
 
-// TestEvaluatorDistRowsMatchesSerial checks DistRows against the naive
+// TestEvaluatorDistBallsMatchesSerial checks DistBalls against the naive
 // augmented-Dijkstra reference (serially) and against itself for every
 // worker count, over a lazy backend.
-func TestEvaluatorDistRowsMatchesSerial(t *testing.T) {
+func TestEvaluatorDistBallsMatchesSerial(t *testing.T) {
+	const bound = 1.2
 	rng := xrand.New(67)
 	g := randomGraph(t, 35, 60, rng)
 	shortcuts := []graph.Edge{{U: 2, V: 30}, {U: 10, V: 25}}
-	ov := NewOverlay(NewLazyTable(g, LazyOptions{}), shortcuts)
+	lt := NewLazyTable(g, LazyOptions{})
+	ov := NewOverlay(lt, shortcuts)
+	base := readBalls{lt, bound}
 	var srcs []graph.NodeID
 	for u := 0; u < g.N(); u += 2 {
 		srcs = append(srcs, graph.NodeID(u))
 	}
-	mkRows := func() [][]float64 {
-		rows := make([][]float64, len(srcs))
-		for i := range rows {
-			rows[i] = make([]float64, g.N())
-		}
-		return rows
-	}
-	want := mkRows()
-	NewEvaluator(ov, 1).DistRows(srcs, want)
+	want := make([]Ball, len(srcs))
+	NewEvaluator(ov, 1).DistBalls(base, bound, srcs, want)
 	for i, src := range srcs {
 		ref := AugmentedDistances(g, shortcuts, src)
-		for v := range ref {
-			if math.Abs(want[i][v]-ref[v]) > 1e-9 && !(math.IsInf(want[i][v], 1) && math.IsInf(ref[v], 1)) {
-				t.Fatalf("serial DistRows src %d node %d = %v, want %v", src, v, want[i][v], ref[v])
+		for v, d := range ref {
+			// Sums within rounding of the bound may fall either side.
+			if got := want[i].At(graph.NodeID(v)); math.Abs(d-bound) > 1e-9 && (d <= bound) != (got <= bound) {
+				t.Fatalf("serial DistBalls src %d node %d = %v, reference %v", src, v, got, d)
+			} else if got <= bound && math.Abs(got-d) > 1e-9 {
+				t.Fatalf("serial DistBalls src %d node %d = %v, reference %v", src, v, got, d)
 			}
 		}
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got := mkRows()
-		NewEvaluator(ov, workers).DistRows(srcs, got)
+		got := make([]Ball, len(srcs))
+		NewEvaluator(ov, workers).DistBalls(base, bound, srcs, got)
 		for i := range srcs {
-			sameRow(t, got[i], want[i], "parallel DistRows")
+			checkBallBits(t, int64(workers), i, got[i], want[i])
 		}
 	}
 }
 
-func TestEvaluatorDistRowsLengthMismatch(t *testing.T) {
+func TestEvaluatorDistBallsLengthMismatch(t *testing.T) {
 	g := lineGraph(t, 4)
-	e := NewEvaluator(NewOverlay(NewTable(g, 0), nil), 2)
+	tab := NewTable(g, 0)
+	e := NewEvaluator(NewOverlay(tab, nil), 2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on rows length mismatch")
+			t.Fatal("expected panic on balls length mismatch")
 		}
 	}()
-	e.DistRows([]graph.NodeID{0, 1}, make([][]float64, 1))
+	e.DistBalls(readBalls{tab, 1}, 1, []graph.NodeID{0, 1}, make([]Ball, 1))
 }
 
 func TestOverlayEndpointsDistinct(t *testing.T) {

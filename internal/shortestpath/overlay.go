@@ -2,6 +2,8 @@ package shortestpath
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"msc/internal/graph"
 	"msc/internal/telemetry"
@@ -243,6 +245,68 @@ func (o *Overlay) distRowSparse(ss SparseSource, u graph.NodeID, out []float64) 
 			}
 		}
 	}
+}
+
+// DistBall appends to dst u's ball at bound in G ∪ F: every node within
+// bound of u, ascending by id, with exactly the distance DistRow(u)
+// computes for it. It composes DistRow's arithmetic from base
+// balls instead of rows — u's own ball, plus c[i] + ball(terminal i) for
+// every terminal with c[i] ≤ bound — so it costs O(k² log b + K·Σ b) for
+// K such terminals and balls of b entries, with no n-length scratch.
+// Truncation loses nothing: distances are non-negative and float addition
+// is monotone, so a base entry beyond bound only feeds sums beyond bound.
+// balls must hold every entry of Row(v) ≤ bound for each node v it is
+// asked for.
+func (o *Overlay) DistBall(balls BallSource, u graph.NodeID, bound float64, dst Ball) Ball {
+	telemetry.Global().OverlayRows.Add(1)
+	bu := balls.Ball(u)
+	t := len(o.endpoints)
+	// c[i] as in DistRow, with u's entries beyond bound read as +Inf: any
+	// term they feed exceeds bound, so every c[i] ≤ bound keeps its bits.
+	// The scratch lives on the stack for up to 16 terminals (k ≤ 8).
+	var duBuf, shiftBuf [16]float64
+	var mergeBuf [16]Ball
+	du, shift, merge := duBuf[:0], append(shiftBuf[:0], 0), append(mergeBuf[:0], bu)
+	for _, e := range o.endpoints {
+		du = append(du, bu.At(e))
+	}
+	size := bu.Len()
+	for i := 0; i < t; i++ {
+		best := du[i]
+		for j := 0; j < t; j++ {
+			if d := du[j] + o.h[j][i]; d < best {
+				best = d
+			}
+		}
+		if best <= bound {
+			b := balls.Ball(o.endpoints[i])
+			shift = append(shift, best)
+			merge = append(merge, b)
+			size += b.Len()
+		}
+	}
+	if len(merge) == 1 {
+		return appendBall(dst, bu)
+	}
+	// Merge into pooled scratch sized for the disjoint union, then copy
+	// the ball into dst at its exact length: the union bound can exceed
+	// the ball severalfold when terminal balls overlap.
+	sc := mergeScratch.Get().(*Ball)
+	sc.IDs, sc.Dist = slices.Grow(sc.IDs[:0], size), slices.Grow(sc.Dist[:0], size)
+	*sc, _ = AppendMinMerge(*sc, bound, shift, merge)
+	dst = appendBall(dst, *sc)
+	mergeScratch.Put(sc)
+	return dst
+}
+
+// mergeScratch pools DistBall's merge buffers.
+var mergeScratch = sync.Pool{New: func() any { return new(Ball) }}
+
+// appendBall appends b's entries to dst, growing dst at most once.
+func appendBall(dst, b Ball) Ball {
+	dst.IDs = append(slices.Grow(dst.IDs, b.Len()), b.IDs...)
+	dst.Dist = append(slices.Grow(dst.Dist, b.Len()), b.Dist...)
+	return dst
 }
 
 // AugmentedDistances is the naive reference implementation: it materializes

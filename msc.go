@@ -202,8 +202,9 @@ const (
 )
 
 // Evaluation modes selectable via InstanceOptions.EvalMode. EvalModeAuto
-// (the zero value) resolves to EvalIncremental — O(n) row merges and delta
-// gains rescans when a search commits a shortcut — unless
+// (the zero value) resolves to EvalIncremental — a committed shortcut is
+// merged into the endpoints' d_t-balls and the next gains read rescans
+// the near lists — unless
 // SetDefaultEvalMode installed a different default; EvalRebuild restores
 // the full-recompute reference path. Placements, σ values, and gains
 // arrays are identical across modes.

@@ -68,6 +68,13 @@ func ReadInstanceJSON(r io.Reader) (InstanceDocument, error) {
 	return graphio.ReadJSON(r)
 }
 
+// ReadInstanceGraph deserializes a problem instance document and builds
+// its network, validating the document once; its errors are
+// ReadInstanceJSON's.
+func ReadInstanceGraph(r io.Reader) (InstanceDocument, *Graph, error) {
+	return graphio.ReadJSONGraph(r)
+}
+
 // ReadCostTable deserializes and validates a shortcut price table for the
 // "table" cost model (mscplace -cost-table).
 func ReadCostTable(r io.Reader) (CostTableDocument, error) {
