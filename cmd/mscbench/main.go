@@ -85,7 +85,6 @@ func run(ctx context.Context) (retErr error) {
 		par      = flag.Int("par", 0, "candidate-scan workers: 1 = serial, 0 = GOMAXPROCS (results are identical either way)")
 		budgetF  = flag.Float64("budget", 0, "knapsack budget B replacing the cardinality budget k on every instance; prices come from -cost-model (0 = cardinality placement)")
 		distB    = cli.AddDistBackendFlag(flag.CommandLine)
-		lmF      = cli.AddLandmarksFlag(flag.CommandLine)
 		evalM    = cli.AddEvalModeFlag(flag.CommandLine)
 		survM    = cli.AddSurviveFlag(flag.CommandLine)
 		costM    = cli.AddCostModelFlag(flag.CommandLine)
@@ -109,7 +108,6 @@ func run(ctx context.Context) (retErr error) {
 		return err
 	}
 	core.SetDefaultDistBackend(backend)
-	core.SetDefaultLandmarks(*lmF)
 	evalMode, err := core.ParseEvalMode(*evalM)
 	if err != nil {
 		return err

@@ -70,7 +70,6 @@ func run(ctx context.Context) (retErr error) {
 		budgetF  = flag.Float64("budget", 0, "knapsack budget B replacing the cardinality budget k; shortcut prices come from -cost-model (0 = cardinality placement)")
 		costTab  = flag.String("cost-table", "", "per-pair shortcut price table JSON for -cost-model table")
 		distB    = cli.AddDistBackendFlag(flag.CommandLine)
-		lmF      = cli.AddLandmarksFlag(flag.CommandLine)
 		evalM    = cli.AddEvalModeFlag(flag.CommandLine)
 		survM    = cli.AddSurviveFlag(flag.CommandLine)
 		costM    = cli.AddCostModelFlag(flag.CommandLine)
@@ -194,7 +193,7 @@ func run(ctx context.Context) (retErr error) {
 	if threshold <= 0 {
 		return fmt.Errorf("no threshold: set one in the instance or pass -pt")
 	}
-	instOpts := &msc.InstanceOptions{AllowTrivial: true, DistBackend: backend, Landmarks: *lmF, EvalMode: evalMode,
+	instOpts := &msc.InstanceOptions{AllowTrivial: true, DistBackend: backend, EvalMode: evalMode,
 		Parallelism: *par, Survive: survive}
 	if budgeted {
 		instOpts.Budget = *budgetF

@@ -85,15 +85,6 @@ func AddDistBackendFlag(fs *flag.FlagSet) *string {
 		"distance backend: auto|dense|lazy|bounded (auto = dense for small networks, lazy Dijkstra row cache above the node threshold, bounded-reach sparse rows at million-node scale)")
 }
 
-// AddLandmarksFlag registers the -landmarks flag shared by the
-// solver-facing commands and returns the pointer receiving its value
-// after fs.Parse. It tunes the ALT landmark count of the bounded distance
-// backend; 0 keeps the built-in default, negative disables landmarks.
-func AddLandmarksFlag(fs *flag.FlagSet) *int {
-	return fs.Int("landmarks", 0,
-		"ALT landmarks for the bounded distance backend (0 = default, negative = disable)")
-}
-
 // AddEvalModeFlag registers the -eval flag shared by the solver-facing
 // commands and returns the pointer receiving its value after fs.Parse.
 // Like AddDistBackendFlag, values stay plain strings here and are

@@ -33,14 +33,13 @@ const (
 	// of evaluated selections, so construction cost stops scaling with n.
 	BackendLazy DistBackend = "lazy"
 	// BackendBounded computes rows with a Dijkstra bounded at the
-	// threshold d_t and stores them sparsely, with an ALT landmark layer
-	// for certified "farther than d_t" answers. The objective only ever
-	// compares distances against d_t, so the truncation is unobservable
-	// to the solvers; per-row memory and per-row compute scale with the
-	// d_t-ball instead of with n, which is what makes 10⁵–10⁶-node
-	// instances tractable. Distances carry float32 quantization (≈1e-7
-	// relative); the "length" cost model is rejected (it needs full-range
-	// distances).
+	// threshold d_t and stores them sparsely; anything beyond d_t reads
+	// +Inf. The objective only ever compares distances against d_t, so
+	// the truncation is unobservable to the solvers (DESIGN.md §13);
+	// per-row memory and per-row compute scale with the d_t-ball instead
+	// of with n, which is what makes 10⁵–10⁶-node instances tractable.
+	// Distances carry float32 quantization (≈1e-7 relative); the "length"
+	// cost model is rejected (it needs full-range distances).
 	BackendBounded DistBackend = "bounded"
 )
 
@@ -58,10 +57,9 @@ const DefaultLazyThreshold = 512
 // paper's instance families (see EXPERIMENTS.md, "Scale recipe").
 const DefaultBoundedThreshold = 100_000
 
-// DefaultLandmarks is the ALT landmark count the bounded backend builds
-// when the option is left at auto: enough farthest-point landmarks that
-// most beyond-d_t pair queries are answered by a lower bound, cheap
-// enough (one full Dijkstra + 4·n bytes each) to amortize immediately.
+// DefaultLandmarks was the ALT landmark count the bounded backend built.
+//
+// Deprecated: the bounded backend builds no landmarks; a d_t-ball answers every far query.
 const DefaultLandmarks = 16
 
 // defaultDistBackend holds the process-wide backend default used when
@@ -114,32 +112,6 @@ func resolveDistBackend(b DistBackend, n int) DistBackend {
 	return b
 }
 
-// defaultLandmarks holds the process-wide ALT landmark count used when
-// Options.Landmarks is 0; 0 means "apply DefaultLandmarks". Set from the
-// -landmarks flag of the cmds. Negative disables the landmark layer.
-var defaultLandmarks atomic.Int64
-
-// SetDefaultLandmarks sets the ALT landmark count used by bounded-backend
-// instances whose Options leave Landmarks at 0 (auto). Pass a negative
-// value to disable landmarks, 0 to restore DefaultLandmarks.
-func SetDefaultLandmarks(k int) { defaultLandmarks.Store(int64(k)) }
-
-// resolveLandmarks applies the explicit-option → process-default →
-// DefaultLandmarks chain; negative anywhere in the chain means "no
-// landmarks".
-func resolveLandmarks(opt int) int {
-	if opt == 0 {
-		opt = int(defaultLandmarks.Load())
-	}
-	if opt == 0 {
-		opt = DefaultLandmarks
-	}
-	if opt < 0 {
-		return 0
-	}
-	return opt
-}
-
 // newDistanceSource builds the distance backend for an instance: the
 // caller-supplied source if any, else a dense table (built with the
 // option's worker budget), a lazy row cache, or a bounded sparse table
@@ -153,12 +125,11 @@ func newDistanceSource(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, op
 		return opts.Table, nil
 	}
 	var backend DistBackend
-	parallelism, lazyMaxRows, landmarks := 0, 0, 0
+	parallelism, lazyMaxRows := 0, 0
 	if opts != nil {
 		backend = opts.DistBackend
 		parallelism = opts.Parallelism
 		lazyMaxRows = opts.LazyMaxRows
-		landmarks = opts.Landmarks
 	}
 	switch b := resolveDistBackend(backend, g.N()); b {
 	case BackendDense:
@@ -176,11 +147,7 @@ func newDistanceSource(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, op
 		if math.IsNaN(thr.D) {
 			return nil, &InputError{Param: "threshold", Reason: "bounded distance backend needs a non-NaN reach d_t"}
 		}
-		bt, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{
-			Reach:     thr.D,
-			MaxRows:   lazyMaxRows,
-			Landmarks: resolveLandmarks(landmarks),
-		})
+		bt, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D, MaxRows: lazyMaxRows})
 		if err != nil {
 			return nil, err
 		}

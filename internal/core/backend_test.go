@@ -260,9 +260,7 @@ func TestBackendAutoSelection(t *testing.T) {
 	}
 
 	// At the bounded threshold, auto picks the sparse bounded backend.
-	// Landmarks are disabled (Landmarks: -1): the balls on a d_t = 2 path
-	// graph are tiny, but 16 full landmark Dijkstras on 10⁵ nodes are not.
-	huge := pathInstance(t, DefaultBoundedThreshold, &Options{AllowTrivial: true, Landmarks: -1})
+	huge := pathInstance(t, DefaultBoundedThreshold, &Options{AllowTrivial: true})
 	if _, ok := huge.Table().(*shortestpath.BoundedTable); !ok {
 		t.Errorf("auto at bounded threshold: got %T, want *shortestpath.BoundedTable", huge.Table())
 	}

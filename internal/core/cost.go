@@ -160,9 +160,10 @@ func (inst *Instance) initBudget(opts *Options) error {
 			return &InputError{Param: "costs", Reason: `explicit per-candidate costs conflict with cost model "length"`}
 		}
 		if _, ok := inst.table.(shortestpath.SparseSource); ok {
-			// Length prices are min(d(u,v), d_t): they need full-range
-			// distances, and a bounded backend deliberately reports +Inf
-			// beyond its reach — every candidate would price at d_t.
+			// Length prices are 1 + D₀(u,v)/d_t, uncapped: they need
+			// full-range distances, and a bounded backend deliberately
+			// reports +Inf beyond its reach — every candidate farther
+			// than d_t would price at +Inf, i.e. unaffordable.
 			return &InputError{Param: "cost-model", Reason: `cost model "length" needs full-range distances; use the dense or lazy distance backend`}
 		}
 		// The price table is materialized lazily on the first Cost call

@@ -226,11 +226,6 @@ type Options struct {
 	// unbounded. Social-pair endpoint rows are always pinned and exempt.
 	// The bounded backend applies the same cap to its sparse rows.
 	LazyMaxRows int
-	// Landmarks is the ALT landmark count the bounded backend precomputes
-	// for triangle-inequality lower bounds: 0 resolves through the
-	// process default (SetDefaultLandmarks) to DefaultLandmarks, negative
-	// disables the layer. Ignored by the dense and lazy backends.
-	Landmarks int
 	// EvalMode selects how searches built from the instance maintain their
 	// state across Add commits: incremental d_t-ball merges (the default),
 	// or the full-rebuild reference path.

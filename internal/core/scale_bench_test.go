@@ -32,7 +32,7 @@ func scaleBenchN(b *testing.B) int {
 }
 
 // BenchmarkScaleGreedySigma is the speed claim behind the bounded backend:
-// GreedySigma end to end — instance build (rows, landmarks) plus the full
+// GreedySigma end to end — instance build (pinned rows) plus the full
 // greedy solve — on the same RGG and pair set, lazy vs bounded. The
 // per-iteration custom metrics record what the backends trade: bytes/row
 // resident and rows computed. Run with -benchtime=1x and
@@ -122,7 +122,7 @@ func BenchmarkScaleRowCompute(b *testing.B) {
 		b.ReportMetric(float64(8*n), "bytes/row")
 	})
 	b.Run(fmt.Sprintf("backend=bounded/n=%d", n), func(b *testing.B) {
-		t, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D, Landmarks: -1})
+		t, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D})
 		if err != nil {
 			b.Fatal(err)
 		}

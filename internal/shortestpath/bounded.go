@@ -15,11 +15,10 @@ import (
 
 // rowBytesResident tracks the bytes of distance-row payload currently
 // resident across every row cache in the process: LazyTable dense rows
-// (8·n per entry), BoundedTable sparse rows, dense rows materialized from
-// them, and ALT landmark potential rows. It feeds the
-// msc_row_bytes_resident gauge and the RunRecord field of the same name,
-// turning the "row memory scales with the d_t-ball, not n" claim into an
-// observable number.
+// (8·n per entry), BoundedTable sparse rows and dense rows materialized
+// from them. It feeds the msc_row_bytes_resident gauge and the RunRecord
+// field of the same name, turning the "row memory scales with the
+// d_t-ball, not n" claim into an observable number.
 var rowBytesResident atomic.Int64
 
 // RowBytesResident reports the bytes of distance-row payload currently
@@ -28,7 +27,7 @@ func RowBytesResident() int64 { return rowBytesResident.Load() }
 
 func init() {
 	obs.NewGaugeFunc(obs.Default(), "msc_row_bytes_resident",
-		"Bytes of distance-row payload resident across all row caches (lazy dense rows, bounded sparse rows, materialized dense rows, landmark potentials).",
+		"Bytes of distance-row payload resident across all row caches (lazy dense rows, bounded sparse rows, materialized dense rows).",
 		func() float64 { return float64(rowBytesResident.Load()) })
 }
 
@@ -121,9 +120,8 @@ func DecodeSparseRow(data []byte) (SparseRow, error) {
 }
 
 // BoundedOptions tune a BoundedTable. Reach is required; the zero values
-// of the remaining fields (unbounded cache, default shards, no landmarks)
-// are reasonable for tests, while core.NewInstance passes the resolved
-// landmark count.
+// of the remaining fields (unbounded cache, default shards) are
+// reasonable for tests.
 type BoundedOptions struct {
 	// Reach is the exploration bound: rows hold exactly the nodes within
 	// Reach of the source. For the MSC objective Reach = d_t suffices —
@@ -137,9 +135,10 @@ type BoundedOptions struct {
 	MaxRows int
 	// Shards fixes the cache shard count; 0 picks the LazyTable default.
 	Shards int
-	// Landmarks is the number of ALT landmarks precomputed at
-	// construction for triangle-inequality lower bounds (0 = none). Each
-	// landmark costs one full Dijkstra and 4·n bytes.
+	// Landmarks must be ≤ 0 (none); NewBoundedTable refuses a positive
+	// value.
+	//
+	// Deprecated: a d_t-ball answers every far query, so no landmark layer is built.
 	Landmarks int
 }
 
@@ -160,9 +159,6 @@ type BoundedStats struct {
 	// DenseRows counts rows materialized to dense []float64 form via Row;
 	// those are kept for the table's lifetime.
 	DenseRows int
-	// LandmarkPrunes counts Dist queries answered +Inf straight from the
-	// ALT lower bound, without touching (or computing) a row.
-	LandmarkPrunes int64
 }
 
 // BoundedTable is a DistanceSource specialized for threshold objectives:
@@ -175,14 +171,11 @@ type BoundedStats struct {
 // The cache layer is LazyTable's, verbatim: sharded, concurrency-safe,
 // one sync.Once per entry, FIFO eviction under MaxRows, Pin for
 // never-evict rows. Rows come from a ballFinder, whose pooled scratch
-// lets warm rows allocate only their own sparse payload. An optional ALT
-// landmark layer answers provably-unreachable Dist queries without a row
-// at all.
+// lets warm rows allocate only their own sparse payload.
 type BoundedTable struct {
 	n      int
 	reach  float64
 	shards []boundedShard
-	lm     *Landmarks
 
 	balls *ballFinder // pooled bounded-Dijkstra scratch
 
@@ -198,7 +191,6 @@ type BoundedTable struct {
 	computes  atomic.Int64
 	evictions atomic.Int64
 	rowBytes  atomic.Int64
-	lmPrunes  atomic.Int64
 }
 
 type boundedShard struct {
@@ -224,13 +216,17 @@ type boundedRow struct {
 // graph must stay immutable for the table's lifetime. It rejects a NaN
 // or negative reach: a NaN bound would silently degenerate to full
 // exploration (every `d > NaN` comparison is false), which is exactly
-// the cost profile this table exists to avoid.
+// the cost profile this table exists to avoid. It also rejects a positive
+// Landmarks count, so no caller believes a landmark layer is built.
 func NewBoundedTable(g *graph.Graph, opts BoundedOptions) (*BoundedTable, error) {
 	if math.IsNaN(opts.Reach) {
 		return nil, fmt.Errorf("shortestpath: bounded table: reach must not be NaN")
 	}
 	if opts.Reach < 0 {
 		return nil, fmt.Errorf("shortestpath: bounded table: reach must be ≥ 0, got %v", opts.Reach)
+	}
+	if opts.Landmarks > 0 {
+		return nil, fmt.Errorf("shortestpath: bounded table: landmarks are not supported (a d_t-ball answers far queries), got %d", opts.Landmarks)
 	}
 	shards := opts.Shards
 	if shards <= 0 {
@@ -258,12 +254,6 @@ func NewBoundedTable(g *graph.Graph, opts BoundedOptions) (*BoundedTable, error)
 			sh.cap++
 		}
 	}
-	if opts.Landmarks > 0 {
-		t.lm = NewLandmarks(g, opts.Landmarks)
-		if t.lm != nil {
-			rowBytesResident.Add(t.lm.Bytes())
-		}
-	}
 	return t, nil
 }
 
@@ -272,9 +262,6 @@ func (t *BoundedTable) N() int { return t.n }
 
 // Reach returns the exploration bound rows were computed at.
 func (t *BoundedTable) Reach() float64 { return t.reach }
-
-// Landmarks returns the table's ALT layer, or nil if none was built.
-func (t *BoundedTable) Landmarks() *Landmarks { return t.lm }
 
 // Pin marks rows as never-evictable, as in LazyTable.Pin.
 func (t *BoundedTable) Pin(nodes []graph.NodeID) {
@@ -298,14 +285,8 @@ func (t *BoundedTable) Pin(nodes []graph.NodeID) {
 }
 
 // Dist returns the stored distance between u and v: the quantized true
-// distance if v is within reach of u, +Inf otherwise. When the landmark
-// lower bound already proves d(u,v) > reach the row is not touched — the
-// answer would be +Inf either way, so the fast path is bit-identical.
+// distance if v is within reach of u, +Inf otherwise.
 func (t *BoundedTable) Dist(u, v graph.NodeID) float64 {
-	if t.lm != nil && t.lm.LowerBound(u, v) > t.reach {
-		t.lmPrunes.Add(1)
-		return Inf
-	}
 	return t.SparseRow(u).At(v)
 }
 
@@ -396,12 +377,11 @@ func (t *BoundedTable) SparseRow(u graph.NodeID) SparseRow {
 // which is how tests use it.
 func (t *BoundedTable) Stats() BoundedStats {
 	s := BoundedStats{
-		Hits:           t.hits.Load(),
-		Misses:         t.misses.Load(),
-		Computes:       t.computes.Load(),
-		Evictions:      t.evictions.Load(),
-		RowBytes:       t.rowBytes.Load(),
-		LandmarkPrunes: t.lmPrunes.Load(),
+		Hits:      t.hits.Load(),
+		Misses:    t.misses.Load(),
+		Computes:  t.computes.Load(),
+		Evictions: t.evictions.Load(),
+		RowBytes:  t.rowBytes.Load(),
 	}
 	for i := range t.shards {
 		sh := &t.shards[i]

@@ -316,6 +316,41 @@ func TestBoundedTableConcurrentOnceCompute(t *testing.T) {
 	}
 }
 
+func TestBoundedTableFarQuery(t *testing.T) {
+	// On a unit line graph d(0, n-1) = n-1, far beyond reach 2: the far
+	// query reads +Inf off node 0's d_t-ball, which costs exactly one
+	// sparse row, and a repeat query hits the cache.
+	g := lineGraph(t, 50)
+	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bt.Dist(0, 49); !math.IsInf(got, 1) {
+		t.Fatalf("Dist(0,49) = %v, want +Inf", got)
+	}
+	if st := bt.Stats(); st.Computes != 1 {
+		t.Errorf("far query computed %d rows, want 1", st.Computes)
+	}
+	if got := bt.Dist(0, 49); !math.IsInf(got, 1) {
+		t.Fatalf("repeat Dist(0,49) = %v, want +Inf", got)
+	}
+	if st := bt.Stats(); st.Computes != 1 {
+		t.Errorf("repeat far query computed %d more rows, want 0", st.Computes-1)
+	}
+	// A near query still goes through the row and stays exact.
+	if got := bt.Dist(10, 12); got != 2 {
+		t.Errorf("Dist(10,12) = %v, want 2", got)
+	}
+	// The table builds no landmark layer, so it refuses to be asked for
+	// one; a count ≤ 0 means none and is accepted.
+	if _, err := NewBoundedTable(g, BoundedOptions{Reach: 2, Landmarks: 4}); err == nil {
+		t.Error("Landmarks: 4 accepted, want error")
+	}
+	if _, err := NewBoundedTable(g, BoundedOptions{Reach: 2, Landmarks: -1}); err != nil {
+		t.Errorf("Landmarks: -1 rejected: %v", err)
+	}
+}
+
 // --- Landmarks -------------------------------------------------------------
 
 func TestLandmarksLowerBoundIsAdmissible(t *testing.T) {
@@ -372,31 +407,6 @@ func TestLandmarksCapAndBytes(t *testing.T) {
 	}
 	if NewLandmarks(g, 0) != nil {
 		t.Error("NewLandmarks(g, 0) should be nil")
-	}
-}
-
-func TestBoundedTableLandmarkPrune(t *testing.T) {
-	// On a unit line graph d(0, n-1) = n-1, and landmark potentials make
-	// that lower bound exact, so a reach-2 table answers far queries from
-	// the ALT layer without computing a row.
-	g := lineGraph(t, 50)
-	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 2, Landmarks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bt.Dist(0, 49); !math.IsInf(got, 1) {
-		t.Fatalf("Dist(0,49) = %v, want +Inf", got)
-	}
-	st := bt.Stats()
-	if st.LandmarkPrunes == 0 {
-		t.Error("far query did not use the landmark prune path")
-	}
-	if st.Computes != 0 {
-		t.Errorf("landmark-pruned query computed %d rows", st.Computes)
-	}
-	// A near query still goes through the row and stays exact.
-	if got := bt.Dist(10, 12); got != 2 {
-		t.Errorf("Dist(10,12) = %v, want 2", got)
 	}
 }
 

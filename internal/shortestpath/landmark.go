@@ -10,14 +10,13 @@ import (
 // nodes with precomputed full distance rows ("potentials"). For any pair
 // (u,v) the triangle inequality gives d(u,v) ≥ |d(L,u) − d(L,v)| for
 // every landmark L, so the best such difference is a certified lower
-// bound on the true distance. BoundedTable uses it to answer "farther
-// than reach" queries without touching a row; internal/core uses the
-// same certificates to skip candidate pairs whose optimistic gain is
-// provably zero.
+// bound on the true distance.
 //
 // Potentials are stored as float32 to keep the layer at 4·n bytes per
 // landmark; LowerBound subtracts the worst-case float32 rounding error
 // so quantization can never inflate a bound past the true distance.
+//
+// Deprecated: no solver path reads landmarks; a d_t-ball answers every far query.
 type Landmarks struct {
 	nodes []graph.NodeID
 	pot   [][]float32
@@ -35,6 +34,8 @@ const f32eps = 1.0 / (1 << 23)
 // counting as farthest so every connected component receives a landmark
 // early) — and computes one full Dijkstra row per landmark. It returns
 // nil when k ≤ 0 or the graph is empty; k is capped at n.
+//
+// Deprecated: no solver path reads landmarks; a d_t-ball answers every far query.
 func NewLandmarks(g *graph.Graph, k int) *Landmarks {
 	n := g.N()
 	if k <= 0 || n == 0 {

@@ -197,10 +197,10 @@ type RunRecord struct {
 	// WallMS is the run's wall-clock time in milliseconds.
 	WallMS float64 `json:"wall_ms"`
 	// RowBytesResident is the process-wide distance-row payload resident
-	// at emission time (lazy dense rows, bounded sparse rows, landmark
-	// potentials); 0 for runs that predate the field. Unlike the
-	// counters, it is a level, not a delta — the number behind the
-	// "bytes/row scales with the d_t-ball" claim.
+	// at emission time (lazy dense rows, bounded sparse rows and dense
+	// rows materialized from them); 0 for runs that predate the field.
+	// Unlike the counters, it is a level, not a delta — the number behind
+	// the "bytes/row scales with the d_t-ball" claim.
 	RowBytesResident int64 `json:"row_bytes_resident"`
 	// ShardImbalance is the mean relative per-shard wall-time imbalance
 	// (max−min)/max over the run's timed candidate scans: 0 = perfectly

@@ -101,7 +101,7 @@ type (
 	// which is all the MSC solvers ever do.
 	BoundedDistanceTable = shortestpath.BoundedTable
 	// BoundedTableOptions tune a BoundedDistanceTable (reach, row cap,
-	// shard count, ALT landmark count).
+	// shard count).
 	BoundedTableOptions = shortestpath.BoundedOptions
 	// SparseDistanceRow is a compact (node, distance) distance row as
 	// returned by BoundedDistanceTable.SparseRow; absent nodes read +Inf.
@@ -310,20 +310,14 @@ func NewBoundedDistanceTable(g *Graph, opts BoundedTableOptions) (*BoundedDistan
 
 // RowBytesResident reports the bytes of distance-row payload currently
 // resident across every row cache in the process (lazy dense rows, bounded
-// sparse rows, materialized dense rows, landmark potentials) — the
-// msc_row_bytes_resident gauge as a plain value.
+// sparse rows, materialized dense rows) — the msc_row_bytes_resident
+// gauge as a plain value.
 func RowBytesResident() int64 { return shortestpath.RowBytesResident() }
 
 // SetDefaultDistBackend sets the distance backend used by instances built
 // with BackendAuto; BackendAuto restores the node-threshold rule. Wired to
 // the -dist-backend flag of mscplace and mscbench.
 func SetDefaultDistBackend(b DistBackend) { core.SetDefaultDistBackend(b) }
-
-// SetDefaultLandmarks sets the ALT landmark count bounded-backend
-// instances build when InstanceOptions.Landmarks is 0; 0 restores the
-// built-in default, negative disables landmarks. Wired to the -landmarks
-// flag of mscplace and mscbench.
-func SetDefaultLandmarks(k int) { core.SetDefaultLandmarks(k) }
 
 // ParseDistBackend validates a -dist-backend flag value ("auto", "dense",
 // "lazy", "bounded").
