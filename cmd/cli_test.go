@@ -6,6 +6,7 @@ package cmd_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -197,6 +198,32 @@ func TestMscbenchRejectsUnknownExp(t *testing.T) {
 	out = runToolErr(t, "mscbench", "-exp", "table1,nope", "-quick")
 	if strings.Contains(out, "Table I") {
 		t.Fatalf("experiments ran before validation:\n%s", out)
+	}
+}
+
+// TestMscbenchRejectsCostModelCombos: a cost model without a budget, and
+// the length model on the bounded backend, exit non-zero with a one-line
+// error at flag parse, before any experiment runs.
+func TestMscbenchRejectsCostModelCombos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	bin := buildTool(t, t.TempDir(), "mscbench")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "table1", "-quick", "-cost-model", "length"}, "pass -budget too"},
+		{[]string{"-exp", "ext2", "-quick", "-budget", "2", "-cost-model", "length", "-dist-backend", "bounded"},
+			"needs full-range distances"},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("mscbench %v succeeded, want failure:\n%s", tc.args, out)
+		}
+		if msg := strings.TrimSpace(string(out)); strings.Count(msg, "\n") != 0 || !strings.Contains(msg, tc.want) {
+			t.Fatalf("mscbench %v: want one line containing %q, got:\n%s", tc.args, tc.want, out)
+		}
 	}
 }
 
@@ -464,6 +491,46 @@ func TestMscplaceJSONLTrace(t *testing.T) {
 	}
 	// The mscbench validator accepts mscplace traces too — one schema.
 	runTool(t, "mscbench", "-validate", trace)
+}
+
+// TestMscplaceParReachesSolver: -par goes to the solver as an explicit
+// option, so every greedy round scans on exactly that many shards.
+func TestMscplaceParReachesSolver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	dir := t.TempDir()
+	inst := filepath.Join(dir, "inst.json")
+	runTool(t, "mscgen", "-kind", "rgg", "-n", "40", "-m", "8", "-pt", "0.12",
+		"-k", "3", "-seed", "5", "-out", inst)
+	for _, par := range []int{1, 3} {
+		trace := filepath.Join(dir, fmt.Sprintf("par%d.jsonl", par))
+		runTool(t, "mscplace", "-in", inst, "-alg", "greedy", "-par", fmt.Sprint(par), "-jsonl", trace)
+		raw, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := 0
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var ev struct {
+				Event  string `json:"event"`
+				Shards int    `json:"shards"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("line not valid JSON: %v\n%s", err, line)
+			}
+			if ev.Event != "round" {
+				continue
+			}
+			rounds++
+			if ev.Shards != par {
+				t.Errorf("-par %d: round event logs %d shards: %s", par, ev.Shards, line)
+			}
+		}
+		if rounds == 0 {
+			t.Fatalf("-par %d: no round events", par)
+		}
+	}
 }
 
 // TestMscplaceBudgetE2E drives a budget-weighted run against the real

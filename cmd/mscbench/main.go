@@ -102,37 +102,9 @@ func run(ctx context.Context) (retErr error) {
 	if *validate != "" {
 		return validateFile(*validate)
 	}
-	core.SetDefaultParallelism(*par)
-	backend, err := core.ParseDistBackend(*distB)
+	opts, err := suiteOptions(*par, *budgetF, *distB, *evalM, *survM, *costM)
 	if err != nil {
 		return err
-	}
-	core.SetDefaultDistBackend(backend)
-	evalMode, err := core.ParseEvalMode(*evalM)
-	if err != nil {
-		return err
-	}
-	core.SetDefaultEvalMode(evalMode)
-	survive, err := core.ParseSurvivability(*survM)
-	if err != nil {
-		return err
-	}
-	core.SetDefaultSurvivability(survive)
-	costModel, err := core.ParseCostModel(*costM)
-	if err != nil {
-		return err
-	}
-	if costModel == core.CostTable {
-		// A per-candidate table needs one price vector per instance; the
-		// suite builds many instances, so only the shared models apply.
-		return fmt.Errorf(`-cost-model table needs a per-instance price table (use mscplace -cost-table); mscbench supports unit and length`)
-	}
-	if *budgetF != 0 {
-		if *budgetF < 0 {
-			return fmt.Errorf("-budget must be non-negative, got %v", *budgetF)
-		}
-		core.SetDefaultBudget(*budgetF)
-		core.SetDefaultCostModel(costModel)
 	}
 
 	ids, err := resolveIDs(*exp)
@@ -155,7 +127,7 @@ func run(ctx context.Context) (retErr error) {
 	}()
 	defer plane.Recover()
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Options: opts}
 	var jsonlSink *telemetry.JSONLSink
 	if *jsonl != "" {
 		f, err := os.Create(*jsonl)
@@ -205,7 +177,7 @@ func run(ctx context.Context) (retErr error) {
 				Survive:     *survM,
 				Quick:       *quick,
 				Budget:      *budgetF,
-				CostModel:   benchCostModel(*budgetF, costModel),
+				CostModel:   benchCostModel(opts),
 				Sigma:       -1,
 				SigmaWorst:  -1,
 				WallMS:      float64(elapsed.Nanoseconds()) / 1e6,
@@ -219,16 +191,49 @@ func run(ctx context.Context) (retErr error) {
 	return nil
 }
 
+// suiteOptions parses the instance flags into the one core.Options value
+// every experiment builds from. It refuses flag combinations the suite
+// cannot honour, before any experiment runs.
+func suiteOptions(par int, budget float64, distB, evalM, survM, costM string) (core.Options, error) {
+	opts := core.Options{Parallelism: par, Budget: budget}
+	var err error
+	if opts.DistBackend, err = core.ParseDistBackend(distB); err != nil {
+		return opts, err
+	}
+	if opts.EvalMode, err = core.ParseEvalMode(evalM); err != nil {
+		return opts, err
+	}
+	if opts.Survive, err = core.ParseSurvivability(survM); err != nil {
+		return opts, err
+	}
+	if opts.CostModel, err = core.ParseCostModel(costM); err != nil {
+		return opts, err
+	}
+	switch {
+	case opts.CostModel == core.CostTable:
+		// A per-candidate table needs one price vector per instance; the
+		// suite builds many instances, so only the shared models apply.
+		return opts, fmt.Errorf(`-cost-model table needs a per-instance price table (use mscplace -cost-table); mscbench supports unit and length`)
+	case budget < 0:
+		return opts, fmt.Errorf("-budget must be non-negative, got %v", budget)
+	case budget == 0 && opts.CostModel != core.CostModelAuto:
+		return opts, fmt.Errorf("-cost-model %s prices a knapsack budget; pass -budget too", opts.CostModel)
+	case opts.CostModel == core.CostLength && opts.DistBackend == core.BackendBounded:
+		return opts, fmt.Errorf(`-cost-model length needs full-range distances; use -dist-backend dense, lazy or auto, not bounded`)
+	}
+	return opts, nil
+}
+
 // benchCostModel names the cost model of a budgeted suite run ("" for
 // cardinality runs, the resolved model otherwise — auto prices unit).
-func benchCostModel(budget float64, m core.CostModel) string {
-	if budget == 0 {
+func benchCostModel(opts core.Options) string {
+	if opts.Budget == 0 {
 		return ""
 	}
-	if m == core.CostModelAuto {
-		m = core.CostUnit
+	if opts.CostModel == core.CostModelAuto {
+		return string(core.CostUnit)
 	}
-	return string(m)
+	return string(opts.CostModel)
 }
 
 // validateFile schema-checks a JSONL record file and prints the per-kind

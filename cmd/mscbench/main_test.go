@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"msc/internal/core"
 )
 
 func TestResolveIDs(t *testing.T) {
@@ -53,4 +55,38 @@ func removeID(ids []string, drop string) []string {
 		}
 	}
 	return out
+}
+
+// TestSuiteOptions: every instance flag lands in the one core.Options
+// value the experiments build from, and the combinations the suite cannot
+// honour are refused.
+func TestSuiteOptions(t *testing.T) {
+	got, err := suiteOptions(3, 2, "lazy", "rebuild", "shortcut", "length")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Options{Parallelism: 3, Budget: 2, DistBackend: core.BackendLazy,
+		EvalMode: core.EvalRebuild, Survive: core.SurviveShortcut, CostModel: core.CostLength}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("suiteOptions = %+v, want %+v", got, want)
+	}
+	for _, tc := range []struct {
+		budget       float64
+		distB, costM string
+		wantErr      string
+	}{
+		{0, "auto", "length", "pass -budget too"},
+		{0, "auto", "unit", "pass -budget too"},
+		{2, "bounded", "length", "needs full-range distances"},
+		{2, "auto", "table", "per-instance price table"},
+		{-1, "auto", "auto", "non-negative"},
+		{0, "sparse", "auto", "unknown distance backend"},
+	} {
+		if _, err := suiteOptions(0, tc.budget, tc.distB, "auto", "auto", tc.costM); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("suiteOptions(budget=%v, %s, %s) error = %v, want %q", tc.budget, tc.distB, tc.costM, err, tc.wantErr)
+		}
+	}
+	if _, err := suiteOptions(0, 2, "bounded", "auto", "auto", "unit"); err != nil {
+		t.Errorf("unit pricing on the bounded backend refused: %v", err)
+	}
 }

@@ -87,7 +87,6 @@ func run(ctx context.Context) (retErr error) {
 		fmt.Println(cli.Version("mscplace"))
 		return nil
 	}
-	msc.SetDefaultParallelism(*par)
 	backend, err := msc.ParseDistBackend(*distB)
 	if err != nil {
 		return err
@@ -232,14 +231,16 @@ func run(ctx context.Context) (retErr error) {
 
 	// A typed-nil sink must never reach an interface-typed option (it
 	// would defeat the solvers' nil fast path), so options are built only
-	// when tracing is on.
-	solverOpts := []msc.Option{msc.WithContext(ctx), msc.WithDeadline(*deadline)}
-	eaOpts := msc.EAOptions{Iterations: *iters, Context: ctx, Deadline: *deadline}
+	// when tracing is on. -par reaches every solver entry explicitly, and
+	// instOpts carries it to the dense table and the μ/ν build.
+	solverOpts := []msc.Option{msc.WithContext(ctx), msc.WithDeadline(*deadline), msc.Parallelism(*par)}
+	eaOpts := msc.EAOptions{Iterations: *iters, Context: ctx, Deadline: *deadline, Parallelism: *par}
 	aeaOpts := msc.DefaultAEAOptions()
 	aeaOpts.Iterations = *iters
 	aeaOpts.Context = ctx
 	aeaOpts.Deadline = *deadline
-	lsOpts := msc.LocalSearchOptions{Context: ctx, Deadline: *deadline}
+	aeaOpts.Parallelism = *par
+	lsOpts := msc.LocalSearchOptions{Context: ctx, Deadline: *deadline, Parallelism: *par}
 	if sink != nil {
 		solverOpts = append(solverOpts, msc.WithSink(sink))
 		eaOpts.Sink = sink

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"msc/internal/failprob"
 	"msc/internal/graph"
@@ -16,9 +15,8 @@ import (
 type DistBackend string
 
 const (
-	// BackendAuto picks dense below DefaultLazyThreshold nodes and lazy at
-	// or above it (unless a process default was set, which takes
-	// precedence over the threshold).
+	// BackendAuto picks dense below DefaultLazyThreshold nodes, lazy from
+	// there up to DefaultBoundedThreshold, and bounded at or above it.
 	BackendAuto DistBackend = ""
 	// BackendDense materializes the full n×n table eagerly (n Dijkstras
 	// at construction). Right when most rows get read in full:
@@ -62,11 +60,6 @@ const DefaultBoundedThreshold = 100_000
 // Deprecated: the bounded backend builds no landmarks; a d_t-ball answers every far query.
 const DefaultLandmarks = 16
 
-// defaultDistBackend holds the process-wide backend default used when
-// Options.DistBackend is BackendAuto; empty means "apply the threshold
-// rule". Set from the -dist-backend flag of the cmds.
-var defaultDistBackend atomic.Value // DistBackend
-
 // ParseDistBackend validates a -dist-backend flag value; "auto", "dense",
 // "lazy", and "bounded" are accepted.
 func ParseDistBackend(s string) (DistBackend, error) {
@@ -83,33 +76,20 @@ func ParseDistBackend(s string) (DistBackend, error) {
 	return BackendAuto, fmt.Errorf("core: unknown distance backend %q (want auto, dense, lazy, or bounded)", s)
 }
 
-// SetDefaultDistBackend sets the backend used by instances built with
-// BackendAuto; BackendAuto restores the node-threshold rule. It mirrors
-// SetDefaultParallelism so commands can wire one flag without threading an
-// option through every construction site.
-func SetDefaultDistBackend(b DistBackend) {
-	defaultDistBackend.Store(b)
-}
-
-// resolveDistBackend applies the explicit-option → process-default →
-// node-threshold resolution chain.
+// resolveDistBackend applies the explicit-option → node-threshold
+// resolution chain.
 func resolveDistBackend(b DistBackend, n int) DistBackend {
-	if b == BackendAuto {
-		if d, ok := defaultDistBackend.Load().(DistBackend); ok {
-			b = d
-		}
+	if b != BackendAuto {
+		return b
 	}
-	if b == BackendAuto {
-		switch {
-		case n >= DefaultBoundedThreshold:
-			return BackendBounded
-		case n >= DefaultLazyThreshold:
-			return BackendLazy
-		default:
-			return BackendDense
-		}
+	switch {
+	case n >= DefaultBoundedThreshold:
+		return BackendBounded
+	case n >= DefaultLazyThreshold:
+		return BackendLazy
+	default:
+		return BackendDense
 	}
-	return b
 }
 
 // newDistanceSource builds the distance backend for an instance: the

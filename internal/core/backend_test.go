@@ -223,10 +223,8 @@ func pathInstance(t *testing.T, n int, opts *Options) *Instance {
 }
 
 // TestBackendAutoSelection pins the resolution chain: explicit option →
-// process default (SetDefaultDistBackend) → node threshold.
+// node threshold.
 func TestBackendAutoSelection(t *testing.T) {
-	defer SetDefaultDistBackend(BackendAuto)
-
 	small := pathInstance(t, 32, &Options{AllowTrivial: true})
 	if _, ok := small.Table().(*shortestpath.Table); !ok {
 		t.Errorf("auto below threshold: got %T, want *shortestpath.Table", small.Table())
@@ -236,27 +234,14 @@ func TestBackendAutoSelection(t *testing.T) {
 		t.Errorf("auto at threshold: got %T, want *shortestpath.LazyTable", big.Table())
 	}
 
-	SetDefaultDistBackend(BackendLazy)
-	smallLazy := pathInstance(t, 32, &Options{AllowTrivial: true})
+	// An explicit option always beats the threshold, in both directions.
+	smallLazy := pathInstance(t, 32, &Options{AllowTrivial: true, DistBackend: BackendLazy})
 	if _, ok := smallLazy.Table().(*shortestpath.LazyTable); !ok {
-		t.Errorf("default lazy: got %T, want *shortestpath.LazyTable", smallLazy.Table())
+		t.Errorf("explicit lazy below threshold: got %T, want *shortestpath.LazyTable", smallLazy.Table())
 	}
-	// An explicit option always beats the process default.
-	explicit := pathInstance(t, 32, &Options{AllowTrivial: true, DistBackend: BackendDense})
-	if _, ok := explicit.Table().(*shortestpath.Table); !ok {
-		t.Errorf("explicit dense under default lazy: got %T, want *shortestpath.Table", explicit.Table())
-	}
-
-	SetDefaultDistBackend(BackendDense)
-	bigDense := pathInstance(t, DefaultLazyThreshold, &Options{AllowTrivial: true})
+	bigDense := pathInstance(t, DefaultLazyThreshold, &Options{AllowTrivial: true, DistBackend: BackendDense})
 	if _, ok := bigDense.Table().(*shortestpath.Table); !ok {
-		t.Errorf("default dense at threshold: got %T, want *shortestpath.Table", bigDense.Table())
-	}
-
-	SetDefaultDistBackend(BackendAuto)
-	restored := pathInstance(t, 32, &Options{AllowTrivial: true})
-	if _, ok := restored.Table().(*shortestpath.Table); !ok {
-		t.Errorf("after reset: got %T, want *shortestpath.Table", restored.Table())
+		t.Errorf("explicit dense at threshold: got %T, want *shortestpath.Table", bigDense.Table())
 	}
 
 	// At the bounded threshold, auto picks the sparse bounded backend.

@@ -300,22 +300,23 @@ func TestBoundedQuickProperty(t *testing.T) {
 	}
 }
 
-// TestSparseBestAddMatchesDense lowers sparseGainsThreshold so small
-// instances take the sparse BestAdd aggregation, and differential-checks
+// TestSparseBestAddMatchesDense switches small instances to the sparse
+// BestAdd aggregation (their sparseBest field), and differential-checks
 // full GreedySigma runs (and the counter invariant) against the dense
 // argmax path on the same bounded instance.
 func TestSparseBestAddMatchesDense(t *testing.T) {
-	old := sparseGainsThreshold
-	defer func() { sparseGainsThreshold = old }()
-
 	for seed := int64(0); seed < 10; seed++ {
 		rng := xrand.New(8800 + seed)
-		sparseGainsThreshold = 1 << 26 // dense argmax path first
 		dense, bounded := boundedPair(t, 14+int(seed%4), 6, 3, 0.8, rng, 0)
-		densePl := GreedySigma(dense, Parallelism(1))
+		densePl := GreedySigma(dense, Parallelism(1)) // dense argmax path first
 		refPl := GreedySigma(bounded, Parallelism(1))
 
-		sparseGainsThreshold = 1 // every search flips to bestAddSparse
+		bounded.sparseBest = true // every later search runs bestAddSparse
+		probe := bounded.newInstSearch(nil)
+		probe.BestAdd()
+		if probe.gains != nil {
+			t.Fatalf("seed %d: BestAdd built the dense gains array on a sparse instance", seed)
+		}
 		for _, workers := range []int{1, 8} {
 			var pl Placement
 			before := telemetry.Global().Snapshot()
@@ -335,6 +336,7 @@ func TestSparseBestAddMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		lazy.sparseBest = true
 		pl := GreedySigma(lazy, Parallelism(1))
 		comparePlacements(t, "GreedySigma lazy sparse", densePl, pl)
 	}

@@ -474,8 +474,8 @@ func TestExhaustiveBudgetGuards(t *testing.T) {
 }
 
 // TestParseCostModelAndDefaults covers the flag-value surface and the
-// explicit-option → process-default → built-in resolution chain, including
-// the SetDefaultBudget activation path mscbench uses.
+// explicit-option → built-in resolution chain, including which options
+// activate budgeted placement.
 func TestParseCostModelAndDefaults(t *testing.T) {
 	for in, want := range map[string]CostModel{
 		"": CostModelAuto, "auto": CostModelAuto, "unit": CostUnit,
@@ -490,24 +490,33 @@ func TestParseCostModelAndDefaults(t *testing.T) {
 		t.Fatal("ParseCostModel(bogus) did not error")
 	}
 
-	SetDefaultCostModel(CostLength)
-	defer SetDefaultCostModel(CostModelAuto)
-	if got := resolveCostModel(CostModelAuto); got != CostLength {
-		t.Fatalf("resolve auto with default length = %v", got)
+	if got := resolveCostModel(CostModelAuto); got != CostUnit {
+		t.Fatalf("resolve auto = %v, want unit", got)
 	}
-	if got := resolveCostModel(CostUnit); got != CostUnit {
-		t.Fatalf("explicit unit must override default, got %v", got)
+	if got := resolveCostModel(CostLength); got != CostLength {
+		t.Fatalf("explicit length must pass through, got %v", got)
 	}
 
-	// A process-wide budget turns instances built with no budget options
-	// into budgeted ones, priced by the default model installed above.
-	SetDefaultBudget(2)
-	defer SetDefaultBudget(0)
+	// An instance is budgeted exactly when a budget option is set; the
+	// model alone activates it at B = 0, priced as given.
 	g, ps, table := budgetWorld(t, 9, 4, 0.8, 11)
-	inst := budgetInstance(t, g, ps, table, 2, 0.8, Options{})
-	if !inst.Budgeted() || inst.Budget() != 2 || inst.CostModel() != CostLength {
-		t.Fatalf("process default not applied: budgeted=%v B=%v model=%q",
-			inst.Budgeted(), inst.Budget(), inst.CostModel())
+	if card := budgetInstance(t, g, ps, table, 2, 0.8, Options{}); card.Budgeted() {
+		t.Fatal("instance without budget options is budgeted")
+	}
+	for _, tc := range []struct {
+		opts   Options
+		budget float64
+		model  CostModel
+	}{
+		{Options{Budget: 2}, 2, CostUnit},
+		{Options{Budget: 2, CostModel: CostLength}, 2, CostLength},
+		{Options{CostModel: CostLength}, 0, CostLength},
+	} {
+		inst := budgetInstance(t, g, ps, table, 2, 0.8, tc.opts)
+		if !inst.Budgeted() || inst.Budget() != tc.budget || inst.CostModel() != tc.model {
+			t.Fatalf("%+v: budgeted=%v B=%v model=%q; want B=%v model=%q",
+				tc.opts, inst.Budgeted(), inst.Budget(), inst.CostModel(), tc.budget, tc.model)
+		}
 	}
 }
 

@@ -1,17 +1,13 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // EvalMode selects how the incremental σ evaluator (Instance.NewSearch)
 // maintains its state when a shortcut is committed with Search.Add.
 type EvalMode string
 
 const (
-	// EvalModeAuto resolves to the process default installed with
-	// SetDefaultEvalMode, else to EvalIncremental.
+	// EvalModeAuto resolves to EvalIncremental.
 	EvalModeAuto EvalMode = ""
 	// EvalIncremental merges a committed shortcut into every endpoint
 	// d_t-ball in O(ball) (two overlay ball queries instead of one per
@@ -27,11 +23,6 @@ const (
 	EvalRebuild EvalMode = "rebuild"
 )
 
-// defaultEvalMode holds the process-wide mode used when Options.EvalMode is
-// EvalModeAuto; empty means EvalIncremental. Set from the -eval flag of the
-// cmds, mirroring SetDefaultDistBackend.
-var defaultEvalMode atomic.Value // EvalMode
-
 // ParseEvalMode validates an -eval flag value; "auto", "incremental", and
 // "rebuild" are accepted.
 func ParseEvalMode(s string) (EvalMode, error) {
@@ -46,21 +37,9 @@ func ParseEvalMode(s string) (EvalMode, error) {
 	return EvalModeAuto, fmt.Errorf("core: unknown eval mode %q (want auto, incremental, or rebuild)", s)
 }
 
-// SetDefaultEvalMode sets the evaluation mode used by instances built with
-// EvalModeAuto; EvalModeAuto restores the built-in incremental default.
-func SetDefaultEvalMode(m EvalMode) {
-	defaultEvalMode.Store(m)
-}
-
-// resolveEvalMode applies the explicit-option → process-default → built-in
-// resolution chain. Unknown non-auto values pass through for NewInstance to
-// reject.
+// resolveEvalMode applies the explicit-option → built-in resolution chain.
+// Unknown non-auto values pass through for NewInstance to reject.
 func resolveEvalMode(m EvalMode) EvalMode {
-	if m == EvalModeAuto {
-		if d, ok := defaultEvalMode.Load().(EvalMode); ok {
-			m = d
-		}
-	}
 	if m == EvalModeAuto {
 		return EvalIncremental
 	}

@@ -139,6 +139,10 @@ type Instance struct {
 	candPos   []int32 // node → candidate position, -1 outside; nil when candNodes is the identity
 	numCand   int
 
+	// sparseBest makes searches aggregate sparse gain cells in BestAdd
+	// instead of a dense gains array: numCand ≥ sparseGainsThreshold.
+	sparseBest bool
+
 	// evalMode is the resolved Options.EvalMode governing searches.
 	evalMode EvalMode
 
@@ -209,18 +213,17 @@ type Options struct {
 	// when nil NewInstance builds one per DistBackend.
 	Table shortestpath.DistanceSource
 	// DistBackend selects the distance backend built when Table is nil:
-	// dense all-pairs table, lazy Dijkstra row cache, or (the zero value)
-	// automatic selection — dense below DefaultLazyThreshold nodes, lazy
-	// at or above, unless SetDefaultDistBackend installed a process-wide
-	// choice. Placements, σ/μ/ν values, and all solver work counters
-	// except the Dijkstra and row-cache ones are identical across
-	// backends.
+	// dense all-pairs table, lazy Dijkstra row cache, bounded sparse
+	// d_t-ball table, or (the zero value) automatic selection — dense
+	// below DefaultLazyThreshold nodes, lazy from there up to
+	// DefaultBoundedThreshold, bounded at or above. Placements, σ/μ/ν
+	// values, and all solver work counters except the Dijkstra and
+	// row-cache ones are identical across backends.
 	DistBackend DistBackend
 	// Parallelism bounds the workers used to build the dense table and to
 	// read the candidates' d_t-balls for the μ/ν bounds; <= 0 resolves
-	// like the solvers' Parallelism option (package default, else
-	// GOMAXPROCS). The table and the bounds are identical for every
-	// worker count.
+	// like the solvers' Parallelism option (GOMAXPROCS). The table and
+	// the bounds are identical for every worker count.
 	Parallelism int
 	// LazyMaxRows caps the lazy backend's cached non-pinned rows; 0 means
 	// unbounded. Social-pair endpoint rows are always pinned and exempt.
@@ -230,14 +233,13 @@ type Options struct {
 	// state across Add commits: incremental d_t-ball merges (the default),
 	// or the full-rebuild reference path.
 	// Placements, σ values, and gains arrays are identical across modes;
-	// the zero value resolves via SetDefaultEvalMode.
+	// the zero value resolves to EvalIncremental.
 	EvalMode EvalMode
 	// Survive selects the failure model the objective must survive:
 	// SurviveNone (the paper's fault-free σ), SurviveShortcut, or
 	// SurviveNode (survive.go). Under a non-none mode NewSearch returns the
 	// worst-case survivable evaluator and the solvers optimize (σ⁻, σ)
-	// lexicographically; the zero value resolves via
-	// SetDefaultSurvivability.
+	// lexicographically; the zero value resolves to SurviveNone.
 	Survive Survivability
 	// ExcludePairEndpoints removes the important-pair nodes from the
 	// candidate shortcut universe, so shortcuts may only land on relay
@@ -251,13 +253,12 @@ type Options struct {
 	// cardinality budget k, and solvers charge each shortcut its CostModel
 	// price. B = 0 is legal and admits only the empty placement. Negative,
 	// NaN, or infinite budgets are rejected with a typed *InputError. The
-	// zero value with no other budget option resolves via SetDefaultBudget
-	// (0 keeps cardinality placement).
+	// zero value with no other budget option keeps cardinality placement.
 	Budget float64
 	// CostModel prices candidates on budgeted instances: CostUnit (1 per
 	// shortcut, so B = k reproduces cardinality placement bit for bit),
 	// CostLength (1 + D0(a,b)/d_t), or CostTable (explicit Costs). The
-	// zero value resolves via SetDefaultCostModel.
+	// zero value resolves to CostUnit (CostTable when Costs is set).
 	CostModel CostModel
 	// Costs supplies the per-candidate price table for CostTable, one
 	// positive entry per candidate index (+Inf marks an unaffordable
@@ -341,6 +342,7 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 		}
 	}
 	inst.numCand = len(inst.candNodes) * (len(inst.candNodes) - 1) / 2
+	inst.sparseBest = inst.numCand >= sparseGainsThreshold
 	if err := inst.initBudget(opts); err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"msc/internal/telemetry"
@@ -47,8 +46,7 @@ type solveConfig struct {
 
 // Parallelism fixes the number of candidate-scan workers a solver may use.
 // n = 1 restores the fully serial code path; n <= 0 (and omitting the
-// option) selects the package default — runtime.GOMAXPROCS(0) unless
-// overridden with SetDefaultParallelism.
+// option) selects runtime.GOMAXPROCS(0).
 func Parallelism(n int) Option {
 	return func(c *solveConfig) { c.workers = n }
 }
@@ -64,29 +62,11 @@ func WithSink(s telemetry.Sink) Option {
 	return func(c *solveConfig) { c.sink = s }
 }
 
-// defaultParallelism holds the package-wide default worker count; 0 means
-// runtime.GOMAXPROCS(0). Stored atomically so command-line entry points can
-// set it once at startup while solvers read it freely.
-var defaultParallelism atomic.Int64
-
-// SetDefaultParallelism sets the worker count used by solvers that receive
-// no explicit Parallelism option. n <= 0 restores the GOMAXPROCS default.
-func SetDefaultParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultParallelism.Store(int64(n))
-}
-
 // ResolveParallelism normalizes a Parallelism value: n >= 1 is returned
-// unchanged; n <= 0 resolves to the package default set by
-// SetDefaultParallelism, else runtime.GOMAXPROCS(0).
+// unchanged; n <= 0 resolves to runtime.GOMAXPROCS(0).
 func ResolveParallelism(n int) int {
 	if n >= 1 {
 		return n
-	}
-	if d := int(defaultParallelism.Load()); d >= 1 {
-		return d
 	}
 	return runtime.GOMAXPROCS(0)
 }

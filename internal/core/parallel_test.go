@@ -311,8 +311,8 @@ func TestTriRowBounds(t *testing.T) {
 	}
 }
 
-// TestResolveParallelism covers the option plumbing and the package
-// default.
+// TestResolveParallelism covers the option plumbing and the two-step
+// chain: n ≥ 1 as given, else GOMAXPROCS.
 func TestResolveParallelism(t *testing.T) {
 	if got := ResolveParallelism(5); got != 5 {
 		t.Errorf("ResolveParallelism(5) = %d", got)
@@ -320,19 +320,10 @@ func TestResolveParallelism(t *testing.T) {
 	if got := ResolveParallelism(1); got != 1 {
 		t.Errorf("ResolveParallelism(1) = %d", got)
 	}
-	if got := ResolveParallelism(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("ResolveParallelism(0) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	SetDefaultParallelism(3)
-	if got := ResolveParallelism(0); got != 3 {
-		t.Errorf("after SetDefaultParallelism(3): ResolveParallelism(0) = %d", got)
-	}
-	if got := ResolveParallelism(2); got != 2 {
-		t.Errorf("explicit value must win over default: got %d", got)
-	}
-	SetDefaultParallelism(0)
-	if got := ResolveParallelism(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("after reset: ResolveParallelism(0) = %d", got)
+	for _, n := range []int{0, -3} {
+		if got := ResolveParallelism(n); got != runtime.GOMAXPROCS(0) {
+			t.Errorf("ResolveParallelism(%d) = %d, want GOMAXPROCS = %d", n, got, runtime.GOMAXPROCS(0))
+		}
 	}
 	if got := resolveOptions([]Option{Parallelism(7)}); got != 7 {
 		t.Errorf("resolveOptions(Parallelism(7)) = %d", got)

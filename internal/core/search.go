@@ -180,7 +180,7 @@ func (inst *Instance) newInstSearch(sel []int) *instSearch {
 		workers:     1,
 		endpoints:   inst.ps.Nodes(),
 		incremental: inst.evalMode == EvalIncremental,
-		sparseBest:  inst.numCand >= sparseGainsThreshold,
+		sparseBest:  inst.sparseBest,
 		stale:       true,
 	}
 	ballIdx := make(map[graph.NodeID]int, len(s.endpoints))
@@ -416,10 +416,9 @@ func (s *instSearch) BestAdd() (cand, gain int) {
 
 // sparseGainsThreshold is the candidate-universe size at and above which
 // BestAdd aggregates sparse gain cells instead of materializing the dense
-// gains array (numCand ints — 40 GB at n=10⁵ with the full universe). A
-// package variable so tests can lower it and differential-check the two
-// paths on small instances.
-var sparseGainsThreshold = 1 << 26
+// gains array (numCand ints — 40 GB at n=10⁵ with the full universe).
+// NewInstance records the choice in Instance.sparseBest.
+const sparseGainsThreshold = 1 << 26
 
 // sparseScratch is one worker's accumulator state for the sparse
 // BestAdd: gain sums per position group for the ai row being scanned, an

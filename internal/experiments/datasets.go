@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"msc/internal/core"
-	"msc/internal/failprob"
 	"msc/internal/gen/rgg"
 	"msc/internal/gen/social"
 	"msc/internal/graph"
-	"msc/internal/pairs"
 	"msc/internal/shortestpath"
 	"msc/internal/telemetry"
 	"msc/internal/xrand"
@@ -26,6 +24,11 @@ type Config struct {
 	// experiment performs (currently the Table I/II grid cells). Results
 	// are identical with and without a sink.
 	Sink telemetry.Sink
+	// Options are the instance options every experiment builds from
+	// (backend, eval mode, survivability, budget, cost model); Parallelism
+	// also goes to every solver call. Each experiment sets its own
+	// AllowTrivial, Table, ExcludePairEndpoints and PairWeights.
+	Options core.Options
 }
 
 func (c Config) rng(stream int64) *xrand.Rand {
@@ -85,20 +88,15 @@ func (c Config) socialDataset() dataset {
 	return dataset{name: "Gowalla", g: net.Graph, table: shortestpath.NewTable(net.Graph, 0)}
 }
 
-// instance samples m violating pairs at threshold pt and wraps everything
-// as a core instance with budget k.
-func (c Config) instance(ds dataset, pt float64, m, k int, stream int64) *core.Instance {
-	thr := failprob.NewThreshold(pt)
-	ps, err := pairs.SampleViolating(ds.table, thr.D, m, c.rng(stream))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: sample pairs on %s (p_t=%v, m=%d): %v", ds.name, pt, m, err))
-	}
-	inst, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{
-		AllowTrivial: true, // sweeps include k close to m
-		Table:        ds.table,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: instance on %s: %v", ds.name, err))
-	}
-	return inst
+// options returns Config.Options for one instance over table, with the
+// fields the experiments own reset: AllowTrivial is on (sweeps include k
+// close to m), and callers set ExcludePairEndpoints and PairWeights.
+func (c Config) options(table shortestpath.DistanceSource) *core.Options {
+	o := c.Options
+	o.AllowTrivial, o.Table = true, table
+	o.ExcludePairEndpoints, o.PairWeights = false, nil
+	return &o
 }
+
+// par is the solver option carrying Config.Options.Parallelism.
+func (c Config) par() core.Option { return core.Parallelism(c.Options.Parallelism) }

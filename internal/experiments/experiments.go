@@ -72,11 +72,9 @@ func (c Config) ratioTable(id, title string, ds dataset, ks []int, pts []float64
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %s pairs (p_t=%v): %v", id, pt, err))
 			}
-			inst, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{
-				AllowTrivial:         true,
-				Table:                ds.table,
-				ExcludePairEndpoints: true,
-			})
+			opts := c.options(ds.table)
+			opts.ExcludePairEndpoints = true
+			inst, err := core.NewInstance(ds.g, ps, thr, k, opts)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %s instance: %v", id, err))
 			}
@@ -86,15 +84,15 @@ func (c Config) ratioTable(id, title string, ds dataset, ks []int, pts []float64
 				before = telemetry.Global().Snapshot()
 				start = time.Now()
 			}
-			fSigma := core.GreedySigma(inst)
+			fSigma := core.GreedySigma(inst, c.par())
 			nu := inst.Nu(fSigma.Selection)
 			ratio := 1.0
 			if nu > 0 {
 				ratio = float64(fSigma.Sigma) / nu
 			}
 			if c.Sink != nil {
-				// Instances inherit the process-default survivability (the
-				// mscbench -survive flag); record the resolved mode and, when
+				// Instances take Config.Options.Survive (the mscbench
+				// -survive flag); record the resolved mode and, when
 				// survivable, the declared worst-case σ⁻ (−1 otherwise).
 				sigmaWorst := -1
 				if inst.Survive() != core.SurviveNone {
@@ -166,12 +164,12 @@ func (c Config) Fig1() Fig1Result {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: fig1 pairs: %v", err))
 	}
-	inst, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{AllowTrivial: true, Table: ds.table})
+	inst, err := core.NewInstance(ds.g, ps, thr, k, c.options(ds.table))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: fig1 instance: %v", err))
 	}
-	aa := core.Sandwich(inst).Best
-	rnd := mustRandom(inst, trials, c.rng(301))
+	aa := core.Sandwich(inst, c.par()).Best
+	rnd := mustRandom(inst, trials, c.rng(301), c.par())
 	return Fig1Result{
 		AA:     aa,
 		Random: rnd,
@@ -245,12 +243,12 @@ func (c Config) Fig2() []*Figure {
 				panic(fmt.Sprintf("experiments: fig2 pairs: %v", err))
 			}
 			for _, k := range ks {
-				inst, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{AllowTrivial: true, Table: ds.table})
+				inst, err := core.NewInstance(ds.g, ps, thr, k, c.options(ds.table))
 				if err != nil {
 					panic(fmt.Sprintf("experiments: fig2 instance: %v", err))
 				}
-				aaY = append(aaY, float64(core.Sandwich(inst).Best.Sigma))
-				rndY = append(rndY, float64(mustRandom(inst, trials, c.rng(450+int64(10*di+pi))).Sigma))
+				aaY = append(aaY, float64(core.Sandwich(inst, c.par()).Best.Sigma))
+				rndY = append(rndY, float64(mustRandom(inst, trials, c.rng(450+int64(10*di+pi)), c.par()).Sigma))
 			}
 			fig.Series = append(fig.Series,
 				Series{Name: fmt.Sprintf("AA p_t=%.2f", pt), Y: aaY},
@@ -304,14 +302,14 @@ func (c Config) Fig3() []*Figure {
 			eaY := make([]float64, 0, len(ks))
 			aeaY := make([]float64, 0, len(ks))
 			for _, k := range ks {
-				inst, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{AllowTrivial: true, Table: ds.table})
+				inst, err := core.NewInstance(ds.g, ps, thr, k, c.options(ds.table))
 				if err != nil {
 					panic(fmt.Sprintf("experiments: fig3 instance: %v", err))
 				}
-				aaY = append(aaY, float64(core.Sandwich(inst).Best.Sigma))
-				ea := core.EA(inst, core.EAOptions{Iterations: iters}, c.rng(550+int64(10*di+pi)))
+				aaY = append(aaY, float64(core.Sandwich(inst, c.par()).Best.Sigma))
+				ea := core.EA(inst, core.EAOptions{Iterations: iters, Parallelism: c.Options.Parallelism}, c.rng(550+int64(10*di+pi)))
 				eaY = append(eaY, float64(ea.Best.Sigma))
-				aea := core.AEA(inst, core.AEAOptions{Iterations: iters, PopSize: 10, Delta: 0.05},
+				aea := core.AEA(inst, core.AEAOptions{Iterations: iters, PopSize: 10, Delta: 0.05, Parallelism: c.Options.Parallelism},
 					c.rng(560+int64(10*di+pi)))
 				aeaY = append(aeaY, float64(aea.Best.Sigma))
 			}
@@ -361,14 +359,15 @@ func (c Config) Fig4() []*Figure {
 			panic(fmt.Sprintf("experiments: fig4 pairs: %v", err))
 		}
 		for _, k := range ksets {
-			inst, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{AllowTrivial: true, Table: ds.table})
+			inst, err := core.NewInstance(ds.g, ps, thr, k, c.options(ds.table))
 			if err != nil {
 				panic(fmt.Sprintf("experiments: fig4 instance: %v", err))
 			}
-			aa := core.Sandwich(inst).Best
-			ea := core.EA(inst, core.EAOptions{Iterations: rMax, RecordTrace: true},
+			aa := core.Sandwich(inst, c.par()).Best
+			ea := core.EA(inst, core.EAOptions{Iterations: rMax, RecordTrace: true, Parallelism: c.Options.Parallelism},
 				c.rng(650+int64(10*di+k)))
-			aea := core.AEA(inst, core.AEAOptions{Iterations: rMax, PopSize: 10, Delta: 0.05, RecordTrace: true},
+			aea := core.AEA(inst, core.AEAOptions{Iterations: rMax, PopSize: 10, Delta: 0.05, RecordTrace: true,
+				Parallelism: c.Options.Parallelism},
 				c.rng(660+int64(10*di+k)))
 			aaY := make([]float64, 0, len(fig.X))
 			eaY := make([]float64, 0, len(fig.X))
@@ -431,13 +430,12 @@ func (c Config) dynSnapshotsAt(pt float64, nodes, m, T int, stream int64) dynSna
 	return out
 }
 
-// problem builds the dynamic MSC problem over the first T instances with
-// budget k.
-func (ds dynSnapshots) problem(k, T int) *dynamic.Problem {
+// dynProblem builds the dynamic MSC problem over the first T instances of
+// ds with budget k.
+func (c Config) dynProblem(ds dynSnapshots, k, T int) *dynamic.Problem {
 	insts := make([]*core.Instance, T)
 	for t := 0; t < T; t++ {
-		inst, err := core.NewInstance(ds.graphs[t], ds.psets[t], ds.thr, k,
-			&core.Options{AllowTrivial: true, Table: ds.tables[t]})
+		inst, err := core.NewInstance(ds.graphs[t], ds.psets[t], ds.thr, k, c.options(ds.tables[t]))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: dynamic instance t=%d: %v", t, err))
 		}
@@ -476,11 +474,11 @@ func (c Config) Fig5a() *Figure {
 		eaY := make([]float64, 0, len(ks))
 		aeaY := make([]float64, 0, len(ks))
 		for _, k := range ks {
-			prob := snaps.problem(k, T)
-			aaY = append(aaY, float64(core.Sandwich(prob).Best.Sigma))
-			ea := core.EA(prob, core.EAOptions{Iterations: iters}, c.rng(750+int64(pi)))
+			prob := c.dynProblem(snaps, k, T)
+			aaY = append(aaY, float64(core.Sandwich(prob, c.par()).Best.Sigma))
+			ea := core.EA(prob, core.EAOptions{Iterations: iters, Parallelism: c.Options.Parallelism}, c.rng(750+int64(pi)))
 			eaY = append(eaY, float64(ea.Best.Sigma))
-			aea := core.AEA(prob, core.AEAOptions{Iterations: iters, PopSize: 10, Delta: 0.05},
+			aea := core.AEA(prob, core.AEAOptions{Iterations: iters, PopSize: 10, Delta: 0.05, Parallelism: c.Options.Parallelism},
 				c.rng(760+int64(pi)))
 			aeaY = append(aeaY, float64(aea.Best.Sigma))
 		}
@@ -519,8 +517,8 @@ func (c Config) Fig5b() *Figure {
 	for _, k := range ks {
 		y := make([]float64, 0, len(ts))
 		for _, T := range ts {
-			prob := snaps.problem(k, T)
-			y = append(y, float64(core.Sandwich(prob).Best.Sigma))
+			prob := c.dynProblem(snaps, k, T)
+			y = append(y, float64(core.Sandwich(prob, c.par()).Best.Sigma))
 		}
 		fig.Series = append(fig.Series, Series{Name: fmt.Sprintf("AA k=%d", k), Y: y})
 	}

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"msc/internal/core"
+	"msc/internal/telemetry"
 )
 
 // Quick-mode runs of every experiment: they must complete, produce
@@ -141,6 +145,64 @@ func TestDeterminism(t *testing.T) {
 	b := quickCfg().Table1().CSV()
 	if a != b {
 		t.Fatal("Table1 not deterministic for equal seeds")
+	}
+}
+
+// runSink collects the run records an experiment emits.
+type runSink struct {
+	mu   sync.Mutex
+	runs []telemetry.RunRecord
+}
+
+func (s *runSink) Emit(e telemetry.Event) {
+	if r, ok := e.(telemetry.RunRecord); ok {
+		s.mu.Lock()
+		s.runs = append(s.runs, r)
+		s.mu.Unlock()
+	}
+}
+
+// table1Runs runs Table I under opts and returns its CSV and run records.
+func table1Runs(t *testing.T, opts core.Options) (string, []telemetry.RunRecord) {
+	t.Helper()
+	sink := &runSink{}
+	cfg := quickCfg()
+	cfg.Options, cfg.Sink = opts, sink
+	csv := cfg.Table1().CSV()
+	if len(sink.runs) == 0 {
+		t.Fatal("Table I emitted no run records")
+	}
+	return csv, sink.runs
+}
+
+// TestConfigOptionsReachInstances: Config.Options reach the instances an
+// experiment builds. The rebuild eval mode leaves Table I unchanged but
+// merges no rows, and a survivability mode shows in every record.
+func TestConfigOptionsReachInstances(t *testing.T) {
+	want, incRuns := table1Runs(t, core.Options{})
+	merged := int64(0)
+	for _, r := range incRuns {
+		merged += r.Counters.RowsMerged
+	}
+	if merged == 0 {
+		t.Fatal("default Table I merged no rows; the rebuild check below would prove nothing")
+	}
+
+	got, rebRuns := table1Runs(t, core.Options{EvalMode: core.EvalRebuild})
+	if got != want {
+		t.Errorf("Table I under EvalRebuild differs from the default run:\n%s\nwant:\n%s", got, want)
+	}
+	for _, r := range rebRuns {
+		if r.Counters.RowsMerged != 0 {
+			t.Errorf("%s: %d rows merged under EvalRebuild", r.Name, r.Counters.RowsMerged)
+		}
+	}
+
+	_, svRuns := table1Runs(t, core.Options{Survive: core.SurviveShortcut})
+	for _, r := range svRuns {
+		if r.Survive != string(core.SurviveShortcut) {
+			t.Errorf("%s: survive %q, want %q", r.Name, r.Survive, core.SurviveShortcut)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func (c Config) Ext2() *Figure {
 				if err != nil {
 					panic(fmt.Sprintf("experiments: ext2 snapshot %d: %v", t, err))
 				}
-				inst, err := core.NewInstance(g, ps, thr, k, &core.Options{AllowTrivial: true})
+				inst, err := core.NewInstance(g, ps, thr, k, c.options(nil))
 				if err != nil {
 					panic(fmt.Sprintf("experiments: ext2 instance %d: %v", t, err))
 				}
@@ -93,7 +93,7 @@ func (c Config) Ext2() *Figure {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: ext2 problem: %v", err))
 			}
-			placed = core.Sandwich(prob).Best
+			placed = core.Sandwich(prob, c.par()).Best
 		}
 		res, err := desim.Run(desim.Config{
 			Topology:        tp,

@@ -94,19 +94,19 @@ func (c Config) Ext3() *Figure {
 	frozenY := make([]float64, 0, len(ks))
 	rndY := make([]float64, 0, len(ks))
 	for _, k := range ks {
-		actualProb := buildDyn(actualGraphs, ps, thr, k)
-		oracle := core.Sandwich(actualProb).Best
+		actualProb := c.buildDyn(actualGraphs, ps, thr, k)
+		oracle := core.Sandwich(actualProb, c.par()).Best
 		oracleY = append(oracleY, float64(oracle.Sigma))
 
-		predProb := buildDyn(predGraphs, ps, thr, k)
-		predicted := core.Sandwich(predProb).Best
+		predProb := c.buildDyn(predGraphs, ps, thr, k)
+		predicted := core.Sandwich(predProb, c.par()).Best
 		predY = append(predY, float64(actualProb.Sigma(predicted.Selection)))
 
-		frozenProb := buildDyn(frozenGraphs, ps, thr, k)
-		frozen := core.Sandwich(frozenProb).Best
+		frozenProb := c.buildDyn(frozenGraphs, ps, thr, k)
+		frozen := core.Sandwich(frozenProb, c.par()).Best
 		frozenY = append(frozenY, float64(actualProb.Sigma(frozen.Selection)))
 
-		rnd := mustRandom(actualProb, trials, c.rng(975+int64(k)))
+		rnd := mustRandom(actualProb, trials, c.rng(975+int64(k)), c.par())
 		rndY = append(rndY, float64(rnd.Sigma))
 	}
 	fig.Series = append(fig.Series,
@@ -136,10 +136,10 @@ func snapshotRange(tr *mobility.Trace, from, count int, fm netbuild.FailureModel
 	return out
 }
 
-func buildDyn(snaps []*gsnap, ps *pairs.Set, thr failprob.Threshold, k int) *dynamic.Problem {
+func (c Config) buildDyn(snaps []*gsnap, ps *pairs.Set, thr failprob.Threshold, k int) *dynamic.Problem {
 	insts := make([]*core.Instance, len(snaps))
 	for i, s := range snaps {
-		inst, err := core.NewInstance(s.g, ps, thr, k, &core.Options{AllowTrivial: true, Table: s.table})
+		inst, err := core.NewInstance(s.g, ps, thr, k, c.options(s.table))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: ext3 instance %d: %v", i, err))
 		}

@@ -204,9 +204,7 @@ const (
 // Evaluation modes selectable via InstanceOptions.EvalMode. EvalModeAuto
 // (the zero value) resolves to EvalIncremental — a committed shortcut is
 // merged into the endpoints' d_t-balls and the next gains read rescans
-// the near lists — unless
-// SetDefaultEvalMode installed a different default; EvalRebuild restores
-// the full-recompute reference path. Placements, σ values, and gains
+// the near lists; EvalRebuild selects the full-recompute reference path. Placements, σ values, and gains
 // arrays are identical across modes.
 const (
 	EvalModeAuto    = core.EvalModeAuto
@@ -215,8 +213,7 @@ const (
 )
 
 // Survivability modes selectable via InstanceOptions.Survive. SurviveAuto
-// (the zero value) resolves to SurviveNone unless SetDefaultSurvivability
-// installed a different default. Under SurviveShortcut or SurviveNode the
+// (the zero value) resolves to SurviveNone. Under SurviveShortcut or SurviveNode the
 // solvers maximize the worst-case σ⁻ over all single shortcut or node
 // failures, breaking ties by fault-free σ; see DESIGN.md §11.
 const (
@@ -227,8 +224,7 @@ const (
 )
 
 // Cost models selectable via InstanceOptions.CostModel. CostModelAuto (the
-// zero value) resolves to CostUnit unless SetDefaultCostModel installed a
-// different default. A knapsack budget B (InstanceOptions.Budget) replaces
+// zero value) resolves to CostUnit. A knapsack budget B (InstanceOptions.Budget) replaces
 // the cardinality budget k whenever any budget option is set; unit-cost
 // runs with B = k are bit-for-bit identical to cardinality-k runs. See
 // DESIGN.md §12.
@@ -241,13 +237,9 @@ const (
 
 // Parallelism fixes the number of candidate-scan workers a solver may use:
 // 1 restores the fully serial code path, n <= 0 (or omitting the option)
-// selects the package default. Placements are identical for every worker
+// selects runtime.GOMAXPROCS(0). Placements are identical for every worker
 // count — the parallel scans reduce deterministically (see DESIGN.md).
 func Parallelism(n int) Option { return core.Parallelism(n) }
-
-// SetDefaultParallelism sets the worker count used by solvers given no
-// explicit Parallelism option; n <= 0 restores the GOMAXPROCS default.
-func SetDefaultParallelism(n int) { core.SetDefaultParallelism(n) }
 
 // WithContext makes a solver run cancelable: when ctx is canceled the
 // solver stops at its next supervision point and returns the best
@@ -314,28 +306,13 @@ func NewBoundedDistanceTable(g *Graph, opts BoundedTableOptions) (*BoundedDistan
 // gauge as a plain value.
 func RowBytesResident() int64 { return shortestpath.RowBytesResident() }
 
-// SetDefaultDistBackend sets the distance backend used by instances built
-// with BackendAuto; BackendAuto restores the node-threshold rule. Wired to
-// the -dist-backend flag of mscplace and mscbench.
-func SetDefaultDistBackend(b DistBackend) { core.SetDefaultDistBackend(b) }
-
 // ParseDistBackend validates a -dist-backend flag value ("auto", "dense",
 // "lazy", "bounded").
 func ParseDistBackend(s string) (DistBackend, error) { return core.ParseDistBackend(s) }
 
-// SetDefaultEvalMode sets the evaluation mode used by instances built with
-// EvalModeAuto; EvalModeAuto restores the incremental default. Wired to
-// the -eval flag of mscplace and mscbench.
-func SetDefaultEvalMode(m EvalMode) { core.SetDefaultEvalMode(m) }
-
 // ParseEvalMode validates an -eval flag value ("auto", "incremental",
 // "rebuild").
 func ParseEvalMode(s string) (EvalMode, error) { return core.ParseEvalMode(s) }
-
-// SetDefaultSurvivability sets the failure model used by instances built
-// with SurviveAuto; SurviveAuto restores the fault-free default. Wired to
-// the -survive flag of mscplace and mscbench.
-func SetDefaultSurvivability(m Survivability) { core.SetDefaultSurvivability(m) }
 
 // ParseSurvivability validates a -survive flag value ("auto", "none",
 // "shortcut", "node").
@@ -355,16 +332,6 @@ func WithSurvivability(mode Survivability) *InstanceOptions {
 func WithBudget(b float64, m CostModel) *InstanceOptions {
 	return &InstanceOptions{Budget: b, CostModel: m}
 }
-
-// SetDefaultCostModel sets the cost model used by budgeted instances built
-// with CostModelAuto; CostModelAuto restores the unit default. Wired to the
-// -cost-model flag of mscplace and mscbench.
-func SetDefaultCostModel(m CostModel) { core.SetDefaultCostModel(m) }
-
-// SetDefaultBudget sets the knapsack budget applied to instances built
-// without explicit budget options; 0 restores cardinality placement. Wired
-// to the -budget flag of mscbench.
-func SetDefaultBudget(b float64) { core.SetDefaultBudget(b) }
 
 // ParseCostModel validates a -cost-model flag value ("auto", "unit",
 // "length", "table").
