@@ -82,7 +82,7 @@ func Version(cmd string) string {
 // core.ParseDistBackend.
 func AddDistBackendFlag(fs *flag.FlagSet) *string {
 	return fs.String("dist-backend", "auto",
-		"distance backend: auto|dense|lazy|bounded (auto = dense for small networks, lazy Dijkstra row cache above the node threshold, bounded-reach sparse rows at million-node scale)")
+		"distance backend: auto|dense|lazy|bounded (auto = dense below 512 nodes, lazy Dijkstra row cache from 512, bounded d_t-ball rows from 10⁵)")
 }
 
 // AddEvalModeFlag registers the -eval flag shared by the solver-facing

@@ -6,7 +6,6 @@ import (
 
 	"msc/internal/failprob"
 	"msc/internal/graph"
-	"msc/internal/pairs"
 	"msc/internal/shortestpath"
 )
 
@@ -19,25 +18,24 @@ const (
 	// there up to DefaultBoundedThreshold, and bounded at or above it.
 	BackendAuto DistBackend = ""
 	// BackendDense materializes the full n×n table eagerly (n Dijkstras
-	// at construction). Right when most rows get read in full:
-	// common-node coverage, threshold sweeps over one network. The μ/ν
-	// bound construction reads only d_t-balls, which the lazy and bounded
-	// backends compute without a full row.
+	// at construction). Right when most rows get read in full: threshold
+	// sweeps over one network. The μ/ν bound and common-node coverage
+	// builds read only d_t-balls, which the lazy and bounded backends
+	// compute without a full row.
 	BackendDense DistBackend = "dense"
-	// BackendLazy computes Dijkstra rows on demand and memoizes them in a
-	// sharded cache, with the social-pair endpoint rows pinned. Right when
-	// only a sparse row set is touched — GreedySigma/EA/AEA/LocalSearch
-	// read the rows of the 2m pair endpoints plus the shortcut endpoints
-	// of evaluated selections, so construction cost stops scaling with n.
+	// BackendLazy computes Dijkstra rows on demand and memoizes them.
+	// Right when only a sparse row set is touched — GreedySigma/EA/AEA/
+	// LocalSearch read the rows of the 2m pair endpoints plus the shortcut
+	// endpoints of evaluated selections, so construction cost stops
+	// scaling with n.
 	BackendLazy DistBackend = "lazy"
-	// BackendBounded computes rows with a Dijkstra bounded at the
-	// threshold d_t and stores them sparsely; anything beyond d_t reads
+	// BackendBounded computes each row as the exact d_t-ball of a
+	// Dijkstra bounded at the threshold d_t; anything beyond d_t reads
 	// +Inf. The objective only ever compares distances against d_t, so
 	// the truncation is unobservable to the solvers (DESIGN.md §13);
 	// per-row memory and per-row compute scale with the d_t-ball instead
 	// of with n, which is what makes 10⁵–10⁶-node instances tractable.
-	// Distances carry float32 quantization (≈1e-7 relative); the "length"
-	// cost model is rejected (it needs full-range distances).
+	// The "length" cost model is rejected (it needs full-range distances).
 	BackendBounded DistBackend = "bounded"
 )
 
@@ -95,9 +93,8 @@ func resolveDistBackend(b DistBackend, n int) DistBackend {
 // newDistanceSource builds the distance backend for an instance: the
 // caller-supplied source if any, else a dense table (built with the
 // option's worker budget), a lazy row cache, or a bounded sparse table
-// at reach thr.D, the latter two with the social-pair endpoint rows
-// pinned, per the resolved backend.
-func newDistanceSource(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, opts *Options) (shortestpath.DistanceSource, error) {
+// at reach thr.D, per the resolved backend.
+func newDistanceSource(g *graph.Graph, thr failprob.Threshold, opts *Options) (shortestpath.DistanceSource, error) {
 	if opts != nil && opts.Table != nil {
 		if opts.Table.N() != g.N() {
 			return nil, fmt.Errorf("core: supplied table covers %d nodes, graph has %d", opts.Table.N(), g.N())
@@ -105,21 +102,16 @@ func newDistanceSource(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, op
 		return opts.Table, nil
 	}
 	var backend DistBackend
-	parallelism, lazyMaxRows := 0, 0
+	parallelism := 0
 	if opts != nil {
 		backend = opts.DistBackend
 		parallelism = opts.Parallelism
-		lazyMaxRows = opts.LazyMaxRows
 	}
 	switch b := resolveDistBackend(backend, g.N()); b {
 	case BackendDense:
 		return shortestpath.NewTable(g, ResolveParallelism(parallelism)), nil
 	case BackendLazy:
-		lt := shortestpath.NewLazyTable(g, shortestpath.LazyOptions{MaxRows: lazyMaxRows})
-		// Deterministic pinning: pair-set node order is fixed by the pair
-		// set, so the pinned row set never depends on solver scheduling.
-		lt.Pin(ps.Nodes())
-		return lt, nil
+		return shortestpath.NewLazyTable(g, shortestpath.LazyOptions{}), nil
 	case BackendBounded:
 		// A NaN threshold would make every `d > reach` comparison false
 		// and silently degenerate the bounded search into full
@@ -127,12 +119,7 @@ func newDistanceSource(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, op
 		if math.IsNaN(thr.D) {
 			return nil, &InputError{Param: "threshold", Reason: "bounded distance backend needs a non-NaN reach d_t"}
 		}
-		bt, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D, MaxRows: lazyMaxRows})
-		if err != nil {
-			return nil, err
-		}
-		bt.Pin(ps.Nodes())
-		return bt, nil
+		return shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D})
 	default:
 		return nil, fmt.Errorf("core: unknown distance backend %q (want auto, dense, lazy, or bounded)", b)
 	}

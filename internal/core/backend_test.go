@@ -23,10 +23,8 @@ import (
 // concurrent row access.
 
 // backendPair builds a dense-backed and a lazy-backed instance over the
-// same graph, pair set, threshold, and budget. lazyMaxRows caps the lazy
-// row cache (0 = unbounded) — the cap may only change cache counters,
-// never a result.
-func backendPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand, lazyMaxRows int) (dense, lazy *Instance) {
+// same graph, pair set, threshold, and budget.
+func backendPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (dense, lazy *Instance) {
 	t.Helper()
 	g := randomConnectedGraph(t, n, 2*n, rng)
 	sampler := shortestpath.NewTable(g, 0)
@@ -39,7 +37,7 @@ func backendPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand, lazyMax
 	if err != nil {
 		t.Fatalf("NewInstance(dense): %v", err)
 	}
-	lazy, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, DistBackend: BackendLazy, LazyMaxRows: lazyMaxRows})
+	lazy, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, DistBackend: BackendLazy})
 	if err != nil {
 		t.Fatalf("NewInstance(lazy): %v", err)
 	}
@@ -63,13 +61,7 @@ func TestBackendDifferentialSolvers(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := xrand.New(9100 + seed)
 			n := 13 + int(seed%5)
-			// A third of the seeds get a tightly capped lazy cache, so the
-			// differential also covers the eviction path.
-			maxRows := 0
-			if seed%3 == 0 {
-				maxRows = 3
-			}
-			dense, lazy := backendPair(t, n, 6, 3, 0.8, rng, maxRows)
+			dense, lazy := backendPair(t, n, 6, 3, 0.8, rng)
 
 			for _, workers := range []int{1, 8} {
 				workers := workers
@@ -309,26 +301,7 @@ func TestBackendOptionValidation(t *testing.T) {
 		t.Error("mismatched supplied table accepted, want error")
 	}
 
-	if _, err := newDistanceSource(g, ps, thr, &Options{DistBackend: DistBackend("bogus")}); err == nil {
+	if _, err := newDistanceSource(g, thr, &Options{DistBackend: DistBackend("bogus")}); err == nil {
 		t.Error("bogus backend accepted, want error")
 	}
-}
-
-// TestBackendLazyPinsPairRows checks the deterministic pinning contract:
-// after construction plus one σ(∅) evaluation, every social-pair endpoint
-// row survives even a cache capped far below the endpoint count.
-func TestBackendLazyPinsPairRows(t *testing.T) {
-	rng := xrand.New(9500)
-	dense, lazy := backendPair(t, 16, 6, 3, 0.8, rng, 1)
-	// Touch many non-pair rows through a solver pass to force evictions.
-	GreedySigma(lazy, Parallelism(1))
-	lt := lazy.Table().(*shortestpath.LazyTable)
-	before := lt.Stats().Computes
-	for _, v := range lazy.Pairs().Nodes() {
-		lt.Row(v)
-	}
-	if after := lt.Stats().Computes; after != before {
-		t.Errorf("pair rows were evicted: %d recomputes", after-before)
-	}
-	_ = dense
 }

@@ -49,13 +49,7 @@ func (inst *Instance) buildBounds() {
 		// total importance of the pairs it appears in — ½ × multiplicity
 		// when unweighted, matching §V-B2 exactly.
 		nuNodes := inst.ps.Nodes()
-		nuIndex := make([]int32, inst.g.N())
-		for v := range nuIndex {
-			nuIndex[v] = -1
-		}
-		for i, v := range nuNodes {
-			nuIndex[v] = int32(i)
-		}
+		nuIndex := nodePositions(inst.g.N(), nuNodes)
 		nuWeights := make([]float64, len(nuNodes))
 		// ends lists, per pair node, the endpoints it is of pairs not
 		// satisfied at baseline (those are handled by the Initial set),
@@ -150,18 +144,22 @@ type ballHit struct {
 	d  float64
 }
 
+// ballSearcher is the uncached bounded search of the lazy and bounded
+// backends: u's entries of Row(u) ≤ bound, appended to ids and dist.
+type ballSearcher interface {
+	Ball(u graph.NodeID, bound float64, ids []int32, dist []float64) ([]int32, []float64)
+}
+
 // readBalls returns each candidate's d_t-ball restricted to the pair
 // nodes, ascending by pair-node position, read on Options.Parallelism
 // workers that pull candidates from a shared counter. A candidate's hits
 // depend on the candidate alone, so the result is identical for every
-// worker count and schedule. The ball comes from one place per backend:
+// worker count and schedule. The ball comes from one of two places:
 //
-//   - a SparseSource (the bounded backend) serves its cached sparse row,
-//     so no dense row is ever materialized;
-//   - the lazy backend runs an uncached bounded Dijkstra at d_t, except
-//     for candidates that are pair endpoints: their pinned rows are read
-//     through the cache here, on the pool, because the σ search reads
-//     them right after;
+//   - the lazy and bounded backends read a pair endpoint's ball through
+//     the instance memo (baseBall), on the pool, because the σ search
+//     reads it right after, and run an uncached bounded Dijkstra at d_t
+//     for every other candidate, so no row is cached for it;
 //   - any other source (the dense table) serves its resident row, read
 //     at the pair nodes only.
 //
@@ -169,6 +167,7 @@ type ballHit struct {
 // so the hits are those a full-row scan would find, bit for bit.
 func (inst *Instance) readBalls(nuNodes []graph.NodeID, nuIndex []int32) [][]ballHit {
 	d := inst.thr.D
+	searcher, searchable := inst.table.(ballSearcher)
 	workers := ResolveParallelism(inst.parallelism)
 	out := make([][]ballHit, len(inst.candNodes))
 	var next atomic.Int64
@@ -181,33 +180,39 @@ func (inst *Instance) readBalls(nuNodes []graph.NodeID, nuIndex []int32) [][]bal
 				return
 			}
 			v := inst.candNodes[a]
+			if !searchable {
+				out[a] = rowHits(inst.table.Row(v), nuNodes, d)
+				continue
+			}
+			var b shortestpath.Ball
+			if nuIndex[v] >= 0 {
+				b = inst.baseBall(v)
+			} else {
+				ids, dist = searcher.Ball(v, d, ids[:0], dist[:0])
+				b = shortestpath.Ball{IDs: ids, Dist: dist}
+			}
 			var hits []ballHit
-			switch src := inst.table.(type) {
-			case shortestpath.SparseSource:
-				r := src.SparseRow(v)
-				for i := 0; i < r.Len(); i++ {
-					if x, dx := r.Entry(i); dx <= d && nuIndex[x] >= 0 {
-						hits = append(hits, ballHit{nuIndex[x], dx})
-					}
+			for i, x := range b.IDs {
+				if j := nuIndex[x]; j >= 0 {
+					hits = append(hits, ballHit{j, b.Dist[i]})
 				}
-			case *shortestpath.LazyTable:
-				if nuIndex[v] >= 0 {
-					hits = rowHits(src.Row(v), nuNodes, d)
-					break
-				}
-				ids, dist = src.Ball(v, d, ids[:0], dist[:0])
-				for i, x := range ids {
-					if j := nuIndex[x]; j >= 0 {
-						hits = append(hits, ballHit{j, dist[i]})
-					}
-				}
-			default:
-				hits = rowHits(src.Row(v), nuNodes, d)
 			}
 			out[a] = hits
 		}
 	})
 	return out
+}
+
+// nodePositions maps each of n nodes to its position in nodes, or -1.
+func nodePositions(n int, nodes []graph.NodeID) []int32 {
+	pos := make([]int32, n)
+	for v := range pos {
+		pos[v] = -1
+	}
+	for i, v := range nodes {
+		pos[v] = int32(i)
+	}
+	return pos
 }
 
 // rowHits returns the pair nodes within d of a full row.

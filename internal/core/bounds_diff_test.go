@@ -351,25 +351,22 @@ type ballWorld struct {
 	ps   *pairs.Set
 }
 
-// ballBackends are the distance backends of the sweep; the capped ones
-// force row eviction while the bounds are built.
+// ballBackends are the distance backends of the sweep.
 var ballBackends = []struct {
 	name string
 	opts core.Options
 }{
 	{"dense", core.Options{DistBackend: core.BackendDense}},
 	{"lazy", core.Options{DistBackend: core.BackendLazy}},
-	{"lazy-capped", core.Options{DistBackend: core.BackendLazy, LazyMaxRows: 3}},
 	{"bounded", core.Options{DistBackend: core.BackendBounded}},
-	{"bounded-capped", core.Options{DistBackend: core.BackendBounded, LazyMaxRows: 3}},
 }
 
 // TestBoundsDifferential pins the ball-derived μ/ν families to the dense
 // reference over 24 seeds. Every distance backend, at Parallelism 1, 2
 // and 8, is checked on RGG and social graphs with raw lengths and on
 // integer lengths where distances hit d_t exactly; the reference reads
-// the backend's own full rows, so on the bounded backend it follows the
-// float32 metric. Six more regimes run on the dense and lazy backends:
+// the backend's own full rows, which on the bounded backend are the dense
+// rows truncated at d_t. Six more regimes run on the dense and lazy backends:
 // unit weights (also on integer lengths), weighted pairs, pairs
 // satisfied at baseline, the pair-endpoint-free candidate universe, unit-
 // and length-priced budgets through the weighted greedy, and a dynamic
@@ -463,11 +460,11 @@ func TestBoundsDifferential(t *testing.T) {
 	}
 }
 
-// TestBoundsReadBallsOnly pins what the μ/ν build reads: on the bounded
-// backend it materializes no dense row, and on the lazy backend it
-// computes (and caches) full rows only for the pinned pair endpoints,
-// whose rows the σ search reads anyway; every other candidate costs one
-// uncached ball.
+// TestBoundsReadBallsOnly pins what the μ/ν build reads: it caches a row
+// only for the pair endpoints, whose balls the σ search reads anyway, and
+// every other candidate costs one uncached ball. On the bounded backend
+// that row is the d_t-ball and no dense row is materialized; on the lazy
+// backend it is the full row.
 func TestBoundsReadBallsOnly(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := xrand.New(seed)
@@ -475,23 +472,29 @@ func TestBoundsReadBallsOnly(t *testing.T) {
 			for _, exclude := range []bool{false, true} {
 				name := fmt.Sprintf("seed %d %s exclude=%v", seed, w.name, exclude)
 				bounded := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendBounded, ExcludePairEndpoints: exclude})
+				bt := bounded.Table().(*shortestpath.BoundedTable)
+				cached := bt.Stats().Cached
 				bounded.MuProblem()
 				bounded.NuProblem()
-				if s := bounded.Table().(*shortestpath.BoundedTable).Stats(); s.DenseRows != 0 {
-					t.Fatalf("%s: bounded build materialized %d dense rows", name, s.DenseRows)
+				want := len(w.ps.Nodes())
+				if exclude {
+					want = cached // no candidate is a pair endpoint
+				}
+				if s := bt.Stats(); s.DenseRows != 0 || s.Cached != want {
+					t.Fatalf("%s: bounded build materialized %d dense rows and left %d cached balls (%d before), want 0 and %d", name, s.DenseRows, s.Cached, cached, want)
 				}
 
-				lazy := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendLazy, LazyMaxRows: 3, ExcludePairEndpoints: exclude})
+				lazy := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendLazy, ExcludePairEndpoints: exclude})
 				lt := lazy.Table().(*shortestpath.LazyTable)
 				before := lt.Stats().Computes
 				lazy.MuProblem()
 				lazy.NuProblem()
-				want := int64(len(w.ps.Nodes()))
+				wantComputes := int64(len(w.ps.Nodes()))
 				if exclude {
-					want = before // no candidate is a pair endpoint
+					wantComputes = before
 				}
-				if got := lt.Stats().Computes; got != want {
-					t.Fatalf("%s: lazy build left %d row computes (%d before), want %d: only pinned endpoint rows", name, got, before, want)
+				if got := lt.Stats().Computes; got != wantComputes {
+					t.Fatalf("%s: lazy build left %d row computes (%d before), want %d: only endpoint rows", name, got, before, wantComputes)
 				}
 			}
 		}

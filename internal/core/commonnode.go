@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"msc/internal/graph"
 	"msc/internal/maxcover"
@@ -44,37 +45,38 @@ func SolveCommonNode(inst *Instance) (CommonNodeResult, error) {
 		return CommonNodeResult{}, ErrNoCommonNode
 	}
 	m := inst.Pairs().Len()
-	// other[i] is the non-common endpoint of pair i.
-	other := make([]graph.NodeID, m)
+	// pairsAt[j] lists the pairs whose non-common endpoint is pair node j.
+	nodes := inst.Pairs().Nodes()
+	pos := nodePositions(inst.N(), nodes)
+	pairsAt := make([][]int32, len(nodes))
 	for i, p := range inst.Pairs().Pairs() {
-		if p.U == u {
-			other[i] = p.W
-		} else {
-			other[i] = p.U
+		w := p.U
+		if w == u {
+			w = p.W
 		}
+		pairsAt[pos[w]] = append(pairsAt[pos[w]], int32(i))
 	}
-	n := inst.N()
-	// Candidate v ∈ V\{u} covers pair i iff D(v, other[i]) ≤ d_t; set id j
-	// is the j-th such v.
-	sets := &maxcover.Sparse{N: n - 1}
-	cands := make([]graph.NodeID, 0, n-1)
+	// Candidate v ∈ V\{u} covers pair i iff D(v, w_i) ≤ d_t, which the
+	// pair nodes in v's d_t-ball answer; set id j is the j-th such v.
+	// Under the unrestricted universe candidate position a is node a.
+	sets := &maxcover.Sparse{N: inst.N() - 1}
+	cands := make([]graph.NodeID, 0, inst.N()-1)
 	var set []int32
-	for v := 0; v < n; v++ {
-		if graph.NodeID(v) == u {
+	for a, hits := range inst.readBalls(nodes, pos) {
+		v := graph.NodeID(a)
+		if v == u {
 			continue
 		}
 		set = set[:0]
-		row := inst.Table().Row(graph.NodeID(v))
-		for i, w := range other {
-			if row[w] <= inst.Threshold().D {
-				set = append(set, int32(i))
-			}
+		for _, h := range hits {
+			set = append(set, pairsAt[h.nu]...)
 		}
 		if len(set) > 0 {
+			slices.Sort(set)
 			sets.IDs = append(sets.IDs, len(cands))
 			sets.Sets.Append(set)
 		}
-		cands = append(cands, graph.NodeID(v))
+		cands = append(cands, v)
 	}
 	prob := maxcover.Problem{
 		Universe: m,

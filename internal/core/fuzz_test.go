@@ -80,11 +80,10 @@ func FuzzInstance(f *testing.F) {
 			}
 			t.Fatalf("NewInstance(n=%d, k=%d, pt=%v): %v", n, k, pt, err)
 		}
-		// The same shape on the lazy backend (with a tight row cap, so the
-		// eviction path fuzzes too) must agree with the dense instance on
-		// every placement below.
+		// The same shape on the lazy backend must agree with the dense
+		// instance on every placement below.
 		lazyInst, err := NewInstance(g, set, failprob.NewThreshold(pt), k,
-			&Options{AllowTrivial: true, DistBackend: BackendLazy, LazyMaxRows: 2})
+			&Options{AllowTrivial: true, DistBackend: BackendLazy})
 		if err != nil {
 			t.Fatalf("NewInstance(lazy, n=%d, k=%d, pt=%v): %v", n, k, pt, err)
 		}

@@ -192,8 +192,7 @@ type Instance struct {
 
 	// Memoized raw-network d_t-balls the searches compose their endpoint
 	// balls from (baseBalls), one per node ever asked for.
-	ballMu   sync.Mutex
-	ballMemo map[graph.NodeID]*memoBall
+	balls *shortestpath.Memo[shortestpath.Ball]
 }
 
 // Errors returned by NewInstance.
@@ -225,10 +224,6 @@ type Options struct {
 	// like the solvers' Parallelism option (GOMAXPROCS). The table and
 	// the bounds are identical for every worker count.
 	Parallelism int
-	// LazyMaxRows caps the lazy backend's cached non-pinned rows; 0 means
-	// unbounded. Social-pair endpoint rows are always pinned and exempt.
-	// The bounded backend applies the same cap to its sparse rows.
-	LazyMaxRows int
 	// EvalMode selects how searches built from the instance maintain their
 	// state across Add commits: incremental d_t-ball merges (the default),
 	// or the full-rebuild reference path.
@@ -287,7 +282,7 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 	if ps.Len() <= k && (opts == nil || !opts.AllowTrivial) {
 		return nil, fmt.Errorf("%w: m=%d, k=%d", ErrTrivial, ps.Len(), k)
 	}
-	table, err := newDistanceSource(g, ps, thr, opts)
+	table, err := newDistanceSource(g, thr, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -298,6 +293,9 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 		thr:   thr,
 		k:     k,
 	}
+	inst.balls = shortestpath.NewMemo(func(u graph.NodeID) shortestpath.Ball {
+		return shortestpath.ReadBall(table, u, thr.D)
+	})
 	var evalOpt EvalMode
 	if opts != nil {
 		evalOpt = opts.EvalMode
@@ -527,29 +525,14 @@ func (inst *Instance) Sigma(sel []int) int {
 	return total
 }
 
-// memoBall is one memoized base ball; once publishes b.
-type memoBall struct {
-	once sync.Once
-	b    shortestpath.Ball
-}
-
 // baseBall returns u's d_t-ball in the raw network, read from the distance
-// source on first use (shortestpath.ReadBall: the bounded backend's sparse
-// row, a dense or lazy row filtered once) and memoized on the instance.
-// Safe for concurrent use; every caller sees the same immutable ball.
+// source on first use (shortestpath.ReadBall: the bounded backend's cached
+// ball itself, a dense or lazy row filtered once) and memoized on the
+// instance. Safe for concurrent use; every caller sees the same immutable
+// ball.
 func (inst *Instance) baseBall(u graph.NodeID) shortestpath.Ball {
-	inst.ballMu.Lock()
-	e, ok := inst.ballMemo[u]
-	if !ok {
-		if inst.ballMemo == nil {
-			inst.ballMemo = make(map[graph.NodeID]*memoBall)
-		}
-		e = new(memoBall)
-		inst.ballMemo[u] = e
-	}
-	inst.ballMu.Unlock()
-	e.once.Do(func() { e.b = shortestpath.ReadBall(inst.table, u, inst.thr.D) })
-	return e.b
+	b, _ := inst.balls.Get(u)
+	return b
 }
 
 // baseBallSource adapts Instance.baseBall to shortestpath.BallSource.

@@ -32,7 +32,7 @@ func scaleBenchN(b *testing.B) int {
 }
 
 // BenchmarkScaleGreedySigma is the speed claim behind the bounded backend:
-// GreedySigma end to end — instance build (pinned rows) plus the full
+// GreedySigma end to end — instance build plus the full
 // greedy solve — on the same RGG and pair set, lazy vs bounded. The
 // per-iteration custom metrics record what the backends trade: bytes/row
 // resident and rows computed. Run with -benchtime=1x and

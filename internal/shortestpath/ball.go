@@ -16,11 +16,13 @@ import (
 // caller's output. It is safe for concurrent use.
 //
 // A ball holds exactly the entries of the full Dijkstra row that are
-// ≤ bound, bit for bit, ties at the bound included: the bounded run
-// performs the same heap operations as the full one until it first pops a
-// key above the bound, and every node within the bound is settled before
-// that pop from the same operands (du + a.Length). BoundedTable rows and
-// the μ/ν coverage build both rest on that equality.
+// ≤ bound, bit for bit, ties at the bound included. Lengths are ≥ 0, so
+// float addition is monotone (du + l ≥ du): a node's row entry is the
+// smallest du + l over its neighbours u of smaller or equal entry. For an
+// entry ≤ bound those neighbours are in the ball too, and the bounded run
+// relaxes them from the same operands; it skips only relaxations above the
+// bound, which set no entry ≤ bound. BoundedTable rows, the μ/ν coverage
+// build and the common-node coverage sets rest on that equality.
 type ballFinder struct {
 	g    *graph.Graph
 	pool sync.Pool // *ballScratch
@@ -44,12 +46,14 @@ func newBallFinder(g *graph.Graph) *ballFinder {
 
 // ball appends to ids and dist the nodes within bound of src, ascending by
 // node id, with their exact shortest-path distances, and returns the
-// extended slices. A NaN bound explores the whole component (every
+// extended slices, grown at most once each (so nil slices come back at the
+// ball's length). A NaN bound explores the whole component (every
 // `d > NaN` comparison is false), so the ball is then the full reachable
 // row.
 func (b *ballFinder) ball(src graph.NodeID, bound float64, ids []int32, dist []float64) ([]int32, []float64) {
 	sc := b.pool.Get().(*ballScratch)
 	in := sc.search(b.g, src, bound)
+	ids, dist = slices.Grow(ids, len(in)), slices.Grow(dist, len(in))
 	for _, v := range in {
 		ids = append(ids, v)
 		dist = append(dist, sc.dist[v])
@@ -57,21 +61,6 @@ func (b *ballFinder) ball(src graph.NodeID, bound float64, ids []int32, dist []f
 	sc.reset(in)
 	b.pool.Put(sc)
 	return ids, dist
-}
-
-// sparseRow packs src's ball into a SparseRow, quantizing distances to
-// float32. The id slice is allocated at the ball's exact length.
-func (b *ballFinder) sparseRow(src graph.NodeID, bound float64) SparseRow {
-	sc := b.pool.Get().(*ballScratch)
-	in := sc.search(b.g, src, bound)
-	r := SparseRow{ids: make([]int32, len(in)), dist: make([]float32, len(in))}
-	copy(r.ids, in)
-	for i, v := range in {
-		r.dist[i] = float32(sc.dist[v])
-	}
-	sc.reset(in)
-	b.pool.Put(sc)
-	return r
 }
 
 // search runs one bounded Dijkstra from src and returns the ids within
@@ -88,16 +77,8 @@ func (sc *ballScratch) search(g *graph.Graph, src graph.NodeID, bound float64) [
 	h.Push(int(src), 0)
 	for h.Len() > 0 {
 		u, du := h.Pop()
-		if du > bound {
-			// Every remaining tentative distance is ≥ du > bound: heap
-			// keys pop in non-decreasing order, and dist[] mirrors the
-			// current keys. The filter below drops them, so only the heap
-			// bookkeeping needs resetting.
-			h.Reset()
-			break
-		}
 		for _, a := range g.Neighbors(graph.NodeID(u)) {
-			if nd := du + a.Length; nd < dist[a.To] {
+			if nd := du + a.Length; !(nd > bound) && nd < dist[a.To] {
 				if math.IsInf(dist[a.To], 1) {
 					touched = append(touched, int32(a.To))
 				}
@@ -107,8 +88,9 @@ func (sc *ballScratch) search(g *graph.Graph, src graph.NodeID, bound float64) [
 			}
 		}
 	}
-	// Compact the in-ball ids to the front of touched, resetting the rest
-	// now; reset clears the kept prefix once the caller has read it.
+	// Compact the in-ball ids to the front of touched (only src can lie
+	// beyond a negative bound), resetting the rest now; reset clears the
+	// kept prefix once the caller has read it.
 	in := touched[:0]
 	for _, v := range touched {
 		if dist[v] > bound {
@@ -136,7 +118,7 @@ func (sc *ballScratch) reset(in []int32) {
 // Ball is a distance row truncated at a bound: the nodes within the bound
 // of a source, ascending by id, with their distances. Every node absent
 // from the ball reads as +Inf. The σ search keeps one per pair endpoint in
-// place of an n-length row.
+// place of an n-length row, and a BoundedTable stores one per row.
 type Ball struct {
 	IDs  []int32
 	Dist []float64
@@ -144,6 +126,10 @@ type Ball struct {
 
 // Len returns the number of in-ball entries.
 func (b Ball) Len() int { return len(b.IDs) }
+
+// Bytes returns the ball's payload size: 12 bytes per entry (int32 id +
+// float64 distance), excluding slice headers.
+func (b Ball) Bytes() int64 { return int64(len(b.IDs)) * 12 }
 
 // At returns the stored distance to v, or +Inf if v is outside the ball.
 func (b Ball) At(v graph.NodeID) float64 {
@@ -169,24 +155,28 @@ type BallSource interface {
 	Ball(u graph.NodeID) Ball
 }
 
-// ReadBall returns u's ball at bound read from src: the entries ≤ bound of
-// src's sparse row when src is a SparseSource, of Row(u) otherwise, so the
-// values are Row(u)'s bit for bit. The slices are allocated at the ball's
-// exact length.
+// ReadBall returns u's ball at bound read from src, with Row(u)'s values
+// bit for bit. A SparseSource serves its cached ball: the ball itself,
+// uncopied, when bound ≥ its reach, else a copy of its entries ≤ bound.
+// Any other source has Row(u) filtered, into slices allocated at the
+// ball's exact length. Callers must not modify the result.
 func ReadBall(src DistanceSource, u graph.NodeID, bound float64) Ball {
 	if ss, ok := src.(SparseSource); ok {
 		r := ss.SparseRow(u)
+		if bound >= ss.Reach() {
+			return r
+		}
 		k := 0
-		for _, d := range r.dist {
-			if float64(d) <= bound {
+		for _, d := range r.Dist {
+			if d <= bound {
 				k++
 			}
 		}
 		b := Ball{IDs: make([]int32, 0, k), Dist: make([]float64, 0, k)}
-		for i, d := range r.dist {
-			if float64(d) <= bound {
-				b.IDs = append(b.IDs, r.ids[i])
-				b.Dist = append(b.Dist, float64(d))
+		for i, d := range r.Dist {
+			if d <= bound {
+				b.IDs = append(b.IDs, r.IDs[i])
+				b.Dist = append(b.Dist, d)
 			}
 		}
 		return b

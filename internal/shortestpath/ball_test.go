@@ -1,7 +1,6 @@
 package shortestpath
 
 import (
-	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -50,8 +49,8 @@ func filteredRow(g *graph.Graph, src graph.NodeID, bound float64) ([]int32, []fl
 // row's entries ≤ bound with the same float64 bits, ties at the bound
 // included. The balls are computed from four goroutines sharing one
 // finder, so the pooled scratch is exercised under -race. The same
-// sources' LazyTable.Ball and BoundedTable.SparseRow (the ball quantized
-// to float32) must agree as well.
+// sources' LazyTable.Ball, BoundedTable.Ball and cached
+// BoundedTable.SparseRow must agree as well.
 func TestBallMatchesDijkstra(t *testing.T) {
 	ties := 0
 	for seed := int64(1); seed <= 6; seed++ {
@@ -66,8 +65,8 @@ func TestBallMatchesDijkstra(t *testing.T) {
 		}
 		for _, w := range worlds {
 			balls := newBallFinder(w.g)
-			lazy := NewLazyTable(w.g, LazyOptions{MaxRows: 4})
-			bt, err := NewBoundedTable(w.g, BoundedOptions{Reach: w.bound, MaxRows: 4})
+			lazy := NewLazyTable(w.g, LazyOptions{})
+			bt, err := NewBoundedTable(w.g, BoundedOptions{Reach: w.bound})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,16 +94,16 @@ func TestBallMatchesDijkstra(t *testing.T) {
 						ties++
 					}
 				}
-				want := SparseRow{ids: wantIDs, dist: make([]float32, len(wantDist))}
-				for i, d := range wantDist {
-					want.dist[i] = float32(d)
-				}
-				if got := bt.SparseRow(graph.NodeID(src)); !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
-					t.Fatalf("%s seed %d src %d: SparseRow differs from the quantized ball", w.name, seed, src)
-				}
+				ids, dist = bt.Ball(graph.NodeID(src), math.Inf(1), nil, nil)
+				checkBall(t, w.name+"/bounded", seed, src, ids, dist, wantIDs, wantDist)
+				r := bt.SparseRow(graph.NodeID(src))
+				checkBall(t, w.name+"/sparse-row", seed, src, r.IDs, r.Dist, wantIDs, wantDist)
 			}
 			if s := lazy.Stats(); s.Computes != 0 {
 				t.Fatalf("%s seed %d: LazyTable.Ball computed %d cached rows, want 0", w.name, seed, s.Computes)
+			}
+			if s := bt.Stats(); s.Computes != int64(n) {
+				t.Fatalf("%s seed %d: BoundedTable cached %d balls, want one per SparseRow source (%d)", w.name, seed, s.Computes, n)
 			}
 		}
 	}

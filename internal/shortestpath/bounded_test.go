@@ -1,7 +1,6 @@
 package shortestpath
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"sync"
@@ -10,37 +9,6 @@ import (
 	"msc/internal/graph"
 	"msc/internal/xrand"
 )
-
-// dyadicGraph builds randomGraph with edge lengths snapped to integer
-// multiples of 2⁻¹⁰: every path sum is then exactly representable in both
-// float32 and float64, so sparse (quantized) and dense rows must agree
-// bit for bit wherever both are finite.
-func dyadicGraph(t *testing.T, n, extraEdges int, rng *xrand.Rand) *graph.Graph {
-	t.Helper()
-	dyadic := func(l float64) float64 {
-		q := math.Round(l * 1024)
-		if q < 1 {
-			q = 1
-		}
-		return q / 1024
-	}
-	b := graph.NewBuilder(n)
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		b.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)]), dyadic(0.1+rng.Float64()))
-	}
-	for e := 0; e < extraEdges; e++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			b.AddEdge(graph.NodeID(u), graph.NodeID(v), dyadic(0.1+rng.Float64()))
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatalf("build dyadic graph: %v", err)
-	}
-	return g
-}
 
 // --- BoundedDijkstra edge cases -------------------------------------------
 
@@ -105,18 +73,15 @@ func TestBoundedDijkstraDisconnectedSource(t *testing.T) {
 	}
 }
 
-// --- SparseRow -------------------------------------------------------------
+// --- Ball ------------------------------------------------------------------
 
 func TestSparseRowAccessors(t *testing.T) {
-	r := SparseRow{ids: []int32{2, 5, 9}, dist: []float32{0, 1.5, 2.25}}
+	r := Ball{IDs: []int32{2, 5, 9}, Dist: []float64{0, 1.5, 2.25}}
 	if r.Len() != 3 {
 		t.Errorf("Len = %d, want 3", r.Len())
 	}
-	if r.Bytes() != 24 {
-		t.Errorf("Bytes = %d, want 24", r.Bytes())
-	}
-	if id, d := r.Entry(1); id != 5 || d != 1.5 {
-		t.Errorf("Entry(1) = (%d, %v), want (5, 1.5)", id, d)
+	if r.Bytes() != 36 {
+		t.Errorf("Bytes = %d, want 36", r.Bytes())
 	}
 	for v, want := range map[graph.NodeID]float64{2: 0, 5: 1.5, 9: 2.25} {
 		if got := r.At(v); got != want {
@@ -128,36 +93,9 @@ func TestSparseRowAccessors(t *testing.T) {
 			t.Errorf("At(%d) = %v, want +Inf", v, got)
 		}
 	}
-	empty := SparseRow{}
+	empty := Ball{}
 	if got := empty.At(0); !math.IsInf(got, 1) {
 		t.Errorf("empty row At(0) = %v, want +Inf", got)
-	}
-}
-
-func TestDecodeSparseRowErrors(t *testing.T) {
-	enc := func(r SparseRow) []byte { return r.AppendBinary(nil) }
-	valid := enc(SparseRow{ids: []int32{1, 4}, dist: []float32{0.5, 2}})
-	if _, err := DecodeSparseRow(valid); err != nil {
-		t.Fatalf("valid encoding rejected: %v", err)
-	}
-	cases := map[string][]byte{
-		"empty":          {},
-		"short header":   {1, 0},
-		"truncated body": valid[:len(valid)-3],
-		"oversized body": append(append([]byte{}, valid...), 0),
-		"unsorted ids":   enc(SparseRow{ids: []int32{4, 1}, dist: []float32{1, 1}}),
-		"duplicate ids":  enc(SparseRow{ids: []int32{4, 4}, dist: []float32{1, 1}}),
-		"negative dist":  enc(SparseRow{ids: []int32{1}, dist: []float32{-1}}),
-		"NaN dist":       enc(SparseRow{ids: []int32{1}, dist: []float32{float32(math.NaN())}}),
-		"Inf dist":       enc(SparseRow{ids: []int32{1}, dist: []float32{float32(math.Inf(1))}}),
-	}
-	// An id above MaxInt32 can only come from raw bytes.
-	overflow := []byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
-	cases["id overflow"] = overflow
-	for name, data := range cases {
-		if _, err := DecodeSparseRow(data); err == nil {
-			t.Errorf("%s: decode succeeded, want error", name)
-		}
 	}
 }
 
@@ -166,7 +104,7 @@ func TestDecodeSparseRowErrors(t *testing.T) {
 func TestBoundedTableMatchesDenseWithinReach(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := xrand.New(500 + seed)
-		g := dyadicGraph(t, 30, 50, rng)
+		g := randomGraph(t, 30, 50, rng)
 		dense := NewTable(g, 0)
 		const reach = 0.9
 		bt, err := NewBoundedTable(g, BoundedOptions{Reach: reach})
@@ -178,8 +116,9 @@ func TestBoundedTableMatchesDenseWithinReach(t *testing.T) {
 				want := dense.Dist(graph.NodeID(u), graph.NodeID(v))
 				got := bt.Dist(graph.NodeID(u), graph.NodeID(v))
 				if want <= reach {
-					// Dyadic lengths: the float32 quantization is lossless.
-					if got != want {
+					// Within the reach a ball entry is the dense distance,
+					// bit for bit, on any edge lengths.
+					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("seed %d: Dist(%d,%d) = %v, want %v", seed, u, v, got, want)
 					}
 				} else if !math.IsInf(got, 1) {
@@ -192,7 +131,7 @@ func TestBoundedTableMatchesDenseWithinReach(t *testing.T) {
 
 func TestBoundedTableRowMatchesSparse(t *testing.T) {
 	rng := xrand.New(600)
-	g := dyadicGraph(t, 25, 40, rng)
+	g := randomGraph(t, 25, 40, rng)
 	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 0.8})
 	if err != nil {
 		t.Fatal(err)
@@ -230,30 +169,26 @@ func TestBoundedTableRejectsBadReach(t *testing.T) {
 	}
 }
 
-func TestBoundedTableEvictionAndBytes(t *testing.T) {
+// TestBoundedTableBytes checks the byte accounting: the resident payload
+// is the sum of the cached balls' payloads, 12 bytes per entry, and the
+// process gauge moves by the same amount. A repeat read is a hit and
+// returns the same ball.
+func TestBoundedTableBytes(t *testing.T) {
 	rng := xrand.New(800)
-	g := dyadicGraph(t, 40, 60, rng)
-	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 0.8, MaxRows: 4, Shards: 1})
+	g := randomGraph(t, 40, 60, rng)
+	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	globalBefore := RowBytesResident()
-	rows := make([]SparseRow, 12)
+	var want int64
 	for u := 0; u < 12; u++ {
-		rows[u] = bt.SparseRow(graph.NodeID(u))
+		r := bt.SparseRow(graph.NodeID(u))
+		want += int64(r.Len()) * 12
 	}
 	st := bt.Stats()
-	if st.Cached > 4 {
-		t.Errorf("Cached = %d rows, want ≤ 4", st.Cached)
-	}
-	if st.Evictions != 8 {
-		t.Errorf("Evictions = %d, want 8", st.Evictions)
-	}
-	// Byte accounting: resident bytes equal the sum of the cached rows'
-	// payloads, and the process gauge moved by the same amount.
-	var want int64
-	for u := 8; u < 12; u++ {
-		want += rows[u].Bytes()
+	if st.Cached != 12 || st.Computes != 12 || st.Misses != 12 {
+		t.Errorf("Cached/Computes/Misses = %d/%d/%d, want 12 each", st.Cached, st.Computes, st.Misses)
 	}
 	if st.RowBytes != want {
 		t.Errorf("RowBytes = %d, want %d", st.RowBytes, want)
@@ -261,40 +196,46 @@ func TestBoundedTableEvictionAndBytes(t *testing.T) {
 	if got := RowBytesResident() - globalBefore; got != want {
 		t.Errorf("RowBytesResident moved by %d, want %d", got, want)
 	}
-	// Evicted rows stay valid, and recomputing one matches the original.
-	if !reflect.DeepEqual(bt.SparseRow(0), rows[0]) {
-		t.Error("recomputed row 0 differs from the evicted original")
+	first, again := bt.SparseRow(3), bt.SparseRow(3)
+	if &first.IDs[0] != &again.IDs[0] {
+		t.Error("repeat SparseRow(3) returned a different ball")
+	}
+	if st := bt.Stats(); st.Hits != 2 || st.Computes != 12 {
+		t.Errorf("repeat reads: Hits = %d, Computes = %d, want 2 and 12", st.Hits, st.Computes)
 	}
 }
 
-func TestBoundedTablePinnedSurviveEviction(t *testing.T) {
-	rng := xrand.New(900)
-	g := dyadicGraph(t, 40, 60, rng)
-	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 0.8, MaxRows: 2, Shards: 1})
+// TestReadBallSharesBoundedRow pins ReadBall on a SparseSource: at a bound
+// ≥ the reach it returns the cached ball itself, uncopied; below the reach
+// it returns a copy holding exactly the entries ≤ bound.
+func TestReadBallSharesBoundedRow(t *testing.T) {
+	rng := xrand.New(850)
+	g := randomGraph(t, 30, 45, rng)
+	const reach = 1.0
+	bt, err := NewBoundedTable(g, BoundedOptions{Reach: reach})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt.Pin([]graph.NodeID{5, 6})
-	bt.SparseRow(5)
-	bt.SparseRow(6)
-	before := bt.Stats()
-	for u := 10; u < 20; u++ {
-		bt.SparseRow(graph.NodeID(u))
-	}
-	bt.SparseRow(5)
-	bt.SparseRow(6)
-	after := bt.Stats()
-	if got := after.Computes - before.Computes; got != 10 {
-		t.Errorf("pinned rows were recomputed: %d computes beyond the 10 cache-thrashing rows", got-10)
-	}
-	if hits := after.Hits - before.Hits; hits < 2 {
-		t.Errorf("pinned rows not served from cache: %d hits", hits)
+	dense := NewTable(g, 0)
+	for u := 0; u < g.N(); u++ {
+		cached := bt.SparseRow(graph.NodeID(u))
+		for _, bound := range []float64{reach, 2 * reach} {
+			if b := ReadBall(bt, graph.NodeID(u), bound); &b.IDs[0] != &cached.IDs[0] || &b.Dist[0] != &cached.Dist[0] {
+				t.Fatalf("ReadBall(%d, %v) copied the cached ball", u, bound)
+			}
+		}
+		b := ReadBall(bt, graph.NodeID(u), reach/2)
+		want := ReadBall(dense, graph.NodeID(u), reach/2)
+		checkBall(t, "below reach", 0, u, b.IDs, b.Dist, want.IDs, want.Dist)
+		if len(b.IDs) > 0 && &b.IDs[0] == &cached.IDs[0] {
+			t.Fatalf("ReadBall(%d, reach/2) aliases the cached ball", u)
+		}
 	}
 }
 
 func TestBoundedTableConcurrentOnceCompute(t *testing.T) {
 	rng := xrand.New(1000)
-	g := dyadicGraph(t, 40, 60, rng)
+	g := randomGraph(t, 40, 60, rng)
 	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 0.8})
 	if err != nil {
 		t.Fatal(err)
@@ -413,13 +354,13 @@ func TestLandmarksCapAndBytes(t *testing.T) {
 // --- Overlay sparse fast paths --------------------------------------------
 
 // TestOverlaySparseMatchesDense pins the Overlay SparseSource fast paths:
-// with an infinite reach over a dyadic graph the bounded rows are exact,
-// so overlay distances through the sparse path must be bit-identical to
-// the dense-table path.
+// with an infinite reach the bounded rows are the full rows, so overlay
+// distances through the sparse path must be bit-identical to the
+// dense-table path.
 func TestOverlaySparseMatchesDense(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := xrand.New(1300 + seed)
-		g := dyadicGraph(t, 24, 36, rng)
+		g := randomGraph(t, 24, 36, rng)
 		dense := NewTable(g, 0)
 		bt, err := NewBoundedTable(g, BoundedOptions{Reach: math.Inf(1)})
 		if err != nil {
@@ -448,53 +389,6 @@ func TestOverlaySparseMatchesDense(t *testing.T) {
 			if !reflect.DeepEqual(rowD, rowS) {
 				t.Fatalf("seed %d: overlay DistRow(%d) differs between dense and sparse paths", seed, u)
 			}
-		}
-	}
-}
-
-// --- Fuzz ------------------------------------------------------------------
-
-// FuzzSparseRowRoundTrip checks both directions of the sparse-row codec:
-// every accepted byte string re-encodes to itself, and every row built by
-// the bounded Dijkstra survives an encode/decode round trip.
-func FuzzSparseRowRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add(SparseRow{ids: []int32{0, 3, 7}, dist: []float32{0, 0.5, 1.25}}.AppendBinary(nil))
-	f.Add([]byte{2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 128, 63})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeSparseRow(data)
-		if err != nil {
-			return
-		}
-		if got := r.AppendBinary(nil); !bytes.Equal(got, data) {
-			t.Fatalf("decode→encode not identity:\nin  %x\nout %x", data, got)
-		}
-		r2, err := DecodeSparseRow(r.AppendBinary(nil))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(r, r2) {
-			t.Fatal("encode→decode changed the row")
-		}
-	})
-}
-
-func TestSparseRowRoundTripFromTable(t *testing.T) {
-	rng := xrand.New(1400)
-	g := dyadicGraph(t, 30, 45, rng)
-	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < g.N(); u++ {
-		r := bt.SparseRow(graph.NodeID(u))
-		dec, err := DecodeSparseRow(r.AppendBinary(nil))
-		if err != nil {
-			t.Fatalf("row %d: %v", u, err)
-		}
-		if !reflect.DeepEqual(SparseRow{ids: dec.ids, dist: dec.dist}, SparseRow{ids: r.ids, dist: r.dist}) && r.Len() > 0 {
-			t.Fatalf("row %d round trip changed the row", u)
 		}
 	}
 }

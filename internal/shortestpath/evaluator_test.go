@@ -77,7 +77,7 @@ func TestEvaluatorCountWithinMatchesSerial(t *testing.T) {
 		src  DistanceSource
 	}{
 		{"dense", NewTable(g, 0)},
-		{"lazy", NewLazyTable(g, LazyOptions{MaxRows: 8})},
+		{"lazy", NewLazyTable(g, LazyOptions{})},
 	} {
 		t.Run(backend.name, func(t *testing.T) {
 			ov := NewOverlay(backend.src, []graph.Edge{{U: 0, V: 20}, {U: 5, V: 35}})

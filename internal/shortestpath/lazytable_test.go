@@ -47,7 +47,7 @@ func TestLazyTableMatchesDense(t *testing.T) {
 	}
 }
 
-// TestLazyTableExactlyOnceComputes hammers an uncapped cache from many
+// TestLazyTableExactlyOnceComputes hammers the cache from many
 // goroutines and checks the exactly-once compute contract: the number of
 // Dijkstra runs equals the number of distinct rows requested, no matter how
 // many goroutines race for the same row. Runs in CI under -race.
@@ -95,179 +95,12 @@ func TestLazyTableExactlyOnceComputes(t *testing.T) {
 	if st.Hits != total-n {
 		t.Errorf("Hits = %d, want %d", st.Hits, total-n)
 	}
-	if st.Evictions != 0 {
-		t.Errorf("Evictions = %d, want 0 (uncapped)", st.Evictions)
-	}
 	if st.Cached != len(distinct) {
 		t.Errorf("Cached = %d, want %d", st.Cached, len(distinct))
 	}
 	// Every cached row is still correct after the stampede.
 	for _, u := range distinct {
 		sameRow(t, lazy.Row(u), dense.Row(u), "post-stampede")
-	}
-}
-
-func TestLazyTableEvictionRespectsCap(t *testing.T) {
-	rng := xrand.New(31)
-	g := randomGraph(t, 40, 60, rng)
-	dense := NewTable(g, 0)
-	lazy := NewLazyTable(g, LazyOptions{MaxRows: 4, Shards: 2})
-
-	for u := 0; u < g.N(); u++ {
-		sameRow(t, lazy.Row(graph.NodeID(u)), dense.Row(graph.NodeID(u)), "first pass")
-		if c := lazy.Stats().Cached; c > 4 {
-			t.Fatalf("after row %d: Cached = %d exceeds MaxRows 4", u, c)
-		}
-	}
-	st := lazy.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after %d distinct rows with MaxRows=4", g.N())
-	}
-	if st.Misses-st.Evictions != int64(st.Cached) {
-		t.Errorf("misses(%d) - evictions(%d) = %d, want Cached %d",
-			st.Misses, st.Evictions, st.Misses-st.Evictions, st.Cached)
-	}
-	// Evicted rows recompute to exactly the same values.
-	for u := 0; u < g.N(); u += 3 {
-		sameRow(t, lazy.Row(graph.NodeID(u)), dense.Row(graph.NodeID(u)), "after eviction")
-	}
-}
-
-// TestLazyTableEvictedRowStaysValid holds on to a returned row slice across
-// the row's eviction and recomputation: the held slice must keep its
-// (immutable) values — eviction only forgets rows, it never reuses them.
-func TestLazyTableEvictedRowStaysValid(t *testing.T) {
-	rng := xrand.New(37)
-	g := randomGraph(t, 30, 45, rng)
-	dense := NewTable(g, 0)
-	lazy := NewLazyTable(g, LazyOptions{MaxRows: 2, Shards: 1})
-
-	held := lazy.Row(5)
-	want := make([]float64, len(held))
-	copy(want, held)
-	for u := 0; u < g.N(); u++ { // cap 2 → row 5 is long gone
-		lazy.Row(graph.NodeID(u))
-	}
-	if lazy.Stats().Evictions == 0 {
-		t.Fatal("expected evictions")
-	}
-	sameRow(t, held, want, "held slice after eviction")
-	sameRow(t, lazy.Row(5), dense.Row(5), "recomputed row")
-}
-
-func TestLazyTablePinnedSurviveEviction(t *testing.T) {
-	rng := xrand.New(41)
-	g := randomGraph(t, 40, 60, rng)
-	dense := NewTable(g, 0)
-	lazy := NewLazyTable(g, LazyOptions{MaxRows: 2, Shards: 1})
-
-	pinned := []graph.NodeID{5, 11, 23}
-	lazy.Pin(pinned)
-	for _, u := range pinned {
-		sameRow(t, lazy.Row(u), dense.Row(u), "pinned first read")
-	}
-	computesAfterPinned := lazy.Stats().Computes
-
-	for u := 0; u < g.N(); u++ { // churn the evictable side hard
-		lazy.Row(graph.NodeID(u))
-	}
-	st := lazy.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("expected evictions from churn")
-	}
-
-	before := lazy.Stats()
-	for _, u := range pinned {
-		sameRow(t, lazy.Row(u), dense.Row(u), "pinned re-read")
-	}
-	after := lazy.Stats()
-	if after.Computes != before.Computes {
-		t.Errorf("pinned re-read recomputed rows: computes %d -> %d", before.Computes, after.Computes)
-	}
-	if after.Hits != before.Hits+int64(len(pinned)) {
-		t.Errorf("pinned re-read hits %d -> %d, want +%d", before.Hits, after.Hits, len(pinned))
-	}
-	_ = computesAfterPinned
-}
-
-// TestLazyTablePinPromotesCachedRow pins a row that is already cached as
-// evictable: it must leave the FIFO and survive subsequent churn.
-func TestLazyTablePinPromotesCachedRow(t *testing.T) {
-	rng := xrand.New(43)
-	g := randomGraph(t, 30, 45, rng)
-	lazy := NewLazyTable(g, LazyOptions{MaxRows: 2, Shards: 1})
-
-	lazy.Row(7)                 // cached evictable
-	lazy.Pin([]graph.NodeID{7}) // promote
-	lazy.Pin([]graph.NodeID{7}) // idempotent
-	for u := 0; u < g.N(); u++ {
-		lazy.Row(graph.NodeID(u))
-	}
-	before := lazy.Stats().Computes
-	lazy.Row(7)
-	if after := lazy.Stats().Computes; after != before {
-		t.Errorf("promoted pinned row was evicted and recomputed: computes %d -> %d", before, after)
-	}
-}
-
-// TestLazyTableConcurrentCapped stress-tests the capped cache under -race:
-// whatever the eviction interleaving, every returned row must be complete
-// and correct (never torn, never stale).
-func TestLazyTableConcurrentCapped(t *testing.T) {
-	rng := xrand.New(47)
-	g := randomGraph(t, 48, 90, rng)
-	dense := NewTable(g, 0)
-	lazy := NewLazyTable(g, LazyOptions{MaxRows: 6, Shards: 3})
-	lazy.Pin([]graph.NodeID{1, 2})
-
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := xrand.New(seed)
-			for i := 0; i < 300; i++ {
-				u := graph.NodeID(r.Intn(g.N()))
-				row := lazy.Row(u)
-				v := r.Intn(g.N())
-				want := dense.Dist(u, graph.NodeID(v))
-				if row[v] != want && !(math.IsInf(row[v], 1) && math.IsInf(want, 1)) {
-					errs <- "wrong value under concurrent eviction"
-					return
-				}
-			}
-		}(int64(w) + 900)
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
-	}
-	if c := lazy.Stats().Cached; c > 6+2 {
-		t.Errorf("Cached = %d, want ≤ cap 6 + 2 pinned", c)
-	}
-}
-
-// TestLazyTableShardClamp checks that a row cap smaller than the shard
-// count shrinks the shard count instead of creating zero-capacity shards
-// (which could cache nothing and thrash).
-func TestLazyTableShardClamp(t *testing.T) {
-	g := lineGraph(t, 10)
-	lazy := NewLazyTable(g, LazyOptions{MaxRows: 3, Shards: 16})
-	if len(lazy.shards) != 3 {
-		t.Fatalf("shards = %d, want clamped to MaxRows 3", len(lazy.shards))
-	}
-	total := 0
-	for i := range lazy.shards {
-		if lazy.shards[i].cap < 1 {
-			t.Errorf("shard %d has cap %d, want ≥ 1", i, lazy.shards[i].cap)
-		}
-		total += lazy.shards[i].cap
-	}
-	if total != 3 {
-		t.Errorf("total shard cap = %d, want MaxRows 3", total)
 	}
 }
 
@@ -294,7 +127,7 @@ func TestQuickOverlayLazyMatchesAugmented(t *testing.T) {
 	property := func(seed int64) bool {
 		rng := xrand.New(seed)
 		g := randomGraph(t, 4+rng.Intn(20), rng.Intn(30), rng)
-		lazy := NewLazyTable(g, LazyOptions{MaxRows: 1 + rng.Intn(8)})
+		lazy := NewLazyTable(g, LazyOptions{})
 		k := rng.Intn(4)
 		var shortcuts []graph.Edge
 		for len(shortcuts) < k {
@@ -373,7 +206,7 @@ func FuzzOverlayLazy(f *testing.F) {
 		if !ok {
 			return
 		}
-		lazy := NewLazyTable(g, LazyOptions{MaxRows: 3})
+		lazy := NewLazyTable(g, LazyOptions{})
 		dense := NewTable(g, 0)
 		ov := NewOverlay(lazy, shortcuts)
 		for src := 0; src < g.N(); src++ {

@@ -127,7 +127,7 @@ func (o *Overlay) Dist(u, w graph.NodeID) float64 {
 }
 
 // distSparse is Dist against a sparse backend: the same minimization over
-// the same stored metric, but reading sparse rows so no dense row is ever
+// the same stored metric, but reading balls so no dense row is ever
 // materialized (a BoundedTable keeps dense rows forever). Bit-identical
 // to the dense path — Row is defined as the scatter of SparseRow.
 func (o *Overlay) distSparse(ss SparseSource, u, w graph.NodeID) float64 {
@@ -214,9 +214,8 @@ func (o *Overlay) distRowSparse(ss SparseSource, u graph.NodeID, out []float64) 
 		out[x] = inf
 	}
 	du := ss.SparseRow(u)
-	for i := 0; i < du.Len(); i++ {
-		id, d := du.Entry(i)
-		out[id] = d
+	for i, id := range du.IDs {
+		out[id] = du.Dist[i]
 	}
 	t := len(o.endpoints)
 	if t == 0 {
@@ -238,9 +237,8 @@ func (o *Overlay) distRowSparse(ss SparseSource, u graph.NodeID, out []float64) 
 			continue
 		}
 		ti := ss.SparseRow(o.endpoints[i])
-		for k := 0; k < ti.Len(); k++ {
-			id, d := ti.Entry(k)
-			if nd := ci + d; nd < out[id] {
+		for k, id := range ti.IDs {
+			if nd := ci + ti.Dist[k]; nd < out[id] {
 				out[id] = nd
 			}
 		}

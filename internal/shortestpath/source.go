@@ -7,36 +7,34 @@ import "msc/internal/graph"
 //
 //   - Table materializes every row eagerly (n Dijkstras, n² float64s) and
 //     answers queries by plain indexing. Best when most rows will be read
-//     in full (common-node coverage, experiments that sweep thresholds
-//     over one network). Consumers that read only d_t-balls, such as the
-//     μ/ν bound construction, get them without full rows from the other
-//     two sources (LazyTable.Ball, SparseRow).
+//     in full (experiments that sweep thresholds over one network).
+//     Consumers that read only d_t-balls, such as the μ/ν bound and
+//     common-node coverage builds, get them without full rows from the
+//     other two sources (their uncached Ball methods).
 //
-//   - LazyTable computes rows on demand and memoizes them in a sharded,
-//     concurrency-safe cache. Best when only a sparse set of rows is ever
-//     read — the overlay oracle touches only the rows of the ≤2m social-
-//     pair endpoints plus the ≤2k shortcut endpoints of the selections it
-//     evaluates, so instance-construction cost scales with the rows the
-//     solver actually uses instead of with n.
+//   - LazyTable computes rows on demand and memoizes them. Best when only
+//     a sparse set of rows is ever read — the overlay oracle touches only
+//     the rows of the ≤2m social-pair endpoints plus the ≤2k shortcut
+//     endpoints of the selections it evaluates, so instance-construction
+//     cost scales with the rows the solver actually uses instead of with n.
 //
-//   - BoundedTable computes rows with a Dijkstra bounded at a reach and
-//     stores them sparsely (sorted (node, float32) pairs); everything
-//     outside the reach-ball reads as +Inf. Best at 10⁵–10⁶ nodes, where
-//     even one dense row is significant and full-graph Dijkstras dominate
-//     the run. Its metric differs from the others in two declared ways:
-//     distances beyond the reach are reported as +Inf, and in-ball
-//     distances carry float32 quantization (≈1e-7 relative). Consumers
-//     that only compare distances against a threshold ≤ reach — the
-//     entire MSC objective — cannot observe the truncation; the
-//     quantization is accepted as the metric itself.
+//   - BoundedTable computes each row as a ball: a Dijkstra bounded at a
+//     reach, stored sparsely as sorted (int32 node, float64 distance)
+//     pairs; everything outside the reach-ball reads as +Inf. Best at
+//     10⁵–10⁶ nodes, where even one dense row is significant and
+//     full-graph Dijkstras dominate the run. Its metric is the dense one
+//     truncated at the reach, bit for bit: distances within the reach are
+//     exact, distances beyond it read +Inf. Consumers that only compare
+//     distances against a threshold ≤ reach — the entire MSC objective —
+//     cannot observe the truncation.
 //
 // Implementations must be safe for concurrent readers, and every method
 // must be deterministic: for the same graph, Dist and Row return
 // bit-identical values no matter the call order or the number of
 // goroutines calling, and dense/lazy return bit-identical values to each
-// other (BoundedTable is deterministic too, but its values follow the
-// truncated, quantized metric above). The solver's determinism contract
-// (serial == parallel placements, PR 1) rests on that guarantee.
+// other (BoundedTable returns the same values within its reach and +Inf
+// beyond it). The solver's determinism contract (serial == parallel
+// placements) rests on that guarantee.
 type DistanceSource interface {
 	// N returns the number of nodes the source covers.
 	N() int
@@ -45,24 +43,23 @@ type DistanceSource interface {
 	Dist(u, v graph.NodeID) float64
 	// Row returns the full distance row of u. The returned slice is owned
 	// by the source and must not be modified; it remains valid (and
-	// immutable) for the caller's lifetime even if the source later
-	// evicts the row from its cache.
+	// immutable) for the caller's lifetime.
 	Row(u graph.NodeID) []float64
 }
 
 // SparseSource is the optional extension a DistanceSource implements when
 // its rows are naturally sparse. Reach declares the truncation radius:
-// SparseRow entries within Reach are exact (up to float32 quantization),
-// everything absent is certified > Reach or unreachable. Consumers use it
-// to iterate only the ball instead of scanning n entries per row, and to
-// decide whether threshold comparisons against d_t ≤ Reach are safe.
+// SparseRow holds every entry of Row within Reach, exactly; everything
+// absent is > Reach or unreachable. Consumers use it to iterate only the
+// ball instead of scanning n entries per row, and to decide whether
+// threshold comparisons against d_t ≤ Reach are safe.
 type SparseSource interface {
 	DistanceSource
 	// Reach returns the truncation radius rows were computed at.
 	Reach() float64
-	// SparseRow returns u's row in sparse form. Like Row, the result is
-	// immutable and stays valid for the caller's lifetime.
-	SparseRow(u graph.NodeID) SparseRow
+	// SparseRow returns u's row as a ball at Reach. Like Row, the result
+	// is immutable and stays valid for the caller's lifetime.
+	SparseRow(u graph.NodeID) Ball
 }
 
 var (

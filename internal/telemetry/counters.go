@@ -36,12 +36,9 @@ type Counters struct {
 	RowCacheMisses atomic.Int64
 	// RowCacheComputes counts Dijkstra runs performed by lazy tables.
 	// Unlike the solver counters above, the row-cache counters depend on
-	// the distance backend (dense tables never touch them) and — under a
-	// row cap — on goroutine interleaving, so the backend-equivalence
-	// guarantees exclude them.
+	// the distance backend (dense tables never touch them), so the
+	// backend-equivalence guarantees exclude them.
 	RowCacheComputes atomic.Int64
-	// RowCacheEvictions counts rows dropped to respect a lazy table's cap.
-	RowCacheEvictions atomic.Int64
 
 	// RowsMerged counts endpoint distance rows updated in place by the
 	// incremental O(n) shortcut merge (core search Add); RowsUnchanged
@@ -100,10 +97,9 @@ type CounterSnapshot struct {
 	OverlayQueries  int64 `json:"overlay_queries"`
 	OverlayRows     int64 `json:"overlay_rows"`
 
-	RowCacheHits      int64 `json:"row_cache_hits"`
-	RowCacheMisses    int64 `json:"row_cache_misses"`
-	RowCacheComputes  int64 `json:"row_cache_computes"`
-	RowCacheEvictions int64 `json:"row_cache_evictions"`
+	RowCacheHits     int64 `json:"row_cache_hits"`
+	RowCacheMisses   int64 `json:"row_cache_misses"`
+	RowCacheComputes int64 `json:"row_cache_computes"`
 
 	RowsMerged       int64 `json:"rows_merged"`
 	RowsUnchanged    int64 `json:"rows_unchanged"`
@@ -129,10 +125,9 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		OverlayQueries:  c.OverlayQueries.Load(),
 		OverlayRows:     c.OverlayRows.Load(),
 
-		RowCacheHits:      c.RowCacheHits.Load(),
-		RowCacheMisses:    c.RowCacheMisses.Load(),
-		RowCacheComputes:  c.RowCacheComputes.Load(),
-		RowCacheEvictions: c.RowCacheEvictions.Load(),
+		RowCacheHits:     c.RowCacheHits.Load(),
+		RowCacheMisses:   c.RowCacheMisses.Load(),
+		RowCacheComputes: c.RowCacheComputes.Load(),
 
 		RowsMerged:       c.RowsMerged.Load(),
 		RowsUnchanged:    c.RowsUnchanged.Load(),
@@ -159,7 +154,6 @@ func (c *Counters) Reset() {
 	c.RowCacheHits.Store(0)
 	c.RowCacheMisses.Store(0)
 	c.RowCacheComputes.Store(0)
-	c.RowCacheEvictions.Store(0)
 	c.RowsMerged.Store(0)
 	c.RowsUnchanged.Store(0)
 	c.PairsRescanned.Store(0)
@@ -171,8 +165,8 @@ func (c *Counters) Reset() {
 // BackendInvariant returns a copy of the snapshot with every counter that
 // depends on the distance backend zeroed: Dijkstra runs and edge
 // relaxations (eager for a dense table, on-demand for a lazy one), the
-// row-cache activity (dense tables never touch it; under a row cap it
-// also depends on goroutine interleaving), the merge row classification
+// row-cache activity (dense tables never touch it), the merge row
+// classification
 // (RowsMerged/RowsUnchanged look at stored distances beyond d_t, which a
 // bounded backend deliberately reports as +Inf where dense/lazy hold
 // finite values), and CandidatesPruned (only pruned scans bump it, and
@@ -185,7 +179,6 @@ func (s CounterSnapshot) BackendInvariant() CounterSnapshot {
 	s.RowCacheHits = 0
 	s.RowCacheMisses = 0
 	s.RowCacheComputes = 0
-	s.RowCacheEvictions = 0
 	s.RowsMerged = 0
 	s.RowsUnchanged = 0
 	s.CandidatesPruned = 0
@@ -206,10 +199,9 @@ func (s CounterSnapshot) Sub(prev CounterSnapshot) CounterSnapshot {
 		OverlayQueries:  s.OverlayQueries - prev.OverlayQueries,
 		OverlayRows:     s.OverlayRows - prev.OverlayRows,
 
-		RowCacheHits:      s.RowCacheHits - prev.RowCacheHits,
-		RowCacheMisses:    s.RowCacheMisses - prev.RowCacheMisses,
-		RowCacheComputes:  s.RowCacheComputes - prev.RowCacheComputes,
-		RowCacheEvictions: s.RowCacheEvictions - prev.RowCacheEvictions,
+		RowCacheHits:     s.RowCacheHits - prev.RowCacheHits,
+		RowCacheMisses:   s.RowCacheMisses - prev.RowCacheMisses,
+		RowCacheComputes: s.RowCacheComputes - prev.RowCacheComputes,
 
 		RowsMerged:       s.RowsMerged - prev.RowsMerged,
 		RowsUnchanged:    s.RowsUnchanged - prev.RowsUnchanged,

@@ -89,23 +89,27 @@ type (
 	// table.
 	DistanceTable = shortestpath.Table
 	// LazyDistanceTable computes Dijkstra rows on demand and memoizes them
-	// in a sharded, concurrency-safe cache; construction is O(1) instead
-	// of n Dijkstras.
+	// in a concurrency-safe cache; construction is O(1) instead of n
+	// Dijkstras.
 	LazyDistanceTable = shortestpath.LazyTable
-	// LazyTableOptions tune a LazyDistanceTable (row cap, shard count).
+	// LazyTableOptions is the former tuning struct of a LazyDistanceTable.
+	//
+	// Deprecated: a LazyDistanceTable has nothing left to tune; pass
+	// LazyTableOptions{}.
 	LazyTableOptions = shortestpath.LazyOptions
-	// BoundedDistanceTable computes bounded-reach Dijkstra rows on demand
-	// and stores them sparsely: per-row memory scales with the d_t-ball,
-	// not with n. Distances beyond the reach read +Inf — exact for any
-	// consumer that only compares distances against a threshold ≤ reach,
-	// which is all the MSC solvers ever do.
+	// BoundedDistanceTable computes bounded-reach Dijkstra balls on demand
+	// and memoizes them: per-row memory scales with the d_t-ball, not
+	// with n. Distances within the reach are exact and distances beyond it
+	// read +Inf — indistinguishable for any consumer that only compares
+	// distances against a threshold ≤ reach, which is all the MSC solvers
+	// ever do.
 	BoundedDistanceTable = shortestpath.BoundedTable
-	// BoundedTableOptions tune a BoundedDistanceTable (reach, row cap,
-	// shard count).
+	// BoundedTableOptions tune a BoundedDistanceTable (its reach).
 	BoundedTableOptions = shortestpath.BoundedOptions
-	// SparseDistanceRow is a compact (node, distance) distance row as
-	// returned by BoundedDistanceTable.SparseRow; absent nodes read +Inf.
-	SparseDistanceRow = shortestpath.SparseRow
+	// SparseDistanceRow is a distance row truncated at a bound, as
+	// returned by BoundedDistanceTable.SparseRow: sorted node ids with
+	// their exact distances; absent nodes read +Inf.
+	SparseDistanceRow = shortestpath.Ball
 	// DistBackend selects the distance backend an instance builds when no
 	// table is supplied: BackendAuto, BackendDense, BackendLazy, or
 	// BackendBounded.
