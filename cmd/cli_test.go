@@ -201,6 +201,20 @@ func TestMscbenchRejectsUnknownExp(t *testing.T) {
 	}
 }
 
+// TestEvalFlagRemoved: the evaluation-mode flag is gone, so a leftover
+// -eval fails at flag parse instead of being silently ignored.
+func TestEvalFlagRemoved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	for _, tool := range []string{"mscplace", "mscbench"} {
+		out := runToolErr(t, tool, "-eval", "rebuild", "-exp", "table1", "-quick")
+		if !strings.Contains(out, "flag provided but not defined: -eval") || strings.Contains(out, "Table I") {
+			t.Fatalf("%s -eval rebuild: want a flag-parse failure before solving, got:\n%s", tool, out)
+		}
+	}
+}
+
 // TestMscbenchRejectsCostModelCombos: a cost model without a budget, and
 // the length model on the bounded backend, exit non-zero with a one-line
 // error at flag parse, before any experiment runs.

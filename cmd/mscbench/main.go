@@ -85,7 +85,6 @@ func run(ctx context.Context) (retErr error) {
 		par      = flag.Int("par", 0, "candidate-scan workers: 1 = serial, 0 = GOMAXPROCS (results are identical either way)")
 		budgetF  = flag.Float64("budget", 0, "knapsack budget B replacing the cardinality budget k on every instance; prices come from -cost-model (0 = cardinality placement)")
 		distB    = cli.AddDistBackendFlag(flag.CommandLine)
-		evalM    = cli.AddEvalModeFlag(flag.CommandLine)
 		survM    = cli.AddSurviveFlag(flag.CommandLine)
 		costM    = cli.AddCostModelFlag(flag.CommandLine)
 		jsonl    = flag.String("jsonl", "", "write machine-readable run records as JSON lines to this file")
@@ -102,7 +101,7 @@ func run(ctx context.Context) (retErr error) {
 	if *validate != "" {
 		return validateFile(*validate)
 	}
-	opts, err := suiteOptions(*par, *budgetF, *distB, *evalM, *survM, *costM)
+	opts, err := suiteOptions(*par, *budgetF, *distB, *survM, *costM)
 	if err != nil {
 		return err
 	}
@@ -173,7 +172,6 @@ func run(ctx context.Context) (retErr error) {
 				Seed:        *seed,
 				Workers:     *par,
 				DistBackend: *distB,
-				EvalMode:    *evalM,
 				Survive:     *survM,
 				Quick:       *quick,
 				Budget:      *budgetF,
@@ -194,13 +192,10 @@ func run(ctx context.Context) (retErr error) {
 // suiteOptions parses the instance flags into the one core.Options value
 // every experiment builds from. It refuses flag combinations the suite
 // cannot honour, before any experiment runs.
-func suiteOptions(par int, budget float64, distB, evalM, survM, costM string) (core.Options, error) {
+func suiteOptions(par int, budget float64, distB, survM, costM string) (core.Options, error) {
 	opts := core.Options{Parallelism: par, Budget: budget}
 	var err error
 	if opts.DistBackend, err = core.ParseDistBackend(distB); err != nil {
-		return opts, err
-	}
-	if opts.EvalMode, err = core.ParseEvalMode(evalM); err != nil {
 		return opts, err
 	}
 	if opts.Survive, err = core.ParseSurvivability(survM); err != nil {

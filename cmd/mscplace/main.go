@@ -70,7 +70,6 @@ func run(ctx context.Context) (retErr error) {
 		budgetF  = flag.Float64("budget", 0, "knapsack budget B replacing the cardinality budget k; shortcut prices come from -cost-model (0 = cardinality placement)")
 		costTab  = flag.String("cost-table", "", "per-pair shortcut price table JSON for -cost-model table")
 		distB    = cli.AddDistBackendFlag(flag.CommandLine)
-		evalM    = cli.AddEvalModeFlag(flag.CommandLine)
 		survM    = cli.AddSurviveFlag(flag.CommandLine)
 		costM    = cli.AddCostModelFlag(flag.CommandLine)
 		jsonl    = flag.String("jsonl", "", "write per-round telemetry events and a run record as JSON lines to this file")
@@ -88,10 +87,6 @@ func run(ctx context.Context) (retErr error) {
 		return nil
 	}
 	backend, err := msc.ParseDistBackend(*distB)
-	if err != nil {
-		return err
-	}
-	evalMode, err := msc.ParseEvalMode(*evalM)
 	if err != nil {
 		return err
 	}
@@ -192,7 +187,7 @@ func run(ctx context.Context) (retErr error) {
 	if threshold <= 0 {
 		return fmt.Errorf("no threshold: set one in the instance or pass -pt")
 	}
-	instOpts := &msc.InstanceOptions{AllowTrivial: true, DistBackend: backend, EvalMode: evalMode,
+	instOpts := &msc.InstanceOptions{AllowTrivial: true, DistBackend: backend,
 		Parallelism: *par, Survive: survive}
 	if budgeted {
 		instOpts.Budget = *budgetF
@@ -353,7 +348,6 @@ func run(ctx context.Context) (retErr error) {
 			Seed:             *seed,
 			Workers:          *par,
 			DistBackend:      *distB,
-			EvalMode:         *evalM,
 			Survive:          string(inst.Survive()),
 			N:                inst.N(),
 			Pairs:            ps.Len(),

@@ -85,15 +85,6 @@ func AddDistBackendFlag(fs *flag.FlagSet) *string {
 		"distance backend: auto|dense|lazy|bounded (auto = dense below 512 nodes, lazy Dijkstra row cache from 512, bounded d_t-ball rows from 10⁵)")
 }
 
-// AddEvalModeFlag registers the -eval flag shared by the solver-facing
-// commands and returns the pointer receiving its value after fs.Parse.
-// Like AddDistBackendFlag, values stay plain strings here and are
-// validated by the command via msc.ParseEvalMode / core.ParseEvalMode.
-func AddEvalModeFlag(fs *flag.FlagSet) *string {
-	return fs.String("eval", "auto",
-		"search evaluation mode: auto|incremental|rebuild (incremental = merge each committed shortcut into the endpoints' d_t-balls, then rescan the near lists; rebuild = recompute every ball after each change, the reference path; placements are identical either way)")
-}
-
 // AddSurviveFlag registers the -survive flag shared by the solver-facing
 // commands and returns the pointer receiving its value after fs.Parse.
 // Values stay plain strings here and are validated by the command via

@@ -41,8 +41,8 @@ func wantBalls(s *instSearch) []shortestpath.Ball {
 	inst := s.inst
 	ov := shortestpath.NewOverlay(inst.Table(), SelectionEdges(inst, s.sel))
 	row := make([]float64, inst.N())
-	out := make([]shortestpath.Ball, len(s.endpoints))
-	for i, e := range s.endpoints {
+	out := make([]shortestpath.Ball, len(s.inst.endpoints))
+	for i, e := range s.inst.endpoints {
 		ov.DistRow(e, row)
 		for x, d := range row {
 			if d <= inst.thr.D {
@@ -55,8 +55,8 @@ func wantBalls(s *instSearch) []shortestpath.Ball {
 }
 
 // TestSearchBallsMatchDistRow is the ball property test: after every step
-// of random Add/RemoveAt sequences, at 1, 2 and 8 workers, in both eval
-// modes, on the dense, lazy and bounded backends, every endpoint ball
+// of random Add/RemoveAt sequences, at 1, 2 and 8 workers, on the product
+// path and on the rebuild reference, on the dense, lazy and bounded backends, every endpoint ball
 // equals {x : DistRow(e)[x] ≤ d_t} bit for bit. The integer generator puts
 // path sums exactly on d_t, so the ≤ boundary of the merge and of the
 // rebuild is hit, not just approached. The restricted-universe variant
@@ -68,10 +68,9 @@ func TestSearchBallsMatchDistRow(t *testing.T) {
 		name    string
 		dt      float64
 		exclude bool
-		modes   []EvalMode
+		paths   int // the last paths of searchPaths: 1 = rebuild reference only, 2 = both
 		graph   func(t *testing.T, rng *xrand.Rand) *graph.Graph
 	}
-	both := []EvalMode{EvalIncremental, EvalRebuild}
 	real := func(t *testing.T, rng *xrand.Rand) *graph.Graph {
 		n := 14 + rng.Intn(5)
 		return randomConnectedGraph(t, n, 2*n, rng)
@@ -89,34 +88,35 @@ func TestSearchBallsMatchDistRow(t *testing.T) {
 		// reals, but bit-equal sums only on exact (dyadic, integer)
 		// lengths. The rebuild runs DistRow's own arithmetic, so it is
 		// held to bit equality on arbitrary lengths too.
-		{"real", 0.8, false, []EvalMode{EvalRebuild}, real},
-		{"dyadic", 0.8, false, both, dyadic},
-		{"integer", 4, false, both, integer},
-		{"integer-exclude", 4, true, both, integer},
+		{"real", 0.8, false, 1, real},
+		{"dyadic", 0.8, false, 2, dyadic},
+		{"integer", 4, false, 2, integer},
+		{"integer-exclude", 4, true, 2, integer},
 	}
 	for _, gn := range gens {
 		for _, backend := range []DistBackend{BackendDense, BackendLazy, BackendBounded} {
-			for _, mode := range gn.modes {
+			for _, path := range searchPaths[2-gn.paths:] {
 				for seed := int64(0); seed < 3; seed++ {
-					t.Run(fmt.Sprintf("%s/%s/%s/seed%d", gn.name, backend, mode, seed), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/%s/seed%d", gn.name, backend, path.name, seed), func(t *testing.T) {
 						rng := xrand.New(7700 + seed)
 						g := gn.graph(t, rng)
 						ps := scanPairs(t, g, gn.dt, 6, rng)
 						inst, err := NewInstance(g, ps, thrD(gn.dt), 4, &Options{
-							AllowTrivial: true, DistBackend: backend, EvalMode: mode,
+							AllowTrivial: true, DistBackend: backend,
 							ExcludePairEndpoints: gn.exclude,
 						})
 						if err != nil {
 							t.Fatal(err)
 						}
-						s := inst.newInstSearch(nil)
+						srch := path.newSearch(inst, nil)
 						for step := 0; step < 10; step++ {
-							s.SetWorkers([]int{1, 2, 8}[rng.Intn(3)])
-							if s.Len() > 0 && rng.Intn(3) == 0 {
-								s.RemoveAt(rng.Intn(s.Len()))
+							setSearchWorkers(srch, []int{1, 2, 8}[rng.Intn(3)])
+							if srch.Len() > 0 && rng.Intn(3) == 0 {
+								srch.RemoveAt(rng.Intn(srch.Len()))
 							} else {
-								s.Add(rng.Intn(inst.NumCandidates()))
+								srch.Add(rng.Intn(inst.NumCandidates()))
 							}
+							s := plainSearch(srch)
 							s.sync()
 							if err := ballsBitEqual(s.balls, wantBalls(s)); err != nil {
 								t.Fatalf("step %d sel=%v: %v", step, s.sel, err)
@@ -203,8 +203,8 @@ func TestScaleSearchAllocatesBalls(t *testing.T) {
 	for _, b := range s.balls {
 		entries += int64(b.Len())
 	}
-	dense := int64(len(s.endpoints)) * n * 8
-	t.Logf("%d endpoints, Σ ball = %d entries, allocated %d bytes (dense rows: %d)", len(s.endpoints), entries, alloc, dense)
+	dense := int64(len(s.inst.endpoints)) * n * 8
+	t.Logf("%d endpoints, Σ ball = %d entries, allocated %d bytes (dense rows: %d)", len(s.inst.endpoints), entries, alloc, dense)
 	// 12 bytes per stored entry, a few copies of it in the memo, the near
 	// lists and the sparse BestAdd index, plus the pooled n-length
 	// Dijkstra scratch the bounded table may rebuild after the GC.

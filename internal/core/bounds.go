@@ -48,16 +48,16 @@ func (inst *Instance) buildBounds() {
 		// ν universe: distinct nodes appearing in S. Node weight is half the
 		// total importance of the pairs it appears in — ½ × multiplicity
 		// when unweighted, matching §V-B2 exactly.
-		nuNodes := inst.ps.Nodes()
+		nuNodes := inst.endpoints
 		nuIndex := nodePositions(inst.g.N(), nuNodes)
 		nuWeights := make([]float64, len(nuNodes))
 		// ends lists, per pair node, the endpoints it is of pairs not
 		// satisfied at baseline (those are handled by the Initial set),
 		// as pair·2 + (0 for U, 1 for W).
 		ends := make([][]int32, len(nuNodes))
-		for i, p := range inst.ps.Pairs() {
+		for i := range inst.ps.Len() {
 			half := float64(inst.weights[i]) / 2
-			u, w := nuIndex[p.U], nuIndex[p.W]
+			u, w := inst.pairU[i], inst.pairW[i]
 			nuWeights[u] += half
 			nuWeights[w] += half
 			if !inst.satisfied0.Contains(i) {

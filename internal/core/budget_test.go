@@ -83,16 +83,17 @@ var budgetSolvers = []struct {
 // the budgeted stack: on 24 seeds with heterogeneous length-proportional
 // prices, every solver must stay budget-feasible, never beat the
 // ExhaustiveBudget optimum, and return byte-identical placements across
-// worker counts and across both eval-engine modes. The exhaustive
-// reference itself must agree between its serial and residue-strided
-// parallel enumerations, and the sandwich must honor its reported
-// (budget-adjusted) approximation factor against the true optimum.
+// worker counts and against the rebuild reference (rebuildProblem). The
+// exhaustive reference itself must agree between its serial and
+// residue-strided parallel enumerations, and the sandwich must honor its
+// reported (budget-adjusted) approximation factor against the true
+// optimum.
 func TestBudgetedSolversDifferential(t *testing.T) {
 	const budget = 4.0
 	for seed := int64(1); seed <= 24; seed++ {
 		g, ps, table := budgetWorld(t, 10, 5, 0.8, seed)
 		inst := budgetInstance(t, g, ps, table, 3, 0.8, Options{Budget: budget, CostModel: CostLength})
-		rebuilt := budgetInstance(t, g, ps, table, 3, 0.8, Options{Budget: budget, CostModel: CostLength, EvalMode: EvalRebuild})
+		rebuilt := rebuildProblem{inst}
 
 		opt, err := ExhaustiveBudget(inst, 2_000_000)
 		if err != nil {
@@ -116,9 +117,10 @@ func TestBudgetedSolversDifferential(t *testing.T) {
 			if !equalInts(serial, parallel) {
 				t.Fatalf("seed=%d %s: parallel %v != serial %v", seed, s.name, parallel, serial)
 			}
-			other := s.run(t, rebuilt, 1, seed)
-			if !equalInts(serial, other) {
-				t.Fatalf("seed=%d %s: rebuild eval mode %v != incremental %v", seed, s.name, other, serial)
+			for _, w := range []int{1, 4} {
+				if other := s.run(t, rebuilt, w, seed); !equalInts(serial, other) {
+					t.Fatalf("seed=%d %s: rebuild reference at %d workers %v != incremental %v", seed, s.name, w, other, serial)
+				}
 			}
 			if spent := inst.CostOf(serial); spent > budget+1e-9 {
 				t.Fatalf("seed=%d %s: placement %v spends %v of budget %v", seed, s.name, serial, spent, budget)

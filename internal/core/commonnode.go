@@ -46,7 +46,7 @@ func SolveCommonNode(inst *Instance) (CommonNodeResult, error) {
 	}
 	m := inst.Pairs().Len()
 	// pairsAt[j] lists the pairs whose non-common endpoint is pair node j.
-	nodes := inst.Pairs().Nodes()
+	nodes := inst.endpoints
 	pos := nodePositions(inst.N(), nodes)
 	pairsAt := make([][]int32, len(nodes))
 	for i, p := range inst.Pairs().Pairs() {

@@ -8,13 +8,14 @@ import (
 
 // End-to-end evidence for the incremental evaluation engine: a full greedy
 // run (k Add commits plus k+1 candidate scans) at the paper's mid scale,
-// once per eval mode on identical inputs. Run with -benchmem; the
-// incremental mode must beat rebuild on both wall time and B/op while
-// producing the byte-identical placement (the eval-differential suite
-// asserts the identity; benchGreedyEval re-checks σ here as a tripwire).
+// on the product path and on the rebuild reference (rebuildProblem) over
+// identical inputs. Run with -benchmem; the incremental path must beat the
+// reference on both wall time and B/op while producing the byte-identical
+// placement (the eval-differential suite asserts the identity;
+// benchGreedyEval re-checks σ here as a tripwire).
 //
-//	go test ./internal/core/ -run '^$' -bench BenchmarkGreedySigmaEval -benchmem
-func benchGreedyEval(b *testing.B, mode EvalMode) {
+//	go test ./internal/core/ -run '^$' -bench BenchmarkGreedySigma -benchmem
+func benchGreedyEval(b *testing.B, rebuild bool) {
 	const (
 		n  = 1000
 		m  = 50
@@ -22,17 +23,16 @@ func benchGreedyEval(b *testing.B, mode EvalMode) {
 		dt = 0.8
 	)
 	rng := xrand.New(308)
-	inst0 := benchInstance(b, n, m, k, dt, rng)
-	inst, err := NewInstance(inst0.Graph(), inst0.Pairs(), inst0.Threshold(), inst0.K(),
-		&Options{AllowTrivial: true, Table: inst0.Table(), EvalMode: mode})
-	if err != nil {
-		b.Fatalf("NewInstance: %v", err)
+	inst := benchInstance(b, n, m, k, dt, rng)
+	var p Problem = inst
+	if rebuild {
+		p = rebuildProblem{inst}
 	}
 	var sigma int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl := GreedySigma(inst, Parallelism(1))
+		pl := GreedySigma(p, Parallelism(1))
 		if i == 0 {
 			sigma = pl.Sigma
 		} else if pl.Sigma != sigma {
@@ -45,24 +45,24 @@ func benchGreedyEval(b *testing.B, mode EvalMode) {
 	}
 }
 
-func BenchmarkGreedySigmaEvalIncremental(b *testing.B) { benchGreedyEval(b, EvalIncremental) }
-func BenchmarkGreedySigmaEvalRebuild(b *testing.B)     { benchGreedyEval(b, EvalRebuild) }
+func BenchmarkGreedySigmaIncremental(b *testing.B)      { benchGreedyEval(b, false) }
+func BenchmarkGreedySigmaRebuildReference(b *testing.B) { benchGreedyEval(b, true) }
 
 // benchAddScan times one greedy round's state work — commit a shortcut,
-// then produce the next round's gains array. Under EvalIncremental, Add
-// merges two overlay rows into the endpoint rows and the GainsAdd that
-// follows cold-scans the near lists; under EvalRebuild, Add only marks the
-// rows stale and GainsAdd rebuilds them before the same scan. Timing Add
-// alone would credit the rebuild path for work it merely postponed.
-func benchAddScan(b *testing.B, mode EvalMode) {
+// then produce the next round's gains array. On the product path, Add
+// merges two overlay balls into the endpoint balls and the GainsAdd that
+// follows cold-scans the near lists; on the rebuild reference, Add
+// replaces the search with a fresh one whose GainsAdd rebuilds every ball
+// before the same scan. Timing Add alone would credit the reference for
+// work it merely postponed.
+func benchAddScan(b *testing.B, rebuild bool) {
 	rng := xrand.New(309)
-	inst0 := benchInstance(b, 600, 30, 8, 0.8, rng)
-	inst, err := NewInstance(inst0.Graph(), inst0.Pairs(), inst0.Threshold(), inst0.K(),
-		&Options{AllowTrivial: true, Table: inst0.Table(), EvalMode: mode})
-	if err != nil {
-		b.Fatalf("NewInstance: %v", err)
+	inst := benchInstance(b, 600, 30, 8, 0.8, rng)
+	var p Problem = inst
+	if rebuild {
+		p = rebuildProblem{inst}
 	}
-	s := inst.NewSearch(nil)
+	s := p.NewSearch(nil)
 	setSearchWorkers(s, 1)
 	cand, _ := s.BestAdd()
 	if cand < 0 {
@@ -80,5 +80,5 @@ func benchAddScan(b *testing.B, mode EvalMode) {
 	}
 }
 
-func BenchmarkAddScanEvalIncremental(b *testing.B) { benchAddScan(b, EvalIncremental) }
-func BenchmarkAddScanEvalRebuild(b *testing.B)     { benchAddScan(b, EvalRebuild) }
+func BenchmarkAddScanIncremental(b *testing.B)      { benchAddScan(b, false) }
+func BenchmarkAddScanRebuildReference(b *testing.B) { benchAddScan(b, true) }

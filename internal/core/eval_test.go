@@ -14,16 +14,15 @@ import (
 )
 
 // This file is the eval-differential suite: for every placement algorithm,
-// an instance evaluated incrementally (O(n) row merges on Add) and one
-// evaluated by full rebuilds must produce byte-identical placements, and
-// within the incremental mode the cached gains array must match a cold
-// rescan of the merged rows bit for bit. Run under -race it also
-// certifies the sharded merge and gains scan.
+// an instance evaluated incrementally (O(ball) merges on Add) and its
+// rebuild reference (rebuildProblem: a fresh search after every mutation)
+// must produce byte-identical placements, and the cached gains array must
+// match a cold rescan of the merged balls bit for bit. Run under -race it
+// also certifies the sharded merge and gains scan.
 
-// evalPair builds an incremental-mode and a rebuild-mode instance over the
-// same graph, pair set, threshold, budget, and distance table, so the only
+// evalPair builds an instance and its rebuild reference, so the only
 // difference between the two is the evaluation strategy.
-func evalPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (inc, reb *Instance) {
+func evalPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (inc *Instance, reb rebuildProblem) {
 	t.Helper()
 	g := randomConnectedGraph(t, n, 2*n, rng)
 	table := shortestpath.NewTable(g, 0)
@@ -32,19 +31,15 @@ func evalPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (inc, reb 
 		t.Skipf("could not sample %d violating pairs: %v", m, err)
 	}
 	thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-	inc, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: table, EvalMode: EvalIncremental})
+	inc, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: table})
 	if err != nil {
-		t.Fatalf("NewInstance(incremental): %v", err)
+		t.Fatalf("NewInstance: %v", err)
 	}
-	reb, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: table, EvalMode: EvalRebuild})
-	if err != nil {
-		t.Fatalf("NewInstance(rebuild): %v", err)
-	}
-	return inc, reb
+	return inc, rebuildProblem{inc}
 }
 
-// TestEvalDifferentialSolvers runs every solver on incremental and rebuild
-// instances across ≥24 seeds, serial and parallel, and requires identical
+// TestEvalDifferentialSolvers runs every solver on an instance and on its
+// rebuild reference across ≥24 seeds, serial and parallel, and requires identical
 // placements. The logical-work counters the two modes share (candidate and
 // σ evaluations) must also match: incrementality may only change how a
 // scan is carried out, never how many scans the algorithm asks for.
@@ -69,7 +64,7 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 								ic.CandidateEvals, ic.SigmaEvals, rc.CandidateEvals, rc.SigmaEvals)
 						}
 						if rc.RowsMerged != 0 || rc.RowsUnchanged != 0 || rc.PairsSkipped != 0 {
-							t.Errorf("rebuild mode touched incremental counters: %+v", rc)
+							t.Errorf("rebuild reference touched incremental counters: %+v", rc)
 						}
 					})
 
@@ -101,7 +96,7 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 						rres := AEA(reb, opts, xrand.New(seed))
 						comparePlacements(t, "AEA.Best", ires.Best, rres.Best)
 						if !reflect.DeepEqual(ires.Trace, rres.Trace) {
-							t.Errorf("AEA trace differs between eval modes")
+							t.Errorf("AEA trace differs from the rebuild reference")
 						}
 					})
 
@@ -249,12 +244,12 @@ func TestEvalStatsRoundTrace(t *testing.T) {
 		t.Errorf("LastEvalStats did not drain: (%d, %d, %d, %d)", rm, ru, pr, psk)
 	}
 
-	// Rebuild-mode rounds carry zero incremental stats.
+	// Rebuild-reference rounds carry zero merge stats.
 	sink = &memSink{}
 	GreedySigma(reb, WithSink(sink))
 	for _, ev := range sink.rounds("greedy_sigma") {
 		if ev.RowsMerged != 0 || ev.RowsUnchanged != 0 || ev.PairsSkipped != 0 {
-			t.Fatalf("rebuild-mode round %d carries incremental stats: %+v", ev.Round, ev)
+			t.Fatalf("rebuild-reference round %d carries merge stats: %+v", ev.Round, ev)
 		}
 	}
 }
@@ -273,59 +268,6 @@ func TestEvalMergeStress(t *testing.T) {
 	comparePlacements(t, "GreedySigma(stress)", ipl, rpl)
 	if len(ipl.Selection) == 0 {
 		t.Skip("no improving shortcut at stress size")
-	}
-}
-
-// TestEvalModeResolution pins the resolution chain: explicit option →
-// incremental.
-func TestEvalModeResolution(t *testing.T) {
-	def := pathInstance(t, 32, &Options{AllowTrivial: true})
-	if def.EvalMode() != EvalIncremental {
-		t.Errorf("auto default: got %q, want %q", def.EvalMode(), EvalIncremental)
-	}
-	reb := pathInstance(t, 32, &Options{AllowTrivial: true, EvalMode: EvalRebuild})
-	if reb.EvalMode() != EvalRebuild {
-		t.Errorf("explicit rebuild: got %q, want %q", reb.EvalMode(), EvalRebuild)
-	}
-	inc := pathInstance(t, 32, &Options{AllowTrivial: true, EvalMode: EvalIncremental})
-	if inc.EvalMode() != EvalIncremental {
-		t.Errorf("explicit incremental: got %q, want %q", inc.EvalMode(), EvalIncremental)
-	}
-}
-
-func TestParseEvalMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EvalMode
-	}{
-		{"", EvalModeAuto},
-		{"auto", EvalModeAuto},
-		{"incremental", EvalIncremental},
-		{"rebuild", EvalRebuild},
-	} {
-		got, err := ParseEvalMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseEvalMode(%q) = (%q, %v), want (%q, nil)", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseEvalMode("lazy"); err == nil {
-		t.Error("ParseEvalMode(\"lazy\") succeeded, want error")
-	}
-}
-
-// TestEvalModeOptionValidation rejects an unknown mode smuggled past
-// ParseEvalMode into Options.
-func TestEvalModeOptionValidation(t *testing.T) {
-	rng := xrand.New(9980)
-	g := randomConnectedGraph(t, 12, 24, rng)
-	table := shortestpath.NewTable(g, 0)
-	ps, err := pairs.SampleViolating(table, 0.8, 4, rng)
-	if err != nil {
-		t.Skipf("could not sample pairs: %v", err)
-	}
-	thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
-	if _, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, Table: table, EvalMode: EvalMode("bogus")}); err == nil {
-		t.Error("bogus eval mode accepted, want error")
 	}
 }
 

@@ -33,8 +33,8 @@ func gainsRowsDense(s *instSearch) []int {
 			continue
 		}
 		w := int(s.inst.weights[i])
-		ru := s.balls[s.pairU[i]]
-		rw := s.balls[s.pairW[i]]
+		ru := s.balls[s.inst.pairU[i]]
+		rw := s.balls[s.inst.pairW[i]]
 		idx := rowStart(t, 0)
 		for ai := 0; ai < t; ai++ {
 			a := nodes[ai]
@@ -99,14 +99,14 @@ func scanPairs(t *testing.T, g *graph.Graph, dt float64, m int, rng *xrand.Rand)
 
 // scanInstance builds an instance on backend with random pair weights in
 // [1, 5].
-func scanInstance(t *testing.T, g *graph.Graph, ps *pairs.Set, dt float64, backend DistBackend, mode EvalMode, rng *xrand.Rand) *Instance {
+func scanInstance(t *testing.T, g *graph.Graph, ps *pairs.Set, dt float64, backend DistBackend, rng *xrand.Rand) *Instance {
 	t.Helper()
 	weights := make([]int, ps.Len())
 	for i := range weights {
 		weights[i] = 1 + rng.Intn(5)
 	}
 	inst, err := NewInstance(g, ps, thrD(dt), 4, &Options{
-		AllowTrivial: true, DistBackend: backend, EvalMode: mode, PairWeights: weights,
+		AllowTrivial: true, DistBackend: backend, PairWeights: weights,
 	})
 	if err != nil {
 		t.Fatalf("NewInstance(%s): %v", backend, err)
@@ -163,7 +163,7 @@ func TestGainsScanDifferential(t *testing.T) {
 					rng := xrand.New(7100 + seed)
 					g := gn.graph(t, backend, rng)
 					ps := gn.pairs(t, g, gn.dt, rng)
-					inst := scanInstance(t, g, ps, gn.dt, backend, EvalIncremental, rng)
+					inst := scanInstance(t, g, ps, gn.dt, backend, rng)
 					s := inst.newInstSearch(nil)
 					check := func(step string) {
 						want := gainsRowsDense(s)
@@ -198,41 +198,51 @@ func TestGainsScanDifferential(t *testing.T) {
 }
 
 // TestEvalSearchMatchesFreshBuild drives random interleavings of
-// NewSearch, reposition, Add, RemoveAt and clone in both eval modes and
-// requires, after every operation, that Sigma, GainsAdd and the endpoint
-// balls equal those of a search built fresh on the same selection. Lengths
-// are dyadic, so merged and rebuilt balls agree bit for bit, not just up
-// to rounding.
+// NewSearch, reposition, Add, RemoveAt and clone, on the product path and
+// on the rebuild reference, and requires, after every operation, that
+// Sigma, GainsAdd and the endpoint balls equal those of a search built
+// fresh on the same selection. Lengths are dyadic, so merged and rebuilt
+// balls agree bit for bit, not just up to rounding.
 func TestEvalSearchMatchesFreshBuild(t *testing.T) {
-	for _, mode := range []EvalMode{EvalIncremental, EvalRebuild} {
+	for _, path := range searchPaths {
 		for seed := int64(0); seed < 10; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", mode, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed%d", path.name, seed), func(t *testing.T) {
 				rng := xrand.New(7300 + seed)
 				n := 14 + int(seed%4)
 				g := dyadicConnectedGraph(t, n, 2*n, rng)
 				ps := scanPairs(t, g, 0.8, 7, rng)
-				inst := scanInstance(t, g, ps, 0.8, BackendDense, mode, rng)
-				s := inst.newInstSearch(nil)
+				inst := scanInstance(t, g, ps, 0.8, BackendDense, rng)
+				srch := path.newSearch(inst, nil)
 				for op := 0; op < 24; op++ {
 					switch k := rng.Intn(7); {
 					case k == 0:
-						s = inst.newInstSearch(s.sel)
+						srch = path.newSearch(inst, srch.Selection())
 					case k == 6:
 						// AEA's reuse: the same search moved to another selection.
-						s.reposition(rng.SampleDistinct(inst.NumCandidates(), rng.Intn(4)))
+						sel := rng.SampleDistinct(inst.NumCandidates(), rng.Intn(4))
+						if r, ok := srch.(*rebuildSearch); ok {
+							r.replace(sel)
+						} else {
+							plainSearch(srch).reposition(sel)
+						}
 					case k == 1:
-						s = s.clone()
-					case k == 2 && s.Len() > 0:
-						s.RemoveAt(rng.Intn(s.Len()))
+						if r, ok := srch.(*rebuildSearch); ok {
+							r.fullSearch = plainSearch(r).clone()
+						} else {
+							srch = plainSearch(srch).clone()
+						}
+					case k == 2 && srch.Len() > 0:
+						srch.RemoveAt(rng.Intn(srch.Len()))
 					case k == 3:
-						s.GainsAdd() // a warm array must still be dropped by the next mutation
+						srch.GainsAdd() // a warm array must still be dropped by the next mutation
 					default:
-						s.Add(rng.Intn(inst.NumCandidates()))
+						srch.Add(rng.Intn(inst.NumCandidates()))
 					}
-					s.SetWorkers([]int{1, 2, 8}[rng.Intn(3)])
+					setSearchWorkers(srch, []int{1, 2, 8}[rng.Intn(3)])
 					if rng.Intn(2) == 0 {
 						continue // leave the state unread: reads must catch up later
 					}
+					s := plainSearch(srch)
 					fresh := inst.newInstSearch(s.sel)
 					if got, want := s.Sigma(), fresh.Sigma(); got != want {
 						t.Fatalf("op %d sel=%v: σ %d, fresh %d", op, s.sel, got, want)
@@ -261,24 +271,19 @@ func TestLazyRowsAEASwapOneRebuild(t *testing.T) {
 	inst := testInstance(t, 18, 7, 4, 0.8, rng)
 	sel := rng.SampleDistinct(inst.NumCandidates(), 4)
 	endpoints := int64(len(inst.Pairs().Nodes()))
-	for _, mode := range []EvalMode{EvalIncremental, EvalRebuild} {
-		mi, err := NewInstance(inst.Graph(), inst.Pairs(), inst.Threshold(), inst.K(),
-			&Options{AllowTrivial: true, Table: inst.Table(), EvalMode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, path := range searchPaths {
 		before := telemetry.Global().Snapshot()
-		s := mi.NewSearch(sel).(*instSearch)
-		s.SetWorkers(2)
+		s := path.newSearch(inst, sel)
+		setSearchWorkers(s, 2)
 		if d := telemetry.Global().Snapshot().Sub(before); d.OverlayRows != 0 {
-			t.Fatalf("%s: NewSearch issued %d overlay rows", mode, d.OverlayRows)
+			t.Fatalf("%s: NewSearch issued %d overlay rows", path.name, d.OverlayRows)
 		}
-		s.SigmaDrops()
+		sigmaDrops(s, nil)
 		before = telemetry.Global().Snapshot()
 		s.RemoveAt(1)
 		s.GainsAdd()
 		if d := telemetry.Global().Snapshot().Sub(before); d.OverlayRows != endpoints {
-			t.Errorf("%s: RemoveAt+GainsAdd issued %d overlay rows, want one batch of %d", mode, d.OverlayRows, endpoints)
+			t.Errorf("%s: RemoveAt+GainsAdd issued %d overlay rows, want one batch of %d", path.name, d.OverlayRows, endpoints)
 		}
 	}
 }

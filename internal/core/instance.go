@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"msc/internal/bitset"
@@ -130,6 +131,12 @@ type Instance struct {
 	// satisfied0 marks pairs already within d_t in the raw network.
 	satisfied0 *bitset.Set
 
+	// The pair→ball index every search shares read-only: endpoints lists
+	// the distinct pair endpoints ascending (one search ball each), and
+	// pairU[i], pairW[i] are the ball indices of pair i's U and W.
+	endpoints    []graph.NodeID
+	pairU, pairW []int32
+
 	// Candidate indexing: candidate i ↔ unordered pair of candidate
 	// nodes. By default every node may host a shortcut endpoint
 	// (candNodes = 0..n-1, N = n(n−1)/2); Options.ExcludePairEndpoints
@@ -142,9 +149,6 @@ type Instance struct {
 	// sparseBest makes searches aggregate sparse gain cells in BestAdd
 	// instead of a dense gains array: numCand ≥ sparseGainsThreshold.
 	sparseBest bool
-
-	// evalMode is the resolved Options.EvalMode governing searches.
-	evalMode EvalMode
 
 	// parallelism is Options.Parallelism, resolved when the μ/ν build
 	// reads the candidate balls.
@@ -224,12 +228,6 @@ type Options struct {
 	// like the solvers' Parallelism option (GOMAXPROCS). The table and
 	// the bounds are identical for every worker count.
 	Parallelism int
-	// EvalMode selects how searches built from the instance maintain their
-	// state across Add commits: incremental d_t-ball merges (the default),
-	// or the full-rebuild reference path.
-	// Placements, σ values, and gains arrays are identical across modes;
-	// the zero value resolves to EvalIncremental.
-	EvalMode EvalMode
 	// Survive selects the failure model the objective must survive:
 	// SurviveNone (the paper's fault-free σ), SurviveShortcut, or
 	// SurviveNode (survive.go). Under a non-none mode NewSearch returns the
@@ -296,20 +294,10 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 	inst.balls = shortestpath.NewMemo(func(u graph.NodeID) shortestpath.Ball {
 		return shortestpath.ReadBall(table, u, thr.D)
 	})
-	var evalOpt EvalMode
-	if opts != nil {
-		evalOpt = opts.EvalMode
-		inst.parallelism = opts.Parallelism
-	}
-	switch em := resolveEvalMode(evalOpt); em {
-	case EvalIncremental, EvalRebuild:
-		inst.evalMode = em
-	default:
-		return nil, fmt.Errorf("core: unknown eval mode %q (want auto, incremental, or rebuild)", em)
-	}
 	var survOpt Survivability
 	if opts != nil {
 		survOpt = opts.Survive
+		inst.parallelism = opts.Parallelism
 	}
 	switch sv := resolveSurvivability(survOpt); sv {
 	case SurviveNone, SurviveShortcut, SurviveNode:
@@ -317,9 +305,10 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 	default:
 		return nil, fmt.Errorf("core: unknown survivability mode %q (want auto, none, shortcut, or node)", sv)
 	}
+	inst.indexEndpoints()
 	if opts != nil && opts.ExcludePairEndpoints {
-		isPairNode := make(map[graph.NodeID]bool, 2*ps.Len())
-		for _, v := range ps.Nodes() {
+		isPairNode := make(map[graph.NodeID]bool, len(inst.endpoints))
+		for _, v := range inst.endpoints {
 			isPairNode[v] = true
 		}
 		inst.candPos = make([]int32, g.N())
@@ -373,6 +362,20 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 	return inst, nil
 }
 
+// indexEndpoints builds the pair→ball index: the sorted distinct pair
+// endpoints, and each pair's two positions in that list.
+func (inst *Instance) indexEndpoints() {
+	inst.endpoints = inst.ps.Nodes()
+	m := inst.ps.Len()
+	inst.pairU = make([]int32, m)
+	inst.pairW = make([]int32, m)
+	for i, p := range inst.ps.Pairs() {
+		u, _ := slices.BinarySearch(inst.endpoints, p.U)
+		w, _ := slices.BinarySearch(inst.endpoints, p.W)
+		inst.pairU[i], inst.pairW[i] = int32(u), int32(w)
+	}
+}
+
 // MustNewInstance is NewInstance but panics on error.
 func MustNewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, opts *Options) *Instance {
 	inst, err := NewInstance(g, ps, thr, k, opts)
@@ -415,10 +418,6 @@ func (inst *Instance) PairWeight(i int) int { return int(inst.weights[i]) }
 // NumCandidates returns the candidate-universe size: t(t−1)/2 for t
 // candidate nodes (t = n unless ExcludePairEndpoints was set).
 func (inst *Instance) NumCandidates() int { return inst.numCand }
-
-// EvalMode returns the resolved evaluation mode governing searches built
-// from the instance.
-func (inst *Instance) EvalMode() EvalMode { return inst.evalMode }
 
 // CandidateNodes returns the nodes allowed to host shortcut endpoints.
 // Callers must not modify the slice.

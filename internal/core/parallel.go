@@ -117,14 +117,13 @@ type ScanTimer interface {
 }
 
 // EvalStats is implemented by searches that track the incremental
-// evaluation engine's work (see search.go): how many endpoint rows the
-// committed shortcuts' O(n) merges changed vs. proved untouched, and how
-// many pairs the gains scans covered. pairsSkipped always reads 0 — every
-// gains refresh is a cold scan — and stays in the signature for the
+// evaluation engine's work (see search.go): how many endpoint balls the
+// committed shortcuts' O(ball) merges changed vs. proved untouched, and
+// how many pairs the gains scans covered. pairsSkipped always reads 0 —
+// every gains refresh is a cold scan — and stays in the signature for the
 // RoundEvent field it fills. LastEvalStats drains the accumulators, so
 // each call reports the work since the previous one — GreedySigma calls
-// it once per committed round to fill the RoundEvent fields. The row
-// counts stay 0 under EvalRebuild.
+// it once per committed round to fill the RoundEvent fields.
 type EvalStats interface {
 	LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64)
 }

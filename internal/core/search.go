@@ -47,14 +47,13 @@ import (
 // balls stale: a deletion can lengthen distances, and min-merges cannot
 // undo a min.
 //
-// Under EvalIncremental (the default) Add computes only the two overlay
-// balls of the new shortcut's endpoints and merges them into every
-// endpoint ball that reaches a or b within d_t — a sorted three-way merge,
-// O(ball) per ball — then marks the gains array stale; the next GainsAdd
-// cold-scans the near lists, and repeated GainsAdd calls between mutations
-// return the cached array. EvalRebuild rebuilds the balls after every
-// mutation and rescans on every GainsAdd — the reference path the
-// eval-differential suite compares against.
+// Add computes only the two overlay balls of the new shortcut's endpoints
+// and merges them into every endpoint ball that reaches a or b within d_t
+// — a sorted three-way merge, O(ball) per ball — then marks the gains
+// array stale; the next GainsAdd cold-scans the near lists, and repeated
+// GainsAdd calls between mutations return the cached array. The
+// eval-differential suite compares this path against a reference that
+// builds a fresh search after every mutation.
 //
 // Concurrency: an instSearch is single-caller like every Search, but with
 // SetWorkers > 1 its scans shard internally — GainsAdd splits the
@@ -70,26 +69,22 @@ type instSearch struct {
 	workers int             // shard count for scans; 1 = serial
 	ctx     context.Context // supervision context polled mid-scan; nil = never
 
-	endpoints []graph.NodeID      // distinct pair endpoints
-	balls     []shortestpath.Ball // balls[i] = d_t-ball of endpoints[i] in G ∪ F; nil until the first rebuild
-	pairU     []int32             // ball index of pair i's U endpoint
-	pairW     []int32             // ball index of pair i's W endpoint
-	pairDist  []float64           // d_F(u,w) per pair; +Inf beyond d_t
-	gains     []int               // scratch for BestAdd, len NumCandidates
-	unsat     []int               // scratch: unsatisfied pair indices
-	drops     []int               // scratch for SigmaDrops
-	rest      []int               // scratch for SigmaDrop (single-caller path)
-	dropRest  [][]int             // per-shard scratch for SigmaDrops
-	sigma     int
+	balls    []shortestpath.Ball // balls[i] = d_t-ball of inst.endpoints[i] in G ∪ F; nil until the first rebuild
+	pairDist []float64           // d_F(u,w) per pair; +Inf beyond d_t
+	gains    []int               // scratch for BestAdd, len NumCandidates
+	unsat    []int               // scratch: unsatisfied pair indices
+	drops    []int               // scratch for SigmaDrops
+	rest     []int               // scratch for SigmaDrop (single-caller path)
+	dropRest [][]int             // per-shard scratch for SigmaDrops
+	sigma    int
 
 	// stale marks balls, pairDist and σ as not yet built for sel; sync
 	// rebuilds them on the first read.
 	stale bool
 	// gainsValid marks gains as exactly what a cold scan over the current
-	// balls would produce (EvalIncremental only). Set by a completed cold
-	// scan, dropped by every mutation and by interruption.
-	gainsValid  bool
-	incremental bool // resolved Instance eval mode
+	// balls would produce. Set by a completed cold scan, dropped by every
+	// mutation and by interruption.
+	gainsValid bool
 
 	// Cached triangular-grid shard bounds for the current worker count
 	// (triRowBounds allocates, and the warm scan path must not).
@@ -174,28 +169,14 @@ func (inst *Instance) NewSearch(sel []int) Search {
 // survivable search uses it to build its per-scenario sub-searches on the
 // same instance.
 func (inst *Instance) newInstSearch(sel []int) *instSearch {
-	s := &instSearch{
-		inst:        inst,
-		sel:         append([]int(nil), sel...),
-		workers:     1,
-		endpoints:   inst.ps.Nodes(),
-		incremental: inst.evalMode == EvalIncremental,
-		sparseBest:  inst.sparseBest,
-		stale:       true,
+	return &instSearch{
+		inst:       inst,
+		sel:        append([]int(nil), sel...),
+		workers:    1,
+		sparseBest: inst.sparseBest,
+		stale:      true,
+		pairDist:   make([]float64, inst.ps.Len()),
 	}
-	ballIdx := make(map[graph.NodeID]int, len(s.endpoints))
-	for i, e := range s.endpoints {
-		ballIdx[e] = i
-	}
-	m := inst.ps.Len()
-	s.pairU = make([]int32, m)
-	s.pairW = make([]int32, m)
-	for i, p := range inst.ps.Pairs() {
-		s.pairU[i] = int32(ballIdx[p.U])
-		s.pairW[i] = int32(ballIdx[p.W])
-	}
-	s.pairDist = make([]float64, m)
-	return s
 }
 
 // clone returns an independent search positioned at the same selection:
@@ -333,10 +314,10 @@ func (s *instSearch) markStale() {
 // refreshes the pair distances; any live gains state is dropped.
 func (s *instSearch) rebuild() {
 	if s.balls == nil {
-		s.balls = make([]shortestpath.Ball, len(s.endpoints))
+		s.balls = make([]shortestpath.Ball, len(s.inst.endpoints))
 	}
 	ov := shortestpath.NewOverlay(s.inst.table, SelectionEdges(s.inst, s.sel))
-	shortestpath.NewEvaluator(ov, s.workers).DistBalls(s.inst.baseBalls(), s.inst.thr.D, s.endpoints, s.balls)
+	shortestpath.NewEvaluator(ov, s.workers).DistBalls(s.inst.baseBalls(), s.inst.thr.D, s.inst.endpoints, s.balls)
 	s.recomputeSigma()
 	s.stale = false
 	s.gainsValid = false
@@ -346,7 +327,7 @@ func (s *instSearch) rebuild() {
 func (s *instSearch) recomputeSigma() {
 	s.sigma = 0
 	for i, p := range s.inst.ps.Pairs() {
-		d := s.balls[s.pairU[i]].At(p.W)
+		d := s.balls[s.inst.pairU[i]].At(p.W)
 		s.pairDist[i] = d
 		if d <= s.inst.thr.D {
 			s.sigma += int(s.inst.weights[i])
@@ -383,8 +364,8 @@ func (s *instSearch) GainAdd(cand int) int {
 		if s.pairDist[i] <= dt {
 			continue // already satisfied; adding edges cannot unsatisfy
 		}
-		ru := s.balls[s.pairU[i]]
-		rw := s.balls[s.pairW[i]]
+		ru := s.balls[s.inst.pairU[i]]
+		rw := s.balls[s.inst.pairW[i]]
 		if ru.At(a)+rw.At(b) <= dt || ru.At(b)+rw.At(a) <= dt {
 			gain += int(s.inst.weights[i])
 		}
@@ -711,7 +692,7 @@ func (s *instSearch) buildCandU() {
 	// steps would allocate several times the final size at scale.
 	total := 0
 	for _, i := range s.unsat {
-		total += s.balls[s.pairU[i]].Len() + s.balls[s.pairW[i]].Len()
+		total += s.balls[s.inst.pairU[i]].Len() + s.balls[s.inst.pairW[i]].Len()
 	}
 	s.candU = slices.Grow(s.candU, total)
 	s.candRu = slices.Grow(s.candRu, total)
@@ -720,7 +701,7 @@ func (s *instSearch) buildCandU() {
 	for _, i := range s.unsat {
 		start := len(s.candU)
 		s.candUOff = append(s.candUOff, start)
-		s.appendNear(s.balls[s.pairU[i]], s.balls[s.pairW[i]])
+		s.appendNear(s.balls[s.inst.pairU[i]], s.balls[s.inst.pairW[i]])
 		u := int64(len(s.candU) - start)
 		pruned += int64(s.inst.numCand) - u*(u-1)/2
 	}
@@ -767,8 +748,8 @@ func (s *instSearch) appendNear(bu, bw shortestpath.Ball) {
 // GainsAdd computes the σ gain of every candidate addition. The returned
 // slice is reused across calls.
 //
-// Under EvalIncremental the array is cached until the next mutation, so a
-// repeated call returns without scanning. Otherwise it runs a cold scan:
+// The array is cached until the next mutation, so a repeated call returns
+// without scanning. Otherwise it runs a cold scan:
 // for each unsatisfied pair it collects the near-candidate list and walks
 // only that list's triangle of candidate cells with two float compares
 // per cell.
@@ -781,8 +762,8 @@ func (s *instSearch) appendNear(bu, bw shortestpath.Ball) {
 // every argmax taken over it — is identical to the serial scan's.
 func (s *instSearch) GainsAdd() []int {
 	// One atomic add for the whole scan: the count is the logical scan
-	// width, identical for every worker count and both eval modes, and the
-	// inner loops stay untouched.
+	// width, identical for every worker count and whether or not the array
+	// was cached, and the inner loops stay untouched.
 	telemetry.Global().CandidateEvals.Add(int64(s.inst.numCand))
 	s.sync()
 	if s.gains == nil {
@@ -807,7 +788,7 @@ func (s *instSearch) coldScan() {
 		s.gainsBody = s.gainsPrunedRows // method value; built once, reused warm
 	}
 	s.scanShardsRun(s.gainsBody)
-	s.gainsValid = s.incremental && !s.interrupted()
+	s.gainsValid = !s.interrupted()
 }
 
 // gainsPrunedRows runs the gains scan restricted to candidate-grid rows
@@ -903,16 +884,9 @@ func (s *instSearch) BestDrop() (pos, sigma int) {
 	return pos, sigma
 }
 
-// Add commits candidate cand. Under EvalRebuild it only records the
-// selection and marks the balls stale; under EvalIncremental it merges the
-// shortcut into the existing balls (mergeAdd) and marks the gains array
-// stale.
+// Add commits candidate cand: it merges the shortcut into the existing
+// balls (mergeAdd) and marks the gains array stale.
 func (s *instSearch) Add(cand int) {
-	if !s.incremental {
-		s.sel = append(s.sel, cand)
-		s.markStale()
-		return
-	}
 	s.sync()
 	s.mergeAdd(cand)
 }
@@ -926,10 +900,9 @@ func (s *instSearch) reposition(sel []int) {
 }
 
 // RemoveAt removes the selection element at position pos. Deletions always
-// leave the balls stale for a rebuild, in both eval modes: removing a
-// shortcut can lengthen distances, and the incremental min-merge has no
-// way to undo a min — the information about which pre-merge value an
-// entry held is gone.
+// leave the balls stale for a rebuild: removing a shortcut can lengthen
+// distances, and the incremental min-merge has no way to undo a min — the
+// information about which pre-merge value an entry held is gone.
 func (s *instSearch) RemoveAt(pos int) {
 	s.sel = append(s.sel[:pos], s.sel[pos+1:]...)
 	s.markStale()

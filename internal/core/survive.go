@@ -203,7 +203,6 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 		opts := &Options{
 			AllowTrivial:         true,
 			DistBackend:          BackendLazy,
-			EvalMode:             inst.evalMode,
 			Survive:              SurviveNone, // scenario instances must never recurse
 			ExcludePairEndpoints: inst.candPos != nil,
 			PairWeights:          weights,

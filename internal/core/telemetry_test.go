@@ -277,41 +277,32 @@ func TestCounterTotalsSerialParallelEquivalence(t *testing.T) {
 // TestCandidateScanZeroAllocs is the acceptance allocation check: with no
 // sink attached, the candidate-scan hot path (GainAdd and a warm serial
 // GainsAdd) performs zero allocations per operation — instrumentation is
-// one atomic add, never an allocation. Both eval modes are covered: under
-// EvalIncremental a repeated GainsAdd returns the cached array, under
-// EvalRebuild it re-runs the near-list cold scan — and the cold scan is
-// also forced under EvalIncremental. Once its arenas are warm, none may
-// allocate.
+// one atomic add, never an allocation. A repeated GainsAdd returns the
+// cached array; the near-list cold scan is forced by dropping the cache
+// (gainsValid = false). Once its arenas are warm, neither may allocate.
 func TestCandidateScanZeroAllocs(t *testing.T) {
 	rng := xrand.New(306)
 	inst := testInstance(t, 24, 10, 4, 0.8, rng)
-	for _, mode := range []EvalMode{EvalIncremental, EvalRebuild} {
-		mi, err := NewInstance(inst.Graph(), inst.Pairs(), inst.Threshold(), inst.K(),
-			&Options{AllowTrivial: true, Table: inst.Table(), EvalMode: mode})
-		if err != nil {
-			t.Fatalf("NewInstance(%s): %v", mode, err)
-		}
-		s := mi.NewSearch(nil)
-		setSearchWorkers(s, 1)
-		s.GainsAdd() // warm scratch buffers
+	s := inst.NewSearch(nil)
+	setSearchWorkers(s, 1)
+	s.GainsAdd() // warm scratch buffers
 
-		if allocs := testing.AllocsPerRun(50, func() { s.GainsAdd() }); allocs != 0 {
-			t.Errorf("%s: GainsAdd (serial, warm) allocates %v/op", mode, allocs)
-		}
-		is := s.(*instSearch)
-		cold := func() {
-			is.gainsValid = false
-			s.GainsAdd()
-		}
-		if allocs := testing.AllocsPerRun(50, cold); allocs != 0 {
-			t.Errorf("%s: cold near-list GainsAdd (serial, warm arenas) allocates %v/op", mode, allocs)
-		}
-		if len(is.candU) == 0 {
-			t.Errorf("%s: cold scan built no near lists", mode)
-		}
-		if allocs := testing.AllocsPerRun(50, func() { s.GainAdd(3) }); allocs != 0 {
-			t.Errorf("%s: GainAdd allocates %v/op", mode, allocs)
-		}
+	if allocs := testing.AllocsPerRun(50, func() { s.GainsAdd() }); allocs != 0 {
+		t.Errorf("GainsAdd (serial, warm) allocates %v/op", allocs)
+	}
+	is := s.(*instSearch)
+	cold := func() {
+		is.gainsValid = false
+		s.GainsAdd()
+	}
+	if allocs := testing.AllocsPerRun(50, cold); allocs != 0 {
+		t.Errorf("cold near-list GainsAdd (serial, warm arenas) allocates %v/op", allocs)
+	}
+	if len(is.candU) == 0 {
+		t.Error("cold scan built no near lists")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { s.GainAdd(3) }); allocs != 0 {
+		t.Errorf("GainAdd allocates %v/op", allocs)
 	}
 }
 
@@ -348,23 +339,20 @@ func benchInstance(tb testing.TB, n, m, k int, dt float64, rng *xrand.Rand) *Ins
 }
 
 // BenchmarkGainsAddSerialNoSink is the alloc/op evidence the acceptance
-// criteria call for; run with -benchmem. It pins EvalRebuild so every
-// iteration re-runs the near-list cold scan — under the incremental default
-// a repeated GainsAdd returns the cached array and would measure nothing.
+// criteria call for; run with -benchmem. It drops the cached array before
+// every iteration (gainsValid = false) so each one re-runs the near-list
+// cold scan — a repeated GainsAdd would otherwise return the cached array
+// and measure nothing.
 func BenchmarkGainsAddSerialNoSink(b *testing.B) {
 	rng := xrand.New(307)
-	inst0 := benchInstance(b, 64, 20, 6, 0.8, rng)
-	inst, err := NewInstance(inst0.Graph(), inst0.Pairs(), inst0.Threshold(), inst0.K(),
-		&Options{AllowTrivial: true, Table: inst0.Table(), EvalMode: EvalRebuild})
-	if err != nil {
-		b.Fatalf("NewInstance: %v", err)
-	}
-	s := inst.NewSearch(nil)
-	setSearchWorkers(s, 1)
+	inst := benchInstance(b, 64, 20, 6, 0.8, rng)
+	s := inst.newInstSearch(nil)
+	s.SetWorkers(1)
 	s.GainsAdd()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s.gainsValid = false
 		s.GainsAdd()
 	}
 }

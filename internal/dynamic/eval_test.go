@@ -14,10 +14,8 @@ import (
 	"msc/internal/xrand"
 )
 
-// evalSeries builds the same T-instance series twice — once evaluated
-// incrementally, once by full rebuilds — from one RNG stream, so both
-// series share graphs, pairs, and budgets exactly.
-func evalSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) (inc, reb []*core.Instance) {
+// evalSeries builds a T-instance series from one RNG stream.
+func evalSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) (insts []*core.Instance) {
 	t.Helper()
 	rng := xrand.New(seed)
 	for i := 0; i < T; i++ {
@@ -51,18 +49,13 @@ func evalSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) (inc, reb 
 			t.Fatal(err)
 		}
 		thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-		ii, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true, EvalMode: core.EvalIncremental})
+		inst, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ri, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true, EvalMode: core.EvalRebuild})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc = append(inc, ii)
-		reb = append(reb, ri)
+		insts = append(insts, inst)
 	}
-	return inc, reb
+	return insts
 }
 
 // evalSink collects RoundEvents so the test can check the multi-instance
@@ -75,43 +68,69 @@ func (s *evalSink) Emit(e telemetry.Event) {
 	}
 }
 
-// TestDynamicEvalDifferential runs the dynamic problem's solvers over
-// incrementally evaluated and rebuild-evaluated instance series: identical
-// placements, per-instance σ breakdowns, and sandwich bounds, serial and
-// parallel. It also checks that the per-round eval stats summed over the
-// per-instance sub-searches reach GreedySigma's trace.
+// TestDynamicEvalDifferential runs every solver on the dynamic problem and
+// on its rebuild reference (rebuildProblem) across 24 seeds, serial and
+// parallel: identical placements, per-instance σ breakdowns, sandwich
+// bounds, EA evaluation counts and AEA traces. It also checks that the
+// per-round eval stats summed over the per-instance sub-searches reach
+// GreedySigma's trace.
 func TestDynamicEvalDifferential(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < 24; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			incInsts, rebInsts := evalSeries(t, 12, 5, 3, 3, 0.8, 9850+seed)
-			iprob, err := NewProblem(incInsts)
+			iprob, err := NewProblem(evalSeries(t, 12, 5, 3, 3, 0.8, 9850+seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rprob, err := NewProblem(rebInsts)
-			if err != nil {
-				t.Fatal(err)
+			rprob := rebuildProblem{iprob}
+			same := func(workers int, what string, ipl, rpl core.Placement) {
+				t.Helper()
+				if ipl.Sigma != rpl.Sigma || !reflect.DeepEqual(ipl.Selection, rpl.Selection) {
+					t.Errorf("par %d: %s differs: incremental (σ=%d, %v), rebuild (σ=%d, %v)",
+						workers, what, ipl.Sigma, ipl.Selection, rpl.Sigma, rpl.Selection)
+				}
 			}
 
 			for _, workers := range []int{1, 8} {
 				ipl := core.GreedySigma(iprob, core.Parallelism(workers))
 				rpl := core.GreedySigma(rprob, core.Parallelism(workers))
-				if ipl.Sigma != rpl.Sigma || !reflect.DeepEqual(ipl.Selection, rpl.Selection) {
-					t.Errorf("par %d: GreedySigma differs: incremental (σ=%d, %v), rebuild (σ=%d, %v)",
-						workers, ipl.Sigma, ipl.Selection, rpl.Sigma, rpl.Selection)
-				}
-				if !reflect.DeepEqual(iprob.SigmaPerInstance(ipl.Selection), rprob.SigmaPerInstance(rpl.Selection)) {
+				same(workers, "GreedySigma", ipl, rpl)
+				if !reflect.DeepEqual(iprob.SigmaPerInstance(ipl.Selection), iprob.SigmaPerInstance(rpl.Selection)) {
 					t.Errorf("par %d: per-instance σ breakdown differs", workers)
 				}
 
 				ires := core.Sandwich(iprob, core.Parallelism(workers))
 				rres := core.Sandwich(rprob, core.Parallelism(workers))
-				if ires.Best.Sigma != rres.Best.Sigma || !reflect.DeepEqual(ires.Best.Selection, rres.Best.Selection) {
-					t.Errorf("par %d: Sandwich.Best differs", workers)
-				}
+				same(workers, "Sandwich.Best", ires.Best, rres.Best)
 				if ires.Ratio != rres.Ratio {
 					t.Errorf("par %d: sandwich ratio differs: incremental %v, rebuild %v", workers, ires.Ratio, rres.Ratio)
 				}
+
+				iea := core.EA(iprob, core.EAOptions{Iterations: 20, Parallelism: workers}, xrand.New(seed))
+				rea := core.EA(rprob, core.EAOptions{Iterations: 20, Parallelism: workers}, xrand.New(seed))
+				same(workers, "EA.Best", iea.Best, rea.Best)
+				if iea.Evaluations != rea.Evaluations {
+					t.Errorf("par %d: EA evaluations differ: incremental %d, rebuild %d", workers, iea.Evaluations, rea.Evaluations)
+				}
+
+				opts := core.AEAOptions{Iterations: 20, PopSize: 4, Delta: 0.05, RecordTrace: true, Parallelism: workers}
+				iaea := core.AEA(iprob, opts, xrand.New(seed))
+				raea := core.AEA(rprob, opts, xrand.New(seed))
+				same(workers, "AEA.Best", iaea.Best, raea.Best)
+				if !reflect.DeepEqual(iaea.Trace, raea.Trace) {
+					t.Errorf("par %d: AEA trace differs from the rebuild reference", workers)
+				}
+
+				irp, ierr := core.RandomPlacement(iprob, 15, xrand.New(seed), core.Parallelism(workers))
+				rrp, rerr := core.RandomPlacement(rprob, 15, xrand.New(seed), core.Parallelism(workers))
+				if ierr != nil || rerr != nil {
+					t.Fatalf("RandomPlacement: incremental err %v, rebuild err %v", ierr, rerr)
+				}
+				same(workers, "RandomPlacement", irp, rrp)
+
+				start := xrand.New(seed).SampleDistinct(iprob.NumCandidates(), iprob.K())
+				ils := core.LocalSearch(iprob, start, core.LocalSearchOptions{Parallelism: workers})
+				rls := core.LocalSearch(rprob, start, core.LocalSearchOptions{Parallelism: workers})
+				same(workers, "LocalSearch", ils, rls)
 			}
 
 			sink := &evalSink{}

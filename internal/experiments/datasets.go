@@ -25,7 +25,7 @@ type Config struct {
 	// are identical with and without a sink.
 	Sink telemetry.Sink
 	// Options are the instance options every experiment builds from
-	// (backend, eval mode, survivability, budget, cost model); Parallelism
+	// (backend, survivability, budget, cost model); Parallelism
 	// also goes to every solver call. Each experiment sets its own
 	// AllowTrivial, Table, ExcludePairEndpoints and PairWeights.
 	Options core.Options

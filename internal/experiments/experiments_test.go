@@ -176,28 +176,8 @@ func table1Runs(t *testing.T, opts core.Options) (string, []telemetry.RunRecord)
 }
 
 // TestConfigOptionsReachInstances: Config.Options reach the instances an
-// experiment builds. The rebuild eval mode leaves Table I unchanged but
-// merges no rows, and a survivability mode shows in every record.
+// experiment builds: a survivability mode shows in every record.
 func TestConfigOptionsReachInstances(t *testing.T) {
-	want, incRuns := table1Runs(t, core.Options{})
-	merged := int64(0)
-	for _, r := range incRuns {
-		merged += r.Counters.RowsMerged
-	}
-	if merged == 0 {
-		t.Fatal("default Table I merged no rows; the rebuild check below would prove nothing")
-	}
-
-	got, rebRuns := table1Runs(t, core.Options{EvalMode: core.EvalRebuild})
-	if got != want {
-		t.Errorf("Table I under EvalRebuild differs from the default run:\n%s\nwant:\n%s", got, want)
-	}
-	for _, r := range rebRuns {
-		if r.Counters.RowsMerged != 0 {
-			t.Errorf("%s: %d rows merged under EvalRebuild", r.Name, r.Counters.RowsMerged)
-		}
-	}
-
 	_, svRuns := table1Runs(t, core.Options{Survive: core.SurviveShortcut})
 	for _, r := range svRuns {
 		if r.Survive != string(core.SurviveShortcut) {

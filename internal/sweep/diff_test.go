@@ -35,8 +35,8 @@ func baseMetrics() map[string]float64 {
 func synthPair(mutate func(map[string]map[string]float64)) (*Trajectory, *Trajectory) {
 	mk := func() map[string]map[string]float64 {
 		return map[string]map[string]float64{
-			"place/rgg/n100/m17/k6/greedy/auto/auto/par1":   baseMetrics(),
-			"place/rgg/n100/m17/k6/sandwich/auto/auto/par1": baseMetrics(),
+			"place/rgg/n100/m17/k6/greedy/auto/par1":   baseMetrics(),
+			"place/rgg/n100/m17/k6/sandwich/auto/par1": baseMetrics(),
 		}
 	}
 	baseline := mk()
@@ -55,8 +55,8 @@ func flagged(report *DiffReport) map[string]bool {
 }
 
 const (
-	scGreedy   = "place/rgg/n100/m17/k6/greedy/auto/auto/par1"
-	scSandwich = "place/rgg/n100/m17/k6/sandwich/auto/auto/par1"
+	scGreedy   = "place/rgg/n100/m17/k6/greedy/auto/par1"
+	scSandwich = "place/rgg/n100/m17/k6/sandwich/auto/par1"
 )
 
 // TestDiffInjectedRegressions is the gate's own gate: synthetic
@@ -179,7 +179,7 @@ func TestDiffInjectedRegressions(t *testing.T) {
 
 func TestDiffScenarioAddedIsNotARegression(t *testing.T) {
 	baseline, candidate := synthPair(func(c map[string]map[string]float64) {
-		c["place/rgg/n200/m30/k8/greedy/auto/auto/par1"] = baseMetrics()
+		c["place/rgg/n200/m30/k8/greedy/auto/par1"] = baseMetrics()
 	})
 	report, err := Diff(baseline, candidate, DefaultDiffOptions())
 	if err != nil {
@@ -188,7 +188,7 @@ func TestDiffScenarioAddedIsNotARegression(t *testing.T) {
 	if len(report.Regressions) != 0 {
 		t.Fatalf("added scenario flagged as regression:\n%s", report.Format())
 	}
-	if len(report.Added) != 1 || report.Added[0] != "place/rgg/n200/m30/k8/greedy/auto/auto/par1" {
+	if len(report.Added) != 1 || report.Added[0] != "place/rgg/n200/m30/k8/greedy/auto/par1" {
 		t.Fatalf("added scenario not reported: %v", report.Added)
 	}
 }

@@ -39,7 +39,7 @@ func (e *RunError) Unwrap() error { return e.Err }
 
 // ProcessRunner executes scenarios as worker processes: mscgen to
 // materialize each unique problem instance (cached per InstanceKey, so
-// scenarios differing only in solver/backend/eval/par share one file),
+// scenarios differing only in solver/backend/par share one file),
 // then mscplace or mscbench with -jsonl. Every ingested stream is
 // schema-validated via telemetry.ReadRunRecords before a record is
 // accepted.
@@ -153,7 +153,6 @@ func (p *ProcessRunner) runPlace(ctx context.Context, sc Scenario) (telemetry.Ru
 		"-seed", strconv.FormatInt(sc.Seed, 10),
 		"-par", strconv.Itoa(sc.Par),
 		"-dist-backend", sc.DistBackend,
-		"-eval", sc.EvalMode,
 		"-jsonl", jsonl,
 	}
 	if sc.Survive != "" {
@@ -193,7 +192,6 @@ func (p *ProcessRunner) runBench(ctx context.Context, sc Scenario) (telemetry.Ru
 		"-seed", strconv.FormatInt(sc.Seed, 10),
 		"-par", strconv.Itoa(sc.Par),
 		"-dist-backend", sc.DistBackend,
-		"-eval", sc.EvalMode,
 		"-jsonl", jsonl,
 	}
 	if sc.Quick {

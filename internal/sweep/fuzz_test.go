@@ -37,7 +37,7 @@ func FuzzAggregate(f *testing.F) {
 		}
 		sc := Scenario{
 			Kind: KindPlace, Family: "rgg", N: 40, M: 8, Pt: 0.12, K: 2,
-			Solver: "greedy", DistBackend: "auto", EvalMode: "auto", Par: 1, Seed: seed,
+			Solver: "greedy", DistBackend: "auto", Par: 1, Seed: seed,
 		}
 		results := make([]Result, 0, len(recs))
 		for i, rec := range recs {
@@ -77,7 +77,7 @@ func FuzzAggregate(f *testing.F) {
 func FuzzTrajectoryDiff(f *testing.F) {
 	canonical := func() []byte {
 		t := synthTrajectory(map[string]map[string]float64{
-			"place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1": {
+			"place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1": {
 				"wall_ms": 100, "sigma": 10, "counters.dijkstra_runs": 4000,
 			},
 		})

@@ -43,9 +43,8 @@ type Matrix struct {
 	// Solvers names the mscplace algorithms to run:
 	// sandwich|greedy|mu|nu|ea|aea|random|cn.
 	Solvers []string `json:"solvers"`
-	// DistBackends and EvalModes mirror the -dist-backend and -eval flags.
+	// DistBackends mirrors the -dist-backend flag.
 	DistBackends []string `json:"dist_backends"`
-	EvalModes    []string `json:"eval_modes"`
 	// Survive mirrors the -survive flag on place scenarios:
 	// auto|none|shortcut|node. Empty means the fault-free default; the
 	// scenario key grows a segment only for survivable modes, so existing
@@ -62,7 +61,7 @@ type Matrix struct {
 	// is launched per (scenario, seed).
 	Seeds []int64 `json:"seeds"`
 	// Experiments optionally adds whole mscbench experiment runs (one
-	// scenario per id × backend × eval × par, repeated per seed). The ids
+	// scenario per id × backend × par, repeated per seed). The ids
 	// are validated by mscbench itself — an unknown id fails that child.
 	Experiments []string `json:"experiments"`
 	// Quick marks reduced-scale runs: forwarded to mscbench -quick and
@@ -89,7 +88,6 @@ func QuickMatrix() Matrix {
 		K:            []int{2, 3},
 		Solvers:      []string{"greedy", "sandwich"},
 		DistBackends: []string{"auto", "bounded"},
-		EvalModes:    []string{"auto"},
 		Survive:      []string{"none", "shortcut"},
 		Budget:       []float64{0, 2},
 		Parallelism:  []int{1},
@@ -113,7 +111,6 @@ var (
 	validFamilies = map[string]bool{"rgg": true, "social": true}
 	validSolvers  = map[string]bool{"sandwich": true, "greedy": true, "mu": true, "nu": true, "ea": true, "aea": true, "random": true, "cn": true}
 	validBackends = map[string]bool{"auto": true, "dense": true, "lazy": true, "bounded": true}
-	validEvals    = map[string]bool{"auto": true, "incremental": true, "rebuild": true}
 	validSurvive  = map[string]bool{"auto": true, "none": true, "shortcut": true, "node": true}
 )
 
@@ -136,9 +133,6 @@ func (m Matrix) Validate() error {
 		seen[s] = true
 	}
 	if err := validateNames("dist_backends", m.DistBackends, validBackends); err != nil {
-		return err
-	}
-	if err := validateNames("eval_modes", m.EvalModes, validEvals); err != nil {
 		return err
 	}
 	if err := validateNames("survive", m.Survive, validSurvive); err != nil {
@@ -240,7 +234,6 @@ type Scenario struct {
 
 	// Shared axes.
 	DistBackend string `json:"dist_backend"`
-	EvalMode    string `json:"eval_mode"`
 	Par         int    `json:"par"`
 	Quick       bool   `json:"quick"`
 	Seed        int64  `json:"seed"`
@@ -250,8 +243,8 @@ type Scenario struct {
 // except the seed, in a fixed order, so two sweeps of the same matrix
 // produce byte-identical keys. Example:
 //
-//	place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1
-//	bench/table1/quick/auto/auto/par0
+//	place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1
+//	bench/table1/quick/auto/par0
 func (s Scenario) Key() string {
 	switch s.Kind {
 	case KindBench:
@@ -259,10 +252,10 @@ func (s Scenario) Key() string {
 		if s.Quick {
 			quick = "quick"
 		}
-		return fmt.Sprintf("bench/%s/%s/%s/%s/par%d", s.Experiment, quick, s.DistBackend, s.EvalMode, s.Par)
+		return fmt.Sprintf("bench/%s/%s/%s/par%d", s.Experiment, quick, s.DistBackend, s.Par)
 	default:
-		key := fmt.Sprintf("place/%s/n%d/m%d/pt%s/k%d/%s/%s/%s/par%d",
-			s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Solver, s.DistBackend, s.EvalMode, s.Par)
+		key := fmt.Sprintf("place/%s/n%d/m%d/pt%s/k%d/%s/%s/par%d",
+			s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Solver, s.DistBackend, s.Par)
 		// Survivable runs get their own segment; fault-free runs keep the
 		// historical key so existing baselines diff cleanly.
 		if s.Survive != "" && s.Survive != "none" && s.Survive != "auto" {
@@ -278,7 +271,7 @@ func (s Scenario) Key() string {
 
 // InstanceKey identifies the generated problem instance a place scenario
 // needs: the generator inputs only. Scenarios that differ in solver,
-// backend, eval mode, or parallelism share one instance file.
+// backend, or parallelism share one instance file.
 func (s Scenario) InstanceKey() string {
 	return fmt.Sprintf("%s-n%d-m%d-pt%s-k%d-seed%d", s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Seed)
 }
@@ -292,14 +285,13 @@ func formatPt(pt float64) string {
 // Expand validates the matrix and unrolls its cross product into the
 // deterministic scenario order the pool and the aggregator both rely on:
 // place scenarios first (axes varying innermost-to-outermost in the order
-// seed, par, budget, survive, eval, backend, solver, k, pt, m, n, family),
+// seed, par, budget, survive, backend, solver, k, pt, m, n, family),
 // then bench scenarios.
 func (m Matrix) Expand() ([]Scenario, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	backends := orDefault(m.DistBackends, "auto")
-	evals := orDefault(m.EvalModes, "auto")
 	survives := orDefault(m.Survive, "auto")
 	budgets := m.Budget
 	if len(budgets) == 0 {
@@ -323,21 +315,19 @@ func (m Matrix) Expand() ([]Scenario, error) {
 					for _, k := range m.K {
 						for _, solver := range m.Solvers {
 							for _, backend := range backends {
-								for _, eval := range evals {
-									for _, survive := range survives {
-										for _, budget := range budgets {
-											for _, par := range pars {
-												for _, seed := range m.Seeds {
-													sc := Scenario{
-														Kind: KindPlace, Family: family, N: n, M: mm, Pt: pt, K: k,
-														Solver: solver, DistBackend: backend, EvalMode: eval,
-														Survive: survive, Budget: budget, Par: par, Quick: m.Quick, Seed: seed,
-													}
-													if family == "social" {
-														sc.N = 0 // generator-fixed; keep the key honest
-													}
-													out = append(out, sc)
+								for _, survive := range survives {
+									for _, budget := range budgets {
+										for _, par := range pars {
+											for _, seed := range m.Seeds {
+												sc := Scenario{
+													Kind: KindPlace, Family: family, N: n, M: mm, Pt: pt, K: k,
+													Solver: solver, DistBackend: backend,
+													Survive: survive, Budget: budget, Par: par, Quick: m.Quick, Seed: seed,
 												}
+												if family == "social" {
+													sc.N = 0 // generator-fixed; keep the key honest
+												}
+												out = append(out, sc)
 											}
 										}
 									}
@@ -351,15 +341,13 @@ func (m Matrix) Expand() ([]Scenario, error) {
 	}
 	for _, id := range m.Experiments {
 		for _, backend := range backends {
-			for _, eval := range evals {
-				for _, par := range pars {
-					for _, seed := range m.Seeds {
-						out = append(out, Scenario{
-							Kind: KindBench, Experiment: id,
-							DistBackend: backend, EvalMode: eval, Par: par,
-							Quick: m.Quick, Seed: seed,
-						})
-					}
+			for _, par := range pars {
+				for _, seed := range m.Seeds {
+					out = append(out, Scenario{
+						Kind: KindBench, Experiment: id,
+						DistBackend: backend, Par: par,
+						Quick: m.Quick, Seed: seed,
+					})
 				}
 			}
 		}
@@ -375,13 +363,18 @@ func orDefault(xs []string, def string) []string {
 }
 
 // ReadMatrix decodes a matrix spec from JSON, rejecting unknown fields so
-// a typo'd axis name ("solver" for "solvers") cannot silently produce an
-// empty axis, and validates the result.
+// a typo'd axis name ("solver" for "solvers") or a removed one cannot
+// silently produce an empty axis, and validates the result. An unknown
+// field is reported as a *MatrixError naming it.
 func ReadMatrix(r io.Reader) (Matrix, error) {
 	var m Matrix
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
+		// encoding/json names an unknown field only in its message.
+		if name, ok := strings.CutPrefix(err.Error(), `json: unknown field "`); ok {
+			return Matrix{}, &MatrixError{Axis: strings.TrimSuffix(name, `"`), Reason: "unknown axis"}
+		}
 		return Matrix{}, fmt.Errorf("sweep: matrix spec: %w", err)
 	}
 	if err := m.Validate(); err != nil {

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -29,27 +31,27 @@ func TestQuickMatrixExpands(t *testing.T) {
 	}
 	// The fault-free half keeps the historical key shape; the survivable
 	// half gets its own segment.
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1"]; !ok {
 		t.Errorf("expected canonical place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1/sv-shortcut"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/sv-shortcut"]; !ok {
 		t.Errorf("expected survivable place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1/b-2"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/b-2"]; !ok {
 		t.Errorf("expected budgeted place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1/sv-shortcut/b-2"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/sv-shortcut/b-2"]; !ok {
 		t.Errorf("expected survivable budgeted place key missing: %v", keys)
 	}
-	if _, ok := keys["bench/table1/quick/auto/auto/par1"]; !ok {
+	if _, ok := keys["bench/table1/quick/auto/par1"]; !ok {
 		t.Errorf("expected canonical bench key missing: %v", keys)
 	}
 	// The forced-bounded half gets its own key segment, so bounded and
 	// auto trajectories gate independently.
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/bounded/auto/par1"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/bounded/par1"]; !ok {
 		t.Errorf("expected bounded place key missing: %v", keys)
 	}
-	if _, ok := keys["bench/table1/quick/bounded/auto/par1"]; !ok {
+	if _, ok := keys["bench/table1/quick/bounded/par1"]; !ok {
 		t.Errorf("expected bounded bench key missing: %v", keys)
 	}
 }
@@ -104,8 +106,9 @@ func TestMatrixValidation(t *testing.T) {
 		name   string
 		mutate func(*Matrix)
 		axis   string // expected MatrixError.Axis; "" = valid
+		extra  string // JSON members spliced into the encoded matrix
 	}{
-		{"quick matrix valid", func(m *Matrix) {}, ""},
+		{"quick matrix valid", func(m *Matrix) {}, "", ""},
 		{"bench-only valid", func(m *Matrix) {
 			m.Solvers = nil
 			m.Families = nil
@@ -113,26 +116,33 @@ func TestMatrixValidation(t *testing.T) {
 			m.M = nil
 			m.Pt = nil
 			m.K = nil
-		}, ""},
-		{"empty sweep", func(m *Matrix) { m.Solvers = nil; m.Experiments = nil }, "solvers"},
-		{"no seeds", func(m *Matrix) { m.Seeds = nil }, "seeds"},
-		{"repeated seed", func(m *Matrix) { m.Seeds = []int64{1, 2, 1} }, "seeds"},
-		{"unknown family", func(m *Matrix) { m.Families = []string{"torus"} }, "families"},
-		{"unknown solver", func(m *Matrix) { m.Solvers = []string{"magic"} }, "solvers"},
-		{"unknown backend", func(m *Matrix) { m.DistBackends = []string{"quantum"} }, "dist_backends"},
-		{"unknown eval", func(m *Matrix) { m.EvalModes = []string{"psychic"} }, "eval_modes"},
-		{"negative par", func(m *Matrix) { m.Parallelism = []int{-1} }, "parallelism"},
-		{"zero n", func(m *Matrix) { m.N = []int{0} }, "n"},
-		{"negative k", func(m *Matrix) { m.K = []int{-2} }, "k"},
-		{"empty m axis", func(m *Matrix) { m.M = nil }, "m"},
-		{"threshold out of range", func(m *Matrix) { m.Pt = []float64{1.5} }, "p_t"},
-		{"empty experiment id", func(m *Matrix) { m.Experiments = []string{" "} }, "experiments"},
+		}, "", ""},
+		{"empty sweep", func(m *Matrix) { m.Solvers = nil; m.Experiments = nil }, "solvers", ""},
+		{"no seeds", func(m *Matrix) { m.Seeds = nil }, "seeds", ""},
+		{"repeated seed", func(m *Matrix) { m.Seeds = []int64{1, 2, 1} }, "seeds", ""},
+		{"unknown family", func(m *Matrix) { m.Families = []string{"torus"} }, "families", ""},
+		{"unknown solver", func(m *Matrix) { m.Solvers = []string{"magic"} }, "solvers", ""},
+		{"unknown backend", func(m *Matrix) { m.DistBackends = []string{"quantum"} }, "dist_backends", ""},
+		{"negative par", func(m *Matrix) { m.Parallelism = []int{-1} }, "parallelism", ""},
+		{"zero n", func(m *Matrix) { m.N = []int{0} }, "n", ""},
+		{"negative k", func(m *Matrix) { m.K = []int{-2} }, "k", ""},
+		{"empty m axis", func(m *Matrix) { m.M = nil }, "m", ""},
+		{"threshold out of range", func(m *Matrix) { m.Pt = []float64{1.5} }, "p_t", ""},
+		{"empty experiment id", func(m *Matrix) { m.Experiments = []string{" "} }, "experiments", ""},
+		{"eval_modes present", func(m *Matrix) {}, "eval_modes", `"eval_modes": ["auto"]`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := base
 			tc.mutate(&m)
-			err := m.Validate()
+			spec, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.extra != "" {
+				spec = append([]byte("{"+tc.extra+","), spec[1:]...)
+			}
+			_, err = ReadMatrix(bytes.NewReader(spec))
 			if tc.axis == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -171,8 +181,8 @@ func TestReadMatrixRejectsUnknownField(t *testing.T) {
 	if len(scs) != 2 {
 		t.Fatalf("expanded %d scenarios, want 2", len(scs))
 	}
-	if scs[0].DistBackend != "auto" || scs[0].EvalMode != "auto" {
-		t.Fatalf("backend/eval defaults not applied: %+v", scs[0])
+	if scs[0].DistBackend != "auto" {
+		t.Fatalf("backend default not applied: %+v", scs[0])
 	}
 }
 

@@ -163,10 +163,6 @@ type RunRecord struct {
 	// ("auto", "dense", "lazy", "bounded"); "" for runs that predate the
 	// field.
 	DistBackend string `json:"dist_backend"`
-	// EvalMode records the search evaluation mode the run was launched
-	// with ("auto", "incremental", "rebuild"); "" for runs that predate
-	// the field.
-	EvalMode string `json:"eval_mode"`
 	// Survive records the survivability mode the run was launched with
 	// ("none", "shortcut", "node"); "" for runs that predate the field.
 	Survive string `json:"survive"`

@@ -114,9 +114,6 @@ type (
 	// table is supplied: BackendAuto, BackendDense, BackendLazy, or
 	// BackendBounded.
 	DistBackend = core.DistBackend
-	// EvalMode selects how searches maintain their state across Add
-	// commits: EvalIncremental or EvalRebuild.
-	EvalMode = core.EvalMode
 	// Survivability selects the failure model an instance optimizes
 	// against: SurviveNone, SurviveShortcut, or SurviveNode.
 	Survivability = core.Survivability
@@ -203,17 +200,6 @@ const (
 	DefaultLazyThreshold = core.DefaultLazyThreshold
 	// DefaultBoundedThreshold is the BackendAuto lazy→bounded switchover.
 	DefaultBoundedThreshold = core.DefaultBoundedThreshold
-)
-
-// Evaluation modes selectable via InstanceOptions.EvalMode. EvalModeAuto
-// (the zero value) resolves to EvalIncremental — a committed shortcut is
-// merged into the endpoints' d_t-balls and the next gains read rescans
-// the near lists; EvalRebuild selects the full-recompute reference path. Placements, σ values, and gains
-// arrays are identical across modes.
-const (
-	EvalModeAuto    = core.EvalModeAuto
-	EvalIncremental = core.EvalIncremental
-	EvalRebuild     = core.EvalRebuild
 )
 
 // Survivability modes selectable via InstanceOptions.Survive. SurviveAuto
@@ -313,10 +299,6 @@ func RowBytesResident() int64 { return shortestpath.RowBytesResident() }
 // ParseDistBackend validates a -dist-backend flag value ("auto", "dense",
 // "lazy", "bounded").
 func ParseDistBackend(s string) (DistBackend, error) { return core.ParseDistBackend(s) }
-
-// ParseEvalMode validates an -eval flag value ("auto", "incremental",
-// "rebuild").
-func ParseEvalMode(s string) (EvalMode, error) { return core.ParseEvalMode(s) }
 
 // ParseSurvivability validates a -survive flag value ("auto", "none",
 // "shortcut", "node").
