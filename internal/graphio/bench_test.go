@@ -1,4 +1,4 @@
-package graphio_test
+package graphio
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"msc/internal/gen/rgg"
-	"msc/internal/graphio"
 	"msc/internal/pairs"
 	"msc/internal/xrand"
 )
@@ -15,10 +14,11 @@ import (
 // benchNodes is the node count of the scale-greedy benchmark workload.
 const benchNodes = 20000
 
-// benchDocument is an n = 2·10⁴ RGG instance as mscgen would write it
-// (auto radius, coordinates, 128 pairs, threshold and budget), streamed
-// into memory once and shared by the decode benchmarks.
-var benchDocument = sync.OnceValues(func() ([]byte, error) {
+// benchDocuments are an n = 2·10⁴ RGG instance as mscgen would write it
+// (auto radius, coordinates, 128 pairs, threshold and budget), written
+// into memory once by WriteJSONStream and once by the indented WriteJSON,
+// and shared by the decode benchmarks and tests.
+var benchDocuments = sync.OnceValues(func() (docs struct{ stream, indented []byte }, err error) {
 	rng := xrand.New(1)
 	g, err := rgg.Generate(rgg.Config{
 		N:                benchNodes,
@@ -27,7 +27,7 @@ var benchDocument = sync.OnceValues(func() ([]byte, error) {
 		RequireConnected: true,
 	}, rng)
 	if err != nil {
-		return nil, err
+		return docs, err
 	}
 	ps := make([]pairs.Pair, 0, 128)
 	for len(ps) < cap(ps) {
@@ -38,42 +38,57 @@ var benchDocument = sync.OnceValues(func() ([]byte, error) {
 	}
 	set, err := pairs.NewSet(benchNodes, ps)
 	if err != nil {
-		return nil, err
+		return docs, err
 	}
-	var buf bytes.Buffer
-	if err := graphio.WriteJSONStream(&buf, g, set, 0.11, 8); err != nil {
-		return nil, err
+	var stream, indented bytes.Buffer
+	if err := WriteJSONStream(&stream, g, set, 0.11, 8); err != nil {
+		return docs, err
 	}
-	return buf.Bytes(), nil
+	if err := WriteJSON(&indented, FromGraph(g, set, 0.11, 8)); err != nil {
+		return docs, err
+	}
+	docs.stream, docs.indented = stream.Bytes(), indented.Bytes()
+	return docs, nil
 })
 
-func benchData(b *testing.B) []byte {
-	b.Helper()
-	data, err := benchDocument()
+// benchData returns the WriteJSONStream form of the bench instance, or
+// the indented WriteJSON form.
+func benchData(tb testing.TB, indented bool) []byte {
+	tb.Helper()
+	docs, err := benchDocuments()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return data
+	if indented {
+		return docs.indented
+	}
+	return docs.stream
 }
 
-// BenchmarkReadJSON measures decoding and validating one instance
-// document: the graphio.read phase of a CLI run.
-func BenchmarkReadJSON(b *testing.B) {
-	data := benchData(b)
+func benchmarkReadJSON(b *testing.B, data []byte) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := graphio.ReadJSON(bytes.NewReader(data)); err != nil {
+		if _, err := ReadJSON(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkReadJSON measures decoding and validating one instance
+// document: the graphio.read phase of a CLI run.
+func BenchmarkReadJSON(b *testing.B) { benchmarkReadJSON(b, benchData(b, false)) }
+
+// BenchmarkReadJSONIndented decodes the same instance as WriteJSON writes
+// it: its `"u": 0` spacing keeps every edge off the whole-record path, so
+// this measures the general path alone.
+func BenchmarkReadJSONIndented(b *testing.B) { benchmarkReadJSON(b, benchData(b, true)) }
+
 // BenchmarkDocumentGraph measures turning a decoded document into a
 // graph: the graphio.graph phase of a CLI run.
 func BenchmarkDocumentGraph(b *testing.B) {
-	doc, err := graphio.ReadJSON(bytes.NewReader(benchData(b)))
+	doc, err := ReadJSON(bytes.NewReader(benchData(b, false)))
 	if err != nil {
 		b.Fatal(err)
 	}

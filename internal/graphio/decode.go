@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -160,57 +161,189 @@ func (d *decoder) token(class *[256]bool) []byte {
 	return d.lit
 }
 
-// number consumes a number and checks it against the RFC 8259 grammar,
-// which strconv alone does not enforce (it takes "+1", ".5", "Inf", "0x1p3").
-func (d *decoder) number(what string) ([]byte, error) {
-	if c, ok := d.next(); !ok || c != '-' && (c < '0' || c > '9') {
-		return nil, d.unexpected("a number for " + what)
-	}
-	tok := d.token(&numberBytes)
-	if !validNumber(tok) {
-		return nil, d.errorf("%s: malformed number %q", what, tok)
-	}
-	return tok, nil
+// num is what scanNumber reads off a number token.
+type num struct {
+	neg     bool
+	integer bool   // no fraction and no exponent
+	exact   bool   // mant and exp hold the value with no digit dropped
+	whole   uint64 // the integer part, or MaxUint64 past 19 digits
+	mant    uint64 // the first 19 significant digits, integer and fraction
+	exp     int    // the value is ±mant·10^exp when exact
 }
 
-func validNumber(b []byte) bool {
-	digits := func(i int) int {
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i
-	}
-	i := 0
+// scanNumber checks the longest prefix of b that the RFC 8259 number
+// grammar allows, building its mantissa and decimal exponent into *n in
+// the same pass, and returns where that prefix ends. ok is false when b
+// has no such prefix or it stops short of a digit the grammar requires
+// ("-", "1.", "1e+"). Whether the token ends at i is the caller's to
+// check: a number byte at b[i] makes it malformed ("05", "1-2"), and
+// i = len(b) may be a window cutting the token. It fills *n rather than
+// returning a num: copying the returned struct reloaded its bool bytes as
+// one wide word, a store-forwarding stall on every number.
+func scanNumber(b []byte, n *num) (i int, ok bool) {
+	*n = num{}
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
+	var mant uint64
+	digits, exp := 0, 0 // significant digits seen; the exponent of mant
+	capped := false     // the exponent dropped digits
 	switch {
-	case i < len(b) && b[i] == '0':
+	case i == len(b):
+		return i, false
+	case b[i] == '0':
 		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(i)
+	case '1' <= b[i] && b[i] <= '9':
+		for ; i < len(b); i++ {
+			c := b[i] - '0'
+			if c > 9 {
+				break
+			}
+			if digits < 19 {
+				mant = mant*10 + uint64(c)
+			}
+			digits++
+		}
 	default:
-		return false
+		return i, false
+	}
+	n.whole, n.integer = mant, true
+	if digits > 19 {
+		n.whole = math.MaxUint64
 	}
 	if i < len(b) && b[i] == '.' {
-		if j := digits(i + 1); j > i+1 {
-			i = j
-		} else {
-			return false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		start := i
+		for ; i < len(b); i++ {
+			c := b[i] - '0'
+			if c > 9 {
+				break
+			}
+			switch {
+			case digits == 0 && c == 0:
+				exp-- // a leading zero of the fraction
+			case digits < 19:
+				mant = mant*10 + uint64(c)
+				exp--
+				digits++
+			default:
+				digits++
+			}
+		}
+		if i == start {
+			return i, false
+		}
+		n.integer = false
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			neg = b[i] == '-'
 			i++
 		}
-		if j := digits(i); j > i {
-			i = j
-		} else {
-			return false
+		start, e := i, 0
+		for ; i < len(b); i++ {
+			c := b[i] - '0'
+			if c > 9 {
+				break
+			}
+			if e < 1e4 { // far past any exact exponent; saturate, as strconv does
+				e = e*10 + int(c)
+			} else {
+				// Leading zeros of the fraction could bring a saturated
+				// exponent back into the exact range: leave it to strconv.
+				capped = true
+			}
 		}
+		if i == start {
+			return i, false
+		}
+		if neg {
+			e = -e
+		}
+		exp += e
+		n.integer = false
 	}
-	return i == len(b)
+	n.mant, n.exp, n.exact = mant, exp, digits <= 19 && !capped
+	return i, true
+}
+
+// intValue returns the integer part of n, signed, and whether it fits
+// bits bits. A fraction or an exponent is the caller's to reject, after
+// overflow, as a digit-by-digit decode meets them in that order.
+func (n *num) intValue(bits int) (int64, bool) {
+	limit := uint64(1)<<(bits-1) - 1
+	if n.neg {
+		limit++
+	}
+	if n.whole > limit {
+		return 0, false
+	}
+	if n.neg {
+		return -int64(n.whole), true
+	}
+	return int64(n.whole), true
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat returns ±mant·10^exp by Clinger's exact path: when mant and
+// 10^|exp| are both exact float64s, one correctly rounded multiply or
+// divide gives the correctly rounded value, bit for bit what
+// strconv.ParseFloat returns. ok is false when the path does not apply.
+func (n *num) exactFloat() (float64, bool) {
+	if !n.exact || n.mant > 1<<53 || n.exp < -22 || n.exp > 22 {
+		return 0, false
+	}
+	f := float64(n.mant)
+	if n.exp < 0 {
+		f /= pow10[-n.exp]
+	} else {
+		f *= pow10[n.exp]
+	}
+	if n.neg {
+		f = -f
+	}
+	return f, true
+}
+
+// float returns the float64 of tok, which scanNumber read into n: by the
+// exact path when it applies, else by strconv.ParseFloat. ok is false when
+// the value overflows float64.
+func (n *num) float(tok []byte) (float64, bool) {
+	if f, ok := n.exactFloat(); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	return f, err == nil
+}
+
+// number consumes a number and checks it against the RFC 8259 grammar,
+// which strconv alone does not enforce (it takes "+1", ".5", "Inf",
+// "0x1p3"). It returns the token, valid until the next read, and what
+// scanNumber read off it. A token that ends inside the window is scanned
+// in place; one the window cuts, or a malformed one, is first joined in
+// d.lit and then scanned whole.
+func (d *decoder) number(what string) ([]byte, num, error) {
+	if c, ok := d.next(); !ok || c != '-' && (c < '0' || c > '9') {
+		return nil, num{}, d.unexpected("a number for " + what)
+	}
+	buf := d.buf[d.pos:]
+	var n num
+	if i, ok := scanNumber(buf, &n); ok && i < len(buf) && !numberBytes[buf[i]] {
+		d.pos += i
+		return buf[:i], n, nil
+	}
+	tok := d.token(&numberBytes)
+	i, ok := scanNumber(tok, &n)
+	if !ok || i < len(tok) {
+		return nil, num{}, d.errorf("%s: malformed number %q", what, tok)
+	}
+	return tok, n, nil
 }
 
 // decodeInt decodes an integer of bits bits into *dst; null leaves *dst
@@ -220,29 +353,18 @@ func decodeInt[T int | int32](d *decoder, dst *T, bits int, what string) error {
 	if null, err := d.null(); null {
 		return err
 	}
-	tok, err := d.number(what)
+	tok, n, err := d.number(what)
 	if err != nil {
 		return err
 	}
-	digits, limit := tok, uint64(1)<<(bits-1)-1
-	if tok[0] == '-' {
-		digits, limit = tok[1:], limit+1
+	v, fits := n.intValue(bits)
+	switch {
+	case !fits:
+		return d.errorf("%s: %s overflows %d bits", what, tok, bits)
+	case !n.integer:
+		return d.errorf("%s: %s is not an integer", what, tok)
 	}
-	var v uint64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return d.errorf("%s: %s is not an integer", what, tok)
-		}
-		if v > (limit-uint64(c-'0'))/10 {
-			return d.errorf("%s: %s overflows %d bits", what, tok, bits)
-		}
-		v = v*10 + uint64(c-'0')
-	}
-	if tok[0] == '-' {
-		*dst = T(-int64(v))
-	} else {
-		*dst = T(v)
-	}
+	*dst = T(v)
 	return nil
 }
 
@@ -251,12 +373,12 @@ func (d *decoder) float(dst *float64, what string) error {
 	if null, err := d.null(); null {
 		return err
 	}
-	tok, err := d.number(what)
+	tok, n, err := d.number(what)
 	if err != nil {
 		return err
 	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
+	f, ok := n.float(tok)
+	if !ok {
 		return d.errorf("%s: %s is out of range", what, tok)
 	}
 	*dst = f
@@ -430,7 +552,7 @@ func (d *decoder) skip(depth int) error {
 	case c == 'n':
 		return d.literal("null")
 	}
-	_, err := d.number("a skipped value")
+	_, _, err := d.number("a skipped value")
 	return err
 }
 
@@ -490,6 +612,9 @@ func (d *decoder) edge(e *EdgeRecord) error {
 	if null, err := d.null(); null {
 		return err
 	}
+	if d.edgeRecord(e) {
+		return nil
+	}
 	return d.object("an edge", func() error {
 		switch d.field(edgeFields) {
 		case "u":
@@ -501,6 +626,55 @@ func (d *decoder) edge(e *EdgeRecord) error {
 		}
 		return d.skip(0)
 	})
+}
+
+// edgeRecord decodes an edge written exactly as WriteJSONStream writes
+// it, {"u":I,"v":I,"p_fail":F}, when the whole record lies in the window,
+// and reports whether it did. It consumes and writes nothing unless it
+// succeeds, so any other shape, a number d.edge would reject, or a record
+// the window cuts goes through the general path from the same byte, with
+// that path's result or error. It writes all three fields, as the general
+// path does for this shape, so a repeated edges key merges the same way.
+func (d *decoder) edgeRecord(e *EdgeRecord) bool {
+	b := d.buf[d.pos:]
+	if !at(b, 0, `{"u":`) {
+		return false
+	}
+	u, i, ok := int32At(b, len(`{"u":`))
+	if !ok || !at(b, i, `,"v":`) {
+		return false
+	}
+	v, i, ok := int32At(b, i+len(`,"v":`))
+	if !ok || !at(b, i, `,"p_fail":`) {
+		return false
+	}
+	i += len(`,"p_fail":`)
+	var n num
+	j, ok := scanNumber(b[i:], &n)
+	if !ok || !at(b, i+j, "}") {
+		return false
+	}
+	f, ok := n.float(b[i : i+j])
+	if !ok {
+		return false
+	}
+	e.U, e.V, e.Fail = u, v, f
+	d.pos += i + j + 1
+	return true
+}
+
+// at reports whether s is at b[i:].
+func at(b []byte, i int, s string) bool {
+	return len(b)-i >= len(s) && string(b[i:i+len(s)]) == s
+}
+
+// int32At scans the number at b[i:] and returns its value and where it
+// ends; ok is false unless it is an integer that fits 32 bits.
+func int32At(b []byte, i int) (int32, int, bool) {
+	var n num
+	j, ok := scanNumber(b[i:], &n)
+	v, fits := n.intValue(32)
+	return int32(v), i + j, ok && fits && n.integer
 }
 
 // document decodes the whole input: one object and nothing after it but

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -44,6 +45,30 @@ var semanticsSeeds = []string{
 	"{\"nodes\":3,\"labels\":[\"a\\\"b\\\\c\\/\\t\",\"\\ud83d\\ude00\\ud800\",\"\xff\xfe caf\xc3\xa9\"],\"edges\":[]}",
 	// Whitespace everywhere JSON allows it, and -0.
 	" \t\r\n{ \"nodes\" : 2 , \"edges\" : [ { \"u\" : -0 , \"v\" : 1 , \"p_fail\" : 0E+0 } ] } \n",
+	// The number kernel's limits. Integers at the edge of their width
+	// decode, and a later key replaces them with a valid value.
+	`{"nodes":2,"edges":[{"u":2147483647,"v":1,"p_fail":0.5}],"edges":[{"u":0}]}`,
+	`{"nodes":2,"edges":[{"u":-2147483648,"v":1,"p_fail":0.5}],"edges":[{"u":0}]}`,
+	`{"nodes":9223372036854775807,"nodes":2,"budget":-9223372036854775808,"budget":1,"edges":[]}`,
+	`{"nodes":2,"edges":[{"u":-0,"v":1,"p_fail":-0}]}`,
+	// Mantissas at 2⁵³ and just past it, and of 19 and 20 digits.
+	`{"nodes":3,"coords":[[9007199254740992,9007199254740993],[-9007199254740992e-3,9007199254740993e-3],[0,0]],"edges":[{"u":0,"v":1,"p_fail":9007199254740992e-16},{"u":1,"v":2,"p_fail":9007199254740993e-16}]}`,
+	`{"nodes":3,"coords":[[1234567890123456789,12345678901234567891],[0.1234567890123456789,0.12345678901234567891],[0,0]],"edges":[{"u":0,"v":1,"p_fail":0.1234567890123456789},{"u":1,"v":2,"p_fail":0.12345678901234567891}]}`,
+	// Exponents at and past the exact range, and every exponent spelling.
+	`{"nodes":2,"coords":[[1e22,1e23],[1e-22,1e-23]],"edges":[{"u":0,"v":1,"p_fail":0.5e-1}],"failure_threshold":1E-2}`,
+	`{"nodes":2,"coords":[[1E+2,1e+22],[22e-1,0.000001e-16]],"edges":[{"u":0,"v":1,"p_fail":5E-1}],"failure_threshold":0.00000000000000000000000000001e28}`,
+	// Record shapes the whole-record path must leave to the general one.
+	`{"nodes":2,"edges":[{"v":1,"u":0,"p_fail":0.5}]}`,
+	`{"nodes":2,"edges":[{"U":0,"v":1,"p_fail":0.5}]}`,
+	`{"nodes":2,"edges":[{"u": 0,"v":1,"p_fail":0.5},{"u":1 ,"v":0,"p_fail":0.5}],"edges":[{"u":0,"v":1,"p_fail":0.5 }]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":0.5,"w":1},{"w":[],"u":1,"v":0,"p_fail":0.25}],"edges":[{"u":0,"v":1,"p_fail":null}]}`,
+	// A repeated edges array over whole records: all three fields are replaced.
+	`{"nodes":3,"edges":[{"u":0,"v":1,"p_fail":0.5},{"u":1,"v":2,"p_fail":0.25}],"edges":[{"u":2,"v":0,"p_fail":0.125},{"u":1,"v":2,"p_fail":0.0625}]}`,
+	// An exponent past strconv's saturation point after 10⁴ leading zeros
+	// of the fraction: strconv stops reading it at 10⁴, so encoding/json
+	// gives 1 and 0.1 here, not 10⁹⁰⁰⁰⁰, and so must the kernel.
+	`{"nodes":2,"coords":[[0.` + strings.Repeat("0", 9999) + `1e100000,0.` + strings.Repeat("0", 10000) + `1e100000],[0,0]],` +
+		`"edges":[{"u":0,"v":1,"p_fail":0.` + strings.Repeat("0", 10000) + `1e100000}]}`,
 }
 
 // strictSeeds are documents the streaming decoder must reject although a
@@ -66,6 +91,21 @@ var strictSeeds = []string{
 	`{"nodes":2,"edges":[{"u":4294967296,"v":1}]}`,
 	`{"nodes":2,"edges":[{"u":2147483648,"v":1}]}`,
 	`{"nodes":2,"edges":[{"u":-2147483649,"v":1}]}`,
+	// The same faults in the record shape WriteJSONStream writes.
+	`{"nodes":2,"edges":[{"u":2147483648,"v":1,"p_fail":0.5}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":01,"p_fail":0.5}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1.0,"p_fail":0.5}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":1e400}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":0.5e}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":0.5-1}]}`,
+	`{"nodes":2,"edges":[{"u":01,"v":1}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":1e}]}`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":-}]`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":0.5`,
+	`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":0.5}`,
+	`{"nodes":9223372036854775808,"edges":[]}`,
+	`{"nodes":2,"budget":-9223372036854775809,"edges":[]}`,
+	`{"nodes":2,"budget":1e2,"edges":[]}`,
 	`{"nodes":2,"edges":[{"u":"0","v":1}]}`,
 	`{"nodes":2,"edges":[{"u":0,"v":1}],}`,
 	`{"nodes":2,"edges":[{"u":0,"v":1},]}`,
@@ -134,6 +174,26 @@ func corpusDocuments(tb testing.TB) [][]byte {
 	return docs
 }
 
+// sameDocument reports whether two Documents are equal with every float
+// compared by its bits, so that 0 and -0 differ.
+func sameDocument(a, b Document) bool {
+	if !reflect.DeepEqual(a, b) {
+		return false
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range a.Coords {
+		if !same(a.Coords[i][0], b.Coords[i][0]) || !same(a.Coords[i][1], b.Coords[i][1]) {
+			return false
+		}
+	}
+	for i := range a.Edges {
+		if !same(a.Edges[i].Fail, b.Edges[i].Fail) {
+			return false
+		}
+	}
+	return same(a.FailureThreshold, b.FailureThreshold)
+}
+
 // TestReadJSONMatchesReflect: both readers accept every corpus document
 // and every semantics seed, with equal Documents, also when the input
 // arrives one byte per read so that every token straddles two windows.
@@ -151,12 +211,64 @@ func TestReadJSONMatchesReflect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("doc %d: ReadJSON: %v\n%s", i, err, data)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !sameDocument(got, want) {
 			t.Fatalf("doc %d differs:\ngot  %+v\nwant %+v", i, got, want)
 		}
 		got, err = ReadJSON(iotest.OneByteReader(bytes.NewReader(data)))
-		if err != nil || !reflect.DeepEqual(got, want) {
+		if err != nil || !sameDocument(got, want) {
 			t.Fatalf("doc %d one byte per read: err %v\ngot  %+v\nwant %+v", i, err, got, want)
+		}
+	}
+}
+
+// cycleReader returns data in reads of 1, 2, …, 127, 1, 2, … bytes, from
+// a phase into that cycle, so that the decoder's windows end at every
+// offset of a record.
+type cycleReader struct {
+	data  []byte
+	phase int
+}
+
+func (r *cycleReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	r.phase = r.phase%127 + 1
+	n := copy(p[:min(len(p), r.phase)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestReadJSONWindowBoundaries: the whole-record path and the number
+// kernel give encoding/json's Document, bit for bit, wherever the window
+// cuts the input. The bench instance and the corpus are read in both the
+// WriteJSONStream and the indented WriteJSON form; the small documents
+// are read from every phase of the read-size cycle.
+func TestReadJSONWindowBoundaries(t *testing.T) {
+	type input struct {
+		data   []byte
+		phases int
+	}
+	inputs := []input{{benchData(t, false), 1}, {benchData(t, true), 1}}
+	for _, data := range corpusDocuments(t) {
+		inputs = append(inputs, input{data, 127})
+	}
+	for _, s := range semanticsSeeds {
+		inputs = append(inputs, input{[]byte(s), 127})
+	}
+	for i, in := range inputs {
+		want, err := readJSONReflect(bytes.NewReader(in.data))
+		if err != nil {
+			t.Fatalf("input %d: encoding/json: %v", i, err)
+		}
+		for phase := 0; phase < in.phases; phase++ {
+			got, err := ReadJSON(&cycleReader{in.data, phase})
+			if err != nil {
+				t.Fatalf("input %d, phase %d: %v", i, phase, err)
+			}
+			if !sameDocument(got, want) {
+				t.Fatalf("input %d, phase %d: documents differ", i, phase)
+			}
 		}
 	}
 }
