@@ -138,7 +138,7 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 		res.Trace = make([]int, 0, opts.Iterations-startIter)
 	}
 	stop := StopInfo{Reason: StopEvalBudget, Rounds: startIter}
-	var scratch Search // the greedy swaps' search, reused across children
+	var scratch aeaScratch // the greedy swaps' search and tie buffer, reused across children
 	checkpoint := func() {
 		if opts.CheckpointSink == nil {
 			return
@@ -249,13 +249,20 @@ func greedySeed(p Problem, bp BudgetProblem, k, numCand int, rng *xrand.Rand, wo
 	return seed
 }
 
+// aeaScratch is what the greedy swaps reuse from child to child: the search
+// and the buffer the argmax draws collect their ties in.
+type aeaScratch struct {
+	search Search
+	ties   []int
+}
+
 // deriveChild produces a new feasible solution from parent via one swap.
 // The greedy swap's drop and add scans shard across the given workers; the
 // rng consumes draws only from fully reduced scan results, so the child is
 // identical for every worker count. On budgeted problems (bp != nil) the
 // incoming candidate must fit the budget headroom after the drop; when
 // nothing fits the swap degenerates to a pure drop.
-func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng *xrand.Rand, workers int, scratch *Search) aeaSol {
+func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng *xrand.Rand, workers int, scratch *aeaScratch) aeaSol {
 	numCand := p.NumCandidates()
 	if numCand == 0 {
 		// Degenerate universe: nothing to swap in (and randomAbsent would
@@ -265,14 +272,14 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 	if rng.Float64() <= 1-delta {
 		// Greedy swap on an incremental search state, argmax ties broken
 		// uniformly at random.
-		s := childSearch(p, scratch, parent.sel)
+		s := childSearch(p, &scratch.search, parent.sel)
 		setSearchWorkers(s, workers)
 		if s.Len() > 0 {
-			s.RemoveAt(randomBestDrop(s, rng))
+			s.RemoveAt(randomBestDrop(s, rng, &scratch.ties))
 		}
 		if bp != nil {
 			rem := bp.Budget() - bp.CostOf(s.Selection())
-			cand := randomBestAddBudget(s, bp, rem, rng)
+			cand := randomBestAddBudget(s, bp, rem, rng, &scratch.ties)
 			if cand < 0 {
 				cand = randomAbsentAffordable(s, bp, rem, numCand, rng)
 			}
@@ -281,7 +288,7 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 			}
 			return aeaSol{sel: s.Selection(), sigma: s.Sigma()}
 		}
-		cand := randomBestAdd(s, rng)
+		cand := randomBestAdd(s, rng, &scratch.ties)
 		if cand < 0 {
 			cand = randomAbsent(s, numCand, rng)
 		}
@@ -323,53 +330,47 @@ func childSearch(p Problem, scratch *Search, sel []int) Search {
 // randomBestDrop returns a uniformly random position among those whose
 // removal leaves the maximal σ. The per-position σ values come from one
 // (possibly sharded) SigmaDrops pass; tie collection and the rng draw stay
-// serial, so the choice matches the serial scan draw for draw.
-func randomBestDrop(s Search, rng *xrand.Rand) int {
+// serial, so the choice matches the serial scan draw for draw. The ties
+// are collected in *ties, which the caller keeps for reuse.
+func randomBestDrop(s Search, rng *xrand.Rand, ties *[]int) int {
 	drops := sigmaDrops(s, nil)
 	bestSigma := -1
-	var ties []int
+	t := (*ties)[:0]
 	for pos, sig := range drops {
 		switch {
 		case sig > bestSigma:
 			bestSigma = sig
-			ties = ties[:0]
-			ties = append(ties, pos)
+			t = append(t[:0], pos)
 		case sig == bestSigma:
-			ties = append(ties, pos)
+			t = append(t, pos)
 		}
 	}
-	return ties[rng.Intn(len(ties))]
+	*ties = t
+	return t[rng.Intn(len(t))]
 }
 
 // randomBestAdd returns a uniformly random candidate among those with the
-// maximal positive σ gain, or -1 when no addition gains anything.
-func randomBestAdd(s Search, rng *xrand.Rand) int {
-	gains := s.GainsAdd()
+// maximal positive σ gain, or -1 when no addition gains anything. One pass
+// over the gains collects the maximizers in ascending order in *ties, so
+// rng.Intn(len) picks the same candidate a count-then-rescan draw would.
+func randomBestAdd(s Search, rng *xrand.Rand, ties *[]int) int {
 	bestGain := 0
-	count := 0
-	for _, g := range gains {
+	t := (*ties)[:0]
+	for c, g := range s.GainsAdd() {
 		switch {
+		case g < bestGain || g <= 0:
 		case g > bestGain:
 			bestGain = g
-			count = 1
-		case g == bestGain && g > 0:
-			count++
+			t = append(t[:0], c)
+		default:
+			t = append(t, c)
 		}
 	}
-	if bestGain <= 0 {
+	*ties = t
+	if len(t) == 0 {
 		return -1
 	}
-	// Reservoir-free second pass: pick the j-th maximizer.
-	j := rng.Intn(count)
-	for c, g := range gains {
-		if g == bestGain {
-			if j == 0 {
-				return c
-			}
-			j--
-		}
-	}
-	return -1 // unreachable
+	return t[rng.Intn(len(t))]
 }
 
 // randomAbsent draws a uniform candidate not in the search's selection.
@@ -385,35 +386,24 @@ func randomAbsent(s Search, numCand int, rng *xrand.Rand) int {
 // randomBestAddBudget is randomBestAdd restricted to candidates affordable
 // within rem. Under unit costs with full headroom every candidate is
 // affordable and the draw sequence matches randomBestAdd exactly.
-func randomBestAddBudget(s Search, bp BudgetProblem, rem float64, rng *xrand.Rand) int {
-	gains := s.GainsAdd()
+func randomBestAddBudget(s Search, bp BudgetProblem, rem float64, rng *xrand.Rand, ties *[]int) int {
 	bestGain := 0
-	count := 0
-	for c, g := range gains {
-		if bp.Cost(c) > rem {
-			continue
-		}
+	t := (*ties)[:0]
+	for c, g := range s.GainsAdd() {
 		switch {
+		case g < bestGain || g <= 0 || bp.Cost(c) > rem:
 		case g > bestGain:
 			bestGain = g
-			count = 1
-		case g == bestGain && g > 0:
-			count++
+			t = append(t[:0], c)
+		default:
+			t = append(t, c)
 		}
 	}
-	if bestGain <= 0 {
+	*ties = t
+	if len(t) == 0 {
 		return -1
 	}
-	j := rng.Intn(count)
-	for c, g := range gains {
-		if g == bestGain && bp.Cost(c) <= rem {
-			if j == 0 {
-				return c
-			}
-			j--
-		}
-	}
-	return -1 // unreachable
+	return t[rng.Intn(len(t))]
 }
 
 // randomAbsentAffordable draws a uniform candidate that is absent from the

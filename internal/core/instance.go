@@ -137,6 +137,10 @@ type Instance struct {
 	endpoints    []graph.NodeID
 	pairU, pairW []int32
 
+	// mergers is the ball-merge scratch every search's rebuilds and
+	// commits draw from, one merger per merge running at once.
+	mergers *shortestpath.Mergers
+
 	// Candidate indexing: candidate i ↔ unordered pair of candidate
 	// nodes. By default every node may host a shortcut endpoint
 	// (candNodes = 0..n-1, N = n(n−1)/2); Options.ExcludePairEndpoints
@@ -285,11 +289,12 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 		return nil, err
 	}
 	inst := &Instance{
-		g:     g,
-		table: table,
-		ps:    ps,
-		thr:   thr,
-		k:     k,
+		g:       g,
+		table:   table,
+		ps:      ps,
+		thr:     thr,
+		k:       k,
+		mergers: shortestpath.NewMergers(g.N()),
 	}
 	inst.balls = shortestpath.NewMemo(func(u graph.NodeID) shortestpath.Ball {
 		return shortestpath.ReadBall(table, u, thr.D)

@@ -49,7 +49,7 @@ import (
 //
 // Add computes only the two overlay balls of the new shortcut's endpoints
 // and merges them into every endpoint ball that reaches a or b within d_t
-// — a sorted three-way merge, O(ball) per ball — then marks the gains
+// — a three-way scatter merge, O(ball) per ball — then marks the gains
 // array stale; the next GainsAdd cold-scans the near lists, and repeated
 // GainsAdd calls between mutations return the cached array. The
 // eval-differential suite compares this path against a reference that
@@ -317,7 +317,7 @@ func (s *instSearch) rebuild() {
 		s.balls = make([]shortestpath.Ball, len(s.inst.endpoints))
 	}
 	ov := shortestpath.NewOverlay(s.inst.table, SelectionEdges(s.inst, s.sel))
-	shortestpath.NewEvaluator(ov, s.workers).DistBalls(s.inst.baseBalls(), s.inst.thr.D, s.inst.endpoints, s.balls)
+	shortestpath.NewEvaluator(ov, s.workers).DistBalls(s.inst.baseBalls(), s.inst.mergers, s.inst.thr.D, s.inst.endpoints, s.balls)
 	s.recomputeSigma()
 	s.stale = false
 	s.gainsValid = false
@@ -912,7 +912,7 @@ func (s *instSearch) RemoveAt(pos int) {
 // it queries the two overlay balls of a and b over the PRE-commit
 // selection (the only shortest-path work of the commit, independent of the
 // number of endpoint balls). Then each endpoint ball e within d_t of a or
-// b becomes the sorted three-way merge
+// b becomes the three-way merge (shortestpath.Merger, one per shard)
 //
 //	ball(e) ∪ (d_F(e,a) + ball(b)) ∪ (d_F(e,b) + ball(a)),
 //
@@ -930,7 +930,7 @@ func (s *instSearch) mergeAdd(cand int) {
 	}
 	ov := shortestpath.NewOverlay(s.inst.table, SelectionEdges(s.inst, s.sel))
 	s.mergeSrc[0], s.mergeSrc[1] = e.U, e.V
-	shortestpath.NewEvaluator(ov, min(s.workers, 2)).DistBalls(s.inst.baseBalls(), dt, s.mergeSrc, s.mergeBall)
+	shortestpath.NewEvaluator(ov, min(s.workers, 2)).DistBalls(s.inst.baseBalls(), s.inst.mergers, dt, s.mergeSrc, s.mergeBall)
 	s.sel = append(s.sel, cand)
 	ballA, ballB := s.mergeBall[0], s.mergeBall[1]
 
@@ -950,25 +950,25 @@ func (s *instSearch) mergeAdd(cand int) {
 		changed := int64(0)
 		var shift [3]float64
 		var merge [3]shortestpath.Ball
+		m := s.inst.mergers.Get()
 		out := s.mergeOut[shard]
 		for r := lo; r < hi; r++ {
 			b := s.balls[r]
 			shift[0], merge[0] = 0, b
-			k, size := 1, b.Len()
+			k := 1
 			if da := b.At(e.U); da <= dt {
 				shift[k], merge[k] = da, ballB
-				k, size = k+1, size+ballB.Len()
+				k++
 			}
 			if db := b.At(e.V); db <= dt {
 				shift[k], merge[k] = db, ballA
-				k, size = k+1, size+ballA.Len()
+				k++
 			}
 			if k == 1 {
 				continue // the ball reaches neither endpoint: it cannot change
 			}
 			var improved bool
-			out.IDs, out.Dist = slices.Grow(out.IDs[:0], size), slices.Grow(out.Dist[:0], size)
-			out, improved = shortestpath.AppendMinMerge(out, dt, shift[:k], merge[:k])
+			out, improved = m.AppendMinMerge(shortestpath.Ball{IDs: out.IDs[:0], Dist: out.Dist[:0]}, dt, shift[:k], merge[:k])
 			if !improved {
 				continue
 			}
@@ -977,6 +977,7 @@ func (s *instSearch) mergeAdd(cand int) {
 			b.Dist = append(b.Dist[:0], out.Dist...)
 			s.balls[r] = b
 		}
+		s.inst.mergers.Put(m)
 		s.mergeOut[shard] = out
 		cnt[shard] = changed
 	})

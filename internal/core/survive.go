@@ -216,6 +216,7 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 				}
 			}
 			inst.nodeInsts[v] = MustNewInstance(b.MustBuild(), inst.ps, inst.thr, inst.k, opts)
+			inst.nodeInsts[v].mergers = inst.mergers // same node count
 		}
 	})
 	return inst.nodeInsts, inst.nodeVac

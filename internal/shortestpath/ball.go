@@ -2,6 +2,7 @@ package shortestpath
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -198,53 +199,120 @@ func ReadBall(src DistanceSource, u graph.NodeID, bound float64) Ball {
 	return b
 }
 
+// Merger is the scratch of the ball merge: a node-indexed distance array
+// gated by a two-level bitmap, one bit per node and one summary bit per
+// bitmap word. Between merges every bit is clear, so a merge touches only
+// the words its entries land in. A Merger serves one merge at a time;
+// Mergers hands them out to concurrent callers.
+type Merger struct {
+	dist    []float64 // dist[v] is live while v's bit is set
+	bits    []uint64  // bit v%64 of bits[v/64] marks node v
+	summary []uint64  // bit w%64 of summary[w/64] marks a non-zero bits[w]
+}
+
+// newMerger returns a merger for node ids 0..n-1.
+func newMerger(n int) *Merger {
+	words := (n + 63) / 64
+	return &Merger{dist: make([]float64, n), bits: make([]uint64, words), summary: make([]uint64, (words+63)/64)}
+}
+
 // AppendMinMerge appends to dst the entrywise minimum of the shifted balls
 // shift[i] + balls[i], ascending by id, keeping only entries ≤ bound. The
 // sums and the minimum are the ones a dense scatter-min of the same rows
-// computes, so every kept entry equals the dense value bit for bit.
-// improved reports whether some kept entry is strictly below balls[0]'s
-// entry at that id (+Inf when absent): false means the merge left
-// shift[0] + balls[0] unchanged.
+// computes, so every kept entry equals the dense value bit for bit: balls
+// are applied in index order with a strict <, so of equal sums (±0
+// included) the lowest ball index keeps its representative. improved
+// reports whether some kept entry is strictly below balls[0]'s entry at
+// that id (+Inf when absent): false means the merge left shift[0] +
+// balls[0] unchanged. Ball ids must be ascending and below the merger's
+// node count, and no sum may be NaN.
 //
-// Each output entry costs one pass over the cursors, so a merge is
-// O(len(balls) · Σ len); callers merge a handful of balls at a time.
-func AppendMinMerge(dst Ball, bound float64, shift []float64, balls []Ball) (out Ball, improved bool) {
-	var curBuf [8]int
-	var cur []int
-	if len(balls) <= len(curBuf) {
-		cur = curBuf[:len(balls)]
-	} else {
-		cur = make([]int, len(balls))
-	}
-	for {
-		next, found := int32(0), false
-		for i, b := range balls {
-			if c := cur[i]; c < len(b.IDs) && (!found || b.IDs[c] < next) {
-				next, found = b.IDs[c], true
+// The entries are scattered into the merger and the output is read back by
+// walking the set summary bits, which clears them: O(Σ len + n/4096 +
+// touched words). dst grows at most once, by the output's exact length.
+func (m *Merger) AppendMinMerge(dst Ball, bound float64, shift []float64, balls []Ball) (out Ball, improved bool) {
+	dist, set := m.dist, m.bits
+	cnt := 0
+	for i, b := range balls {
+		s, bd := shift[i], b.Dist[:len(b.IDs)]
+		for c, id := range b.IDs {
+			// An entry above the bound is never the kept minimum of an
+			// id that is kept, so it is skipped before it is scattered.
+			d := s + bd[c]
+			if !(d <= bound) {
+				continue
 			}
-		}
-		if !found {
-			return dst, improved
-		}
-		best, base := Inf, Inf
-		for i, b := range balls {
-			if c := cur[i]; c < len(b.IDs) && b.IDs[c] == next {
-				d := shift[i] + b.Dist[c]
-				if i == 0 {
-					base = d
+			w, bit := id>>6, uint64(1)<<(id&63)
+			if sw := set[w]; sw&bit == 0 {
+				if sw == 0 {
+					m.summary[w>>6] |= 1 << (w & 63)
 				}
-				if d < best {
-					best = d
+				set[w] = sw | bit
+				dist[id] = d
+				cnt++
+				// A later ball's first entry at an id beats balls[0]'s
+				// +Inf (or its entry above the bound); a lower sum beats
+				// the running minimum, which is at most balls[0]'s entry.
+				// Either way the id is kept, at ≤ d ≤ bound.
+				if i > 0 && d < Inf {
+					improved = true
 				}
-				cur[i] = c + 1
-			}
-		}
-		if best <= bound {
-			dst.IDs = append(dst.IDs, next)
-			dst.Dist = append(dst.Dist, best)
-			if best < base {
+			} else if d < dist[id] {
+				dist[id] = d
 				improved = true
 			}
 		}
 	}
+	k := len(dst.IDs)
+	ids, ds := slices.Grow(dst.IDs, cnt)[:k+cnt], slices.Grow(dst.Dist, cnt)[:k+cnt]
+	for si, sw := range m.summary {
+		if sw == 0 {
+			continue
+		}
+		m.summary[si] = 0
+		for ; sw != 0; sw &= sw - 1 {
+			w := si<<6 | bits.TrailingZeros64(sw)
+			for bw := set[w]; bw != 0; bw &= bw - 1 {
+				id := w<<6 | bits.TrailingZeros64(bw)
+				ids[k], ds[k] = int32(id), dist[id]
+				k++
+			}
+			set[w] = 0
+		}
+	}
+	return Ball{IDs: ids, Dist: ds}, improved
+}
+
+// Mergers is a free list of Mergers over one node count. Get hands out a
+// kept merger or makes one, and Put keeps it for the next caller, so a
+// process allocates one merger per merge that ran at the same time. The
+// list holds its mergers across garbage collections, which a sync.Pool
+// would drop together with their n-length arrays. Safe for concurrent use.
+type Mergers struct {
+	n    int
+	mu   sync.Mutex
+	free []*Merger
+}
+
+// NewMergers returns an empty free list of mergers for node ids 0..n-1.
+func NewMergers(n int) *Mergers { return &Mergers{n: n} }
+
+// Get returns a merger for the caller's exclusive use until Put.
+func (p *Mergers) Get() *Merger {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if k := len(p.free); k > 0 {
+		m := p.free[k-1]
+		p.free = p.free[:k-1]
+		return m
+	}
+	return newMerger(p.n)
+}
+
+// Put returns m, with every bit clear (as AppendMinMerge leaves it), to the
+// list.
+func (p *Mergers) Put(m *Merger) {
+	p.mu.Lock()
+	p.free = append(p.free, m)
+	p.mu.Unlock()
 }

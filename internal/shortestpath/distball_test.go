@@ -45,6 +45,8 @@ func TestDistBallMatchesDistRow(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = graph.NodeID(i)
 		}
+		mergers := NewMergers(g.N())
+		m := newMerger(g.N())
 		for _, src := range srcs {
 			ov := NewOverlay(src, shortcuts)
 			base := readBalls{src, bound}
@@ -58,12 +60,12 @@ func TestDistBallMatchesDistRow(t *testing.T) {
 						want[u].Dist = append(want[u].Dist, d)
 					}
 				}
-				got := ov.DistBall(base, graph.NodeID(u), bound, Ball{})
+				got := ov.DistBall(base, m, graph.NodeID(u), bound, Ball{})
 				checkBallBits(t, seed, u, got, want[u])
 			}
 			for _, workers := range []int{1, 3} {
 				got := make([]Ball, g.N())
-				NewEvaluator(ov, workers).DistBalls(base, bound, nodes, got)
+				NewEvaluator(ov, workers).DistBalls(base, mergers, bound, nodes, got)
 				for u := range got {
 					checkBallBits(t, seed, u, got[u], want[u])
 				}
@@ -88,18 +90,19 @@ func checkBallBits(t *testing.T, seed int64, u int, got, want Ball) {
 // order, the minimum at shared ids, the bound (inclusive) on shifted
 // entries, and the improved flag.
 func TestAppendMinMerge(t *testing.T) {
+	m := newMerger(10)
 	a := Ball{IDs: []int32{1, 4, 6}, Dist: []float64{1, 2, 3}}
 	b := Ball{IDs: []int32{0, 4, 6, 9}, Dist: []float64{0, 0.5, 2, 0}}
-	got, improved := AppendMinMerge(Ball{}, 3, []float64{0, 1}, []Ball{a, b})
+	got, improved := m.AppendMinMerge(Ball{}, 3, []float64{0, 1}, []Ball{a, b})
 	want := Ball{IDs: []int32{0, 1, 4, 6, 9}, Dist: []float64{1, 1, 1.5, 3, 1}}
 	checkBallBits(t, 0, 0, got, want)
 	if !improved {
 		t.Error("merge adding nodes reported no improvement")
 	}
-	if _, improved := AppendMinMerge(Ball{}, 3, []float64{0, 2.5}, []Ball{a, b}); !improved {
+	if _, improved := m.AppendMinMerge(Ball{}, 3, []float64{0, 2.5}, []Ball{a, b}); !improved {
 		t.Error("merge adding node 0 at the bound reported no improvement")
 	}
-	same, improved := AppendMinMerge(Ball{}, 3, []float64{0, 2.9}, []Ball{a, Ball{IDs: []int32{4}, Dist: []float64{0}}})
+	same, improved := m.AppendMinMerge(Ball{}, 3, []float64{0, 2.9}, []Ball{a, Ball{IDs: []int32{4}, Dist: []float64{0}}})
 	checkBallBits(t, 0, 0, same, a)
 	if improved {
 		t.Error("merge that changes nothing reported an improvement")

@@ -84,16 +84,19 @@ func (e *Evaluator) CountWithin(us, ws []graph.NodeID, weights []int32, bound fl
 
 // DistBalls sets balls[i] to the augmented ball of srcs[i] at bound (see
 // Overlay.DistBall), reusing each entry's slices, one source per unit of
-// sharded work. Each call owns its output entry, so the balls are
-// independent and identical for every worker count.
-func (e *Evaluator) DistBalls(base BallSource, bound float64, srcs []graph.NodeID, balls []Ball) {
+// sharded work; each shard merges in its own merger from mergers. Each
+// call owns its output entry, so the balls are independent and identical
+// for every worker count.
+func (e *Evaluator) DistBalls(base BallSource, mergers *Mergers, bound float64, srcs []graph.NodeID, balls []Ball) {
 	if len(srcs) != len(balls) {
 		panic("shortestpath: DistBalls length mismatch")
 	}
 	run := func(_, lo, hi int) {
+		m := mergers.Get()
 		for i := lo; i < hi; i++ {
-			balls[i] = e.ov.DistBall(base, srcs[i], bound, Ball{IDs: balls[i].IDs[:0], Dist: balls[i].Dist[:0]})
+			balls[i] = e.ov.DistBall(base, m, srcs[i], bound, Ball{IDs: balls[i].IDs[:0], Dist: balls[i].Dist[:0]})
 		}
+		mergers.Put(m)
 	}
 	if e.workers <= 1 || len(srcs) < 2 {
 		run(0, 0, len(srcs))

@@ -124,12 +124,13 @@ func TestEvaluatorDistBallsMatchesSerial(t *testing.T) {
 	lt := NewLazyTable(g, LazyOptions{})
 	ov := NewOverlay(lt, shortcuts)
 	base := readBalls{lt, bound}
+	mergers := NewMergers(g.N())
 	var srcs []graph.NodeID
 	for u := 0; u < g.N(); u += 2 {
 		srcs = append(srcs, graph.NodeID(u))
 	}
 	want := make([]Ball, len(srcs))
-	NewEvaluator(ov, 1).DistBalls(base, bound, srcs, want)
+	NewEvaluator(ov, 1).DistBalls(base, mergers, bound, srcs, want)
 	for i, src := range srcs {
 		ref := AugmentedDistances(g, shortcuts, src)
 		for v, d := range ref {
@@ -143,7 +144,7 @@ func TestEvaluatorDistBallsMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		got := make([]Ball, len(srcs))
-		NewEvaluator(ov, workers).DistBalls(base, bound, srcs, got)
+		NewEvaluator(ov, workers).DistBalls(base, mergers, bound, srcs, got)
 		for i := range srcs {
 			checkBallBits(t, int64(workers), i, got[i], want[i])
 		}
@@ -159,7 +160,7 @@ func TestEvaluatorDistBallsLengthMismatch(t *testing.T) {
 			t.Fatal("expected panic on balls length mismatch")
 		}
 	}()
-	e.DistBalls(readBalls{tab, 1}, 1, []graph.NodeID{0, 1}, make([]Ball, 1))
+	e.DistBalls(readBalls{tab, 1}, NewMergers(tab.N()), 1, []graph.NodeID{0, 1}, make([]Ball, 1))
 }
 
 func TestOverlayEndpointsDistinct(t *testing.T) {

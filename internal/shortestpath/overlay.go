@@ -3,7 +3,6 @@ package shortestpath
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"msc/internal/graph"
 	"msc/internal/telemetry"
@@ -61,17 +60,27 @@ func NewOverlay(table DistanceSource, shortcuts []graph.Edge) *Overlay {
 	for _, f := range shortcuts {
 		zero = append(zero, pair{addEndpoint(f.U), addEndpoint(f.V)})
 	}
+	// h[i][j] = Dist(endpoints[i], endpoints[j]), read from one row (or
+	// ball) per terminal: every source's Dist(u, v) reads u's row, or u's
+	// ball on a sparse source.
 	t := len(o.endpoints)
 	o.h = make([][]float64, t)
-	for i := 0; i < t; i++ {
-		o.h[i] = make([]float64, t)
-		for j := 0; j < t; j++ {
-			if i == j {
-				o.h[i][j] = 0
-			} else {
-				o.h[i][j] = table.Dist(o.endpoints[i], o.endpoints[j])
+	ss, sparse := table.(SparseSource)
+	for i, a := range o.endpoints {
+		hi := make([]float64, t)
+		if sparse {
+			row := ss.SparseRow(a)
+			for j, b := range o.endpoints {
+				hi[j] = row.At(b)
+			}
+		} else {
+			row := table.Row(a)
+			for j, b := range o.endpoints {
+				hi[j] = row[b]
 			}
 		}
+		hi[i] = 0
+		o.h[i] = hi
 	}
 	for _, p := range zero {
 		o.h[p.a][p.b] = 0
@@ -137,15 +146,25 @@ func (o *Overlay) distSparse(ss SparseSource, u, w graph.NodeID) float64 {
 	if t == 0 {
 		return best
 	}
-	dw := ss.SparseRow(w)
+	// w's terminal distances are read once, on the first terminal that
+	// can improve, into stack scratch for up to 16 terminals.
+	var dwBuf [16]float64
+	var dw []float64
 	for i := 0; i < t; i++ {
 		dui := du.At(o.endpoints[i])
 		if dui >= best {
 			continue
 		}
+		if dw == nil {
+			bw := ss.SparseRow(w)
+			dw = dwBuf[:0]
+			for _, e := range o.endpoints {
+				dw = append(dw, bw.At(e))
+			}
+		}
 		hi := o.h[i]
 		for j := 0; j < t; j++ {
-			if d := dui + hi[j] + dw.At(o.endpoints[j]); d < best {
+			if d := dui + hi[j] + dw[j]; d < best {
 				best = d
 			}
 		}
@@ -249,13 +268,14 @@ func (o *Overlay) distRowSparse(ss SparseSource, u graph.NodeID, out []float64) 
 // bound of u, ascending by id, with exactly the distance DistRow(u)
 // computes for it. It composes DistRow's arithmetic from base
 // balls instead of rows — u's own ball, plus c[i] + ball(terminal i) for
-// every terminal with c[i] ≤ bound — so it costs O(k² log b + K·Σ b) for
-// K such terminals and balls of b entries, with no n-length scratch.
+// every terminal with c[i] ≤ bound — merged in m, so it costs
+// O(k² log b + Σ b + n/4096) for balls of b entries, and dst grows at most
+// once, to the ball's exact length.
 // Truncation loses nothing: distances are non-negative and float addition
 // is monotone, so a base entry beyond bound only feeds sums beyond bound.
 // balls must hold every entry of Row(v) ≤ bound for each node v it is
 // asked for.
-func (o *Overlay) DistBall(balls BallSource, u graph.NodeID, bound float64, dst Ball) Ball {
+func (o *Overlay) DistBall(balls BallSource, m *Merger, u graph.NodeID, bound float64, dst Ball) Ball {
 	telemetry.Global().OverlayRows.Add(1)
 	bu := balls.Ball(u)
 	t := len(o.endpoints)
@@ -268,7 +288,6 @@ func (o *Overlay) DistBall(balls BallSource, u graph.NodeID, bound float64, dst 
 	for _, e := range o.endpoints {
 		du = append(du, bu.At(e))
 	}
-	size := bu.Len()
 	for i := 0; i < t; i++ {
 		best := du[i]
 		for j := 0; j < t; j++ {
@@ -277,28 +296,16 @@ func (o *Overlay) DistBall(balls BallSource, u graph.NodeID, bound float64, dst 
 			}
 		}
 		if best <= bound {
-			b := balls.Ball(o.endpoints[i])
 			shift = append(shift, best)
-			merge = append(merge, b)
-			size += b.Len()
+			merge = append(merge, balls.Ball(o.endpoints[i]))
 		}
 	}
 	if len(merge) == 1 {
 		return appendBall(dst, bu)
 	}
-	// Merge into pooled scratch sized for the disjoint union, then copy
-	// the ball into dst at its exact length: the union bound can exceed
-	// the ball severalfold when terminal balls overlap.
-	sc := mergeScratch.Get().(*Ball)
-	sc.IDs, sc.Dist = slices.Grow(sc.IDs[:0], size), slices.Grow(sc.Dist[:0], size)
-	*sc, _ = AppendMinMerge(*sc, bound, shift, merge)
-	dst = appendBall(dst, *sc)
-	mergeScratch.Put(sc)
+	dst, _ = m.AppendMinMerge(dst, bound, shift, merge)
 	return dst
 }
-
-// mergeScratch pools DistBall's merge buffers.
-var mergeScratch = sync.Pool{New: func() any { return new(Ball) }}
 
 // appendBall appends b's entries to dst, growing dst at most once.
 func appendBall(dst, b Ball) Ball {
