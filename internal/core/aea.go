@@ -192,7 +192,7 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 				e := p.CandidateEdge(child.sel[len(child.sel)-1])
 				added = &[2]int32{int32(e.U), int32(e.V)}
 			}
-			mu, nu := diagBounds(p, child.sel)
+			mu, nu := p.Mu(child.sel), p.Nu(child.sel)
 			opts.Sink.Emit(telemetry.RoundEvent{
 				Algorithm:  "aea",
 				Round:      iter,

@@ -15,6 +15,7 @@ import (
 	"msc/internal/pairs"
 	"msc/internal/shortestpath"
 	"msc/internal/submodular"
+	"msc/internal/telemetry"
 	"msc/internal/xrand"
 )
 
@@ -460,41 +461,41 @@ func TestBoundsDifferential(t *testing.T) {
 	}
 }
 
-// TestBoundsReadBallsOnly pins what the μ/ν build reads: it caches a row
-// only for the pair endpoints, whose balls the σ search reads anyway, and
-// every other candidate costs one uncached ball. On the bounded backend
-// that row is the d_t-ball and no dense row is materialized; on the lazy
-// backend it is the full row.
+// TestBoundsReadBallsOnly pins what the μ/ν build reads: the pair
+// endpoints' d_t-balls, which the σ search reads anyway, and nothing for
+// any other candidate, in both candidate universes. On the bounded backend
+// that is one cached ball per pair node and no dense row; on the lazy
+// backend one full row per pair node; on the dense backend the resident
+// rows, with no Dijkstra run.
 func TestBoundsReadBallsOnly(t *testing.T) {
+	build := func(inst *core.Instance) {
+		inst.MuProblem()
+		inst.NuProblem()
+	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := xrand.New(seed)
 		for _, w := range ballWorlds(t, rng) {
+			pairNodes := len(w.ps.Nodes())
 			for _, exclude := range []bool{false, true} {
 				name := fmt.Sprintf("seed %d %s exclude=%v", seed, w.name, exclude)
 				bounded := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendBounded, ExcludePairEndpoints: exclude})
+				build(bounded)
 				bt := bounded.Table().(*shortestpath.BoundedTable)
-				cached := bt.Stats().Cached
-				bounded.MuProblem()
-				bounded.NuProblem()
-				want := len(w.ps.Nodes())
-				if exclude {
-					want = cached // no candidate is a pair endpoint
-				}
-				if s := bt.Stats(); s.DenseRows != 0 || s.Cached != want {
-					t.Fatalf("%s: bounded build materialized %d dense rows and left %d cached balls (%d before), want 0 and %d", name, s.DenseRows, s.Cached, cached, want)
+				if s := bt.Stats(); s.DenseRows != 0 || s.Cached != pairNodes {
+					t.Fatalf("%s: bounded build materialized %d dense rows and left %d cached balls, want 0 and %d", name, s.DenseRows, s.Cached, pairNodes)
 				}
 
 				lazy := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendLazy, ExcludePairEndpoints: exclude})
-				lt := lazy.Table().(*shortestpath.LazyTable)
-				before := lt.Stats().Computes
-				lazy.MuProblem()
-				lazy.NuProblem()
-				wantComputes := int64(len(w.ps.Nodes()))
-				if exclude {
-					wantComputes = before
+				build(lazy)
+				if got := lazy.Table().(*shortestpath.LazyTable).Stats().Computes; got != int64(pairNodes) {
+					t.Fatalf("%s: lazy build computed %d rows, want %d: one per pair node", name, got, pairNodes)
 				}
-				if got := lt.Stats().Computes; got != wantComputes {
-					t.Fatalf("%s: lazy build left %d row computes (%d before), want %d: only endpoint rows", name, got, before, wantComputes)
+
+				dense := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendDense, ExcludePairEndpoints: exclude})
+				before := telemetry.Global().DijkstraRuns.Load()
+				build(dense)
+				if runs := telemetry.Global().DijkstraRuns.Load() - before; runs != 0 {
+					t.Fatalf("%s: dense build ran %d Dijkstras, want 0", name, runs)
 				}
 			}
 		}

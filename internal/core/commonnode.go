@@ -46,30 +46,30 @@ func SolveCommonNode(inst *Instance) (CommonNodeResult, error) {
 	}
 	m := inst.Pairs().Len()
 	// pairsAt[j] lists the pairs whose non-common endpoint is pair node j.
-	nodes := inst.endpoints
-	pos := nodePositions(inst.N(), nodes)
-	pairsAt := make([][]int32, len(nodes))
-	for i, p := range inst.Pairs().Pairs() {
-		w := p.U
-		if w == u {
-			w = p.W
+	pairsAt := make([][]int32, len(inst.endpoints))
+	for i := range m {
+		j := inst.pairW[i]
+		if inst.endpoints[j] == u {
+			j = inst.pairU[i]
 		}
-		pairsAt[pos[w]] = append(pairsAt[pos[w]], int32(i))
+		pairsAt[j] = append(pairsAt[j], int32(i))
 	}
-	// Candidate v ∈ V\{u} covers pair i iff D(v, w_i) ≤ d_t, which the
-	// pair nodes in v's d_t-ball answer; set id j is the j-th such v.
-	// Under the unrestricted universe candidate position a is node a.
+	// Candidate v ∈ V\{u} covers pair i iff D(w_i, v) ≤ d_t, which the
+	// pair nodes whose d_t-balls hold v answer (read from w_i's side, as
+	// σ reads it); set id j is the j-th such v. Under the unrestricted
+	// universe candidate position a is node a.
+	near := inst.endpointsNear()
 	sets := &maxcover.Sparse{N: inst.N() - 1}
 	cands := make([]graph.NodeID, 0, inst.N()-1)
 	var set []int32
-	for a, hits := range inst.readBalls(nodes, pos) {
+	for a := range near.Len() {
 		v := graph.NodeID(a)
 		if v == u {
 			continue
 		}
 		set = set[:0]
-		for _, h := range hits {
-			set = append(set, pairsAt[h.nu]...)
+		for _, j := range near.At(a) {
+			set = append(set, pairsAt[j]...)
 		}
 		if len(set) > 0 {
 			slices.Sort(set)

@@ -181,7 +181,7 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 			obs.ObserveRound(time.Since(start))
 		}
 		if opts.Sink != nil {
-			mu, nu := diagBounds(p, child)
+			mu, nu := p.Mu(child), p.Nu(child)
 			opts.Sink.Emit(telemetry.RoundEvent{
 				Algorithm:  "ea",
 				Round:      iter,

@@ -108,7 +108,7 @@ func GreedySigma(p Problem, opts ...Option) Placement {
 		rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := lastEvalStats(s)
 		obs.ObserveRound(time.Since(start))
 		sigma, sigmaWorst := sigmaParts(s)
-		mu, nu := diagBounds(p, sel)
+		mu, nu := p.Mu(sel), p.Nu(sel)
 		cfg.sink.Emit(telemetry.RoundEvent{
 			Algorithm:      "greedy_sigma",
 			Round:          round,
@@ -206,7 +206,7 @@ func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
 			// pairsSkipped reads 0: every gains refresh is a cold scan.
 			rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := lastEvalStats(s)
 			sigma, sigmaWorst := sigmaParts(s)
-			mu, nu := diagBounds(bp, sel)
+			mu, nu := bp.Mu(sel), bp.Nu(sel)
 			cfg.sink.Emit(telemetry.RoundEvent{
 				Algorithm:      "greedy_sigma",
 				Round:          round,

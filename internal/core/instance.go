@@ -69,10 +69,6 @@ type Problem interface {
 	Mu(sel []int) float64
 	// Nu evaluates the submodular upper bound ν (§V-B2).
 	Nu(sel []int) float64
-	// BoundsTractable reports whether the μ/ν coverage structures can be
-	// built cheaply; when false, diagnostics must not call Mu/Nu (the
-	// build reads every candidate's d_t-ball).
-	BoundsTractable() bool
 	// MuProblem returns μ as a max-coverage instance with budget k.
 	MuProblem() maxcover.Problem
 	// NuProblem returns ν as a weighted max-coverage instance with budget k.
@@ -154,10 +150,6 @@ type Instance struct {
 	// instead of a dense gains array: numCand ≥ sparseGainsThreshold.
 	sparseBest bool
 
-	// parallelism is Options.Parallelism, resolved when the μ/ν build
-	// reads the candidate balls.
-	parallelism int
-
 	// survive is the resolved Options.Survive failure model; SurviveNone
 	// keeps the paper's fault-free objective (survive.go).
 	survive Survivability
@@ -227,10 +219,9 @@ type Options struct {
 	// values, and all solver work counters except the Dijkstra and
 	// row-cache ones are identical across backends.
 	DistBackend DistBackend
-	// Parallelism bounds the workers used to build the dense table and to
-	// read the candidates' d_t-balls for the μ/ν bounds; <= 0 resolves
-	// like the solvers' Parallelism option (GOMAXPROCS). The table and
-	// the bounds are identical for every worker count.
+	// Parallelism bounds the workers used to build the dense table; <= 0
+	// resolves like the solvers' Parallelism option (GOMAXPROCS). The
+	// table is identical for every worker count.
 	Parallelism int
 	// Survive selects the failure model the objective must survive:
 	// SurviveNone (the paper's fault-free σ), SurviveShortcut, or
@@ -302,7 +293,6 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 	var survOpt Survivability
 	if opts != nil {
 		survOpt = opts.Survive
-		inst.parallelism = opts.Parallelism
 	}
 	switch sv := resolveSurvivability(survOpt); sv {
 	case SurviveNone, SurviveShortcut, SurviveNode:

@@ -92,7 +92,7 @@ func LocalSearch(p Problem, start []int, opts LocalSearchOptions) Placement {
 		if opts.Sink != nil {
 			e := p.CandidateEdge(bestAdd)
 			sigma, sigmaWorst := sigmaParts(s)
-			mu, nu := diagBounds(p, cur)
+			mu, nu := p.Mu(cur), p.Nu(cur)
 			opts.Sink.Emit(telemetry.RoundEvent{
 				Algorithm:  "local_search",
 				Round:      iter,

@@ -37,10 +37,8 @@ type SandwichResult struct {
 // Options (e.g. Parallelism, WithSink) are forwarded to the F_σ arm, the
 // only arm with a sharded candidate scan; the μ/ν arms run the serial
 // coverage greedy of internal/maxcover over structures built from the
-// candidates' d_t-balls. Those arms are not free: building the bounds reads
-// every candidate's d_t-ball, on Options.Parallelism workers of the
-// instance (a bounded Dijkstra or a cached row per candidate, see
-// Instance.readBalls). With a sink attached, the F_σ arm emits its
+// pair endpoints' d_t-balls, the same balls the σ search reads (see
+// Instance.buildBounds). With a sink attached, the F_σ arm emits its
 // per-round trace and Sandwich itself emits one closing SandwichEvent
 // summarizing the three arms and the bound.
 func Sandwich(p Problem, opts ...Option) SandwichResult {

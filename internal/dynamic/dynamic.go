@@ -165,11 +165,6 @@ func (p *Problem) Nu(sel []int) float64 {
 	return total
 }
 
-// BoundsTractable reports whether every snapshot can materialize its μ/ν
-// coverage structures; the snapshots share one candidate universe, so the
-// first answers for all.
-func (p *Problem) BoundsTractable() bool { return p.insts[0].BoundsTractable() }
-
 // MuProblem concatenates the per-instance μ coverage universes: element
 // (i, pair j) lives at offset_i + j, and candidate c's set is the union of
 // its per-instance sets.

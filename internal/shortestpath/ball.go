@@ -22,8 +22,8 @@ import (
 // smallest du + l over its neighbours u of smaller or equal entry. For an
 // entry ≤ bound those neighbours are in the ball too, and the bounded run
 // relaxes them from the same operands; it skips only relaxations above the
-// bound, which set no entry ≤ bound. BoundedTable rows, the μ/ν coverage
-// build and the common-node coverage sets rest on that equality.
+// bound, which set no entry ≤ bound. BoundedTable rows rest on that
+// equality, and through them every bounded-backend reader of a ball.
 type ballFinder struct {
 	g    *graph.Graph
 	pool sync.Pool // *ballScratch

@@ -49,8 +49,7 @@ func filteredRow(g *graph.Graph, src graph.NodeID, bound float64) ([]int32, []fl
 // row's entries ≤ bound with the same float64 bits, ties at the bound
 // included. The balls are computed from four goroutines sharing one
 // finder, so the pooled scratch is exercised under -race. The same
-// sources' LazyTable.Ball, BoundedTable.Ball and cached
-// BoundedTable.SparseRow must agree as well.
+// sources' cached BoundedTable.SparseRow must agree as well.
 func TestBallMatchesDijkstra(t *testing.T) {
 	ties := 0
 	for seed := int64(1); seed <= 6; seed++ {
@@ -65,7 +64,6 @@ func TestBallMatchesDijkstra(t *testing.T) {
 		}
 		for _, w := range worlds {
 			balls := newBallFinder(w.g)
-			lazy := NewLazyTable(w.g, LazyOptions{})
 			bt, err := NewBoundedTable(w.g, BoundedOptions{Reach: w.bound})
 			if err != nil {
 				t.Fatal(err)
@@ -87,20 +85,13 @@ func TestBallMatchesDijkstra(t *testing.T) {
 			for src := 0; src < n; src++ {
 				wantIDs, wantDist := filteredRow(w.g, graph.NodeID(src), w.bound)
 				checkBall(t, w.name, seed, src, gotIDs[src], gotDist[src], wantIDs, wantDist)
-				ids, dist := lazy.Ball(graph.NodeID(src), w.bound, nil, nil)
-				checkBall(t, w.name+"/lazy", seed, src, ids, dist, wantIDs, wantDist)
 				for _, d := range wantDist {
 					if d == w.bound {
 						ties++
 					}
 				}
-				ids, dist = bt.Ball(graph.NodeID(src), math.Inf(1), nil, nil)
-				checkBall(t, w.name+"/bounded", seed, src, ids, dist, wantIDs, wantDist)
 				r := bt.SparseRow(graph.NodeID(src))
 				checkBall(t, w.name+"/sparse-row", seed, src, r.IDs, r.Dist, wantIDs, wantDist)
-			}
-			if s := lazy.Stats(); s.Computes != 0 {
-				t.Fatalf("%s seed %d: LazyTable.Ball computed %d cached rows, want 0", w.name, seed, s.Computes)
 			}
 			if s := bt.Stats(); s.Computes != int64(n) {
 				t.Fatalf("%s seed %d: BoundedTable cached %d balls, want one per SparseRow source (%d)", w.name, seed, s.Computes, n)

@@ -139,17 +139,6 @@ func (t *BoundedTable) Row(u graph.NodeID) []float64 {
 // modify it.
 func (t *BoundedTable) SparseRow(u graph.NodeID) Ball { return t.rows.get(u) }
 
-// Ball appends u's nodes within min(bound, reach), ascending by id, and
-// their distances to ids and dist, bypassing the cache: the entries of
-// SparseRow(u) ≤ bound, bit for bit, from one bounded Dijkstra on pooled
-// scratch. Consumers use it for balls they will not read again.
-func (t *BoundedTable) Ball(u graph.NodeID, bound float64, ids []int32, dist []float64) ([]int32, []float64) {
-	if bound > t.reach {
-		bound = t.reach
-	}
-	return t.balls.ball(u, bound, ids, dist)
-}
-
 // Stats snapshots the table's counters. Consistent at a quiescent point,
 // which is how tests use it.
 func (t *BoundedTable) Stats() BoundedStats {

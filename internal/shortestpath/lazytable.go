@@ -17,8 +17,7 @@ type LazyStats struct {
 	Misses int64
 	// Computes counts full-row Dijkstra runs: the number of distinct rows
 	// ever requested, since each row is computed exactly once no matter
-	// how many goroutines race for it. Ball runs are not row computes and
-	// do not count.
+	// how many goroutines race for it.
 	Computes int64
 	// Cached is the number of rows currently held.
 	Cached int
@@ -35,9 +34,8 @@ type LazyStats struct {
 // social-pair endpoints plus the ≤2k shortcut endpoints per evaluated
 // selection, independent of n.
 type LazyTable struct {
-	n     int
-	rows  *rowCache[[]float64]
-	balls *ballFinder
+	n    int
+	rows *rowCache[[]float64]
 }
 
 // NewLazyTable wraps g in an on-demand distance source. The graph must be
@@ -45,9 +43,8 @@ type LazyTable struct {
 func NewLazyTable(g *graph.Graph, _ LazyOptions) *LazyTable {
 	n := g.N()
 	return &LazyTable{
-		n:     n,
-		rows:  newRowCache(func(u graph.NodeID) []float64 { return Dijkstra(g, u) }, func([]float64) int64 { return int64(n) * 8 }),
-		balls: newBallFinder(g),
+		n:    n,
+		rows: newRowCache(func(u graph.NodeID) []float64 { return Dijkstra(g, u) }, func([]float64) int64 { return int64(n) * 8 }),
 	}
 }
 
@@ -61,15 +58,6 @@ func (t *LazyTable) Dist(u, v graph.NodeID) float64 { return t.Row(u)[v] }
 // Row returns the distance row of u, computing it on first use. Callers
 // must not modify the returned slice.
 func (t *LazyTable) Row(u graph.NodeID) []float64 { return t.rows.get(u) }
-
-// Ball appends u's nodes within bound, ascending by id, and their
-// distances to ids and dist, bypassing the cache: one bounded Dijkstra on
-// pooled scratch, with entries bit-identical to Row(u)'s entries ≤ bound
-// (see ballFinder). Consumers that read nothing above a threshold use it in
-// place of Row for rows they will not read again.
-func (t *LazyTable) Ball(u graph.NodeID, bound float64, ids []int32, dist []float64) ([]int32, []float64) {
-	return t.balls.ball(u, bound, ids, dist)
-}
 
 // Stats snapshots the cache counters. Consistent when taken at a quiescent
 // point (no concurrent Row/Dist calls), which is how tests use it.

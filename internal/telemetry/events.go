@@ -35,9 +35,8 @@ type RoundEvent struct {
 	// (0 for rounds that evaluate whole selections instead).
 	Candidates int `json:"candidates"`
 	// Mu and Nu are the sandwich bounds of the incumbent selection, when
-	// the emitter computes them (GreedySigma rounds); both 0 otherwise.
-	// Both are -1 when the problem reports the coverage structures behind
-	// the bounds intractable (O(n²) candidate sets at million-node scale).
+	// the emitter computes them (greedy, EA, AEA and local-search rounds);
+	// both 0 otherwise.
 	Mu float64 `json:"mu"`
 	Nu float64 `json:"nu"`
 	// ElapsedNS is the wall-clock time of the round.
