@@ -215,9 +215,8 @@ func TestEvalFlagRemoved(t *testing.T) {
 	}
 }
 
-// TestMscbenchRejectsCostModelCombos: a cost model without a budget, and
-// the length model on the bounded backend, exit non-zero with a one-line
-// error at flag parse, before any experiment runs.
+// TestMscbenchRejectsCostModelCombos: a cost model without a budget exits
+// non-zero with a one-line error at flag parse, before any experiment runs.
 func TestMscbenchRejectsCostModelCombos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")
@@ -228,8 +227,6 @@ func TestMscbenchRejectsCostModelCombos(t *testing.T) {
 		want string
 	}{
 		{[]string{"-exp", "table1", "-quick", "-cost-model", "length"}, "pass -budget too"},
-		{[]string{"-exp", "ext2", "-quick", "-budget", "2", "-cost-model", "length", "-dist-backend", "bounded"},
-			"needs full-range distances"},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		if err == nil {
@@ -237,6 +234,47 @@ func TestMscbenchRejectsCostModelCombos(t *testing.T) {
 		}
 		if msg := strings.TrimSpace(string(out)); strings.Count(msg, "\n") != 0 || !strings.Contains(msg, tc.want) {
 			t.Fatalf("mscbench %v: want one line containing %q, got:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestMscbenchLengthCostOnBoundedMatchesDense: the length cost model runs
+// on the bounded backend, pricing from full Dijkstra rows, and writes the
+// same CSV as on the dense backend.
+func TestMscbenchLengthCostOnBoundedMatchesDense(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	bin := buildTool(t, t.TempDir(), "mscbench")
+	timing := regexp.MustCompile(`(?m)^\[ext2 took .*\]$`)
+	csv := map[string]string{}
+	for _, backend := range []string{"dense", "bounded"} {
+		out, err := exec.Command(bin, "-exp", "ext2", "-quick", "-budget", "2", "-cost-model", "length",
+			"-dist-backend", backend, "-csv").CombinedOutput()
+		if err != nil {
+			t.Fatalf("mscbench -dist-backend %s: %v\n%s", backend, err, out)
+		}
+		csv[backend] = timing.ReplaceAllString(string(out), "")
+	}
+	if csv["dense"] != csv["bounded"] {
+		t.Fatalf("length-priced ext2 differs across backends\ndense:\n%s\nbounded:\n%s", csv["dense"], csv["bounded"])
+	}
+}
+
+// TestLazyBackendFlagRejected: the lazy row cache is no longer a distance
+// backend, so -dist-backend lazy fails at flag parse, before any input is
+// read or any experiment runs.
+func TestLazyBackendFlagRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	for tool, args := range map[string][]string{
+		"mscplace": {"-dist-backend", "lazy", "-in", "does-not-exist.json"},
+		"mscbench": {"-dist-backend", "lazy", "-exp", "table1", "-quick"},
+	} {
+		out := runToolErr(t, tool, args...)
+		if !strings.Contains(out, `unknown distance backend "lazy"`) || strings.Contains(out, "Table I") {
+			t.Fatalf("%s %v: want a flag-parse failure naming the backend, got:\n%s", tool, args, out)
 		}
 	}
 }

@@ -213,8 +213,6 @@ func suiteOptions(par int, budget float64, distB, survM, costM string) (core.Opt
 		return opts, fmt.Errorf("-budget must be non-negative, got %v", budget)
 	case budget == 0 && opts.CostModel != core.CostModelAuto:
 		return opts, fmt.Errorf("-cost-model %s prices a knapsack budget; pass -budget too", opts.CostModel)
-	case opts.CostModel == core.CostLength && opts.DistBackend == core.BackendBounded:
-		return opts, fmt.Errorf(`-cost-model length needs full-range distances; use -dist-backend dense, lazy or auto, not bounded`)
 	}
 	return opts, nil
 }

@@ -61,11 +61,11 @@ func removeID(ids []string, drop string) []string {
 // value the experiments build from, and the combinations the suite cannot
 // honour are refused.
 func TestSuiteOptions(t *testing.T) {
-	got, err := suiteOptions(3, 2, "lazy", "shortcut", "length")
+	got, err := suiteOptions(3, 2, "bounded", "shortcut", "length")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Options{Parallelism: 3, Budget: 2, DistBackend: core.BackendLazy,
+	want := core.Options{Parallelism: 3, Budget: 2, DistBackend: core.BackendBounded,
 		Survive: core.SurviveShortcut, CostModel: core.CostLength}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("suiteOptions = %+v, want %+v", got, want)
@@ -77,10 +77,10 @@ func TestSuiteOptions(t *testing.T) {
 	}{
 		{0, "auto", "length", "pass -budget too"},
 		{0, "auto", "unit", "pass -budget too"},
-		{2, "bounded", "length", "needs full-range distances"},
 		{2, "auto", "table", "per-instance price table"},
 		{-1, "auto", "auto", "non-negative"},
 		{0, "sparse", "auto", "unknown distance backend"},
+		{0, "lazy", "auto", "unknown distance backend"},
 	} {
 		if _, err := suiteOptions(0, tc.budget, tc.distB, "auto", tc.costM); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("suiteOptions(budget=%v, %s, %s) error = %v, want %q", tc.budget, tc.distB, tc.costM, err, tc.wantErr)

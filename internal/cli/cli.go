@@ -82,7 +82,7 @@ func Version(cmd string) string {
 // core.ParseDistBackend.
 func AddDistBackendFlag(fs *flag.FlagSet) *string {
 	return fs.String("dist-backend", "auto",
-		"distance backend: auto|dense|lazy|bounded (auto = dense below 512 nodes, lazy Dijkstra row cache from 512, bounded d_t-ball rows from 10⁵)")
+		"distance backend: auto|dense|bounded (auto = dense all-pairs table below 512 nodes, bounded d_t-ball rows from 512)")
 }
 
 // AddSurviveFlag registers the -survive flag shared by the solver-facing

@@ -73,10 +73,10 @@ func benchNewInstance(b *testing.B, backend DistBackend) {
 // will read.
 func BenchmarkNewInstanceDense(b *testing.B) { benchNewInstance(b, BackendDense) }
 
-// BenchmarkNewInstanceLazy measures lazy instance construction: only the
-// ≤2m pair-endpoint rows are computed (for the σ(∅) baseline); everything
-// else is deferred until a solver touches it.
-func BenchmarkNewInstanceLazy(b *testing.B) { benchNewInstance(b, BackendLazy) }
+// BenchmarkNewInstanceBounded measures bounded instance construction: only
+// the pair endpoints' d_t-balls are computed (for the σ(∅) baseline);
+// everything else is deferred until a solver touches it.
+func BenchmarkNewInstanceBounded(b *testing.B) { benchNewInstance(b, BackendBounded) }
 
 func benchGreedyEndToEnd(b *testing.B, backend DistBackend) {
 	g, ps := benchInputs(b, 200, 20)
@@ -92,9 +92,10 @@ func benchGreedyEndToEnd(b *testing.B, backend DistBackend) {
 	}
 }
 
-// BenchmarkGreedySigmaDense / ...Lazy time construction plus a full greedy
-// run, the workload the auto-selection threshold trades off: the lazy
-// backend wins construction but pays a cache lookup per row read.
+// BenchmarkGreedySigmaDense / ...Bounded time construction plus a full
+// greedy run, the workload the auto-selection threshold trades off: the
+// bounded backend wins construction but pays a ball lookup per distance
+// read.
 func BenchmarkGreedySigmaDense(b *testing.B) { benchGreedyEndToEnd(b, BackendDense) }
 
-func BenchmarkGreedySigmaLazy(b *testing.B) { benchGreedyEndToEnd(b, BackendLazy) }
+func BenchmarkGreedySigmaBounded(b *testing.B) { benchGreedyEndToEnd(b, BackendBounded) }

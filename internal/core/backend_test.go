@@ -22,6 +22,23 @@ import (
 // Run under -race it also certifies the lazy cache against the solvers'
 // concurrent row access.
 
+// backendLazy names the lazy full-row leg of the differential suites. The
+// lazy row cache is not a selectable backend; withBackend supplies it
+// through Options.Table.
+const backendLazy DistBackend = "lazy"
+
+// withBackend returns opts on backend b over g: backendLazy supplies a
+// fresh shortestpath.LazyTable as Options.Table, every other value sets
+// Options.DistBackend.
+func withBackend(g *graph.Graph, b DistBackend, opts Options) *Options {
+	if b == backendLazy {
+		opts.Table = shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})
+	} else {
+		opts.DistBackend = b
+	}
+	return &opts
+}
+
 // backendPair builds a dense-backed and a lazy-backed instance over the
 // same graph, pair set, threshold, and budget.
 func backendPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (dense, lazy *Instance) {
@@ -37,7 +54,7 @@ func backendPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (dense,
 	if err != nil {
 		t.Fatalf("NewInstance(dense): %v", err)
 	}
-	lazy, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, DistBackend: BackendLazy})
+	lazy, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})})
 	if err != nil {
 		t.Fatalf("NewInstance(lazy): %v", err)
 	}
@@ -172,7 +189,7 @@ func TestBackendDifferentialCommonNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewInstance(dense): %v", seed, err)
 		}
-		lazy, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, DistBackend: BackendLazy})
+		lazy, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, Table: shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})})
 		if err != nil {
 			t.Fatalf("seed %d: NewInstance(lazy): %v", seed, err)
 		}
@@ -189,10 +206,8 @@ func TestBackendDifferentialCommonNode(t *testing.T) {
 	}
 }
 
-// pathInstance builds an instance over a path graph of n nodes with two
-// far-apart pairs; cheap at any n, so auto-selection can be tested at the
-// 512-node threshold without paying a dense build.
-func pathInstance(t *testing.T, n int, opts *Options) *Instance {
+// pathGraph builds a path graph of n nodes with unit edges.
+func pathGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(n)
 	for i := 0; i < n-1; i++ {
@@ -202,6 +217,20 @@ func pathInstance(t *testing.T, n int, opts *Options) *Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// pathInstance builds an instance over a path graph of n nodes with two
+// far-apart pairs; cheap at any n on the bounded backend, so auto-selection
+// can be tested at the thresholds.
+func pathInstance(t *testing.T, n int, opts *Options) *Instance {
+	t.Helper()
+	return pathInstanceOn(t, pathGraph(t, n), opts)
+}
+
+func pathInstanceOn(t *testing.T, g *graph.Graph, opts *Options) *Instance {
+	t.Helper()
+	n := g.N()
 	ps := pairs.MustNewSet(n, []pairs.Pair{
 		{U: 0, W: graph.NodeID(n - 1)},
 		{U: 1, W: graph.NodeID(n - 2)},
@@ -214,42 +243,48 @@ func pathInstance(t *testing.T, n int, opts *Options) *Instance {
 	return inst
 }
 
-// TestBackendAutoSelection pins the resolution chain: explicit option →
-// node threshold.
+// TestBackendAutoSelection pins the resolution chain: supplied table →
+// explicit option → node threshold, with dense below
+// DefaultBoundedThreshold (512) nodes and bounded from it.
 func TestBackendAutoSelection(t *testing.T) {
-	small := pathInstance(t, 32, &Options{AllowTrivial: true})
-	if _, ok := small.Table().(*shortestpath.Table); !ok {
-		t.Errorf("auto below threshold: got %T, want *shortestpath.Table", small.Table())
+	if DefaultBoundedThreshold != 512 {
+		t.Fatalf("DefaultBoundedThreshold = %d, want 512", DefaultBoundedThreshold)
 	}
-	big := pathInstance(t, DefaultLazyThreshold, &Options{AllowTrivial: true})
-	if _, ok := big.Table().(*shortestpath.LazyTable); !ok {
-		t.Errorf("auto at threshold: got %T, want *shortestpath.LazyTable", big.Table())
+	kind := func(src shortestpath.DistanceSource) string {
+		switch src.(type) {
+		case *shortestpath.Table:
+			return "dense"
+		case *shortestpath.BoundedTable:
+			return "bounded"
+		}
+		return fmt.Sprintf("%T", src)
+	}
+	for _, tc := range []struct {
+		n    int
+		want string
+	}{{32, "dense"}, {511, "dense"}, {512, "bounded"}, {100_000, "bounded"}} {
+		if got := kind(pathInstance(t, tc.n, &Options{AllowTrivial: true}).Table()); got != tc.want {
+			t.Errorf("auto at n=%d: got %s, want %s", tc.n, got, tc.want)
+		}
 	}
 
 	// An explicit option always beats the threshold, in both directions.
-	smallLazy := pathInstance(t, 32, &Options{AllowTrivial: true, DistBackend: BackendLazy})
-	if _, ok := smallLazy.Table().(*shortestpath.LazyTable); !ok {
-		t.Errorf("explicit lazy below threshold: got %T, want *shortestpath.LazyTable", smallLazy.Table())
+	if got := kind(pathInstance(t, 32, &Options{AllowTrivial: true, DistBackend: BackendBounded}).Table()); got != "bounded" {
+		t.Errorf("explicit bounded below threshold: got %s", got)
 	}
-	bigDense := pathInstance(t, DefaultLazyThreshold, &Options{AllowTrivial: true, DistBackend: BackendDense})
-	if _, ok := bigDense.Table().(*shortestpath.Table); !ok {
-		t.Errorf("explicit dense at threshold: got %T, want *shortestpath.Table", bigDense.Table())
+	if got := kind(pathInstance(t, DefaultBoundedThreshold, &Options{AllowTrivial: true, DistBackend: BackendDense}).Table()); got != "dense" {
+		t.Errorf("explicit dense at threshold: got %s", got)
 	}
 
-	// At the bounded threshold, auto picks the sparse bounded backend.
-	huge := pathInstance(t, DefaultBoundedThreshold, &Options{AllowTrivial: true})
-	if _, ok := huge.Table().(*shortestpath.BoundedTable); !ok {
-		t.Errorf("auto at bounded threshold: got %T, want *shortestpath.BoundedTable", huge.Table())
-	}
-	// One node below the bounded threshold, auto still picks lazy.
-	below := pathInstance(t, DefaultBoundedThreshold-1, &Options{AllowTrivial: true})
-	if _, ok := below.Table().(*shortestpath.LazyTable); !ok {
-		t.Errorf("auto below bounded threshold: got %T, want *shortestpath.LazyTable", below.Table())
-	}
-	// An explicit bounded request works at any size.
-	explicitBounded := pathInstance(t, 32, &Options{AllowTrivial: true, DistBackend: BackendBounded})
-	if _, ok := explicitBounded.Table().(*shortestpath.BoundedTable); !ok {
-		t.Errorf("explicit bounded: got %T, want *shortestpath.BoundedTable", explicitBounded.Table())
+	// A supplied table beats both the option and the threshold.
+	g := pathGraph(t, DefaultBoundedThreshold)
+	for _, table := range []shortestpath.DistanceSource{
+		shortestpath.NewTable(g, 0),
+		shortestpath.NewLazyTable(g, shortestpath.LazyOptions{}),
+	} {
+		if src := pathInstanceOn(t, g, &Options{AllowTrivial: true, Table: table, DistBackend: BackendBounded}).Table(); src != table {
+			t.Errorf("supplied %T: instance built %T instead", table, src)
+		}
 	}
 }
 
@@ -261,7 +296,6 @@ func TestParseDistBackend(t *testing.T) {
 		{"", BackendAuto},
 		{"auto", BackendAuto},
 		{"dense", BackendDense},
-		{"lazy", BackendLazy},
 		{"bounded", BackendBounded},
 	} {
 		got, err := ParseDistBackend(tc.in)
@@ -269,8 +303,10 @@ func TestParseDistBackend(t *testing.T) {
 			t.Errorf("ParseDistBackend(%q) = (%q, %v), want (%q, nil)", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseDistBackend("eager"); err == nil {
-		t.Error("ParseDistBackend(\"eager\") succeeded, want error")
+	for _, bad := range []string{"eager", "lazy"} {
+		if _, err := ParseDistBackend(bad); err == nil {
+			t.Errorf("ParseDistBackend(%q) succeeded, want error", bad)
+		}
 	}
 }
 

@@ -94,17 +94,17 @@ func TestSearchBallsMatchDistRow(t *testing.T) {
 		{"integer-exclude", 4, true, 2, integer},
 	}
 	for _, gn := range gens {
-		for _, backend := range []DistBackend{BackendDense, BackendLazy, BackendBounded} {
+		for _, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
 			for _, path := range searchPaths[2-gn.paths:] {
 				for seed := int64(0); seed < 3; seed++ {
 					t.Run(fmt.Sprintf("%s/%s/%s/seed%d", gn.name, backend, path.name, seed), func(t *testing.T) {
 						rng := xrand.New(7700 + seed)
 						g := gn.graph(t, rng)
 						ps := scanPairs(t, g, gn.dt, 6, rng)
-						inst, err := NewInstance(g, ps, thrD(gn.dt), 4, &Options{
-							AllowTrivial: true, DistBackend: backend,
+						inst, err := NewInstance(g, ps, thrD(gn.dt), 4, withBackend(g, backend, Options{
+							AllowTrivial:         true,
 							ExcludePairEndpoints: gn.exclude,
-						})
+						}))
 						if err != nil {
 							t.Fatal(err)
 						}

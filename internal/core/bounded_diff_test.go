@@ -237,8 +237,8 @@ func TestBackendDifferentialBoundedCommonNode(t *testing.T) {
 			thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
 			var res [3]CommonNodeResult
 			var bounded *Instance
-			for i, backend := range []DistBackend{BackendDense, BackendLazy, BackendBounded} {
-				inst, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, DistBackend: backend})
+			for i, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
+				inst, err := NewInstance(g, ps, thr, 2, withBackend(g, backend, Options{AllowTrivial: true}))
 				if err != nil {
 					t.Fatalf("%s: NewInstance(%s): %v", name, backend, err)
 				}
@@ -295,8 +295,8 @@ func TestBoundedExactAtThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := pairs.MustNewSet(4, []pairs.Pair{{U: 0, W: 3}})
-	for _, backend := range []DistBackend{BackendDense, BackendLazy, BackendBounded} {
-		inst, err := NewInstance(g, ps, thr, 1, &Options{AllowTrivial: true, DistBackend: backend})
+	for _, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
+		inst, err := NewInstance(g, ps, thr, 1, withBackend(g, backend, Options{AllowTrivial: true}))
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -398,7 +398,7 @@ func TestSparseBestAddMatchesDense(t *testing.T) {
 		// the full-universe lazy baseline stays runnable at n=10⁵).
 		g := dense.Graph()
 		lazy, err := NewInstance(g, dense.Pairs(), dense.Threshold(), dense.K(),
-			&Options{AllowTrivial: true, DistBackend: BackendLazy})
+			&Options{AllowTrivial: true, Table: shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,41 +408,73 @@ func TestSparseBestAddMatchesDense(t *testing.T) {
 	}
 }
 
-// TestBoundedRejectsNaNThreshold pins the satellite contract: a NaN d_t
-// under the bounded backend is a typed input error at instance
-// construction, not a silent full-graph exploration.
+// TestBoundedRejectsNaNThreshold pins that a NaN d_t is a typed input
+// error at instance construction on every backend and survivability mode:
+// never a silent full-graph exploration on the bounded backend, and never a
+// panic when node mode builds its bounded scenario instances mid-solve.
 func TestBoundedRejectsNaNThreshold(t *testing.T) {
 	rng := xrand.New(41)
 	g := dyadicConnectedGraph(t, 12, 24, rng)
 	ps := pairs.MustNewSet(12, []pairs.Pair{{U: 0, W: 11}, {U: 1, W: 10}, {U: 2, W: 9}})
 	thr := failprob.Threshold{P: 0.5, D: math.NaN()}
-	_, err := NewInstance(g, ps, thr, 1, &Options{AllowTrivial: true, DistBackend: BackendBounded})
-	var ie *InputError
-	if !errors.As(err, &ie) {
-		t.Fatalf("NaN threshold: got %v, want *InputError", err)
+	for _, backend := range []DistBackend{BackendDense, BackendBounded} {
+		for _, survive := range []Survivability{SurviveNone, SurviveNode} {
+			_, err := NewInstance(g, ps, thr, 1, &Options{AllowTrivial: true, DistBackend: backend, Survive: survive})
+			var ie *InputError
+			if !errors.As(err, &ie) || ie.Param != "threshold" {
+				t.Errorf("%s/%s: NaN threshold: got %v, want *InputError on threshold", backend, survive, err)
+			}
+		}
 	}
 }
 
-// TestBoundedRejectsLengthCostModel: length prices need full-range
-// distances, which the bounded metric deliberately truncates.
-func TestBoundedRejectsLengthCostModel(t *testing.T) {
-	rng := xrand.New(42)
-	g := dyadicConnectedGraph(t, 12, 24, rng)
-	ps := pairs.MustNewSet(12, []pairs.Pair{{U: 0, W: 11}, {U: 1, W: 10}, {U: 2, W: 9}})
-	thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
-	_, err := NewInstance(g, ps, thr, 1, &Options{
-		AllowTrivial: true, DistBackend: BackendBounded,
-		Budget: 2, CostModel: CostLength,
-	})
-	var ie *InputError
-	if !errors.As(err, &ie) {
-		t.Fatalf("length cost on bounded backend: got %v, want *InputError", err)
+// TestBoundedLengthCostModelMatchesDense: length prices need full-range
+// distances, which the bounded table truncates at d_t, so the bounded
+// backend prices from plain Dijkstra rows of the raw graph. The prices
+// equal the dense table's bit for bit — also for candidates farther apart
+// than d_t, which the bounded table itself reads as +Inf — and budgeted
+// greedy and AEA place the same shortcuts on both backends.
+func TestBoundedLengthCostModelMatchesDense(t *testing.T) {
+	solved := 0
+	for seed := int64(0); seed < 6; seed++ {
+		rng := xrand.New(4200 + seed)
+		g := dyadicConnectedGraph(t, 14, 28, rng)
+		ps, err := pairs.SampleViolating(shortestpath.NewTable(g, 0), 0.8, 5, rng)
+		if err != nil {
+			continue
+		}
+		var insts [2]*Instance
+		for i, backend := range []DistBackend{BackendDense, BackendBounded} {
+			insts[i], err = NewInstance(g, ps, thrD(0.8), 2, &Options{
+				AllowTrivial: true, DistBackend: backend,
+				Budget: 3, CostModel: CostLength,
+			})
+			if err != nil {
+				t.Fatalf("seed %d: NewInstance(%s): %v", seed, backend, err)
+			}
+		}
+		dense, bounded := insts[0], insts[1]
+		beyond := 0
+		for c := 0; c < dense.NumCandidates(); c++ {
+			if got, want := bounded.Cost(c), dense.Cost(c); got != want {
+				t.Fatalf("seed %d: Cost(%d) = %v on bounded, %v on dense", seed, c, got, want)
+			}
+			if e := dense.CandidateEdge(c); math.IsInf(bounded.Table().Dist(e.U, e.V), 1) && !math.IsInf(dense.Cost(c), 1) {
+				beyond++
+			}
+		}
+		if beyond == 0 {
+			t.Fatalf("seed %d: no candidate lies beyond d_t, so the truncation went untested", seed)
+		}
+		name := fmt.Sprintf("seed %d", seed)
+		comparePlacements(t, name+" budgeted GreedySigma", GreedySigma(dense, Parallelism(1)), GreedySigma(bounded, Parallelism(1)))
+		aea := func(p Problem) Placement {
+			return AEA(p, AEAOptions{Iterations: 30, PopSize: 4, Delta: 0.05, Parallelism: 1}, xrand.New(seed)).Best
+		}
+		comparePlacements(t, name+" budgeted AEA", aea(dense), aea(bounded))
+		solved++
 	}
-	// The same configuration on the lazy backend stays valid.
-	if _, err := NewInstance(g, ps, thr, 1, &Options{
-		AllowTrivial: true, DistBackend: BackendLazy,
-		Budget: 2, CostModel: CostLength,
-	}); err != nil {
-		t.Fatalf("length cost on lazy backend: %v", err)
+	if solved == 0 {
+		t.Fatal("no seed produced a solvable instance")
 	}
 }

@@ -352,14 +352,25 @@ type ballWorld struct {
 	ps   *pairs.Set
 }
 
-// ballBackends are the distance backends of the sweep.
+// ballBackends are the distance backends of the sweep. The lazy full-row
+// leg is not a selectable backend; backendOptions supplies it through
+// Options.Table.
 var ballBackends = []struct {
 	name string
 	opts core.Options
 }{
 	{"dense", core.Options{DistBackend: core.BackendDense}},
-	{"lazy", core.Options{DistBackend: core.BackendLazy}},
+	{"lazy", core.Options{}},
 	{"bounded", core.Options{DistBackend: core.BackendBounded}},
+}
+
+// backendOptions returns opts for the named ballBackends leg over g: the
+// "lazy" leg gets a fresh shortestpath.LazyTable as Options.Table.
+func backendOptions(g *graph.Graph, name string, opts core.Options) core.Options {
+	if name == "lazy" {
+		opts.Table = shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})
+	}
+	return opts
 }
 
 // TestBoundsDifferential pins the ball-derived μ/ν families to the dense
@@ -387,7 +398,7 @@ func TestBoundsDifferential(t *testing.T) {
 		for _, w := range ballWorlds(t, rng) {
 			for _, be := range ballBackends {
 				for _, par := range []int{1, 2, 8} {
-					opts := be.opts
+					opts := backendOptions(w.g, be.name, be.opts)
 					opts.Parallelism = par
 					inst := diffInstance(t, w.g, w.ps, w.dt, 3, opts)
 					checkInst(fmt.Sprintf("seed %d %s/%s/par%d", seed, w.name, be.name, par), inst)
@@ -397,13 +408,13 @@ func TestBoundsDifferential(t *testing.T) {
 		}
 
 		g, ps, table := diffWorld(t, 30, 8, dt, true, false, rng)
-		backend := core.BackendDense
+		backend := "dense"
 		if seed%2 == 1 {
-			backend = core.BackendLazy
+			backend = "lazy"
 		}
-		checkInst("unit", diffInstance(t, g, ps, dt, 3, core.Options{DistBackend: backend}))
+		checkInst("unit", diffInstance(t, g, ps, dt, 3, backendOptions(g, backend, core.Options{DistBackend: core.BackendDense})))
 		gi, psi, _ := diffWorld(t, 30, 8, 4, true, true, rng)
-		checkInst("integer", diffInstance(t, gi, psi, 4, 3, core.Options{DistBackend: backend}))
+		checkInst("integer", diffInstance(t, gi, psi, 4, 3, backendOptions(gi, backend, core.Options{DistBackend: core.BackendDense})))
 
 		weights := make([]int, ps.Len())
 		for i := range weights {
@@ -485,7 +496,7 @@ func TestBoundsReadBallsOnly(t *testing.T) {
 					t.Fatalf("%s: bounded build materialized %d dense rows and left %d cached balls, want 0 and %d", name, s.DenseRows, s.Cached, pairNodes)
 				}
 
-				lazy := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendLazy, ExcludePairEndpoints: exclude})
+				lazy := diffInstance(t, w.g, w.ps, w.dt, 3, backendOptions(w.g, "lazy", core.Options{ExcludePairEndpoints: exclude}))
 				build(lazy)
 				if got := lazy.Table().(*shortestpath.LazyTable).Stats().Computes; got != int64(pairNodes) {
 					t.Fatalf("%s: lazy build computed %d rows, want %d: one per pair node", name, got, pairNodes)

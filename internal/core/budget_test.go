@@ -421,29 +421,41 @@ func TestGreedyBudgetFallbackSingleton(t *testing.T) {
 }
 
 // TestCostLengthPricing locks the length model's price formula to the raw
-// distance table: 1 + D0(u,v)/d_t, evaluated lazily and cached.
+// distance table: 1 + D0(u,v)/d_t, evaluated lazily and cached — on a
+// supplied dense table and on the bounded backend, whose own rows stop at
+// d_t.
 func TestCostLengthPricing(t *testing.T) {
 	g, ps, table := budgetWorld(t, 10, 4, 0.8, 5)
-	inst := budgetInstance(t, g, ps, table, 2, 0.8, Options{Budget: 3, CostModel: CostLength})
-	if inst.CostModel() != CostLength {
-		t.Fatalf("cost model %q, want %q", inst.CostModel(), CostLength)
+	bounded, err := NewInstance(g, ps, thrD(0.8), 2, &Options{
+		AllowTrivial: true, DistBackend: BackendBounded, Budget: 3, CostModel: CostLength,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := 0.0
-	sel := make([]int, 0, 4)
-	for c := 0; c < inst.NumCandidates(); c += 7 {
-		e := inst.CandidateEdge(c)
-		want := 1.0
-		if d := table.Dist(e.U, e.V); d > 0 {
-			want = 1 + d/inst.Threshold().D
+	for _, inst := range []*Instance{
+		budgetInstance(t, g, ps, table, 2, 0.8, Options{Budget: 3, CostModel: CostLength}),
+		bounded,
+	} {
+		if inst.CostModel() != CostLength {
+			t.Fatalf("cost model %q, want %q", inst.CostModel(), CostLength)
 		}
-		if got := inst.Cost(c); got != want {
-			t.Fatalf("Cost(%d) = %v, want %v", c, got, want)
+		total := 0.0
+		sel := make([]int, 0, 4)
+		for c := 0; c < inst.NumCandidates(); c += 7 {
+			e := inst.CandidateEdge(c)
+			want := 1.0
+			if d := table.Dist(e.U, e.V); d > 0 {
+				want = 1 + d/inst.Threshold().D
+			}
+			if got := inst.Cost(c); got != want {
+				t.Fatalf("%T: Cost(%d) = %v, want %v", inst.Table(), c, got, want)
+			}
+			sel = append(sel, c)
+			total += want
 		}
-		sel = append(sel, c)
-		total += want
-	}
-	if got := inst.CostOf(sel); math.Abs(got-total) > 1e-12 {
-		t.Fatalf("CostOf(%v) = %v, want %v", sel, got, total)
+		if got := inst.CostOf(sel); math.Abs(got-total) > 1e-12 {
+			t.Fatalf("%T: CostOf(%v) = %v, want %v", inst.Table(), sel, got, total)
+		}
 	}
 	// Cardinality instances price everything at 1, making CostOf the
 	// selection size.

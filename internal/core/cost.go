@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"msc/internal/graph"
 	"msc/internal/shortestpath"
 	"msc/internal/xrand"
 )
@@ -111,18 +112,9 @@ func (inst *Instance) initBudget(opts *Options) error {
 		if costs != nil {
 			return &InputError{Param: "costs", Reason: `explicit per-candidate costs conflict with cost model "length"`}
 		}
-		if _, ok := inst.table.(shortestpath.SparseSource); ok {
-			// Length prices are 1 + D₀(u,v)/d_t, uncapped: they need
-			// full-range distances, and a bounded backend deliberately
-			// reports +Inf beyond its reach — every candidate farther
-			// than d_t would price at +Inf, i.e. unaffordable.
-			return &InputError{Param: "cost-model", Reason: `cost model "length" needs full-range distances; use the dense or lazy distance backend`}
-		}
 		// The price table is materialized lazily on the first Cost call
-		// (it reads one distance per candidate pair, which on the lazy
-		// backend would force every row): instances that are only ever
-		// σ-evaluated — e.g. survivable node-failure scenario instances —
-		// never pay for it.
+		// (it reads one full-range row per candidate node): instances
+		// that are only ever σ-evaluated never pay for it.
 	case CostTable:
 		if costs == nil {
 			return &InputError{Param: "costs", Reason: `cost model "table" requires per-candidate costs`}
@@ -173,16 +165,32 @@ func (inst *Instance) Cost(cand int) float64 {
 }
 
 // buildCosts materializes the CostLength price table; CostTable prices were
-// validated and copied by initBudget already.
+// validated and copied by initBudget already. Length prices are uncapped,
+// so they need full-range distances: a dense table's own rows, or — on a
+// bounded table, which reads +Inf beyond d_t — one plain Dijkstra row of
+// the raw graph per candidate node, held only while its candidates are
+// priced. Either row is read from the lower-id endpoint e.U, the direction
+// Table.Dist reads, so both give bit-identical prices.
 func (inst *Instance) buildCosts() {
 	if inst.costs != nil {
 		return
 	}
+	row := inst.table.Row
+	if _, ok := inst.table.(shortestpath.SparseSource); ok {
+		row = func(u graph.NodeID) []float64 { return shortestpath.Dijkstra(inst.g, u) }
+	}
 	costs := make([]float64, inst.numCand)
+	var (
+		from graph.NodeID = -1
+		dist []float64
+	)
 	for i := range costs {
 		e := inst.CandidateEdge(i)
+		if e.U != from { // candidates are ordered by e.U
+			from, dist = e.U, row(e.U)
+		}
 		costs[i] = 1
-		if d := inst.table.Dist(e.U, e.V); d > 0 {
+		if d := dist[e.V]; d > 0 {
 			costs[i] = 1 + d/inst.thr.D
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"msc/internal/failprob"
 	"msc/internal/graph"
 	"msc/internal/pairs"
+	"msc/internal/shortestpath"
 	"msc/internal/xrand"
 )
 
@@ -83,7 +84,7 @@ func FuzzInstance(f *testing.F) {
 		// The same shape on the lazy backend must agree with the dense
 		// instance on every placement below.
 		lazyInst, err := NewInstance(g, set, failprob.NewThreshold(pt), k,
-			&Options{AllowTrivial: true, DistBackend: BackendLazy})
+			&Options{AllowTrivial: true, Table: shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})})
 		if err != nil {
 			t.Fatalf("NewInstance(lazy, n=%d, k=%d, pt=%v): %v", n, k, pt, err)
 		}

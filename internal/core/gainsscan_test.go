@@ -105,9 +105,9 @@ func scanInstance(t *testing.T, g *graph.Graph, ps *pairs.Set, dt float64, backe
 	for i := range weights {
 		weights[i] = 1 + rng.Intn(5)
 	}
-	inst, err := NewInstance(g, ps, thrD(dt), 4, &Options{
-		AllowTrivial: true, DistBackend: backend, PairWeights: weights,
-	})
+	inst, err := NewInstance(g, ps, thrD(dt), 4, withBackend(g, backend, Options{
+		AllowTrivial: true, PairWeights: weights,
+	}))
 	if err != nil {
 		t.Fatalf("NewInstance(%s): %v", backend, err)
 	}
@@ -157,7 +157,7 @@ func TestGainsScanDifferential(t *testing.T) {
 		}},
 	}
 	for _, gn := range gens {
-		for _, backend := range []DistBackend{BackendDense, BackendLazy, BackendBounded} {
+		for _, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
 			for seed := int64(0); seed < 4; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", gn.name, backend, seed), func(t *testing.T) {
 					rng := xrand.New(7100 + seed)

@@ -208,16 +208,15 @@ type Options struct {
 	// as trivial (§III-C). Tests and examples may enable it.
 	AllowTrivial bool
 	// Table supplies a precomputed distance source (e.g. a dense table
-	// shared across thresholds, or a LazyTable shared across budgets);
-	// when nil NewInstance builds one per DistBackend.
+	// shared across thresholds, or a bounded table shared across budgets
+	// at one d_t); when nil NewInstance builds one per DistBackend.
 	Table shortestpath.DistanceSource
 	// DistBackend selects the distance backend built when Table is nil:
-	// dense all-pairs table, lazy Dijkstra row cache, bounded sparse
-	// d_t-ball table, or (the zero value) automatic selection — dense
-	// below DefaultLazyThreshold nodes, lazy from there up to
-	// DefaultBoundedThreshold, bounded at or above. Placements, σ/μ/ν
-	// values, and all solver work counters except the Dijkstra and
-	// row-cache ones are identical across backends.
+	// dense all-pairs table, bounded sparse d_t-ball table, or (the zero
+	// value) automatic selection — dense below DefaultBoundedThreshold
+	// nodes, bounded at or above. Placements, σ/μ/ν values, and all solver
+	// work counters except the Dijkstra and row-cache ones are identical
+	// across backends.
 	DistBackend DistBackend
 	// Parallelism bounds the workers used to build the dense table; <= 0
 	// resolves like the solvers' Parallelism option (GOMAXPROCS). The
@@ -274,6 +273,12 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 	}
 	if ps.Len() <= k && (opts == nil || !opts.AllowTrivial) {
 		return nil, fmt.Errorf("%w: m=%d, k=%d", ErrTrivial, ps.Len(), k)
+	}
+	if math.IsNaN(thr.D) {
+		// A NaN d_t makes every `d <= d_t` comparison false and would
+		// degenerate a bounded search into full exploration: refuse it on
+		// every backend, before one is built.
+		return nil, &InputError{Param: "threshold", Reason: "d_t must not be NaN"}
 	}
 	table, err := newDistanceSource(g, thr, opts)
 	if err != nil {
@@ -383,8 +388,9 @@ func MustNewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k in
 // Graph returns the underlying network.
 func (inst *Instance) Graph() *graph.Graph { return inst.g }
 
-// Table returns the instance's distance source: a dense all-pairs table
-// or a lazy row cache, per Options.DistBackend.
+// Table returns the instance's distance source: the supplied
+// Options.Table, else a dense all-pairs table or a bounded d_t-ball table,
+// per Options.DistBackend.
 func (inst *Instance) Table() shortestpath.DistanceSource { return inst.table }
 
 // Pairs returns the important social pairs.
@@ -521,7 +527,7 @@ func (inst *Instance) Sigma(sel []int) int {
 
 // baseBall returns u's d_t-ball in the raw network, read from the distance
 // source on first use (shortestpath.ReadBall: the bounded backend's cached
-// ball itself, a dense or lazy row filtered once) and memoized on the
+// ball itself, a dense row filtered once) and memoized on the
 // instance. Safe for concurrent use; every caller sees the same immutable
 // ball.
 func (inst *Instance) baseBall(u graph.NodeID) shortestpath.Ball {

@@ -69,11 +69,11 @@ func BenchmarkScaleGreedySigma(b *testing.B) {
 	for _, backend := range []struct {
 		name string
 		be   DistBackend
-	}{{"lazy", BackendLazy}, {"bounded", BackendBounded}} {
+	}{{"lazy", backendLazy}, {"bounded", BackendBounded}} {
 		b.Run(fmt.Sprintf("backend=%s/n=%d", backend.name, n), func(b *testing.B) {
 			var bytesPerRow, rows float64
 			for i := 0; i < b.N; i++ {
-				inst, err := NewInstance(g, set, thr, k, &Options{AllowTrivial: true, DistBackend: backend.be})
+				inst, err := NewInstance(g, set, thr, k, withBackend(g, backend.be, Options{AllowTrivial: true}))
 				if err != nil {
 					b.Fatal(err)
 				}

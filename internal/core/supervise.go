@@ -146,10 +146,13 @@ func (e *ShardPanicError) Error() string {
 // rejected up front instead of silently misbehaving.
 type InputError struct {
 	Param  string // the offending parameter name
-	Value  int    // the rejected value
+	Value  any    // the rejected value; nil when the reason states it
 	Reason string
 }
 
 func (e *InputError) Error() string {
-	return fmt.Sprintf("core: invalid %s = %d: %s", e.Param, e.Value, e.Reason)
+	if e.Value == nil {
+		return fmt.Sprintf("core: invalid %s: %s", e.Param, e.Reason)
+	}
+	return fmt.Sprintf("core: invalid %s = %v: %s", e.Param, e.Value, e.Reason)
 }

@@ -187,6 +187,40 @@ func TestInputErrors(t *testing.T) {
 	}
 }
 
+// TestInputErrorMessage pins the message of both kinds of *InputError
+// site: a site that names the rejected value prints it (also when it is
+// 0), and a site whose reason already states it prints no value.
+func TestInputErrorMessage(t *testing.T) {
+	inst := testInstance(t, 16, 6, 3, 0.9, xrand.New(20))
+	g, ps := inst.Graph(), inst.Pairs()
+	errOf := func(_ any, err error) error { return err }
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"trials = 0", errOf(RandomPlacement(inst, 0, xrand.New(1))),
+			"core: invalid trials = 0: must be at least 1"},
+		{"k over the candidates", errOf(Exhaustive(overBudgetInstance(t), 100)),
+			"core: invalid k = 5: budget exceeds the 3 candidate edges"},
+		{"cost table length", errOf(NewInstance(g, ps, thrD(0.9), 3, &Options{AllowTrivial: true, Costs: []float64{1, 2}})),
+			"core: invalid costs = 2: cost table length does not match the 120 candidate edges"},
+		{"NaN threshold", errOf(NewInstance(g, ps, thrD(math.NaN()), 3, &Options{AllowTrivial: true})),
+			"core: invalid threshold: d_t must not be NaN"},
+		{"NaN budget", errOf(NewInstance(g, ps, thrD(0.9), 3, &Options{AllowTrivial: true, Budget: math.NaN()})),
+			"core: invalid budget: budget B = NaN must be finite and non-negative"},
+	} {
+		var ie *InputError
+		if !errors.As(tc.err, &ie) {
+			t.Errorf("%s: got %v, want *InputError", tc.name, tc.err)
+			continue
+		}
+		if got := ie.Error(); got != tc.want {
+			t.Errorf("%s: message %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 // overBudgetInstance builds a 3-node path instance whose budget k = 5
 // exceeds its 3 candidate edges.
 func overBudgetInstance(t *testing.T) *Instance {

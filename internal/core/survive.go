@@ -184,9 +184,9 @@ func (inst *Instance) survivableValue(sel []int) int {
 // instances: nodeInsts[v] is the instance on G−v (same node universe, every
 // edge incident to v removed, identical candidate indexing and pair
 // weights), and nodeVac[v] the constant vacuous weight of pairs incident
-// to v. The scenario instances use the lazy distance backend — only the
-// pair-endpoint rows are ever read — and are shared by every search built
-// from this instance.
+// to v. The scenario instances use the bounded distance backend — only
+// the pair-endpoint d_t-balls are ever read — and are shared by every
+// search built from this instance.
 func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 	inst.nodeOnce.Do(func() {
 		n := inst.g.N()
@@ -202,7 +202,7 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 		}
 		opts := &Options{
 			AllowTrivial:         true,
-			DistBackend:          BackendLazy,
+			DistBackend:          BackendBounded,
 			Survive:              SurviveNone, // scenario instances must never recurse
 			ExcludePairEndpoints: inst.candPos != nil,
 			PairWeights:          weights,

@@ -10,6 +10,7 @@ import (
 	"msc/internal/failprob"
 	"msc/internal/graph"
 	"msc/internal/pairs"
+	"msc/internal/shortestpath"
 	"msc/internal/xrand"
 )
 
@@ -54,7 +55,7 @@ func backendSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) (dense,
 		if err != nil {
 			t.Fatal(err)
 		}
-		li, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true, DistBackend: core.BackendLazy})
+		li, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true, Table: shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,37 +3,34 @@ package shortestpath
 import "msc/internal/graph"
 
 // DistanceSource abstracts read access to the all-pairs shortest-path
-// metric of a fixed graph. Three implementations exist:
+// metric of a fixed graph. The solver builds one of two implementations
+// (core.DistBackend):
 //
 //   - Table materializes every row eagerly (n Dijkstras, n² float64s) and
-//     answers queries by plain indexing. Best when most rows will be read
-//     in full (experiments that sweep thresholds over one network).
-//     Consumers that read only d_t-balls, such as the μ/ν bound and
-//     common-node coverage builds, get them without full rows from the
-//     other two sources (their uncached Ball methods).
-//
-//   - LazyTable computes rows on demand and memoizes them. Best when only
-//     a sparse set of rows is ever read — the overlay oracle touches only
-//     the rows of the ≤2m social-pair endpoints plus the ≤2k shortcut
-//     endpoints of the selections it evaluates, so instance-construction
-//     cost scales with the rows the solver actually uses instead of with n.
+//     answers queries by plain indexing. Best on small graphs and when
+//     most rows will be read in full (experiments that sweep thresholds
+//     over one network).
 //
 //   - BoundedTable computes each row as a ball: a Dijkstra bounded at a
 //     reach, stored sparsely as sorted (int32 node, float64 distance)
-//     pairs; everything outside the reach-ball reads as +Inf. Best at
-//     10⁵–10⁶ nodes, where even one dense row is significant and
-//     full-graph Dijkstras dominate the run. Its metric is the dense one
-//     truncated at the reach, bit for bit: distances within the reach are
-//     exact, distances beyond it read +Inf. Consumers that only compare
-//     distances against a threshold ≤ reach — the entire MSC objective —
-//     cannot observe the truncation.
+//     pairs; everything outside the reach-ball reads as +Inf. Best from a
+//     few hundred nodes up to 10⁶, where the n Dijkstras of a Table
+//     dominate the run. Its metric is the dense one truncated at the
+//     reach, bit for bit: distances within the reach are exact, distances
+//     beyond it read +Inf. Consumers that only compare distances against
+//     a threshold ≤ reach — the entire MSC objective — cannot observe the
+//     truncation.
+//
+// LazyTable, a memoized on-demand full-row cache, also implements the
+// interface; no solver backend builds it any more, and the benchmark
+// harness's traced runs are its only product user.
 //
 // Implementations must be safe for concurrent readers, and every method
 // must be deterministic: for the same graph, Dist and Row return
 // bit-identical values no matter the call order or the number of
-// goroutines calling, and dense/lazy return bit-identical values to each
-// other (BoundedTable returns the same values within its reach and +Inf
-// beyond it). The solver's determinism contract (serial == parallel
+// goroutines calling, and the full-row sources (Table, LazyTable) return
+// bit-identical values to each other (BoundedTable returns the same values
+// within its reach and +Inf beyond it). The solver's determinism contract (serial == parallel
 // placements) rests on that guarantee.
 type DistanceSource interface {
 	// N returns the number of nodes the source covers.

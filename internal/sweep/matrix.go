@@ -110,7 +110,7 @@ func (e *MatrixError) Error() string {
 var (
 	validFamilies = map[string]bool{"rgg": true, "social": true}
 	validSolvers  = map[string]bool{"sandwich": true, "greedy": true, "mu": true, "nu": true, "ea": true, "aea": true, "random": true, "cn": true}
-	validBackends = map[string]bool{"auto": true, "dense": true, "lazy": true, "bounded": true}
+	validBackends = map[string]bool{"auto": true, "dense": true, "bounded": true}
 	validSurvive  = map[string]bool{"auto": true, "none": true, "shortcut": true, "node": true}
 )
 

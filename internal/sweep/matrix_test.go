@@ -88,7 +88,7 @@ func TestInstanceKeySharedAcrossSolvers(t *testing.T) {
 	a := Scenario{Kind: KindPlace, Family: "rgg", N: 40, M: 8, Pt: 0.12, K: 2, Solver: "greedy", Seed: 1}
 	b := a
 	b.Solver = "sandwich"
-	b.DistBackend = "lazy"
+	b.DistBackend = "bounded"
 	b.Par = 8
 	if a.InstanceKey() != b.InstanceKey() {
 		t.Fatalf("solver/backend/par must not split the instance cache: %s vs %s", a.InstanceKey(), b.InstanceKey())
@@ -123,6 +123,7 @@ func TestMatrixValidation(t *testing.T) {
 		{"unknown family", func(m *Matrix) { m.Families = []string{"torus"} }, "families", ""},
 		{"unknown solver", func(m *Matrix) { m.Solvers = []string{"magic"} }, "solvers", ""},
 		{"unknown backend", func(m *Matrix) { m.DistBackends = []string{"quantum"} }, "dist_backends", ""},
+		{"lazy backend retired", func(m *Matrix) { m.DistBackends = []string{"auto", "lazy"} }, "dist_backends", ""},
 		{"negative par", func(m *Matrix) { m.Parallelism = []int{-1} }, "parallelism", ""},
 		{"zero n", func(m *Matrix) { m.N = []int{0} }, "n", ""},
 		{"negative k", func(m *Matrix) { m.K = []int{-2} }, "k", ""},

@@ -29,15 +29,17 @@ type Counters struct {
 	OverlayQueries atomic.Int64
 	// OverlayRows counts full distance-row queries against an overlay.
 	OverlayRows atomic.Int64
-	// RowCacheHits counts lazy-table row requests served from cache.
+	// RowCacheHits counts bounded-table row requests served from cache.
+	// (Records from before the dense/bounded pair also count the retired
+	// lazy Dijkstra row cache here.)
 	RowCacheHits atomic.Int64
-	// RowCacheMisses counts lazy-table row requests that created a new
+	// RowCacheMisses counts bounded-table row requests that created a new
 	// cache entry.
 	RowCacheMisses atomic.Int64
-	// RowCacheComputes counts Dijkstra runs performed by lazy tables.
-	// Unlike the solver counters above, the row-cache counters depend on
-	// the distance backend (dense tables never touch them), so the
-	// backend-equivalence guarantees exclude them.
+	// RowCacheComputes counts the bounded Dijkstra balls the bounded
+	// table computed. Unlike the solver counters above, the row-cache
+	// counters depend on the distance backend (dense tables never touch
+	// them), so the backend-equivalence guarantees exclude them.
 	RowCacheComputes atomic.Int64
 
 	// RowsMerged counts endpoint distance rows updated in place by the
@@ -164,12 +166,11 @@ func (c *Counters) Reset() {
 
 // BackendInvariant returns a copy of the snapshot with every counter that
 // depends on the distance backend zeroed: Dijkstra runs and edge
-// relaxations (eager for a dense table, on-demand for a lazy one), the
-// row-cache activity (dense tables never touch it), the merge row
-// classification
-// (RowsMerged/RowsUnchanged look at stored distances beyond d_t, which a
-// bounded backend deliberately reports as +Inf where dense/lazy hold
-// finite values), and CandidatesPruned (only pruned scans bump it, and
+// relaxations (eager for a dense table, on-demand balls for a bounded one),
+// the row-cache activity (dense tables never touch it), the merge row
+// classification (RowsMerged/RowsUnchanged look at stored distances beyond
+// d_t, which a bounded backend deliberately reports as +Inf where a dense
+// table holds finite values), and CandidatesPruned (only pruned scans bump it, and
 // only sparse backends run them). What remains is exactly the solver work
 // that must be identical across backends — the invariant the
 // backend-differential suite asserts.

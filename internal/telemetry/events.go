@@ -159,8 +159,8 @@ type RunRecord struct {
 	// Workers is the resolved candidate-scan parallelism (0 = default).
 	Workers int `json:"workers"`
 	// DistBackend records the distance backend the run was launched with
-	// ("auto", "dense", "lazy", "bounded"); "" for runs that predate the
-	// field.
+	// ("auto", "dense", "bounded"); "" for runs that predate the field.
+	// Records from before the lazy row cache was retired may say "lazy".
 	DistBackend string `json:"dist_backend"`
 	// Survive records the survivability mode the run was launched with
 	// ("none", "shortcut", "node"); "" for runs that predate the field.
@@ -192,8 +192,8 @@ type RunRecord struct {
 	// WallMS is the run's wall-clock time in milliseconds.
 	WallMS float64 `json:"wall_ms"`
 	// RowBytesResident is the process-wide distance-row payload resident
-	// at emission time (lazy dense rows, bounded sparse rows and dense
-	// rows materialized from them); 0 for runs that predate the field.
+	// at emission time (bounded sparse rows and dense rows materialized
+	// from them); 0 for runs that predate the field.
 	// Unlike the counters, it is a level, not a delta — the number behind
 	// the "bytes/row scales with the d_t-ball" claim.
 	RowBytesResident int64 `json:"row_bytes_resident"`

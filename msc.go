@@ -81,22 +81,12 @@ type (
 	// Threshold is the connectivity requirement in both its probability
 	// (p_t) and distance (d_t) forms.
 	Threshold = failprob.Threshold
-	// DistanceSource abstracts shortest-path access: a dense DistanceTable,
-	// a LazyDistanceTable, or a BoundedDistanceTable; InstanceOptions.Table
-	// accepts any of them.
+	// DistanceSource abstracts shortest-path access: a dense DistanceTable
+	// or a BoundedDistanceTable; InstanceOptions.Table accepts either.
 	DistanceSource = shortestpath.DistanceSource
 	// DistanceTable is an eagerly materialized all-pairs shortest-path
 	// table.
 	DistanceTable = shortestpath.Table
-	// LazyDistanceTable computes Dijkstra rows on demand and memoizes them
-	// in a concurrency-safe cache; construction is O(1) instead of n
-	// Dijkstras.
-	LazyDistanceTable = shortestpath.LazyTable
-	// LazyTableOptions is the former tuning struct of a LazyDistanceTable.
-	//
-	// Deprecated: a LazyDistanceTable has nothing left to tune; pass
-	// LazyTableOptions{}.
-	LazyTableOptions = shortestpath.LazyOptions
 	// BoundedDistanceTable computes bounded-reach Dijkstra balls on demand
 	// and memoizes them: per-row memory scales with the d_t-ball, not
 	// with n. Distances within the reach are exact and distances beyond it
@@ -111,8 +101,7 @@ type (
 	// their exact distances; absent nodes read +Inf.
 	SparseDistanceRow = shortestpath.Ball
 	// DistBackend selects the distance backend an instance builds when no
-	// table is supplied: BackendAuto, BackendDense, BackendLazy, or
-	// BackendBounded.
+	// table is supplied: BackendAuto, BackendDense, or BackendBounded.
 	DistBackend = core.DistBackend
 	// Survivability selects the failure model an instance optimizes
 	// against: SurviveNone, SurviveShortcut, or SurviveNode.
@@ -188,17 +177,13 @@ const (
 )
 
 // Distance backends selectable via InstanceOptions.DistBackend. BackendAuto
-// (the zero value) picks dense below DefaultLazyThreshold nodes, lazy from
-// there up to DefaultBoundedThreshold, and bounded at or above; placements
-// and σ/μ/ν are identical across backends.
+// (the zero value) picks dense below DefaultBoundedThreshold nodes and
+// bounded at or above; placements and σ/μ/ν are identical across backends.
 const (
 	BackendAuto    = core.BackendAuto
 	BackendDense   = core.BackendDense
-	BackendLazy    = core.BackendLazy
 	BackendBounded = core.BackendBounded
-	// DefaultLazyThreshold is the BackendAuto dense→lazy switchover.
-	DefaultLazyThreshold = core.DefaultLazyThreshold
-	// DefaultBoundedThreshold is the BackendAuto lazy→bounded switchover.
+	// DefaultBoundedThreshold is the BackendAuto dense→bounded switchover.
 	DefaultBoundedThreshold = core.DefaultBoundedThreshold
 )
 
@@ -274,14 +259,6 @@ func NewPairSet(n int, ps []Pair) (*PairSet, error) { return pairs.NewSet(n, ps)
 // instances with different thresholds via InstanceOptions.Table.
 func NewDistanceTable(g *Graph) *DistanceTable { return shortestpath.NewTable(g, 0) }
 
-// NewLazyDistanceTable wraps g in an on-demand distance source: rows are
-// computed by Dijkstra on first use and memoized. Share it across
-// instances via InstanceOptions.Table when n is large and only a sparse
-// set of rows will ever be read.
-func NewLazyDistanceTable(g *Graph, opts LazyTableOptions) *LazyDistanceTable {
-	return shortestpath.NewLazyTable(g, opts)
-}
-
 // NewBoundedDistanceTable wraps g in a bounded-reach sparse distance
 // source: rows hold only the nodes within opts.Reach of the source, and
 // everything beyond reads +Inf. Share it across instances whose d_t is at
@@ -291,13 +268,13 @@ func NewBoundedDistanceTable(g *Graph, opts BoundedTableOptions) (*BoundedDistan
 }
 
 // RowBytesResident reports the bytes of distance-row payload currently
-// resident across every row cache in the process (lazy dense rows, bounded
-// sparse rows, materialized dense rows) — the msc_row_bytes_resident
+// resident across every row cache in the process (bounded sparse rows and
+// the dense rows materialized from them) — the msc_row_bytes_resident
 // gauge as a plain value.
 func RowBytesResident() int64 { return shortestpath.RowBytesResident() }
 
 // ParseDistBackend validates a -dist-backend flag value ("auto", "dense",
-// "lazy", "bounded").
+// "bounded").
 func ParseDistBackend(s string) (DistBackend, error) { return core.ParseDistBackend(s) }
 
 // ParseSurvivability validates a -survive flag value ("auto", "none",
@@ -344,7 +321,7 @@ func SampleViolatingPairs(t DistanceSource, thr Threshold, m int, rng *Rand) (*P
 // by rejection sampling point distance queries instead of enumerating
 // all ~n²/2 candidates — same uniform distribution over violating pairs
 // as SampleViolatingPairs, but each trial costs one Dist call, so it
-// composes with the lazy and bounded backends at 10⁴–10⁶ nodes. It fails
+// composes with the bounded backend at 10³–10⁶ nodes. It fails
 // after 1000·m unproductive draws, the regime where violating pairs are
 // rare and the exhaustive sampler is the right tool.
 func SampleViolatingPairsRandom(t DistanceSource, thr Threshold, m int, rng *Rand) (*PairSet, error) {
