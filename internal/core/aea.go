@@ -130,7 +130,7 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 		if opts.SeedGreedy {
 			seed = greedySeed(p, bp, k, numCand, rng, workers)
 		}
-		pop = []aeaSol{{sel: seed, sigma: SigmaOf(p, seed, workers)}}
+		pop = []aeaSol{{sel: seed, sigma: p.SigmaPar(seed, workers)}}
 		best = pop[0]
 	}
 	res := AEAResult{}
@@ -211,9 +211,7 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 		}
 	}
 	checkpoint()
-	res.Best = newPlacement(p, best.sel)
-	stop.Sigma = res.Best.Sigma
-	res.Best.Stop = stop
+	res.Best = stoppedPlacement(p, best.sel, stop)
 	return res
 }
 
@@ -273,7 +271,7 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 		// Greedy swap on an incremental search state, argmax ties broken
 		// uniformly at random.
 		s := childSearch(p, &scratch.search, parent.sel)
-		setSearchWorkers(s, workers)
+		s.SetWorkers(workers)
 		if s.Len() > 0 {
 			s.RemoveAt(randomBestDrop(s, rng, &scratch.ties))
 		}
@@ -307,10 +305,10 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 		if c := randomAbsentSelAffordable(child, bp, rem, numCand, rng); c >= 0 {
 			child = append(child, c)
 		}
-		return aeaSol{sel: child, sigma: SigmaOf(p, child, workers)}
+		return aeaSol{sel: child, sigma: p.SigmaPar(child, workers)}
 	}
 	child = append(child, randomAbsentSel(child, numCand, rng))
-	return aeaSol{sel: child, sigma: SigmaOf(p, child, workers)}
+	return aeaSol{sel: child, sigma: p.SigmaPar(child, workers)}
 }
 
 // childSearch returns a search positioned at sel. A plain σ search left in
@@ -333,7 +331,7 @@ func childSearch(p Problem, scratch *Search, sel []int) Search {
 // serial, so the choice matches the serial scan draw for draw. The ties
 // are collected in *ties, which the caller keeps for reuse.
 func randomBestDrop(s Search, rng *xrand.Rand, ties *[]int) int {
-	drops := sigmaDrops(s, nil)
+	drops := s.SigmaDrops()
 	bestSigma := -1
 	t := (*ties)[:0]
 	for pos, sig := range drops {

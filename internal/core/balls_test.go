@@ -110,7 +110,7 @@ func TestSearchBallsMatchDistRow(t *testing.T) {
 						}
 						srch := path.newSearch(inst, nil)
 						for step := 0; step < 10; step++ {
-							setSearchWorkers(srch, []int{1, 2, 8}[rng.Intn(3)])
+							srch.SetWorkers([]int{1, 2, 8}[rng.Intn(3)])
 							if srch.Len() > 0 && rng.Intn(3) == 0 {
 								srch.RemoveAt(rng.Intn(srch.Len()))
 							} else {
@@ -139,17 +139,6 @@ func TestSearchBallsMatchDistRow(t *testing.T) {
 			}
 		}
 	}
-}
-
-// argmax returns the first index of the largest gain and that gain.
-func argmax(gains []int) (int, int) {
-	best := 0
-	for i, g := range gains {
-		if g > gains[best] {
-			best = i
-		}
-	}
-	return best, gains[best]
 }
 
 // TestScaleSearchAllocatesBalls pins the memory shape of the search on

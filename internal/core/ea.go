@@ -122,7 +122,7 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 		res.Evaluations = cp.Evaluations
 		startIter = cp.Round
 	} else {
-		pop = []eaSol{{sel: nil, sigma: SigmaOf(p, nil, workers)}}
+		pop = []eaSol{{sel: nil, sigma: p.SigmaPar(nil, workers)}}
 		res.Evaluations++
 		bestFeasible = eaSol{sel: nil, sigma: pop[0].sigma}
 	}
@@ -166,7 +166,7 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 		}
 		parent := pop[rng.Intn(len(pop))]
 		child := mutate(parent.sel, numCand, flipProb, rng)
-		childSigma := SigmaOf(p, child, workers)
+		childSigma := p.SigmaPar(child, workers)
 		childCost := solCost(child)
 		res.Evaluations++
 		insertPareto(&pop, eaSol{sel: child, sigma: childSigma, cost: childCost})
@@ -199,9 +199,7 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 		}
 	}
 	checkpoint()
-	res.Best = newPlacement(p, bestFeasible.sel)
-	stop.Sigma = res.Best.Sigma
-	res.Best.Stop = stop
+	res.Best = stoppedPlacement(p, bestFeasible.sel, stop)
 	res.PopulationSize = len(pop)
 	return res
 }

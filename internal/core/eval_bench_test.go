@@ -63,7 +63,7 @@ func benchAddScan(b *testing.B, rebuild bool) {
 		p = rebuildProblem{inst}
 	}
 	s := p.NewSearch(nil)
-	setSearchWorkers(s, 1)
+	s.SetWorkers(1)
 	cand, _ := s.BestAdd()
 	if cand < 0 {
 		b.Skip("no candidate to add")

@@ -236,11 +236,10 @@ func TestEvalStatsRoundTrace(t *testing.T) {
 	// The search's accumulators were drained by the sink path.
 	s := inc.NewSearch(nil)
 	s.GainsAdd()
-	es := s.(EvalStats)
-	if _, _, pr, _ := es.LastEvalStats(); pr == 0 {
+	if _, _, pr, _ := s.LastEvalStats(); pr == 0 {
 		t.Error("cold scan reported no rescanned pairs")
 	}
-	if rm, ru, pr, psk := es.LastEvalStats(); rm != 0 || ru != 0 || pr != 0 || psk != 0 {
+	if rm, ru, pr, psk := s.LastEvalStats(); rm != 0 || ru != 0 || pr != 0 || psk != 0 {
 		t.Errorf("LastEvalStats did not drain: (%d, %d, %d, %d)", rm, ru, pr, psk)
 	}
 

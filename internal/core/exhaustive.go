@@ -52,10 +52,7 @@ func Exhaustive(p Problem, maxEvals int, opts ...Option) (Placement, error) {
 	}
 	stop := StopInfo{Reason: StopConverged}
 	finish := func(sel []int) (Placement, error) {
-		pl := newPlacement(p, sel)
-		stop.Sigma = pl.Sigma
-		pl.Stop = stop
-		return pl, nil
+		return stoppedPlacement(p, sel, stop), nil
 	}
 	if cfg.workers <= 1 || k == 0 {
 		sel := make([]int, k)
@@ -173,10 +170,7 @@ func ExhaustiveBudget(p Problem, maxEvals int, opts ...Option) (Placement, error
 	}
 	stop := StopInfo{Reason: StopConverged}
 	finish := func(sel []int) (Placement, error) {
-		pl := newPlacement(p, sel)
-		stop.Sigma = pl.Sigma
-		pl.Stop = stop
-		return pl, nil
+		return stoppedPlacement(p, sel, stop), nil
 	}
 	if cfg.workers <= 1 {
 		bestSel := []int{}

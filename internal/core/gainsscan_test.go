@@ -227,7 +227,7 @@ func TestEvalSearchMatchesFreshBuild(t *testing.T) {
 						}
 					case k == 1:
 						if r, ok := srch.(*rebuildSearch); ok {
-							r.fullSearch = plainSearch(r).clone()
+							r.Search = plainSearch(r).clone()
 						} else {
 							srch = plainSearch(srch).clone()
 						}
@@ -238,7 +238,7 @@ func TestEvalSearchMatchesFreshBuild(t *testing.T) {
 					default:
 						srch.Add(rng.Intn(inst.NumCandidates()))
 					}
-					setSearchWorkers(srch, []int{1, 2, 8}[rng.Intn(3)])
+					srch.SetWorkers([]int{1, 2, 8}[rng.Intn(3)])
 					if rng.Intn(2) == 0 {
 						continue // leave the state unread: reads must catch up later
 					}
@@ -274,11 +274,11 @@ func TestLazyRowsAEASwapOneRebuild(t *testing.T) {
 	for _, path := range searchPaths {
 		before := telemetry.Global().Snapshot()
 		s := path.newSearch(inst, sel)
-		setSearchWorkers(s, 2)
+		s.SetWorkers(2)
 		if d := telemetry.Global().Snapshot().Sub(before); d.OverlayRows != 0 {
 			t.Fatalf("%s: NewSearch issued %d overlay rows", path.name, d.OverlayRows)
 		}
-		sigmaDrops(s, nil)
+		s.SigmaDrops()
 		before = telemetry.Global().Snapshot()
 		s.RemoveAt(1)
 		s.GainsAdd()

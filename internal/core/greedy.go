@@ -44,93 +44,85 @@ func GreedySigma(p Problem, opts ...Option) Placement {
 	if bp, ok := asBudgeted(p); ok {
 		return greedySigmaBudget(bp, cfg)
 	}
-	s := p.NewSearch(nil)
-	setSearchWorkers(s, cfg.workers)
-	setSearchContext(s, cfg.ctx)
+	s, timed := cfg.greedySearch(p)
 	stop := StopInfo{Reason: StopConverged}
-	finish := func() Placement {
-		pl := newPlacement(p, s.Selection())
-		stop.Sigma = pl.Sigma
-		pl.Stop = stop
-		return pl
-	}
-	if cfg.sink == nil {
-		// With the ops plane enabled, the sink-less loop still feeds the
-		// metrics histograms: round wall time here, shard imbalance via the
-		// timed scans. The flag is latched once — when it is off this loop is
-		// bit for bit the PR 2 zero-allocation fast path (no clock reads).
-		obsOn := obs.Enabled()
-		if obsOn {
-			enableScanTiming(s)
-		}
-		for s.Len() < p.K() {
-			var start time.Time
-			if obsOn {
-				start = time.Now()
-			}
-			cand, gain := s.BestAdd()
-			// The supervision check sits BEFORE committing the round: a
-			// canceled scan's (possibly partial) argmax is discarded, and a
-			// run that is never canceled commits exactly the rounds the
-			// unsupervised loop would.
-			if err := cfg.err(); err != nil {
-				stop.Reason = stopReasonFor(err)
-				return finish()
-			}
-			if cand < 0 || gain <= 0 {
-				break
-			}
-			s.Add(cand)
-			stop.Rounds++
-			if obsOn {
-				obs.ObserveRound(time.Since(start))
-			}
-		}
-		return finish()
-	}
-	enableScanTiming(s)
 	for round := 0; s.Len() < p.K(); round++ {
-		start := time.Now()
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
 		cand, gain := s.BestAdd()
+		// The supervision check sits BEFORE committing the round: a
+		// canceled scan's (possibly partial) argmax is discarded, and a
+		// run that is never canceled commits exactly the rounds the
+		// unsupervised loop would.
 		if err := cfg.err(); err != nil {
 			stop.Reason = stopReasonFor(err)
-			return finish()
+			break
 		}
 		if cand < 0 || gain <= 0 {
 			break
 		}
 		s.Add(cand)
 		stop.Rounds++
-		sel := s.Selection()
-		e := p.CandidateEdge(cand)
-		minNS, maxNS, shards := lastScanShards(s)
-		// pairsSkipped reads 0: every gains refresh is a cold scan.
-		rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := lastEvalStats(s)
-		obs.ObserveRound(time.Since(start))
-		sigma, sigmaWorst := sigmaParts(s)
-		mu, nu := p.Mu(sel), p.Nu(sel)
-		cfg.sink.Emit(telemetry.RoundEvent{
-			Algorithm:      "greedy_sigma",
-			Round:          round,
-			Shortcut:       &[2]int32{int32(e.U), int32(e.V)},
-			Gain:           gain,
-			Sigma:          sigma,
-			SigmaWorst:     sigmaWorst,
-			Selected:       len(sel),
-			Candidates:     p.NumCandidates(),
-			Mu:             mu,
-			Nu:             nu,
-			ElapsedNS:      time.Since(start).Nanoseconds(),
-			ShardMinNS:     minNS,
-			ShardMaxNS:     maxNS,
-			Shards:         shards,
-			RowsMerged:     rowsMerged,
-			RowsUnchanged:  rowsUnchanged,
-			PairsRescanned: pairsRescanned,
-			PairsSkipped:   pairsSkipped,
-		})
+		if timed {
+			cfg.greedyRound(p, s, round, cand, gain, start)
+		}
 	}
-	return finish()
+	return stoppedPlacement(p, s.Selection(), stop)
+}
+
+// greedySearch returns p's search at the empty selection with the run's
+// workers and supervision context installed. timed reports whether a sink
+// or the ops plane reads the rounds; only then does the loop read the
+// clock and the search time its scans, so an untraced run allocates
+// nothing per round for telemetry.
+func (c *solveConfig) greedySearch(p Problem) (s Search, timed bool) {
+	s = p.NewSearch(nil)
+	s.SetWorkers(c.workers)
+	s.SetContext(c.ctx)
+	timed = c.sink != nil || obs.Enabled()
+	if timed {
+		s.EnableScanTiming(true)
+	}
+	return s, timed
+}
+
+// greedyRound reports a committed greedy round that started at start: its
+// wall time to the ops plane and, with a sink attached, its greedy_sigma
+// RoundEvent carrying the selection's σ/μ/ν after the round, the scan's
+// shard extrema and the round's incremental-evaluation work.
+func (c *solveConfig) greedyRound(p Problem, s Search, round, cand, gain int, start time.Time) {
+	obs.ObserveRound(time.Since(start))
+	if c.sink == nil {
+		return
+	}
+	sel := s.Selection()
+	e := p.CandidateEdge(cand)
+	minNS, maxNS, shards := s.LastScanShards()
+	// pairsSkipped reads 0: every gains refresh is a cold scan.
+	rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := s.LastEvalStats()
+	sigma, sigmaWorst := sigmaParts(s)
+	c.sink.Emit(telemetry.RoundEvent{
+		Algorithm:      "greedy_sigma",
+		Round:          round,
+		Shortcut:       &[2]int32{int32(e.U), int32(e.V)},
+		Gain:           gain,
+		Sigma:          sigma,
+		SigmaWorst:     sigmaWorst,
+		Selected:       len(sel),
+		Candidates:     p.NumCandidates(),
+		Mu:             p.Mu(sel),
+		Nu:             p.Nu(sel),
+		ElapsedNS:      time.Since(start).Nanoseconds(),
+		ShardMinNS:     minNS,
+		ShardMaxNS:     maxNS,
+		Shards:         shards,
+		RowsMerged:     rowsMerged,
+		RowsUnchanged:  rowsUnchanged,
+		PairsRescanned: pairsRescanned,
+		PairsSkipped:   pairsSkipped,
+	})
 }
 
 // greedySigmaBudget is the budgeted GreedySigma loop. The per-round gains
@@ -138,20 +130,14 @@ func GreedySigma(p Problem, opts ...Option) Placement {
 // so placements stay identical at every worker count; with a sink attached
 // it emits the same greedy_sigma RoundEvents as the cardinality loop.
 func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
-	s := bp.NewSearch(nil)
-	setSearchWorkers(s, cfg.workers)
-	setSearchContext(s, cfg.ctx)
+	s, timed := cfg.greedySearch(bp)
 	stop := StopInfo{Reason: StopConverged}
-	obsOn := obs.Enabled()
-	if obsOn || cfg.sink != nil {
-		enableScanTiming(s)
-	}
 	budget := bp.Budget()
 	rem := budget
 	singleCand, singleGain := -1, 0
 	for round := 0; ; round++ {
 		var start time.Time
-		if obsOn || cfg.sink != nil {
+		if timed {
 			start = time.Now()
 		}
 		gains := s.GainsAdd()
@@ -196,37 +182,8 @@ func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
 		s.Add(bestC)
 		rem -= bestCost
 		stop.Rounds++
-		if obsOn {
-			obs.ObserveRound(time.Since(start))
-		}
-		if cfg.sink != nil {
-			sel := s.Selection()
-			e := bp.CandidateEdge(bestC)
-			minNS, maxNS, shards := lastScanShards(s)
-			// pairsSkipped reads 0: every gains refresh is a cold scan.
-			rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := lastEvalStats(s)
-			sigma, sigmaWorst := sigmaParts(s)
-			mu, nu := bp.Mu(sel), bp.Nu(sel)
-			cfg.sink.Emit(telemetry.RoundEvent{
-				Algorithm:      "greedy_sigma",
-				Round:          round,
-				Shortcut:       &[2]int32{int32(e.U), int32(e.V)},
-				Gain:           bestGain,
-				Sigma:          sigma,
-				SigmaWorst:     sigmaWorst,
-				Selected:       len(sel),
-				Candidates:     bp.NumCandidates(),
-				Mu:             mu,
-				Nu:             nu,
-				ElapsedNS:      time.Since(start).Nanoseconds(),
-				ShardMinNS:     minNS,
-				ShardMaxNS:     maxNS,
-				Shards:         shards,
-				RowsMerged:     rowsMerged,
-				RowsUnchanged:  rowsUnchanged,
-				PairsRescanned: pairsRescanned,
-				PairsSkipped:   pairsSkipped,
-			})
+		if timed {
+			cfg.greedyRound(bp, s, round, bestC, bestGain, start)
 		}
 	}
 	sel := s.Selection()
@@ -237,10 +194,7 @@ func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
 			sel = single
 		}
 	}
-	pl := newPlacement(bp, sel)
-	stop.Sigma = pl.Sigma
-	pl.Stop = stop
-	return pl
+	return stoppedPlacement(bp, sel, stop)
 }
 
 // GreedyMu greedily maximizes the submodular lower bound μ (§V-B1) via its

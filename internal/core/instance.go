@@ -25,6 +25,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -65,6 +66,10 @@ type Problem interface {
 	MaxSigma() int
 	// Sigma evaluates σ on a selection of candidate indices.
 	Sigma(sel []int) int
+	// SigmaPar is Sigma with its per-pair distance checks sharded across
+	// workers; it equals Sigma(sel) for every worker count, and workers
+	// <= 1 is the serial Sigma itself.
+	SigmaPar(sel []int, workers int) int
 	// Mu evaluates the submodular lower bound μ (§V-B1).
 	Mu(sel []int) float64
 	// Nu evaluates the submodular upper bound ν (§V-B2).
@@ -80,10 +85,9 @@ type Problem interface {
 
 // Search incrementally evaluates σ around a current selection; it is the
 // workhorse of GreedySigma and AEA. A Search belongs to one goroutine:
-// callers must never invoke its methods concurrently. Implementations may
-// additionally satisfy ParallelSearch, in which case their scans shard
-// across internal worker goroutines after SetWorkers — with results
-// guaranteed identical to the serial scan (see parallel.go for the
+// callers must never invoke its methods concurrently. SetWorkers only lets
+// a Search fan each scan out internally, over goroutine-private scratch,
+// with results identical to the serial scan (see parallel.go for the
 // determinism contract).
 type Search interface {
 	// Sigma returns σ of the current selection.
@@ -103,6 +107,10 @@ type Search interface {
 	GainsAdd() []int
 	// SigmaDrop returns σ(S \ {S[pos]}) without mutating the state.
 	SigmaDrop(pos int) int
+	// SigmaDrops returns σ(S \ {S[pos]}) for every selection position in
+	// one sharded pass. Like GainsAdd, the slice is scratch owned by the
+	// Search: valid until the next call, not to be retained or modified.
+	SigmaDrops() []int
 	// BestDrop returns the selection position whose removal leaves the
 	// largest σ (ties toward the lowest position) and that σ.
 	BestDrop() (pos, sigma int)
@@ -112,7 +120,44 @@ type Search interface {
 	RemoveAt(pos int)
 	// Contains reports whether cand is in the current selection.
 	Contains(cand int) bool
+	// SetWorkers fixes the shard count for subsequent scans (GainsAdd,
+	// BestAdd, SigmaDrops, BestDrop). 1 means fully serial; n <= 0
+	// resolves via ResolveParallelism.
+	SetWorkers(n int)
+	// SetContext installs the supervision context subsequent scans poll
+	// between rows, so cancellation interrupts even one long scan; nil
+	// disables polling. A canceled scan may return partial results:
+	// callers check the context before using them.
+	SetContext(ctx context.Context)
+	// EnableScanTiming turns per-shard timing of GainsAdd scans on or
+	// off. It is off by default: timing costs two clock reads per shard
+	// per scan, so solvers turn it on only for a trace sink or the ops
+	// plane.
+	EnableScanTiming(on bool)
+	// LastScanShards reports the fastest and slowest per-shard wall time
+	// of the most recent timed gains scan and its shard count; zeros when
+	// no timed scan has run.
+	LastScanShards() (minNS, maxNS int64, shards int)
+	// LastEvalStats drains the incremental evaluation's work since the
+	// previous call: endpoint balls the commits' merges changed and
+	// proved untouched, and pairs the gains scans covered. pairsSkipped
+	// always reads 0 (every gains refresh is a cold scan) and stays for
+	// the RoundEvent field it fills.
+	LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64)
 }
+
+// ParallelSearch, ScanTimer, ContextAware and EvalStats are other names
+// for Search, and ParallelSigma for Problem.
+//
+// Deprecated: use Search and Problem. The names are kept for
+// bench/mscperf, which spells them.
+type (
+	ParallelSearch = Search
+	ScanTimer      = Search
+	ContextAware   = Search
+	EvalStats      = Search
+	ParallelSigma  = Problem
+)
 
 // Instance is a single-topology MSC instance. It precomputes the all-pairs
 // distance table once and derives everything else from it. Instances are

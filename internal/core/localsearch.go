@@ -42,14 +42,13 @@ type LocalSearchOptions struct {
 //
 // On a budgeted problem each swap additionally checks budget feasibility:
 // the incoming shortcut must fit the headroom freed by the dropped one
-// (parBestSwapBudget), so a budget-feasible start stays feasible through
-// every round.
+// (ParBestSwap), so a budget-feasible start stays feasible through every
+// round.
 func LocalSearch(p Problem, start []int, opts LocalSearchOptions) Placement {
 	maxIters := opts.MaxIters
 	if maxIters <= 0 {
 		maxIters = 100
 	}
-	bp, budgeted := asBudgeted(p)
 	workers := ResolveParallelism(opts.Parallelism)
 	ctx, cancel := superviseCtx(opts.Context, opts.Deadline)
 	defer cancel()
@@ -66,12 +65,7 @@ func LocalSearch(p Problem, start []int, opts LocalSearchOptions) Placement {
 		// position, a private search without it scans the best addition;
 		// positions shard across workers (see ParBestSwap).
 		prevSigma := s.Sigma()
-		var bestDrop, bestAdd int
-		if budgeted {
-			bestDrop, bestAdd, _ = parBestSwapBudget(bp, cur, prevSigma, workers)
-		} else {
-			bestDrop, bestAdd, _ = ParBestSwap(p, cur, prevSigma, workers)
-		}
+		bestDrop, bestAdd, _ := ParBestSwap(p, cur, prevSigma, workers)
 		// Supervision before committing the swap: a canceled scan's result
 		// is discarded and the refinement so far returned.
 		if err := ctxErr(ctx); err != nil {
@@ -108,8 +102,5 @@ func LocalSearch(p Problem, start []int, opts LocalSearchOptions) Placement {
 			})
 		}
 	}
-	pl := newPlacement(p, cur)
-	stop.Sigma = pl.Sigma
-	pl.Stop = stop
-	return pl
+	return stoppedPlacement(p, cur, stop)
 }

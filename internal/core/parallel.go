@@ -26,7 +26,7 @@ import (
 // therefore return identical placements; the equivalence suite in
 // parallel_test.go locks the contract in under the race detector.
 
-var _ ParallelSigma = (*Instance)(nil)
+var _ Problem = (*Instance)(nil)
 
 // Option configures a solver entry point (GreedySigma, Sandwich,
 // RandomPlacement, Exhaustive, LocalSearch via its options struct). EA and
@@ -87,115 +87,6 @@ func resolveConfig(opts []Option) solveConfig {
 	return c
 }
 
-// ParallelSearch extends Search with sharded candidate scans. A Search
-// remains single-caller (no concurrent method calls); SetWorkers only
-// allows the implementation to fan each scan out internally, using
-// goroutine-private scratch so results stay identical to a serial scan.
-type ParallelSearch interface {
-	Search
-	// SetWorkers fixes the shard count for subsequent scans (GainsAdd,
-	// BestAdd, SigmaDrops, BestDrop). 1 means fully serial; n <= 0 resolves
-	// via ResolveParallelism.
-	SetWorkers(n int)
-	// SigmaDrops returns σ(S \ {S[pos]}) for every selection position in
-	// one sharded pass. Like GainsAdd, the slice is scratch owned by the
-	// Search: valid until the next call, not to be retained or modified.
-	SigmaDrops() []int
-}
-
-// ScanTimer is implemented by searches that can time their sharded
-// candidate scans for telemetry. Timing is off by default — recording costs
-// two monotonic clock reads per shard per scan, so solvers enable it only
-// when a trace sink is attached.
-type ScanTimer interface {
-	// EnableScanTiming turns per-shard timing of GainsAdd scans on or off.
-	EnableScanTiming(on bool)
-	// LastScanShards reports the fastest and slowest per-shard wall time of
-	// the most recent timed gains scan and its shard count; zeros when no
-	// timed scan has run.
-	LastScanShards() (minNS, maxNS int64, shards int)
-}
-
-// EvalStats is implemented by searches that track the incremental
-// evaluation engine's work (see search.go): how many endpoint balls the
-// committed shortcuts' O(ball) merges changed vs. proved untouched, and
-// how many pairs the gains scans covered. pairsSkipped always reads 0 —
-// every gains refresh is a cold scan — and stays in the signature for the
-// RoundEvent field it fills. LastEvalStats drains the accumulators, so
-// each call reports the work since the previous one — GreedySigma calls
-// it once per committed round to fill the RoundEvent fields.
-type EvalStats interface {
-	LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64)
-}
-
-// lastEvalStats drains a search's incremental-evaluation stats, or returns
-// zeros for searches without incremental state.
-func lastEvalStats(s Search) (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64) {
-	if es, ok := s.(EvalStats); ok {
-		return es.LastEvalStats()
-	}
-	return 0, 0, 0, 0
-}
-
-// enableScanTiming turns scan timing on when the search supports it.
-func enableScanTiming(s Search) {
-	if st, ok := s.(ScanTimer); ok {
-		st.EnableScanTiming(true)
-	}
-}
-
-// lastScanShards reads the most recent timed scan's shard extrema, or zeros
-// for searches without timing support.
-func lastScanShards(s Search) (minNS, maxNS int64, shards int) {
-	if st, ok := s.(ScanTimer); ok {
-		return st.LastScanShards()
-	}
-	return 0, 0, 0
-}
-
-// setSearchWorkers applies a worker count when the search supports sharded
-// scans; other implementations keep their serial behavior.
-func setSearchWorkers(s Search, workers int) {
-	if ps, ok := s.(ParallelSearch); ok {
-		ps.SetWorkers(workers)
-	}
-}
-
-// sigmaDrops returns σ(S \ {S[pos]}) for every position, using the sharded
-// scan when available and a serial loop otherwise. buf is an optional
-// scratch slice for the serial fallback.
-func sigmaDrops(s Search, buf []int) []int {
-	if ps, ok := s.(ParallelSearch); ok {
-		return ps.SigmaDrops()
-	}
-	if cap(buf) < s.Len() {
-		buf = make([]int, s.Len())
-	}
-	buf = buf[:s.Len()]
-	for pos := range buf {
-		buf[pos] = s.SigmaDrop(pos)
-	}
-	return buf
-}
-
-// ParallelSigma is implemented by problems whose σ oracle can shard its
-// per-pair distance checks across workers. SigmaPar(sel, w) must equal
-// Sigma(sel) for every worker count.
-type ParallelSigma interface {
-	SigmaPar(sel []int, workers int) int
-}
-
-// SigmaOf evaluates p.Sigma(sel) with the given parallelism when the
-// problem supports it, falling back to the serial oracle otherwise.
-func SigmaOf(p Problem, sel []int, workers int) int {
-	if workers > 1 {
-		if ps, ok := p.(ParallelSigma); ok {
-			return ps.SigmaPar(sel, workers)
-		}
-	}
-	return p.Sigma(sel)
-}
-
 // ParallelFor splits [0, n) into at most `workers` contiguous shards of
 // near-equal size and runs fn(shard, lo, hi) on one goroutine per shard,
 // returning when all complete. fn must confine its writes to
@@ -254,25 +145,6 @@ func ParallelFor(workers, n int, fn func(shard, lo, hi int)) {
 	}
 }
 
-// ParBestAdd returns the candidate with the largest σ gain (ties toward
-// the lowest candidate index), computing the gains with the given
-// parallelism when the search supports sharded scans. It is the parallel
-// form of Search.BestAdd and returns identical results for every worker
-// count.
-func ParBestAdd(s Search, workers int) (cand, gain int) {
-	setSearchWorkers(s, workers)
-	return s.BestAdd()
-}
-
-// ParBestDrop returns the selection position whose removal leaves the
-// largest σ (ties toward the lowest position), sharding the per-position
-// evaluations when the search supports it. It is the parallel form of
-// Search.BestDrop.
-func ParBestDrop(s Search, workers int) (pos, sigma int) {
-	setSearchWorkers(s, workers)
-	return s.BestDrop()
-}
-
 // ParBestSwap scans the full (drop, add) swap neighborhood of sel: for
 // each drop position it builds a private Search on the remaining selection
 // and scans the best addition. Drop positions shard across workers — each
@@ -280,24 +152,31 @@ func ParBestDrop(s Search, workers int) (pos, sigma int) {
 // is shared — and the per-shard bests reduce deterministically: highest σ
 // first, ties toward the lowest drop position, exactly as the serial scan
 // resolves them. It returns drop = -1 when no swap yields σ > curSigma.
+//
+// On a budgeted problem a swap is admissible only when the incoming
+// candidate fits the headroom freed by the dropped one,
+// B − CostOf(sel) + Cost(sel[pos]). The add is then BestAdd's
+// unconditional argmax (ties toward the lowest index, any gain sign — the
+// σ > curSigma filter rejects non-improving swaps) restricted to
+// affordable candidates, so under unit costs with B = k it reproduces the
+// cardinality scan exactly. The cardinality scan keeps BestAdd, which
+// never materializes the gains array on huge candidate universes.
 func ParBestSwap(p Problem, sel []int, curSigma, workers int) (drop, add, sigma int) {
 	if len(sel) == 0 {
 		return -1, -1, curSigma
 	}
+	bp, budgeted := asBudgeted(p)
+	spent := 0.0
+	if budgeted {
+		spent = bp.CostOf(sel)
+	}
 	// Workers beyond the position count flow into each position's own
 	// candidate scan instead of going idle.
-	inner := workers / len(sel)
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(workers/len(sel), 1)
 	type swapBest struct {
 		drop, add, sigma int
 	}
-	shards := workers
-	if shards > len(sel) {
-		shards = len(sel)
-	}
-	bests := make([]swapBest, shards)
+	bests := make([]swapBest, min(workers, len(sel)))
 	ParallelFor(workers, len(sel), func(shard, lo, hi int) {
 		best := swapBest{drop: -1, add: -1, sigma: curSigma}
 		rest := make([]int, 0, len(sel)-1)
@@ -305,10 +184,15 @@ func ParBestSwap(p Problem, sel []int, curSigma, workers int) (drop, add, sigma 
 			rest = append(rest[:0], sel[:pos]...)
 			rest = append(rest, sel[pos+1:]...)
 			sub := p.NewSearch(rest)
-			setSearchWorkers(sub, inner)
-			cand, gain := sub.BestAdd()
+			sub.SetWorkers(inner)
+			var cand, gain int
+			if budgeted {
+				cand, gain = bestAffordableAdd(sub, bp, bp.Budget()-spent+bp.Cost(sel[pos]))
+			} else {
+				cand, gain = sub.BestAdd()
+			}
 			if cand < 0 {
-				continue // empty candidate universe: nothing to swap in
+				continue // no (affordable) candidate to swap in
 			}
 			if sigma := sub.Sigma() + gain; sigma > best.sigma {
 				best = swapBest{drop: pos, add: cand, sigma: sigma}
@@ -317,7 +201,7 @@ func ParBestSwap(p Problem, sel []int, curSigma, workers int) (drop, add, sigma 
 		bests[shard] = best
 	})
 	out := swapBest{drop: -1, add: -1, sigma: curSigma}
-	for _, b := range bests[:shards] {
+	for _, b := range bests {
 		if b.sigma > out.sigma {
 			out = b
 		}
@@ -325,63 +209,32 @@ func ParBestSwap(p Problem, sel []int, curSigma, workers int) (drop, add, sigma 
 	return out.drop, out.add, out.sigma
 }
 
-// parBestSwapBudget is ParBestSwap under a knapsack budget: a swap is
-// admissible only when the incoming candidate fits the headroom freed by
-// the dropped one, B − CostOf(sel) + Cost(sel[pos]). The add scan is
-// BestAdd's unconditional argmax (ties toward the lowest index, any gain
-// sign — the σ > curSigma filter below rejects non-improving swaps)
-// restricted to affordable candidates, so under unit costs with B = k it
-// reproduces ParBestSwap exactly. Sharding and reduction are identical to
-// ParBestSwap.
-func parBestSwapBudget(bp BudgetProblem, sel []int, curSigma, workers int) (drop, add, sigma int) {
-	if len(sel) == 0 {
-		return -1, -1, curSigma
-	}
-	inner := workers / len(sel)
-	if inner < 1 {
-		inner = 1
-	}
-	spent := bp.CostOf(sel)
-	type swapBest struct {
-		drop, add, sigma int
-	}
-	shards := workers
-	if shards > len(sel) {
-		shards = len(sel)
-	}
-	bests := make([]swapBest, shards)
-	ParallelFor(workers, len(sel), func(shard, lo, hi int) {
-		best := swapBest{drop: -1, add: -1, sigma: curSigma}
-		rest := make([]int, 0, len(sel)-1)
-		for pos := lo; pos < hi; pos++ {
-			rest = append(rest[:0], sel[:pos]...)
-			rest = append(rest, sel[pos+1:]...)
-			rem := bp.Budget() - spent + bp.Cost(sel[pos])
-			sub := bp.NewSearch(rest)
-			setSearchWorkers(sub, inner)
-			gains := sub.GainsAdd()
-			cand, gain := -1, 0
-			for c, g := range gains {
-				if bp.Cost(c) <= rem && (cand < 0 || g > gain) {
-					cand, gain = c, g
-				}
-			}
-			if cand < 0 {
-				continue // no affordable candidate to swap in
-			}
-			if sigma := sub.Sigma() + gain; sigma > best.sigma {
-				best = swapBest{drop: pos, add: cand, sigma: sigma}
-			}
-		}
-		bests[shard] = best
-	})
-	out := swapBest{drop: -1, add: -1, sigma: curSigma}
-	for _, b := range bests[:shards] {
-		if b.sigma > out.sigma {
-			out = b
+// bestAffordableAdd is BestAdd restricted to candidates costing at most
+// rem: the first candidate of largest gain among them, or (-1, 0) when
+// none is affordable.
+func bestAffordableAdd(s Search, bp BudgetProblem, rem float64) (cand, gain int) {
+	cand = -1
+	for c, g := range s.GainsAdd() {
+		if bp.Cost(c) <= rem && (cand < 0 || g > gain) {
+			cand, gain = c, g
 		}
 	}
-	return out.drop, out.add, out.sigma
+	return cand, gain
+}
+
+// argmax returns the first index of the largest value in xs and that
+// value, or (-1, 0) when xs is empty.
+func argmax(xs []int) (idx, val int) {
+	if len(xs) == 0 {
+		return -1, 0
+	}
+	idx, val = 0, xs[0]
+	for i := 1; i < len(xs); i++ {
+		if xs[i] > val {
+			idx, val = i, xs[i]
+		}
+	}
+	return idx, val
 }
 
 // triRowBounds splits the rows of the upper-triangular candidate grid over

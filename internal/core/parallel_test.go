@@ -186,7 +186,7 @@ func TestGainsAddShardedMatchesSerial(t *testing.T) {
 		serialSearch := inst.NewSearch(sel)
 		want := append([]int(nil), serialSearch.GainsAdd()...)
 		for _, workers := range []int{2, 3, 7, 64} {
-			s := inst.NewSearch(sel).(ParallelSearch)
+			s := inst.NewSearch(sel)
 			s.SetWorkers(workers)
 			if got := s.GainsAdd(); !reflect.DeepEqual(append([]int(nil), got...), want) {
 				t.Fatalf("rep %d, %d workers: sharded gains differ from serial", rep, workers)
@@ -202,7 +202,7 @@ func TestSigmaDropsMatchesSigmaDrop(t *testing.T) {
 	inst := testInstance(t, 14, 6, 4, 0.8, rng)
 	sel := rng.SampleDistinct(inst.NumCandidates(), 4)
 	for _, workers := range []int{1, 2, 3, 8} {
-		s := inst.NewSearch(sel).(ParallelSearch)
+		s := inst.NewSearch(sel)
 		s.SetWorkers(workers)
 		drops := append([]int(nil), s.SigmaDrops()...)
 		for pos := range sel {
@@ -213,8 +213,8 @@ func TestSigmaDropsMatchesSigmaDrop(t *testing.T) {
 	}
 }
 
-// TestParBestAddAndDrop checks the exported engine helpers against the
-// serial Search methods.
+// TestParBestAddAndDrop checks BestAdd and BestDrop after SetWorkers
+// against the serial Search methods.
 func TestParBestAddAndDrop(t *testing.T) {
 	rng := xrand.New(8400)
 	inst := testInstance(t, 15, 6, 3, 0.8, rng)
@@ -226,12 +226,14 @@ func TestParBestAddAndDrop(t *testing.T) {
 
 	for _, workers := range []int{2, 5, 16} {
 		s := inst.NewSearch(sel)
-		if cand, gain := ParBestAdd(s, workers); cand != wantCand || gain != wantGain {
-			t.Errorf("ParBestAdd(%d workers) = (%d, %d), want (%d, %d)", workers, cand, gain, wantCand, wantGain)
+		s.SetWorkers(workers)
+		if cand, gain := s.BestAdd(); cand != wantCand || gain != wantGain {
+			t.Errorf("BestAdd(%d workers) = (%d, %d), want (%d, %d)", workers, cand, gain, wantCand, wantGain)
 		}
 		s = inst.NewSearch(sel)
-		if pos, sigma := ParBestDrop(s, workers); pos != wantPos || sigma != wantSigma {
-			t.Errorf("ParBestDrop(%d workers) = (%d, %d), want (%d, %d)", workers, pos, sigma, wantPos, wantSigma)
+		s.SetWorkers(workers)
+		if pos, sigma := s.BestDrop(); pos != wantPos || sigma != wantSigma {
+			t.Errorf("BestDrop(%d workers) = (%d, %d), want (%d, %d)", workers, pos, sigma, wantPos, wantSigma)
 		}
 	}
 }

@@ -31,6 +31,15 @@ func newPlacement(p Problem, sel []int) Placement {
 	}
 }
 
+// stoppedPlacement is the placement of sel carrying stop, with stop's σ
+// filled in.
+func stoppedPlacement(p Problem, sel []int, stop StopInfo) Placement {
+	pl := newPlacement(p, sel)
+	stop.Sigma = pl.Sigma
+	pl.Stop = stop
+	return pl
+}
+
 // String renders the placement compactly, e.g.
 // "σ=12 F={(3,17), (5,40)}".
 func (pl Placement) String() string {

@@ -47,10 +47,7 @@ func RandomPlacement(p Problem, trials int, rng *xrand.Rand, opts ...Option) (Pl
 	}
 	stop := StopInfo{Reason: StopEvalBudget}
 	finish := func(sel []int) (Placement, error) {
-		pl := newPlacement(p, sel)
-		stop.Sigma = pl.Sigma
-		pl.Stop = stop
-		return pl, nil
+		return stoppedPlacement(p, sel, stop), nil
 	}
 	if cfg.workers <= 1 || trials <= 1 {
 		var bestSel []int

@@ -11,25 +11,17 @@ import "context"
 type rebuildProblem struct{ *Instance }
 
 func (p rebuildProblem) NewSearch(sel []int) Search {
-	s := &rebuildSearch{fresh: func(sel []int) fullSearch { return p.Instance.NewSearch(sel).(fullSearch) }}
-	s.fullSearch = s.fresh(sel)
+	s := &rebuildSearch{fresh: p.Instance.NewSearch}
+	s.Search = s.fresh(sel)
 	return s
-}
-
-// fullSearch is what Instance.NewSearch returns, plain or survivable.
-type fullSearch interface {
-	ParallelSearch
-	ScanTimer
-	ContextAware
-	EvalStats
 }
 
 // rebuildSearch answers every query from the fresh search it holds. It
 // re-applies the worker count, supervision context and scan timing to
 // each replacement.
 type rebuildSearch struct {
-	fullSearch
-	fresh   func(sel []int) fullSearch
+	Search
+	fresh   func(sel []int) Search
 	workers int // 0 = never set
 	ctx     context.Context
 	timing  bool
@@ -44,29 +36,29 @@ func (s *rebuildSearch) RemoveAt(pos int) {
 
 // replace swaps in a fresh search positioned at sel.
 func (s *rebuildSearch) replace(sel []int) {
-	s.fullSearch = s.fresh(sel)
+	s.Search = s.fresh(sel)
 	if s.workers != 0 {
-		s.fullSearch.SetWorkers(s.workers)
+		s.Search.SetWorkers(s.workers)
 	}
 	if s.ctx != nil {
-		s.fullSearch.SetContext(s.ctx)
+		s.Search.SetContext(s.ctx)
 	}
-	s.fullSearch.EnableScanTiming(s.timing)
+	s.Search.EnableScanTiming(s.timing)
 }
 
 func (s *rebuildSearch) SetWorkers(n int) {
 	s.workers = n
-	s.fullSearch.SetWorkers(n)
+	s.Search.SetWorkers(n)
 }
 
 func (s *rebuildSearch) SetContext(ctx context.Context) {
 	s.ctx = ctx
-	s.fullSearch.SetContext(ctx)
+	s.Search.SetContext(ctx)
 }
 
 func (s *rebuildSearch) EnableScanTiming(on bool) {
 	s.timing = on
-	s.fullSearch.EnableScanTiming(on)
+	s.Search.EnableScanTiming(on)
 }
 
 // searchPaths are the two ways a test can drive a search over an instance:
@@ -83,7 +75,7 @@ var searchPaths = []struct {
 // reference.
 func plainSearch(s Search) *instSearch {
 	if r, ok := s.(*rebuildSearch); ok {
-		return r.fullSearch.(*instSearch)
+		return r.Search.(*instSearch)
 	}
 	return s.(*instSearch)
 }

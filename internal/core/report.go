@@ -104,7 +104,7 @@ func FormatReport(statuses []PairStatus) string {
 // value of every additional reliable link, in one greedy run.
 func GreedySigmaCurve(p Problem, opts ...Option) []int {
 	s := p.NewSearch(nil)
-	setSearchWorkers(s, resolveOptions(opts))
+	s.SetWorkers(resolveOptions(opts))
 	curve := []int{s.Sigma()}
 	for s.Len() < p.K() {
 		cand, gain := s.BestAdd()

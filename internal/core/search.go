@@ -134,11 +134,12 @@ type instSearch struct {
 	prefDist  []float64
 	prefOther []float64
 
-	// EvalStats accumulators, drained by LastEvalStats.
+	// Incremental-evaluation work, drained by LastEvalStats.
 	evRowsMerged, evRowsUnchanged, evPairsRescanned int64
 
-	// Scan-timing telemetry (ScanTimer); off unless a trace sink asked for
-	// it, so the default gains scan never reads the clock.
+	// Scan-timing telemetry (EnableScanTiming); off unless a trace sink or
+	// the ops plane asked for it, so the default gains scan never reads the
+	// clock.
 	timeScan   bool
 	shardNS    []int64 // scratch: per-shard wall time of the last timed scan
 	scanMinNS  int64
@@ -146,12 +147,7 @@ type instSearch struct {
 	scanShards int
 }
 
-var (
-	_ ParallelSearch = (*instSearch)(nil)
-	_ ScanTimer      = (*instSearch)(nil)
-	_ ContextAware   = (*instSearch)(nil)
-	_ EvalStats      = (*instSearch)(nil)
-)
+var _ Search = (*instSearch)(nil)
 
 // NewSearch returns an evaluator positioned at sel (copied): the plain
 // incremental σ search, or — when the instance carries a survivability
@@ -207,11 +203,11 @@ func (s *instSearch) clone() *instSearch {
 // serial, n <= 0 resolves via ResolveParallelism.
 func (s *instSearch) SetWorkers(n int) { s.workers = ResolveParallelism(n) }
 
-// SetContext implements ContextAware: subsequent scans poll ctx once per
-// unsatisfied pair (gains scans) or per drop position (SigmaDrops) and bail
-// out when it is done, leaving partial scratch the solver discards. Polling
-// reads but never writes scan state, so a context that is never canceled
-// leaves every scan result bit-identical.
+// SetContext installs ctx: subsequent scans poll it once per unsatisfied
+// pair (gains scans) or per drop position (SigmaDrops) and bail out when
+// it is done, leaving partial scratch the solver discards. Polling reads
+// but never writes scan state, so a context that is never canceled leaves
+// every scan result bit-identical.
 func (s *instSearch) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // interrupted reports whether the supervision context wants the scan to
@@ -220,17 +216,17 @@ func (s *instSearch) interrupted() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
 
-// EnableScanTiming implements ScanTimer.
+// EnableScanTiming turns per-shard timing of cold gains scans on or off.
 func (s *instSearch) EnableScanTiming(on bool) { s.timeScan = on }
 
-// LastScanShards implements ScanTimer: the per-shard times of the most
-// recent timed cold gains scan.
+// LastScanShards reports the per-shard times of the most recent timed
+// cold gains scan.
 func (s *instSearch) LastScanShards() (minNS, maxNS int64, shards int) {
 	return s.scanMinNS, s.scanMaxNS, s.scanShards
 }
 
-// LastEvalStats implements EvalStats: it drains the incremental-evaluation
-// work accumulated since the previous call (or since construction).
+// LastEvalStats drains the incremental-evaluation work accumulated since
+// the previous call (or since construction).
 // pairsSkipped is always 0: every gains refresh is a cold near-list scan,
 // so no pair's contribution is ever carried over.
 func (s *instSearch) LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64) {
@@ -382,17 +378,7 @@ func (s *instSearch) BestAdd() (cand, gain int) {
 	if s.sparseBest {
 		return s.bestAddSparse()
 	}
-	gains := s.GainsAdd()
-	if len(gains) == 0 {
-		return -1, 0
-	}
-	best, bestGain := 0, gains[0]
-	for i := 1; i < len(gains); i++ {
-		if gains[i] > bestGain {
-			best, bestGain = i, gains[i]
-		}
-	}
-	return best, bestGain
+	return argmax(s.GainsAdd())
 }
 
 // sparseGainsThreshold is the candidate-universe size at and above which
@@ -874,14 +860,7 @@ func (s *instSearch) BestDrop() (pos, sigma int) {
 	if len(s.sel) == 0 {
 		panic("core: BestDrop on empty selection")
 	}
-	drops := s.SigmaDrops()
-	pos, sigma = 0, drops[0]
-	for i := 1; i < len(drops); i++ {
-		if drops[i] > sigma {
-			pos, sigma = i, drops[i]
-		}
-	}
-	return pos, sigma
+	return argmax(s.SigmaDrops())
 }
 
 // Add commits candidate cand: it merges the shortcut into the existing

@@ -14,9 +14,9 @@ import (
 // BEFORE committing the round's result, so a run that is never canceled
 // produces byte-identical placements to a run with no context at all. Long
 // sharded candidate scans additionally poll the context between rows
-// (ContextAware), bounding cancellation latency on large instances without
-// perturbing any scan result: a canceled scan's partial output is discarded
-// by the solver, never merged.
+// (Search.SetContext), bounding cancellation latency on large instances
+// without perturbing any scan result: a canceled scan's partial output is
+// discarded by the solver, never merged.
 
 // StopReason classifies why a solver run ended.
 type StopReason string
@@ -105,24 +105,6 @@ func stopReasonFor(err error) StopReason {
 		return StopDeadline
 	}
 	return StopCanceled
-}
-
-// ContextAware is implemented by searches whose sharded candidate scans poll
-// a supervision context between rows, so cancellation interrupts even a
-// single long scan. A canceled scan may return partial results; callers must
-// check the context before using them.
-type ContextAware interface {
-	// SetContext installs the context subsequent scans poll; nil disables
-	// polling.
-	SetContext(ctx context.Context)
-}
-
-// setSearchContext installs a supervision context when the search supports
-// in-scan polling; other implementations rely on round-boundary checks.
-func setSearchContext(s Search, ctx context.Context) {
-	if ca, ok := s.(ContextAware); ok {
-		ca.SetContext(ctx)
-	}
 }
 
 // ShardPanicError reports a panic recovered inside a ParallelFor worker

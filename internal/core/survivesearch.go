@@ -55,10 +55,7 @@ type surviveSearch struct {
 }
 
 var (
-	_ ParallelSearch  = (*surviveSearch)(nil)
-	_ ScanTimer       = (*surviveSearch)(nil)
-	_ ContextAware    = (*surviveSearch)(nil)
-	_ EvalStats       = (*surviveSearch)(nil)
+	_ Search          = (*surviveSearch)(nil)
 	_ worstCaseSearch = (*surviveSearch)(nil)
 )
 
@@ -250,17 +247,7 @@ func (s *surviveSearch) GainAdd(cand int) int {
 // candidate already selected can score a positive gain: duplicating a
 // critical shortcut is how a placement buys single-failure redundancy.
 func (s *surviveSearch) BestAdd() (cand, gain int) {
-	gains := s.GainsAdd()
-	if len(gains) == 0 {
-		return -1, 0
-	}
-	best, bestGain := 0, gains[0]
-	for i := 1; i < len(gains); i++ {
-		if gains[i] > bestGain {
-			best, bestGain = i, gains[i]
-		}
-	}
-	return best, bestGain
+	return argmax(s.GainsAdd())
 }
 
 // Add commits candidate cand: the pre-commit free search is cloned as the
@@ -346,14 +333,7 @@ func (s *surviveSearch) BestDrop() (pos, sigma int) {
 	if s.free.Len() == 0 {
 		panic("core: BestDrop on empty selection")
 	}
-	drops := s.SigmaDrops()
-	pos, sigma = 0, drops[0]
-	for i := 1; i < len(drops); i++ {
-		if drops[i] > sigma {
-			pos, sigma = i, drops[i]
-		}
-	}
-	return pos, sigma
+	return argmax(s.SigmaDrops())
 }
 
 func (s *surviveSearch) interrupted() bool {
@@ -378,7 +358,7 @@ func (s *surviveSearch) applyWorkers() {
 	}
 }
 
-// SetContext implements ContextAware for the free and scenario scans.
+// SetContext installs ctx on the free and scenario scans.
 func (s *surviveSearch) SetContext(ctx context.Context) {
 	s.ctx = ctx
 	s.applyContext()
@@ -394,17 +374,17 @@ func (s *surviveSearch) applyContext() {
 	}
 }
 
-// EnableScanTiming implements ScanTimer on the free search (scenario scans
-// are reported through the per-scenario eval histogram instead).
+// EnableScanTiming times the free search's scans (scenario scans are
+// reported through the per-scenario eval histogram instead).
 func (s *surviveSearch) EnableScanTiming(on bool) { s.free.EnableScanTiming(on) }
 
-// LastScanShards implements ScanTimer, delegating to the free search.
+// LastScanShards reports the free search's last timed scan.
 func (s *surviveSearch) LastScanShards() (minNS, maxNS int64, shards int) {
 	return s.free.LastScanShards()
 }
 
-// LastEvalStats implements EvalStats, draining the free search and every
-// scenario search — the totals reflect the whole survivable round.
+// LastEvalStats drains the free search and every scenario search — the
+// totals reflect the whole survivable round.
 func (s *surviveSearch) LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64) {
 	drain := func(sc *instSearch) {
 		rm, ru, pr, pk := sc.LastEvalStats()

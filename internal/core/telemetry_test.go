@@ -284,7 +284,7 @@ func TestCandidateScanZeroAllocs(t *testing.T) {
 	rng := xrand.New(306)
 	inst := testInstance(t, 24, 10, 4, 0.8, rng)
 	s := inst.NewSearch(nil)
-	setSearchWorkers(s, 1)
+	s.SetWorkers(1)
 	s.GainsAdd() // warm scratch buffers
 
 	if allocs := testing.AllocsPerRun(50, func() { s.GainsAdd() }); allocs != 0 {

@@ -40,10 +40,7 @@ type Problem struct {
 	sink  telemetry.Sink
 }
 
-var (
-	_ core.Problem       = (*Problem)(nil)
-	_ core.ParallelSigma = (*Problem)(nil)
-)
+var _ core.Problem = (*Problem)(nil)
 
 // NewProblem bundles per-time-instance MSC instances into a dynamic
 // problem. All instances must share the node count and budget.
@@ -288,7 +285,7 @@ type multiSearch struct {
 	drops   []int          // scratch for SigmaDrops
 	sink    telemetry.Sink // emits DynamicStepEvents on Add when non-nil
 
-	// Scan timing (core.ScanTimer): per-time-instance wall time of the
+	// Scan timing (EnableScanTiming): per-time-instance wall time of the
 	// GainsAdd fan-out, enabled only when a sink is attached upstream.
 	timeScan   bool
 	instNS     []int64
@@ -297,41 +294,31 @@ type multiSearch struct {
 	scanShards int
 }
 
-var (
-	_ core.ParallelSearch = (*multiSearch)(nil)
-	_ core.ScanTimer      = (*multiSearch)(nil)
-	_ core.ContextAware   = (*multiSearch)(nil)
-	_ core.EvalStats      = (*multiSearch)(nil)
-)
+var _ core.Search = (*multiSearch)(nil)
 
-// LastEvalStats implements core.EvalStats by draining and summing the
-// per-time-instance incremental-evaluation accumulators.
+// LastEvalStats drains and sums the per-time-instance
+// incremental-evaluation accumulators.
 func (s *multiSearch) LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64) {
 	for _, sub := range s.subs {
-		if es, ok := sub.(core.EvalStats); ok {
-			rm, ru, pr, ps := es.LastEvalStats()
-			rowsMerged += rm
-			rowsUnchanged += ru
-			pairsRescanned += pr
-			pairsSkipped += ps
-		}
+		rm, ru, pr, ps := sub.LastEvalStats()
+		rowsMerged += rm
+		rowsUnchanged += ru
+		pairsRescanned += pr
+		pairsSkipped += ps
 	}
 	return rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped
 }
 
-// SetContext implements core.ContextAware by forwarding the supervision
-// context to every per-instance search, so cancellation interrupts the
-// fanned-out candidate scans too.
+// SetContext forwards the supervision context to every per-instance
+// search, so cancellation interrupts the fanned-out candidate scans too.
 func (s *multiSearch) SetContext(ctx context.Context) {
 	for _, sub := range s.subs {
-		if ca, ok := sub.(core.ContextAware); ok {
-			ca.SetContext(ctx)
-		}
+		sub.SetContext(ctx)
 	}
 }
 
 // EnableScanTiming turns on per-instance wall-time capture for subsequent
-// GainsAdd scans (core.ScanTimer).
+// GainsAdd scans.
 func (s *multiSearch) EnableScanTiming(on bool) { s.timeScan = on }
 
 // LastScanShards reports the per-instance wall-time extrema of the most
@@ -352,9 +339,7 @@ func (s *multiSearch) SetWorkers(n int) {
 		sub = 1
 	}
 	for _, ss := range s.subs {
-		if ps, ok := ss.(core.ParallelSearch); ok {
-			ps.SetWorkers(sub)
-		}
+		ss.SetWorkers(sub)
 	}
 }
 
@@ -475,15 +460,7 @@ func (s *multiSearch) SigmaDrops() []int {
 	subDrops := make([][]int, len(s.subs))
 	core.ParallelFor(s.workers, len(s.subs), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if ps, ok := s.subs[i].(core.ParallelSearch); ok {
-				subDrops[i] = ps.SigmaDrops()
-				continue
-			}
-			drops := make([]int, len(s.sel))
-			for pos := range drops {
-				drops[pos] = s.subs[i].SigmaDrop(pos)
-			}
-			subDrops[i] = drops
+			subDrops[i] = s.subs[i].SigmaDrops()
 		}
 	})
 	for _, drops := range subDrops {

@@ -59,7 +59,7 @@ func evalSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) (insts []*
 }
 
 // evalSink collects RoundEvents so the test can check the multi-instance
-// EvalStats aggregation reaches the trace layer.
+// LastEvalStats aggregation reaches the trace layer.
 type evalSink struct{ rounds []telemetry.RoundEvent }
 
 func (s *evalSink) Emit(e telemetry.Event) {

@@ -49,7 +49,7 @@ func TestMultiSearchShardedScansMatchSerial(t *testing.T) {
 			wantDrops[pos] = serial.SigmaDrop(pos)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			s := p.NewSearch(sel).(core.ParallelSearch)
+			s := p.NewSearch(sel)
 			s.SetWorkers(workers)
 			if got := append([]int(nil), s.GainsAdd()...); !reflect.DeepEqual(got, wantGains) {
 				t.Fatalf("rep %d, %d workers: sharded GainsAdd differs from serial", rep, workers)

@@ -178,13 +178,11 @@ func (o *Overlay) Endpoints() []graph.NodeID { return o.endpoints }
 
 // DistRow fills out[x] with the augmented distance from u to every node x,
 // in O(k² + n·k) — one pass over the terminal graph plus one pass over each
-// terminal's base distance row. len(out) must equal the node count.
+// terminal's base distance row. len(out) must equal the node count. On a
+// bounded table the rows read are its dense scatters of the balls
+// (BoundedTable.Row), which the table keeps.
 func (o *Overlay) DistRow(u graph.NodeID, out []float64) {
 	telemetry.Global().OverlayRows.Add(1)
-	if ss, ok := o.table.(SparseSource); ok {
-		o.distRowSparse(ss, u, out)
-		return
-	}
 	du := o.table.Row(u)
 	if len(out) != len(du) {
 		panic("shortestpath: DistRow output length mismatch")
@@ -215,50 +213,6 @@ func (o *Overlay) DistRow(u graph.NodeID, out []float64) {
 		for x := range out {
 			if d := ci + ti[x]; d < out[x] {
 				out[x] = d
-			}
-		}
-	}
-}
-
-// distRowSparse is DistRow against a sparse backend. The base row is an
-// +Inf fill plus a scatter of u's ball, and each terminal contributes a
-// scatter-min of its own ball — O(k² + k·ball) instead of O(k² + n·k),
-// and no dense row is materialized. Values equal the dense path exactly.
-func (o *Overlay) distRowSparse(ss SparseSource, u graph.NodeID, out []float64) {
-	if len(out) != ss.N() {
-		panic("shortestpath: DistRow output length mismatch")
-	}
-	inf := math.Inf(1)
-	for x := range out {
-		out[x] = inf
-	}
-	du := ss.SparseRow(u)
-	for i, id := range du.IDs {
-		out[id] = du.Dist[i]
-	}
-	t := len(o.endpoints)
-	if t == 0 {
-		return
-	}
-	c := make([]float64, t)
-	for i := 0; i < t; i++ {
-		best := du.At(o.endpoints[i])
-		for j := 0; j < t; j++ {
-			if d := du.At(o.endpoints[j]) + o.h[j][i]; d < best {
-				best = d
-			}
-		}
-		c[i] = best
-	}
-	for i := 0; i < t; i++ {
-		ci := c[i]
-		if math.IsInf(ci, 1) {
-			continue
-		}
-		ti := ss.SparseRow(o.endpoints[i])
-		for k, id := range ti.IDs {
-			if nd := ci + ti.Dist[k]; nd < out[id] {
-				out[id] = nd
 			}
 		}
 	}

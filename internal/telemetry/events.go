@@ -47,7 +47,7 @@ type RoundEvent struct {
 	ShardMinNS int64 `json:"shard_min_ns"`
 	ShardMaxNS int64 `json:"shard_max_ns"`
 	Shards     int   `json:"shards"`
-	// Incremental-evaluation work of the round (core.EvalStats):
+	// Incremental-evaluation work of the round (Search.LastEvalStats):
 	// RowsMerged/RowsUnchanged split the endpoint distance rows by whether
 	// the committed shortcut's O(n) merge changed them (both 0 on the
 	// rebuild evaluation path); PairsRescanned counts the pairs the round's

@@ -122,7 +122,9 @@ type (
 	InstanceOptions = core.Options
 	// Problem abstracts single-topology and dynamic instances.
 	Problem = core.Problem
-	// Search is the incremental σ evaluator used by custom heuristics.
+	// Search is the incremental σ evaluator used by custom heuristics. Its
+	// scans shard across workers after SetWorkers, with results identical
+	// to a serial scan.
 	Search = core.Search
 	// Placement is a set of shortcut edges with its σ value.
 	Placement = core.Placement
@@ -142,9 +144,6 @@ type (
 	DynamicProblem = dynamic.Problem
 	// Option configures a solver entry point (e.g. Parallelism).
 	Option = core.Option
-	// ParallelSearch is a Search whose candidate scans shard across
-	// workers after SetWorkers, with results identical to a serial scan.
-	ParallelSearch = core.ParallelSearch
 	// StopReason classifies why a solver run ended.
 	StopReason = core.StopReason
 	// StopInfo reports how a run ended (reason, rounds, σ); solvers attach
