@@ -238,26 +238,22 @@ func TestMscbenchRejectsCostModelCombos(t *testing.T) {
 	}
 }
 
-// TestMscbenchLengthCostOnBoundedMatchesDense: the length cost model runs
-// on the bounded backend, pricing from full Dijkstra rows, and writes the
-// same CSV as on the dense backend.
-func TestMscbenchLengthCostOnBoundedMatchesDense(t *testing.T) {
+// TestDenseBackendFlagRejected: every instance runs on the bounded
+// d_t-ball table, so -dist-backend dense fails at flag parse with a
+// message that says the dense backend was removed, before any input is
+// read or any experiment runs.
+func TestDenseBackendFlagRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")
 	}
-	bin := buildTool(t, t.TempDir(), "mscbench")
-	timing := regexp.MustCompile(`(?m)^\[ext2 took .*\]$`)
-	csv := map[string]string{}
-	for _, backend := range []string{"dense", "bounded"} {
-		out, err := exec.Command(bin, "-exp", "ext2", "-quick", "-budget", "2", "-cost-model", "length",
-			"-dist-backend", backend, "-csv").CombinedOutput()
-		if err != nil {
-			t.Fatalf("mscbench -dist-backend %s: %v\n%s", backend, err, out)
+	for tool, args := range map[string][]string{
+		"mscplace": {"-dist-backend", "dense", "-in", "does-not-exist.json"},
+		"mscbench": {"-dist-backend", "dense", "-exp", "table1", "-quick"},
+	} {
+		out := runToolErr(t, tool, args...)
+		if !strings.Contains(out, "dense distance backend was removed") || strings.Contains(out, "Table I") {
+			t.Fatalf("%s %v: want a flag-parse failure saying the dense backend was removed, got:\n%s", tool, args, out)
 		}
-		csv[backend] = timing.ReplaceAllString(string(out), "")
-	}
-	if csv["dense"] != csv["bounded"] {
-		t.Fatalf("length-priced ext2 differs across backends\ndense:\n%s\nbounded:\n%s", csv["dense"], csv["bounded"])
 	}
 }
 

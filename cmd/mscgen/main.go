@@ -107,23 +107,27 @@ func run(ctx context.Context) error {
 	}
 }
 
+// exhaustiveSamplerMaxN is the node count below which writeInstance
+// samples pairs exhaustively from a dense table. It keeps the instances
+// of existing seeds byte-stable.
+const exhaustiveSamplerMaxN = 512
+
 // writeInstance samples threshold-violating pairs and streams the
-// instance to w. The distance backend and sampler follow the node count,
-// as the solvers' automatic backend does: small networks keep the dense
-// table and the exhaustive sampler (every violating pair enumerable,
-// byte-stable output for existing seeds); from the bounded threshold the
-// exhaustive ~n²/2 scan is the bottleneck, so rejection sampling over
-// point queries takes over, backed by bounded-reach sparse rows — each
-// trial touches one d_t-ball row instead of a dense row. A pair violates
-// d_t exactly when its ball misses the partner, so the draws are the ones
-// full rows would give.
+// instance to w. The sampler follows the node count: small networks keep
+// the dense table and the exhaustive sampler (every violating pair
+// enumerable, byte-stable output for existing seeds); from
+// exhaustiveSamplerMaxN the exhaustive ~n²/2 scan is the bottleneck, so
+// rejection sampling over point queries takes over, backed by
+// bounded-reach sparse rows — each trial touches one d_t-ball row instead
+// of a dense row. A pair violates d_t exactly when its ball misses the
+// partner, so the draws are the ones full rows would give.
 func writeInstance(w *os.File, g *msc.Graph, m int, pt float64, k int, rng *msc.Rand) error {
 	thr := msc.NewThreshold(pt)
 	var (
 		ps  *msc.PairSet
 		err error
 	)
-	if g.N() < msc.DefaultBoundedThreshold {
+	if g.N() < exhaustiveSamplerMaxN {
 		ps, err = msc.SampleViolatingPairs(msc.NewDistanceTable(g), thr, m, rng)
 	} else {
 		table, terr := msc.NewBoundedDistanceTable(g, msc.BoundedTableOptions{Reach: thr.D})

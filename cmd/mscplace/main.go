@@ -187,8 +187,7 @@ func run(ctx context.Context) (retErr error) {
 	if threshold <= 0 {
 		return fmt.Errorf("no threshold: set one in the instance or pass -pt")
 	}
-	instOpts := &msc.InstanceOptions{AllowTrivial: true, DistBackend: backend,
-		Parallelism: *par, Survive: survive}
+	instOpts := &msc.InstanceOptions{AllowTrivial: true, DistBackend: backend, Survive: survive}
 	if budgeted {
 		instOpts.Budget = *budgetF
 		instOpts.CostModel = costModel
@@ -214,6 +213,9 @@ func run(ctx context.Context) (retErr error) {
 			instOpts.CostModel = msc.CostTable
 		}
 	}
+	// The run record's counters cover the instance build (the baseline's
+	// endpoint balls); its wall_ms is the solve alone.
+	before := msc.CountersSnapshot()
 	inst, err := msc.NewInstance(g, ps, msc.NewThreshold(threshold), budget, instOpts)
 	if err != nil {
 		return err
@@ -226,8 +228,7 @@ func run(ctx context.Context) (retErr error) {
 
 	// A typed-nil sink must never reach an interface-typed option (it
 	// would defeat the solvers' nil fast path), so options are built only
-	// when tracing is on. -par reaches every solver entry explicitly, and
-	// instOpts carries it to the dense table and the μ/ν build.
+	// when tracing is on. -par reaches every solver entry explicitly.
 	solverOpts := []msc.Option{msc.WithContext(ctx), msc.WithDeadline(*deadline), msc.Parallelism(*par)}
 	eaOpts := msc.EAOptions{Iterations: *iters, Context: ctx, Deadline: *deadline, Parallelism: *par}
 	aeaOpts := msc.DefaultAEAOptions()
@@ -281,7 +282,6 @@ func run(ctx context.Context) (retErr error) {
 		eaOpts.CheckpointEvery = *ckptEach
 		aeaOpts.CheckpointEvery = *ckptEach
 	}
-	before := msc.CountersSnapshot()
 	imbBefore := obs.ShardImbalance.Snapshot()
 	start := time.Now()
 

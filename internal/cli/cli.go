@@ -82,7 +82,7 @@ func Version(cmd string) string {
 // core.ParseDistBackend.
 func AddDistBackendFlag(fs *flag.FlagSet) *string {
 	return fs.String("dist-backend", "auto",
-		"distance backend: auto|dense|bounded (auto = dense all-pairs table below 512 nodes, bounded d_t-ball rows from 512)")
+		"distance backend: auto|bounded, both the bounded d_t-ball table every instance runs on (kept for compatibility; the dense backend was removed)")
 }
 
 // AddSurviveFlag registers the -survive flag shared by the solver-facing

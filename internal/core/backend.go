@@ -8,73 +8,51 @@ import (
 	"msc/internal/shortestpath"
 )
 
-// DistBackend selects the distance-source implementation backing an
-// Instance (see shortestpath.DistanceSource).
+// DistBackend names the distance backend of an Instance built without a
+// supplied Options.Table. There is one: the bounded d_t-ball table
+// (shortestpath.BoundedTable at reach d_t). Each row is the exact ball of
+// a Dijkstra bounded at the threshold, and anything beyond d_t reads
+// +Inf. The objective only ever compares distances against d_t, so the
+// truncation is unobservable to the solvers (DESIGN.md §13), and per-row
+// memory and compute scale with the d_t-ball instead of with n. A full
+// dense table still reaches an instance through Options.Table.
+//
+// The type and its two values are compatibility names, kept so that
+// callers which spell a backend (the -dist-backend flag, the benchmark
+// harness) keep working; BackendAuto and BackendBounded both select the
+// bounded table.
 type DistBackend string
 
 const (
-	// BackendAuto picks dense below DefaultBoundedThreshold nodes and
-	// bounded at or above it.
+	// BackendAuto is the zero value: the bounded table.
 	BackendAuto DistBackend = ""
-	// BackendDense materializes the full n×n table eagerly (n Dijkstras
-	// at construction). Right when most rows get read in full: threshold
-	// sweeps over one network, and small instances, where O(1) row
-	// indexing beats the bounded backend's per-query ball lookups.
-	BackendDense DistBackend = "dense"
-	// BackendBounded computes each row as the exact d_t-ball of a
-	// Dijkstra bounded at the threshold d_t; anything beyond d_t reads
-	// +Inf. The objective only ever compares distances against d_t, so
-	// the truncation is unobservable to the solvers (DESIGN.md §13);
-	// per-row memory and per-row compute scale with the d_t-ball instead
-	// of with n. The "length" cost model prices from plain Dijkstra rows
-	// of the raw graph, so it works here too (cost.go).
+	// BackendBounded selects the bounded table, as BackendAuto does.
 	BackendBounded DistBackend = "bounded"
 )
-
-// DefaultBoundedThreshold is the node count at and above which
-// BackendAuto selects the bounded backend. Below it the dense table's
-// O(1) row indexing still wins on the row-heavy solvers (AEA); from it the
-// n Dijkstras and n² float64s of the eager build dominate, while a
-// d_t-ball holds a few dozen nodes on the paper's instance families (see
-// EXPERIMENTS.md, "Two distance backends").
-const DefaultBoundedThreshold = 512
 
 // DefaultLandmarks was the ALT landmark count the bounded backend built.
 //
 // Deprecated: the bounded backend builds no landmarks; a d_t-ball answers every far query.
 const DefaultLandmarks = 16
 
-// ParseDistBackend validates a -dist-backend flag value; "auto", "dense"
-// and "bounded" are accepted.
+// ParseDistBackend validates a -dist-backend flag value: "auto" (or "")
+// and "bounded" are accepted, and both select the bounded table. "dense"
+// is refused with a message that says the dense backend was removed.
 func ParseDistBackend(s string) (DistBackend, error) {
 	switch s {
 	case "", "auto":
 		return BackendAuto, nil
-	case string(BackendDense):
-		return BackendDense, nil
 	case string(BackendBounded):
 		return BackendBounded, nil
+	case "dense":
+		return BackendAuto, fmt.Errorf("core: the dense distance backend was removed; every instance runs on the bounded d_t-ball table (want auto or bounded)")
 	}
-	return BackendAuto, fmt.Errorf("core: unknown distance backend %q (want auto, dense, or bounded)", s)
+	return BackendAuto, fmt.Errorf("core: unknown distance backend %q (want auto or bounded)", s)
 }
 
-// resolveDistBackend applies the explicit-option → node-threshold
-// resolution chain.
-func resolveDistBackend(b DistBackend, n int) DistBackend {
-	switch {
-	case b != BackendAuto:
-		return b
-	case n >= DefaultBoundedThreshold:
-		return BackendBounded
-	default:
-		return BackendDense
-	}
-}
-
-// newDistanceSource builds the distance backend for an instance: the
-// caller-supplied source if any, else a dense table (built with the
-// option's worker budget) or a bounded sparse table at reach thr.D, per
-// the resolved backend. NewInstance has already refused a NaN thr.D.
+// newDistanceSource returns the distance source of an instance: the
+// caller-supplied table if any, else a bounded table at reach thr.D.
+// NewInstance has already refused a NaN thr.D.
 func newDistanceSource(g *graph.Graph, thr failprob.Threshold, opts *Options) (shortestpath.DistanceSource, error) {
 	if opts != nil && opts.Table != nil {
 		if opts.Table.N() != g.N() {
@@ -82,18 +60,10 @@ func newDistanceSource(g *graph.Graph, thr failprob.Threshold, opts *Options) (s
 		}
 		return opts.Table, nil
 	}
-	var backend DistBackend
-	parallelism := 0
 	if opts != nil {
-		backend = opts.DistBackend
-		parallelism = opts.Parallelism
+		if _, err := ParseDistBackend(string(opts.DistBackend)); err != nil {
+			return nil, err
+		}
 	}
-	switch b := resolveDistBackend(backend, g.N()); b {
-	case BackendDense:
-		return shortestpath.NewTable(g, ResolveParallelism(parallelism)), nil
-	case BackendBounded:
-		return shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D})
-	default:
-		return nil, fmt.Errorf("core: unknown distance backend %q (want auto, dense, or bounded)", b)
-	}
+	return shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D})
 }

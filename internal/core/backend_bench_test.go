@@ -58,7 +58,7 @@ func benchNewInstance(b *testing.B, backend DistBackend) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst, err := NewInstance(g, ps, thr, 4, &Options{AllowTrivial: true, DistBackend: backend})
+				inst, err := NewInstance(g, ps, thr, 4, withBackend(g, backend, Options{AllowTrivial: true}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,10 +68,10 @@ func benchNewInstance(b *testing.B, backend DistBackend) {
 	}
 }
 
-// BenchmarkNewInstanceDense measures eager instance construction: n
-// Dijkstras plus the n×n table, regardless of how many rows the solver
-// will read.
-func BenchmarkNewInstanceDense(b *testing.B) { benchNewInstance(b, BackendDense) }
+// BenchmarkNewInstanceDense measures eager instance construction on a
+// supplied dense table: n Dijkstras plus the n×n table, regardless of how
+// many rows the solver will read.
+func BenchmarkNewInstanceDense(b *testing.B) { benchNewInstance(b, backendDense) }
 
 // BenchmarkNewInstanceBounded measures bounded instance construction: only
 // the pair endpoints' d_t-balls are computed (for the σ(∅) baseline);
@@ -84,7 +84,7 @@ func benchGreedyEndToEnd(b *testing.B, backend DistBackend) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inst, err := NewInstance(g, ps, thr, 3, &Options{AllowTrivial: true, DistBackend: backend})
+		inst, err := NewInstance(g, ps, thr, 3, withBackend(g, backend, Options{AllowTrivial: true}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,9 +93,9 @@ func benchGreedyEndToEnd(b *testing.B, backend DistBackend) {
 }
 
 // BenchmarkGreedySigmaDense / ...Bounded time construction plus a full
-// greedy run, the workload the auto-selection threshold trades off: the
-// bounded backend wins construction but pays a ball lookup per distance
+// greedy run on a supplied dense table and on the bounded table: the
+// bounded table wins construction but pays a ball lookup per distance
 // read.
-func BenchmarkGreedySigmaDense(b *testing.B) { benchGreedyEndToEnd(b, BackendDense) }
+func BenchmarkGreedySigmaDense(b *testing.B) { benchGreedyEndToEnd(b, backendDense) }
 
 func BenchmarkGreedySigmaBounded(b *testing.B) { benchGreedyEndToEnd(b, BackendBounded) }

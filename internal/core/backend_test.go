@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"msc/internal/failprob"
@@ -22,18 +23,25 @@ import (
 // Run under -race it also certifies the lazy cache against the solvers'
 // concurrent row access.
 
-// backendLazy names the lazy full-row leg of the differential suites. The
-// lazy row cache is not a selectable backend; withBackend supplies it
-// through Options.Table.
-const backendLazy DistBackend = "lazy"
+// backendLazy and backendDense name the full-row legs of the differential
+// suites. Neither is a backend NewInstance builds; withBackend supplies
+// them through Options.Table.
+const (
+	backendLazy  DistBackend = "lazy"
+	backendDense DistBackend = "dense"
+)
 
 // withBackend returns opts on backend b over g: backendLazy supplies a
-// fresh shortestpath.LazyTable as Options.Table, every other value sets
+// fresh shortestpath.LazyTable as Options.Table, backendDense a fresh
+// dense shortestpath.Table, and every other value sets
 // Options.DistBackend.
 func withBackend(g *graph.Graph, b DistBackend, opts Options) *Options {
-	if b == backendLazy {
+	switch b {
+	case backendLazy:
 		opts.Table = shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})
-	} else {
+	case backendDense:
+		opts.Table = shortestpath.NewTable(g, 0)
+	default:
 		opts.DistBackend = b
 	}
 	return &opts
@@ -50,7 +58,7 @@ func backendPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (dense,
 		t.Skipf("could not sample %d violating pairs: %v", m, err)
 	}
 	thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-	dense, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, DistBackend: BackendDense})
+	dense, err = NewInstance(g, ps, thr, k, withBackend(g, backendDense, Options{AllowTrivial: true}))
 	if err != nil {
 		t.Fatalf("NewInstance(dense): %v", err)
 	}
@@ -185,7 +193,7 @@ func TestBackendDifferentialCommonNode(t *testing.T) {
 			continue // this graph has too few violating pairs through u
 		}
 		thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
-		dense, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, DistBackend: BackendDense})
+		dense, err := NewInstance(g, ps, thr, 2, withBackend(g, backendDense, Options{AllowTrivial: true}))
 		if err != nil {
 			t.Fatalf("seed %d: NewInstance(dense): %v", seed, err)
 		}
@@ -243,13 +251,10 @@ func pathInstanceOn(t *testing.T, g *graph.Graph, opts *Options) *Instance {
 	return inst
 }
 
-// TestBackendAutoSelection pins the resolution chain: supplied table →
-// explicit option → node threshold, with dense below
-// DefaultBoundedThreshold (512) nodes and bounded from it.
+// TestBackendAutoSelection pins the resolution chain: a supplied table
+// is used verbatim, and every other instance runs on the bounded d_t-ball
+// table at every n, whichever compatibility name DistBackend carries.
 func TestBackendAutoSelection(t *testing.T) {
-	if DefaultBoundedThreshold != 512 {
-		t.Fatalf("DefaultBoundedThreshold = %d, want 512", DefaultBoundedThreshold)
-	}
 	kind := func(src shortestpath.DistanceSource) string {
 		switch src.(type) {
 		case *shortestpath.Table:
@@ -259,25 +264,20 @@ func TestBackendAutoSelection(t *testing.T) {
 		}
 		return fmt.Sprintf("%T", src)
 	}
-	for _, tc := range []struct {
-		n    int
-		want string
-	}{{32, "dense"}, {511, "dense"}, {512, "bounded"}, {100_000, "bounded"}} {
-		if got := kind(pathInstance(t, tc.n, &Options{AllowTrivial: true}).Table()); got != tc.want {
-			t.Errorf("auto at n=%d: got %s, want %s", tc.n, got, tc.want)
+	for _, n := range []int{32, 511, 512, 100_000} {
+		for _, b := range []DistBackend{BackendAuto, BackendBounded} {
+			inst := pathInstance(t, n, &Options{AllowTrivial: true, DistBackend: b})
+			if got := kind(inst.Table()); got != "bounded" {
+				t.Errorf("%q at n=%d: got %s, want bounded", b, n, got)
+			}
+			if reach := inst.Table().(*shortestpath.BoundedTable).Reach(); reach != inst.Threshold().D {
+				t.Errorf("%q at n=%d: reach %v, want d_t = %v", b, n, reach, inst.Threshold().D)
+			}
 		}
 	}
 
-	// An explicit option always beats the threshold, in both directions.
-	if got := kind(pathInstance(t, 32, &Options{AllowTrivial: true, DistBackend: BackendBounded}).Table()); got != "bounded" {
-		t.Errorf("explicit bounded below threshold: got %s", got)
-	}
-	if got := kind(pathInstance(t, DefaultBoundedThreshold, &Options{AllowTrivial: true, DistBackend: BackendDense}).Table()); got != "dense" {
-		t.Errorf("explicit dense at threshold: got %s", got)
-	}
-
-	// A supplied table beats both the option and the threshold.
-	g := pathGraph(t, DefaultBoundedThreshold)
+	// A supplied table beats the option.
+	g := pathGraph(t, 512)
 	for _, table := range []shortestpath.DistanceSource{
 		shortestpath.NewTable(g, 0),
 		shortestpath.NewLazyTable(g, shortestpath.LazyOptions{}),
@@ -288,6 +288,9 @@ func TestBackendAutoSelection(t *testing.T) {
 	}
 }
 
+// TestParseDistBackend: auto and bounded parse; dense is refused with a
+// message that says the backend was removed, and unknown values are
+// refused by name.
 func TestParseDistBackend(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -295,7 +298,6 @@ func TestParseDistBackend(t *testing.T) {
 	}{
 		{"", BackendAuto},
 		{"auto", BackendAuto},
-		{"dense", BackendDense},
 		{"bounded", BackendBounded},
 	} {
 		got, err := ParseDistBackend(tc.in)
@@ -303,9 +305,12 @@ func TestParseDistBackend(t *testing.T) {
 			t.Errorf("ParseDistBackend(%q) = (%q, %v), want (%q, nil)", tc.in, got, err, tc.want)
 		}
 	}
+	if _, err := ParseDistBackend("dense"); err == nil || !strings.Contains(err.Error(), "dense distance backend was removed") {
+		t.Errorf("ParseDistBackend(dense) = %v, want an error saying the dense backend was removed", err)
+	}
 	for _, bad := range []string{"eager", "lazy"} {
-		if _, err := ParseDistBackend(bad); err == nil {
-			t.Errorf("ParseDistBackend(%q) succeeded, want error", bad)
+		if _, err := ParseDistBackend(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown distance backend %q", bad)) {
+			t.Errorf("ParseDistBackend(%q) = %v, want an unknown-backend error", bad, err)
 		}
 	}
 }
@@ -337,7 +342,9 @@ func TestBackendOptionValidation(t *testing.T) {
 		t.Error("mismatched supplied table accepted, want error")
 	}
 
-	if _, err := newDistanceSource(g, thr, &Options{DistBackend: DistBackend("bogus")}); err == nil {
-		t.Error("bogus backend accepted, want error")
+	for _, bogus := range []DistBackend{"bogus", "dense"} {
+		if _, err := newDistanceSource(g, thr, &Options{DistBackend: bogus}); err == nil {
+			t.Errorf("backend %q accepted, want error", bogus)
+		}
 	}
 }

@@ -94,7 +94,7 @@ func TestSearchBallsMatchDistRow(t *testing.T) {
 		{"integer-exclude", 4, true, 2, integer},
 	}
 	for _, gn := range gens {
-		for _, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
+		for _, backend := range []DistBackend{backendDense, backendLazy, BackendBounded} {
 			for _, path := range searchPaths[2-gn.paths:] {
 				for seed := int64(0); seed < 3; seed++ {
 					t.Run(fmt.Sprintf("%s/%s/%s/seed%d", gn.name, backend, path.name, seed), func(t *testing.T) {

@@ -78,7 +78,7 @@ func boundedPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand, gen fun
 		t.Skipf("could not sample %d violating pairs: %v", m, err)
 	}
 	thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-	dense, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, DistBackend: BackendDense})
+	dense, err = NewInstance(g, ps, thr, k, withBackend(g, backendDense, Options{AllowTrivial: true}))
 	if err != nil {
 		t.Fatalf("NewInstance(dense): %v", err)
 	}
@@ -237,7 +237,7 @@ func TestBackendDifferentialBoundedCommonNode(t *testing.T) {
 			thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
 			var res [3]CommonNodeResult
 			var bounded *Instance
-			for i, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
+			for i, backend := range []DistBackend{backendDense, backendLazy, BackendBounded} {
 				inst, err := NewInstance(g, ps, thr, 2, withBackend(g, backend, Options{AllowTrivial: true}))
 				if err != nil {
 					t.Fatalf("%s: NewInstance(%s): %v", name, backend, err)
@@ -295,7 +295,7 @@ func TestBoundedExactAtThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := pairs.MustNewSet(4, []pairs.Pair{{U: 0, W: 3}})
-	for _, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
+	for _, backend := range []DistBackend{backendDense, backendLazy, BackendBounded} {
 		inst, err := NewInstance(g, ps, thr, 1, withBackend(g, backend, Options{AllowTrivial: true}))
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
@@ -328,7 +328,7 @@ func TestBoundedQuickProperty(t *testing.T) {
 			return true // too few violating pairs at this threshold — vacuous
 		}
 		thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-		dense, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, DistBackend: BackendDense})
+		dense, err := NewInstance(g, ps, thr, 2, withBackend(g, backendDense, Options{AllowTrivial: true}))
 		if err != nil {
 			t.Fatalf("NewInstance(dense): %v", err)
 		}
@@ -417,9 +417,9 @@ func TestBoundedRejectsNaNThreshold(t *testing.T) {
 	g := dyadicConnectedGraph(t, 12, 24, rng)
 	ps := pairs.MustNewSet(12, []pairs.Pair{{U: 0, W: 11}, {U: 1, W: 10}, {U: 2, W: 9}})
 	thr := failprob.Threshold{P: 0.5, D: math.NaN()}
-	for _, backend := range []DistBackend{BackendDense, BackendBounded} {
+	for _, backend := range []DistBackend{backendDense, BackendBounded} {
 		for _, survive := range []Survivability{SurviveNone, SurviveNode} {
-			_, err := NewInstance(g, ps, thr, 1, &Options{AllowTrivial: true, DistBackend: backend, Survive: survive})
+			_, err := NewInstance(g, ps, thr, 1, withBackend(g, backend, Options{AllowTrivial: true, Survive: survive}))
 			var ie *InputError
 			if !errors.As(err, &ie) || ie.Param != "threshold" {
 				t.Errorf("%s/%s: NaN threshold: got %v, want *InputError on threshold", backend, survive, err)
@@ -444,11 +444,10 @@ func TestBoundedLengthCostModelMatchesDense(t *testing.T) {
 			continue
 		}
 		var insts [2]*Instance
-		for i, backend := range []DistBackend{BackendDense, BackendBounded} {
-			insts[i], err = NewInstance(g, ps, thrD(0.8), 2, &Options{
-				AllowTrivial: true, DistBackend: backend,
-				Budget: 3, CostModel: CostLength,
-			})
+		for i, backend := range []DistBackend{backendDense, BackendBounded} {
+			insts[i], err = NewInstance(g, ps, thrD(0.8), 2, withBackend(g, backend, Options{
+				AllowTrivial: true, Budget: 3, CostModel: CostLength,
+			}))
 			if err != nil {
 				t.Fatalf("seed %d: NewInstance(%s): %v", seed, backend, err)
 			}

@@ -352,22 +352,26 @@ type ballWorld struct {
 	ps   *pairs.Set
 }
 
-// ballBackends are the distance backends of the sweep. The lazy full-row
-// leg is not a selectable backend; backendOptions supplies it through
-// Options.Table.
+// ballBackends are the distance backends of the sweep. The dense and lazy
+// full-row legs are not backends NewInstance builds; backendOptions
+// supplies them through Options.Table.
 var ballBackends = []struct {
 	name string
 	opts core.Options
 }{
-	{"dense", core.Options{DistBackend: core.BackendDense}},
+	{"dense", core.Options{}},
 	{"lazy", core.Options{}},
 	{"bounded", core.Options{DistBackend: core.BackendBounded}},
 }
 
 // backendOptions returns opts for the named ballBackends leg over g: the
-// "lazy" leg gets a fresh shortestpath.LazyTable as Options.Table.
+// "dense" leg gets a fresh dense shortestpath.Table as Options.Table, the
+// "lazy" leg a fresh shortestpath.LazyTable.
 func backendOptions(g *graph.Graph, name string, opts core.Options) core.Options {
-	if name == "lazy" {
+	switch name {
+	case "dense":
+		opts.Table = shortestpath.NewTable(g, 0)
+	case "lazy":
 		opts.Table = shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})
 	}
 	return opts
@@ -412,9 +416,9 @@ func TestBoundsDifferential(t *testing.T) {
 		if seed%2 == 1 {
 			backend = "lazy"
 		}
-		checkInst("unit", diffInstance(t, g, ps, dt, 3, backendOptions(g, backend, core.Options{DistBackend: core.BackendDense})))
+		checkInst("unit", diffInstance(t, g, ps, dt, 3, backendOptions(g, backend, core.Options{})))
 		gi, psi, _ := diffWorld(t, 30, 8, 4, true, true, rng)
-		checkInst("integer", diffInstance(t, gi, psi, 4, 3, backendOptions(gi, backend, core.Options{DistBackend: core.BackendDense})))
+		checkInst("integer", diffInstance(t, gi, psi, 4, 3, backendOptions(gi, backend, core.Options{})))
 
 		weights := make([]int, ps.Len())
 		for i := range weights {
@@ -502,7 +506,7 @@ func TestBoundsReadBallsOnly(t *testing.T) {
 					t.Fatalf("%s: lazy build computed %d rows, want %d: one per pair node", name, got, pairNodes)
 				}
 
-				dense := diffInstance(t, w.g, w.ps, w.dt, 3, core.Options{DistBackend: core.BackendDense, ExcludePairEndpoints: exclude})
+				dense := diffInstance(t, w.g, w.ps, w.dt, 3, backendOptions(w.g, "dense", core.Options{ExcludePairEndpoints: exclude}))
 				before := telemetry.Global().DijkstraRuns.Load()
 				build(dense)
 				if runs := telemetry.Global().DijkstraRuns.Load() - before; runs != 0 {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"msc/internal/graph"
-	"msc/internal/shortestpath"
 	"msc/internal/xrand"
 )
 
@@ -166,18 +165,12 @@ func (inst *Instance) Cost(cand int) float64 {
 
 // buildCosts materializes the CostLength price table; CostTable prices were
 // validated and copied by initBudget already. Length prices are uncapped,
-// so they need full-range distances: a dense table's own rows, or — on a
-// bounded table, which reads +Inf beyond d_t — one plain Dijkstra row of
-// the raw graph per candidate node, held only while its candidates are
-// priced. Either row is read from the lower-id endpoint e.U, the direction
-// Table.Dist reads, so both give bit-identical prices.
+// so they read full-range rows (fullRow), one per candidate node, held
+// only while its candidates are priced. Each row is read from the lower-id
+// endpoint e.U, the direction Table.Dist reads.
 func (inst *Instance) buildCosts() {
 	if inst.costs != nil {
 		return
-	}
-	row := inst.table.Row
-	if _, ok := inst.table.(shortestpath.SparseSource); ok {
-		row = func(u graph.NodeID) []float64 { return shortestpath.Dijkstra(inst.g, u) }
 	}
 	costs := make([]float64, inst.numCand)
 	var (
@@ -187,7 +180,7 @@ func (inst *Instance) buildCosts() {
 	for i := range costs {
 		e := inst.CandidateEdge(i)
 		if e.U != from { // candidates are ordered by e.U
-			from, dist = e.U, row(e.U)
+			from, dist = e.U, inst.fullRow(e.U)
 		}
 		costs[i] = 1
 		if d := dist[e.V]; d > 0 {

@@ -157,7 +157,7 @@ func TestGainsScanDifferential(t *testing.T) {
 		}},
 	}
 	for _, gn := range gens {
-		for _, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
+		for _, backend := range []DistBackend{backendDense, backendLazy, BackendBounded} {
 			for seed := int64(0); seed < 4; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", gn.name, backend, seed), func(t *testing.T) {
 					rng := xrand.New(7100 + seed)
@@ -211,7 +211,7 @@ func TestEvalSearchMatchesFreshBuild(t *testing.T) {
 				n := 14 + int(seed%4)
 				g := dyadicConnectedGraph(t, n, 2*n, rng)
 				ps := scanPairs(t, g, 0.8, 7, rng)
-				inst := scanInstance(t, g, ps, 0.8, BackendDense, rng)
+				inst := scanInstance(t, g, ps, 0.8, backendDense, rng)
 				srch := path.newSearch(inst, nil)
 				for op := 0; op < 24; op++ {
 					switch k := rng.Intn(7); {

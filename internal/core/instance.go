@@ -254,18 +254,17 @@ type Options struct {
 	AllowTrivial bool
 	// Table supplies a precomputed distance source (e.g. a dense table
 	// shared across thresholds, or a bounded table shared across budgets
-	// at one d_t); when nil NewInstance builds one per DistBackend.
+	// at one d_t); when nil NewInstance builds a bounded d_t-ball table.
+	// Placements, σ/μ/ν values, and all solver work counters except the
+	// Dijkstra and row-cache ones are identical across sources.
 	Table shortestpath.DistanceSource
-	// DistBackend selects the distance backend built when Table is nil:
-	// dense all-pairs table, bounded sparse d_t-ball table, or (the zero
-	// value) automatic selection — dense below DefaultBoundedThreshold
-	// nodes, bounded at or above. Placements, σ/μ/ν values, and all solver
-	// work counters except the Dijkstra and row-cache ones are identical
-	// across backends.
+	// DistBackend is a compatibility name: it accepts BackendAuto and
+	// BackendBounded, which both select the bounded table that every
+	// instance built without a Table runs on.
 	DistBackend DistBackend
-	// Parallelism bounds the workers used to build the dense table; <= 0
-	// resolves like the solvers' Parallelism option (GOMAXPROCS). The
-	// table is identical for every worker count.
+	// Parallelism is the worker budget of callers that carry one Options
+	// value to both the instance and the solvers (the experiments read it
+	// for their solver runs); NewInstance builds nothing in parallel.
 	Parallelism int
 	// Survive selects the failure model the objective must survive:
 	// SurviveNone (the paper's fault-free σ), SurviveShortcut, or
@@ -434,8 +433,7 @@ func MustNewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k in
 func (inst *Instance) Graph() *graph.Graph { return inst.g }
 
 // Table returns the instance's distance source: the supplied
-// Options.Table, else a dense all-pairs table or a bounded d_t-ball table,
-// per Options.DistBackend.
+// Options.Table, else the bounded d_t-ball table.
 func (inst *Instance) Table() shortestpath.DistanceSource { return inst.table }
 
 // Pairs returns the important social pairs.
@@ -568,6 +566,19 @@ func (inst *Instance) Sigma(sel []int) int {
 		}
 	}
 	return total
+}
+
+// fullRow returns u's exact, untruncated distance row in the raw network,
+// read from u's side. A table with full rows (a supplied dense one) serves
+// its own row; otherwise — a bounded table reads +Inf beyond d_t — it
+// runs one plain Dijkstra, whose row the caller holds only while it needs
+// it. Both give the same bits: a dense table's rows are those Dijkstras.
+// The length prices and the report's failure probabilities read it.
+func (inst *Instance) fullRow(u graph.NodeID) []float64 {
+	if _, sparse := inst.table.(shortestpath.SparseSource); sparse {
+		return shortestpath.Dijkstra(inst.g, u)
+	}
+	return inst.table.Row(u)
 }
 
 // baseBall returns u's d_t-ball in the raw network, read from the distance

@@ -195,24 +195,6 @@ func TestGainsAddShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSigmaDropsMatchesSigmaDrop checks the sharded per-position drop scan
-// against position-by-position evaluation.
-func TestSigmaDropsMatchesSigmaDrop(t *testing.T) {
-	rng := xrand.New(8300)
-	inst := testInstance(t, 14, 6, 4, 0.8, rng)
-	sel := rng.SampleDistinct(inst.NumCandidates(), 4)
-	for _, workers := range []int{1, 2, 3, 8} {
-		s := inst.NewSearch(sel)
-		s.SetWorkers(workers)
-		drops := append([]int(nil), s.SigmaDrops()...)
-		for pos := range sel {
-			if want := s.SigmaDrop(pos); drops[pos] != want {
-				t.Fatalf("%d workers: SigmaDrops[%d] = %d, want %d", workers, pos, drops[pos], want)
-			}
-		}
-	}
-}
-
 // TestParBestAddAndDrop checks BestAdd and BestDrop after SetWorkers
 // against the serial Search methods.
 func TestParBestAddAndDrop(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"msc/internal/failprob"
+	"msc/internal/graph"
 	"msc/internal/pairs"
 	"msc/internal/shortestpath"
 )
@@ -27,12 +28,23 @@ type PairStatus struct {
 }
 
 // Report evaluates a placement pair by pair. Results are ordered as in the
-// instance's pair set.
+// instance's pair set. The failure probabilities need exact distances
+// beyond d_t too, so the overlay reads full-range rows (reportRows).
 func (inst *Instance) Report(sel []int) []PairStatus {
-	ov := shortestpath.NewOverlay(inst.table, SelectionEdges(inst, sel))
+	edges := SelectionEdges(inst, sel)
+	src := &reportRows{n: inst.N(), u: -1, w: -1, terminals: make(map[graph.NodeID][]float64)}
+	for _, e := range edges {
+		for _, v := range [2]graph.NodeID{e.U, e.V} {
+			if src.terminals[v] == nil {
+				src.terminals[v] = inst.fullRow(v)
+			}
+		}
+	}
+	ov := shortestpath.NewOverlay(src, edges)
 	out := make([]PairStatus, inst.ps.Len())
 	for i, p := range inst.ps.Pairs() {
-		before := inst.table.Dist(p.U, p.W)
+		src.setPair(inst, p.U, p.W)
+		before := src.ru[p.W]
 		after := ov.Dist(p.U, p.W)
 		st := PairStatus{
 			Pair:             p,
@@ -46,6 +58,42 @@ func (inst *Instance) Report(sel []int) []PairStatus {
 	}
 	return out
 }
+
+// reportRows is the report overlay's distance source: the full-range rows
+// (fullRow) of the shortcut endpoints, kept for the whole report, and of
+// the current pair's two endpoints, so it holds 2k + 2 rows at most. It is
+// for one serial caller.
+type reportRows struct {
+	n         int
+	terminals map[graph.NodeID][]float64
+	u, w      graph.NodeID
+	ru, rw    []float64
+}
+
+// setPair makes u and w the current pair, reading their rows.
+func (r *reportRows) setPair(inst *Instance, u, w graph.NodeID) {
+	row := func(v graph.NodeID) []float64 {
+		if t := r.terminals[v]; t != nil {
+			return t
+		}
+		return inst.fullRow(v)
+	}
+	r.u, r.ru, r.w, r.rw = u, row(u), w, row(w)
+}
+
+func (r *reportRows) N() int { return r.n }
+
+func (r *reportRows) Row(v graph.NodeID) []float64 {
+	switch v {
+	case r.u:
+		return r.ru
+	case r.w:
+		return r.rw
+	}
+	return r.terminals[v]
+}
+
+func (r *reportRows) Dist(u, v graph.NodeID) float64 { return r.Row(u)[v] }
 
 // Summary condenses a Report for printing: counts plus the worst remaining
 // pair.

@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"msc/internal/failprob"
 	"msc/internal/graph"
 	"msc/internal/pairs"
+	"msc/internal/shortestpath"
 	"msc/internal/xrand"
 )
 
@@ -233,7 +235,10 @@ func TestReportAllPairsAlreadyMaintained(t *testing.T) {
 // TestSummarizeImprovedButShort pins the ImprovedButShort and WorstAfter
 // semantics: a pair whose best path a shortcut shortens without reaching
 // the threshold counts as improved-but-short, and WorstAfter tracks the
-// maximum post-placement failure probability.
+// maximum post-placement failure probability. Both distances lie beyond
+// d_t, where the default bounded table reads +Inf, so the report must
+// read exact full-range rows: the statuses equal those over a supplied
+// dense table.
 func TestSummarizeImprovedButShort(t *testing.T) {
 	// Path 0–1–2–3 with hops of 2: pair (0,3) sits at distance 6.
 	// Shortcut 0–2 cuts it to 2, still over d_t = 1.
@@ -243,6 +248,14 @@ func TestSummarizeImprovedButShort(t *testing.T) {
 		1.0, 1)
 	sel := []int{inst.CandidateIndex(graph.Edge{U: 0, V: 2})}
 	statuses := inst.Report(sel)
+	dense, err := NewInstance(inst.Graph(), inst.Pairs(), inst.Threshold(), 1,
+		&Options{AllowTrivial: true, Table: shortestpath.NewTable(inst.Graph(), 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := dense.Report(sel); !reflect.DeepEqual(statuses, want) {
+		t.Fatalf("default-table report %+v, dense-table report %+v", statuses, want)
+	}
 	st := statuses[0]
 	if !st.UsesShortcut || st.Maintained {
 		t.Fatalf("pair should be improved but not maintained: %+v", st)

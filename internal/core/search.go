@@ -58,8 +58,8 @@ import (
 // Concurrency: an instSearch is single-caller like every Search, but with
 // SetWorkers > 1 its scans shard internally — GainsAdd splits the
 // triangular candidate grid into contiguous row ranges writing disjoint
-// segments of the gains array, SigmaDrops splits the per-position σ
-// re-evaluations, and the rebuild and Add shard the balls the same way.
+// segments of the gains array, SigmaDrops splits the pairs, and the
+// rebuild and Add shard the balls the same way.
 // All shared inputs (the instance, the overlay, the balls during a scan)
 // are read-only while workers run, so the results are byte-identical to
 // the serial scan.
@@ -69,14 +69,15 @@ type instSearch struct {
 	workers int             // shard count for scans; 1 = serial
 	ctx     context.Context // supervision context polled mid-scan; nil = never
 
-	balls    []shortestpath.Ball // balls[i] = d_t-ball of inst.endpoints[i] in G ∪ F; nil until the first rebuild
-	pairDist []float64           // d_F(u,w) per pair; +Inf beyond d_t
-	gains    []int               // scratch for BestAdd, len NumCandidates
-	unsat    []int               // scratch: unsatisfied pair indices
-	drops    []int               // scratch for SigmaDrops
-	rest     []int               // scratch for SigmaDrop (single-caller path)
-	dropRest [][]int             // per-shard scratch for SigmaDrops
-	sigma    int
+	balls      []shortestpath.Ball // balls[i] = d_t-ball of inst.endpoints[i] in G ∪ F; nil until the first rebuild
+	pairDist   []float64           // d_F(u,w) per pair; +Inf beyond d_t
+	gains      []int               // scratch for BestAdd, len NumCandidates
+	unsat      []int               // scratch: unsatisfied pair indices
+	drops      []int               // scratch for SigmaDrops
+	rest       []int               // scratch for SigmaDrop
+	dropPlan   dropPlan            // SigmaDrops' per-position terminal graphs
+	dropShards []dropShard         // SigmaDrops' per-shard counts and scratch
+	sigma      int
 
 	// stale marks balls, pairDist and σ as not yet built for sel; sync
 	// rebuilds them on the first read.
@@ -204,7 +205,7 @@ func (s *instSearch) clone() *instSearch {
 func (s *instSearch) SetWorkers(n int) { s.workers = ResolveParallelism(n) }
 
 // SetContext installs ctx: subsequent scans poll it once per unsatisfied
-// pair (gains scans) or per drop position (SigmaDrops) and bail out when
+// pair (gains scans) or per pair (SigmaDrops) and bail out when
 // it is done, leaving partial scratch the solver discards. Polling reads
 // but never writes scan state, so a context that is never canceled leaves
 // every scan result bit-identical.
@@ -816,41 +817,192 @@ func (s *instSearch) gainsPrunedRows(aiLo, aiHi int) {
 }
 
 // SigmaDrop evaluates σ with the pos-th selected shortcut removed, reusing
-// a scratch selection buffer (single-caller, like every Search method —
-// SigmaDrops uses per-shard buffers instead).
+// a scratch selection buffer (single-caller, like every Search method). It
+// is the reference SigmaDrops is tested against.
 func (s *instSearch) SigmaDrop(pos int) int {
 	s.rest = append(s.rest[:0], s.sel[:pos]...)
 	s.rest = append(s.rest, s.sel[pos+1:]...)
 	return s.inst.Sigma(s.rest)
 }
 
-// SigmaDrops returns σ(S \ {S[pos]}) for every position. Each evaluation
-// builds its own overlay from the immutable instance, so with workers > 1
-// the positions shard across goroutines — each shard owns a private
-// selection scratch buffer, so no state is shared. The slice is scratch
-// reused across calls.
+// SigmaDrops returns σ(S \ {S[pos]}) for every position: at each position
+// the value inst.Sigma(rest) gives, bit for bit. It reads each pair's base
+// entries once per call rather than once per position: u→w, u→every
+// endpoint of S, and w→every endpoint of S only when some u-side entry is
+// below u→w, each from the pair endpoint's side as Overlay.Dist reads it.
+// Each position's terminal graph is NewOverlay(rest)'s (dropPlan), so the
+// per-pair minimization adds the same operands in the same order, and a
+// min is exact. The telemetry counts the σ evaluations, overlays and pair
+// queries of the per-position evaluation. With workers > 1 the pairs shard
+// across goroutines, each summing weights into its own per-position
+// counts; integer sums are exact, so every worker count gives the same
+// slice. The slice is scratch reused across calls.
 func (s *instSearch) SigmaDrops() []int {
-	if cap(s.drops) < len(s.sel) {
-		s.drops = make([]int, len(s.sel))
-	}
-	s.drops = s.drops[:len(s.sel)]
-	for cap(s.dropRest) < s.workers {
-		s.dropRest = append(s.dropRest[:cap(s.dropRest)], nil)
-	}
-	s.dropRest = s.dropRest[:s.workers]
-	ParallelFor(s.workers, len(s.sel), func(shard, lo, hi int) {
-		rest := s.dropRest[shard]
-		for pos := lo; pos < hi; pos++ {
-			if s.interrupted() {
-				return
-			}
-			rest = append(rest[:0], s.sel[:pos]...)
-			rest = append(rest, s.sel[pos+1:]...)
-			s.drops[pos] = s.inst.Sigma(rest)
+	k := len(s.sel)
+	s.drops = slices.Grow(s.drops[:0], k)[:k]
+	tel := telemetry.Global()
+	tel.SigmaEvals.Add(int64(k))
+	if k <= 1 {
+		if k == 1 {
+			s.drops[0] = s.inst.baseSigma // σ(∅): no overlay, no queries
 		}
-		s.dropRest[shard] = rest
+		return s.drops
+	}
+	m := s.inst.ps.Len()
+	tel.OverlayBuilds.Add(int64(k))
+	tel.OverlayQueries.Add(int64(k) * int64(m))
+	s.dropPlan.build(s.inst, s.sel)
+	for len(s.dropShards) < s.workers {
+		s.dropShards = append(s.dropShards, dropShard{})
+	}
+	ParallelFor(s.workers, m, func(shard, lo, hi int) {
+		s.dropShards[shard].count(s, lo, hi)
 	})
+	clear(s.drops)
+	for _, c := range s.dropShards[:min(s.workers, m)] {
+		for pos, w := range c.cnt {
+			s.drops[pos] += c.always + w
+		}
+	}
 	return s.drops
+}
+
+// dropPlan holds the terminal graphs of one SigmaDrops call. ends lists
+// the distinct endpoints of S in first-seen order, and base[i·T+j] is
+// D[ends[i]][ends[j]] read from ends[i]'s side, as NewOverlay reads it.
+// pos[p] is NewOverlay(rest)'s terminal graph for drop position p.
+type dropPlan struct {
+	ends []graph.NodeID
+	sc   [][2]int32 // per shortcut of S: the ends indices of its U and V
+	base []float64
+	pos  []dropPos
+}
+
+// dropPos is one position's terminal graph: its endpoints in rest's
+// first-seen order, as indices into dropPlan.ends, and their closure h
+// (shortestpath.CloseTerminals).
+type dropPos struct {
+	ord []int32
+	h   [][]float64
+}
+
+// build fills the plan for selection sel of inst.
+func (d *dropPlan) build(inst *Instance, sel []int) {
+	d.ends, d.sc = d.ends[:0], d.sc[:0]
+	endOf := func(v graph.NodeID) int32 {
+		i := slices.Index(d.ends, v)
+		if i < 0 {
+			i = len(d.ends)
+			d.ends = append(d.ends, v)
+		}
+		return int32(i)
+	}
+	for _, c := range sel {
+		e := inst.CandidateEdge(c)
+		d.sc = append(d.sc, [2]int32{endOf(e.U), endOf(e.V)})
+	}
+	t := len(d.ends)
+	d.base = slices.Grow(d.base[:0], t*t)[:t*t]
+	for i, a := range d.ends {
+		shortestpath.DistsFrom(inst.table, a, d.ends, d.base[i*t:(i+1)*t])
+	}
+	d.pos = slices.Grow(d.pos[:0], len(sel))[:len(sel)]
+	for p := range d.pos {
+		dp := &d.pos[p]
+		dp.ord = dp.ord[:0]
+		for c, sc := range d.sc {
+			for _, a := range sc {
+				if c != p && !slices.Contains(dp.ord, a) {
+					dp.ord = append(dp.ord, a)
+				}
+			}
+		}
+		n := len(dp.ord)
+		dp.h = slices.Grow(dp.h[:0], n)[:n]
+		for i, a := range dp.ord {
+			hi := slices.Grow(dp.h[i][:0], n)[:n]
+			for j, b := range dp.ord {
+				hi[j] = d.base[int(a)*t+int(b)]
+			}
+			hi[i] = 0
+			dp.h[i] = hi
+		}
+		for c, sc := range d.sc {
+			if c != p {
+				i, j := slices.Index(dp.ord, sc[0]), slices.Index(dp.ord, sc[1])
+				dp.h[i][j], dp.h[j][i] = 0, 0
+			}
+		}
+		shortestpath.CloseTerminals(dp.h)
+	}
+}
+
+// within reports whether a pair with base distance base > dt and terminal
+// entries du, dw (indexed like dropPlan.ends) lies within dt under this
+// position's overlay: Overlay.Dist's minimization, stopped once it
+// reaches dt.
+func (p *dropPos) within(du, dw []float64, base, dt float64) bool {
+	best := base
+	for i, a := range p.ord {
+		dui := du[a]
+		if dui >= best {
+			continue
+		}
+		hi := p.h[i]
+		for j, b := range p.ord {
+			if v := dui + hi[j] + dw[b]; v < best {
+				best = v
+			}
+		}
+		if best <= dt {
+			return true
+		}
+	}
+	return false
+}
+
+// dropShard is one SigmaDrops shard's scratch and result: the weight of
+// its pairs within d_t at baseline, which every position keeps, and the
+// weight each position satisfies beyond that.
+type dropShard struct {
+	always int
+	cnt    []int
+	xs     []graph.NodeID // w, then the ends of S
+	du, dw []float64      // u→xs and w→ends
+}
+
+// count scores pairs [lo, hi) against every drop position of s.dropPlan.
+func (c *dropShard) count(s *instSearch, lo, hi int) {
+	inst, plan := s.inst, &s.dropPlan
+	dt := inst.thr.D
+	c.always = 0
+	c.cnt = slices.Grow(c.cnt[:0], len(plan.pos))[:len(plan.pos)]
+	clear(c.cnt)
+	c.xs = append(append(c.xs[:0], 0), plan.ends...)
+	c.du = slices.Grow(c.du[:0], len(c.xs))[:len(c.xs)]
+	c.dw = slices.Grow(c.dw[:0], len(plan.ends))[:len(plan.ends)]
+	ps := inst.ps.Pairs()
+	for i := lo; i < hi; i++ {
+		if s.interrupted() {
+			return
+		}
+		u, w := ps[i].U, ps[i].W
+		c.xs[0] = w
+		shortestpath.DistsFrom(inst.table, u, c.xs, c.du)
+		base, du := c.du[0], c.du[1:]
+		weight := int(inst.weights[i])
+		switch {
+		case base <= dt:
+			c.always += weight
+		case slices.ContainsFunc(du, func(d float64) bool { return d < base }):
+			shortestpath.DistsFrom(inst.table, w, plan.ends, c.dw)
+			for p := range plan.pos {
+				if plan.pos[p].within(du, c.dw, base, dt) {
+					c.cnt[p] += weight
+				}
+			}
+		}
+	}
 }
 
 // BestDrop returns the selection position whose removal leaves the largest

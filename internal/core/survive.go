@@ -202,7 +202,6 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 		}
 		opts := &Options{
 			AllowTrivial:         true,
-			DistBackend:          BackendBounded,
 			Survive:              SurviveNone, // scenario instances must never recurse
 			ExcludePairEndpoints: inst.candPos != nil,
 			PairWeights:          weights,

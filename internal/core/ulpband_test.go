@@ -62,7 +62,7 @@ func TestBoundsExactInUlpBand(t *testing.T) {
 			g := ulpPath(t, leg.x, leg.a, endpointSmaller, 1)
 			dxa, dax := shortestpath.Dijkstra(g, leg.x)[leg.a], shortestpath.Dijkstra(g, leg.a)[leg.x]
 			dt := math.Min(dxa, dax)
-			for _, backend := range []DistBackend{BackendDense, backendLazy, BackendBounded} {
+			for _, backend := range []DistBackend{backendDense, backendLazy, BackendBounded} {
 				name := fmt.Sprintf("%s/endpoint-smaller=%v/%s", leg.side, endpointSmaller, backend)
 				inst, err := NewInstance(g, ps, thrD(dt), 1, withBackend(g, backend, Options{AllowTrivial: true}))
 				if err != nil {

@@ -51,7 +51,7 @@ func backendSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) (dense,
 			t.Fatal(err)
 		}
 		thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-		di, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true, DistBackend: core.BackendDense})
+		di, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true, Table: shortestpath.NewTable(g, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,14 +74,18 @@ func (c Config) ratioTable(id, title string, ds dataset, ks []int, pts []float64
 			}
 			opts := c.options(ds.table)
 			opts.ExcludePairEndpoints = true
+			// The record's counters cover the instance build; its wall_ms
+			// is the solve alone.
+			var before telemetry.CounterSnapshot
+			if c.Sink != nil {
+				before = telemetry.Global().Snapshot()
+			}
 			inst, err := core.NewInstance(ds.g, ps, thr, k, opts)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %s instance: %v", id, err))
 			}
-			var before telemetry.CounterSnapshot
 			var start time.Time
 			if c.Sink != nil {
-				before = telemetry.Global().Snapshot()
 				start = time.Now()
 			}
 			fSigma := core.GreedySigma(inst, c.par())

@@ -61,24 +61,12 @@ func NewOverlay(table DistanceSource, shortcuts []graph.Edge) *Overlay {
 		zero = append(zero, pair{addEndpoint(f.U), addEndpoint(f.V)})
 	}
 	// h[i][j] = Dist(endpoints[i], endpoints[j]), read from one row (or
-	// ball) per terminal: every source's Dist(u, v) reads u's row, or u's
-	// ball on a sparse source.
+	// ball) per terminal.
 	t := len(o.endpoints)
 	o.h = make([][]float64, t)
-	ss, sparse := table.(SparseSource)
 	for i, a := range o.endpoints {
 		hi := make([]float64, t)
-		if sparse {
-			row := ss.SparseRow(a)
-			for j, b := range o.endpoints {
-				hi[j] = row.At(b)
-			}
-		} else {
-			row := table.Row(a)
-			for j, b := range o.endpoints {
-				hi[j] = row[b]
-			}
-		}
+		DistsFrom(table, a, o.endpoints, hi)
 		hi[i] = 0
 		o.h[i] = hi
 	}
@@ -86,23 +74,48 @@ func NewOverlay(table DistanceSource, shortcuts []graph.Edge) *Overlay {
 		o.h[p.a][p.b] = 0
 		o.h[p.b][p.a] = 0
 	}
-	// Floyd–Warshall over the terminal graph.
-	for k := 0; k < t; k++ {
-		hk := o.h[k]
-		for i := 0; i < t; i++ {
-			hik := o.h[i][k]
+	CloseTerminals(o.h)
+	return o
+}
+
+// CloseTerminals runs Floyd–Warshall in place over the terminal graph h,
+// where h[i][j] is the base weight from terminal i to terminal j: after
+// it, h[i][j] is the shortest terminal-graph distance, allowing any
+// number of shortcut traversals. NewOverlay builds its oracle with it, so
+// a caller that builds a terminal graph the same way gets the same bits.
+func CloseTerminals(h [][]float64) {
+	for k := range h {
+		hk := h[k]
+		for i := range h {
+			hik := h[i][k]
 			if math.IsInf(hik, 1) {
 				continue
 			}
-			hi := o.h[i]
-			for j := 0; j < t; j++ {
+			hi := h[i]
+			for j := range hi {
 				if nd := hik + hk[j]; nd < hi[j] {
 					hi[j] = nd
 				}
 			}
 		}
 	}
-	return o
+}
+
+// DistsFrom fills out[j] with the distance from u to xs[j], read from u's
+// side as every source's Dist(u, v) reads it: from u's ball on a
+// SparseSource, from u's row otherwise.
+func DistsFrom(src DistanceSource, u graph.NodeID, xs []graph.NodeID, out []float64) {
+	if ss, ok := src.(SparseSource); ok {
+		b := ss.SparseRow(u)
+		for j, x := range xs {
+			out[j] = b.At(x)
+		}
+		return
+	}
+	row := src.Row(u)
+	for j, x := range xs {
+		out[j] = row[x]
+	}
 }
 
 // Dist returns the shortest-path distance between u and w in G ∪ F.

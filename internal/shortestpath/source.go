@@ -3,23 +3,22 @@ package shortestpath
 import "msc/internal/graph"
 
 // DistanceSource abstracts read access to the all-pairs shortest-path
-// metric of a fixed graph. The solver builds one of two implementations
-// (core.DistBackend):
-//
-//   - Table materializes every row eagerly (n Dijkstras, n² float64s) and
-//     answers queries by plain indexing. Best on small graphs and when
-//     most rows will be read in full (experiments that sweep thresholds
-//     over one network).
+// metric of a fixed graph. Two implementations serve it:
 //
 //   - BoundedTable computes each row as a ball: a Dijkstra bounded at a
 //     reach, stored sparsely as sorted (int32 node, float64 distance)
-//     pairs; everything outside the reach-ball reads as +Inf. Best from a
-//     few hundred nodes up to 10⁶, where the n Dijkstras of a Table
-//     dominate the run. Its metric is the dense one truncated at the
+//     pairs; everything outside the reach-ball reads as +Inf. The solver
+//     builds one at reach d_t for every instance without a supplied
+//     table, at every n. Its metric is the dense one truncated at the
 //     reach, bit for bit: distances within the reach are exact, distances
 //     beyond it read +Inf. Consumers that only compare distances against
 //     a threshold ≤ reach — the entire MSC objective — cannot observe the
 //     truncation.
+//
+//   - Table materializes every row eagerly (n Dijkstras, n² float64s) and
+//     answers queries by plain indexing. Callers supply it where most
+//     rows are read in full (experiments that sweep thresholds over one
+//     network, desim routing) and as the tests' dense reference.
 //
 // LazyTable, a memoized on-demand full-row cache, also implements the
 // interface; no solver backend builds it any more, and the benchmark

@@ -43,7 +43,8 @@ type Matrix struct {
 	// Solvers names the mscplace algorithms to run:
 	// sandwich|greedy|mu|nu|ea|aea|random|cn.
 	Solvers []string `json:"solvers"`
-	// DistBackends mirrors the -dist-backend flag.
+	// DistBackends mirrors the -dist-backend flag: auto|bounded, both the
+	// bounded d_t-ball table (kept for compatibility).
 	DistBackends []string `json:"dist_backends"`
 	// Survive mirrors the -survive flag on place scenarios:
 	// auto|none|shortcut|node. Empty means the fault-free default; the
@@ -71,14 +72,12 @@ type Matrix struct {
 }
 
 // QuickMatrix is the smoke sweep CI runs on every push: 2 cardinality
-// budgets × 2 solvers × 2 distance backends (auto and forced bounded) ×
-// 2 survivability modes × 2 knapsack budgets (off and B=2 unit-cost) ×
-// 3 seeds on a 40-node RGG, plus one whole-suite mscbench experiment —
-// a couple hundred child runs, seconds end to end. The survivable half
-// gates the worst-case σ⁻ objective, the budgeted half the knapsack
-// objective, and the bounded half the sparse-backend equivalence (same σ
-// as auto at every scenario key), all against the same baseline
-// discipline as the fault-free cardinality runs.
+// budgets × 2 solvers × 2 survivability modes × 2 knapsack budgets (off
+// and B=2 unit-cost) × 3 seeds on a 40-node RGG, on the one distance
+// backend, plus one whole-suite mscbench experiment — about fifty child
+// runs, seconds end to end. The survivable half gates the worst-case σ⁻
+// objective and the budgeted half the knapsack objective, both against
+// the same baseline discipline as the fault-free cardinality runs.
 func QuickMatrix() Matrix {
 	return Matrix{
 		Families:     []string{"rgg"},
@@ -87,7 +86,7 @@ func QuickMatrix() Matrix {
 		Pt:           []float64{0.12},
 		K:            []int{2, 3},
 		Solvers:      []string{"greedy", "sandwich"},
-		DistBackends: []string{"auto", "bounded"},
+		DistBackends: []string{"auto"},
 		Survive:      []string{"none", "shortcut"},
 		Budget:       []float64{0, 2},
 		Parallelism:  []int{1},
@@ -110,7 +109,7 @@ func (e *MatrixError) Error() string {
 var (
 	validFamilies = map[string]bool{"rgg": true, "social": true}
 	validSolvers  = map[string]bool{"sandwich": true, "greedy": true, "mu": true, "nu": true, "ea": true, "aea": true, "random": true, "cn": true}
-	validBackends = map[string]bool{"auto": true, "dense": true, "bounded": true}
+	validBackends = map[string]bool{"auto": true, "bounded": true}
 	validSurvive  = map[string]bool{"auto": true, "none": true, "shortcut": true, "node": true}
 )
 

@@ -113,9 +113,9 @@ func TestRunAllCollectsPerRunErrors(t *testing.T) {
 			ok++
 		}
 	}
-	// One seed of three fails per scenario key (34 keys).
-	if failed != 34 || ok != 68 {
-		t.Fatalf("failed=%d ok=%d, want 34/68", failed, ok)
+	// One seed of three fails per scenario key (17 keys).
+	if failed != 17 || ok != 34 {
+		t.Fatalf("failed=%d ok=%d, want 17/34", failed, ok)
 	}
 	if progressed.Load() != int64(len(scs)) {
 		t.Fatalf("progress called %d times for %d runs", progressed.Load(), len(scs))

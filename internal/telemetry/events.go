@@ -158,9 +158,10 @@ type RunRecord struct {
 	Seed int64 `json:"seed"`
 	// Workers is the resolved candidate-scan parallelism (0 = default).
 	Workers int `json:"workers"`
-	// DistBackend records the distance backend the run was launched with
-	// ("auto", "dense", "bounded"); "" for runs that predate the field.
-	// Records from before the lazy row cache was retired may say "lazy".
+	// DistBackend records the -dist-backend value the run was launched
+	// with ("auto" or "bounded", both the bounded d_t-ball table); "" for
+	// runs that predate the field. Older records may say "dense" or
+	// "lazy", backends that were since removed.
 	DistBackend string `json:"dist_backend"`
 	// Survive records the survivability mode the run was launched with
 	// ("none", "shortcut", "node"); "" for runs that predate the field.

@@ -100,8 +100,10 @@ type (
 	// returned by BoundedDistanceTable.SparseRow: sorted node ids with
 	// their exact distances; absent nodes read +Inf.
 	SparseDistanceRow = shortestpath.Ball
-	// DistBackend selects the distance backend an instance builds when no
-	// table is supplied: BackendAuto, BackendDense, or BackendBounded.
+	// DistBackend names the distance backend of an instance built without
+	// a supplied table. Every such instance runs on the bounded d_t-ball
+	// table, so BackendAuto and BackendBounded select the same thing; the
+	// names are kept for compatibility.
 	DistBackend = core.DistBackend
 	// Survivability selects the failure model an instance optimizes
 	// against: SurviveNone, SurviveShortcut, or SurviveNode.
@@ -175,15 +177,14 @@ const (
 	StopEvalBudget = core.StopEvalBudget
 )
 
-// Distance backends selectable via InstanceOptions.DistBackend. BackendAuto
-// (the zero value) picks dense below DefaultBoundedThreshold nodes and
-// bounded at or above; placements and σ/μ/ν are identical across backends.
+// Distance backend names accepted by InstanceOptions.DistBackend. Both
+// select the bounded d_t-ball table, which every instance built without
+// InstanceOptions.Table runs on; a dense table (NewDistanceTable) reaches
+// an instance only through InstanceOptions.Table, and placements and
+// σ/μ/ν are identical on either. The names are kept for compatibility.
 const (
 	BackendAuto    = core.BackendAuto
-	BackendDense   = core.BackendDense
 	BackendBounded = core.BackendBounded
-	// DefaultBoundedThreshold is the BackendAuto dense→bounded switchover.
-	DefaultBoundedThreshold = core.DefaultBoundedThreshold
 )
 
 // Survivability modes selectable via InstanceOptions.Survive. SurviveAuto
@@ -272,8 +273,9 @@ func NewBoundedDistanceTable(g *Graph, opts BoundedTableOptions) (*BoundedDistan
 // gauge as a plain value.
 func RowBytesResident() int64 { return shortestpath.RowBytesResident() }
 
-// ParseDistBackend validates a -dist-backend flag value ("auto", "dense",
-// "bounded").
+// ParseDistBackend validates a -dist-backend flag value: "auto" and
+// "bounded" both select the bounded table; "dense" is refused, since the
+// dense backend was removed.
 func ParseDistBackend(s string) (DistBackend, error) { return core.ParseDistBackend(s) }
 
 // ParseSurvivability validates a -survive flag value ("auto", "none",
