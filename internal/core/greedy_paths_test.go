@@ -41,10 +41,11 @@ type greedyRun struct {
 
 // TestGreedySigmaPathsIdentical runs GreedySigma with and without a sink,
 // with the ops plane on and off, at 1 and 8 workers, on a plain, a
-// unit-priced and a length-priced budgeted, a shortcut-survivable and a
-// dynamic problem. A sink and the ops plane only turn on the round clock
-// and scan timing, so every run of one problem must return the same
-// Placement, Stop included, and advance the same work counters. A sink
+// unit-priced and a length-priced budgeted, a shortcut- and a
+// node-survivable and a dynamic problem. A sink and the ops plane only
+// turn on the round clock and scan timing, so every run of one problem
+// must return the same Placement, Stop included, and advance the same
+// work counters. A sink
 // also reads μ and ν after each round, so the μ/ν counters are compared
 // only among the runs with a sink, and so are the round events.
 func TestGreedySigmaPathsIdentical(t *testing.T) {
@@ -73,6 +74,7 @@ func TestGreedySigmaPathsIdentical(t *testing.T) {
 		{"budget-unit", withOpts(core.Options{Budget: 3, CostModel: core.CostUnit})},
 		{"budget-length", withOpts(core.Options{Budget: 4, CostModel: core.CostLength})},
 		{"survive-shortcut", withOpts(core.Options{Survive: core.SurviveShortcut})},
+		{"survive-node", withOpts(core.Options{Survive: core.SurviveNode})},
 		{"dynamic", func() core.Problem {
 			var insts []*core.Instance
 			for _, s := range series {

@@ -220,31 +220,3 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 	})
 	return inst.nodeInsts, inst.nodeVac
 }
-
-// foldIncident calls fn for every candidate index incident to node v (none
-// when v is outside the candidate universe). Used to overwrite a node
-// scenario's gains for candidates that die with the node.
-func (inst *Instance) foldIncident(v int, fn func(c int)) {
-	pv := v
-	if inst.candPos != nil {
-		p := inst.candPos[v]
-		if p < 0 {
-			return
-		}
-		pv = int(p)
-	}
-	t := len(inst.candNodes)
-	if pv >= t {
-		return
-	}
-	// Grid row pv: candidates (pv, bi) for bi > pv.
-	idx := rowStart(t, pv)
-	for bi := pv + 1; bi < t; bi++ {
-		fn(idx)
-		idx++
-	}
-	// Grid column pv: candidates (ai, pv) for ai < pv.
-	for ai := 0; ai < pv; ai++ {
-		fn(rowStart(t, ai) + pv - ai - 1)
-	}
-}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"msc/internal/failprob"
@@ -188,6 +190,160 @@ func TestSurviveSearchMatchesInstance(t *testing.T) {
 		}
 		s.RemoveAt(1)
 		check("after remove")
+	}
+}
+
+// referenceSurviveGains is the survivable fold before the bound skip and
+// the fused kernel, kept as the exactness reference: a fresh, cold-scanned
+// search for the free selection and for every failure scenario of sel,
+// folded candidate by candidate — every scenario's σ + gain, node
+// scenarios pinned at their value on the candidates incident to the
+// failed node — into L-gains.
+func referenceSurviveGains(inst *Instance, sel []int) []int {
+	free := inst.newInstSearch(sel)
+	f := free.Sigma()
+	freeGains := free.GainsAdd()
+	wa := make([]int, inst.NumCandidates())
+	for c := range wa {
+		wa[c] = f
+	}
+	worst, have := 0, false
+	fold := func(sc *instSearch, base, node int) {
+		if !have || base < worst {
+			worst, have = base, true
+		}
+		for c, g := range sc.GainsAdd() {
+			v := base + g
+			if e := inst.CandidateEdge(c); int(e.U) == node || int(e.V) == node {
+				v = base // the shortcut dies with the node
+			}
+			wa[c] = min(wa[c], v)
+		}
+	}
+	for j := range sel {
+		rest := append(append([]int(nil), sel[:j]...), sel[j+1:]...)
+		sc := inst.newInstSearch(rest)
+		fold(sc, sc.Sigma(), -1)
+	}
+	if inst.Survive() == SurviveNode {
+		insts, vac := inst.nodeScenarios()
+		for v, ni := range insts {
+			var surv []int
+			for _, c := range sel {
+				if e := inst.CandidateEdge(c); int(e.U) != v && int(e.V) != v {
+					surv = append(surv, c)
+				}
+			}
+			sc := ni.newInstSearch(surv)
+			fold(sc, vac[v]+sc.Sigma(), v)
+		}
+	}
+	if !have {
+		worst = f
+	}
+	scale := inst.totalWeight + 1
+	out := make([]int, len(wa))
+	for c := range out {
+		out[c] = wa[c]*scale + f + freeGains[c] - (worst*scale + f)
+	}
+	return out
+}
+
+// TestSurviveGainsBoundExact holds the survivable search's GainsAdd and
+// BestAdd — concurrent refresh, bound skip, fused fold — to the reference
+// fold over cold-scanned scenarios, on 24 seeds × both failure modes ×
+// workers {1, 2, 8}, along an operation sequence with random commits, two
+// duplicate commits (which leave F = σ⁻, so every scenario drops out) and
+// a RemoveAt. At one worker every gain is also checked against the
+// brute-force survivableValue difference. The candidate evaluations of
+// each step must not depend on the worker count, and the bound must skip
+// at least one scenario scan somewhere, seen as fewer candidate
+// evaluations than the reference's scan of every scenario.
+func TestSurviveGainsBoundExact(t *testing.T) {
+	skipped := map[Survivability]bool{}
+	for _, mode := range []Survivability{SurviveShortcut, SurviveNode} {
+		for _, size := range []struct {
+			n     int
+			seeds int64
+		}{{12, 24}, {64, 3}} {
+			for seed := int64(1); seed <= size.seeds; seed++ {
+				testSurviveGainsBound(t, surviveInstanceRetry(t, size.n, 5, 3, 0.8, mode, seed), seed, skipped)
+			}
+		}
+	}
+	for _, mode := range []Survivability{SurviveShortcut, SurviveNode} {
+		if !skipped[mode] {
+			t.Errorf("mode=%s: the bound never skipped a scenario scan", mode)
+		}
+	}
+}
+
+// testSurviveGainsBound runs TestSurviveGainsBoundExact's operation
+// sequence on inst at each worker count, recording in skipped whether the
+// bound skipped a scan. Brute force runs at one worker on instances of at
+// most 12 nodes.
+func testSurviveGainsBound(t *testing.T, inst *Instance, seed int64, skipped map[Survivability]bool) {
+	t.Helper()
+	mode := inst.Survive()
+	var evals []int64 // per step, at the first worker count
+	for _, workers := range []int{1, 2, 8} {
+		rng := xrand.New(seed)
+		s := inst.NewSearch(nil).(*surviveSearch)
+		s.SetWorkers(workers)
+		step := 0
+		check := func(op string) {
+			t.Helper()
+			sel := s.Selection()
+			tg := telemetry.Global()
+			before := tg.CandidateEvals.Load()
+			got := append([]int(nil), s.GainsAdd()...)
+			gotEvals := tg.CandidateEvals.Load() - before
+			cand, gain := s.BestAdd()
+			before = tg.CandidateEvals.Load()
+			want := referenceSurviveGains(inst, sel)
+			refEvals := tg.CandidateEvals.Load() - before
+			where := func() string {
+				return fmt.Sprintf("mode=%s seed=%d workers=%d after %s (sel %v)", mode, seed, workers, op, sel)
+			}
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("%s: GainsAdd[%d] = %d, reference %d", where(), c, got[c], want[c])
+				}
+			}
+			if wc, wg := argmax(want); cand != wc || gain != wg {
+				t.Fatalf("%s: BestAdd (%d, %d), reference argmax (%d, %d)", where(), cand, gain, wc, wg)
+			}
+			if workers == 1 {
+				evals = append(evals, gotEvals)
+			} else if gotEvals != evals[step] {
+				t.Fatalf("%s: %d candidate evals, %d at one worker", where(), gotEvals, evals[step])
+			}
+			if workers == 1 && inst.N() <= 12 {
+				cur := inst.survivableValue(sel)
+				for c := range got {
+					if bf := inst.survivableValue(append(slices.Clone(sel), c)) - cur; got[c] != bf {
+						t.Fatalf("%s: GainsAdd[%d] = %d, brute force %d", where(), c, got[c], bf)
+					}
+				}
+			}
+			if gotEvals < refEvals {
+				skipped[mode] = true
+			}
+			step++
+		}
+		check("construction")
+		for _, op := range []string{"add", "add", "duplicate", "add", "remove", "duplicate"} {
+			sel := s.Selection()
+			switch op {
+			case "add":
+				s.Add(rng.Intn(inst.NumCandidates()))
+			case "duplicate":
+				s.Add(sel[rng.Intn(len(sel))])
+			case "remove":
+				s.RemoveAt(rng.Intn(len(sel)))
+			}
+			check(op)
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
+	"slices"
+	"sort"
 	"time"
 
 	"msc/internal/obs"
@@ -19,21 +22,36 @@ import (
 //
 //   - scen[j] evaluates the shortcut-failure scenario S \ {S[j]}, in
 //     selection-position order. Add(c) grows each existing scenario by the
-//     committed shortcut via its own incremental row min-merge against the
-//     surviving set — rows a commit does not touch are skipped once the
-//     merge finds no improved node in them, which is exactly the "invalidated only
-//     for scenarios whose rows a new shortcut touched" contract — and the
-//     new scenario S∪{c} \ {c} = S is a clone of the free search taken
-//     BEFORE the commit, inheriting its rows and live gains for free.
+//     committed shortcut via its own incremental ball merge, and the new
+//     scenario S∪{c} \ {c} = S is a clone of the free search taken BEFORE
+//     the commit: its balls are copied and its live gains handed over, so
+//     it needs no shortest-path work and no rescan.
 //   - nodeScen[v] (SurviveNode) evaluates σ on the cached G−v scenario
 //     instance over the shortcuts that survive v; shortcuts incident to v
 //     are excluded from the scenario's selection outright (merging a dead
 //     endpoint's zero-length edge would fabricate paths through the dead
 //     node). Pairs incident to v contribute the constant nodeVac[v].
 //
-// All scenario state is memoized across greedy rounds: a round costs one
-// O(n)-row merge per live scenario plus one near-list gains scan per
-// scenario, never |S|+1 rebuilds.
+// A round (GainsAdd or BestAdd) refreshes the free search and the
+// scenarios that can bind, then runs one fold kernel over the candidates:
+//
+//   - Concurrent refresh. The searches to scan are dealt across the run's
+//     workers, each scanning with max(workers/tasks, 1) inner workers (the
+//     split ParBestSwap uses); Add merges a commit the same way.
+//   - Bound skip. With F the free σ (the value of the scenario dropping
+//     the new shortcut itself), every candidate folds to
+//     wa[c] = min(F, min_j base_j + g_j[c]) ≤ ub = min(F, base_* + max g_*)
+//     for the first scenario * at σ⁻. A scenario with base_j ≥ ub can
+//     only fold values ≥ ub ≥ wa[c], so it is neither scanned nor folded;
+//     when F = σ⁻ every scenario drops out.
+//   - Fused fold. Contiguous candidate shards fold foldChunk-sized blocks:
+//     wa starts at F, takes the min with each live scenario's base + gain
+//     and with the node pins, and turns into L-gains that GainsAdd writes
+//     and BestAdd argmaxes without materializing them.
+//
+// Every step is an integer min or sum over a scenario set that depends on
+// the selection only, so gains, placements and work counters are the same
+// at every worker count.
 type surviveSearch struct {
 	inst *Instance
 
@@ -43,16 +61,40 @@ type surviveSearch struct {
 	nodeScen []*instSearch // node-failure scenarios (SurviveNode), one per node
 	nodeVac  []int         // constant vacuous weight per node scenario
 
-	worst int // σ⁻ of the current selection
+	worst   int // σ⁻ of the current selection
+	worstAt int // first scenario (scenario order) at σ⁻; -1 with none
 
 	workers int
 	ctx     context.Context
 
-	gains      []int // composite L-gain scratch, len numCand
-	worstAfter []int // per-candidate σ⁻(S ∪ {c}) scratch
-	drops      []int // scratch for SigmaDrops
-	dropRest   [][]int
+	// Round state the fold kernel reads: the free σ and gains, the
+	// scenarios that can bind, and — when a live node scenario has a
+	// candidate position — the per-position pin (its base; MaxInt
+	// elsewhere).
+	freeSigma int
+	freeGains []int
+	live      []liveScen
+	pins      []int
+	pinned    bool
+
+	gains     []int         // GainsAdd output, len numCand
+	spare     [][]int       // gains arrays reclaimed from stale scenarios
+	tasks     []*instSearch // scratch: the searches one refresh stage scans
+	shardBest [][2]int      // scratch: per-shard (candidate, L-gain) argmax
+	drops     []int         // scratch for SigmaDrops
+	dropRest  [][]int
 }
+
+// liveScen is one scenario the fold reads: its gains and its value.
+type liveScen struct {
+	gains []int
+	base  int
+}
+
+// foldChunk is the candidate block the fold kernel finishes before moving
+// on: its wa buffer stays in cache while every live scenario's gains
+// stream over it.
+const foldChunk = 1024
 
 var (
 	_ Search          = (*surviveSearch)(nil)
@@ -94,29 +136,38 @@ func newSurviveSearch(inst *Instance, sel []int) *surviveSearch {
 	return s
 }
 
-// recomputeWorst folds σ⁻ from the live scenario searches. With no
-// scenarios at all (empty selection, shortcut mode) σ⁻ degenerates to
-// σ(∅), matching Instance.SigmaWorst.
+// scenario returns scenario j in scenario order — the shortcut scenarios
+// by selection position, then the node scenarios by node — with its
+// current value (vac + σ for a node scenario) and its failed node (-1 for
+// a shortcut scenario).
+func (s *surviveSearch) scenario(j int) (sc *instSearch, base, node int) {
+	if j < len(s.scen) {
+		sc = s.scen[j]
+		return sc, sc.Sigma(), -1
+	}
+	v := j - len(s.scen)
+	sc = s.nodeScen[v]
+	return sc, s.nodeVac[v] + sc.Sigma(), v
+}
+
+func (s *surviveSearch) numScenarios() int { return len(s.scen) + len(s.nodeScen) }
+
+// recomputeWorst folds σ⁻ from the live scenario searches and records the
+// first scenario attaining it. With no scenarios at all (empty selection,
+// shortcut mode) σ⁻ degenerates to σ(∅), matching Instance.SigmaWorst.
 func (s *surviveSearch) recomputeWorst() {
-	worst := 0
-	have := false
-	for _, sc := range s.scen {
-		if v := sc.Sigma(); !have || v < worst {
-			worst, have = v, true
+	s.worstAt = -1
+	for j := range s.numScenarios() {
+		if _, base, _ := s.scenario(j); s.worstAt < 0 || base < s.worst {
+			s.worst, s.worstAt = base, j
 		}
 	}
-	for v, sc := range s.nodeScen {
-		if val := s.nodeVac[v] + sc.Sigma(); !have || val < worst {
-			worst, have = val, true
-		}
-	}
-	count := int64(len(s.scen) + len(s.nodeScen))
-	if !have {
-		worst = s.free.Sigma()
+	count := int64(s.numScenarios())
+	if s.worstAt < 0 {
+		s.worst = s.free.Sigma()
 		count = 1
 	}
 	telemetry.Global().FailureScenariosEvaled.Add(count)
-	s.worst = worst
 }
 
 // lexValue scalarizes (σ⁻, σ) into the single integer the Search interface
@@ -141,82 +192,233 @@ func (s *surviveSearch) Len() int { return s.free.Len() }
 
 func (s *surviveSearch) Contains(cand int) bool { return s.free.Contains(cand) }
 
-// timedGains runs a scenario's gains scan (a cold near-list scan after each
-// commit, a cached return otherwise), feeding the per-scenario eval-cost
-// histogram when the ops plane is up.
-func (s *surviveSearch) timedGains(sc *instSearch, timed bool) []int {
-	if !timed {
-		return sc.GainsAdd()
-	}
-	start := time.Now()
-	g := sc.GainsAdd()
-	obs.ObserveScenarioEval(time.Since(start))
-	return g
-}
-
-// timedAdd commits cand into a scenario search, timing the incremental
-// merge for the per-scenario eval-cost histogram when the ops plane is up.
-func (s *surviveSearch) timedAdd(sc *instSearch, cand int, timed bool) {
-	if !timed {
-		sc.Add(cand)
+// each runs fn on every search in ss, dealing the searches across the
+// run's workers; each search shards its own work over
+// max(workers/len(ss), 1) workers, the split ParBestSwap uses. With the
+// ops plane up every call feeds the per-scenario eval-cost histogram.
+func (s *surviveSearch) each(ss []*instSearch, fn func(*instSearch)) {
+	if len(ss) == 0 {
 		return
 	}
-	start := time.Now()
-	sc.Add(cand)
-	obs.ObserveScenarioEval(time.Since(start))
+	inner := max(s.workers/len(ss), 1)
+	timed := obs.Enabled()
+	ParallelFor(s.workers, len(ss), func(_, lo, hi int) {
+		for _, sc := range ss[lo:hi] {
+			sc.SetWorkers(inner)
+			if !timed {
+				fn(sc)
+				continue
+			}
+			start := time.Now()
+			fn(sc)
+			obs.ObserveScenarioEval(time.Since(start))
+		}
+	})
+}
+
+// scan brings the gains of every search in ss up to date (a cold
+// near-list scan after each commit, a cached return otherwise) with
+// each's split. A search about to scan without a gains array takes a
+// spare one first.
+func (s *surviveSearch) scan(ss []*instSearch) {
+	for _, sc := range ss {
+		if sc.gains == nil && len(s.spare) > 0 {
+			sc.gains, s.spare = s.spare[len(s.spare)-1], s.spare[:len(s.spare)-1]
+		}
+	}
+	s.each(ss, func(sc *instSearch) { sc.GainsAdd() })
+}
+
+// refreshGains brings the free search and every scenario that can bind up
+// to date and records the fold's round state: the free σ and gains, the
+// live scenarios, and the node pins. It first scans the free search and
+// the first scenario at σ⁻ (none when F = σ⁻), which fixes the bound ub,
+// then every other scenario whose value is below ub.
+func (s *surviveSearch) refreshGains() {
+	// Stale gains arrays are never read again: keep them for the searches
+	// this round scans.
+	for j := range s.numScenarios() {
+		if sc, _, _ := s.scenario(j); !sc.gainsValid && sc.gains != nil {
+			s.spare = append(s.spare, sc.gains)
+			sc.gains = nil
+		}
+	}
+	s.free.SetWorkers(s.workers)
+	s.freeSigma = s.free.Sigma()
+	s.live = s.live[:0]
+	s.pinned = false
+	ub := s.freeSigma
+	s.tasks = append(s.tasks[:0], s.free)
+	if s.worst < ub {
+		first, _, _ := s.scenario(s.worstAt)
+		s.tasks = append(s.tasks, first)
+	}
+	s.scan(s.tasks)
+	s.freeGains = s.free.gains
+	if s.worst < ub {
+		s.addLive(s.worstAt)
+		if g := s.live[0].gains; len(g) > 0 {
+			ub = min(ub, s.worst+slices.Max(g))
+		}
+	}
+	s.tasks = s.tasks[:0]
+	for j := range s.numScenarios() {
+		if sc, base, _ := s.scenario(j); j != s.worstAt && base < ub {
+			s.tasks = append(s.tasks, sc)
+		}
+	}
+	s.scan(s.tasks)
+	for j := range s.numScenarios() {
+		if _, base, _ := s.scenario(j); j != s.worstAt && base < ub {
+			s.addLive(j)
+		}
+	}
+}
+
+// addLive appends scenario j to the fold's live set; a node scenario also
+// pins the candidates incident to its node at its base, since a shortcut
+// dies with its endpoint (the scan may have credited it a spurious gain
+// through the dead node's zero self-distance).
+func (s *surviveSearch) addLive(j int) {
+	sc, base, v := s.scenario(j)
+	s.live = append(s.live, liveScen{gains: sc.gains, base: base})
+	if v < 0 {
+		return
+	}
+	pv := v
+	if s.inst.candPos != nil {
+		pv = int(s.inst.candPos[v])
+	}
+	if pv < 0 || pv >= len(s.inst.candNodes) {
+		return // v hosts no candidate
+	}
+	if !s.pinned {
+		if s.pins == nil {
+			s.pins = make([]int, len(s.inst.candNodes))
+		}
+		for i := range s.pins {
+			s.pins[i] = math.MaxInt
+		}
+		s.pinned = true
+	}
+	s.pins[pv] = base
 }
 
 // GainsAdd returns the L-gain of every candidate addition: gain[c] =
 // L(S∪{c}) − L(S), exact. σ⁻(S∪{c}) folds, per candidate, the drop-c
-// scenario (σ(S), the free search's current value), every shortcut
-// scenario's σ + its own gain for c, and every node scenario's
+// scenario (σ(S), the free search's current value), every live shortcut
+// scenario's σ + its own gain for c, and every live node scenario's
 // vac + σ + gain — with candidates incident to a failed node pinned to
-// that scenario's current σ, since a shortcut dies with its endpoint. The
-// slice is scratch reused across calls.
+// that scenario's value. The slice is scratch reused across calls.
 func (s *surviveSearch) GainsAdd() []int {
 	if s.gains == nil {
 		s.gains = make([]int, s.inst.numCand)
-		s.worstAfter = make([]int, s.inst.numCand)
 	}
-	timed := obs.Enabled()
-	freeGains := s.timedGains(s.free, timed)
-	freeSigma := s.free.Sigma()
-	wa := s.worstAfter
-	for c := range wa {
-		wa[c] = freeSigma // the scenario dropping the new shortcut itself
-	}
-	for _, sc := range s.scen {
-		g := s.timedGains(sc, timed)
-		base := sc.Sigma()
-		for c, gc := range g {
-			if v := base + gc; v < wa[c] {
-				wa[c] = v
-			}
-		}
-	}
-	for v, sc := range s.nodeScen {
-		g := s.timedGains(sc, timed)
-		base := s.nodeVac[v] + sc.Sigma()
-		for c, gc := range g {
-			if val := base + gc; val < wa[c] {
-				wa[c] = val
-			}
-		}
-		// Candidates incident to v die with it: their true scenario-v value
-		// is base, which can only lower the fold (the scan above may have
-		// credited them a spurious gain through the dead node's zero
-		// self-distance).
-		s.inst.foldIncident(v, func(c int) {
-			if base < wa[c] {
-				wa[c] = base
-			}
-		})
-	}
-	cur := s.lexValue(s.worst, freeSigma)
-	for c := range s.gains {
-		s.gains[c] = s.lexValue(wa[c], freeSigma+freeGains[c]) - cur
-	}
+	s.refreshGains()
+	s.fold(s.gains)
 	return s.gains
+}
+
+// BestAdd returns the candidate with the largest L-gain (ties toward the
+// lowest index) and that gain, from the same fold as GainsAdd without
+// materializing the gains. Note that unlike the fault-free search a
+// candidate already selected can score a positive gain: duplicating a
+// critical shortcut is how a placement buys single-failure redundancy.
+func (s *surviveSearch) BestAdd() (cand, gain int) {
+	s.refreshGains()
+	return s.fold(nil)
+}
+
+// fold runs the fold kernel over contiguous candidate shards (one per
+// worker, at least a chunk each), writing the L-gains to out when it is
+// non-nil, and combines the shard argmaxes by gain desc, then index asc:
+// the first candidate of largest L-gain, or (-1, 0) with no candidates.
+func (s *surviveSearch) fold(out []int) (cand, gain int) {
+	n := s.inst.numCand
+	shards := min(s.workers, (n+foldChunk-1)/foldChunk)
+	if shards <= 1 {
+		return s.foldRange(0, n, out)
+	}
+	if len(s.shardBest) < shards {
+		s.shardBest = make([][2]int, shards)
+	}
+	ParallelFor(shards, n, func(shard, lo, hi int) {
+		c, g := s.foldRange(lo, hi, out)
+		s.shardBest[shard] = [2]int{c, g}
+	})
+	cand, gain = -1, 0
+	for _, b := range s.shardBest[:shards] {
+		if cand < 0 || b[1] > gain {
+			cand, gain = b[0], b[1]
+		}
+	}
+	return cand, gain
+}
+
+// foldRange is the fold kernel over candidates [lo, hi), one foldChunk
+// block at a time: wa = min(F, base_j + g_j[c] over the live scenarios,
+// the pins of c's two endpoints), then the L-gain
+// lex(wa, F + freeGains[c]) − L(S), written to out when non-nil. It
+// returns the first candidate of largest L-gain in the range, or (-1, 0)
+// when the range is empty.
+func (s *surviveSearch) foldRange(lo, hi int, out []int) (best, bestGain int) {
+	var buf [foldChunk]int
+	t := len(s.inst.candNodes)
+	f := s.freeSigma
+	// L-gain = lex(wa, F + freeGains[c]) − lex(σ⁻, F)
+	//        = wa·scale + freeGains[c] + off.
+	scale, off := s.inst.totalWeight+1, f-s.lexValue(s.worst, f)
+	best, bestGain = -1, math.MinInt
+	// Grid row of candidate lo and the index one past its last cell, for
+	// the pins.
+	ai := 0
+	if s.pinned {
+		ai = sort.Search(t-1, func(r int) bool { return rowStart(t, r+1) > lo })
+	}
+	rowEnd := rowStart(t, ai+1)
+	for c0 := lo; c0 < hi; c0 += foldChunk {
+		c1 := min(c0+foldChunk, hi)
+		wa := buf[:c1-c0]
+		for i := range wa {
+			wa[i] = f
+		}
+		for _, sc := range s.live {
+			for i, gc := range sc.gains[c0:c1] {
+				if v := sc.base + gc; v < wa[i] {
+					wa[i] = v
+				}
+			}
+		}
+		if s.pinned {
+			for c := c0; c < c1; {
+				for c >= rowEnd {
+					ai++
+					rowEnd = rowStart(t, ai+1)
+				}
+				pa := s.pins[ai]
+				bi := ai + 1 + c - rowStart(t, ai)
+				for end := min(rowEnd, c1); c < end; c, bi = c+1, bi+1 {
+					wa[c-c0] = min(wa[c-c0], pa, s.pins[bi])
+				}
+			}
+		}
+		fg := s.freeGains[c0:c1]
+		if out != nil {
+			o := out[c0:c1]
+			for i, w := range wa {
+				o[i] = w*scale + fg[i] + off
+			}
+		}
+		for i, w := range wa {
+			if l := w*scale + fg[i] + off; l > bestGain {
+				best, bestGain = c0+i, l
+			}
+		}
+	}
+	if best < 0 {
+		return -1, 0
+	}
+	return best, bestGain
 }
 
 // GainAdd returns L(S ∪ {cand}) − L(S) without mutating the state.
@@ -242,35 +444,27 @@ func (s *surviveSearch) GainAdd(cand int) int {
 	return s.lexValue(wa, freeSigma+freeGain) - s.lexValue(s.worst, freeSigma)
 }
 
-// BestAdd returns the candidate with the largest L-gain (ties toward the
-// lowest index) and that gain. Note that unlike the fault-free search a
-// candidate already selected can score a positive gain: duplicating a
-// critical shortcut is how a placement buys single-failure redundancy.
-func (s *surviveSearch) BestAdd() (cand, gain int) {
-	return argmax(s.GainsAdd())
-}
-
-// Add commits candidate cand: the pre-commit free search is cloned as the
-// new shortcut's own failure scenario (rows and gains inherited, no
-// shortest-path work), the commit is merged incrementally into every
-// existing scenario it can touch, and σ⁻ is refolded.
+// Add commits candidate cand. The pre-commit free search becomes the new
+// shortcut's own failure scenario: its balls are copied and its gains
+// array handed over, so the scenario needs no shortest-path work, no copy
+// of the numCand-long array and — when those gains were live — no rescan.
+// The commit is then merged into the free search and every scenario it
+// can touch, dealt across the workers the way refreshGains deals its
+// scans, and σ⁻ is refolded.
 func (s *surviveSearch) Add(cand int) {
-	timed := obs.Enabled()
+	gains, valid := s.free.gains, s.free.gainsValid
+	s.free.gains, s.free.gainsValid = nil, false
 	newScen := s.free.clone()
-	for _, sc := range s.scen {
-		s.timedAdd(sc, cand, timed)
-	}
-	s.scen = append(s.scen, newScen)
-	if s.nodeScen != nil {
-		e := s.inst.CandidateEdge(cand)
-		for v, sc := range s.nodeScen {
-			if int(e.U) == v || int(e.V) == v {
-				continue // the shortcut dies with v; scenario v never sees it
-			}
-			s.timedAdd(sc, cand, timed)
+	newScen.gains, newScen.gainsValid = gains, valid
+	s.tasks = append(append(s.tasks[:0], s.free), s.scen...)
+	e := s.inst.CandidateEdge(cand)
+	for v, sc := range s.nodeScen {
+		if int(e.U) != v && int(e.V) != v { // else the shortcut dies with v
+			s.tasks = append(s.tasks, sc)
 		}
 	}
-	s.timedAdd(s.free, cand, timed)
+	s.each(s.tasks, func(sc *instSearch) { sc.Add(cand) })
+	s.scen = append(s.scen, newScen)
 	s.recomputeWorst()
 }
 
@@ -284,7 +478,6 @@ func (s *surviveSearch) RemoveAt(pos int) {
 	ns := newSurviveSearch(s.inst, sel)
 	ns.workers = s.workers
 	ns.ctx = s.ctx
-	ns.applyWorkers()
 	ns.applyContext()
 	*s = *ns
 }
@@ -340,23 +533,9 @@ func (s *surviveSearch) interrupted() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
 
-// SetWorkers fixes the shard count used by the free search and every
-// scenario search; the scenario fold itself stays serial, so results are
-// byte-identical at every worker count.
-func (s *surviveSearch) SetWorkers(n int) {
-	s.workers = ResolveParallelism(n)
-	s.applyWorkers()
-}
-
-func (s *surviveSearch) applyWorkers() {
-	s.free.SetWorkers(s.workers)
-	for _, sc := range s.scen {
-		sc.SetWorkers(s.workers)
-	}
-	for _, sc := range s.nodeScen {
-		sc.SetWorkers(s.workers)
-	}
-}
+// SetWorkers fixes the worker count a round deals its scans, merges and
+// fold shards across; results are byte-identical at every worker count.
+func (s *surviveSearch) SetWorkers(n int) { s.workers = ResolveParallelism(n) }
 
 // SetContext installs ctx on the free and scenario scans.
 func (s *surviveSearch) SetContext(ctx context.Context) {

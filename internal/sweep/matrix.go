@@ -72,12 +72,13 @@ type Matrix struct {
 }
 
 // QuickMatrix is the smoke sweep CI runs on every push: 2 cardinality
-// budgets × 2 solvers × 2 survivability modes × 2 knapsack budgets (off
-// and B=2 unit-cost) × 3 seeds on a 40-node RGG, on the one distance
-// backend, plus one whole-suite mscbench experiment — about fifty child
-// runs, seconds end to end. The survivable half gates the worst-case σ⁻
-// objective and the budgeted half the knapsack objective, both against
-// the same baseline discipline as the fault-free cardinality runs.
+// budgets × 2 solvers × 3 survivability modes (none, shortcut, node) × 2
+// knapsack budgets (off and B=2 unit-cost) × 3 seeds on a 40-node RGG, on
+// the one distance backend, plus one whole-suite mscbench experiment —
+// seventy-five child runs, seconds end to end. The survivable cells gate
+// the worst-case σ⁻ objective in both failure modes and the budgeted half
+// the knapsack objective, all against the same baseline discipline as the
+// fault-free cardinality runs.
 func QuickMatrix() Matrix {
 	return Matrix{
 		Families:     []string{"rgg"},
@@ -87,7 +88,7 @@ func QuickMatrix() Matrix {
 		K:            []int{2, 3},
 		Solvers:      []string{"greedy", "sandwich"},
 		DistBackends: []string{"auto"},
-		Survive:      []string{"none", "shortcut"},
+		Survive:      []string{"none", "shortcut", "node"},
 		Budget:       []float64{0, 2},
 		Parallelism:  []int{1},
 		Seeds:        []int64{1, 2, 3},

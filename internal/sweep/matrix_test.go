@@ -12,17 +12,17 @@ func TestQuickMatrixExpands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 k × 2 solvers × 1 backend × 2 survive × 2 budgets × 3 seeds place
+	// 2 k × 2 solvers × 1 backend × 3 survive × 2 budgets × 3 seeds place
 	// runs + 1 experiment × 1 backend × 3 seeds.
-	if len(scs) != 51 {
-		t.Fatalf("quick matrix expands to %d runs, want 51", len(scs))
+	if len(scs) != 75 {
+		t.Fatalf("quick matrix expands to %d runs, want 75", len(scs))
 	}
 	keys := make(map[string]int)
 	for _, sc := range scs {
 		keys[sc.Key()]++
 	}
-	if len(keys) != 17 {
-		t.Fatalf("quick matrix has %d scenario keys, want 17: %v", len(keys), keys)
+	if len(keys) != 25 {
+		t.Fatalf("quick matrix has %d scenario keys, want 25: %v", len(keys), keys)
 	}
 	for key, n := range keys {
 		if n != 3 {
@@ -36,6 +36,9 @@ func TestQuickMatrixExpands(t *testing.T) {
 	}
 	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/sv-shortcut"]; !ok {
 		t.Errorf("expected survivable place key missing: %v", keys)
+	}
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/sv-node"]; !ok {
+		t.Errorf("expected node-survivable place key missing: %v", keys)
 	}
 	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/b-2"]; !ok {
 		t.Errorf("expected budgeted place key missing: %v", keys)
@@ -197,7 +200,7 @@ func TestSocialFamilyCollapsesN(t *testing.T) {
 	}
 	// The social generator is fixed-size: the n axis must not fan
 	// identical runs under different keys.
-	want := 2 * 2 * 1 * 2 * 2 * 3 // k × solver × backend × survive × budget × seeds
+	want := 2 * 2 * 1 * 3 * 2 * 3 // k × solver × backend × survive × budget × seeds
 	if len(scs) != want {
 		t.Fatalf("social family expanded to %d runs, want %d", len(scs), want)
 	}

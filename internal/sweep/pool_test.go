@@ -113,9 +113,9 @@ func TestRunAllCollectsPerRunErrors(t *testing.T) {
 			ok++
 		}
 	}
-	// One seed of three fails per scenario key (17 keys).
-	if failed != 17 || ok != 34 {
-		t.Fatalf("failed=%d ok=%d, want 17/34", failed, ok)
+	// One seed of three fails per scenario key (25 keys).
+	if failed != 25 || ok != 50 {
+		t.Fatalf("failed=%d ok=%d, want 25/50", failed, ok)
 	}
 	if progressed.Load() != int64(len(scs)) {
 		t.Fatalf("progress called %d times for %d runs", progressed.Load(), len(scs))

@@ -15,7 +15,9 @@ type Counters struct {
 	EdgeRelaxations atomic.Int64
 	// CandidateEvals counts candidate-shortcut gain evaluations: a full
 	// GainsAdd scan adds the candidate-universe size, a single GainAdd
-	// adds one.
+	// adds one. A survivable round adds one scan for the free search and
+	// one per failure scenario it scans; the scenarios its bound skips
+	// add nothing.
 	CandidateEvals atomic.Int64
 	// SigmaEvals counts σ oracle evaluations (Sigma/SigmaPar calls).
 	SigmaEvals atomic.Int64
@@ -42,12 +44,15 @@ type Counters struct {
 	// them), so the backend-equivalence guarantees exclude them.
 	RowCacheComputes atomic.Int64
 
-	// RowsMerged counts endpoint distance rows updated in place by the
-	// incremental O(n) shortcut merge (core search Add); RowsUnchanged
-	// counts rows the merge proved untouched. Both stay 0 on the rebuild
-	// evaluation path. Like the solver counters, their totals are
-	// worker-count invariant: whether a row changed depends only on the
-	// (deterministic) distance values, never on shard boundaries.
+	// RowsMerged counts endpoint d_t-balls the incremental shortcut merge
+	// (core search Add) changed; RowsUnchanged counts the balls it proved
+	// untouched. A rebuild (a fresh search, or one after RemoveAt) merges
+	// nothing and counts neither. A survivable commit merges into the free
+	// search and every failure scenario the shortcut survives in, so both
+	// sum over those searches. Like the solver counters, their totals are
+	// worker-count invariant: whether a ball changed depends only on the
+	// (deterministic) distance values, never on shard boundaries or on
+	// which worker merged which scenario.
 	RowsMerged    atomic.Int64
 	RowsUnchanged atomic.Int64
 	// PairsRescanned counts pairs whose per-candidate gains contribution
