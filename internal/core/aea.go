@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"msc/internal/obs"
@@ -223,7 +224,7 @@ func greedySeed(p Problem, bp BudgetProblem, k, numCand int, rng *xrand.Rand, wo
 	if bp != nil {
 		rem := bp.Budget() - bp.CostOf(seed)
 		for {
-			if c := randomAbsentSelAffordable(seed, bp, rem, numCand, rng); c >= 0 {
+			if c := randomAbsentAffordable(seed, bp, rem, numCand, rng); c >= 0 {
 				seed = append(seed, c)
 				rem -= bp.Cost(c)
 				continue
@@ -232,17 +233,7 @@ func greedySeed(p Problem, bp BudgetProblem, k, numCand int, rng *xrand.Rand, wo
 		}
 	}
 	for len(seed) < k {
-		c := rng.Intn(numCand)
-		dup := false
-		for _, x := range seed {
-			if x == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seed = append(seed, c)
-		}
+		seed = append(seed, randomAbsent(seed, numCand, rng))
 	}
 	return seed
 }
@@ -279,7 +270,7 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 			rem := bp.Budget() - bp.CostOf(s.Selection())
 			cand := randomBestAddBudget(s, bp, rem, rng, &scratch.ties)
 			if cand < 0 {
-				cand = randomAbsentAffordable(s, bp, rem, numCand, rng)
+				cand = randomAbsentAffordable(s.Selection(), bp, rem, numCand, rng)
 			}
 			if cand >= 0 {
 				s.Add(cand)
@@ -288,7 +279,7 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 		}
 		cand := randomBestAdd(s, rng, &scratch.ties)
 		if cand < 0 {
-			cand = randomAbsent(s, numCand, rng)
+			cand = randomAbsent(s.Selection(), numCand, rng)
 		}
 		s.Add(cand)
 		return aeaSol{sel: s.Selection(), sigma: s.Sigma()}
@@ -302,12 +293,12 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 	}
 	if bp != nil {
 		rem := bp.Budget() - bp.CostOf(child)
-		if c := randomAbsentSelAffordable(child, bp, rem, numCand, rng); c >= 0 {
+		if c := randomAbsentAffordable(child, bp, rem, numCand, rng); c >= 0 {
 			child = append(child, c)
 		}
 		return aeaSol{sel: child, sigma: p.SigmaPar(child, workers)}
 	}
-	child = append(child, randomAbsentSel(child, numCand, rng))
+	child = append(child, randomAbsent(child, numCand, rng))
 	return aeaSol{sel: child, sigma: p.SigmaPar(child, workers)}
 }
 
@@ -371,11 +362,10 @@ func randomBestAdd(s Search, rng *xrand.Rand, ties *[]int) int {
 	return t[rng.Intn(len(t))]
 }
 
-// randomAbsent draws a uniform candidate not in the search's selection.
-func randomAbsent(s Search, numCand int, rng *xrand.Rand) int {
+// randomAbsent draws a uniform candidate not in sel.
+func randomAbsent(sel []int, numCand int, rng *xrand.Rand) int {
 	for {
-		c := rng.Intn(numCand)
-		if !s.Contains(c) {
+		if c := rng.Intn(numCand); !slices.Contains(sel, c) {
 			return c
 		}
 	}
@@ -404,69 +394,21 @@ func randomBestAddBudget(s Search, bp BudgetProblem, rem float64, rng *xrand.Ran
 	return t[rng.Intn(len(t))]
 }
 
-// randomAbsentAffordable draws a uniform candidate that is absent from the
-// search's selection and affordable within rem, or -1 when none exists (the
-// existence scan consumes no rng draws, preserving unit-cost parity with
+// randomAbsentAffordable draws a uniform candidate that is absent from
+// sel and affordable within rem, or -1 when none exists (the existence
+// scan consumes no rng draws, preserving unit-cost parity with
 // randomAbsent).
-func randomAbsentAffordable(s Search, bp BudgetProblem, rem float64, numCand int, rng *xrand.Rand) int {
+func randomAbsentAffordable(sel []int, bp BudgetProblem, rem float64, numCand int, rng *xrand.Rand) int {
+	ok := func(c int) bool { return !slices.Contains(sel, c) && bp.Cost(c) <= rem }
 	exists := false
-	for c := 0; c < numCand; c++ {
-		if !s.Contains(c) && bp.Cost(c) <= rem {
-			exists = true
-			break
-		}
+	for c := 0; c < numCand && !exists; c++ {
+		exists = ok(c)
 	}
 	if !exists {
 		return -1
 	}
 	for {
-		c := rng.Intn(numCand)
-		if !s.Contains(c) && bp.Cost(c) <= rem {
-			return c
-		}
-	}
-}
-
-// randomAbsentSelAffordable is randomAbsentAffordable over a plain selection
-// slice.
-func randomAbsentSelAffordable(sel []int, bp BudgetProblem, rem float64, numCand int, rng *xrand.Rand) int {
-	contains := func(c int) bool {
-		for _, x := range sel {
-			if x == c {
-				return true
-			}
-		}
-		return false
-	}
-	exists := false
-	for c := 0; c < numCand; c++ {
-		if !contains(c) && bp.Cost(c) <= rem {
-			exists = true
-			break
-		}
-	}
-	if !exists {
-		return -1
-	}
-	for {
-		c := rng.Intn(numCand)
-		if !contains(c) && bp.Cost(c) <= rem {
-			return c
-		}
-	}
-}
-
-func randomAbsentSel(sel []int, numCand int, rng *xrand.Rand) int {
-	for {
-		c := rng.Intn(numCand)
-		dup := false
-		for _, x := range sel {
-			if x == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if c := rng.Intn(numCand); ok(c) {
 			return c
 		}
 	}

@@ -18,8 +18,10 @@ import (
 // This file is the backend-differential suite: for every placement
 // algorithm, an instance built on the dense table and one built on the lazy
 // row cache must produce byte-identical placements, identical σ/μ/ν values,
-// and identical work counters (modulo the Dijkstra/row-cache counters the
-// backends are allowed to differ in — CounterSnapshot.BackendInvariant).
+// and identical work counters: every counter but the Dijkstra and
+// row-cache ones the backends are allowed to differ in
+// (CounterSnapshot.BackendInvariant). Ball merges and pruned scan cells
+// are compared too — every backend merges and scans the same d_t-balls.
 // Run under -race it also certifies the lazy cache against the solvers'
 // concurrent row access.
 

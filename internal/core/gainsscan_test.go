@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"msc/internal/graph"
@@ -290,7 +291,10 @@ func TestLazyRowsAEASwapOneRebuild(t *testing.T) {
 
 // TestLazyRowsUnreadSearchComputesNothing pins that a search which is
 // only positioned, mutated and asked about its selection never computes
-// (or allocates) endpoint balls.
+// (or allocates) endpoint balls. The survivable search is held to the
+// same on both failure modes; its SigmaDrops evaluates every drop from
+// scratch on the instance, so it may cost exactly what those evaluations
+// cost and nothing more.
 func TestLazyRowsUnreadSearchComputesNothing(t *testing.T) {
 	rng := xrand.New(7500)
 	inst := testInstance(t, 18, 7, 4, 0.8, rng)
@@ -307,6 +311,45 @@ func TestLazyRowsUnreadSearchComputesNothing(t *testing.T) {
 	}
 	if s.balls != nil {
 		t.Error("unread search allocated its balls")
+	}
+	for _, mode := range []Survivability{SurviveShortcut, SurviveNode} {
+		inst := surviveInstanceRetry(t, 12, 5, 3, 0.8, mode, 3)
+		sel := []int{4, 9, 4, 30}
+		rest := slices.Delete(slices.Clone(sel), 1, 2)
+		// The drop evaluations, from scratch; the first pass also warms
+		// the instance's memos (the G−v instances and their balls).
+		reference := func() []int {
+			want := make([]int, len(rest))
+			for pos := range rest {
+				want[pos] = inst.survivableValue(slices.Delete(slices.Clone(rest), pos, pos+1))
+			}
+			return want
+		}
+		want := reference()
+		before := telemetry.Global().Snapshot()
+		s := inst.NewSearch(sel).(*surviveSearch)
+		s.SetWorkers(2)
+		s.RemoveAt(1)
+		_ = s.Len()
+		_ = s.Selection()
+		drops := s.SigmaDrops()
+		got := telemetry.Global().Snapshot().Sub(before)
+		before = telemetry.Global().Snapshot()
+		reference()
+		if ref := telemetry.Global().Snapshot().Sub(before); got != ref {
+			t.Errorf("mode=%s: unread search did more than its drop evaluations:\n got  %+v\n want %+v", mode, got, ref)
+		}
+		if !slices.Equal(drops, want) {
+			t.Errorf("mode=%s: SigmaDrops = %v, want %v", mode, drops, want)
+		}
+		if s.free.balls != nil {
+			t.Errorf("mode=%s: unread search built its free balls", mode)
+		}
+		for j, sc := range s.scen {
+			if sc.balls != nil {
+				t.Errorf("mode=%s: unread search built the balls of scenario %d", mode, j)
+			}
+		}
 	}
 }
 

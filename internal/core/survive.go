@@ -32,8 +32,9 @@ const (
 	// SurviveNode additionally guards against the loss of any single
 	// network node v: scenarios(S) = S ∪ V. In the node scenario for v the
 	// graph loses every edge incident to v, shortcuts incident to v are
-	// dead, and pairs incident to v are vacuously satisfied (their demand
-	// left with the node; the scenario adds their weight as a constant).
+	// dead, and pairs incident to v are vacuously satisfied: their demand
+	// left with the node, so they weigh 0 on G−v and the scenario adds
+	// their weight as a constant.
 	// Node-mode σ⁻ is NOT monotone — and can even exceed σ when a failed
 	// node takes hard pairs with it — see DESIGN.md §11.
 	SurviveNode Survivability = "node"
@@ -159,8 +160,7 @@ func (inst *Instance) sigmaWorstNode(sel []int) int {
 	for v, ni := range insts {
 		surv = surv[:0]
 		for _, c := range sel {
-			e := inst.CandidateEdge(c)
-			if int(e.U) != v && int(e.V) != v {
+			if inst.survives(c, v) {
 				surv = append(surv, c)
 			}
 		}
@@ -170,6 +170,17 @@ func (inst *Instance) sigmaWorstNode(sel []int) int {
 		}
 	}
 	return worst
+}
+
+// survives reports whether shortcut cand is alive in the failure scenario
+// of node v: a shortcut dies with either endpoint. A shortcut failure
+// (v < 0) kills no node.
+func (inst *Instance) survives(cand, v int) bool {
+	if v < 0 {
+		return true
+	}
+	e := inst.CandidateEdge(cand)
+	return int(e.U) != v && int(e.V) != v
 }
 
 // survivableValue is the scalarized lexicographic objective
@@ -184,9 +195,12 @@ func (inst *Instance) survivableValue(sel []int) int {
 // instances: nodeInsts[v] is the instance on G−v (same node universe, every
 // edge incident to v removed, identical candidate indexing and pair
 // weights), and nodeVac[v] the constant vacuous weight of pairs incident
-// to v. The scenario instances use the bounded distance backend — only
-// the pair-endpoint d_t-balls are ever read — and are shared by every
-// search built from this instance.
+// to v. Those pairs weigh 0 in nodeInsts[v]: v is isolated in G−v and no
+// surviving shortcut touches it, so they are never satisfied there, and
+// the only gains a scan could credit them come through a shortcut incident
+// to v — dead in v's scenario. The scenario instances use the bounded
+// distance backend — only the pair-endpoint d_t-balls are ever read — and
+// are shared by every search built from this instance.
 func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 	inst.nodeOnce.Do(func() {
 		n := inst.g.N()
@@ -214,8 +228,15 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 					b.AddEdge(e.U, e.V, e.Length)
 				}
 			}
-			inst.nodeInsts[v] = MustNewInstance(b.MustBuild(), inst.ps, inst.thr, inst.k, opts)
-			inst.nodeInsts[v].mergers = inst.mergers // same node count
+			ni := MustNewInstance(b.MustBuild(), inst.ps, inst.thr, inst.k, opts)
+			ni.mergers = inst.mergers // same node count
+			for i, p := range inst.ps.Pairs() {
+				if int(p.U) == v || int(p.W) == v {
+					ni.totalWeight -= int(ni.weights[i])
+					ni.weights[i] = 0
+				}
+			}
+			inst.nodeInsts[v] = ni
 		}
 	})
 	return inst.nodeInsts, inst.nodeVac

@@ -255,8 +255,9 @@ func referenceSurviveGains(inst *Instance, sel []int) []int {
 // workers {1, 2, 8}, along an operation sequence with random commits, two
 // duplicate commits (which leave F = σ⁻, so every scenario drops out) and
 // a RemoveAt. At one worker every gain is also checked against the
-// brute-force survivableValue difference. The candidate evaluations of
-// each step must not depend on the worker count, and the bound must skip
+// brute-force survivableValue difference. The backend-invariant work of
+// each step — the construction or mutation and its round — must not
+// depend on the worker count, and the bound must skip
 // at least one scenario scan somewhere, seen as fewer candidate
 // evaluations than the reference's scan of every scenario.
 func TestSurviveGainsBoundExact(t *testing.T) {
@@ -285,20 +286,22 @@ func TestSurviveGainsBoundExact(t *testing.T) {
 func testSurviveGainsBound(t *testing.T, inst *Instance, seed int64, skipped map[Survivability]bool) {
 	t.Helper()
 	mode := inst.Survive()
-	var evals []int64 // per step, at the first worker count
+	var work []telemetry.CounterSnapshot // per step, at the first worker count
 	for _, workers := range []int{1, 2, 8} {
 		rng := xrand.New(seed)
+		tg := telemetry.Global()
+		opStart := tg.Snapshot()
 		s := inst.NewSearch(nil).(*surviveSearch)
 		s.SetWorkers(workers)
 		step := 0
 		check := func(op string) {
 			t.Helper()
 			sel := s.Selection()
-			tg := telemetry.Global()
 			before := tg.CandidateEvals.Load()
 			got := append([]int(nil), s.GainsAdd()...)
 			gotEvals := tg.CandidateEvals.Load() - before
 			cand, gain := s.BestAdd()
+			stepWork := tg.Snapshot().Sub(opStart).BackendInvariant()
 			before = tg.CandidateEvals.Load()
 			want := referenceSurviveGains(inst, sel)
 			refEvals := tg.CandidateEvals.Load() - before
@@ -314,9 +317,9 @@ func testSurviveGainsBound(t *testing.T, inst *Instance, seed int64, skipped map
 				t.Fatalf("%s: BestAdd (%d, %d), reference argmax (%d, %d)", where(), cand, gain, wc, wg)
 			}
 			if workers == 1 {
-				evals = append(evals, gotEvals)
-			} else if gotEvals != evals[step] {
-				t.Fatalf("%s: %d candidate evals, %d at one worker", where(), gotEvals, evals[step])
+				work = append(work, stepWork)
+			} else if stepWork != work[step] {
+				t.Fatalf("%s: step work depends on the worker count:\n got        %+v\n one worker %+v", where(), stepWork, work[step])
 			}
 			if workers == 1 && inst.N() <= 12 {
 				cur := inst.survivableValue(sel)
@@ -334,6 +337,7 @@ func testSurviveGainsBound(t *testing.T, inst *Instance, seed int64, skipped map
 		check("construction")
 		for _, op := range []string{"add", "add", "duplicate", "add", "remove", "duplicate"} {
 			sel := s.Selection()
+			opStart = tg.Snapshot()
 			switch op {
 			case "add":
 				s.Add(rng.Intn(inst.NumCandidates()))

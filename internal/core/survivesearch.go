@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"msc/internal/obs"
@@ -18,19 +17,27 @@ import (
 // GreedySigma, ParBestSwap, and LocalSearch optimize (σ⁻, σ) without
 // knowing failures exist.
 //
-// Scenario bookkeeping (DESIGN.md §11):
+// Scenario bookkeeping (DESIGN.md §11): scen lists every failure scenario
+// in one order — the shortcut scenarios by selection position, then
+// (SurviveNode) the node scenarios by node. A scenario's value is its
+// vacuous weight plus its σ over the shortcuts that survive its failure.
 //
-//   - scen[j] evaluates the shortcut-failure scenario S \ {S[j]}, in
-//     selection-position order. Add(c) grows each existing scenario by the
-//     committed shortcut via its own incremental ball merge, and the new
-//     scenario S∪{c} \ {c} = S is a clone of the free search taken BEFORE
-//     the commit: its balls are copied and its live gains handed over, so
-//     it needs no shortest-path work and no rescan.
-//   - nodeScen[v] (SurviveNode) evaluates σ on the cached G−v scenario
-//     instance over the shortcuts that survive v; shortcuts incident to v
-//     are excluded from the scenario's selection outright (merging a dead
+//   - Shortcut scenario j evaluates S \ {S[j]} (vac 0, node -1). Add(c)
+//     grows each existing scenario by the committed shortcut via its own
+//     incremental ball merge, and the new scenario S∪{c} \ {c} = S is a
+//     clone of the free search taken BEFORE the commit: its balls are
+//     copied and its live gains handed over, so it needs no shortest-path
+//     work and no rescan.
+//   - Node scenario v evaluates the cached G−v scenario instance over the
+//     shortcuts not incident to v (Instance.survives): merging a dead
 //     endpoint's zero-length edge would fabricate paths through the dead
-//     node). Pairs incident to v contribute the constant nodeVac[v].
+//     node. Pairs incident to v weigh 0 there and add their weight as the
+//     constant vac instead, so a scan credits nothing to a shortcut
+//     incident to v.
+//
+// Positioning is lazy, as in instSearch: construction and RemoveAt only
+// reposition the searches and mark the evaluator stale; the first read
+// rebuilds every search dealt across the workers and refolds σ⁻.
 //
 // A round (GainsAdd or BestAdd) refreshes the free search and the
 // scenarios that can bind, then runs one fold kernel over the candidates:
@@ -45,9 +52,9 @@ import (
 //     only fold values ≥ ub ≥ wa[c], so it is neither scanned nor folded;
 //     when F = σ⁻ every scenario drops out.
 //   - Fused fold. Contiguous candidate shards fold foldChunk-sized blocks:
-//     wa starts at F, takes the min with each live scenario's base + gain
-//     and with the node pins, and turns into L-gains that GainsAdd writes
-//     and BestAdd argmaxes without materializing them.
+//     wa starts at F, takes the min with each live scenario's base + gain,
+//     and turns into L-gains that GainsAdd writes and BestAdd argmaxes
+//     without materializing them.
 //
 // Every step is an integer min or sum over a scenario set that depends on
 // the selection only, so gains, placements and work counters are the same
@@ -56,26 +63,20 @@ type surviveSearch struct {
 	inst *Instance
 
 	free *instSearch // fault-free σ evaluator on the full selection
+	scen []scenario  // the shortcut scenarios by position, then the node scenarios
 
-	scen     []*instSearch // shortcut-failure scenarios, one per position
-	nodeScen []*instSearch // node-failure scenarios (SurviveNode), one per node
-	nodeVac  []int         // constant vacuous weight per node scenario
-
-	worst   int // σ⁻ of the current selection
-	worstAt int // first scenario (scenario order) at σ⁻; -1 with none
+	stale   bool // repositioned: the searches rebuild and σ⁻ refolds on the next read
+	worst   int  // σ⁻ of the current selection
+	worstAt int  // first scenario (scenario order) at σ⁻; -1 with none
 
 	workers int
 	ctx     context.Context
 
-	// Round state the fold kernel reads: the free σ and gains, the
-	// scenarios that can bind, and — when a live node scenario has a
-	// candidate position — the per-position pin (its base; MaxInt
-	// elsewhere).
+	// Round state the fold kernel reads: the free σ and gains, and the
+	// scenarios that can bind.
 	freeSigma int
 	freeGains []int
-	live      []liveScen
-	pins      []int
-	pinned    bool
+	live      []scenario
 
 	gains     []int         // GainsAdd output, len numCand
 	spare     [][]int       // gains arrays reclaimed from stale scenarios
@@ -85,11 +86,18 @@ type surviveSearch struct {
 	dropRest  [][]int
 }
 
-// liveScen is one scenario the fold reads: its gains and its value.
-type liveScen struct {
-	gains []int
-	base  int
+// scenario is one single-failure scenario: its search over the shortcuts
+// that survive the failure, the constant weight of the pairs that left
+// with a failed node (vac), and that node — -1, with vac 0, when the
+// failure is a shortcut's.
+type scenario struct {
+	*instSearch
+	vac  int
+	node int
 }
+
+// value is the scenario's current σ: vac + σ of its search.
+func (sc scenario) value() int { return sc.vac + sc.Sigma() }
 
 // foldChunk is the candidate block the fold kernel finishes before moving
 // on: its wa buffer stays in cache while every live scenario's gains
@@ -104,65 +112,68 @@ var (
 // newSurviveSearch builds the survivable evaluator positioned at sel
 // (copied): the free search, one shortcut scenario per selection position,
 // and — under SurviveNode — one node scenario per node over the cached G−v
-// instances.
+// instances. Nothing is computed until the first read.
 func newSurviveSearch(inst *Instance, sel []int) *surviveSearch {
-	s := &surviveSearch{inst: inst, workers: 1}
-	s.free = inst.newInstSearch(sel)
-	sel = s.free.sel
-	s.scen = make([]*instSearch, len(sel))
-	rest := make([]int, 0, len(sel))
-	for j := range sel {
-		rest = append(rest[:0], sel[:j]...)
-		rest = append(rest, sel[j+1:]...)
-		s.scen[j] = inst.newInstSearch(rest)
+	s := &surviveSearch{inst: inst, free: inst.newInstSearch(nil), workers: 1}
+	for range sel {
+		s.scen = append(s.scen, scenario{instSearch: inst.newInstSearch(nil), node: -1})
 	}
 	if inst.survive == SurviveNode {
 		insts, vac := inst.nodeScenarios()
-		s.nodeVac = vac
-		s.nodeScen = make([]*instSearch, len(insts))
-		surv := make([]int, 0, len(sel))
 		for v, ni := range insts {
-			surv = surv[:0]
-			for _, c := range sel {
-				e := inst.CandidateEdge(c)
-				if int(e.U) != v && int(e.V) != v {
-					surv = append(surv, c)
-				}
-			}
-			s.nodeScen[v] = ni.newInstSearch(surv)
+			s.scen = append(s.scen, scenario{ni.newInstSearch(nil), vac[v], v})
 		}
 	}
-	s.recomputeWorst()
+	s.position(sel)
 	return s
 }
 
-// scenario returns scenario j in scenario order — the shortcut scenarios
-// by selection position, then the node scenarios by node — with its
-// current value (vac + σ for a node scenario) and its failed node (-1 for
-// a shortcut scenario).
-func (s *surviveSearch) scenario(j int) (sc *instSearch, base, node int) {
-	if j < len(s.scen) {
-		sc = s.scen[j]
-		return sc, sc.Sigma(), -1
+// position moves every search to sel (copied), one shortcut scenario per
+// position of sel, and marks the evaluator stale. Scenario j keeps the
+// shortcuts of sel that survive its failure: every one but position j for
+// a shortcut scenario, every one not incident to the failed node for a
+// node scenario (whose index lies past every position).
+func (s *surviveSearch) position(sel []int) {
+	s.free.reposition(sel)
+	rest := make([]int, 0, len(sel))
+	for j, sc := range s.scen {
+		rest = rest[:0]
+		for i, c := range s.free.sel {
+			if i != j && s.inst.survives(c, sc.node) {
+				rest = append(rest, c)
+			}
+		}
+		sc.reposition(rest)
 	}
-	v := j - len(s.scen)
-	sc = s.nodeScen[v]
-	return sc, s.nodeVac[v] + sc.Sigma(), v
+	s.stale = true
 }
 
-func (s *surviveSearch) numScenarios() int { return len(s.scen) + len(s.nodeScen) }
+// sync rebuilds the searches a position left stale, dealt across the
+// workers the way a round deals its scans, and refolds σ⁻.
+func (s *surviveSearch) sync() {
+	if !s.stale {
+		return
+	}
+	s.tasks = append(s.tasks[:0], s.free)
+	for _, sc := range s.scen {
+		s.tasks = append(s.tasks, sc.instSearch)
+	}
+	s.each(s.tasks, (*instSearch).sync)
+	s.stale = false
+	s.recomputeWorst()
+}
 
 // recomputeWorst folds σ⁻ from the live scenario searches and records the
 // first scenario attaining it. With no scenarios at all (empty selection,
 // shortcut mode) σ⁻ degenerates to σ(∅), matching Instance.SigmaWorst.
 func (s *surviveSearch) recomputeWorst() {
 	s.worstAt = -1
-	for j := range s.numScenarios() {
-		if _, base, _ := s.scenario(j); s.worstAt < 0 || base < s.worst {
-			s.worst, s.worstAt = base, j
+	for j, sc := range s.scen {
+		if v := sc.value(); s.worstAt < 0 || v < s.worst {
+			s.worst, s.worstAt = v, j
 		}
 	}
-	count := int64(s.numScenarios())
+	count := int64(len(s.scen))
 	if s.worstAt < 0 {
 		s.worst = s.free.Sigma()
 		count = 1
@@ -178,11 +189,15 @@ func (s *surviveSearch) lexValue(worst, sigma int) int {
 
 // Sigma returns the lexicographic value L of the current selection — NOT
 // plain σ. Callers needing the components use SigmaParts.
-func (s *surviveSearch) Sigma() int { return s.lexValue(s.worst, s.free.Sigma()) }
+func (s *surviveSearch) Sigma() int {
+	s.sync()
+	return s.lexValue(s.worst, s.free.Sigma())
+}
 
 // SigmaParts implements worstCaseSearch: the fault-free σ and worst-case
 // σ⁻ of the current selection.
 func (s *surviveSearch) SigmaParts() (sigma, sigmaWorst int) {
+	s.sync()
 	return s.free.Sigma(), s.worst
 }
 
@@ -230,15 +245,16 @@ func (s *surviveSearch) scan(ss []*instSearch) {
 }
 
 // refreshGains brings the free search and every scenario that can bind up
-// to date and records the fold's round state: the free σ and gains, the
-// live scenarios, and the node pins. It first scans the free search and
-// the first scenario at σ⁻ (none when F = σ⁻), which fixes the bound ub,
-// then every other scenario whose value is below ub.
+// to date and records the fold's round state: the free σ and gains, and
+// the live scenarios. It first scans the free search and the first
+// scenario at σ⁻ (none when F = σ⁻), which fixes the bound ub, then every
+// other scenario whose value is below ub.
 func (s *surviveSearch) refreshGains() {
+	s.sync()
 	// Stale gains arrays are never read again: keep them for the searches
 	// this round scans.
-	for j := range s.numScenarios() {
-		if sc, _, _ := s.scenario(j); !sc.gainsValid && sc.gains != nil {
+	for _, sc := range s.scen {
+		if !sc.gainsValid && sc.gains != nil {
 			s.spare = append(s.spare, sc.gains)
 			sc.gains = nil
 		}
@@ -246,70 +262,32 @@ func (s *surviveSearch) refreshGains() {
 	s.free.SetWorkers(s.workers)
 	s.freeSigma = s.free.Sigma()
 	s.live = s.live[:0]
-	s.pinned = false
 	ub := s.freeSigma
 	s.tasks = append(s.tasks[:0], s.free)
 	if s.worst < ub {
-		first, _, _ := s.scenario(s.worstAt)
-		s.tasks = append(s.tasks, first)
+		s.live = append(s.live, s.scen[s.worstAt])
+		s.tasks = append(s.tasks, s.live[0].instSearch)
 	}
 	s.scan(s.tasks)
 	s.freeGains = s.free.gains
-	if s.worst < ub {
-		s.addLive(s.worstAt)
-		if g := s.live[0].gains; len(g) > 0 {
-			ub = min(ub, s.worst+slices.Max(g))
-		}
+	if len(s.live) > 0 && len(s.live[0].gains) > 0 {
+		ub = min(ub, s.worst+slices.Max(s.live[0].gains))
 	}
 	s.tasks = s.tasks[:0]
-	for j := range s.numScenarios() {
-		if sc, base, _ := s.scenario(j); j != s.worstAt && base < ub {
-			s.tasks = append(s.tasks, sc)
+	for j, sc := range s.scen {
+		if j != s.worstAt && sc.value() < ub {
+			s.tasks = append(s.tasks, sc.instSearch)
+			s.live = append(s.live, sc)
 		}
 	}
 	s.scan(s.tasks)
-	for j := range s.numScenarios() {
-		if _, base, _ := s.scenario(j); j != s.worstAt && base < ub {
-			s.addLive(j)
-		}
-	}
-}
-
-// addLive appends scenario j to the fold's live set; a node scenario also
-// pins the candidates incident to its node at its base, since a shortcut
-// dies with its endpoint (the scan may have credited it a spurious gain
-// through the dead node's zero self-distance).
-func (s *surviveSearch) addLive(j int) {
-	sc, base, v := s.scenario(j)
-	s.live = append(s.live, liveScen{gains: sc.gains, base: base})
-	if v < 0 {
-		return
-	}
-	pv := v
-	if s.inst.candPos != nil {
-		pv = int(s.inst.candPos[v])
-	}
-	if pv < 0 || pv >= len(s.inst.candNodes) {
-		return // v hosts no candidate
-	}
-	if !s.pinned {
-		if s.pins == nil {
-			s.pins = make([]int, len(s.inst.candNodes))
-		}
-		for i := range s.pins {
-			s.pins[i] = math.MaxInt
-		}
-		s.pinned = true
-	}
-	s.pins[pv] = base
 }
 
 // GainsAdd returns the L-gain of every candidate addition: gain[c] =
 // L(S∪{c}) − L(S), exact. σ⁻(S∪{c}) folds, per candidate, the drop-c
-// scenario (σ(S), the free search's current value), every live shortcut
-// scenario's σ + its own gain for c, and every live node scenario's
-// vac + σ + gain — with candidates incident to a failed node pinned to
-// that scenario's value. The slice is scratch reused across calls.
+// scenario (σ(S), the free search's current value) and every live
+// scenario's value + its own gain for c. The slice is scratch reused
+// across calls.
 func (s *surviveSearch) GainsAdd() []int {
 	if s.gains == nil {
 		s.gains = make([]int, s.inst.numCand)
@@ -356,26 +334,17 @@ func (s *surviveSearch) fold(out []int) (cand, gain int) {
 }
 
 // foldRange is the fold kernel over candidates [lo, hi), one foldChunk
-// block at a time: wa = min(F, base_j + g_j[c] over the live scenarios,
-// the pins of c's two endpoints), then the L-gain
-// lex(wa, F + freeGains[c]) − L(S), written to out when non-nil. It
-// returns the first candidate of largest L-gain in the range, or (-1, 0)
-// when the range is empty.
+// block at a time: wa = min(F, base_j + g_j[c] over the live scenarios),
+// then the L-gain lex(wa, F + freeGains[c]) − L(S), written to out when
+// non-nil. It returns the first candidate of largest L-gain in the range,
+// or (-1, 0) when the range is empty.
 func (s *surviveSearch) foldRange(lo, hi int, out []int) (best, bestGain int) {
 	var buf [foldChunk]int
-	t := len(s.inst.candNodes)
 	f := s.freeSigma
 	// L-gain = lex(wa, F + freeGains[c]) − lex(σ⁻, F)
 	//        = wa·scale + freeGains[c] + off.
 	scale, off := s.inst.totalWeight+1, f-s.lexValue(s.worst, f)
 	best, bestGain = -1, math.MinInt
-	// Grid row of candidate lo and the index one past its last cell, for
-	// the pins.
-	ai := 0
-	if s.pinned {
-		ai = sort.Search(t-1, func(r int) bool { return rowStart(t, r+1) > lo })
-	}
-	rowEnd := rowStart(t, ai+1)
 	for c0 := lo; c0 < hi; c0 += foldChunk {
 		c1 := min(c0+foldChunk, hi)
 		wa := buf[:c1-c0]
@@ -383,22 +352,10 @@ func (s *surviveSearch) foldRange(lo, hi int, out []int) (best, bestGain int) {
 			wa[i] = f
 		}
 		for _, sc := range s.live {
+			base := sc.value()
 			for i, gc := range sc.gains[c0:c1] {
-				if v := sc.base + gc; v < wa[i] {
+				if v := base + gc; v < wa[i] {
 					wa[i] = v
-				}
-			}
-		}
-		if s.pinned {
-			for c := c0; c < c1; {
-				for c >= rowEnd {
-					ai++
-					rowEnd = rowStart(t, ai+1)
-				}
-				pa := s.pins[ai]
-				bi := ai + 1 + c - rowStart(t, ai)
-				for end := min(rowEnd, c1); c < end; c, bi = c+1, bi+1 {
-					wa[c-c0] = min(wa[c-c0], pa, s.pins[bi])
 				}
 			}
 		}
@@ -421,25 +378,16 @@ func (s *surviveSearch) foldRange(lo, hi int, out []int) (best, bestGain int) {
 	return best, bestGain
 }
 
-// GainAdd returns L(S ∪ {cand}) − L(S) without mutating the state.
+// GainAdd returns L(S ∪ {cand}) − L(S) without mutating the state: the
+// min over the drop-cand scenario (σ(S)) and every scenario's value + its
+// gain for cand.
 func (s *surviveSearch) GainAdd(cand int) int {
+	s.sync()
 	freeGain := s.free.GainAdd(cand)
 	freeSigma := s.free.Sigma()
-	e := s.inst.CandidateEdge(cand)
 	wa := freeSigma
 	for _, sc := range s.scen {
-		if v := sc.Sigma() + sc.GainAdd(cand); v < wa {
-			wa = v
-		}
-	}
-	for v, sc := range s.nodeScen {
-		base := s.nodeVac[v] + sc.Sigma()
-		if int(e.U) != v && int(e.V) != v {
-			base += sc.GainAdd(cand)
-		}
-		if base < wa {
-			wa = base
-		}
+		wa = min(wa, sc.value()+sc.GainAdd(cand))
 	}
 	return s.lexValue(wa, freeSigma+freeGain) - s.lexValue(s.worst, freeSigma)
 }
@@ -449,37 +397,36 @@ func (s *surviveSearch) GainAdd(cand int) int {
 // array handed over, so the scenario needs no shortest-path work, no copy
 // of the numCand-long array and — when those gains were live — no rescan.
 // The commit is then merged into the free search and every scenario it
-// can touch, dealt across the workers the way refreshGains deals its
+// survives in, dealt across the workers the way refreshGains deals its
 // scans, and σ⁻ is refolded.
 func (s *surviveSearch) Add(cand int) {
+	s.sync()
 	gains, valid := s.free.gains, s.free.gainsValid
 	s.free.gains, s.free.gainsValid = nil, false
 	newScen := s.free.clone()
 	newScen.gains, newScen.gainsValid = gains, valid
-	s.tasks = append(append(s.tasks[:0], s.free), s.scen...)
-	e := s.inst.CandidateEdge(cand)
-	for v, sc := range s.nodeScen {
-		if int(e.U) != v && int(e.V) != v { // else the shortcut dies with v
-			s.tasks = append(s.tasks, sc)
+	s.tasks = append(s.tasks[:0], s.free)
+	for _, sc := range s.scen {
+		if s.inst.survives(cand, sc.node) {
+			s.tasks = append(s.tasks, sc.instSearch)
 		}
 	}
 	s.each(s.tasks, func(sc *instSearch) { sc.Add(cand) })
-	s.scen = append(s.scen, newScen)
+	s.scen = slices.Insert(s.scen, s.free.Len()-1, scenario{instSearch: newScen, node: -1})
 	s.recomputeWorst()
 }
 
-// RemoveAt removes the selection element at position pos. Scenario
-// identity is positional, so a removal reconstructs the evaluator from the
-// surviving selection — the survivable analogue of the plain search's
+// RemoveAt removes the selection element at position pos: the dropped
+// shortcut's scenario goes, its gains array kept for a later scan, and
+// every other search is repositioned. A removal can lengthen distances,
+// so the balls rebuild on the next read — the plain search's
 // rebuild-on-remove rule.
 func (s *surviveSearch) RemoveAt(pos int) {
-	sel := s.free.Selection()
-	sel = append(sel[:pos], sel[pos+1:]...)
-	ns := newSurviveSearch(s.inst, sel)
-	ns.workers = s.workers
-	ns.ctx = s.ctx
-	ns.applyContext()
-	*s = *ns
+	if g := s.scen[pos].gains; g != nil {
+		s.spare = append(s.spare, g)
+	}
+	s.scen = slices.Delete(s.scen, pos, pos+1)
+	s.position(slices.Delete(s.free.Selection(), pos, pos+1))
 }
 
 // SigmaDrop returns L(S \ {S[pos]}), evaluated from scratch (a drop
@@ -540,16 +487,9 @@ func (s *surviveSearch) SetWorkers(n int) { s.workers = ResolveParallelism(n) }
 // SetContext installs ctx on the free and scenario scans.
 func (s *surviveSearch) SetContext(ctx context.Context) {
 	s.ctx = ctx
-	s.applyContext()
-}
-
-func (s *surviveSearch) applyContext() {
-	s.free.SetContext(s.ctx)
+	s.free.SetContext(ctx)
 	for _, sc := range s.scen {
-		sc.SetContext(s.ctx)
-	}
-	for _, sc := range s.nodeScen {
-		sc.SetContext(s.ctx)
+		sc.SetContext(ctx)
 	}
 }
 
@@ -574,10 +514,7 @@ func (s *surviveSearch) LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescann
 	}
 	drain(s.free)
 	for _, sc := range s.scen {
-		drain(sc)
-	}
-	for _, sc := range s.nodeScen {
-		drain(sc)
+		drain(sc.instSearch)
 	}
 	return rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped
 }

@@ -69,8 +69,8 @@ type Counters struct {
 	// universe minus the cells both of whose endpoints lie within d_t of
 	// a pair endpoint. Accumulated while the per-pair candidate lists are
 	// built — a serial step — so the total is identical at every worker
-	// count. Only sparse-backend (or very large) instances run pruned
-	// scans, so the total differs across distance backends.
+	// count. Every scan is pruned: the near lists come from d_t-balls on
+	// every distance backend, so the total is the same on all of them.
 	CandidatesPruned atomic.Int64
 
 	// FailureScenariosEvaled counts single-failure scenario σ evaluations
@@ -171,23 +171,18 @@ func (c *Counters) Reset() {
 
 // BackendInvariant returns a copy of the snapshot with every counter that
 // depends on the distance backend zeroed: Dijkstra runs and edge
-// relaxations (eager for a dense table, on-demand balls for a bounded one),
-// the row-cache activity (dense tables never touch it), the merge row
-// classification (RowsMerged/RowsUnchanged look at stored distances beyond
-// d_t, which a bounded backend deliberately reports as +Inf where a dense
-// table holds finite values), and CandidatesPruned (only pruned scans bump it, and
-// only sparse backends run them). What remains is exactly the solver work
-// that must be identical across backends — the invariant the
-// backend-differential suite asserts.
+// relaxations (eager for a dense table, on-demand balls for a bounded one)
+// and the row-cache activity (dense tables never touch it). The merge row
+// classification and CandidatesPruned stay: every backend merges and scans
+// the same d_t-balls. What remains is exactly the solver work that must
+// be identical across backends — the invariant the backend-differential
+// suite asserts.
 func (s CounterSnapshot) BackendInvariant() CounterSnapshot {
 	s.DijkstraRuns = 0
 	s.EdgeRelaxations = 0
 	s.RowCacheHits = 0
 	s.RowCacheMisses = 0
 	s.RowCacheComputes = 0
-	s.RowsMerged = 0
-	s.RowsUnchanged = 0
-	s.CandidatesPruned = 0
 	return s
 }
 

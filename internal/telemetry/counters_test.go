@@ -75,9 +75,6 @@ func TestBackendInvariantZeroesExactlyTheBackendFields(t *testing.T) {
 		"RowCacheHits":     true,
 		"RowCacheMisses":   true,
 		"RowCacheComputes": true,
-		"RowsMerged":       true,
-		"RowsUnchanged":    true,
-		"CandidatesPruned": true,
 	}
 	sv, iv := reflect.ValueOf(s), reflect.ValueOf(inv)
 	for i := 0; i < sv.NumField(); i++ {
