@@ -275,6 +275,30 @@ func TestLazyBackendFlagRejected(t *testing.T) {
 	}
 }
 
+// TestThresholdFlagRejected: a -pt outside (0, 1) fails at flag parse
+// with a one-line error, before any input is read — not with a panic in
+// the length conversion, and not by falling back to the instance's p_t.
+func TestThresholdFlagRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	for _, tc := range []struct {
+		tool string
+		args []string
+	}{
+		{"mscplace", []string{"-pt", "1", "-in", "does-not-exist.json"}},
+		{"mscplace", []string{"-pt", "-0.2", "-in", "does-not-exist.json"}},
+		{"mscplace", []string{"-pt", "NaN", "-in", "does-not-exist.json"}},
+		{"mscgen", []string{"-pt", "1", "-n", "20", "-m", "3"}},
+	} {
+		out := runToolErr(t, tc.tool, tc.args...)
+		if !strings.Contains(out, "want a failure probability in (0, 1)") ||
+			strings.Contains(out, "does-not-exist") || strings.Contains(out, "goroutine") {
+			t.Fatalf("%s %v: want a one-line flag-parse failure, got:\n%s", tc.tool, tc.args, out)
+		}
+	}
+}
+
 func TestMscbenchJSONLRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")

@@ -110,6 +110,9 @@ func run(ctx context.Context) (retErr error) {
 	if err != nil {
 		return err
 	}
+	if err := refuseDynamic(ids, opts); err != nil {
+		return err
+	}
 	stopProf, err := prof.Start()
 	if err != nil {
 		return err
@@ -215,6 +218,25 @@ func suiteOptions(par int, budget float64, distB, survM, costM string) (core.Opt
 		return opts, fmt.Errorf("-cost-model %s prices a knapsack budget; pass -budget too", opts.CostModel)
 	}
 	return opts, nil
+}
+
+// dynamicIDs are the experiments that place on dynamic problems, whose
+// objective sums the fault-free σ of cardinality time instances.
+var dynamicIDs = map[string]bool{"fig5a": true, "fig5b": true, "ext2": true, "ext3": true}
+
+// refuseDynamic refuses -survive and -budget for the dynamic experiments
+// among ids (dynamic.NewProblem refuses such instances), before any
+// experiment runs.
+func refuseDynamic(ids []string, opts core.Options) error {
+	if (opts.Survive == core.SurviveAuto || opts.Survive == core.SurviveNone) && opts.Budget == 0 {
+		return nil
+	}
+	for _, id := range ids {
+		if dynamicIDs[id] {
+			return fmt.Errorf("-exp %s places on a dynamic problem, which supports neither -survive nor -budget", id)
+		}
+	}
+	return nil
 }
 
 // benchCostModel names the cost model of a budgeted suite run ("" for

@@ -90,3 +90,25 @@ func TestSuiteOptions(t *testing.T) {
 		t.Errorf("unit pricing on the bounded backend refused: %v", err)
 	}
 }
+
+// TestRefuseDynamic: the dynamic experiments sum fault-free cardinality
+// time instances, so -survive and -budget are refused for them up front
+// and left to the other experiments.
+func TestRefuseDynamic(t *testing.T) {
+	for _, tc := range []struct {
+		ids     []string
+		opts    core.Options
+		wantErr bool
+	}{
+		{[]string{"table1", "fig5a"}, core.Options{}, false},
+		{[]string{"table1", "fig5a"}, core.Options{Survive: core.SurviveNone}, false},
+		{[]string{"table1", "fig4"}, core.Options{Survive: core.SurviveShortcut, Budget: 2}, false},
+		{[]string{"table1", "ext2"}, core.Options{Survive: core.SurviveShortcut}, true},
+		{[]string{"fig5b"}, core.Options{Budget: 2}, true},
+		{[]string{"ext3"}, core.Options{Survive: core.SurviveNode}, true},
+	} {
+		if err := refuseDynamic(tc.ids, tc.opts); (err != nil) != tc.wantErr {
+			t.Errorf("refuseDynamic(%v, %+v) = %v, want error %v", tc.ids, tc.opts, err, tc.wantErr)
+		}
+	}
+}

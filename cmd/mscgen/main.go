@@ -43,6 +43,9 @@ func run(ctx context.Context) error {
 		fmt.Println(cli.Version("mscgen"))
 		return nil
 	}
+	if !(*pt > 0 && *pt < 1) {
+		return fmt.Errorf("-pt %v: want a failure probability in (0, 1)", *pt)
+	}
 	plane, err := opsF.Start("mscgen")
 	if err != nil {
 		return err

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"msc"
@@ -97,6 +98,9 @@ func run(ctx context.Context) (retErr error) {
 	costModel, err := msc.ParseCostModel(*costM)
 	if err != nil {
 		return err
+	}
+	if *pt != 0 && !(*pt > 0 && *pt < 1) {
+		return fmt.Errorf("-pt %v: want a failure probability in (0, 1), or 0 for the instance's", *pt)
 	}
 	budgeted := *budgetF != 0 || costModel != msc.CostModelAuto || *costTab != ""
 	if budgeted && *alg == "cn" {
@@ -181,7 +185,7 @@ func run(ctx context.Context) (retErr error) {
 		return fmt.Errorf("no shortcut budget: set one in the instance or pass -k")
 	}
 	threshold := doc.FailureThreshold
-	if *pt > 0 {
+	if *pt != 0 {
 		threshold = *pt
 	}
 	if threshold <= 0 {
@@ -223,7 +227,6 @@ func run(ctx context.Context) (retErr error) {
 	// Under a survivability mode placements carry a second figure of merit:
 	// the worst-case σ⁻ over the instance's single-failure scenarios.
 	survivable := inst.Survive() != msc.SurviveNone
-	sigmaWorst := func(sel []int) int { return inst.SigmaWorst(sel) }
 	rng := msc.NewRand(*seed)
 
 	// A typed-nil sink must never reach an interface-typed option (it
@@ -318,15 +321,11 @@ func run(ctx context.Context) (retErr error) {
 	}
 
 	if *refine {
+		// LocalSearch commits only swaps that strictly improve the
+		// instance's objective — (σ⁻, σ) under a survivability mode — so a
+		// changed selection is the improvement.
 		refined := msc.LocalSearch(inst, pl.Selection, lsOpts)
-		// Survivable placements compare lexicographically by (σ⁻, σ): a swap
-		// that hardens the worst failure scenario wins even at equal σ.
-		improved := refined.Sigma > pl.Sigma
-		if survivable {
-			w := inst.MaxSigma() + 1
-			improved = sigmaWorst(refined.Selection)*w+refined.Sigma > sigmaWorst(pl.Selection)*w+pl.Sigma
-		}
-		if improved {
+		if !slices.Equal(refined.Selection, pl.Selection) {
 			fmt.Printf("refinement: σ %d -> %d\n", pl.Sigma, refined.Sigma)
 			pl = refined
 		}
@@ -334,7 +333,7 @@ func run(ctx context.Context) (retErr error) {
 
 	declaredWorst := -1
 	if survivable {
-		declaredWorst = sigmaWorst(pl.Selection)
+		declaredWorst = inst.SigmaWorst(pl.Selection)
 	}
 	costSpent := 0.0
 	if budgeted {

@@ -547,17 +547,17 @@ func TestBudgetedSurvivableDifferential(t *testing.T) {
 			Options{Budget: budget, CostModel: CostLength, Survive: SurviveShortcut})
 
 		// Reference: the same cost-benefit recursion, evaluated from
-		// scratch with survivableValue (duplicates legal, each re-charged).
+		// scratch with objective (duplicates legal, each re-charged).
 		var want []int
 		rem := budget
 		singleC, singleGain := -1, 0
 		for round := 0; ; round++ {
-			cur := inst.survivableValue(want)
+			cur := objective(inst, want, 1)
 			scratch := append([]int(nil), want...)
 			bestC, bestGain := -1, 0
 			bestCost := 0.0
 			for c := 0; c < inst.NumCandidates(); c++ {
-				gain := inst.survivableValue(append(scratch, c)) - cur
+				gain := objective(inst, append(scratch, c), 1) - cur
 				if gain <= 0 {
 					continue
 				}
@@ -579,7 +579,7 @@ func TestBudgetedSurvivableDifferential(t *testing.T) {
 			want = append(want, bestC)
 			rem -= bestCost
 		}
-		if singleC >= 0 && inst.survivableValue([]int{singleC}) > inst.survivableValue(want) {
+		if singleC >= 0 && objective(inst, []int{singleC}, 1) > objective(inst, want, 1) {
 			want = []int{singleC}
 		}
 

@@ -199,16 +199,6 @@ func (inst *Instance) CostOf(sel []int) float64 {
 	return total
 }
 
-// problemValue returns the scalar objective solvers compare placements by:
-// plain σ, or the lexicographic (σ⁻, σ) scalarization when the problem
-// carries a survivable failure model (survive.go).
-func problemValue(p Problem, sel []int) int {
-	if wp, ok := p.(WorstCaseProblem); ok && wp.Survive() != SurviveNone {
-		return wp.SigmaWorst(sel)*(p.MaxSigma()+1) + p.Sigma(sel)
-	}
-	return p.Sigma(sel)
-}
-
 // affordableFill draws a random budget-feasible selection: while some
 // absent candidate is still affordable, it rejects uniform draws until one
 // fits. Under unit costs with B = k the draw sequence is identical to

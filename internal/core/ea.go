@@ -13,10 +13,10 @@ import (
 // EAResult reports an EA run.
 type EAResult struct {
 	Best Placement
-	// Trace[t] is the best feasible σ found within the first t+1
-	// iterations; it is recorded only when EAOptions.RecordTrace is set
-	// (used to regenerate Fig. 4). A resumed run's trace covers only the
-	// continuation.
+	// Trace[t] is the best feasible objective value (σ on fault-free
+	// problems) found within the first t+1 iterations; it is recorded
+	// only when EAOptions.RecordTrace is set (used to regenerate Fig. 4).
+	// A resumed run's trace covers only the continuation.
 	Trace []int
 	// Evaluations counts σ evaluations performed (carried across resume).
 	Evaluations int
@@ -69,7 +69,7 @@ type EAOptions struct {
 // integer counts are exact in float64).
 type eaSol struct {
 	sel   []int // sorted candidate indices
-	sigma int
+	sigma int   // the objective of sel: σ, or lexValue(σ⁻, σ) when survivable
 	cost  float64
 }
 
@@ -89,6 +89,9 @@ type eaSol struct {
 // instead of its size, and the answer is the best archive member with
 // CostOf(F) ≤ B. Mutation, selection, and every RNG draw are unchanged, so
 // unit-cost runs with B = k are bit-for-bit identical to cardinality runs.
+//
+// The first axis is the problem's objective: on a survivable problem EA
+// maximizes (σ⁻, σ) lexicographically.
 func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 	numCand := p.NumCandidates()
 	workers := ResolveParallelism(opts.Parallelism)
@@ -122,7 +125,7 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 		res.Evaluations = cp.Evaluations
 		startIter = cp.Round
 	} else {
-		pop = []eaSol{{sel: nil, sigma: p.SigmaPar(nil, workers)}}
+		pop = []eaSol{{sel: nil, sigma: objective(p, nil, workers)}}
 		res.Evaluations++
 		bestFeasible = eaSol{sel: nil, sigma: pop[0].sigma}
 	}
@@ -166,7 +169,7 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 		}
 		parent := pop[rng.Intn(len(pop))]
 		child := mutate(parent.sel, numCand, flipProb, rng)
-		childSigma := p.SigmaPar(child, workers)
+		childSigma := objective(p, child, workers)
 		childCost := solCost(child)
 		res.Evaluations++
 		insertPareto(&pop, eaSol{sel: child, sigma: childSigma, cost: childCost})
@@ -181,12 +184,14 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 			obs.ObserveRound(time.Since(start))
 		}
 		if opts.Sink != nil {
+			sigma, sigmaWorst := splitObjective(p, bestFeasible.sigma)
 			mu, nu := p.Mu(child), p.Nu(child)
 			opts.Sink.Emit(telemetry.RoundEvent{
 				Algorithm:  "ea",
 				Round:      iter,
 				Gain:       childSigma - parent.sigma,
-				Sigma:      bestFeasible.sigma,
+				Sigma:      sigma,
+				SigmaWorst: sigmaWorst,
 				Selected:   len(child),
 				Candidates: numCand,
 				Mu:         mu,

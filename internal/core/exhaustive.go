@@ -10,22 +10,23 @@ import (
 // given cap.
 var ErrTooLarge = errors.New("core: exhaustive search space too large")
 
-// Exhaustive computes the exact optimal placement by enumerating every
-// selection of up to k candidates. It is exponential and exists to verify
-// approximation ratios on test-sized instances; maxEvals caps the number of
-// σ evaluations (use ~1e6). It rejects maxEvals < 1 and budgets exceeding
+// Exhaustive computes the exact optimal placement — largest σ, or largest
+// (σ⁻, σ) on a survivable problem — by enumerating every selection of up
+// to k candidates. It is exponential and exists to verify
+// approximation ratios on test-sized instances; maxEvals caps the number
+// of evaluations (use ~1e6). It rejects maxEvals < 1 and budgets exceeding
 // the candidate universe with a typed *InputError.
 //
 // Because σ is monotone in F, it suffices to enumerate selections of size
-// exactly k.
+// exactly k. Under a survivability mode the result is the best k-subset
+// of distinct candidates: node-mode σ⁻ is not monotone, and duplicated
+// shortcuts, which survivable placements may use, are not enumerated.
 //
-// With Parallelism > 1 the enumeration is residue-strided: every worker
-// walks the (cheap) lexicographic combination sequence but evaluates only
-// combinations whose enumeration index falls in its residue class,
-// tracking its local best with the lowest enumeration index on ties. The
-// per-worker bests reduce serially — highest σ, ties toward the lowest
-// enumeration index — which is exactly the combination the serial
-// first-strictly-better loop keeps.
+// The enumeration is residue-strided (bestOfWalk): every worker walks the
+// cheap lexicographic combination sequence but evaluates only the
+// combinations whose enumeration index falls in its residue class, and the
+// per-worker bests reduce to the first combination of largest objective —
+// the same one at every worker count.
 //
 // With WithContext/WithDeadline attached, cancellation returns the best
 // placement among the combinations evaluated so far with Stop.Reason
@@ -50,100 +51,24 @@ func Exhaustive(p Problem, maxEvals int, opts ...Option) (Placement, error) {
 	if total < 0 || total > float64(maxEvals) {
 		return Placement{}, ErrTooLarge
 	}
-	stop := StopInfo{Reason: StopConverged}
-	finish := func(sel []int) (Placement, error) {
-		return stoppedPlacement(p, sel, stop), nil
-	}
-	if cfg.workers <= 1 || k == 0 {
-		sel := make([]int, k)
-		for i := range sel {
-			sel[i] = i
-		}
-		var bestSel []int
-		bestSigma := -1
-		for {
-			if err := cfg.err(); err != nil {
-				stop.Reason = stopReasonFor(err)
-				break
-			}
-			if sigma := p.Sigma(sel); sigma > bestSigma {
-				bestSigma = sigma
-				bestSel = append([]int(nil), sel...)
-			}
-			stop.Rounds++
-			if !nextCombination(sel, numCand) {
-				break
-			}
-		}
-		if bestSel == nil { // k == 0 or canceled before the first evaluation
-			bestSel = []int{}
-		}
-		return finish(bestSel)
-	}
-	type exhBest struct {
-		sel   []int
-		sigma int
-		index int
-		evals int
-	}
-	bests := make([]exhBest, cfg.workers)
-	ParallelFor(cfg.workers, cfg.workers, func(shard, _, _ int) {
-		sel := make([]int, k)
-		for i := range sel {
-			sel[i] = i
-		}
-		best := exhBest{sigma: -1, index: -1}
-		for index := 0; ; index++ {
-			if index%cfg.workers == shard {
-				if cfg.err() != nil {
-					break
-				}
-				if sigma := p.Sigma(sel); sigma > best.sigma {
-					best = exhBest{sel: append([]int(nil), sel...), sigma: sigma, index: index, evals: best.evals}
-				}
-				best.evals++
-			}
-			if !nextCombination(sel, numCand) {
-				break
-			}
-		}
-		bests[shard] = best
-	})
-	if err := cfg.err(); err != nil {
-		stop.Reason = stopReasonFor(err)
-	}
-	winner := bests[0]
-	stop.Rounds = bests[0].evals
-	for _, b := range bests[1:] {
-		stop.Rounds += b.evals
-		if b.sigma > winner.sigma || (b.sigma == winner.sigma && b.index < winner.index) {
-			winner = b
-		}
-	}
-	if winner.sel == nil { // canceled before any shard evaluated
-		winner.sel = []int{}
-	}
-	return finish(winner.sel)
+	return bestOfWalk(p, cfg, func(visit func(sel []int, index int) bool) {
+		walkCombinations(k, numCand, visit)
+	}), nil
 }
 
 // ExhaustiveBudget computes the exact optimal budget-feasible placement by
 // enumerating every selection whose total cost fits the budget — the
 // brute-force reference the budgeted solvers are verified against. It
 // rejects non-budgeted problems and maxEvals < 1 with a typed *InputError;
-// maxEvals caps the number of σ evaluations, counted in a cheap pre-pass
+// maxEvals caps the number of evaluations, counted in a cheap pre-pass
 // (ErrTooLarge beyond it).
 //
 // σ is monotone, but unlike the cardinality case no single selection size
 // dominates, so the enumeration visits every feasible subset — the empty
 // one first, then depth-first in lexicographic prefix order ({0}, {0,1},
-// {0,1,2}, …). A budget of 0 admits only the empty placement.
-//
-// With Parallelism > 1 the enumeration is residue-strided exactly like
-// Exhaustive: every worker walks the (cheap, evaluation-free) feasibility
-// tree but evaluates only subsets whose enumeration index falls in its
-// residue class, and the per-worker bests reduce serially — highest σ,
-// ties toward the lowest enumeration index — matching the serial
-// first-strictly-better loop for every worker count.
+// {0,1,2}, …). A budget of 0 admits only the empty placement. The
+// evaluation is Exhaustive's residue-strided reduce over that walk, and
+// ranks subsets by the problem's objective.
 //
 // With WithContext/WithDeadline attached, cancellation returns the best
 // placement among the subsets evaluated so far with Stop.Reason reporting
@@ -168,66 +93,56 @@ func ExhaustiveBudget(p Problem, maxEvals int, opts ...Option) (Placement, error
 	if total > maxEvals {
 		return Placement{}, ErrTooLarge
 	}
-	stop := StopInfo{Reason: StopConverged}
-	finish := func(sel []int) (Placement, error) {
-		return stoppedPlacement(p, sel, stop), nil
+	return bestOfWalk(p, cfg, func(visit func(sel []int, index int) bool) {
+		walkBudget(bp, numCand, visit)
+	}), nil
+}
+
+// bestOfWalk evaluates every selection walk visits and returns the first
+// one (in enumeration order) of largest objective. The evaluation is
+// residue-strided over the run's workers (inline at one): every worker
+// walks the whole enumeration but evaluates only the selections whose
+// enumeration index falls in its residue class, keeping its first best;
+// the per-worker bests then reduce serially — largest objective, ties
+// toward the lowest enumeration index. A run canceled before any
+// evaluation returns the empty placement (winner.sel is nil).
+func bestOfWalk(p Problem, cfg solveConfig, walk func(visit func(sel []int, index int) bool)) Placement {
+	type walkBest struct {
+		sel          []int
+		value, index int
+		evals        int
 	}
-	if cfg.workers <= 1 {
-		bestSel := []int{}
-		bestSigma := -1
-		walkBudget(bp, numCand, func(sel []int, index int) bool {
-			if err := cfg.err(); err != nil {
-				stop.Reason = stopReasonFor(err)
-				return false
-			}
-			if sigma := p.Sigma(sel); sigma > bestSigma {
-				bestSigma = sigma
-				bestSel = append([]int(nil), sel...)
-			}
-			stop.Rounds++
-			return true
-		})
-		return finish(bestSel)
-	}
-	type exhBest struct {
-		sel   []int
-		sigma int
-		index int
-		evals int
-	}
-	bests := make([]exhBest, cfg.workers)
-	ParallelFor(cfg.workers, cfg.workers, func(shard, _, _ int) {
-		best := exhBest{sigma: -1, index: -1}
-		walkBudget(bp, numCand, func(sel []int, index int) bool {
-			if index%cfg.workers != shard {
+	workers := cfg.workers
+	bests := make([]walkBest, workers)
+	ParallelFor(workers, workers, func(shard, _, _ int) {
+		best := walkBest{value: -1, index: -1}
+		walk(func(sel []int, index int) bool {
+			if index%workers != shard {
 				return true
 			}
 			if cfg.err() != nil {
 				return false
 			}
-			if sigma := p.Sigma(sel); sigma > best.sigma {
-				best = exhBest{sel: append([]int(nil), sel...), sigma: sigma, index: index, evals: best.evals}
+			if v := objective(p, sel, 1); v > best.value {
+				best = walkBest{sel: append([]int(nil), sel...), value: v, index: index, evals: best.evals}
 			}
 			best.evals++
 			return true
 		})
 		bests[shard] = best
 	})
+	stop := StopInfo{Reason: StopConverged}
 	if err := cfg.err(); err != nil {
 		stop.Reason = stopReasonFor(err)
 	}
 	winner := bests[0]
-	stop.Rounds = bests[0].evals
-	for _, b := range bests[1:] {
+	for i, b := range bests {
 		stop.Rounds += b.evals
-		if b.sigma > winner.sigma || (b.sigma == winner.sigma && b.index < winner.index) {
+		if i > 0 && (b.value > winner.value || (b.value == winner.value && b.index < winner.index)) {
 			winner = b
 		}
 	}
-	if winner.sel == nil { // canceled before any shard evaluated
-		winner.sel = []int{}
-	}
-	return finish(winner.sel)
+	return stoppedPlacement(p, winner.sel, stop)
 }
 
 // walkBudget visits every budget-feasible selection of distinct candidates
@@ -263,25 +178,28 @@ func walkBudget(bp BudgetProblem, numCand int, visit func(sel []int, index int) 
 	rec(0, bp.Budget())
 }
 
-// nextCombination advances sel to the next k-combination of [0, n) in
-// lexicographic order, returning false after the last one.
-func nextCombination(sel []int, n int) bool {
-	k := len(sel)
-	if k == 0 {
-		return false
+// walkCombinations visits every k-combination of [0, n) in lexicographic
+// order, calling visit with the combination (scratch: valid only during
+// the call) and its enumeration index; k = 0 visits the empty selection
+// once. visit returns false to stop the walk.
+func walkCombinations(k, n int, visit func(sel []int, index int) bool) {
+	sel := make([]int, k)
+	for i := range sel {
+		sel[i] = i
 	}
-	i := k - 1
-	for i >= 0 && sel[i] == n-k+i {
-		i--
+	for index := 0; visit(sel, index); index++ {
+		i := k - 1
+		for i >= 0 && sel[i] == n-k+i {
+			i--
+		}
+		if i < 0 {
+			return
+		}
+		sel[i]++
+		for j := i + 1; j < k; j++ {
+			sel[j] = sel[j-1] + 1
+		}
 	}
-	if i < 0 {
-		return false
-	}
-	sel[i]++
-	for j := i + 1; j < k; j++ {
-		sel[j] = sel[j-1] + 1
-	}
-	return true
 }
 
 func binomial(n, k int) float64 {

@@ -321,7 +321,7 @@ func TestLazyRowsUnreadSearchComputesNothing(t *testing.T) {
 		reference := func() []int {
 			want := make([]int, len(rest))
 			for pos := range rest {
-				want[pos] = inst.survivableValue(slices.Delete(slices.Clone(rest), pos, pos+1))
+				want[pos] = objective(inst, slices.Delete(slices.Clone(rest), pos, pos+1), 1)
 			}
 			return want
 		}

@@ -102,7 +102,7 @@ func (c *solveConfig) greedyRound(p Problem, s Search, round, cand, gain int, st
 	minNS, maxNS, shards := s.LastScanShards()
 	// pairsSkipped reads 0: every gains refresh is a cold scan.
 	rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := s.LastEvalStats()
-	sigma, sigmaWorst := sigmaParts(s)
+	sigma, sigmaWorst := splitObjective(p, s.Sigma())
 	c.sink.Emit(telemetry.RoundEvent{
 		Algorithm:      "greedy_sigma",
 		Round:          round,
@@ -190,7 +190,7 @@ func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
 	// Best-single-item fallback: σ is monotone, so under unit costs the
 	// prefix contains the fallback singleton and always wins the tie.
 	if singleCand >= 0 && stop.Reason == StopConverged {
-		if single := []int{singleCand}; problemValue(bp, single) > problemValue(bp, sel) {
+		if single := []int{singleCand}; objective(bp, single, 1) > objective(bp, sel, 1) {
 			sel = single
 		}
 	}

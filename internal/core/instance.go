@@ -83,14 +83,18 @@ type Problem interface {
 	NewSearch(sel []int) Search
 }
 
-// Search incrementally evaluates σ around a current selection; it is the
-// workhorse of GreedySigma and AEA. A Search belongs to one goroutine:
+// Search incrementally evaluates the problem's objective around a current
+// selection; it is the workhorse of GreedySigma and AEA. The objective is
+// σ, or on a survivable Instance the lexicographic (σ⁻, σ) scalarized as
+// one integer (survive.go); every value and gain below is in its units. A Search belongs to one goroutine:
 // callers must never invoke its methods concurrently. SetWorkers only lets
 // a Search fan each scan out internally, over goroutine-private scratch,
 // with results identical to the serial scan (see parallel.go for the
 // determinism contract).
 type Search interface {
-	// Sigma returns σ of the current selection.
+	// Sigma returns the problem's objective of the current selection: σ,
+	// or the (σ⁻, σ) scalarization on a survivable Instance. It equals
+	// the value the solvers rank whole selections by.
 	Sigma() int
 	// Selection returns a copy of the current candidate indices.
 	Selection() []int

@@ -85,13 +85,14 @@ func LocalSearch(p Problem, start []int, opts LocalSearchOptions) Placement {
 		}
 		if opts.Sink != nil {
 			e := p.CandidateEdge(bestAdd)
-			sigma, sigmaWorst := sigmaParts(s)
+			value := s.Sigma()
+			sigma, sigmaWorst := splitObjective(p, value)
 			mu, nu := p.Mu(cur), p.Nu(cur)
 			opts.Sink.Emit(telemetry.RoundEvent{
 				Algorithm:  "local_search",
 				Round:      iter,
 				Shortcut:   &[2]int32{int32(e.U), int32(e.V)},
-				Gain:       s.Sigma() - prevSigma,
+				Gain:       value - prevSigma,
 				Sigma:      sigma,
 				SigmaWorst: sigmaWorst,
 				Selected:   len(cur),

@@ -8,20 +8,21 @@ import (
 
 // RandomPlacement is the baseline of §VII-C: draw trials independent
 // uniform placements of k distinct shortcut edges and keep the one
-// maintaining the most social pairs (the paper uses trials = 500). It
-// rejects trials < 1 and budgets exceeding the candidate universe with a
-// typed *InputError.
+// maintaining the most social pairs (the paper uses trials = 500) — on a
+// survivable problem, the one of largest objective (σ⁻, σ). It rejects
+// trials < 1 and budgets exceeding the candidate universe with a typed
+// *InputError.
 //
-// With Parallelism > 1 every selection is drawn serially first (the rng is
-// single-goroutine), the σ evaluations shard across workers, and the best
-// trial reduces serially with ties toward the lowest trial index — the
-// same winner the serial first-strictly-better loop keeps. The returned
-// placement is identical for every worker count.
+// Every selection is drawn first (the rng is single-goroutine), the
+// evaluations shard across the Parallelism workers (inline at one), and
+// the best trial reduces serially with ties toward the lowest trial index,
+// so the returned placement is identical for every worker count.
 //
 // With WithContext/WithDeadline attached, cancellation returns the best
-// placement among the trials evaluated so far, with Stop.Reason reporting
-// why; an uncancelled run completes all trials (Stop.Reason ==
-// StopEvalBudget) and is identical to an unsupervised run.
+// placement among the trials evaluated so far (the empty placement when
+// none was), with Stop.Reason reporting why; an uncancelled run completes
+// all trials (Stop.Reason == StopEvalBudget) and is identical to an
+// unsupervised run.
 //
 // On a budgeted problem each trial draws a random budget-feasible selection
 // (affordableFill) instead of k distinct candidates; under unit costs with
@@ -35,59 +36,34 @@ func RandomPlacement(p Problem, trials int, rng *xrand.Rand, opts ...Option) (Pl
 		return Placement{}, &InputError{Param: "trials", Value: trials, Reason: "must be at least 1"}
 	}
 	bp, budgeted := asBudgeted(p)
-	draw := func() []int {
-		if budgeted {
-			return affordableFill(bp, rng)
-		}
-		return rng.SampleDistinct(numCand, p.K())
-	}
 	if k := p.K(); !budgeted && k > numCand {
 		return Placement{}, &InputError{Param: "k", Value: k,
 			Reason: fmt.Sprintf("budget exceeds the %d candidate edges", numCand)}
 	}
-	stop := StopInfo{Reason: StopEvalBudget}
-	finish := func(sel []int) (Placement, error) {
-		return stoppedPlacement(p, sel, stop), nil
-	}
-	if cfg.workers <= 1 || trials <= 1 {
-		var bestSel []int
-		bestSigma := -1
-		for t := 0; t < trials; t++ {
-			if err := cfg.err(); err != nil {
-				stop.Reason = stopReasonFor(err)
-				break
-			}
-			sel := draw()
-			if sigma := p.Sigma(sel); sigma > bestSigma {
-				bestSigma = sigma
-				bestSel = sel
-			}
-			stop.Rounds++
-		}
-		return finish(bestSel)
-	}
 	sels := make([][]int, trials)
 	for t := range sels {
-		sels[t] = draw()
-	}
-	sigmas := make([]int, trials)
-	shards := cfg.workers
-	if shards > trials {
-		shards = trials
+		if budgeted {
+			sels[t] = affordableFill(bp, rng)
+		} else {
+			sels[t] = rng.SampleDistinct(numCand, p.K())
+		}
 	}
 	// Per-shard completion counts report Rounds when a cancellation cuts
-	// the evaluation short; unevaluated trials keep σ = 0 and so never
-	// outrank an evaluated one in the reduce.
-	done := make([]int, shards)
+	// the evaluation short; unevaluated trials keep the value -1 and so
+	// never outrank an evaluated one in the reduce.
+	values := make([]int, trials)
+	done := make([]int, min(cfg.workers, trials))
 	ParallelFor(cfg.workers, trials, func(shard, lo, hi int) {
 		for t := lo; t < hi; t++ {
+			values[t] = -1
 			if cfg.err() != nil {
-				return
+				continue
 			}
-			sigmas[t] = p.Sigma(sels[t])
+			values[t] = objective(p, sels[t], 1)
 			done[shard]++
 		}
 	})
+	stop := StopInfo{Reason: StopEvalBudget}
 	if err := cfg.err(); err != nil {
 		stop.Reason = stopReasonFor(err)
 	}
@@ -96,9 +72,12 @@ func RandomPlacement(p Problem, trials int, rng *xrand.Rand, opts ...Option) (Pl
 	}
 	best := 0
 	for t := 1; t < trials; t++ {
-		if sigmas[t] > sigmas[best] {
+		if values[t] > values[best] {
 			best = t
 		}
 	}
-	return finish(sels[best])
+	if values[best] < 0 { // canceled before any evaluation
+		return stoppedPlacement(p, nil, stop), nil
+	}
+	return stoppedPlacement(p, sels[best], stop), nil
 }

@@ -54,20 +54,11 @@ func Sandwich(p Problem, opts ...Option) SandwichResult {
 		FSigma: GreedySigma(p, armOpts...),
 		FNu:    GreedyNu(p),
 	}
-	// Under a survivability mode the winner is picked lexicographically by
-	// (σ⁻, σ): an arm that keeps more pairs through the worst single
-	// failure beats one that only looks better fault-free. armValue is
-	// plain σ on fault-free problems, so the pick is unchanged there.
-	wp, survivable := p.(WorstCaseProblem)
-	if survivable && wp.Survive() == SurviveNone {
-		survivable = false
-	}
-	armValue := func(pl Placement) int {
-		if survivable {
-			return wp.SigmaWorst(pl.Selection)*(p.MaxSigma()+1) + pl.Sigma
-		}
-		return pl.Sigma
-	}
+	// The winner is the arm of largest objective: under a survivability
+	// mode that is (σ⁻, σ) lexicographically, so an arm that keeps more
+	// pairs through the worst single failure beats one that only looks
+	// better fault-free. Each arm's σ is reused; only σ⁻ is evaluated.
+	armValue := func(pl Placement) int { return objectiveAt(p, pl.Selection, pl.Sigma) }
 	res.Best = res.FMu
 	best, bestVal := "mu", armValue(res.FMu)
 	if v := armValue(res.FSigma); v > bestVal {
@@ -95,11 +86,10 @@ func Sandwich(p Problem, opts ...Option) SandwichResult {
 		Sigma:  res.Best.Sigma,
 	}
 	if cfg.sink != nil {
-		var bestWorst *int
-		if survivable {
-			w := wp.SigmaWorst(res.Best.Selection)
-			bestWorst = &w
-		}
+		// σ⁻ of the winner is evaluated again rather than split from
+		// bestVal, which keeps failure_scenarios_evaled equal to the
+		// traced runs recorded in BENCH_ci.json.
+		_, bestWorst := splitObjective(p, objectiveAt(p, res.Best.Selection, res.Best.Sigma))
 		cfg.sink.Emit(telemetry.SandwichEvent{
 			SigmaMu:      res.FMu.Sigma,
 			SigmaSigma:   res.FSigma.Sigma,

@@ -11,11 +11,12 @@ import (
 // objective becomes the worst-case σ⁻(S) = min_{f ∈ scenarios(S)} σ(S \ f)
 // over all single-failure scenarios, instead of the fault-free σ(S).
 //
-// The survivable solvers (GreedySigma, LocalSearch, Sandwich on a
-// survivable Instance) optimize the pair (σ⁻, σ) lexicographically: among
-// placements with equal worst-case coverage the fault-free coverage breaks
-// the tie. See DESIGN.md §11 for the objective, the scenario-memoization
-// invariants, and the monotonicity caveats of σ⁻.
+// On a survivable Instance every solver — GreedySigma, LocalSearch,
+// Sandwich, EA, AEA, RandomPlacement, Exhaustive and ExhaustiveBudget —
+// optimizes the pair (σ⁻, σ) lexicographically: among placements with
+// equal worst-case coverage the fault-free coverage breaks the tie. See
+// DESIGN.md §11 for the objective, the scenario-memoization invariants,
+// and the monotonicity caveats of σ⁻.
 type Survivability string
 
 const (
@@ -67,8 +68,8 @@ func resolveSurvivability(m Survivability) Survivability {
 
 // WorstCaseProblem is implemented by problems that carry a survivability
 // mode and can evaluate the worst-case objective σ⁻ for a selection.
-// Sandwich uses it to pick its best arm lexicographically by (σ⁻, σ), and
-// the cmds use it to report sigma_worst in run records.
+// objective ranks selections by (σ⁻, σ) through it, and the cmds use it
+// to report sigma_worst in run records.
 type WorstCaseProblem interface {
 	Problem
 	// Survive returns the resolved failure model.
@@ -79,25 +80,43 @@ type WorstCaseProblem interface {
 	SigmaWorst(sel []int) int
 }
 
-// worstCaseSearch is implemented by searches whose Sigma() speaks the
-// scalarized lexicographic value L = σ⁻·(MaxSigma+1) + σ rather than plain
-// σ. SigmaParts decomposes it so trace emission can report the two
-// components separately.
-type worstCaseSearch interface {
-	// SigmaParts returns the fault-free σ and the worst-case σ⁻ of the
-	// current selection.
-	SigmaParts() (sigma, sigmaWorst int)
+// lexValue scalarizes (σ⁻, σ) into L = σ⁻·(maxSigma+1) + σ: with
+// 0 ≤ σ, σ⁻ ≤ maxSigma, integer order of L is the lexicographic order of
+// (σ⁻, σ), and splitObjective inverts it exactly.
+func lexValue(worst, sigma, maxSigma int) int { return worst*(maxSigma+1) + sigma }
+
+// survivable returns p's worst-case view when p carries a failure model
+// other than SurviveNone.
+func survivable(p Problem) (WorstCaseProblem, bool) {
+	wp, ok := p.(WorstCaseProblem)
+	return wp, ok && wp.Survive() != SurviveNone
 }
 
-// sigmaParts decomposes a search's reported value for trace emission: the
-// fault-free σ, and — when the search speaks the survivable lexicographic
-// objective — a non-nil σ⁻.
-func sigmaParts(s Search) (sigma int, sigmaWorst *int) {
-	if ws, ok := s.(worstCaseSearch); ok {
-		sg, wc := ws.SigmaParts()
-		return sg, &wc
+// objective is the value every solver ranks a whole selection by: σ on a
+// fault-free problem, lexValue(σ⁻, σ) on a survivable one. It always
+// equals p.NewSearch(sel).Sigma(); σ is evaluated with SigmaPar over
+// workers, σ⁻ serially.
+func objective(p Problem, sel []int, workers int) int {
+	return objectiveAt(p, sel, p.SigmaPar(sel, workers))
+}
+
+// objectiveAt is objective for a selection whose σ is already known.
+func objectiveAt(p Problem, sel []int, sigma int) int {
+	if wp, ok := survivable(p); ok {
+		return lexValue(wp.SigmaWorst(sel), sigma, p.MaxSigma())
 	}
-	return s.Sigma(), nil
+	return sigma
+}
+
+// splitObjective turns an objective value back into σ and — on a
+// survivable problem — σ⁻, which is nil on a fault-free one.
+func splitObjective(p Problem, v int) (sigma int, sigmaWorst *int) {
+	if _, ok := survivable(p); !ok {
+		return v, nil
+	}
+	w := p.MaxSigma() + 1
+	worst := v / w
+	return v % w, &worst
 }
 
 // Survive returns the instance's resolved failure model.
@@ -181,14 +200,6 @@ func (inst *Instance) survives(cand, v int) bool {
 	}
 	e := inst.CandidateEdge(cand)
 	return int(e.U) != v && int(e.V) != v
-}
-
-// survivableValue is the scalarized lexicographic objective
-// L(sel) = σ⁻(sel)·(MaxSigma+1) + σ(sel): integer ordering of L equals
-// lexicographic ordering of (σ⁻, σ), which is what the survivable search
-// reports as its Sigma() so the greedy/swap machinery works unchanged.
-func (inst *Instance) survivableValue(sel []int) int {
-	return inst.SigmaWorst(sel)*(inst.totalWeight+1) + inst.Sigma(sel)
 }
 
 // nodeScenarios lazily builds (once) the per-node failure scenario

@@ -145,7 +145,7 @@ func TestSigmaWorstMatchesNaive(t *testing.T) {
 
 // TestSurviveSearchMatchesInstance checks the memoized survivable search
 // against from-scratch evaluation after every mutation: Sigma() must equal
-// the scalarized survivableValue, and GainAdd must be the exact L
+// the scalarized objective, and GainAdd must be the exact L
 // difference — including for candidates already selected.
 func TestSurviveSearchMatchesInstance(t *testing.T) {
 	for _, mode := range []Survivability{SurviveShortcut, SurviveNode} {
@@ -157,18 +157,18 @@ func TestSurviveSearchMatchesInstance(t *testing.T) {
 		}
 		check := func(stage string) {
 			sel := s.Selection()
-			if got, want := s.Sigma(), inst.survivableValue(sel); got != want {
+			if got, want := s.Sigma(), objective(inst, sel, 1); got != want {
 				t.Fatalf("mode=%s %s: search L %d != instance L %d (sel %v)", mode, stage, got, want, sel)
 			}
 			for c := 0; c < inst.NumCandidates(); c += 3 {
-				want := inst.survivableValue(append(append([]int(nil), sel...), c)) - inst.survivableValue(sel)
+				want := objective(inst, append(append([]int(nil), sel...), c), 1) - objective(inst, sel, 1)
 				if got := s.GainAdd(c); got != want {
 					t.Fatalf("mode=%s %s: GainAdd(%d) = %d, want %d (sel %v)", mode, stage, c, got, want, sel)
 				}
 			}
 			gains := s.GainsAdd()
 			for c := range gains {
-				want := inst.survivableValue(append(append([]int(nil), sel...), c)) - inst.survivableValue(sel)
+				want := objective(inst, append(append([]int(nil), sel...), c), 1) - objective(inst, sel, 1)
 				if gains[c] != want {
 					t.Fatalf("mode=%s %s: GainsAdd[%d] = %d, want %d (sel %v)", mode, stage, c, gains[c], want, sel)
 				}
@@ -184,7 +184,7 @@ func TestSurviveSearchMatchesInstance(t *testing.T) {
 		for pos := range s.Selection() {
 			rest := s.Selection()
 			rest = append(rest[:pos], rest[pos+1:]...)
-			if got, want := s.SigmaDrop(pos), inst.survivableValue(rest); got != want {
+			if got, want := s.SigmaDrop(pos), objective(inst, rest, 1); got != want {
 				t.Fatalf("mode=%s: SigmaDrop(%d) = %d, want %d", mode, pos, got, want)
 			}
 		}
@@ -255,7 +255,7 @@ func referenceSurviveGains(inst *Instance, sel []int) []int {
 // workers {1, 2, 8}, along an operation sequence with random commits, two
 // duplicate commits (which leave F = σ⁻, so every scenario drops out) and
 // a RemoveAt. At one worker every gain is also checked against the
-// brute-force survivableValue difference. The backend-invariant work of
+// brute-force objective difference. The backend-invariant work of
 // each step — the construction or mutation and its round — must not
 // depend on the worker count, and the bound must skip
 // at least one scenario scan somewhere, seen as fewer candidate
@@ -322,9 +322,9 @@ func testSurviveGainsBound(t *testing.T, inst *Instance, seed int64, skipped map
 				t.Fatalf("%s: step work depends on the worker count:\n got        %+v\n one worker %+v", where(), stepWork, work[step])
 			}
 			if workers == 1 && inst.N() <= 12 {
-				cur := inst.survivableValue(sel)
+				cur := objective(inst, sel, 1)
 				for c := range got {
-					if bf := inst.survivableValue(append(slices.Clone(sel), c)) - cur; got[c] != bf {
+					if bf := objective(inst, append(slices.Clone(sel), c), 1) - cur; got[c] != bf {
 						t.Fatalf("%s: GainsAdd[%d] = %d, brute force %d", where(), c, got[c], bf)
 					}
 				}
@@ -368,11 +368,11 @@ func TestSurvivableGreedyMatchesExhaustive(t *testing.T) {
 			// the lowest index, stopping at zero gain or budget.
 			var want []int
 			for len(want) < inst.K() {
-				cur := inst.survivableValue(want)
+				cur := objective(inst, want, 1)
 				bestC, bestGain := -1, 0
 				scratch := append([]int(nil), want...)
 				for c := 0; c < inst.NumCandidates(); c++ {
-					if g := inst.survivableValue(append(scratch, c)) - cur; g > bestGain {
+					if g := objective(inst, append(scratch, c), 1) - cur; g > bestGain {
 						bestC, bestGain = c, g
 					}
 				}
@@ -432,9 +432,9 @@ func TestSurvivableLocalSearchNeverWorse(t *testing.T) {
 		rng := xrand.New(4242)
 		inst := surviveInstance(t, 12, 5, 3, 0.8, mode, rng)
 		seed := GreedySigma(inst)
-		before := inst.survivableValue(seed.Selection)
+		before := objective(inst, seed.Selection, 1)
 		refined := LocalSearch(inst, seed.Selection, LocalSearchOptions{MaxIters: 5})
-		after := inst.survivableValue(refined.Selection)
+		after := objective(inst, refined.Selection, 1)
 		if after < before {
 			t.Fatalf("mode=%s: local search worsened L: %d -> %d", mode, before, after)
 		}
@@ -448,9 +448,9 @@ func TestSurvivableSandwichPicksLexBest(t *testing.T) {
 	rng := xrand.New(808)
 	inst := surviveInstance(t, 12, 5, 3, 0.8, SurviveShortcut, rng)
 	res := Sandwich(inst)
-	bestL := inst.survivableValue(res.Best.Selection)
+	bestL := objective(inst, res.Best.Selection, 1)
 	for _, arm := range []Placement{res.FMu, res.FSigma, res.FNu} {
-		if l := inst.survivableValue(arm.Selection); l > bestL {
+		if l := objective(inst, arm.Selection, 1); l > bestL {
 			t.Fatalf("sandwich winner L=%d beaten by arm L=%d", bestL, l)
 		}
 	}

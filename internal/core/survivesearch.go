@@ -12,8 +12,8 @@ import (
 
 // surviveSearch is the worst-case survivable evaluator. It maintains one
 // incremental instSearch per single-failure scenario alongside the
-// fault-free ("free") search, and reports the scalarized lexicographic
-// objective L(S) = σ⁻(S)·(MaxSigma+1) + σ(S) as its Sigma(), so
+// fault-free ("free") search, and reports the problem's objective
+// L(S) = lexValue(σ⁻(S), σ(S)) (survive.go) as its Sigma(), so
 // GreedySigma, ParBestSwap, and LocalSearch optimize (σ⁻, σ) without
 // knowing failures exist.
 //
@@ -104,10 +104,7 @@ func (sc scenario) value() int { return sc.vac + sc.Sigma() }
 // stream over it.
 const foldChunk = 1024
 
-var (
-	_ Search          = (*surviveSearch)(nil)
-	_ worstCaseSearch = (*surviveSearch)(nil)
-)
+var _ Search = (*surviveSearch)(nil)
 
 // newSurviveSearch builds the survivable evaluator positioned at sel
 // (copied): the free search, one shortcut scenario per selection position,
@@ -181,24 +178,11 @@ func (s *surviveSearch) recomputeWorst() {
 	telemetry.Global().FailureScenariosEvaled.Add(count)
 }
 
-// lexValue scalarizes (σ⁻, σ) into the single integer the Search interface
-// speaks: L = σ⁻·(MaxSigma+1) + σ.
-func (s *surviveSearch) lexValue(worst, sigma int) int {
-	return worst*(s.inst.totalWeight+1) + sigma
-}
-
-// Sigma returns the lexicographic value L of the current selection — NOT
-// plain σ. Callers needing the components use SigmaParts.
+// Sigma returns the lexicographic value L = lexValue(σ⁻, σ) of the
+// current selection — NOT plain σ; splitObjective recovers the two.
 func (s *surviveSearch) Sigma() int {
 	s.sync()
-	return s.lexValue(s.worst, s.free.Sigma())
-}
-
-// SigmaParts implements worstCaseSearch: the fault-free σ and worst-case
-// σ⁻ of the current selection.
-func (s *surviveSearch) SigmaParts() (sigma, sigmaWorst int) {
-	s.sync()
-	return s.free.Sigma(), s.worst
+	return lexValue(s.worst, s.free.Sigma(), s.inst.totalWeight)
 }
 
 func (s *surviveSearch) Selection() []int { return s.free.Selection() }
@@ -342,8 +326,9 @@ func (s *surviveSearch) foldRange(lo, hi int, out []int) (best, bestGain int) {
 	var buf [foldChunk]int
 	f := s.freeSigma
 	// L-gain = lex(wa, F + freeGains[c]) − lex(σ⁻, F)
-	//        = wa·scale + freeGains[c] + off.
-	scale, off := s.inst.totalWeight+1, f-s.lexValue(s.worst, f)
+	//        = lex(wa, freeGains[c]) + off.
+	maxW := s.inst.totalWeight
+	off := f - lexValue(s.worst, f, maxW)
 	best, bestGain = -1, math.MinInt
 	for c0 := lo; c0 < hi; c0 += foldChunk {
 		c1 := min(c0+foldChunk, hi)
@@ -363,11 +348,11 @@ func (s *surviveSearch) foldRange(lo, hi int, out []int) (best, bestGain int) {
 		if out != nil {
 			o := out[c0:c1]
 			for i, w := range wa {
-				o[i] = w*scale + fg[i] + off
+				o[i] = lexValue(w, fg[i], maxW) + off
 			}
 		}
 		for i, w := range wa {
-			if l := w*scale + fg[i] + off; l > bestGain {
+			if l := lexValue(w, fg[i], maxW) + off; l > bestGain {
 				best, bestGain = c0+i, l
 			}
 		}
@@ -389,7 +374,8 @@ func (s *surviveSearch) GainAdd(cand int) int {
 	for _, sc := range s.scen {
 		wa = min(wa, sc.value()+sc.GainAdd(cand))
 	}
-	return s.lexValue(wa, freeSigma+freeGain) - s.lexValue(s.worst, freeSigma)
+	w := s.inst.totalWeight
+	return lexValue(wa, freeSigma+freeGain, w) - lexValue(s.worst, freeSigma, w)
 }
 
 // Add commits candidate cand. The pre-commit free search becomes the new
@@ -436,7 +422,7 @@ func (s *surviveSearch) SigmaDrop(pos int) int {
 	rest := make([]int, 0, len(sel)-1)
 	rest = append(rest, sel[:pos]...)
 	rest = append(rest, sel[pos+1:]...)
-	return s.inst.survivableValue(rest)
+	return objective(s.inst, rest, 1)
 }
 
 // SigmaDrops returns L(S \ {S[pos]}) for every position, sharded across
@@ -460,7 +446,7 @@ func (s *surviveSearch) SigmaDrops() []int {
 			}
 			rest = append(rest[:0], sel[:pos]...)
 			rest = append(rest, sel[pos+1:]...)
-			s.drops[pos] = s.inst.survivableValue(rest)
+			s.drops[pos] = objective(s.inst, rest, 1)
 		}
 		s.dropRest[shard] = rest
 	})

@@ -54,7 +54,7 @@ func twoPassBestAdd(s Search, rng *xrand.Rand) int {
 }
 
 // twoPassBestAddBudget is twoPassBestAdd over the candidates affordable
-// within rem, as randomBestAddBudget drew before.
+// within rem, as the affordable randomBestAdd drew before.
 func twoPassBestAddBudget(s Search, bp BudgetProblem, rem float64, rng *xrand.Rand) int {
 	gains := s.GainsAdd()
 	bestGain, count := 0, 0
@@ -125,12 +125,13 @@ func TestTieDrawMatchesTwoPass(t *testing.T) {
 		for seed := int64(0); seed < 20; seed++ {
 			got, want := xrand.New(seed), xrand.New(seed)
 			for draw := 0; draw < 5; draw++ {
-				if c, w := randomBestAdd(s, got, &ties), twoPassBestAdd(s, want); c != w {
+				if c, w := randomBestAdd(s, nil, got, &ties), twoPassBestAdd(s, want); c != w {
 					t.Fatalf("%s seed %d draw %d: randomBestAdd = %d, two-pass %d", tc.name, seed, draw, c, w)
 				}
 				for _, rem := range []float64{0.5, 1, 2.5, 4} {
-					if c, w := randomBestAddBudget(s, bp, rem, got, &ties), twoPassBestAddBudget(s, bp, rem, want); c != w {
-						t.Fatalf("%s seed %d draw %d rem %v: randomBestAddBudget = %d, two-pass %d", tc.name, seed, draw, rem, c, w)
+					fits := func(c int) bool { return bp.Cost(c) <= rem }
+					if c, w := randomBestAdd(s, fits, got, &ties), twoPassBestAddBudget(s, bp, rem, want); c != w {
+						t.Fatalf("%s seed %d draw %d rem %v: affordable randomBestAdd = %d, two-pass %d", tc.name, seed, draw, rem, c, w)
 					}
 				}
 				_, gd := got.State()

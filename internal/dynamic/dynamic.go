@@ -29,6 +29,11 @@ var (
 	ErrNoInstances = errors.New("dynamic: need at least one time instance")
 	ErrNodeUniv    = errors.New("dynamic: instances must share a node universe")
 	ErrBudgets     = errors.New("dynamic: instances must share the budget k")
+	// ErrSurvivable and ErrBudgeted refuse instances whose objective or
+	// budget the dynamic sum does not carry: σ sums the fault-free σ_i and
+	// every solver reads the shared cardinality k.
+	ErrSurvivable = errors.New("dynamic: survivable time instances are not supported")
+	ErrBudgeted   = errors.New("dynamic: budgeted time instances are not supported")
 )
 
 // Problem is a dynamic MSC problem: one placement evaluated against T time
@@ -43,7 +48,8 @@ type Problem struct {
 var _ core.Problem = (*Problem)(nil)
 
 // NewProblem bundles per-time-instance MSC instances into a dynamic
-// problem. All instances must share the node count and budget.
+// problem. All instances must share the node count and budget k, and none
+// may be survivable or budgeted.
 func NewProblem(insts []*core.Instance) (*Problem, error) {
 	if len(insts) == 0 {
 		return nil, ErrNoInstances
@@ -56,6 +62,12 @@ func NewProblem(insts []*core.Instance) (*Problem, error) {
 		}
 		if inst.K() != k {
 			return nil, fmt.Errorf("%w: instance %d has k=%d, want %d", ErrBudgets, i, inst.K(), k)
+		}
+		if m := inst.Survive(); m != core.SurviveNone {
+			return nil, fmt.Errorf("%w: instance %d has survivability mode %q", ErrSurvivable, i, m)
+		}
+		if inst.Budgeted() {
+			return nil, fmt.Errorf("%w: instance %d has knapsack budget B = %v", ErrBudgeted, i, inst.Budget())
 		}
 	}
 	return &Problem{insts: insts, n: n, k: k}, nil

@@ -70,6 +70,35 @@ func TestNewProblemValidation(t *testing.T) {
 	if _, err := NewProblem([]*core.Instance{a[0], c[0]}); !errors.Is(err, ErrBudgets) {
 		t.Fatalf("err = %v", err)
 	}
+	// The dynamic σ sums fault-free cardinality σ_i: a survivable or
+	// budgeted time instance, at any position, is refused.
+	variant := func(opts core.Options) *core.Instance {
+		opts.AllowTrivial = true
+		inst, err := core.NewInstance(a[0].Graph(), a[0].Pairs(), a[0].Threshold(), a[0].K(), &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	for _, tc := range []struct {
+		opts core.Options
+		want error
+	}{
+		{core.Options{Survive: core.SurviveShortcut}, ErrSurvivable},
+		{core.Options{Survive: core.SurviveNode}, ErrSurvivable},
+		{core.Options{Budget: 2}, ErrBudgeted},
+		{core.Options{Budget: 2, CostModel: core.CostLength}, ErrBudgeted},
+	} {
+		v := variant(tc.opts)
+		for _, insts := range [][]*core.Instance{{v}, {a[0], v}} {
+			if _, err := NewProblem(insts); !errors.Is(err, tc.want) {
+				t.Fatalf("%+v at position %d: err = %v, want %v", tc.opts, len(insts)-1, err, tc.want)
+			}
+		}
+	}
+	if _, err := NewProblem([]*core.Instance{a[0], variant(core.Options{Survive: core.SurviveNone})}); err != nil {
+		t.Fatalf("fault-free cardinality instances refused: %v", err)
+	}
 }
 
 func TestSigmaSumsPerInstance(t *testing.T) {

@@ -21,13 +21,15 @@ type RoundEvent struct {
 	// Shortcut is the edge chosen this round (endpoint node ids), nil when
 	// the round chose none (e.g. a rejected EA offspring).
 	Shortcut *[2]int32 `json:"shortcut,omitempty"`
-	// Gain is the σ improvement over the state the round started from.
+	// Gain is the improvement of the solver's objective over the state
+	// the round started from: σ on fault-free runs; when SigmaWorst is set,
+	// the lexicographic (σ⁻, σ) value the solvers rank by, not σ alone.
 	Gain int `json:"gain"`
-	// Sigma is σ of the algorithm's incumbent after the round.
+	// Sigma is the fault-free σ of the algorithm's incumbent after the
+	// round, on survivable runs too.
 	Sigma int `json:"sigma"`
 	// SigmaWorst is the survivable worst-case σ⁻ of the incumbent after the
-	// round; nil for fault-free runs (core.SurviveNone). When set, Gain is
-	// measured on the lexicographic objective (σ⁻, σ), not on σ alone.
+	// round; nil for fault-free runs (core.SurviveNone).
 	SigmaWorst *int `json:"sigma_worst,omitempty"`
 	// Selected is the incumbent selection size after the round.
 	Selected int `json:"selected"`
@@ -112,7 +114,9 @@ func (DynamicStepEvent) EventKind() string { return "dynamic_step" }
 type CheckpointSolution struct {
 	// Selection holds sorted candidate indices.
 	Selection []int `json:"selection"`
-	// Sigma is σ(Selection).
+	// Sigma is the solver's objective value of Selection: σ(Selection)
+	// on fault-free problems, the lexicographic (σ⁻, σ) value the solvers
+	// rank by on survivable ones.
 	Sigma int `json:"sigma"`
 }
 

@@ -336,7 +336,8 @@ func NewInstance(g *Graph, ps *PairSet, thr Threshold, k int, opts *InstanceOpti
 }
 
 // NewDynamicProblem bundles per-time-instance MSC instances into a dynamic
-// problem (§VI): one placement, objective Σ_i σ_i.
+// problem (§VI): one placement, objective Σ_i σ_i. The instances must be
+// fault-free cardinality instances sharing n and k.
 func NewDynamicProblem(insts []*Instance) (*DynamicProblem, error) {
 	return dynamic.NewProblem(insts)
 }
