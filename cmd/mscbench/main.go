@@ -101,7 +101,7 @@ func run(ctx context.Context) (retErr error) {
 	if *validate != "" {
 		return validateFile(*validate)
 	}
-	opts, err := suiteOptions(*par, *budgetF, *distB, *survM, *costM)
+	opts, err := suiteOptions(*budgetF, *distB, *survM, *costM)
 	if err != nil {
 		return err
 	}
@@ -129,7 +129,7 @@ func run(ctx context.Context) (retErr error) {
 	}()
 	defer plane.Recover()
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Options: opts}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Options: opts, Parallelism: *par}
 	var jsonlSink *telemetry.JSONLSink
 	if *jsonl != "" {
 		f, err := os.Create(*jsonl)
@@ -195,8 +195,8 @@ func run(ctx context.Context) (retErr error) {
 // suiteOptions parses the instance flags into the one core.Options value
 // every experiment builds from. It refuses flag combinations the suite
 // cannot honour, before any experiment runs.
-func suiteOptions(par int, budget float64, distB, survM, costM string) (core.Options, error) {
-	opts := core.Options{Parallelism: par, Budget: budget}
+func suiteOptions(budget float64, distB, survM, costM string) (core.Options, error) {
+	opts := core.Options{Budget: budget}
 	var err error
 	if opts.DistBackend, err = core.ParseDistBackend(distB); err != nil {
 		return opts, err

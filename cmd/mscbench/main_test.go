@@ -61,11 +61,11 @@ func removeID(ids []string, drop string) []string {
 // value the experiments build from, and the combinations the suite cannot
 // honour are refused.
 func TestSuiteOptions(t *testing.T) {
-	got, err := suiteOptions(3, 2, "bounded", "shortcut", "length")
+	got, err := suiteOptions(2, "bounded", "shortcut", "length")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Options{Parallelism: 3, Budget: 2, DistBackend: core.BackendBounded,
+	want := core.Options{Budget: 2, DistBackend: core.BackendBounded,
 		Survive: core.SurviveShortcut, CostModel: core.CostLength}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("suiteOptions = %+v, want %+v", got, want)
@@ -82,11 +82,11 @@ func TestSuiteOptions(t *testing.T) {
 		{0, "sparse", "auto", "unknown distance backend"},
 		{0, "lazy", "auto", "unknown distance backend"},
 	} {
-		if _, err := suiteOptions(0, tc.budget, tc.distB, "auto", tc.costM); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+		if _, err := suiteOptions(tc.budget, tc.distB, "auto", tc.costM); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("suiteOptions(budget=%v, %s, %s) error = %v, want %q", tc.budget, tc.distB, tc.costM, err, tc.wantErr)
 		}
 	}
-	if _, err := suiteOptions(0, 2, "bounded", "auto", "unit"); err != nil {
+	if _, err := suiteOptions(2, "bounded", "auto", "unit"); err != nil {
 		t.Errorf("unit pricing on the bounded backend refused: %v", err)
 	}
 }

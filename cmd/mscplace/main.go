@@ -229,23 +229,15 @@ func run(ctx context.Context) (retErr error) {
 	survivable := inst.Survive() != msc.SurviveNone
 	rng := msc.NewRand(*seed)
 
-	// A typed-nil sink must never reach an interface-typed option (it
-	// would defeat the solvers' nil fast path), so options are built only
-	// when tracing is on. -par reaches every solver entry explicitly.
-	solverOpts := []msc.Option{msc.WithContext(ctx), msc.WithDeadline(*deadline), msc.Parallelism(*par)}
-	eaOpts := msc.EAOptions{Iterations: *iters, Context: ctx, Deadline: *deadline, Parallelism: *par}
+	// Every solver runs under this one run control: the option-taking
+	// solvers take it as their Option, EA, AEA and LocalSearch embed it.
+	// sink is nil or a non-nil concrete sink (see above), so the solvers'
+	// nil fast path holds.
+	runOpts := msc.RunOptions{Parallelism: *par, Sink: sink, Context: ctx, Deadline: *deadline}
+	eaOpts := msc.EAOptions{Iterations: *iters, RunOptions: runOpts}
 	aeaOpts := msc.DefaultAEAOptions()
 	aeaOpts.Iterations = *iters
-	aeaOpts.Context = ctx
-	aeaOpts.Deadline = *deadline
-	aeaOpts.Parallelism = *par
-	lsOpts := msc.LocalSearchOptions{Context: ctx, Deadline: *deadline, Parallelism: *par}
-	if sink != nil {
-		solverOpts = append(solverOpts, msc.WithSink(sink))
-		eaOpts.Sink = sink
-		aeaOpts.Sink = sink
-		lsOpts.Sink = sink
-	}
+	aeaOpts.RunOptions = runOpts
 
 	evolutionary := *alg == "ea" || *alg == "aea"
 	if (*ckpt != "" || *resume != "") && !evolutionary {
@@ -292,10 +284,10 @@ func run(ctx context.Context) (retErr error) {
 	var ratio float64
 	switch *alg {
 	case "sandwich":
-		res := msc.Sandwich(inst, solverOpts...)
+		res := msc.Sandwich(inst, runOpts)
 		pl, ratio = res.Best, res.ApproxFactor
 	case "greedy":
-		pl = msc.GreedySigma(inst, solverOpts...)
+		pl = msc.GreedySigma(inst, runOpts)
 	case "mu":
 		pl = msc.GreedyMu(inst)
 	case "nu":
@@ -306,7 +298,7 @@ func run(ctx context.Context) (retErr error) {
 		pl = msc.AEA(inst, aeaOpts, rng).Best
 	case "random":
 		var rerr error
-		pl, rerr = msc.RandomPlacement(inst, *iters, rng, solverOpts...)
+		pl, rerr = msc.RandomPlacement(inst, *iters, rng, runOpts)
 		if rerr != nil {
 			return rerr
 		}
@@ -324,7 +316,7 @@ func run(ctx context.Context) (retErr error) {
 		// LocalSearch commits only swaps that strictly improve the
 		// instance's objective — (σ⁻, σ) under a survivability mode — so a
 		// changed selection is the improvement.
-		refined := msc.LocalSearch(inst, pl.Selection, lsOpts)
+		refined := msc.LocalSearch(inst, pl.Selection, msc.LocalSearchOptions{RunOptions: runOpts})
 		if !slices.Equal(refined.Selection, pl.Selection) {
 			fmt.Printf("refinement: σ %d -> %d\n", pl.Sigma, refined.Sigma)
 			pl = refined

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"slices"
 	"time"
 
-	"msc/internal/obs"
 	"msc/internal/telemetry"
 	"msc/internal/xrand"
 )
@@ -28,21 +26,15 @@ type AEAOptions struct {
 	// a worse placement than the F_σ arm of the sandwich algorithm, at
 	// the cost of one greedy run before the evolutionary loop.
 	SeedGreedy bool
-	// Parallelism shards the swap scans (drop re-evaluations and the
-	// candidate-addition grid) across workers; 1 forces the serial path,
-	// <= 0 resolves via ResolveParallelism. The run is identical for every
-	// worker count: the rng draws only on fully reduced scan results.
-	Parallelism int
-	// Sink, when non-nil, receives one RoundEvent per iteration (the
-	// child's σ gain over its parent and the best σ so far). Tracing never
-	// touches the RNG, so runs are identical with and without a sink.
-	Sink telemetry.Sink
-	// Context supervises the run: checked at each iteration boundary;
-	// once done the loop stops with the best solution so far and
-	// Best.Stop.Reason set accordingly. nil means never canceled.
-	Context context.Context
-	// Deadline bounds the run in wall-clock time (composes with Context).
-	Deadline time.Duration
+	// RunOptions are the run's workers, sink, context and deadline. The
+	// workers shard the swap scans (drop re-evaluations and the
+	// candidate-addition grid), and the rng draws only on fully reduced
+	// scan results; the sink receives one RoundEvent per iteration (the
+	// added shortcut, the child's gain over its parent, the best value so
+	// far, the child's size, μ and ν); the context is checked at each
+	// iteration boundary, and once done the loop stops with the best
+	// solution so far and Best.Stop.Reason set accordingly.
+	RunOptions
 	// Resume continues from a checkpoint with Algorithm "aea": RNG
 	// repositioned, population and best restored, iteration Resume.Round
 	// runs next.
@@ -65,12 +57,6 @@ type AEAResult struct {
 	// found within the first t+1 iterations (recorded only with
 	// RecordTrace).
 	Trace []int
-}
-
-// aeaSol is one population member.
-type aeaSol struct {
-	sel   []int
-	sigma int // the objective of sel: σ, or lexValue(σ⁻, σ) when survivable
 }
 
 // AEA is the adaptive evolutionary algorithm of §V-D (Algorithm 2). Unlike
@@ -103,7 +89,8 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 	if opts.PopSize < 1 {
 		opts.PopSize = 1
 	}
-	workers := ResolveParallelism(opts.Parallelism)
+	run, release := opts.resolve()
+	defer release()
 	numCand := p.NumCandidates()
 	bp, _ := asBudgeted(p) // nil on cardinality problems
 	k := p.K()
@@ -111,19 +98,11 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 		k = numCand
 	}
 
-	ctx, cancel := superviseCtx(opts.Context, opts.Deadline)
-	defer cancel()
-	var pop []aeaSol
-	var best aeaSol
+	var pop []eaSol
+	var best eaSol
 	startIter := 0
 	if cp := opts.Resume; cp != nil {
-		checkResume("aea", cp, opts.Iterations)
-		restoreRNG(rng, cp)
-		pop = make([]aeaSol, len(cp.Population))
-		for i, s := range cp.Population {
-			pop[i] = aeaSol{sel: append([]int(nil), s.Selection...), sigma: s.Sigma}
-		}
-		best = aeaSol{sel: append([]int(nil), cp.Best.Selection...), sigma: cp.Best.Sigma}
+		pop, best = resumeFrom("aea", cp, opts.Iterations, rng)
 		startIter = cp.Round
 	} else {
 		var seed []int
@@ -133,9 +112,9 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 			seed = rng.SampleDistinct(numCand, k)
 		}
 		if opts.SeedGreedy {
-			seed = greedySeed(p, bp, k, numCand, rng, workers)
+			seed = greedySeed(p, bp, k, numCand, rng, run.Parallelism)
 		}
-		pop = []aeaSol{{sel: seed, sigma: objective(p, seed, workers)}}
+		pop = []eaSol{{sel: seed, sigma: objective(p, seed, run.Parallelism)}}
 		best = pop[0]
 	}
 	res := AEAResult{}
@@ -144,40 +123,22 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 	}
 	stop := StopInfo{Reason: StopEvalBudget, Rounds: startIter}
 	var scratch aeaScratch // the greedy swaps' search and tie buffer, reused across children
-	checkpoint := func() {
-		if opts.CheckpointSink == nil {
-			return
-		}
-		seed, draws := rng.State()
-		cp := telemetry.CheckpointEvent{
-			Algorithm:  "aea",
-			Round:      stop.Rounds,
-			Seed:       seed,
-			Draws:      draws,
-			Population: make([]telemetry.CheckpointSolution, len(pop)),
-			Best:       snapshotSolution(best.sel, best.sigma),
-		}
-		for i, s := range pop {
-			cp.Population[i] = snapshotSolution(s.sel, s.sigma)
-		}
-		opts.CheckpointSink.Emit(cp)
-	}
 
-	obsOn := obs.Enabled()
+	timed := run.timed()
 	for iter := startIter; iter < opts.Iterations; iter++ {
 		// Supervision precedes the iteration's RNG draws: cancellation
 		// lands on a clean iteration boundary, the state checkpoints
 		// capture.
-		if err := ctxErr(ctx); err != nil {
+		if err := run.err(); err != nil {
 			stop.Reason = stopReasonFor(err)
 			break
 		}
 		var start time.Time
-		if opts.Sink != nil || obsOn {
+		if timed {
 			start = time.Now()
 		}
 		parent := pop[rng.Intn(len(pop))]
-		child := deriveChild(p, bp, parent, opts.Delta, rng, workers, &scratch)
+		child := deriveChild(p, bp, parent, opts.Delta, rng, run.Parallelism, &scratch)
 		if child.sigma > best.sigma {
 			best = child
 		}
@@ -186,38 +147,21 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 		if opts.RecordTrace {
 			res.Trace = append(res.Trace, best.sigma)
 		}
-		if obsOn {
-			obs.ObserveRound(time.Since(start))
-		}
-		if opts.Sink != nil {
+		if timed {
+			ev := telemetry.RoundEvent{Algorithm: "aea", Round: iter, Gain: child.sigma - parent.sigma}
 			// The swap's added candidate sits at the end of the child
 			// selection (both greedy and random swaps append it last).
-			var added *[2]int32
 			if len(child.sel) > 0 {
 				e := p.CandidateEdge(child.sel[len(child.sel)-1])
-				added = &[2]int32{int32(e.U), int32(e.V)}
+				ev.Shortcut = &[2]int32{int32(e.U), int32(e.V)}
 			}
-			sigma, sigmaWorst := splitObjective(p, best.sigma)
-			mu, nu := p.Mu(child.sel), p.Nu(child.sel)
-			opts.Sink.Emit(telemetry.RoundEvent{
-				Algorithm:  "aea",
-				Round:      iter,
-				Shortcut:   added,
-				Gain:       child.sigma - parent.sigma,
-				Sigma:      sigma,
-				SigmaWorst: sigmaWorst,
-				Selected:   len(child.sel),
-				Candidates: numCand,
-				Mu:         mu,
-				Nu:         nu,
-				ElapsedNS:  time.Since(start).Nanoseconds(),
-			})
+			run.endRound(p, start, ev, child.sel, best.sigma)
 		}
 		if stop.Rounds < opts.Iterations && checkpointDue(stop.Rounds, opts.Iterations, opts.CheckpointEvery) {
-			checkpoint()
+			emitCheckpoint(opts.CheckpointSink, "aea", stop.Rounds, rng, pop, best, 0)
 		}
 	}
-	checkpoint()
+	emitCheckpoint(opts.CheckpointSink, "aea", stop.Rounds, rng, pop, best, 0)
 	res.Best = stoppedPlacement(p, best.sel, stop)
 	return res
 }
@@ -260,12 +204,12 @@ type aeaScratch struct {
 // problems (bp != nil) the incoming candidate must fit the budget headroom
 // after the drop; when nothing fits the swap degenerates to a pure drop.
 // The child's value is the problem's objective.
-func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng *xrand.Rand, workers int, scratch *aeaScratch) aeaSol {
+func deriveChild(p Problem, bp BudgetProblem, parent eaSol, delta float64, rng *xrand.Rand, workers int, scratch *aeaScratch) eaSol {
 	numCand := p.NumCandidates()
 	if numCand == 0 {
 		// Degenerate universe: nothing to swap in (and randomAbsent would
 		// spin forever). Keep the parent.
-		return aeaSol{sel: append([]int(nil), parent.sel...), sigma: parent.sigma}
+		return eaSol{sel: append([]int(nil), parent.sel...), sigma: parent.sigma}
 	}
 	var s Search // the greedy swap's search; nil for a random swap
 	var child []int
@@ -302,12 +246,12 @@ func deriveChild(p Problem, bp BudgetProblem, parent aeaSol, delta float64, rng 
 		if cand >= 0 {
 			s.Add(cand)
 		}
-		return aeaSol{sel: s.Selection(), sigma: s.Sigma()}
+		return eaSol{sel: s.Selection(), sigma: s.Sigma()}
 	}
 	if cand >= 0 {
 		child = append(child, cand)
 	}
-	return aeaSol{sel: child, sigma: objective(p, child, workers)}
+	return eaSol{sel: child, sigma: objective(p, child, workers)}
 }
 
 // childSearch returns a search positioned at sel. A plain σ search left in
@@ -402,7 +346,7 @@ func randomAbsent(sel []int, fits func(cand int) bool, numCand int, rng *xrand.R
 
 // updatePopulation inserts child, evicting the worst member when the
 // population is full and the child strictly improves on it.
-func updatePopulation(pop *[]aeaSol, child aeaSol, popSize int) {
+func updatePopulation(pop *[]eaSol, child eaSol, popSize int) {
 	if len(*pop) < popSize {
 		*pop = append(*pop, child)
 		return

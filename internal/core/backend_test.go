@@ -121,8 +121,8 @@ func TestBackendDifferentialSolvers(t *testing.T) {
 					})
 
 					t.Run("ea", func(t *testing.T) {
-						dres := EA(dense, EAOptions{Iterations: 30, Parallelism: workers}, xrand.New(seed))
-						lres := EA(lazy, EAOptions{Iterations: 30, Parallelism: workers}, xrand.New(seed))
+						dres := EA(dense, EAOptions{Iterations: 30, RunOptions: RunOptions{Parallelism: workers}}, xrand.New(seed))
+						lres := EA(lazy, EAOptions{Iterations: 30, RunOptions: RunOptions{Parallelism: workers}}, xrand.New(seed))
 						comparePlacements(t, "EA.Best", dres.Best, lres.Best)
 						if dres.Evaluations != lres.Evaluations {
 							t.Errorf("EA evaluations differ: dense %d, lazy %d", dres.Evaluations, lres.Evaluations)
@@ -130,7 +130,7 @@ func TestBackendDifferentialSolvers(t *testing.T) {
 					})
 
 					t.Run("aea", func(t *testing.T) {
-						opts := AEAOptions{Iterations: 30, PopSize: 5, Delta: 0.05, RecordTrace: true, Parallelism: workers}
+						opts := AEAOptions{Iterations: 30, PopSize: 5, Delta: 0.05, RecordTrace: true, RunOptions: RunOptions{Parallelism: workers}}
 						dres := AEA(dense, opts, xrand.New(seed))
 						lres := AEA(lazy, opts, xrand.New(seed))
 						comparePlacements(t, "AEA.Best", dres.Best, lres.Best)
@@ -150,8 +150,8 @@ func TestBackendDifferentialSolvers(t *testing.T) {
 
 					t.Run("local_search", func(t *testing.T) {
 						start := xrand.New(seed).SampleDistinct(dense.NumCandidates(), dense.K())
-						dpl := LocalSearch(dense, start, LocalSearchOptions{Parallelism: workers})
-						lpl := LocalSearch(lazy, start, LocalSearchOptions{Parallelism: workers})
+						dpl := LocalSearch(dense, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}})
+						lpl := LocalSearch(lazy, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}})
 						comparePlacements(t, "LocalSearch", dpl, lpl)
 					})
 				})

@@ -147,8 +147,8 @@ func TestBackendDifferentialBoundedSolvers(t *testing.T) {
 						})
 
 						t.Run("ea", func(t *testing.T) {
-							dres := EA(dense, EAOptions{Iterations: 30, Parallelism: workers}, xrand.New(seed))
-							bres := EA(bounded, EAOptions{Iterations: 30, Parallelism: workers}, xrand.New(seed))
+							dres := EA(dense, EAOptions{Iterations: 30, RunOptions: RunOptions{Parallelism: workers}}, xrand.New(seed))
+							bres := EA(bounded, EAOptions{Iterations: 30, RunOptions: RunOptions{Parallelism: workers}}, xrand.New(seed))
 							comparePlacements(t, "EA.Best", dres.Best, bres.Best)
 							if dres.Evaluations != bres.Evaluations {
 								t.Errorf("EA evaluations differ: dense %d, bounded %d", dres.Evaluations, bres.Evaluations)
@@ -156,7 +156,7 @@ func TestBackendDifferentialBoundedSolvers(t *testing.T) {
 						})
 
 						t.Run("aea", func(t *testing.T) {
-							opts := AEAOptions{Iterations: 30, PopSize: 5, Delta: 0.05, RecordTrace: true, Parallelism: workers}
+							opts := AEAOptions{Iterations: 30, PopSize: 5, Delta: 0.05, RecordTrace: true, RunOptions: RunOptions{Parallelism: workers}}
 							dres := AEA(dense, opts, xrand.New(seed))
 							bres := AEA(bounded, opts, xrand.New(seed))
 							comparePlacements(t, "AEA.Best", dres.Best, bres.Best)
@@ -176,8 +176,8 @@ func TestBackendDifferentialBoundedSolvers(t *testing.T) {
 
 						t.Run("local_search", func(t *testing.T) {
 							start := xrand.New(seed).SampleDistinct(dense.NumCandidates(), dense.K())
-							dpl := LocalSearch(dense, start, LocalSearchOptions{Parallelism: workers})
-							bpl := LocalSearch(bounded, start, LocalSearchOptions{Parallelism: workers})
+							dpl := LocalSearch(dense, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}})
+							bpl := LocalSearch(bounded, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}})
 							comparePlacements(t, "LocalSearch", dpl, bpl)
 						})
 					})
@@ -468,7 +468,7 @@ func TestBoundedLengthCostModelMatchesDense(t *testing.T) {
 		name := fmt.Sprintf("seed %d", seed)
 		comparePlacements(t, name+" budgeted GreedySigma", GreedySigma(dense, Parallelism(1)), GreedySigma(bounded, Parallelism(1)))
 		aea := func(p Problem) Placement {
-			return AEA(p, AEAOptions{Iterations: 30, PopSize: 4, Delta: 0.05, Parallelism: 1}, xrand.New(seed)).Best
+			return AEA(p, AEAOptions{Iterations: 30, PopSize: 4, Delta: 0.05, RunOptions: RunOptions{Parallelism: 1}}, xrand.New(seed)).Best
 		}
 		comparePlacements(t, name+" budgeted AEA", aea(dense), aea(bounded))
 		solved++

@@ -401,13 +401,9 @@ func TestBoundsDifferential(t *testing.T) {
 
 		for _, w := range ballWorlds(t, rng) {
 			for _, be := range ballBackends {
-				for _, par := range []int{1, 2, 8} {
-					opts := backendOptions(w.g, be.name, be.opts)
-					opts.Parallelism = par
-					inst := diffInstance(t, w.g, w.ps, w.dt, 3, opts)
-					checkInst(fmt.Sprintf("seed %d %s/%s/par%d", seed, w.name, be.name, par), inst)
-					muSets[w.name] += len(inst.MuProblem().Sparse.IDs)
-				}
+				inst := diffInstance(t, w.g, w.ps, w.dt, 3, backendOptions(w.g, be.name, be.opts))
+				checkInst(fmt.Sprintf("seed %d %s/%s", seed, w.name, be.name), inst)
+				muSets[w.name] += len(inst.MuProblem().Sparse.IDs)
 			}
 		}
 

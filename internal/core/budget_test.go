@@ -62,13 +62,13 @@ var budgetSolvers = []struct {
 	}},
 	{"localsearch", func(t *testing.T, p Problem, w int, _ int64) []int {
 		start := GreedySigma(p, Parallelism(w))
-		return LocalSearch(p, start.Selection, LocalSearchOptions{MaxIters: 4, Parallelism: w}).Selection
+		return LocalSearch(p, start.Selection, LocalSearchOptions{MaxIters: 4, RunOptions: RunOptions{Parallelism: w}}).Selection
 	}},
 	{"ea", func(t *testing.T, p Problem, w int, seed int64) []int {
-		return EA(p, EAOptions{Iterations: 40, Parallelism: w}, xrand.New(seed)).Best.Selection
+		return EA(p, EAOptions{Iterations: 40, RunOptions: RunOptions{Parallelism: w}}, xrand.New(seed)).Best.Selection
 	}},
 	{"aea", func(t *testing.T, p Problem, w int, seed int64) []int {
-		return AEA(p, AEAOptions{Iterations: 40, PopSize: 4, Delta: 0.2, Parallelism: w}, xrand.New(seed)).Best.Selection
+		return AEA(p, AEAOptions{Iterations: 40, PopSize: 4, Delta: 0.2, RunOptions: RunOptions{Parallelism: w}}, xrand.New(seed)).Best.Selection
 	}},
 	{"random", func(t *testing.T, p Problem, w int, seed int64) []int {
 		pl, err := RandomPlacement(p, 16, xrand.New(seed), Parallelism(w))

@@ -21,12 +21,45 @@ import (
 // previous or the new complete snapshot sequence, and LastCheckpoint
 // never sees a partial line.
 
-// snapshotSolution converts an internal solution to its checkpoint form.
-func snapshotSolution(sel []int, sigma int) telemetry.CheckpointSolution {
-	return telemetry.CheckpointSolution{
-		Selection: append([]int(nil), sel...),
-		Sigma:     sigma,
+// emitCheckpoint sends sink, when non-nil, the snapshot of an alg run
+// ("ea" or "aea") after rounds completed iterations: the rng's stream
+// position, the population in order, the best solution, and evals (EA's
+// evaluation count; AEA passes 0).
+func emitCheckpoint(sink telemetry.Sink, alg string, rounds int, rng *xrand.Rand, pop []eaSol, best eaSol, evals int) {
+	if sink == nil {
+		return
 	}
+	seed, draws := rng.State()
+	cp := telemetry.CheckpointEvent{
+		Algorithm:   alg,
+		Round:       rounds,
+		Seed:        seed,
+		Draws:       draws,
+		Population:  make([]telemetry.CheckpointSolution, len(pop)),
+		Best:        best.snapshot(),
+		Evaluations: evals,
+	}
+	for i, s := range pop {
+		cp.Population[i] = s.snapshot()
+	}
+	sink.Emit(cp)
+}
+
+func (s eaSol) snapshot() telemetry.CheckpointSolution {
+	return telemetry.CheckpointSolution{Selection: append([]int(nil), s.sel...), Sigma: s.sigma}
+}
+
+// resumeFrom restores an alg run from cp: it validates cp (checkResume),
+// positions rng at cp's stream position, and returns cp's population and
+// best solution, their costs left zero.
+func resumeFrom(alg string, cp *telemetry.CheckpointEvent, iterations int, rng *xrand.Rand) (pop []eaSol, best eaSol) {
+	checkResume(alg, cp, iterations)
+	rng.Restore(cp.Seed, cp.Draws)
+	pop = make([]eaSol, len(cp.Population))
+	for i, s := range cp.Population {
+		pop[i] = eaSol{sel: append([]int(nil), s.Selection...), sigma: s.Sigma}
+	}
+	return pop, eaSol{sel: append([]int(nil), cp.Best.Selection...), sigma: cp.Best.Sigma}
 }
 
 // checkResume validates that a checkpoint belongs to the named algorithm
@@ -39,11 +72,6 @@ func checkResume(alg string, cp *telemetry.CheckpointEvent, iterations int) {
 	if cp.Round > iterations {
 		panic(fmt.Sprintf("core: resume checkpoint at round %d exceeds the %d-iteration budget", cp.Round, iterations))
 	}
-}
-
-// restoreRNG positions rng at the checkpoint's stream position.
-func restoreRNG(rng *xrand.Rand, cp *telemetry.CheckpointEvent) {
-	rng.Restore(cp.Seed, cp.Draws)
 }
 
 // checkpointDue reports whether a checkpoint should be emitted after

@@ -66,8 +66,7 @@ func TestEACheckpointResumeBitIdentical(t *testing.T) {
 	stage1Sink := &memSink{}
 	stage1 := EA(inst, EAOptions{
 		Iterations:     total,
-		Context:        ctx,
-		Sink:           &cancelAfterSink{n: stopAt, cancel: cancel},
+		RunOptions:     RunOptions{Context: ctx, Sink: &cancelAfterSink{n: stopAt, cancel: cancel}},
 		CheckpointSink: stage1Sink,
 	}, xrand.New(5))
 	cancel()

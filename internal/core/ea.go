@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"sort"
 	"time"
 
-	"msc/internal/obs"
 	"msc/internal/telemetry"
 	"msc/internal/xrand"
 )
@@ -31,25 +29,15 @@ type EAOptions struct {
 	Iterations int
 	// RecordTrace enables per-iteration best-σ recording.
 	RecordTrace bool
-	// Parallelism shards the per-offspring σ evaluation (the per-pair
-	// distance checks of the overlay oracle) across workers; 1 forces the
-	// serial path, <= 0 resolves via ResolveParallelism. Results are
-	// identical for every worker count.
-	Parallelism int
-	// Sink, when non-nil, receives one RoundEvent per iteration (the
-	// offspring's σ gain over its parent and the best feasible σ so far).
-	// Tracing never touches the RNG, so runs are identical with and
-	// without a sink.
-	Sink telemetry.Sink
-	// Context supervises the run: it is checked at each iteration boundary
-	// and, once done, stops the loop with the best feasible solution so
-	// far and Best.Stop.Reason set accordingly. nil means never canceled;
-	// an uncancelled supervised run is bit-identical to an unsupervised
-	// one.
-	Context context.Context
-	// Deadline bounds the run to this much wall-clock time (composing with
-	// Context; whichever fires first wins). <= 0 means no deadline.
-	Deadline time.Duration
+	// RunOptions are the run's workers, sink, context and deadline. The
+	// workers shard each offspring's σ evaluation; the sink receives one
+	// RoundEvent per iteration (the offspring's gain over its parent, the
+	// best feasible value so far, the offspring's size, μ and ν); the
+	// context is checked at each iteration boundary, and once done the
+	// loop stops with the best feasible solution so far and
+	// Best.Stop.Reason set accordingly. Tracing and a context that never
+	// fires touch no RNG draw, so neither changes the run.
+	RunOptions
 	// Resume continues a run from a checkpoint instead of starting fresh:
 	// the RNG is repositioned, the archive and best-so-far restored, and
 	// iteration Resume.Round runs next. The checkpoint must carry
@@ -63,10 +51,11 @@ type EAOptions struct {
 	CheckpointEvery int
 }
 
-// eaSol is one archive member: a solution with cached objective values.
-// cost is the second Pareto axis: CostOf(sel) on budgeted problems, |sel|
-// otherwise (as a float, so the two cases share the comparison code; small
-// integer counts are exact in float64).
+// eaSol is one EA archive or AEA population member: a solution with cached
+// objective values. cost is EA's second Pareto axis: CostOf(sel) on
+// budgeted problems, |sel| otherwise (as a float, so the two cases share
+// the comparison code; small integer counts are exact in float64); AEA
+// leaves it zero.
 type eaSol struct {
 	sel   []int // sorted candidate indices
 	sigma int   // the objective of sel: σ, or lexValue(σ⁻, σ) when survivable
@@ -94,9 +83,8 @@ type eaSol struct {
 // maximizes (σ⁻, σ) lexicographically.
 func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 	numCand := p.NumCandidates()
-	workers := ResolveParallelism(opts.Parallelism)
-	ctx, cancel := superviseCtx(opts.Context, opts.Deadline)
-	defer cancel()
+	run, release := opts.resolve()
+	defer release()
 	bp, budgeted := asBudgeted(p)
 	solCost := func(sel []int) float64 {
 		if budgeted {
@@ -113,19 +101,15 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 	var bestFeasible eaSol
 	startIter := 0
 	if cp := opts.Resume; cp != nil {
-		checkResume("ea", cp, opts.Iterations)
-		restoreRNG(rng, cp)
-		pop = make([]eaSol, len(cp.Population))
-		for i, s := range cp.Population {
-			sel := append([]int(nil), s.Selection...)
-			pop[i] = eaSol{sel: sel, sigma: s.Sigma, cost: solCost(sel)}
+		pop, bestFeasible = resumeFrom("ea", cp, opts.Iterations, rng)
+		for i := range pop {
+			pop[i].cost = solCost(pop[i].sel)
 		}
-		best := append([]int(nil), cp.Best.Selection...)
-		bestFeasible = eaSol{sel: best, sigma: cp.Best.Sigma, cost: solCost(best)}
+		bestFeasible.cost = solCost(bestFeasible.sel)
 		res.Evaluations = cp.Evaluations
 		startIter = cp.Round
 	} else {
-		pop = []eaSol{{sel: nil, sigma: objective(p, nil, workers)}}
+		pop = []eaSol{{sel: nil, sigma: objective(p, nil, run.Parallelism)}}
 		res.Evaluations++
 		bestFeasible = eaSol{sel: nil, sigma: pop[0].sigma}
 	}
@@ -133,43 +117,24 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 		res.Trace = make([]int, 0, opts.Iterations-startIter)
 	}
 	stop := StopInfo{Reason: StopEvalBudget, Rounds: startIter}
-	checkpoint := func() {
-		if opts.CheckpointSink == nil {
-			return
-		}
-		seed, draws := rng.State()
-		cp := telemetry.CheckpointEvent{
-			Algorithm:   "ea",
-			Round:       stop.Rounds,
-			Seed:        seed,
-			Draws:       draws,
-			Population:  make([]telemetry.CheckpointSolution, len(pop)),
-			Best:        snapshotSolution(bestFeasible.sel, bestFeasible.sigma),
-			Evaluations: res.Evaluations,
-		}
-		for i, s := range pop {
-			cp.Population[i] = snapshotSolution(s.sel, s.sigma)
-		}
-		opts.CheckpointSink.Emit(cp)
-	}
 
 	flipProb := 1 / float64(numCand)
-	obsOn := obs.Enabled()
+	timed := run.timed()
 	for iter := startIter; iter < opts.Iterations; iter++ {
 		// The supervision check precedes the iteration's RNG draws, so a
 		// canceled run stops at a clean iteration boundary — exactly the
 		// state a checkpoint captures.
-		if err := ctxErr(ctx); err != nil {
+		if err := run.err(); err != nil {
 			stop.Reason = stopReasonFor(err)
 			break
 		}
 		var start time.Time
-		if opts.Sink != nil || obsOn {
+		if timed {
 			start = time.Now()
 		}
 		parent := pop[rng.Intn(len(pop))]
 		child := mutate(parent.sel, numCand, flipProb, rng)
-		childSigma := objective(p, child, workers)
+		childSigma := objective(p, child, run.Parallelism)
 		childCost := solCost(child)
 		res.Evaluations++
 		insertPareto(&pop, eaSol{sel: child, sigma: childSigma, cost: childCost})
@@ -180,30 +145,15 @@ func EA(p Problem, opts EAOptions, rng *xrand.Rand) EAResult {
 		if opts.RecordTrace {
 			res.Trace = append(res.Trace, bestFeasible.sigma)
 		}
-		if obsOn {
-			obs.ObserveRound(time.Since(start))
-		}
-		if opts.Sink != nil {
-			sigma, sigmaWorst := splitObjective(p, bestFeasible.sigma)
-			mu, nu := p.Mu(child), p.Nu(child)
-			opts.Sink.Emit(telemetry.RoundEvent{
-				Algorithm:  "ea",
-				Round:      iter,
-				Gain:       childSigma - parent.sigma,
-				Sigma:      sigma,
-				SigmaWorst: sigmaWorst,
-				Selected:   len(child),
-				Candidates: numCand,
-				Mu:         mu,
-				Nu:         nu,
-				ElapsedNS:  time.Since(start).Nanoseconds(),
-			})
+		if timed {
+			ev := telemetry.RoundEvent{Algorithm: "ea", Round: iter, Gain: childSigma - parent.sigma}
+			run.endRound(p, start, ev, child, bestFeasible.sigma)
 		}
 		if stop.Rounds < opts.Iterations && checkpointDue(stop.Rounds, opts.Iterations, opts.CheckpointEvery) {
-			checkpoint()
+			emitCheckpoint(opts.CheckpointSink, "ea", stop.Rounds, rng, pop, bestFeasible, res.Evaluations)
 		}
 	}
-	checkpoint()
+	emitCheckpoint(opts.CheckpointSink, "ea", stop.Rounds, rng, pop, bestFeasible, res.Evaluations)
 	res.Best = stoppedPlacement(p, bestFeasible.sel, stop)
 	res.PopulationSize = len(pop)
 	return res

@@ -82,8 +82,8 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 					})
 
 					t.Run("ea", func(t *testing.T) {
-						ires := EA(inc, EAOptions{Iterations: 30, Parallelism: workers}, xrand.New(seed))
-						rres := EA(reb, EAOptions{Iterations: 30, Parallelism: workers}, xrand.New(seed))
+						ires := EA(inc, EAOptions{Iterations: 30, RunOptions: RunOptions{Parallelism: workers}}, xrand.New(seed))
+						rres := EA(reb, EAOptions{Iterations: 30, RunOptions: RunOptions{Parallelism: workers}}, xrand.New(seed))
 						comparePlacements(t, "EA.Best", ires.Best, rres.Best)
 						if ires.Evaluations != rres.Evaluations {
 							t.Errorf("EA evaluations differ: incremental %d, rebuild %d", ires.Evaluations, rres.Evaluations)
@@ -91,7 +91,7 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 					})
 
 					t.Run("aea", func(t *testing.T) {
-						opts := AEAOptions{Iterations: 30, PopSize: 5, Delta: 0.05, RecordTrace: true, Parallelism: workers}
+						opts := AEAOptions{Iterations: 30, PopSize: 5, Delta: 0.05, RecordTrace: true, RunOptions: RunOptions{Parallelism: workers}}
 						ires := AEA(inc, opts, xrand.New(seed))
 						rres := AEA(reb, opts, xrand.New(seed))
 						comparePlacements(t, "AEA.Best", ires.Best, rres.Best)
@@ -111,8 +111,8 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 
 					t.Run("local_search", func(t *testing.T) {
 						start := xrand.New(seed).SampleDistinct(inc.NumCandidates(), inc.K())
-						ipl := LocalSearch(inc, start, LocalSearchOptions{Parallelism: workers})
-						rpl := LocalSearch(reb, start, LocalSearchOptions{Parallelism: workers})
+						ipl := LocalSearch(inc, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}})
+						rpl := LocalSearch(reb, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}})
 						comparePlacements(t, "LocalSearch", ipl, rpl)
 					})
 				})
@@ -303,7 +303,7 @@ func TestEvalZeroCandidates(t *testing.T) {
 		t.Errorf("AEA selected %v from an empty universe", res.Best.Selection)
 	}
 	for _, workers := range []int{1, 8} {
-		if pl := LocalSearch(inst, nil, LocalSearchOptions{Parallelism: workers}); len(pl.Selection) != 0 {
+		if pl := LocalSearch(inst, nil, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}}); len(pl.Selection) != 0 {
 			t.Errorf("LocalSearch(par=%d) selected %v from an empty universe", workers, pl.Selection)
 		}
 	}

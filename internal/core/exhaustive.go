@@ -33,8 +33,8 @@ var ErrTooLarge = errors.New("core: exhaustive search space too large")
 // reporting why; a full enumeration reports StopConverged — the returned
 // placement is exact.
 func Exhaustive(p Problem, maxEvals int, opts ...Option) (Placement, error) {
-	cfg := resolveConfig(opts)
-	defer cfg.release()
+	run, release := RunOptions{}.resolve(opts...)
+	defer release()
 	if _, ok := asBudgeted(p); ok {
 		return Placement{}, &InputError{Param: "budget", Reason: "problem is budgeted; use ExhaustiveBudget"}
 	}
@@ -51,7 +51,7 @@ func Exhaustive(p Problem, maxEvals int, opts ...Option) (Placement, error) {
 	if total < 0 || total > float64(maxEvals) {
 		return Placement{}, ErrTooLarge
 	}
-	return bestOfWalk(p, cfg, func(visit func(sel []int, index int) bool) {
+	return bestOfWalk(p, run, func(visit func(sel []int, index int) bool) {
 		walkCombinations(k, numCand, visit)
 	}), nil
 }
@@ -75,8 +75,8 @@ func Exhaustive(p Problem, maxEvals int, opts ...Option) (Placement, error) {
 // why; a full enumeration reports StopConverged — the returned placement
 // is exact.
 func ExhaustiveBudget(p Problem, maxEvals int, opts ...Option) (Placement, error) {
-	cfg := resolveConfig(opts)
-	defer cfg.release()
+	run, release := RunOptions{}.resolve(opts...)
+	defer release()
 	bp, ok := asBudgeted(p)
 	if !ok {
 		return Placement{}, &InputError{Param: "budget", Reason: "problem is not budgeted; use Exhaustive"}
@@ -93,7 +93,7 @@ func ExhaustiveBudget(p Problem, maxEvals int, opts ...Option) (Placement, error
 	if total > maxEvals {
 		return Placement{}, ErrTooLarge
 	}
-	return bestOfWalk(p, cfg, func(visit func(sel []int, index int) bool) {
+	return bestOfWalk(p, run, func(visit func(sel []int, index int) bool) {
 		walkBudget(bp, numCand, visit)
 	}), nil
 }
@@ -106,13 +106,13 @@ func ExhaustiveBudget(p Problem, maxEvals int, opts ...Option) (Placement, error
 // the per-worker bests then reduce serially — largest objective, ties
 // toward the lowest enumeration index. A run canceled before any
 // evaluation returns the empty placement (winner.sel is nil).
-func bestOfWalk(p Problem, cfg solveConfig, walk func(visit func(sel []int, index int) bool)) Placement {
+func bestOfWalk(p Problem, run RunOptions, walk func(visit func(sel []int, index int) bool)) Placement {
 	type walkBest struct {
 		sel          []int
 		value, index int
 		evals        int
 	}
-	workers := cfg.workers
+	workers := run.Parallelism
 	bests := make([]walkBest, workers)
 	ParallelFor(workers, workers, func(shard, _, _ int) {
 		best := walkBest{value: -1, index: -1}
@@ -120,7 +120,7 @@ func bestOfWalk(p Problem, cfg solveConfig, walk func(visit func(sel []int, inde
 			if index%workers != shard {
 				return true
 			}
-			if cfg.err() != nil {
+			if run.err() != nil {
 				return false
 			}
 			if v := objective(p, sel, 1); v > best.value {
@@ -132,7 +132,7 @@ func bestOfWalk(p Problem, cfg solveConfig, walk func(visit func(sel []int, inde
 		bests[shard] = best
 	})
 	stop := StopInfo{Reason: StopConverged}
-	if err := cfg.err(); err != nil {
+	if err := run.err(); err != nil {
 		stop.Reason = stopReasonFor(err)
 	}
 	winner := bests[0]

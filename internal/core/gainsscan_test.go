@@ -363,7 +363,7 @@ func TestLazyRowsCountersWorkerInvariance(t *testing.T) {
 	sel := rng.SampleDistinct(inst.NumCandidates(), 4)
 	run := func(workers int) telemetry.CounterSnapshot {
 		before := telemetry.Global().Snapshot()
-		opts := AEAOptions{Iterations: 20, PopSize: 4, Delta: 0.05, Parallelism: workers}
+		opts := AEAOptions{Iterations: 20, PopSize: 4, Delta: 0.05, RunOptions: RunOptions{Parallelism: workers}}
 		AEA(inst, opts, xrand.New(7))
 		s := inst.NewSearch(sel).(*instSearch)
 		s.SetWorkers(workers)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"msc/internal/maxcover"
-	"msc/internal/obs"
 	"msc/internal/submodular"
 	"msc/internal/telemetry"
 )
@@ -39,12 +38,12 @@ import (
 // Under unit costs with B = k the budgeted run reproduces the cardinality
 // run bit for bit.
 func GreedySigma(p Problem, opts ...Option) Placement {
-	cfg := resolveConfig(opts)
-	defer cfg.release()
+	run, release := RunOptions{}.resolve(opts...)
+	defer release()
 	if bp, ok := asBudgeted(p); ok {
-		return greedySigmaBudget(bp, cfg)
+		return greedySigmaBudget(bp, run)
 	}
-	s, timed := cfg.greedySearch(p)
+	s, timed := run.greedySearch(p)
 	stop := StopInfo{Reason: StopConverged}
 	for round := 0; s.Len() < p.K(); round++ {
 		var start time.Time
@@ -56,7 +55,7 @@ func GreedySigma(p Problem, opts ...Option) Placement {
 		// canceled scan's (possibly partial) argmax is discarded, and a
 		// run that is never canceled commits exactly the rounds the
 		// unsupervised loop would.
-		if err := cfg.err(); err != nil {
+		if err := run.err(); err != nil {
 			stop.Reason = stopReasonFor(err)
 			break
 		}
@@ -66,7 +65,7 @@ func GreedySigma(p Problem, opts ...Option) Placement {
 		s.Add(cand)
 		stop.Rounds++
 		if timed {
-			cfg.greedyRound(p, s, round, cand, gain, start)
+			run.greedyRound(p, s, round, cand, gain, start)
 		}
 	}
 	return stoppedPlacement(p, s.Selection(), stop)
@@ -77,60 +76,39 @@ func GreedySigma(p Problem, opts ...Option) Placement {
 // or the ops plane reads the rounds; only then does the loop read the
 // clock and the search time its scans, so an untraced run allocates
 // nothing per round for telemetry.
-func (c *solveConfig) greedySearch(p Problem) (s Search, timed bool) {
+func (r RunOptions) greedySearch(p Problem) (s Search, timed bool) {
 	s = p.NewSearch(nil)
-	s.SetWorkers(c.workers)
-	s.SetContext(c.ctx)
-	timed = c.sink != nil || obs.Enabled()
+	s.SetWorkers(r.Parallelism)
+	s.SetContext(r.Context)
+	timed = r.timed()
 	if timed {
 		s.EnableScanTiming(true)
 	}
 	return s, timed
 }
 
-// greedyRound reports a committed greedy round that started at start: its
-// wall time to the ops plane and, with a sink attached, its greedy_sigma
-// RoundEvent carrying the selection's σ/μ/ν after the round, the scan's
-// shard extrema and the round's incremental-evaluation work.
-func (c *solveConfig) greedyRound(p Problem, s Search, round, cand, gain int, start time.Time) {
-	obs.ObserveRound(time.Since(start))
-	if c.sink == nil {
-		return
+// greedyRound closes a committed greedy round that started at start
+// (endRound); its greedy_sigma RoundEvent also carries the chosen
+// shortcut, the scan's shard extrema and the round's
+// incremental-evaluation work.
+func (r RunOptions) greedyRound(p Problem, s Search, round, cand, gain int, start time.Time) {
+	ev := telemetry.RoundEvent{Algorithm: "greedy_sigma", Round: round, Gain: gain}
+	if r.Sink != nil {
+		e := p.CandidateEdge(cand)
+		ev.Shortcut = &[2]int32{int32(e.U), int32(e.V)}
+		ev.ShardMinNS, ev.ShardMaxNS, ev.Shards = s.LastScanShards()
+		// PairsSkipped reads 0: every gains refresh is a cold scan.
+		ev.RowsMerged, ev.RowsUnchanged, ev.PairsRescanned, ev.PairsSkipped = s.LastEvalStats()
 	}
-	sel := s.Selection()
-	e := p.CandidateEdge(cand)
-	minNS, maxNS, shards := s.LastScanShards()
-	// pairsSkipped reads 0: every gains refresh is a cold scan.
-	rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped := s.LastEvalStats()
-	sigma, sigmaWorst := splitObjective(p, s.Sigma())
-	c.sink.Emit(telemetry.RoundEvent{
-		Algorithm:      "greedy_sigma",
-		Round:          round,
-		Shortcut:       &[2]int32{int32(e.U), int32(e.V)},
-		Gain:           gain,
-		Sigma:          sigma,
-		SigmaWorst:     sigmaWorst,
-		Selected:       len(sel),
-		Candidates:     p.NumCandidates(),
-		Mu:             p.Mu(sel),
-		Nu:             p.Nu(sel),
-		ElapsedNS:      time.Since(start).Nanoseconds(),
-		ShardMinNS:     minNS,
-		ShardMaxNS:     maxNS,
-		Shards:         shards,
-		RowsMerged:     rowsMerged,
-		RowsUnchanged:  rowsUnchanged,
-		PairsRescanned: pairsRescanned,
-		PairsSkipped:   pairsSkipped,
-	})
+	r.endRound(p, start, ev, s.Selection(), s.Sigma())
 }
 
 // greedySigmaBudget is the budgeted GreedySigma loop. The per-round gains
 // scan still shards across the configured workers through Search.GainsAdd,
 // so placements stay identical at every worker count; with a sink attached
 // it emits the same greedy_sigma RoundEvents as the cardinality loop.
-func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
-	s, timed := cfg.greedySearch(bp)
+func greedySigmaBudget(bp BudgetProblem, run RunOptions) Placement {
+	s, timed := run.greedySearch(bp)
 	stop := StopInfo{Reason: StopConverged}
 	budget := bp.Budget()
 	rem := budget
@@ -144,7 +122,7 @@ func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
 		// As in the cardinality loop, the supervision check sits BEFORE
 		// committing the round: a canceled scan's partial gains are
 		// discarded.
-		if err := cfg.err(); err != nil {
+		if err := run.err(); err != nil {
 			stop.Reason = stopReasonFor(err)
 			break
 		}
@@ -183,7 +161,7 @@ func greedySigmaBudget(bp BudgetProblem, cfg solveConfig) Placement {
 		rem -= bestCost
 		stop.Rounds++
 		if timed {
-			cfg.greedyRound(bp, s, round, bestC, bestGain, start)
+			run.greedyRound(bp, s, round, bestC, bestGain, start)
 		}
 	}
 	sel := s.Selection()

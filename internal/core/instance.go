@@ -266,10 +266,6 @@ type Options struct {
 	// BackendBounded, which both select the bounded table that every
 	// instance built without a Table runs on.
 	DistBackend DistBackend
-	// Parallelism is the worker budget of callers that carry one Options
-	// value to both the instance and the solvers (the experiments read it
-	// for their solver runs); NewInstance builds nothing in parallel.
-	Parallelism int
 	// Survive selects the failure model the objective must survive:
 	// SurviveNone (the paper's fault-free σ), SurviveShortcut, or
 	// SurviveNode (survive.go). Under a non-none mode NewSearch returns the

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"time"
 
-	"msc/internal/obs"
 	"msc/internal/telemetry"
 )
 
@@ -12,22 +10,13 @@ import (
 type LocalSearchOptions struct {
 	// MaxIters bounds the number of improving swaps (default 100).
 	MaxIters int
-	// Parallelism shards the drop×add neighborhood scan across workers via
-	// ParBestSwap; 1 forces the serial path, <= 0 resolves via
-	// ResolveParallelism. The refinement is identical for every worker
-	// count.
-	Parallelism int
-	// Sink, when non-nil, receives one RoundEvent per applied swap (the
-	// added shortcut, the σ gain of the swap, and σ after it). Tracing
-	// reads solver state only, so the refinement is identical with and
-	// without a sink.
-	Sink telemetry.Sink
-	// Context supervises the pass: checked before each swap is committed,
-	// so cancellation returns the refinement achieved so far (never worse
-	// than the input). nil means never canceled.
-	Context context.Context
-	// Deadline bounds the pass in wall-clock time (composes with Context).
-	Deadline time.Duration
+	// RunOptions are the pass's workers, sink, context and deadline. The
+	// workers shard the drop×add neighborhood scan (ParBestSwap); the sink
+	// receives one RoundEvent per applied swap (the added shortcut, the
+	// swap's gain, and the value after it); the context is checked before
+	// each swap is committed, so cancellation returns the refinement
+	// achieved so far (never worse than the input).
+	RunOptions
 }
 
 // LocalSearch refines a placement by best-improvement swaps: repeatedly
@@ -49,26 +38,25 @@ func LocalSearch(p Problem, start []int, opts LocalSearchOptions) Placement {
 	if maxIters <= 0 {
 		maxIters = 100
 	}
-	workers := ResolveParallelism(opts.Parallelism)
-	ctx, cancel := superviseCtx(opts.Context, opts.Deadline)
-	defer cancel()
+	run, release := opts.resolve()
+	defer release()
 	cur := append([]int(nil), start...)
 	s := p.NewSearch(cur)
 	stop := StopInfo{Reason: StopEvalBudget}
-	obsOn := obs.Enabled()
+	timed := run.timed()
 	for iter := 0; iter < maxIters; iter++ {
 		var start time.Time
-		if opts.Sink != nil || obsOn {
+		if timed {
 			start = time.Now()
 		}
 		// Evaluate the full (drop, add) neighborhood: for each drop
 		// position, a private search without it scans the best addition;
 		// positions shard across workers (see ParBestSwap).
 		prevSigma := s.Sigma()
-		bestDrop, bestAdd, _ := ParBestSwap(p, cur, prevSigma, workers)
+		bestDrop, bestAdd, _ := ParBestSwap(p, cur, prevSigma, run.Parallelism)
 		// Supervision before committing the swap: a canceled scan's result
 		// is discarded and the refinement so far returned.
-		if err := ctxErr(ctx); err != nil {
+		if err := run.err(); err != nil {
 			stop.Reason = stopReasonFor(err)
 			break
 		}
@@ -80,27 +68,12 @@ func LocalSearch(p Problem, start []int, opts LocalSearchOptions) Placement {
 		cur = append(cur, bestAdd)
 		s = p.NewSearch(cur)
 		stop.Rounds = iter + 1
-		if obsOn {
-			obs.ObserveRound(time.Since(start))
-		}
-		if opts.Sink != nil {
+		if timed {
 			e := p.CandidateEdge(bestAdd)
 			value := s.Sigma()
-			sigma, sigmaWorst := splitObjective(p, value)
-			mu, nu := p.Mu(cur), p.Nu(cur)
-			opts.Sink.Emit(telemetry.RoundEvent{
-				Algorithm:  "local_search",
-				Round:      iter,
-				Shortcut:   &[2]int32{int32(e.U), int32(e.V)},
-				Gain:       value - prevSigma,
-				Sigma:      sigma,
-				SigmaWorst: sigmaWorst,
-				Selected:   len(cur),
-				Candidates: p.NumCandidates(),
-				Mu:         mu,
-				Nu:         nu,
-				ElapsedNS:  time.Since(start).Nanoseconds(),
-			})
+			ev := telemetry.RoundEvent{Algorithm: "local_search", Round: iter,
+				Shortcut: &[2]int32{int32(e.U), int32(e.V)}, Gain: value - prevSigma}
+			run.endRound(p, start, ev, cur, value)
 		}
 	}
 	return stoppedPlacement(p, cur, stop)

@@ -31,7 +31,7 @@ func TestSurvivableEvolutionaryObjective(t *testing.T) {
 				opts.Sink, opts.CheckpointSink, opts.CheckpointEvery = sink, cps, 5
 				AEA(inst, opts, xrand.New(7))
 			case "ea":
-				EA(inst, EAOptions{Iterations: 60, Parallelism: 2, Sink: sink,
+				EA(inst, EAOptions{Iterations: 60, RunOptions: RunOptions{Parallelism: 2, Sink: sink},
 					CheckpointSink: cps, CheckpointEvery: 5}, xrand.New(7))
 			}
 			rounds := sink.rounds(alg)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"msc/internal/obs"
 	"msc/internal/telemetry"
 )
 
@@ -28,38 +29,54 @@ import (
 
 var _ Problem = (*Instance)(nil)
 
-// Option configures a solver entry point (GreedySigma, Sandwich,
-// RandomPlacement, Exhaustive, LocalSearch via its options struct). EA and
-// AEA carry the equivalent Parallelism field on their options structs.
-type Option func(*solveConfig)
-
-type solveConfig struct {
-	workers int
-	sink    telemetry.Sink
-	// ctx supervises the run (WithContext); nil means never canceled.
-	ctx context.Context
-	// timeout is a relative deadline (WithDeadline); resolveConfig wraps
-	// ctx with it and records cancel for release().
-	timeout time.Duration
-	cancel  context.CancelFunc
+// RunOptions are the run conditions every solver shares: its worker
+// count, trace sink, supervision context and deadline. GreedySigma,
+// GreedySigmaCurve, Sandwich, RandomPlacement, Exhaustive and
+// ExhaustiveBudget take them as Options; EAOptions, AEAOptions and
+// LocalSearchOptions embed them. None of the four changes a placement: a
+// run is identical for every worker count, with and without a sink, and
+// with or without a context that never fires.
+type RunOptions struct {
+	// Parallelism is the number of candidate-scan workers: 1 is the fully
+	// serial code path; <= 0 resolves via ResolveParallelism.
+	Parallelism int
+	// Sink, when non-nil, receives one RoundEvent per committed round (a
+	// greedy round, an EA/AEA iteration, an applied local-search swap)
+	// and, from Sandwich, one closing SandwichEvent; RandomPlacement and
+	// the Exhaustive solvers emit nothing. Tracing reads solver state but
+	// never steers it, and emission sites nil-check before doing any
+	// work, so a nil sink adds nothing to the candidate-scan hot path.
+	Sink telemetry.Sink
+	// Context supervises the run (see supervise.go); nil means never
+	// canceled.
+	Context context.Context
+	// Deadline bounds the run to this much wall-clock time, composing with
+	// Context (whichever fires first wins); <= 0 means no deadline.
+	Deadline time.Duration
 }
+
+// Option sets run conditions on a solver entry point that takes options:
+// Parallelism, WithSink, WithContext and WithDeadline set one each, and a
+// RunOptions value sets all four, replacing what earlier options set.
+type Option interface{ apply(*RunOptions) }
+
+type optionFunc func(*RunOptions)
+
+func (f optionFunc) apply(r *RunOptions) { f(r) }
+
+func (r RunOptions) apply(dst *RunOptions) { *dst = r }
 
 // Parallelism fixes the number of candidate-scan workers a solver may use.
 // n = 1 restores the fully serial code path; n <= 0 (and omitting the
 // option) selects runtime.GOMAXPROCS(0).
 func Parallelism(n int) Option {
-	return func(c *solveConfig) { c.workers = n }
+	return optionFunc(func(r *RunOptions) { r.Parallelism = n })
 }
 
-// WithSink attaches a telemetry sink to a solver run: GreedySigma emits one
-// RoundEvent per greedy round, Sandwich additionally a SandwichEvent; other
-// Option-taking solvers accept and ignore it. A nil sink (or omitting the
-// option) disables tracing entirely — emission sites nil-check before doing
-// any work, so detached telemetry adds no allocations and no time to the
-// candidate-scan hot path, and placements are identical with or without a
-// sink.
+// WithSink attaches a telemetry sink to a solver run (RunOptions.Sink). A
+// nil sink (or omitting the option) disables tracing.
 func WithSink(s telemetry.Sink) Option {
-	return func(c *solveConfig) { c.sink = s }
+	return optionFunc(func(r *RunOptions) { r.Sink = s })
 }
 
 // ResolveParallelism normalizes a Parallelism value: n >= 1 is returned
@@ -71,20 +88,47 @@ func ResolveParallelism(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func resolveOptions(opts []Option) int {
-	return resolveConfig(opts).workers
+// resolve applies opts to r and returns the run every entry point
+// executes: Parallelism resolved, and a positive Deadline folded into
+// Context, with the cancel func that frees its timer (never nil; callers
+// defer it). A resolved run resolves to itself, so an entry point can hand
+// its run to another — as Sandwich hands its own to the F_σ arm — without
+// restarting the clock.
+func (r RunOptions) resolve(opts ...Option) (RunOptions, context.CancelFunc) {
+	for _, o := range opts {
+		o.apply(&r)
+	}
+	r.Parallelism = ResolveParallelism(r.Parallelism)
+	cancel := context.CancelFunc(func() {})
+	if r.Deadline > 0 {
+		if r.Context == nil {
+			r.Context = context.Background()
+		}
+		r.Context, cancel = context.WithTimeout(r.Context, r.Deadline)
+		r.Deadline = 0
+	}
+	return r, cancel
 }
 
-func resolveConfig(opts []Option) solveConfig {
-	var c solveConfig
-	for _, o := range opts {
-		o(&c)
+// timed reports whether the run reads its rounds' wall time: only a sink
+// or the ops plane does, so an untraced run reads no clock per round.
+func (r RunOptions) timed() bool { return r.Sink != nil || obs.Enabled() }
+
+// endRound closes a committed round that began at start: its wall time
+// goes to the ops plane and, with a sink attached, ev goes out completed
+// with the fields every solver fills alike — σ and σ⁻ split from the
+// objective value, the size, μ and ν of the selection sel, the candidate
+// count and the elapsed time.
+func (r RunOptions) endRound(p Problem, start time.Time, ev telemetry.RoundEvent, sel []int, value int) {
+	obs.ObserveRound(time.Since(start))
+	if r.Sink == nil {
+		return
 	}
-	c.workers = ResolveParallelism(c.workers)
-	if c.timeout > 0 {
-		c.ctx, c.cancel = superviseCtx(c.ctx, c.timeout)
-	}
-	return c
+	ev.Sigma, ev.SigmaWorst = splitObjective(p, value)
+	ev.Selected, ev.Candidates = len(sel), p.NumCandidates()
+	ev.Mu, ev.Nu = p.Mu(sel), p.Nu(sel)
+	ev.ElapsedNS = time.Since(start).Nanoseconds()
+	r.Sink.Emit(ev)
 }
 
 // ParallelFor splits [0, n) into at most `workers` contiguous shards of

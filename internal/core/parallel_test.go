@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"msc/internal/xrand"
 )
@@ -91,8 +92,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			})
 
 			t.Run("ea", func(t *testing.T) {
-				serial := EA(inst, EAOptions{Iterations: 40, Parallelism: 1}, xrand.New(seed))
-				par := EA(inst, EAOptions{Iterations: 40, Parallelism: workers}, xrand.New(seed))
+				serial := EA(inst, EAOptions{Iterations: 40, RunOptions: RunOptions{Parallelism: 1}}, xrand.New(seed))
+				par := EA(inst, EAOptions{Iterations: 40, RunOptions: RunOptions{Parallelism: workers}}, xrand.New(seed))
 				comparePlacements(t, "EA.Best", serial.Best, par.Best)
 				if serial.Evaluations != par.Evaluations || serial.PopulationSize != par.PopulationSize {
 					t.Errorf("EA run shape differs: serial (%d evals, pop %d), parallel (%d evals, pop %d)",
@@ -101,7 +102,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			})
 
 			t.Run("aea", func(t *testing.T) {
-				serialOpts := AEAOptions{Iterations: 40, PopSize: 5, Delta: 0.05, RecordTrace: true, Parallelism: 1}
+				serialOpts := AEAOptions{Iterations: 40, PopSize: 5, Delta: 0.05, RecordTrace: true, RunOptions: RunOptions{Parallelism: 1}}
 				parOpts := serialOpts
 				parOpts.Parallelism = workers
 				serial := AEA(inst, serialOpts, xrand.New(seed))
@@ -113,7 +114,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			})
 
 			t.Run("aea_seed_greedy", func(t *testing.T) {
-				serialOpts := AEAOptions{Iterations: 20, PopSize: 5, Delta: 0.05, SeedGreedy: true, Parallelism: 1}
+				serialOpts := AEAOptions{Iterations: 20, PopSize: 5, Delta: 0.05, SeedGreedy: true, RunOptions: RunOptions{Parallelism: 1}}
 				parOpts := serialOpts
 				parOpts.Parallelism = workers
 				serial := AEA(inst, serialOpts, xrand.New(seed))
@@ -132,8 +133,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 
 			t.Run("local_search", func(t *testing.T) {
 				start := xrand.New(seed).SampleDistinct(inst.NumCandidates(), inst.K())
-				serial := LocalSearch(inst, start, LocalSearchOptions{Parallelism: 1})
-				par := LocalSearch(inst, start, LocalSearchOptions{Parallelism: workers})
+				serial := LocalSearch(inst, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: 1}})
+				par := LocalSearch(inst, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}})
 				comparePlacements(t, "LocalSearch", serial, par)
 			})
 
@@ -309,7 +310,38 @@ func TestResolveParallelism(t *testing.T) {
 			t.Errorf("ResolveParallelism(%d) = %d, want GOMAXPROCS = %d", n, got, runtime.GOMAXPROCS(0))
 		}
 	}
-	if got := resolveOptions([]Option{Parallelism(7)}); got != 7 {
-		t.Errorf("resolveOptions(Parallelism(7)) = %d", got)
+	run, release := RunOptions{}.resolve(Parallelism(7))
+	defer release()
+	if run.Parallelism != 7 {
+		t.Errorf("resolve(Parallelism(7)).Parallelism = %d", run.Parallelism)
+	}
+}
+
+// TestRunOptionsResolve: a RunOptions passed as an Option replaces what
+// earlier options set, resolving folds the deadline into the context, and
+// a resolved run resolves to itself — the clock does not restart.
+func TestRunOptionsResolve(t *testing.T) {
+	sink := &memSink{}
+	run, release := RunOptions{}.resolve(Parallelism(3), RunOptions{Sink: sink, Deadline: time.Hour})
+	defer release()
+	if run.Parallelism != runtime.GOMAXPROCS(0) || run.Sink != sink || run.Deadline != 0 {
+		t.Fatalf("resolved run = %+v", run)
+	}
+	deadline, ok := run.Context.Deadline()
+	if !ok {
+		t.Fatal("resolved deadline left no context deadline")
+	}
+	again, release2 := run.resolve()
+	defer release2()
+	if again != run {
+		t.Fatalf("re-resolving changed the run: %+v vs %+v", again, run)
+	}
+	if d, _ := again.Context.Deadline(); !d.Equal(deadline) {
+		t.Fatalf("re-resolving moved the deadline from %v to %v", deadline, d)
+	}
+	plain, release3 := RunOptions{Parallelism: 2}.resolve()
+	defer release3()
+	if plain.Context != nil {
+		t.Fatalf("no deadline and no context resolved to context %v", plain.Context)
 	}
 }

@@ -29,8 +29,8 @@ import (
 // B = k the draws match SampleDistinct's rejection branch, so sparse
 // (k·3 < N) budgeted runs reproduce cardinality runs bit for bit.
 func RandomPlacement(p Problem, trials int, rng *xrand.Rand, opts ...Option) (Placement, error) {
-	cfg := resolveConfig(opts)
-	defer cfg.release()
+	run, release := RunOptions{}.resolve(opts...)
+	defer release()
 	numCand := p.NumCandidates()
 	if trials < 1 {
 		return Placement{}, &InputError{Param: "trials", Value: trials, Reason: "must be at least 1"}
@@ -52,11 +52,11 @@ func RandomPlacement(p Problem, trials int, rng *xrand.Rand, opts ...Option) (Pl
 	// the evaluation short; unevaluated trials keep the value -1 and so
 	// never outrank an evaluated one in the reduce.
 	values := make([]int, trials)
-	done := make([]int, min(cfg.workers, trials))
-	ParallelFor(cfg.workers, trials, func(shard, lo, hi int) {
+	done := make([]int, min(run.Parallelism, trials))
+	ParallelFor(run.Parallelism, trials, func(shard, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			values[t] = -1
-			if cfg.err() != nil {
+			if run.err() != nil {
 				continue
 			}
 			values[t] = objective(p, sels[t], 1)
@@ -64,7 +64,7 @@ func RandomPlacement(p Problem, trials int, rng *xrand.Rand, opts ...Option) (Pl
 		}
 	})
 	stop := StopInfo{Reason: StopEvalBudget}
-	if err := cfg.err(); err != nil {
+	if err := run.err(); err != nil {
 		stop.Reason = stopReasonFor(err)
 	}
 	for _, d := range done {

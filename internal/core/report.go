@@ -146,21 +146,19 @@ func FormatReport(statuses []PairStatus) string {
 	return sb.String()
 }
 
-// GreedySigmaCurve returns the greedy budget curve: curve[j] is σ after
-// the first j greedy shortcuts (curve[0] is the baseline). Practitioners
-// use it to answer "how much budget do I actually need" — the marginal
-// value of every additional reliable link, in one greedy run.
+// GreedySigmaCurve returns the greedy budget curve: curve[j] is the
+// fault-free σ of the first j shortcuts GreedySigma places under the same
+// options (curve[0] is the baseline), so curve[len(curve)-1] is that
+// placement's σ. Practitioners use it to answer "how much budget do I
+// actually need" — the marginal value of every additional reliable link,
+// in one greedy run. On a survivable or budgeted instance it follows the
+// placement GreedySigma makes there; a canceled run's curve ends at the
+// prefix it returned.
 func GreedySigmaCurve(p Problem, opts ...Option) []int {
-	s := p.NewSearch(nil)
-	s.SetWorkers(resolveOptions(opts))
-	curve := []int{s.Sigma()}
-	for s.Len() < p.K() {
-		cand, gain := s.BestAdd()
-		if cand < 0 || gain <= 0 {
-			break
-		}
-		s.Add(cand)
-		curve = append(curve, s.Sigma())
+	sel := GreedySigma(p, opts...).Selection
+	curve := make([]int, len(sel)+1)
+	for j := range curve {
+		curve[j] = p.Sigma(sel[:j])
 	}
 	return curve
 }

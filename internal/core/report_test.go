@@ -119,6 +119,48 @@ func TestGreedySigmaCurve(t *testing.T) {
 	}
 }
 
+// TestGreedySigmaCurveFollowsGreedy: on every objective the curve is the
+// fault-free σ after each prefix of GreedySigma's placement — never the
+// survivable scalarization, never past the budget — and it honors the
+// run's context.
+func TestGreedySigmaCurveFollowsGreedy(t *testing.T) {
+	const dt = 0.8
+	g, ps, table := budgetWorld(t, 16, 8, dt, 31)
+	cases := []struct {
+		name string
+		inst *Instance
+	}{
+		{"plain", budgetInstance(t, g, ps, table, 6, dt, Options{})},
+		{"budget-unit", budgetInstance(t, g, ps, table, 6, dt, Options{Budget: 3, CostModel: CostUnit})},
+		{"budget-length", budgetInstance(t, g, ps, table, 6, dt, Options{Budget: 2.5, CostModel: CostLength})},
+		{"survive-shortcut", budgetInstance(t, g, ps, table, 4, dt, Options{Survive: SurviveShortcut})},
+		{"survive-node", budgetInstance(t, g, ps, table, 4, dt, Options{Survive: SurviveNode})},
+	}
+	for _, tc := range cases {
+		inst := tc.inst
+		pl := GreedySigma(inst, Parallelism(2))
+		curve := GreedySigmaCurve(inst, Parallelism(2))
+		if len(curve) != len(pl.Selection)+1 {
+			t.Fatalf("%s: %d curve points for a %d-shortcut placement", tc.name, len(curve), len(pl.Selection))
+		}
+		if curve[len(curve)-1] != pl.Sigma {
+			t.Fatalf("%s: curve ends at %d, greedy σ is %d", tc.name, curve[len(curve)-1], pl.Sigma)
+		}
+		for j, v := range curve {
+			if v > inst.MaxSigma() || v != inst.Sigma(pl.Selection[:j]) {
+				t.Fatalf("%s: curve[%d] = %d, want σ of the prefix %d (MaxSigma %d)",
+					tc.name, j, v, inst.Sigma(pl.Selection[:j]), inst.MaxSigma())
+			}
+		}
+		if inst.Budgeted() && inst.CostOf(pl.Selection) > inst.Budget() {
+			t.Fatalf("%s: curve follows a placement costing %v over budget %v", tc.name, inst.CostOf(pl.Selection), inst.Budget())
+		}
+		if c := GreedySigmaCurve(inst, WithContext(canceledCtx())); len(c) != 1 || c[0] != inst.BaseSigma() {
+			t.Fatalf("%s: canceled curve = %v, want the baseline alone", tc.name, c)
+		}
+	}
+}
+
 // TestReportUnreachablePairs: a pair split across graph components reports
 // failure probability 1 on both sides until a shortcut bridges the gap.
 func TestReportUnreachablePairs(t *testing.T) {

@@ -34,7 +34,7 @@ type SandwichResult struct {
 //
 //	σ(F_app) ≥ (σ(F_σ)/ν(F_σ)) · (1 − 1/e) · σ(F*).
 //
-// Options (e.g. Parallelism, WithSink) are forwarded to the F_σ arm, the
+// The run's options (e.g. Parallelism, WithSink) apply to the F_σ arm, the
 // only arm with a sharded candidate scan; the μ/ν arms run the serial
 // coverage greedy of internal/maxcover over structures built from the
 // pair endpoints' d_t-balls, the same balls the σ search reads (see
@@ -42,16 +42,14 @@ type SandwichResult struct {
 // per-round trace and Sandwich itself emits one closing SandwichEvent
 // summarizing the three arms and the bound.
 func Sandwich(p Problem, opts ...Option) SandwichResult {
-	cfg := resolveConfig(opts)
-	defer cfg.release()
-	// The F_σ arm must share this run's derived deadline context rather than
-	// re-deriving its own (which would restart the clock mid-run), so the
-	// forwarded options pin the resolved context and clear the deadline.
-	armOpts := append(append([]Option(nil), opts...), WithContext(cfg.ctx), WithDeadline(0))
+	run, release := RunOptions{}.resolve(opts...)
+	defer release()
 	start := time.Now()
 	res := SandwichResult{
-		FMu:    GreedyMu(p),
-		FSigma: GreedySigma(p, armOpts...),
+		FMu: GreedyMu(p),
+		// The F_σ arm runs under this run itself: resolved, its deadline
+		// is already part of its context, so the clock keeps running.
+		FSigma: GreedySigma(p, run),
 		FNu:    GreedyNu(p),
 	}
 	// The winner is the arm of largest objective: under a survivability
@@ -85,12 +83,9 @@ func Sandwich(p Problem, opts ...Option) SandwichResult {
 		Rounds: res.FSigma.Stop.Rounds,
 		Sigma:  res.Best.Sigma,
 	}
-	if cfg.sink != nil {
-		// σ⁻ of the winner is evaluated again rather than split from
-		// bestVal, which keeps failure_scenarios_evaled equal to the
-		// traced runs recorded in BENCH_ci.json.
-		_, bestWorst := splitObjective(p, objectiveAt(p, res.Best.Selection, res.Best.Sigma))
-		cfg.sink.Emit(telemetry.SandwichEvent{
+	if run.Sink != nil {
+		_, bestWorst := splitObjective(p, bestVal)
+		run.Sink.Emit(telemetry.SandwichEvent{
 			SigmaMu:      res.FMu.Sigma,
 			SigmaSigma:   res.FSigma.Sigma,
 			SigmaNu:      res.FNu.Sigma,

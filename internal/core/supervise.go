@@ -9,9 +9,11 @@ import (
 
 // This file is the solver supervision layer: cancellation, deadlines, stop
 // reporting, panic isolation, and argument validation. Every solver entry
-// point accepts a context via WithContext/WithDeadline (or the Context field
-// on the EA/AEA options structs) and honors it at round boundaries — always
-// BEFORE committing the round's result, so a run that is never canceled
+// point takes its context and deadline in its RunOptions (WithContext and
+// WithDeadline, or the Context and Deadline fields the EA, AEA and
+// LocalSearch options structs embed), resolves them once into one context
+// (RunOptions.resolve), and honors it at round boundaries — always BEFORE
+// committing the round's result, so a run that is never canceled
 // produces byte-identical placements to a run with no context at all. Long
 // sharded candidate scans additionally poll the context between rows
 // (Search.SetContext), bounding cancellation latency on large instances
@@ -46,57 +48,31 @@ type StopInfo struct {
 	Sigma  int
 }
 
-// WithContext attaches a supervision context to a solver run. Solvers check
-// it at round boundaries and inside sharded candidate scans; once the
-// context is done they stop early and return the best feasible placement
-// found so far, with Placement.Stop.Reason set to StopDeadline or
-// StopCanceled. A nil ctx (or omitting the option) disables supervision.
-// Uncancelled runs are byte-identical with or without a context.
+// WithContext attaches a supervision context to a solver run
+// (RunOptions.Context). Solvers check it at round boundaries and inside
+// sharded candidate scans; once the context is done they stop early and
+// return the best feasible placement found so far, with
+// Placement.Stop.Reason set to StopDeadline or StopCanceled. A nil ctx
+// (or omitting the option) disables supervision. Uncancelled runs are
+// byte-identical with or without a context.
 func WithContext(ctx context.Context) Option {
-	return func(c *solveConfig) { c.ctx = ctx }
+	return optionFunc(func(r *RunOptions) { r.Context = ctx })
 }
 
-// WithDeadline bounds a solver run to d of wall-clock time, composing with
-// WithContext when both are given (whichever limit fires first wins).
-// d <= 0 means no deadline.
+// WithDeadline bounds a solver run to d of wall-clock time
+// (RunOptions.Deadline), composing with WithContext when both are given
+// (whichever limit fires first wins). d <= 0 means no deadline.
 func WithDeadline(d time.Duration) Option {
-	return func(c *solveConfig) { c.timeout = d }
+	return optionFunc(func(r *RunOptions) { r.Deadline = d })
 }
 
-// err reports the supervision context's status: nil while the run may
-// continue, the context error once it must stop.
-func (c *solveConfig) err() error {
-	return ctxErr(c.ctx)
-}
-
-// ctxErr reports ctx's status, treating nil as never-canceled.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
+// err reports the run's supervision status: nil while it may continue
+// (always, without a context), the context error once it must stop.
+func (r RunOptions) err() error {
+	if r.Context == nil {
 		return nil
 	}
-	return ctx.Err()
-}
-
-// superviseCtx composes an optional parent context with a relative deadline.
-// The returned cancel func is never nil and must be called to release the
-// timer; with timeout <= 0 the parent passes through unchanged (possibly
-// nil, meaning unsupervised).
-func superviseCtx(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout <= 0 {
-		return ctx, func() {}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithTimeout(ctx, timeout)
-}
-
-// release frees the derived deadline context, if any. Solver entry points
-// that resolve options must defer it.
-func (c *solveConfig) release() {
-	if c.cancel != nil {
-		c.cancel()
-	}
+	return r.Context.Err()
 }
 
 // stopReasonFor maps a context error to the StopReason it represents.

@@ -72,12 +72,12 @@ func TestSandwichDeadline(t *testing.T) {
 
 func TestEADeadlineAndCancel(t *testing.T) {
 	inst := testInstance(t, 20, 8, 3, 0.9, xrand.New(14))
-	res := EA(inst, EAOptions{Iterations: 50, Context: canceledCtx()}, xrand.New(1))
+	res := EA(inst, EAOptions{Iterations: 50, RunOptions: RunOptions{Context: canceledCtx()}}, xrand.New(1))
 	checkFeasibleStop(t, "EA canceled", res.Best, inst, StopCanceled)
 	if res.Best.Stop.Rounds != 0 {
 		t.Fatalf("pre-canceled EA committed %d rounds", res.Best.Stop.Rounds)
 	}
-	res = EA(inst, EAOptions{Iterations: 50, Deadline: time.Nanosecond}, xrand.New(1))
+	res = EA(inst, EAOptions{Iterations: 50, RunOptions: RunOptions{Deadline: time.Nanosecond}}, xrand.New(1))
 	checkFeasibleStop(t, "EA deadline", res.Best, inst, StopDeadline)
 }
 
@@ -97,7 +97,7 @@ func TestAEADeadlineAndCancel(t *testing.T) {
 func TestLocalSearchCanceled(t *testing.T) {
 	inst := testInstance(t, 20, 8, 3, 0.9, xrand.New(16))
 	start := xrand.New(2).SampleDistinct(inst.NumCandidates(), inst.K())
-	pl := LocalSearch(inst, start, LocalSearchOptions{Context: canceledCtx()})
+	pl := LocalSearch(inst, start, LocalSearchOptions{RunOptions: RunOptions{Context: canceledCtx()}})
 	checkFeasibleStop(t, "LocalSearch", pl, inst, StopCanceled)
 }
 
@@ -148,7 +148,7 @@ func TestSupervisedUncancelledIdentical(t *testing.T) {
 	comparePlacements(t, "Sandwich.Best", swPlain.Best, swCtx.Best)
 
 	eaPlain := EA(inst, EAOptions{Iterations: 40}, xrand.New(7))
-	eaCtx := EA(inst, EAOptions{Iterations: 40, Context: ctx}, xrand.New(7))
+	eaCtx := EA(inst, EAOptions{Iterations: 40, RunOptions: RunOptions{Context: ctx}}, xrand.New(7))
 	comparePlacements(t, "EA.Best", eaPlain.Best, eaCtx.Best)
 	if eaPlain.Evaluations != eaCtx.Evaluations {
 		t.Fatalf("EA evaluations differ: %d vs %d", eaPlain.Evaluations, eaCtx.Evaluations)

@@ -98,7 +98,7 @@ func BenchmarkSurvivableLocalSearch(b *testing.B) {
 					b.StopTimer()
 					inst := tc.instance(b)
 					b.StartTimer()
-					if pl := LocalSearch(inst, start, LocalSearchOptions{Parallelism: workers}); len(pl.Selection) != len(start) {
+					if pl := LocalSearch(inst, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: workers}}); len(pl.Selection) != len(start) {
 						b.Fatalf("local search changed the placement size %d to %d", len(start), len(pl.Selection))
 					}
 				}

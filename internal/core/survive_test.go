@@ -456,6 +456,52 @@ func TestSurvivableSandwichPicksLexBest(t *testing.T) {
 	}
 }
 
+// TestSurvivableSandwichTraceIsFree: attaching a sink to a survivable
+// Sandwich adds no solver work — the closing SandwichEvent's σ⁻ comes from
+// the arm pick's value, not a second evaluation — so the counters match
+// an untraced run except for the μ/ν reads of the traced greedy rounds
+// themselves, one each per round.
+func TestSurvivableSandwichTraceIsFree(t *testing.T) {
+	for _, mode := range []Survivability{SurviveShortcut, SurviveNode} {
+		run := func(sink *memSink) (SandwichResult, telemetry.CounterSnapshot, *Instance) {
+			// A fresh instance per run keeps lazily built caches from
+			// charging their work to the first run only.
+			inst := surviveInstance(t, 16, 7, 3, 0.8, mode, xrand.New(811))
+			opts := []Option{Parallelism(1)}
+			if sink != nil {
+				opts = append(opts, WithSink(sink))
+			}
+			before := telemetry.Global().Snapshot()
+			res := Sandwich(inst, opts...)
+			return res, telemetry.Global().Snapshot().Sub(before), inst
+		}
+		plain, plainWork, _ := run(nil)
+		sink := &memSink{}
+		traced, tracedWork, inst := run(sink)
+		if !slices.Equal(plain.Best.Selection, traced.Best.Selection) {
+			t.Fatalf("%s: sink changed the placement", mode)
+		}
+		rounds := int64(len(sink.rounds("greedy_sigma")))
+		tracedWork.MuEvals -= rounds
+		tracedWork.NuEvals -= rounds
+		if plainWork != tracedWork {
+			t.Errorf("%s: tracing changed the work counters\n plain:  %+v\n traced: %+v", mode, plainWork, tracedWork)
+		}
+		var events []telemetry.SandwichEvent
+		for _, e := range sink.events {
+			if ev, ok := e.(telemetry.SandwichEvent); ok {
+				events = append(events, ev)
+			}
+		}
+		if len(events) != 1 || events[0].SigmaWorst == nil {
+			t.Fatalf("%s: want one SandwichEvent carrying σ⁻, got %+v", mode, events)
+		}
+		if got, want := *events[0].SigmaWorst, inst.SigmaWorst(traced.Best.Selection); got != want {
+			t.Errorf("%s: SandwichEvent σ⁻ = %d, SigmaWorst of the winner = %d", mode, got, want)
+		}
+	}
+}
+
 // TestSigmaWorstShortcutMonotone exercises the monotonicity claim DESIGN.md
 // §11 makes for shortcut-mode σ⁻ (dropping any single shortcut from S∪{c}
 // leaves at least the coverage some scenario of S had), via the submodular

@@ -158,7 +158,7 @@ func TestIterativeSolversEmitPerIteration(t *testing.T) {
 	const iters = 25
 
 	sink := &memSink{}
-	EA(inst, EAOptions{Iterations: iters, Sink: sink}, xrand.New(7))
+	EA(inst, EAOptions{Iterations: iters, RunOptions: RunOptions{Sink: sink}}, xrand.New(7))
 	if got := len(sink.rounds("ea")); got != iters {
 		t.Fatalf("EA emitted %d events for %d iterations", got, iters)
 	}
@@ -174,7 +174,7 @@ func TestIterativeSolversEmitPerIteration(t *testing.T) {
 
 	sink = &memSink{}
 	start := xrand.New(9).SampleDistinct(inst.NumCandidates(), inst.K())
-	refined := LocalSearch(inst, start, LocalSearchOptions{Sink: sink})
+	refined := LocalSearch(inst, start, LocalSearchOptions{RunOptions: RunOptions{Sink: sink}})
 	swaps := sink.rounds("local_search")
 	sigma := inst.Sigma(start)
 	for i, ev := range swaps {
@@ -212,7 +212,7 @@ func TestSinkDetachedPlacementsIdentical(t *testing.T) {
 	}
 
 	ea := EA(inst, EAOptions{Iterations: 30}, xrand.New(5))
-	eat := EA(inst, EAOptions{Iterations: 30, Sink: sink}, xrand.New(5))
+	eat := EA(inst, EAOptions{Iterations: 30, RunOptions: RunOptions{Sink: sink}}, xrand.New(5))
 	if !reflect.DeepEqual(ea.Best, eat.Best) {
 		t.Fatalf("EA differs with sink: %+v vs %+v", ea.Best, eat.Best)
 	}
@@ -228,7 +228,7 @@ func TestSinkDetachedPlacementsIdentical(t *testing.T) {
 
 	start := xrand.New(6).SampleDistinct(inst.NumCandidates(), inst.K())
 	ls := LocalSearch(inst, start, LocalSearchOptions{})
-	lst := LocalSearch(inst, start, LocalSearchOptions{Sink: sink})
+	lst := LocalSearch(inst, start, LocalSearchOptions{RunOptions: RunOptions{Sink: sink}})
 	if !reflect.DeepEqual(ls, lst) {
 		t.Fatalf("LocalSearch differs with sink: %+v vs %+v", ls, lst)
 	}
@@ -255,11 +255,11 @@ func TestCounterTotalsSerialParallelEquivalence(t *testing.T) {
 		{"greedy_sigma", func(inst *Instance, w int) { GreedySigma(inst, Parallelism(w)) }},
 		{"sandwich", func(inst *Instance, w int) { Sandwich(inst, Parallelism(w)) }},
 		{"ea", func(inst *Instance, w int) {
-			EA(inst, EAOptions{Iterations: 20, Parallelism: w}, xrand.New(11))
+			EA(inst, EAOptions{Iterations: 20, RunOptions: RunOptions{Parallelism: w}}, xrand.New(11))
 		}},
 		{"local_search", func(inst *Instance, w int) {
 			start := xrand.New(12).SampleDistinct(inst.NumCandidates(), inst.K())
-			LocalSearch(inst, start, LocalSearchOptions{Parallelism: w})
+			LocalSearch(inst, start, LocalSearchOptions{RunOptions: RunOptions{Parallelism: w}})
 		}},
 	}
 	for _, alg := range algs {

@@ -105,14 +105,14 @@ func TestDynamicEvalDifferential(t *testing.T) {
 					t.Errorf("par %d: sandwich ratio differs: incremental %v, rebuild %v", workers, ires.Ratio, rres.Ratio)
 				}
 
-				iea := core.EA(iprob, core.EAOptions{Iterations: 20, Parallelism: workers}, xrand.New(seed))
-				rea := core.EA(rprob, core.EAOptions{Iterations: 20, Parallelism: workers}, xrand.New(seed))
+				iea := core.EA(iprob, core.EAOptions{Iterations: 20, RunOptions: core.RunOptions{Parallelism: workers}}, xrand.New(seed))
+				rea := core.EA(rprob, core.EAOptions{Iterations: 20, RunOptions: core.RunOptions{Parallelism: workers}}, xrand.New(seed))
 				same(workers, "EA.Best", iea.Best, rea.Best)
 				if iea.Evaluations != rea.Evaluations {
 					t.Errorf("par %d: EA evaluations differ: incremental %d, rebuild %d", workers, iea.Evaluations, rea.Evaluations)
 				}
 
-				opts := core.AEAOptions{Iterations: 20, PopSize: 4, Delta: 0.05, RecordTrace: true, Parallelism: workers}
+				opts := core.AEAOptions{Iterations: 20, PopSize: 4, Delta: 0.05, RecordTrace: true, RunOptions: core.RunOptions{Parallelism: workers}}
 				iaea := core.AEA(iprob, opts, xrand.New(seed))
 				raea := core.AEA(rprob, opts, xrand.New(seed))
 				same(workers, "AEA.Best", iaea.Best, raea.Best)
@@ -128,8 +128,8 @@ func TestDynamicEvalDifferential(t *testing.T) {
 				same(workers, "RandomPlacement", irp, rrp)
 
 				start := xrand.New(seed).SampleDistinct(iprob.NumCandidates(), iprob.K())
-				ils := core.LocalSearch(iprob, start, core.LocalSearchOptions{Parallelism: workers})
-				rls := core.LocalSearch(rprob, start, core.LocalSearchOptions{Parallelism: workers})
+				ils := core.LocalSearch(iprob, start, core.LocalSearchOptions{RunOptions: core.RunOptions{Parallelism: workers}})
+				rls := core.LocalSearch(rprob, start, core.LocalSearchOptions{RunOptions: core.RunOptions{Parallelism: workers}})
 				same(workers, "LocalSearch", ils, rls)
 			}
 

@@ -73,7 +73,7 @@ func TestDynamicSerialParallelEquivalence(t *testing.T) {
 					serial.Selection, serial.Sigma, par.Selection, par.Sigma)
 			}
 
-			opts := core.AEAOptions{Iterations: 30, PopSize: 4, Delta: 0.05, Parallelism: 1}
+			opts := core.AEAOptions{Iterations: 30, PopSize: 4, Delta: 0.05, RunOptions: core.RunOptions{Parallelism: 1}}
 			aeaSerial := core.AEA(p, opts, xrand.New(seed))
 			opts.Parallelism = 8
 			aeaPar := core.AEA(p, opts, xrand.New(seed))

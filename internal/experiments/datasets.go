@@ -25,10 +25,12 @@ type Config struct {
 	// are identical with and without a sink.
 	Sink telemetry.Sink
 	// Options are the instance options every experiment builds from
-	// (backend, survivability, budget, cost model); Parallelism
-	// also goes to every solver call. Each experiment sets its own
-	// AllowTrivial, Table, ExcludePairEndpoints and PairWeights.
+	// (backend, survivability, budget, cost model). Each experiment sets
+	// its own AllowTrivial, Table, ExcludePairEndpoints and PairWeights.
 	Options core.Options
+	// Parallelism is the worker count of every solver run (run); 1 is
+	// serial, <= 0 selects GOMAXPROCS. Results are identical either way.
+	Parallelism int
 }
 
 func (c Config) rng(stream int64) *xrand.Rand {
@@ -98,5 +100,6 @@ func (c Config) options(table shortestpath.DistanceSource) *core.Options {
 	return &o
 }
 
-// par is the solver option carrying Config.Options.Parallelism.
-func (c Config) par() core.Option { return core.Parallelism(c.Options.Parallelism) }
+// run is the run control every solver call gets: an Option to the
+// option-taking solvers, the embedded RunOptions of the EA/AEA options.
+func (c Config) run() core.RunOptions { return core.RunOptions{Parallelism: c.Parallelism} }

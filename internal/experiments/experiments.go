@@ -88,7 +88,7 @@ func (c Config) ratioTable(id, title string, ds dataset, ks []int, pts []float64
 			if c.Sink != nil {
 				start = time.Now()
 			}
-			fSigma := core.GreedySigma(inst, c.par())
+			fSigma := core.GreedySigma(inst, c.run())
 			nu := inst.Nu(fSigma.Selection)
 			ratio := 1.0
 			if nu > 0 {
@@ -172,8 +172,8 @@ func (c Config) Fig1() Fig1Result {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: fig1 instance: %v", err))
 	}
-	aa := core.Sandwich(inst, c.par()).Best
-	rnd := mustRandom(inst, trials, c.rng(301), c.par())
+	aa := core.Sandwich(inst, c.run()).Best
+	rnd := mustRandom(inst, trials, c.rng(301), c.run())
 	return Fig1Result{
 		AA:     aa,
 		Random: rnd,
@@ -251,8 +251,8 @@ func (c Config) Fig2() []*Figure {
 				if err != nil {
 					panic(fmt.Sprintf("experiments: fig2 instance: %v", err))
 				}
-				aaY = append(aaY, float64(core.Sandwich(inst, c.par()).Best.Sigma))
-				rndY = append(rndY, float64(mustRandom(inst, trials, c.rng(450+int64(10*di+pi)), c.par()).Sigma))
+				aaY = append(aaY, float64(core.Sandwich(inst, c.run()).Best.Sigma))
+				rndY = append(rndY, float64(mustRandom(inst, trials, c.rng(450+int64(10*di+pi)), c.run()).Sigma))
 			}
 			fig.Series = append(fig.Series,
 				Series{Name: fmt.Sprintf("AA p_t=%.2f", pt), Y: aaY},
@@ -310,10 +310,10 @@ func (c Config) Fig3() []*Figure {
 				if err != nil {
 					panic(fmt.Sprintf("experiments: fig3 instance: %v", err))
 				}
-				aaY = append(aaY, float64(core.Sandwich(inst, c.par()).Best.Sigma))
-				ea := core.EA(inst, core.EAOptions{Iterations: iters, Parallelism: c.Options.Parallelism}, c.rng(550+int64(10*di+pi)))
+				aaY = append(aaY, float64(core.Sandwich(inst, c.run()).Best.Sigma))
+				ea := core.EA(inst, core.EAOptions{Iterations: iters, RunOptions: c.run()}, c.rng(550+int64(10*di+pi)))
 				eaY = append(eaY, float64(ea.Best.Sigma))
-				aea := core.AEA(inst, core.AEAOptions{Iterations: iters, PopSize: 10, Delta: 0.05, Parallelism: c.Options.Parallelism},
+				aea := core.AEA(inst, core.AEAOptions{Iterations: iters, PopSize: 10, Delta: 0.05, RunOptions: c.run()},
 					c.rng(560+int64(10*di+pi)))
 				aeaY = append(aeaY, float64(aea.Best.Sigma))
 			}
@@ -367,11 +367,11 @@ func (c Config) Fig4() []*Figure {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: fig4 instance: %v", err))
 			}
-			aa := core.Sandwich(inst, c.par()).Best
-			ea := core.EA(inst, core.EAOptions{Iterations: rMax, RecordTrace: true, Parallelism: c.Options.Parallelism},
+			aa := core.Sandwich(inst, c.run()).Best
+			ea := core.EA(inst, core.EAOptions{Iterations: rMax, RecordTrace: true, RunOptions: c.run()},
 				c.rng(650+int64(10*di+k)))
 			aea := core.AEA(inst, core.AEAOptions{Iterations: rMax, PopSize: 10, Delta: 0.05, RecordTrace: true,
-				Parallelism: c.Options.Parallelism},
+				RunOptions: c.run()},
 				c.rng(660+int64(10*di+k)))
 			aaY := make([]float64, 0, len(fig.X))
 			eaY := make([]float64, 0, len(fig.X))
@@ -479,10 +479,10 @@ func (c Config) Fig5a() *Figure {
 		aeaY := make([]float64, 0, len(ks))
 		for _, k := range ks {
 			prob := c.dynProblem(snaps, k, T)
-			aaY = append(aaY, float64(core.Sandwich(prob, c.par()).Best.Sigma))
-			ea := core.EA(prob, core.EAOptions{Iterations: iters, Parallelism: c.Options.Parallelism}, c.rng(750+int64(pi)))
+			aaY = append(aaY, float64(core.Sandwich(prob, c.run()).Best.Sigma))
+			ea := core.EA(prob, core.EAOptions{Iterations: iters, RunOptions: c.run()}, c.rng(750+int64(pi)))
 			eaY = append(eaY, float64(ea.Best.Sigma))
-			aea := core.AEA(prob, core.AEAOptions{Iterations: iters, PopSize: 10, Delta: 0.05, Parallelism: c.Options.Parallelism},
+			aea := core.AEA(prob, core.AEAOptions{Iterations: iters, PopSize: 10, Delta: 0.05, RunOptions: c.run()},
 				c.rng(760+int64(pi)))
 			aeaY = append(aeaY, float64(aea.Best.Sigma))
 		}
@@ -522,7 +522,7 @@ func (c Config) Fig5b() *Figure {
 		y := make([]float64, 0, len(ts))
 		for _, T := range ts {
 			prob := c.dynProblem(snaps, k, T)
-			y = append(y, float64(core.Sandwich(prob, c.par()).Best.Sigma))
+			y = append(y, float64(core.Sandwich(prob, c.run()).Best.Sigma))
 		}
 		fig.Series = append(fig.Series, Series{Name: fmt.Sprintf("AA k=%d", k), Y: y})
 	}

@@ -93,7 +93,7 @@ func (c Config) Ext2() *Figure {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: ext2 problem: %v", err))
 			}
-			placed = core.Sandwich(prob, c.par()).Best
+			placed = core.Sandwich(prob, c.run()).Best
 		}
 		res, err := desim.Run(desim.Config{
 			Topology:        tp,

@@ -95,18 +95,18 @@ func (c Config) Ext3() *Figure {
 	rndY := make([]float64, 0, len(ks))
 	for _, k := range ks {
 		actualProb := c.buildDyn(actualGraphs, ps, thr, k)
-		oracle := core.Sandwich(actualProb, c.par()).Best
+		oracle := core.Sandwich(actualProb, c.run()).Best
 		oracleY = append(oracleY, float64(oracle.Sigma))
 
 		predProb := c.buildDyn(predGraphs, ps, thr, k)
-		predicted := core.Sandwich(predProb, c.par()).Best
+		predicted := core.Sandwich(predProb, c.run()).Best
 		predY = append(predY, float64(actualProb.Sigma(predicted.Selection)))
 
 		frozenProb := c.buildDyn(frozenGraphs, ps, thr, k)
-		frozen := core.Sandwich(frozenProb, c.par()).Best
+		frozen := core.Sandwich(frozenProb, c.run()).Best
 		frozenY = append(frozenY, float64(actualProb.Sigma(frozen.Selection)))
 
-		rnd := mustRandom(actualProb, trials, c.rng(975+int64(k)), c.par())
+		rnd := mustRandom(actualProb, trials, c.rng(975+int64(k)), c.run())
 		rndY = append(rndY, float64(rnd.Sigma))
 	}
 	fig.Series = append(fig.Series,

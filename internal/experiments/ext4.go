@@ -70,11 +70,11 @@ func (c Config) Ext4() *Figure {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: ext4 unweighted instance: %v", err))
 		}
-		aware := core.Sandwich(weighted, c.par()).Best
+		aware := core.Sandwich(weighted, c.run()).Best
 		awareY = append(awareY, float64(aware.Sigma))
-		blind := core.Sandwich(unweighted, c.par()).Best
+		blind := core.Sandwich(unweighted, c.run()).Best
 		blindY = append(blindY, float64(weighted.Sigma(blind.Selection)))
-		rnd := mustRandom(weighted, trials, c.rng(985+int64(k)), c.par())
+		rnd := mustRandom(weighted, trials, c.rng(985+int64(k)), c.run())
 		rndY = append(rndY, float64(rnd.Sigma))
 	}
 	fig.Series = append(fig.Series,

@@ -56,12 +56,12 @@ func (c Config) Ext1() []*Figure {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: ext1 instance: %v", err))
 			}
-			aaY = append(aaY, float64(core.Sandwich(inst, c.par()).Best.Sigma))
+			aaY = append(aaY, float64(core.Sandwich(inst, c.run()).Best.Sigma))
 			diam := baselines.FarthestPairs(ds.g, ds.table, k)
 			diamY = append(diamY, float64(inst.SigmaEdges(diam)))
 			avg := baselines.AvgDistanceGreedy(ds.g, ds.table, k, sampleSize, c.rng(910+int64(di)))
 			avgY = append(avgY, float64(inst.SigmaEdges(avg)))
-			rndY = append(rndY, float64(mustRandom(inst, trials, c.rng(920+int64(di)), c.par()).Sigma))
+			rndY = append(rndY, float64(mustRandom(inst, trials, c.rng(920+int64(di)), c.run()).Sigma))
 		}
 		fig.Series = append(fig.Series,
 			Series{Name: "MSC (AA)", Y: aaY},

@@ -18,9 +18,7 @@ type Table struct {
 // NewTable computes the all-pairs table by running one Dijkstra per node.
 // Rows are computed in parallel across the given number of workers
 // (workers <= 0 selects GOMAXPROCS); the result is deterministic for
-// every worker count because rows are independent. core.NewInstance plumbs
-// its Options.Parallelism here, so table construction honors the same
-// worker budget as the candidate scans.
+// every worker count because rows are independent.
 func NewTable(g *graph.Graph, workers int) *Table {
 	n := g.N()
 	t := &Table{n: n, dist: make([][]float64, n)}

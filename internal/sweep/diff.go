@@ -120,13 +120,17 @@ func (r Regression) String() string {
 }
 
 // Improvement mirrors Regression for metrics that got better beyond the
-// same thresholds; purely informational.
+// same thresholds. Stale marks a counter or σ improvement: those are
+// deterministic, so the baseline no longer describes the code, and Gate
+// fails until it is regenerated. Wall-clock improvements are
+// informational.
 type Improvement struct {
 	Scenario string  `json:"scenario"`
 	Metric   string  `json:"metric"`
 	Old      float64 `json:"old"`
 	New      float64 `json:"new"`
 	Pct      float64 `json:"pct"`
+	Stale    bool    `json:"stale,omitempty"`
 }
 
 // DiffReport is the typed outcome of comparing a candidate trajectory
@@ -145,17 +149,35 @@ type DiffReport struct {
 type RegressionError struct{ Report *DiffReport }
 
 func (e *RegressionError) Error() string {
-	return fmt.Sprintf("sweep: regression gate failed: %d finding(s)\n%s",
-		len(e.Report.Regressions), e.Report.Format())
+	msg := fmt.Sprintf("sweep: regression gate failed: %d regression(s), %d stale improvement(s)",
+		len(e.Report.Regressions), e.Report.stale())
+	if e.Report.stale() > 0 {
+		msg += "; counters or σ improved beyond threshold, so the baseline is stale: " +
+			"regenerate BENCH_ci.json (mscsweep -quick -host ci -out BENCH_ci.json) with the change"
+	}
+	return msg + "\n" + e.Report.Format()
 }
 
 // Gate returns nil for a clean report and a typed *RegressionError
-// otherwise.
+// otherwise: on any regression, and on any stale improvement — a baseline
+// left behind by a counter or σ gain would let a later change lose that
+// gain again unflagged.
 func (r *DiffReport) Gate() error {
-	if len(r.Regressions) == 0 {
+	if len(r.Regressions) == 0 && r.stale() == 0 {
 		return nil
 	}
 	return &RegressionError{Report: r}
+}
+
+// stale counts the report's stale improvements.
+func (r *DiffReport) stale() int {
+	n := 0
+	for _, imp := range r.Improvements {
+		if imp.Stale {
+			n++
+		}
+	}
+	return n
 }
 
 // Format renders the report for humans, regressions first.
@@ -167,7 +189,11 @@ func (r *DiffReport) Format() string {
 		fmt.Fprintf(&b, "  REGRESSION %s\n", reg)
 	}
 	for _, imp := range r.Improvements {
-		fmt.Fprintf(&b, "  improved   %s: %s %.6g -> %.6g (%+.1f%%)\n", imp.Scenario, imp.Metric, imp.Old, imp.New, imp.Pct)
+		label := "improved  "
+		if imp.Stale {
+			label = "STALE     "
+		}
+		fmt.Fprintf(&b, "  %s %s: %s %.6g -> %.6g (%+.1f%%)\n", label, imp.Scenario, imp.Metric, imp.Old, imp.New, imp.Pct)
 	}
 	for _, key := range r.Added {
 		fmt.Fprintf(&b, "  added      %s\n", key)
@@ -183,10 +209,10 @@ func (r *DiffReport) Format() string {
 // Per shared scenario it gates the median of every metric in
 // gatedMetrics present in the baseline: worsenings beyond the class
 // threshold (relative) and floor (absolute) become Regressions, matching
-// improvements are reported informationally, and a gated metric missing
-// from the candidate is itself a regression. Scenarios only in the
-// baseline are KindScenarioRemoved findings; scenarios with a changed
-// seed set are KindSeedsChanged.
+// improvements are reported (stale when deterministic), and a gated
+// metric missing from the candidate is itself a regression. Scenarios
+// only in the baseline are KindScenarioRemoved findings; scenarios with a
+// changed seed set are KindSeedsChanged.
 func Diff(baseline, candidate *Trajectory, opts DiffOptions) (*DiffReport, error) {
 	if baseline == nil || candidate == nil {
 		return nil, &TrajectoryError{Reason: "diff requires two non-nil trajectories"}
@@ -251,7 +277,8 @@ func Diff(baseline, candidate *Trajectory, opts DiffOptions) (*DiffReport, error
 				report.Improvements = append(report.Improvements, Improvement{
 					Scenario: key, Metric: metric,
 					Old: baseStats.Median, New: candStats.Median,
-					Pct: signedPct(baseStats.Median, candStats.Median),
+					Pct:   signedPct(baseStats.Median, candStats.Median),
+					Stale: class != classWall,
 				})
 			}
 		}

@@ -68,6 +68,7 @@ func TestDiffInjectedRegressions(t *testing.T) {
 		name   string
 		mutate func(map[string]map[string]float64)
 		want   []string // scenario|metric|kind triples, empty = clean
+		stale  bool     // a deterministic metric improved: the gate fails
 	}{
 		{
 			name:   "identical trajectories are clean",
@@ -126,6 +127,26 @@ func TestDiffInjectedRegressions(t *testing.T) {
 			mutate: func(c map[string]map[string]float64) {
 				c[scGreedy]["sigma"] = 40
 			},
+			stale: true,
+		},
+		{
+			name: "counter drop beyond threshold is a stale baseline",
+			mutate: func(c map[string]map[string]float64) {
+				c[scSandwich]["counters.candidate_evals"] = 40000 // −20%
+			},
+			stale: true,
+		},
+		{
+			name: "counter drop below the floor keeps the baseline",
+			mutate: func(c map[string]map[string]float64) {
+				c[scSandwich]["counters.dijkstra_runs"] = 3990 // −10 ops < 16-op floor
+			},
+		},
+		{
+			name: "wall speedup is informational",
+			mutate: func(c map[string]map[string]float64) {
+				c[scGreedy]["wall_ms"] = 20 // −80%
+			},
 		},
 		{
 			name: "gated metric missing from candidate",
@@ -170,8 +191,8 @@ func TestDiffInjectedRegressions(t *testing.T) {
 					t.Errorf("unexpected regression flagged: %s\nreport:\n%s", g, report.Format())
 				}
 			}
-			if err := report.Gate(); (err == nil) != (len(tc.want) == 0) {
-				t.Fatalf("gate outcome wrong: %v for %d expected findings", err, len(tc.want))
+			if err := report.Gate(); (err == nil) != (len(tc.want) == 0 && !tc.stale) {
+				t.Fatalf("gate outcome wrong: %v for %d expected findings (stale %v)", err, len(tc.want), tc.stale)
 			}
 		})
 	}
@@ -307,6 +328,30 @@ func TestRegressionErrorNamesFindings(t *testing.T) {
 	for _, frag := range []string{"REGRESSION", scGreedy, "counters.dijkstra_runs", "+100.0%"} {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("gate error missing %q:\n%s", frag, msg)
+		}
+	}
+}
+
+// TestStaleBaselineNamesTheRefresh: a counter improvement alone fails the
+// gate, and the error tells the author to regenerate the baseline.
+func TestStaleBaselineNamesTheRefresh(t *testing.T) {
+	baseline, candidate := synthPair(func(c map[string]map[string]float64) {
+		c[scGreedy]["counters.pairs_rescanned"] = 4000
+	})
+	report, err := Diff(baseline, candidate, DefaultDiffOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Regressions) != 0 || len(report.Improvements) != 1 || !report.Improvements[0].Stale {
+		t.Fatalf("want one stale improvement and no regression:\n%s", report.Format())
+	}
+	gateErr := report.Gate()
+	if gateErr == nil {
+		t.Fatal("stale baseline passed the gate")
+	}
+	for _, frag := range []string{"1 stale improvement", "regenerate BENCH_ci.json", "STALE", scGreedy} {
+		if !strings.Contains(gateErr.Error(), frag) {
+			t.Errorf("gate error missing %q:\n%s", frag, gateErr)
 		}
 	}
 }

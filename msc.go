@@ -144,7 +144,13 @@ type (
 	AEAResult = core.AEAResult
 	// DynamicProblem evaluates one placement against a topology series.
 	DynamicProblem = dynamic.Problem
-	// Option configures a solver entry point (e.g. Parallelism).
+	// RunOptions are the run conditions every solver shares: workers,
+	// trace sink, supervision context and deadline. A RunOptions value is
+	// an Option, and EAOptions, AEAOptions and LocalSearchOptions embed
+	// it.
+	RunOptions = core.RunOptions
+	// Option sets run conditions on a solver entry point (Parallelism,
+	// WithSink, WithContext, WithDeadline, or a whole RunOptions).
 	Option = core.Option
 	// StopReason classifies why a solver run ended.
 	StopReason = core.StopReason
@@ -421,8 +427,9 @@ func SummarizeReport(statuses []PairStatus) PlacementSummary { return core.Summa
 // FormatReport renders pair statuses as an aligned table, worst first.
 func FormatReport(statuses []PairStatus) string { return core.FormatReport(statuses) }
 
-// GreedySigmaCurve returns σ after each successive greedy shortcut
-// (curve[0] = baseline): the marginal value of every unit of budget.
+// GreedySigmaCurve returns the fault-free σ after each prefix of the
+// placement GreedySigma makes under the same options (curve[0] =
+// baseline): the marginal value of every unit of budget.
 func GreedySigmaCurve(p Problem, opts ...Option) []int { return core.GreedySigmaCurve(p, opts...) }
 
 // LocalSearch refines a placement by best-improvement (drop, add) swaps
