@@ -798,3 +798,32 @@ func TestMscsweepEndToEnd(t *testing.T) {
 		t.Fatalf("gate failure does not name the finding:\n%s", out)
 	}
 }
+
+// TestMscsweepGateReportOnce diffs the committed baseline against a copy
+// with one injected counter regression: the gate fails, and its diff
+// report appears exactly once in the output.
+func TestMscsweepGateReportOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	raw, err := os.ReadFile("../BENCH_ci.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	worse := regexp.MustCompile(`("counters\.dijkstra_runs": \{\n\s*"median": )(\d+)`).
+		ReplaceAllString(string(raw), "${1}9999999")
+	if worse == string(raw) {
+		t.Fatal("failed to inject a regression into BENCH_ci.json")
+	}
+	worsePath := filepath.Join(t.TempDir(), "BENCH_worse.json")
+	if err := os.WriteFile(worsePath, []byte(worse), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := runToolErr(t, "mscsweep", "-diff", "BENCH_ci.json", worsePath)
+	if !strings.Contains(out, "REGRESSION") {
+		t.Fatalf("gate failure does not name the regression:\n%s", out)
+	}
+	if n := strings.Count(out, "scenario-metric pairs"); n != 1 {
+		t.Fatalf("diff report header printed %d times, want 1:\n%s", n, out)
+	}
+}

@@ -236,9 +236,19 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.Format())
-		return report.Gate()
+		return gate(report)
 	}
+	return nil
+}
+
+// gate prints a clean report and returns nil; a failing report is not
+// printed here, because the *RegressionError the gate returns carries it
+// in full.
+func gate(report *sweep.DiffReport) error {
+	if err := report.Gate(); err != nil {
+		return err
+	}
+	fmt.Println(report.Format())
 	return nil
 }
 
@@ -273,8 +283,7 @@ func diffFiles(basePath, candPath string, opts sweep.DiffOptions) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(report.Format())
-	return report.Gate()
+	return gate(report)
 }
 
 // findTool resolves a helper binary: an explicit -tools dir wins, then

@@ -24,7 +24,9 @@ type AEAOptions struct {
 	// instead of a uniform random one. This is an extension beyond the
 	// paper (Algorithm 2 seeds randomly): it guarantees AEA never returns
 	// a worse placement than the F_σ arm of the sandwich algorithm, at
-	// the cost of one greedy run before the evolutionary loop.
+	// the cost of one greedy run before the evolutionary loop. The greedy
+	// runs under RunOptions: its rounds reach the sink as greedy_sigma
+	// events, and a cancellation or deadline stops it mid-greedy.
 	SeedGreedy bool
 	// RunOptions are the run's workers, sink, context and deadline. The
 	// workers shard the swap scans (drop re-evaluations and the
@@ -112,7 +114,7 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 			seed = rng.SampleDistinct(numCand, k)
 		}
 		if opts.SeedGreedy {
-			seed = greedySeed(p, bp, k, numCand, rng, run.Parallelism)
+			seed = greedySeed(p, bp, k, numCand, rng, run)
 		}
 		pop = []eaSol{{sel: seed, sigma: objective(p, seed, run.Parallelism)}}
 		best = pop[0]
@@ -169,8 +171,10 @@ func AEA(p Problem, opts AEAOptions, rng *xrand.Rand) AEAResult {
 // greedySeed starts from the greedy-σ placement and tops it up with random
 // extras so the swap moves operate on a full budget: to k shortcuts on
 // cardinality problems, to budget exhaustion on budgeted ones (bp != nil).
-func greedySeed(p Problem, bp BudgetProblem, k, numCand int, rng *xrand.Rand, workers int) []int {
-	seed := GreedySigma(p, Parallelism(workers)).Selection
+// The greedy runs under the AEA's own run, so a cancellation or deadline
+// stops it too, keeping what it placed so far.
+func greedySeed(p Problem, bp BudgetProblem, k, numCand int, rng *xrand.Rand, run RunOptions) []int {
+	seed := GreedySigma(p, run).Selection
 	var fits func(int) bool
 	rem := 0.0
 	if bp != nil {
@@ -254,14 +258,19 @@ func deriveChild(p Problem, bp BudgetProblem, parent eaSol, delta float64, rng *
 	return eaSol{sel: child, sigma: objective(p, child, workers)}
 }
 
-// childSearch returns a search positioned at sel. A plain σ search left in
-// *scratch by an earlier child is repositioned, so its balls, near lists
-// and gains array are reused instead of reallocated every iteration; any
-// other search is built fresh and kept in *scratch.
+// positioner is a search that moves to another selection in place,
+// keeping its buffers: the plain search and the composite.
+type positioner interface{ position(sel []int) }
+
+// childSearch returns a search positioned at sel. A search left in
+// *scratch by an earlier child is repositioned when it can be, so its
+// balls, near lists and gains arrays — every member's, for a dynamic or
+// survivable search — are reused instead of reallocated every iteration;
+// any other search is built fresh and kept in *scratch.
 func childSearch(p Problem, scratch *Search, sel []int) Search {
-	if s, ok := (*scratch).(*instSearch); ok {
-		s.reposition(sel)
-		return s
+	if s, ok := (*scratch).(positioner); ok {
+		s.position(sel)
+		return *scratch
 	}
 	s := p.NewSearch(sel)
 	*scratch = s

@@ -199,7 +199,7 @@ func TestGainsScanDifferential(t *testing.T) {
 }
 
 // TestEvalSearchMatchesFreshBuild drives random interleavings of
-// NewSearch, reposition, Add, RemoveAt and clone, on the product path and
+// NewSearch, position, Add, RemoveAt and clone, on the product path and
 // on the rebuild reference, and requires, after every operation, that
 // Sigma, GainsAdd and the endpoint balls equal those of a search built
 // fresh on the same selection. Lengths are dyadic, so merged and rebuilt
@@ -224,7 +224,7 @@ func TestEvalSearchMatchesFreshBuild(t *testing.T) {
 						if r, ok := srch.(*rebuildSearch); ok {
 							r.replace(sel)
 						} else {
-							plainSearch(srch).reposition(sel)
+							plainSearch(srch).position(sel)
 						}
 					case k == 1:
 						if r, ok := srch.(*rebuildSearch); ok {
@@ -327,7 +327,7 @@ func TestLazyRowsUnreadSearchComputesNothing(t *testing.T) {
 		}
 		want := reference()
 		before := telemetry.Global().Snapshot()
-		s := inst.NewSearch(sel).(*surviveSearch)
+		s := inst.NewSearch(sel).(*composite)
 		s.SetWorkers(2)
 		s.RemoveAt(1)
 		_ = s.Len()
@@ -345,7 +345,7 @@ func TestLazyRowsUnreadSearchComputesNothing(t *testing.T) {
 		if s.free.balls != nil {
 			t.Errorf("mode=%s: unread search built its free balls", mode)
 		}
-		for j, sc := range s.scen {
+		for j, sc := range s.members {
 			if sc.balls != nil {
 				t.Errorf("mode=%s: unread search built the balls of scenario %d", mode, j)
 			}

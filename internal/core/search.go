@@ -141,19 +141,42 @@ type instSearch struct {
 	// Scan-timing telemetry (EnableScanTiming); off unless a trace sink or
 	// the ops plane asked for it, so the default gains scan never reads the
 	// clock.
+	scanTiming
+	shardNS []int64 // scratch: per-shard wall time of the last timed scan
+}
+
+// scanTiming is a search's scan-timing switch and the shard spread of its
+// last timed gains scan: an instSearch's shards are candidate-grid row
+// ranges, a composite's are the member searches a round scanned.
+type scanTiming struct {
 	timeScan   bool
-	shardNS    []int64 // scratch: per-shard wall time of the last timed scan
 	scanMinNS  int64
 	scanMaxNS  int64
 	scanShards int
+}
+
+// EnableScanTiming turns per-shard timing of gains scans on or off.
+func (t *scanTiming) EnableScanTiming(on bool) { t.timeScan = on }
+
+// LastScanShards reports the fastest and slowest per-shard wall time of
+// the most recent timed gains scan and its shard count.
+func (t *scanTiming) LastScanShards() (minNS, maxNS int64, shards int) {
+	return t.scanMinNS, t.scanMaxNS, t.scanShards
+}
+
+// recordScan keeps the spread of a timed scan's per-shard wall times ns
+// (at least one) and feeds it to the ops plane.
+func (t *scanTiming) recordScan(ns []int64) {
+	t.scanMinNS, t.scanMaxNS, t.scanShards = slices.Min(ns), slices.Max(ns), len(ns)
+	obs.ObserveScanShards(t.scanMinNS, t.scanMaxNS, t.scanShards)
 }
 
 var _ Search = (*instSearch)(nil)
 
 // NewSearch returns an evaluator positioned at sel (copied): the plain
 // incremental σ search, or — when the instance carries a survivability
-// mode — the worst-case survivable search, which wraps one plain search
-// per failure scenario and speaks the lexicographic value L (survive.go).
+// mode — the lex-min composite, which folds one plain search per failure
+// scenario and speaks the lexicographic value L (composite.go, survive.go).
 func (inst *Instance) NewSearch(sel []int) Search {
 	if inst.survive != SurviveNone {
 		return newSurviveSearch(inst, sel)
@@ -163,8 +186,7 @@ func (inst *Instance) NewSearch(sel []int) Search {
 
 // newInstSearch returns the plain incremental evaluator positioned at sel
 // (copied) with its balls stale, bypassing the survivability dispatch — the
-// survivable search uses it to build its per-scenario sub-searches on the
-// same instance.
+// composite builds its member searches with it.
 func (inst *Instance) newInstSearch(sel []int) *instSearch {
 	return &instSearch{
 		inst:       inst,
@@ -179,7 +201,7 @@ func (inst *Instance) newInstSearch(sel []int) *instSearch {
 // clone returns an independent search positioned at the same selection:
 // the balls, pair distances, σ, and — when live — the gains array are
 // copied, so the clone needs no shortest-path work of its own. The
-// survivable search uses this to snapshot the pre-commit state as the
+// lex-min composite uses this to snapshot the pre-commit state as the
 // failure scenario of the shortcut being committed.
 func (s *instSearch) clone() *instSearch {
 	s.sync()
@@ -217,15 +239,6 @@ func (s *instSearch) interrupted() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
 
-// EnableScanTiming turns per-shard timing of cold gains scans on or off.
-func (s *instSearch) EnableScanTiming(on bool) { s.timeScan = on }
-
-// LastScanShards reports the per-shard times of the most recent timed
-// cold gains scan.
-func (s *instSearch) LastScanShards() (minNS, maxNS int64, shards int) {
-	return s.scanMinNS, s.scanMaxNS, s.scanShards
-}
-
 // LastEvalStats drains the incremental-evaluation work accumulated since
 // the previous call (or since construction).
 // pairsSkipped is always 0: every gains refresh is a cold near-list scan,
@@ -234,21 +247,6 @@ func (s *instSearch) LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned,
 	rowsMerged, rowsUnchanged, pairsRescanned = s.evRowsMerged, s.evRowsUnchanged, s.evPairsRescanned
 	s.evRowsMerged, s.evRowsUnchanged, s.evPairsRescanned = 0, 0, 0
 	return rowsMerged, rowsUnchanged, pairsRescanned, 0
-}
-
-// recordScanShards reduces the per-shard wall times in s.shardNS[:shards].
-func (s *instSearch) recordScanShards(shards int) {
-	minNS, maxNS := s.shardNS[0], s.shardNS[0]
-	for _, ns := range s.shardNS[1:shards] {
-		if ns < minNS {
-			minNS = ns
-		}
-		if ns > maxNS {
-			maxNS = ns
-		}
-	}
-	s.scanMinNS, s.scanMaxNS, s.scanShards = minNS, maxNS, shards
-	obs.ObserveScanShards(minNS, maxNS, shards)
 }
 
 // gridBounds returns the triangular-grid shard row bounds for the current
@@ -288,7 +286,7 @@ func (s *instSearch) scanShardsRun(body func(aiLo, aiHi int)) {
 	ParallelFor(shards, shards, s.shardRun)
 	s.scanBody = nil
 	if s.timeScan {
-		s.recordScanShards(shards)
+		s.recordScan(s.shardNS[:shards])
 	}
 }
 
@@ -1022,10 +1020,10 @@ func (s *instSearch) Add(cand int) {
 	s.mergeAdd(cand)
 }
 
-// reposition moves the search to sel (copied), in the state NewSearch(sel)
+// position moves the search to sel (copied), in the state NewSearch(sel)
 // would build: balls stale, gains dropped. It keeps every buffer for the
 // next rebuild and scan to reuse.
-func (s *instSearch) reposition(sel []int) {
+func (s *instSearch) position(sel []int) {
 	s.sel = append(s.sel[:0], sel...)
 	s.markStale()
 }

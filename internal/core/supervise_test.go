@@ -94,6 +94,65 @@ func TestAEADeadlineAndCancel(t *testing.T) {
 	checkFeasibleStop(t, "AEA deadline", res.Best, inst, StopDeadline)
 }
 
+// scanCounter counts the BestAdd scans of its searches and calls onScan
+// after each one.
+type scanCounter struct {
+	*Instance
+	onScan func()
+	scans  int
+}
+
+func (p *scanCounter) NewSearch(sel []int) Search {
+	return &countedSearch{Search: p.Instance.NewSearch(sel), p: p}
+}
+
+type countedSearch struct {
+	Search
+	p *scanCounter
+}
+
+func (s *countedSearch) BestAdd() (cand, gain int) {
+	cand, gain = s.Search.BestAdd()
+	s.p.scans++
+	s.p.onScan()
+	return cand, gain
+}
+
+// TestSeedGreedyCanceled checks that AEA's seed greedy runs under the
+// AEA's run control: a context canceled during the greedy's first scan, or
+// a deadline that has expired by then, stops the greedy after that scan,
+// and the AEA stops before its first iteration.
+func TestSeedGreedyCanceled(t *testing.T) {
+	inst := testInstance(t, 20, 8, 3, 0.9, xrand.New(15))
+	if full := GreedySigma(inst); len(full.Selection) < 2 {
+		t.Fatalf("the uncanceled greedy places %d shortcuts; the test needs a second round", len(full.Selection))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		run  RunOptions
+		stop StopReason
+	}{
+		{"canceled", RunOptions{Context: ctx}, StopCanceled},
+		{"deadline", RunOptions{Deadline: time.Nanosecond}, StopDeadline},
+	} {
+		p := &scanCounter{Instance: inst, onScan: cancel}
+		if tc.stop == StopDeadline {
+			p.onScan = func() { time.Sleep(time.Millisecond) }
+		}
+		opts := AEAOptions{Iterations: 50, PopSize: 4, Delta: 0.05, SeedGreedy: true, RunOptions: tc.run}
+		res := AEA(p, opts, xrand.New(1))
+		if p.scans != 1 {
+			t.Errorf("%s: the seed greedy ran %d scans, want 1", tc.name, p.scans)
+		}
+		checkFeasibleStop(t, "SeedGreedy AEA "+tc.name, res.Best, inst, tc.stop)
+		if res.Best.Stop.Rounds != 0 {
+			t.Errorf("%s: AEA ran %d iterations after its seed greedy stopped", tc.name, res.Best.Stop.Rounds)
+		}
+	}
+}
+
 func TestLocalSearchCanceled(t *testing.T) {
 	inst := testInstance(t, 20, 8, 3, 0.9, xrand.New(16))
 	start := xrand.New(2).SampleDistinct(inst.NumCandidates(), inst.K())

@@ -152,8 +152,8 @@ func TestSurviveSearchMatchesInstance(t *testing.T) {
 		rng := xrand.New(1231)
 		inst := surviveInstance(t, 12, 5, 4, 0.8, mode, rng)
 		s := inst.NewSearch(nil)
-		if _, ok := s.(*surviveSearch); !ok {
-			t.Fatalf("mode=%s: NewSearch returned %T, want *surviveSearch", mode, s)
+		if _, ok := s.(*composite); !ok {
+			t.Fatalf("mode=%s: NewSearch returned %T, want *composite", mode, s)
 		}
 		check := func(stage string) {
 			sel := s.Selection()
@@ -291,7 +291,7 @@ func testSurviveGainsBound(t *testing.T, inst *Instance, seed int64, skipped map
 		rng := xrand.New(seed)
 		tg := telemetry.Global()
 		opStart := tg.Snapshot()
-		s := inst.NewSearch(nil).(*surviveSearch)
+		s := inst.NewSearch(nil).(*composite)
 		s.SetWorkers(workers)
 		step := 0
 		check := func(op string) {
@@ -577,5 +577,62 @@ func TestParseSurvivability(t *testing.T) {
 	}
 	if got := resolveSurvivability(SurviveShortcut); got != SurviveShortcut {
 		t.Fatalf("explicit shortcut must pass through, got %v", got)
+	}
+}
+
+// TestCompositePositionMatchesFresh moves one composite — lex-min in both
+// survivability modes, and sum over three time instances — through random
+// selections of growing and shrinking length, as AEA's child reuse does,
+// and requires Sigma, GainsAdd, BestAdd and SigmaDrops, before and after
+// one more commit, to equal those of a composite built fresh at each
+// selection.
+func TestCompositePositionMatchesFresh(t *testing.T) {
+	rng := xrand.New(4100)
+	var insts []*Instance
+	for i := 0; i < 3; i++ {
+		insts = append(insts, testInstance(t, 12, 5, 3, 0.8, rng))
+	}
+	shortcut := surviveInstance(t, 12, 5, 3, 0.8, SurviveShortcut, rng)
+	node := surviveInstance(t, 12, 5, 3, 0.8, SurviveNode, rng)
+	for _, tc := range []struct {
+		name      string
+		newSearch func(sel []int) Search
+	}{
+		{"shortcut", shortcut.NewSearch},
+		{"node", node.NewSearch},
+		{"sum", func(sel []int) Search { return SumSearch(insts, sel, nil) }},
+	} {
+		s := tc.newSearch(nil)
+		s.SetWorkers(2)
+		numCand := insts[0].NumCandidates()
+		for step := 0; step < 12; step++ {
+			sel := rng.SampleDistinct(numCand, rng.Intn(5))
+			s.(positioner).position(sel)
+			fresh := tc.newSearch(sel)
+			same := func(what string) {
+				t.Helper()
+				if got, want := len(s.(*composite).members), len(fresh.(*composite).members); got != want {
+					t.Fatalf("%s step %d %s: %d members, fresh %d", tc.name, step, what, got, want)
+				}
+				if got, want := s.Sigma(), fresh.Sigma(); got != want {
+					t.Fatalf("%s step %d %s: Sigma %d, fresh %d", tc.name, step, what, got, want)
+				}
+				if got, want := slices.Clone(s.GainsAdd()), fresh.GainsAdd(); !slices.Equal(got, want) {
+					t.Fatalf("%s step %d %s: GainsAdd differs from a fresh search", tc.name, step, what)
+				}
+				gc, gg := s.BestAdd()
+				if wc, wg := fresh.BestAdd(); gc != wc || gg != wg {
+					t.Fatalf("%s step %d %s: BestAdd (%d, %d), fresh (%d, %d)", tc.name, step, what, gc, gg, wc, wg)
+				}
+				if got, want := slices.Clone(s.SigmaDrops()), fresh.SigmaDrops(); !slices.Equal(got, want) {
+					t.Fatalf("%s step %d %s: SigmaDrops %v, fresh %v", tc.name, step, what, got, want)
+				}
+			}
+			same("positioned")
+			c := rng.Intn(numCand)
+			s.Add(c)
+			fresh.Add(c)
+			same("after Add")
+		}
 	}
 }

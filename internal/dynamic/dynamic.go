@@ -12,10 +12,8 @@
 package dynamic
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"msc/internal/bitset"
 	"msc/internal/core"
@@ -31,7 +29,8 @@ var (
 	ErrBudgets     = errors.New("dynamic: instances must share the budget k")
 	// ErrSurvivable and ErrBudgeted refuse instances whose objective or
 	// budget the dynamic sum does not carry: σ sums the fault-free σ_i and
-	// every solver reads the shared cardinality k.
+	// every solver reads the shared cardinality k (DESIGN.md §8 lists the
+	// compositions the search supports and why these are refused).
 	ErrSurvivable = errors.New("dynamic: survivable time instances are not supported")
 	ErrBudgeted   = errors.New("dynamic: budgeted time instances are not supported")
 )
@@ -273,255 +272,8 @@ func concatCoverage(subs []maxcover.Problem, k int) maxcover.Problem {
 	}
 }
 
-// NewSearch returns an incremental evaluator whose gains are summed across
-// time instances.
+// NewSearch returns the sum composite over the time instances' searches:
+// σ, gains and drops are summed across time instances (core.SumSearch).
 func (p *Problem) NewSearch(sel []int) core.Search {
-	subs := make([]core.Search, len(p.insts))
-	for i, inst := range p.insts {
-		subs[i] = inst.NewSearch(sel)
-	}
-	return &multiSearch{prob: p, subs: subs, sel: append([]int(nil), sel...), workers: 1, sink: p.sink}
-}
-
-// multiSearch fans Search operations out to per-instance searches. With
-// SetWorkers > 1 the fan-out runs the per-instance scans concurrently —
-// each sub-search owns its scratch, so they never share mutable state —
-// and reduces the per-instance results serially in instance order, keeping
-// every scan identical to the serial fan-out.
-type multiSearch struct {
-	prob    *Problem
-	subs    []core.Search
-	sel     []int
-	workers int            // shard count for scans; 1 = serial
-	gains   []int          // scratch for GainsAdd
-	drops   []int          // scratch for SigmaDrops
-	sink    telemetry.Sink // emits DynamicStepEvents on Add when non-nil
-
-	// Scan timing (EnableScanTiming): per-time-instance wall time of the
-	// GainsAdd fan-out, enabled only when a sink is attached upstream.
-	timeScan   bool
-	instNS     []int64
-	scanMinNS  int64
-	scanMaxNS  int64
-	scanShards int
-}
-
-var _ core.Search = (*multiSearch)(nil)
-
-// LastEvalStats drains and sums the per-time-instance
-// incremental-evaluation accumulators.
-func (s *multiSearch) LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64) {
-	for _, sub := range s.subs {
-		rm, ru, pr, ps := sub.LastEvalStats()
-		rowsMerged += rm
-		rowsUnchanged += ru
-		pairsRescanned += pr
-		pairsSkipped += ps
-	}
-	return rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped
-}
-
-// SetContext forwards the supervision context to every per-instance
-// search, so cancellation interrupts the fanned-out candidate scans too.
-func (s *multiSearch) SetContext(ctx context.Context) {
-	for _, sub := range s.subs {
-		sub.SetContext(ctx)
-	}
-}
-
-// EnableScanTiming turns on per-instance wall-time capture for subsequent
-// GainsAdd scans.
-func (s *multiSearch) EnableScanTiming(on bool) { s.timeScan = on }
-
-// LastScanShards reports the per-instance wall-time extrema of the most
-// recent GainsAdd fan-out; here a "shard" is one time instance, so the
-// spread exposes imbalance across topologies rather than across candidate
-// blocks.
-func (s *multiSearch) LastScanShards() (minNS, maxNS int64, shards int) {
-	return s.scanMinNS, s.scanMaxNS, s.scanShards
-}
-
-// SetWorkers fixes the shard count for subsequent scans. Workers are spent
-// across time instances first; any surplus is pushed down into the
-// per-instance candidate scans.
-func (s *multiSearch) SetWorkers(n int) {
-	s.workers = core.ResolveParallelism(n)
-	sub := s.workers / len(s.subs)
-	if sub < 1 {
-		sub = 1
-	}
-	for _, ss := range s.subs {
-		ss.SetWorkers(sub)
-	}
-}
-
-func (s *multiSearch) Sigma() int {
-	total := 0
-	for _, sub := range s.subs {
-		total += sub.Sigma()
-	}
-	return total
-}
-
-func (s *multiSearch) Selection() []int { return append([]int(nil), s.sel...) }
-
-func (s *multiSearch) Len() int { return len(s.sel) }
-
-func (s *multiSearch) Contains(cand int) bool {
-	for _, c := range s.sel {
-		if c == cand {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *multiSearch) GainAdd(cand int) int {
-	total := 0
-	for _, sub := range s.subs {
-		total += sub.GainAdd(cand)
-	}
-	return total
-}
-
-// GainsAdd sums the per-instance gain arrays: each sub-search runs its own
-// fused candidate scan (concurrently when workers allow — every sub-search
-// writes only its private scratch), and the argmax is taken over the
-// totals, summed serially in instance order. The returned slice is scratch
-// reused across calls.
-func (s *multiSearch) GainsAdd() []int {
-	numCand := s.prob.NumCandidates()
-	if s.gains == nil {
-		s.gains = make([]int, numCand)
-	} else {
-		for i := range s.gains {
-			s.gains[i] = 0
-		}
-	}
-	subGains := make([][]int, len(s.subs))
-	if s.timeScan && cap(s.instNS) < len(s.subs) {
-		s.instNS = make([]int64, len(s.subs))
-	}
-	core.ParallelFor(s.workers, len(s.subs), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if s.timeScan {
-				start := time.Now()
-				subGains[i] = s.subs[i].GainsAdd()
-				s.instNS[i] = time.Since(start).Nanoseconds()
-				continue
-			}
-			subGains[i] = s.subs[i].GainsAdd()
-		}
-	})
-	if s.timeScan {
-		s.scanShards = len(s.subs)
-		s.scanMinNS, s.scanMaxNS = s.instNS[0], s.instNS[0]
-		for _, ns := range s.instNS[1:len(s.subs)] {
-			if ns < s.scanMinNS {
-				s.scanMinNS = ns
-			}
-			if ns > s.scanMaxNS {
-				s.scanMaxNS = ns
-			}
-		}
-	}
-	for _, gains := range subGains {
-		for c, g := range gains {
-			s.gains[c] += g
-		}
-	}
-	return s.gains
-}
-
-// BestAdd scans all candidates, summing per-instance gains (ties toward
-// the lowest candidate index). On a degenerate problem with an empty
-// candidate universe it returns (-1, 0).
-func (s *multiSearch) BestAdd() (cand, gain int) {
-	gains := s.GainsAdd()
-	if len(gains) == 0 {
-		return -1, 0
-	}
-	best, bestGain := 0, gains[0]
-	for c := 1; c < len(gains); c++ {
-		if gains[c] > bestGain {
-			best, bestGain = c, gains[c]
-		}
-	}
-	return best, bestGain
-}
-
-func (s *multiSearch) SigmaDrop(pos int) int {
-	total := 0
-	for _, sub := range s.subs {
-		total += sub.SigmaDrop(pos)
-	}
-	return total
-}
-
-// SigmaDrops returns Σ_i σ_i(S \ {S[pos]}) for every position in one
-// sharded pass over the per-instance drop vectors. The slice is scratch
-// reused across calls.
-func (s *multiSearch) SigmaDrops() []int {
-	if cap(s.drops) < len(s.sel) {
-		s.drops = make([]int, len(s.sel))
-	}
-	s.drops = s.drops[:len(s.sel)]
-	for i := range s.drops {
-		s.drops[i] = 0
-	}
-	subDrops := make([][]int, len(s.subs))
-	core.ParallelFor(s.workers, len(s.subs), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			subDrops[i] = s.subs[i].SigmaDrops()
-		}
-	})
-	for _, drops := range subDrops {
-		for pos, sig := range drops {
-			s.drops[pos] += sig
-		}
-	}
-	return s.drops
-}
-
-func (s *multiSearch) BestDrop() (pos, sigma int) {
-	if len(s.sel) == 0 {
-		panic("dynamic: BestDrop on empty selection")
-	}
-	drops := s.SigmaDrops()
-	pos, sigma = 0, drops[0]
-	for i := 1; i < len(drops); i++ {
-		if drops[i] > sigma {
-			pos, sigma = i, drops[i]
-		}
-	}
-	return pos, sigma
-}
-
-func (s *multiSearch) Add(cand int) {
-	s.sel = append(s.sel, cand)
-	for _, sub := range s.subs {
-		sub.Add(cand)
-	}
-	if s.sink != nil {
-		e := s.prob.CandidateEdge(cand)
-		per := make([]int, len(s.subs))
-		total := 0
-		for i, sub := range s.subs {
-			per[i] = sub.Sigma()
-			total += per[i]
-		}
-		s.sink.Emit(telemetry.DynamicStepEvent{
-			Shortcut:         [2]int32{int32(e.U), int32(e.V)},
-			Selected:         len(s.sel),
-			PerInstanceSigma: per,
-			Sigma:            total,
-		})
-	}
-}
-
-func (s *multiSearch) RemoveAt(pos int) {
-	s.sel = append(s.sel[:pos], s.sel[pos+1:]...)
-	for _, sub := range s.subs {
-		sub.RemoveAt(pos)
-	}
+	return core.SumSearch(p.insts, sel, p.sink)
 }

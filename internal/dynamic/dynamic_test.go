@@ -13,7 +13,7 @@ import (
 )
 
 // seriesInstances builds T random instances over a shared node universe.
-func seriesInstances(t *testing.T, n, m, k, T int, dt float64, seed int64) []*core.Instance {
+func seriesInstances(t testing.TB, n, m, k, T int, dt float64, seed int64) []*core.Instance {
 	t.Helper()
 	rng := xrand.New(seed)
 	insts := make([]*core.Instance, 0, T)

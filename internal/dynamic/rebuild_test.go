@@ -14,14 +14,14 @@ import (
 type rebuildProblem struct{ *Problem }
 
 func (p rebuildProblem) NewSearch(sel []int) core.Search {
-	return &rebuildSearch{multiSearch: p.Problem.NewSearch(sel).(*multiSearch), prob: p.Problem}
+	return &rebuildSearch{Search: p.Problem.NewSearch(sel), prob: p.Problem}
 }
 
 // rebuildSearch answers every query from the fresh search it holds and
 // re-applies the worker count, supervision context and scan timing to each
 // replacement.
 type rebuildSearch struct {
-	*multiSearch
+	core.Search
 	prob    *Problem
 	workers int // 0 = never set
 	ctx     context.Context
@@ -37,27 +37,27 @@ func (s *rebuildSearch) RemoveAt(pos int) {
 
 // replace swaps in a fresh search positioned at sel.
 func (s *rebuildSearch) replace(sel []int) {
-	s.multiSearch = s.prob.NewSearch(sel).(*multiSearch)
+	s.Search = s.prob.NewSearch(sel)
 	if s.workers != 0 {
-		s.multiSearch.SetWorkers(s.workers)
+		s.Search.SetWorkers(s.workers)
 	}
 	if s.ctx != nil {
-		s.multiSearch.SetContext(s.ctx)
+		s.Search.SetContext(s.ctx)
 	}
-	s.multiSearch.EnableScanTiming(s.timing)
+	s.Search.EnableScanTiming(s.timing)
 }
 
 func (s *rebuildSearch) SetWorkers(n int) {
 	s.workers = n
-	s.multiSearch.SetWorkers(n)
+	s.Search.SetWorkers(n)
 }
 
 func (s *rebuildSearch) SetContext(ctx context.Context) {
 	s.ctx = ctx
-	s.multiSearch.SetContext(ctx)
+	s.Search.SetContext(ctx)
 }
 
 func (s *rebuildSearch) EnableScanTiming(on bool) {
 	s.timing = on
-	s.multiSearch.EnableScanTiming(on)
+	s.Search.EnableScanTiming(on)
 }

@@ -78,9 +78,9 @@ var (
 		ExpBuckets(1, 4, 10))
 
 	// ScenarioEval is the cost of one failure-scenario evaluation by the
-	// survivable objective (core surviveSearch): one scenario's incremental
-	// merge on commit, or one scenario's (usually warm) gains read during a
-	// candidate scan, in seconds.
+	// survivable objective (the lex-min composite in core): one
+	// scenario's incremental merge on commit, or one scenario's (usually
+	// warm) gains read during a candidate scan, in seconds.
 	ScenarioEval = NewHistogram(Default(), "msc_failure_scenario_eval_seconds",
 		"Wall-clock time of one survivable failure-scenario evaluation.",
 		ExpBuckets(1e-7, 4, 12)) // 100ns … ~0.4s
