@@ -111,13 +111,38 @@ func TestMscgenMobilityTrace(t *testing.T) {
 	}
 }
 
+// timingLine matches mscbench's per-experiment "[<exp> took Nms]" lines,
+// the only lines that differ between runs.
+var timingLine = regexp.MustCompile(`(?m)^\[\S+ took [^\]]*\]\n`)
+
+// TestMscbenchQuick pins the reproduced tables and figures: the quick run
+// of every experiment at seed 1, timing lines dropped, must match the
+// golden file byte for byte. A change that moves a result regenerates it:
+//
+//	go run ./cmd/mscbench -exp all -quick -seed 1 | grep -v '^\[.* took .*\]$' > cmd/testdata/mscbench-all-quick-seed1.golden
 func TestMscbenchQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")
 	}
-	out := runTool(t, "mscbench", "-exp", "table1", "-quick")
-	if !strings.Contains(out, "Table I") {
-		t.Fatalf("mscbench output unexpected:\n%s", out)
+	out := timingLine.ReplaceAllString(runTool(t, "mscbench", "-exp", "all", "-quick", "-seed", "1"), "")
+	want, err := os.ReadFile(filepath.Join("testdata", "mscbench-all-quick-seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		gotLines, wantLines := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("mscbench -exp all -quick -seed 1 differs from the golden file at line %d:\n got %q\nwant %q", i+1, g, w)
+			}
+		}
 	}
 	csv := runTool(t, "mscbench", "-exp", "fig5b", "-quick", "-csv")
 	if !strings.Contains(csv, "T,") {
@@ -275,26 +300,35 @@ func TestLazyBackendFlagRejected(t *testing.T) {
 	}
 }
 
-// TestThresholdFlagRejected: a -pt outside (0, 1) fails at flag parse
-// with a one-line error, before any input is read — not with a panic in
-// the length conversion, and not by falling back to the instance's p_t.
+// TestThresholdFlagRejected: a -pt outside (0, 1), a pair count below 1,
+// a negative budget or a negative iteration count fails at flag parse
+// with a one-line error, before any input is read — not with a panic, not
+// with an instance the reader rejects, and not by falling back to the
+// instance's value.
 func TestThresholdFlagRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")
 	}
+	const pt = "want a failure probability in (0, 1)"
 	for _, tc := range []struct {
 		tool string
 		args []string
+		want string
 	}{
-		{"mscplace", []string{"-pt", "1", "-in", "does-not-exist.json"}},
-		{"mscplace", []string{"-pt", "-0.2", "-in", "does-not-exist.json"}},
-		{"mscplace", []string{"-pt", "NaN", "-in", "does-not-exist.json"}},
-		{"mscgen", []string{"-pt", "1", "-n", "20", "-m", "3"}},
+		{"mscplace", []string{"-pt", "1", "-in", "does-not-exist.json"}, pt},
+		{"mscplace", []string{"-pt", "-0.2", "-in", "does-not-exist.json"}, pt},
+		{"mscplace", []string{"-pt", "NaN", "-in", "does-not-exist.json"}, pt},
+		{"mscgen", []string{"-pt", "1", "-n", "20", "-m", "3"}, pt},
+		{"mscgen", []string{"-kind", "rgg", "-n", "20", "-m", "-3"}, "-m -3: want at least one pair"},
+		{"mscgen", []string{"-kind", "social", "-m", "-3"}, "-m -3: want at least one pair"},
+		{"mscgen", []string{"-kind", "rgg", "-n", "20", "-m", "3", "-k", "-2"}, "-k -2: want a non-negative shortcut budget"},
+		{"mscplace", []string{"-k", "-1", "-in", "does-not-exist.json"}, "-k -1: want a positive shortcut budget"},
+		{"mscplace", []string{"-iters", "-2", "-in", "does-not-exist.json"}, "-iters -2: want a non-negative iteration count"},
 	} {
 		out := runToolErr(t, tc.tool, tc.args...)
-		if !strings.Contains(out, "want a failure probability in (0, 1)") ||
+		if !strings.Contains(out, tc.want) ||
 			strings.Contains(out, "does-not-exist") || strings.Contains(out, "goroutine") {
-			t.Fatalf("%s %v: want a one-line flag-parse failure, got:\n%s", tc.tool, tc.args, out)
+			t.Fatalf("%s %v: want a one-line flag-parse failure containing %q, got:\n%s", tc.tool, tc.args, tc.want, out)
 		}
 	}
 }

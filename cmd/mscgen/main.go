@@ -17,7 +17,6 @@ import (
 
 	"msc"
 	"msc/internal/cli"
-	"msc/internal/mobility"
 )
 
 func main() { cli.Run("mscgen", run) }
@@ -45,6 +44,14 @@ func run(ctx context.Context) error {
 	}
 	if !(*pt > 0 && *pt < 1) {
 		return fmt.Errorf("-pt %v: want a failure probability in (0, 1)", *pt)
+	}
+	if *kind == "rgg" || *kind == "social" {
+		if *m < 1 {
+			return fmt.Errorf("-m %d: want at least one pair", *m)
+		}
+		if *k < 0 {
+			return fmt.Errorf("-k %d: want a non-negative shortcut budget", *k)
+		}
 	}
 	plane, err := opsF.Start("mscgen")
 	if err != nil {
@@ -144,7 +151,3 @@ func writeInstance(w *os.File, g *msc.Graph, m int, pt float64, k int, rng *msc.
 	}
 	return msc.StreamInstanceJSON(w, g, ps, pt, k)
 }
-
-// Interface check: the mobility trace type must keep its CSV codec, which
-// mscgen and mscplace rely on for file exchange.
-var _ = (*mobility.Trace).WriteCSV

@@ -102,6 +102,12 @@ func run(ctx context.Context) (retErr error) {
 	if *pt != 0 && !(*pt > 0 && *pt < 1) {
 		return fmt.Errorf("-pt %v: want a failure probability in (0, 1), or 0 for the instance's", *pt)
 	}
+	if *k < 0 {
+		return fmt.Errorf("-k %d: want a positive shortcut budget, or 0 for the instance's", *k)
+	}
+	if *iters < 0 {
+		return fmt.Errorf("-iters %d: want a non-negative iteration count", *iters)
+	}
 	budgeted := *budgetF != 0 || costModel != msc.CostModelAuto || *costTab != ""
 	if budgeted && *alg == "cn" {
 		return fmt.Errorf("-alg cn solves the cardinality common-node case; it does not support -budget")

@@ -47,12 +47,6 @@ func (s *Set) Add(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Remove clears bit i. It panics if i is out of range.
-func (s *Set) Remove(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Contains reports whether bit i is set. It panics if i is out of range.
 func (s *Set) Contains(i int) bool {
 	s.check(i)
@@ -81,47 +75,6 @@ func (s *Set) Clone() *Set {
 	return &Set{words: words, n: s.n}
 }
 
-// Clear removes every element, keeping capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// UnionWith sets s = s ∪ other. Both sets must share a universe size.
-func (s *Set) UnionWith(other *Set) {
-	s.checkCompat(other)
-	for i, w := range other.words {
-		s.words[i] |= w
-	}
-}
-
-// IntersectWith sets s = s ∩ other. Both sets must share a universe size.
-func (s *Set) IntersectWith(other *Set) {
-	s.checkCompat(other)
-	for i, w := range other.words {
-		s.words[i] &= w
-	}
-}
-
-// DifferenceWith sets s = s \ other. Both sets must share a universe size.
-func (s *Set) DifferenceWith(other *Set) {
-	s.checkCompat(other)
-	for i, w := range other.words {
-		s.words[i] &^= w
-	}
-}
-
-// UnionCount returns |s ∪ other| without allocating.
-func (s *Set) UnionCount(other *Set) int {
-	s.checkCompat(other)
-	total := 0
-	for i, w := range other.words {
-		total += bits.OnesCount64(s.words[i] | w)
-	}
-	return total
-}
-
 // AndNotCount returns |other \ s|: the number of bits set in other but not
 // in s. This is the marginal gain used by the greedy coverage solvers.
 func (s *Set) AndNotCount(other *Set) int {
@@ -131,32 +84,6 @@ func (s *Set) AndNotCount(other *Set) int {
 		total += bits.OnesCount64(w &^ s.words[i])
 	}
 	return total
-}
-
-// Equal reports whether the two sets contain exactly the same elements.
-func (s *Set) Equal(other *Set) bool {
-	if s.n != other.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != other.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Indices returns the set elements in ascending order.
-func (s *Set) Indices() []int {
-	out := make([]int, 0, s.Count())
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, wi*wordBits+b)
-			w &= w - 1
-		}
-	}
-	return out
 }
 
 // ForEach calls fn for every set bit in ascending order.

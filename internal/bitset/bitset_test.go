@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -19,15 +20,6 @@ func TestBasicOps(t *testing.T) {
 	if s.Count() != 8 {
 		t.Fatalf("count = %d, want 8", s.Count())
 	}
-	s.Remove(64)
-	if s.Contains(64) || s.Count() != 7 {
-		t.Fatalf("remove failed: contains=%v count=%d", s.Contains(64), s.Count())
-	}
-	// Removing an absent element is a no-op.
-	s.Remove(64)
-	if s.Count() != 7 {
-		t.Fatalf("double remove changed count to %d", s.Count())
-	}
 }
 
 func TestAddDuplicateIdempotent(t *testing.T) {
@@ -45,7 +37,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { s.Add(5) },
 		func() { s.Add(-1) },
 		func() { s.Contains(5) },
-		func() { s.Remove(99) },
+		func() { s.Contains(-1) },
 	} {
 		assertPanics(t, fn)
 	}
@@ -64,27 +56,14 @@ func assertPanics(t *testing.T, fn func()) {
 func TestSetAlgebra(t *testing.T) {
 	a := FromIndices(100, []int{1, 5, 70, 99})
 	bs := FromIndices(100, []int{5, 6, 70})
-
-	union := a.Clone()
-	union.UnionWith(bs)
-	if got := union.Indices(); !equalInts(got, []int{1, 5, 6, 70, 99}) {
-		t.Fatalf("union = %v", got)
-	}
-	inter := a.Clone()
-	inter.IntersectWith(bs)
-	if got := inter.Indices(); !equalInts(got, []int{5, 70}) {
-		t.Fatalf("intersection = %v", got)
-	}
-	diff := a.Clone()
-	diff.DifferenceWith(bs)
-	if got := diff.Indices(); !equalInts(got, []int{1, 99}) {
-		t.Fatalf("difference = %v", got)
-	}
-	if got := a.UnionCount(bs); got != 5 {
-		t.Fatalf("UnionCount = %d, want 5", got)
-	}
 	if got := a.AndNotCount(bs); got != 1 { // bs \ a = {6}
 		t.Fatalf("AndNotCount = %d, want 1", got)
+	}
+	if got := bs.AndNotCount(a); got != 2 { // a \ bs = {1, 99}
+		t.Fatalf("AndNotCount = %d, want 2", got)
+	}
+	if got := a.String(); got != "{1, 5, 70, 99}" {
+		t.Fatalf("FromIndices = %s", got)
 	}
 }
 
@@ -95,32 +74,8 @@ func TestCloneIndependence(t *testing.T) {
 	if a.Contains(7) {
 		t.Fatal("clone mutated original")
 	}
-	if !a.Equal(FromIndices(10, []int{2, 4})) {
-		t.Fatal("original changed")
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := FromIndices(64, []int{0, 63})
-	b := FromIndices(64, []int{0, 63})
-	c := FromIndices(65, []int{0, 63})
-	if !a.Equal(b) {
-		t.Fatal("equal sets not Equal")
-	}
-	if a.Equal(c) {
-		t.Fatal("different universes Equal")
-	}
-	b.Add(1)
-	if a.Equal(b) {
-		t.Fatal("different sets Equal")
-	}
-}
-
-func TestClear(t *testing.T) {
-	s := FromIndices(70, []int{0, 69})
-	s.Clear()
-	if s.Count() != 0 || s.Len() != 70 {
-		t.Fatalf("clear: count=%d len=%d", s.Count(), s.Len())
+	if got := a.String(); got != "{2, 4}" {
+		t.Fatalf("original changed to %s", got)
 	}
 }
 
@@ -136,12 +91,11 @@ func TestString(t *testing.T) {
 
 func TestMismatchedUniversePanics(t *testing.T) {
 	a, b := New(10), New(11)
-	assertPanics(t, func() { a.UnionWith(b) })
-	assertPanics(t, func() { a.UnionCount(b) })
+	assertPanics(t, func() { a.AndNotCount(b) })
 }
 
-// Property: for random index sets, Count/Indices/union semantics agree
-// with a map-based reference implementation.
+// Property: for random index sets, Count and AndNotCount agree with a
+// map-based reference implementation.
 func TestQuickAgainstMapReference(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
 		const n = 1 << 16
@@ -158,16 +112,6 @@ func TestQuickAgainstMapReference(t *testing.T) {
 		if a.Count() != len(ma) {
 			return false
 		}
-		union := map[int]bool{}
-		for k := range ma {
-			union[k] = true
-		}
-		for k := range mb {
-			union[k] = true
-		}
-		if a.UnionCount(b) != len(union) {
-			return false
-		}
 		onlyB := 0
 		for k := range mb {
 			if !ma[k] {
@@ -181,16 +125,21 @@ func TestQuickAgainstMapReference(t *testing.T) {
 	}
 }
 
-// Property: ForEach visits exactly Indices() in order.
+// Property: ForEach visits exactly the added elements, in ascending order.
 func TestQuickForEachMatchesIndices(t *testing.T) {
 	f := func(xs []uint8) bool {
 		s := New(256)
+		var want []int
 		for _, x := range xs {
+			if !s.Contains(int(x)) {
+				want = append(want, int(x))
+			}
 			s.Add(int(x))
 		}
+		sort.Ints(want)
 		var visited []int
 		s.ForEach(func(i int) { visited = append(visited, i) })
-		return equalInts(visited, s.Indices())
+		return equalInts(visited, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -128,15 +128,6 @@ func (p *OpsPlane) Sink() telemetry.Sink {
 	return p.fanout
 }
 
-// Fanout returns the plane's fanout for attaching further sinks (the
-// command's -jsonl writer), or nil on a nil plane.
-func (p *OpsPlane) Fanout() *telemetry.FanoutSink {
-	if p == nil {
-		return nil
-	}
-	return p.fanout
-}
-
 // Attach adds a sink to the plane's fanout. No-op on a nil plane.
 func (p *OpsPlane) Attach(s telemetry.Sink) {
 	if p != nil {

@@ -41,7 +41,7 @@ func (d denseCover) covered(sel []int) *bitset.Set {
 		c = d.initial.Clone()
 	}
 	for _, s := range sel {
-		c.UnionWith(d.sets[s])
+		d.sets[s].ForEach(c.Add)
 	}
 	return c
 }
@@ -66,7 +66,7 @@ func (o *denseOracle) Gain(e int) float64 {
 	return gain
 }
 
-func (o *denseOracle) Accept(e int) { o.covered.UnionWith(o.d.sets[e]) }
+func (o *denseOracle) Accept(e int) { o.d.sets[e].ForEach(o.covered.Add) }
 
 // refBounds holds one instance's dense μ and ν.
 type refBounds struct {
@@ -133,7 +133,7 @@ func buildRef(inst *core.Instance) refBounds {
 	for ai := range cands {
 		for bi := ai + 1; bi < len(cands); bi++ {
 			s := perNode[ai].Clone()
-			s.UnionWith(perNode[bi])
+			perNode[bi].ForEach(s.Add)
 			r.nu.sets = append(r.nu.sets, s)
 		}
 	}

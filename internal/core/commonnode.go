@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 
 	"msc/internal/graph"
@@ -104,20 +103,4 @@ func SolveCommonNode(inst *Instance) (CommonNodeResult, error) {
 		Common:    u,
 		Coverage:  coverage,
 	}, nil
-}
-
-// VerifyCommonNodeReduction cross-checks Theorem 1's reduction on an
-// instance: the coverage value of the greedy max-coverage run must equal
-// the exact σ of the produced placement. It returns an error describing any
-// mismatch; tests call it on randomized instances.
-func VerifyCommonNodeReduction(inst *Instance) error {
-	res, err := SolveCommonNode(inst)
-	if err != nil {
-		return err
-	}
-	if res.Coverage != res.Placement.Sigma {
-		return fmt.Errorf("core: coverage %d != σ %d for common-node placement %v",
-			res.Coverage, res.Placement.Sigma, res.Placement.Edges)
-	}
-	return nil
 }

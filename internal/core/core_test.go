@@ -333,8 +333,8 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 	build := func() (Placement, Placement) {
 		rng := xrand.New(4242)
 		inst := testInstance(t, 16, 8, 3, 0.9, xrand.New(99))
-		ea := EA(inst, EAOptions{Iterations: 100}, rng.Split())
-		aea := AEA(inst, AEAOptions{Iterations: 100, PopSize: 4, Delta: 0.05}, rng.Split())
+		ea := EA(inst, EAOptions{Iterations: 100}, xrand.New(rng.Int63()))
+		aea := AEA(inst, AEAOptions{Iterations: 100, PopSize: 4, Delta: 0.05}, xrand.New(rng.Int63()))
 		return ea.Best, aea.Best
 	}
 	ea1, aea1 := build()

@@ -456,16 +456,9 @@ func (inst *Instance) MaxSigma() int { return inst.totalWeight }
 // raw network.
 func (inst *Instance) BaseSigma() int { return inst.baseSigma }
 
-// PairWeight returns pair i's importance level (1 when unweighted).
-func (inst *Instance) PairWeight(i int) int { return int(inst.weights[i]) }
-
 // NumCandidates returns the candidate-universe size: t(t−1)/2 for t
 // candidate nodes (t = n unless ExcludePairEndpoints was set).
 func (inst *Instance) NumCandidates() int { return inst.numCand }
-
-// CandidateNodes returns the nodes allowed to host shortcut endpoints.
-// Callers must not modify the slice.
-func (inst *Instance) CandidateNodes() []graph.NodeID { return inst.candNodes }
 
 // CandidateEdge maps a dense candidate index to its unordered node pair,
 // using the standard row-major triangular encoding over candidate nodes.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -105,6 +106,22 @@ func TestCommonNodeReduction(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// VerifyCommonNodeReduction cross-checks Theorem 1's reduction on an
+// instance: the coverage value of the greedy max-coverage run must equal
+// the exact σ of the produced placement. It returns an error describing any
+// mismatch.
+func VerifyCommonNodeReduction(inst *Instance) error {
+	res, err := SolveCommonNode(inst)
+	if err != nil {
+		return err
+	}
+	if res.Coverage != res.Placement.Sigma {
+		return fmt.Errorf("core: coverage %d != σ %d for common-node placement %v",
+			res.Coverage, res.Placement.Sigma, res.Placement.Edges)
+	}
+	return nil
 }
 
 func commonNodeInstance(t *testing.T, g *graph.Graph, u graph.NodeID, m, k int, dt float64, rng *xrand.Rand) *Instance {

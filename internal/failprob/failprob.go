@@ -38,22 +38,6 @@ func ProbFromLength(l float64) float64 {
 	return -math.Expm1(-l)
 }
 
-// PathFailure returns the failure probability of a path whose links have
-// the given failure probabilities: 1 − Π (1 − p_i).
-func PathFailure(probs []float64) float64 {
-	logSurvive := 0.0
-	for _, p := range probs {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			panic(fmt.Sprintf("failprob: probability %v outside [0, 1]", p))
-		}
-		if p == 1 {
-			return 1
-		}
-		logSurvive += math.Log1p(-p)
-	}
-	return -math.Expm1(logSurvive)
-}
-
 // Threshold bundles the two equivalent forms of the connectivity
 // requirement: a pair is "maintained" iff its best path has failure
 // probability ≤ P, i.e. distance ≤ D = −ln(1−P).
@@ -67,14 +51,6 @@ type Threshold struct {
 func NewThreshold(p float64) Threshold {
 	return Threshold{P: p, D: LengthFromProb(p)}
 }
-
-// MeetsLength reports whether a path of the given length satisfies the
-// threshold.
-func (t Threshold) MeetsLength(l float64) bool { return l <= t.D }
-
-// MeetsProb reports whether a path with the given failure probability
-// satisfies the threshold.
-func (t Threshold) MeetsProb(p float64) bool { return p <= t.P }
 
 // String renders the threshold in both forms.
 func (t Threshold) String() string {

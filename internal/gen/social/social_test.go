@@ -107,7 +107,7 @@ func TestGenerateClusteringStructure(t *testing.T) {
 			if vu < 0 || vw < 0 {
 				continue
 			}
-			has := g.HasEdge(int32(u), int32(w))
+			_, has := g.EdgeLength(int32(u), int32(w))
 			if vu == vw {
 				samePairs++
 				if has {

@@ -55,9 +55,6 @@ type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
 }
 
-// UnitSquare is the [0,1]² region used by the RGG generator.
-var UnitSquare = Rect{0, 0, 1, 1}
-
 // Width returns MaxX - MinX.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 

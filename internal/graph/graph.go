@@ -227,9 +227,6 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // Neighbors returns the adjacency list of u. Callers must not modify it.
 func (g *Graph) Neighbors(u NodeID) []Arc { return g.adj[u] }
 
-// Degree returns the number of incident edges of u.
-func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
-
 // EdgeLength returns the length of edge (u,v) and whether it exists.
 func (g *Graph) EdgeLength(u, v NodeID) (float64, bool) {
 	if u == v {
@@ -247,12 +244,6 @@ func (g *Graph) EdgeLength(u, v NodeID) (float64, bool) {
 	return 0, false
 }
 
-// HasEdge reports whether edge (u,v) exists.
-func (g *Graph) HasEdge(u, v NodeID) bool {
-	_, ok := g.EdgeLength(u, v)
-	return ok
-}
-
 // Coords returns the node positions, or nil if none were attached.
 func (g *Graph) Coords() []geom.Point { return g.coords }
 
@@ -265,13 +256,4 @@ func (g *Graph) Label(u NodeID) string {
 		return g.labels[u]
 	}
 	return fmt.Sprintf("v%d", u)
-}
-
-// TotalLength returns the sum of all edge lengths.
-func (g *Graph) TotalLength() float64 {
-	total := 0.0
-	for _, e := range g.edges {
-		total += e.Length
-	}
-	return total
 }

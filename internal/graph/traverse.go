@@ -62,29 +62,6 @@ func (g *Graph) Connected() bool {
 	return g.N() == 0 || len(g.Components()) == 1
 }
 
-// HopDistances returns the unweighted (hop-count) distance from src to every
-// node; unreachable nodes get -1.
-func (g *Graph) HopDistances(src NodeID) []int {
-	n := g.N()
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range g.adj[u] {
-			if dist[a.To] < 0 {
-				dist[a.To] = dist[u] + 1
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	return dist
-}
-
 // InducedSubgraph returns the subgraph induced by keep, along with the
 // mapping newID -> oldID. Coordinates and labels are carried over when
 // present. Node ids are compacted in the order given by keep.

@@ -3,7 +3,6 @@ package graphio
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -137,37 +136,6 @@ func FuzzReadCostTable(f *testing.F) {
 		}
 		if c := ct.Cost(0, 1<<30); c <= 0 {
 			t.Fatalf("unlisted pair priced %v, want positive", c)
-		}
-	})
-}
-
-// FuzzReadEdgeList feeds arbitrary text to the edge-list reader: a valid
-// graph or an ErrInvalid-wrapping error, never a panic.
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add("0 1 0.5\n1 2 0.25\n")
-	f.Add("0 1\n")
-	f.Add("# comment\n\n0 1 0.1\n")
-	f.Add("0 0 0.1\n")
-	f.Add("-1 2 0.1\n")
-	f.Add("0 1 NaN\n")
-	f.Add("0 1 +Inf\n")
-	f.Add("0 1 1.0\n")
-	f.Add("0 1 -0.0001\n")
-	f.Add("0 999999999 0.1\n")
-	f.Add("0 1 0.1\n1 0 0.2\n")
-	f.Add("0 1 0.1 extra\n")
-	f.Add("x y z\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, data string) {
-		g, err := ReadEdgeList(strings.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrInvalid) {
-				t.Fatalf("ReadEdgeList error %v does not wrap ErrInvalid", err)
-			}
-			return
-		}
-		if g.N() <= 0 || g.N() > MaxNodes {
-			t.Fatalf("accepted graph has n = %d", g.N())
 		}
 	})
 }

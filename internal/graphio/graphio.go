@@ -1,24 +1,15 @@
 // Package graphio serializes networks and pair sets so the command-line
 // tools can exchange problem instances as files.
 //
-// Two formats are supported:
-//
-//   - JSON: a single document carrying nodes (with optional coordinates and
-//     labels), edges with failure probabilities, important pairs, and the
-//     threshold — the lingua franca of cmd/mscgen, cmd/mscplace and
-//     cmd/mscviz.
-//   - Edge list: a minimal "u v p_fail" text form for interoperability
-//     with other tooling.
+// The format is a JSON document carrying nodes (with optional coordinates
+// and labels), edges with failure probabilities, important pairs, and the
+// threshold — the lingua franca of cmd/mscgen, cmd/mscplace and
+// cmd/mscviz.
 package graphio
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"msc/internal/failprob"
 	"msc/internal/geom"
@@ -161,94 +152,4 @@ func ReadJSONGraph(r io.Reader) (Document, *graph.Graph, error) {
 		return Document{}, nil, err
 	}
 	return doc, g, nil
-}
-
-// WriteEdgeList encodes "u v p_fail" lines.
-func WriteEdgeList(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range g.Edges() {
-		p := failprob.ProbFromLength(e.Length)
-		if _, err := fmt.Fprintf(bw, "%d %d %.10g\n", e.U, e.V, p); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEdgeList decodes "u v p_fail" lines (p_fail optional, default 0).
-// The node count is one past the largest id mentioned. Every malformed
-// line — wrong field count, unparseable or negative or over-cap ids,
-// self-loops, duplicate edges, NaN or out-of-range probabilities — is
-// rejected with a *ValidationError naming the line; ReadEdgeList never
-// panics, whatever the input.
-func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
-	type rec struct {
-		u, v graph.NodeID
-		p    float64
-	}
-	var recs []rec
-	seen := make(map[[2]graph.NodeID]bool)
-	maxID := graph.NodeID(-1)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 && len(fields) != 3 {
-			return nil, lineErr(lineNo, "edge", "want 2 or 3 fields, got %d", len(fields))
-		}
-		u64, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, lineErr(lineNo, "u", "%v", err)
-		}
-		v64, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, lineErr(lineNo, "v", "%v", err)
-		}
-		p := 0.0
-		if len(fields) == 3 {
-			p, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, lineErr(lineNo, "p_fail", "%v", err)
-			}
-		}
-		u, v := graph.NodeID(u64), graph.NodeID(v64)
-		if err := validateEdgeRec(lineNo, u, v, p, len(fields) == 3); err != nil {
-			return nil, err
-		}
-		key := [2]graph.NodeID{u, v}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
-		if seen[key] {
-			return nil, lineErr(lineNo, "edge", "duplicate edge (%d,%d)", u, v)
-		}
-		seen[key] = true
-		recs = append(recs, rec{u: u, v: v, p: p})
-		if u > maxID {
-			maxID = u
-		}
-		if v > maxID {
-			maxID = v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, lineErr(lineNo+1, "line", "%v", err)
-		}
-		return nil, fmt.Errorf("graphio: read edge list: %w", err)
-	}
-	if maxID < 0 {
-		return nil, &ValidationError{Format: "edgelist", Field: "edges", Msg: "empty edge list"}
-	}
-	b := graph.NewBuilder(int(maxID) + 1)
-	for _, rc := range recs {
-		b.AddEdge(rc.u, rc.v, failprob.LengthFromProb(rc.p))
-	}
-	return b.Build()
 }

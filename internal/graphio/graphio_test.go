@@ -100,56 +100,6 @@ func TestDocumentGraphRejectsBadFailure(t *testing.T) {
 	}
 }
 
-func TestEdgeListRoundTrip(t *testing.T) {
-	g := sampleGraph(t)
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.M() != g.M() {
-		t.Fatalf("m = %d, want %d", g2.M(), g.M())
-	}
-	for _, e := range g.Edges() {
-		l2, ok := g2.EdgeLength(e.U, e.V)
-		if !ok || math.Abs(l2-e.Length) > 1e-9 {
-			t.Fatalf("edge (%d,%d) mismatch", e.U, e.V)
-		}
-	}
-}
-
-func TestReadEdgeListForms(t *testing.T) {
-	in := "# comment\n0 1\n1 2 0.5\n\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 3 || g.M() != 2 {
-		t.Fatalf("n=%d m=%d", g.N(), g.M())
-	}
-	if l, _ := g.EdgeLength(0, 1); l != 0 {
-		t.Fatalf("default p_fail should be 0, got length %v", l)
-	}
-}
-
-func TestReadEdgeListErrors(t *testing.T) {
-	cases := []string{
-		"",          // empty
-		"0\n",       // one field
-		"0 1 2 3\n", // four fields
-		"x 1\n",     // bad id
-		"0 1 1.5\n", // p out of range
-	}
-	for i, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d: expected error for %q", i, in)
-		}
-	}
-}
-
 func TestValidateTypedErrors(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -191,51 +141,6 @@ func TestValidateTypedErrors(t *testing.T) {
 				t.Fatalf("Field = %q, want %q (err: %v)", verr.Field, tc.field, err)
 			}
 		})
-	}
-}
-
-func TestReadEdgeListTypedErrors(t *testing.T) {
-	cases := []struct {
-		in   string
-		line int
-	}{
-		{"0 0 0.1\n", 1},                  // self-loop
-		{"-3 1 0.1\n", 1},                 // negative id
-		{"0 1 NaN\n", 1},                  // NaN slips past < > comparisons
-		{"# c\n0 1 0.1\n0 1 0.2\n", 3},    // duplicate edge
-		{"0 1 0.1\n0 999999999 0.1\n", 2}, // id over cap
-	}
-	for i, tc := range cases {
-		_, err := ReadEdgeList(strings.NewReader(tc.in))
-		if err == nil {
-			t.Errorf("case %d: accepted %q", i, tc.in)
-			continue
-		}
-		var verr *ValidationError
-		if !errors.As(err, &verr) || !errors.Is(err, ErrInvalid) {
-			t.Errorf("case %d: error %v is not a typed validation error", i, err)
-			continue
-		}
-		if verr.Line != tc.line {
-			t.Errorf("case %d: Line = %d, want %d (err: %v)", i, verr.Line, tc.line, err)
-		}
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := sampleGraph(t)
-	ps := pairs.MustNewSet(4, []pairs.Pair{{U: 0, W: 3}})
-	var buf bytes.Buffer
-	if err := WriteDOT(&buf, g, ps, []graph.Edge{{U: 1, V: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"graph msc {", "0 -- 1", "penwidth=2.5", "fillcolor", "pos=",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"msc/internal/graph"
 )
 
 // ErrInvalid is the sentinel wrapped by every input-validation failure in
@@ -14,22 +12,21 @@ import (
 // hostile or malformed files from I/O failures.
 var ErrInvalid = errors.New("graphio: invalid input")
 
-// MaxNodes caps the node count a decoded document or edge list may
-// declare. Node ids size allocations (adjacency lists, distance tables),
-// so a hostile file claiming 2^31 nodes must be rejected at parse time,
-// not at the first out-of-memory allocation. Large-scale callers may
-// raise it.
+// MaxNodes caps the node count a decoded document may declare. Node ids
+// size allocations (adjacency lists, distance tables), so a hostile file
+// claiming 2^31 nodes must be rejected at parse time, not at the first
+// out-of-memory allocation. Large-scale callers may raise it.
 var MaxNodes = 4 << 20
 
-// ValidationError pinpoints one malformed field of an input document or
-// edge list. It unwraps to ErrInvalid.
+// ValidationError pinpoints one malformed field of an input document. It
+// unwraps to ErrInvalid.
 type ValidationError struct {
-	// Format is the input codec: "json" or "edgelist".
+	// Format is the input codec, "json" for instance documents.
 	Format string
 	// Field names the offending field, e.g. "edges[3].p_fail".
 	Field string
-	// Line is the 1-based source line for line-oriented formats; 0 when
-	// the format has no useful line structure.
+	// Line is the 1-based source line for line-oriented formats; 0 for
+	// JSON, which has no useful line structure.
 	Line int
 	// Msg says what is wrong with the value.
 	Msg string
@@ -46,10 +43,6 @@ func (e *ValidationError) Unwrap() error { return ErrInvalid }
 
 func jsonErr(field, format string, args ...any) error {
 	return &ValidationError{Format: "json", Field: field, Msg: fmt.Sprintf(format, args...)}
-}
-
-func lineErr(line int, field, format string, args ...any) error {
-	return &ValidationError{Format: "edgelist", Field: field, Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
 // Validate checks the document's structural invariants — everything the
@@ -168,22 +161,3 @@ func firstRepeat(n int, key func(int) uint64) int {
 }
 
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// validateEdgeRec rejects one edge-list record: negative, self-looped,
-// over-cap ids and NaN or out-of-range failure probabilities, each
-// reported with its source line.
-func validateEdgeRec(line int, u, v graph.NodeID, p float64, explicitP bool) error {
-	if u < 0 || v < 0 {
-		return lineErr(line, "edge", "negative node id (%d,%d)", u, v)
-	}
-	if int(u) >= MaxNodes || int(v) >= MaxNodes {
-		return lineErr(line, "edge", "node id (%d,%d) exceeds the %d-node cap", u, v, MaxNodes)
-	}
-	if u == v {
-		return lineErr(line, "edge", "self-loop at node %d", u)
-	}
-	if explicitP && (math.IsNaN(p) || p < 0 || p >= 1) {
-		return lineErr(line, "p_fail", "%v outside [0, 1)", p)
-	}
-	return nil
-}

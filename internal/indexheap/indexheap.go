@@ -37,12 +37,12 @@ func (h *Heap) Len() int { return len(h.heap) }
 // Contains reports whether item is currently in the heap.
 func (h *Heap) Contains(item int) bool { return h.pos[item] >= 0 }
 
-// Key returns the last priority assigned to item via Push or DecreaseKey.
+// Key returns the last priority assigned to item via Push.
 // The value is meaningful only if the item was inserted at least once.
 func (h *Heap) Key(item int) float64 { return h.key[item] }
 
 // Push inserts item with the given priority. If the item is already in the
-// heap, Push behaves like DecreaseKey when the new priority is smaller and
+// heap, Push lowers its priority when the new priority is smaller and
 // is a no-op otherwise.
 func (h *Heap) Push(item int, priority float64) {
 	if h.pos[item] >= 0 {
@@ -56,19 +56,6 @@ func (h *Heap) Push(item int, priority float64) {
 	h.heap = append(h.heap, int32(item))
 	h.pos[item] = int32(len(h.heap) - 1)
 	h.siftUp(len(h.heap) - 1)
-}
-
-// DecreaseKey lowers the priority of an item already in the heap. It is a
-// no-op if the new priority is not smaller. It panics if the item is absent.
-func (h *Heap) DecreaseKey(item int, priority float64) {
-	if h.pos[item] < 0 {
-		panic("indexheap: DecreaseKey on absent item")
-	}
-	if priority >= h.key[item] {
-		return
-	}
-	h.key[item] = priority
-	h.siftUp(int(h.pos[item]))
 }
 
 // Pop removes and returns the item with the minimum priority together with

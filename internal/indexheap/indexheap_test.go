@@ -25,6 +25,19 @@ func TestPushPopOrder(t *testing.T) {
 	}
 }
 
+// DecreaseKey lowers the priority of an item already in the heap. It is a
+// no-op if the new priority is not smaller. It panics if the item is absent.
+func (h *Heap) DecreaseKey(item int, priority float64) {
+	if h.pos[item] < 0 {
+		panic("indexheap: DecreaseKey on absent item")
+	}
+	if priority >= h.key[item] {
+		return
+	}
+	h.key[item] = priority
+	h.siftUp(int(h.pos[item]))
+}
+
 func TestDecreaseKey(t *testing.T) {
 	h := New(4)
 	h.Push(0, 10)

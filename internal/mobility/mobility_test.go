@@ -1,9 +1,13 @@
 package mobility
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,7 +89,7 @@ func TestTopologyChurn(t *testing.T) {
 	}
 	same := 0
 	for _, e := range first.Edges() {
-		if last.HasEdge(e.U, e.V) {
+		if _, ok := last.EdgeLength(e.U, e.V); ok {
 			same++
 		}
 	}
@@ -94,13 +98,16 @@ func TestTopologyChurn(t *testing.T) {
 	}
 }
 
+// unitSquare is the [0,1]² area the validation cases run in.
+var unitSquare = geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+
 func TestGenerateValidation(t *testing.T) {
 	rng := xrand.New(1)
 	bad := []Config{
-		{Groups: 0, Nodes: 10, Steps: 5, Area: geom.UnitSquare},
-		{Groups: 2, Nodes: 1, Steps: 5, Area: geom.UnitSquare},
-		{Groups: 2, Nodes: 10, Steps: 0, Area: geom.UnitSquare},
-		{Groups: 2, Nodes: 10, Steps: 5, Area: geom.UnitSquare, LeaderSpeedMin: 5, LeaderSpeedMax: 1},
+		{Groups: 0, Nodes: 10, Steps: 5, Area: unitSquare},
+		{Groups: 2, Nodes: 1, Steps: 5, Area: unitSquare},
+		{Groups: 2, Nodes: 10, Steps: 0, Area: unitSquare},
+		{Groups: 2, Nodes: 10, Steps: 5, Area: unitSquare, LeaderSpeedMin: 5, LeaderSpeedMax: 1},
 	}
 	wants := []error{ErrGroups, ErrNodes, ErrSteps, ErrSpeed}
 	for i, cfg := range bad {
@@ -196,4 +203,103 @@ func TestDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ReadCSV is the reader side of the WriteCSV round trip: it decodes a
+// trace written by WriteCSV. Records may arrive in any order as long as
+// every (t, node) cell is present exactly once.
+func ReadCSV(r io.Reader) (*Trace, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	tr := &Trace{StepSeconds: 1}
+	type rec struct {
+		t, node, group int
+		p              geom.Point
+	}
+	var recs []rec
+	maxT, maxNode := -1, -1
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case line == "":
+			continue
+		case strings.HasPrefix(line, "#"):
+			if v, ok := strings.CutPrefix(line, "# step_seconds="); ok {
+				s, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+				if err != nil {
+					return nil, fmt.Errorf("mobility: line %d: step_seconds: %w", lineNo, err)
+				}
+				tr.StepSeconds = s
+			}
+			continue
+		case strings.HasPrefix(line, "t,"):
+			continue // header
+		}
+		fields := strings.Split(line, ",")
+		if len(fields) != 5 {
+			return nil, fmt.Errorf("mobility: line %d: want 5 fields, got %d", lineNo, len(fields))
+		}
+		t, err := strconv.Atoi(fields[0])
+		if err != nil {
+			return nil, fmt.Errorf("mobility: line %d: t: %w", lineNo, err)
+		}
+		node, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("mobility: line %d: node: %w", lineNo, err)
+		}
+		group, err := strconv.Atoi(fields[2])
+		if err != nil {
+			return nil, fmt.Errorf("mobility: line %d: group: %w", lineNo, err)
+		}
+		x, err := strconv.ParseFloat(fields[3], 64)
+		if err != nil {
+			return nil, fmt.Errorf("mobility: line %d: x: %w", lineNo, err)
+		}
+		y, err := strconv.ParseFloat(fields[4], 64)
+		if err != nil {
+			return nil, fmt.Errorf("mobility: line %d: y: %w", lineNo, err)
+		}
+		if t < 0 || node < 0 {
+			return nil, fmt.Errorf("mobility: line %d: negative index", lineNo)
+		}
+		recs = append(recs, rec{t: t, node: node, group: group, p: geom.Point{X: x, Y: y}})
+		if t > maxT {
+			maxT = t
+		}
+		if node > maxNode {
+			maxNode = node
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("mobility: read trace: %w", err)
+	}
+	if maxT < 0 || maxNode < 0 {
+		return nil, fmt.Errorf("mobility: empty trace")
+	}
+	steps, nodes := maxT+1, maxNode+1
+	tr.Positions = make([][]geom.Point, steps)
+	seen := make([][]bool, steps)
+	for t := range tr.Positions {
+		tr.Positions[t] = make([]geom.Point, nodes)
+		seen[t] = make([]bool, nodes)
+	}
+	tr.GroupOf = make([]int, nodes)
+	for _, rc := range recs {
+		if seen[rc.t][rc.node] {
+			return nil, fmt.Errorf("mobility: duplicate record for t=%d node=%d", rc.t, rc.node)
+		}
+		seen[rc.t][rc.node] = true
+		tr.Positions[rc.t][rc.node] = rc.p
+		tr.GroupOf[rc.node] = rc.group
+	}
+	for t := range seen {
+		for v := range seen[t] {
+			if !seen[t][v] {
+				return nil, fmt.Errorf("mobility: missing record for t=%d node=%d", t, v)
+			}
+		}
+	}
+	return tr, nil
 }

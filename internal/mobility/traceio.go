@@ -4,10 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"msc/internal/geom"
 )
 
 // Trace files are plain CSV, one position report per line:
@@ -17,8 +13,7 @@ import (
 //	0,0,0,1023.5,2311.0
 //	...
 //
-// matching the periodic location updates of the ARL traces closely enough
-// that converting a real trace is a one-line awk job.
+// matching the periodic location updates of the ARL traces.
 
 // WriteCSV encodes the trace.
 func (tr *Trace) WriteCSV(w io.Writer) error {
@@ -37,103 +32,4 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV decodes a trace written by WriteCSV (or converted from another
-// source into the same shape). Records may arrive in any order as long as
-// every (t, node) cell is present exactly once.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	tr := &Trace{StepSeconds: 1}
-	type rec struct {
-		t, node, group int
-		p              geom.Point
-	}
-	var recs []rec
-	maxT, maxNode := -1, -1
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-			continue
-		case strings.HasPrefix(line, "#"):
-			if v, ok := strings.CutPrefix(line, "# step_seconds="); ok {
-				s, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-				if err != nil {
-					return nil, fmt.Errorf("mobility: line %d: step_seconds: %w", lineNo, err)
-				}
-				tr.StepSeconds = s
-			}
-			continue
-		case strings.HasPrefix(line, "t,"):
-			continue // header
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != 5 {
-			return nil, fmt.Errorf("mobility: line %d: want 5 fields, got %d", lineNo, len(fields))
-		}
-		t, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("mobility: line %d: t: %w", lineNo, err)
-		}
-		node, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("mobility: line %d: node: %w", lineNo, err)
-		}
-		group, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("mobility: line %d: group: %w", lineNo, err)
-		}
-		x, err := strconv.ParseFloat(fields[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("mobility: line %d: x: %w", lineNo, err)
-		}
-		y, err := strconv.ParseFloat(fields[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("mobility: line %d: y: %w", lineNo, err)
-		}
-		if t < 0 || node < 0 {
-			return nil, fmt.Errorf("mobility: line %d: negative index", lineNo)
-		}
-		recs = append(recs, rec{t: t, node: node, group: group, p: geom.Point{X: x, Y: y}})
-		if t > maxT {
-			maxT = t
-		}
-		if node > maxNode {
-			maxNode = node
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("mobility: read trace: %w", err)
-	}
-	if maxT < 0 || maxNode < 0 {
-		return nil, fmt.Errorf("mobility: empty trace")
-	}
-	steps, nodes := maxT+1, maxNode+1
-	tr.Positions = make([][]geom.Point, steps)
-	seen := make([][]bool, steps)
-	for t := range tr.Positions {
-		tr.Positions[t] = make([]geom.Point, nodes)
-		seen[t] = make([]bool, nodes)
-	}
-	tr.GroupOf = make([]int, nodes)
-	for _, rc := range recs {
-		if seen[rc.t][rc.node] {
-			return nil, fmt.Errorf("mobility: duplicate record for t=%d node=%d", rc.t, rc.node)
-		}
-		seen[rc.t][rc.node] = true
-		tr.Positions[rc.t][rc.node] = rc.p
-		tr.GroupOf[rc.node] = rc.group
-	}
-	for t := range seen {
-		for v := range seen[t] {
-			if !seen[t][v] {
-				return nil, fmt.Errorf("mobility: missing record for t=%d node=%d", t, v)
-			}
-		}
-	}
-	return tr, nil
 }

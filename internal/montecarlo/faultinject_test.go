@@ -52,14 +52,6 @@ func injectFixture(t *testing.T, seed int64, mode core.Survivability) (*core.Ins
 	return nil, nil
 }
 
-func instWeights(inst *core.Instance) []int {
-	w := make([]int, inst.Pairs().Len())
-	for i := range w {
-		w[i] = inst.PairWeight(i)
-	}
-	return w
-}
-
 // TestInjectNeverBelowDeclaredSigmaWorst is the acceptance check for the
 // survivable solvers: fault injection — which recomputes every degraded σ
 // from first principles, independent of the solvers' overlay machinery —
@@ -72,7 +64,7 @@ func TestInjectNeverBelowDeclaredSigmaWorst(t *testing.T) {
 			declared := inst.SigmaWorst(sel)
 			rep, err := Inject(inst.Graph(), inst.Pairs(), inst.Threshold(),
 				core.SelectionEdges(inst, sel),
-				InjectOptions{Weights: instWeights(inst), Nodes: mode == core.SurviveNode}, nil)
+				InjectOptions{Nodes: mode == core.SurviveNode}, nil)
 			if err != nil {
 				t.Fatalf("mode=%s seed=%d: Inject: %v", mode, seed, err)
 			}
@@ -105,7 +97,6 @@ func TestInjectSamplingDeterministic(t *testing.T) {
 	inst, sel := injectFixture(t, 3, core.SurviveShortcut)
 	shortcuts := core.SelectionEdges(inst, sel)
 	opts := InjectOptions{
-		Weights:       instWeights(inst),
 		Nodes:         true,
 		Trials:        200,
 		IntrinsicBase: true,
@@ -134,7 +125,7 @@ func TestInjectSamplingDeterministic(t *testing.T) {
 	// bare-graph placement.
 	base := inst.Sigma(nil)
 	all, err := Inject(inst.Graph(), inst.Pairs(), inst.Threshold(), shortcuts,
-		InjectOptions{Weights: instWeights(inst), Trials: 50, ShortcutFail: 1}, xrand.New(9))
+		InjectOptions{Trials: 50, ShortcutFail: 1}, xrand.New(9))
 	if err != nil {
 		t.Fatalf("Inject: %v", err)
 	}

@@ -46,8 +46,8 @@ func ParsePrometheus(r io.Reader) (map[string]float64, error) {
 
 // MetricNames extracts the sorted set of base metric names from a parsed
 // sample map: label sets and the histogram _bucket/_sum/_count suffixes
-// are stripped, so the result matches Registry.Names — the form the
-// committed golden list (docs/metrics.golden) records.
+// are stripped, so the result lists the registered metric names — the
+// form the committed golden list (docs/metrics.golden) records.
 func MetricNames(samples map[string]float64) []string {
 	set := make(map[string]struct{})
 	for name := range samples {

@@ -60,14 +60,6 @@ func (r *Registry) register(m metric) {
 	sort.Strings(r.order)
 }
 
-// Names returns the registered metric names, sorted. This is the schema
-// the committed golden list in docs/metrics.golden locks down.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // WritePrometheus exports every metric in the Prometheus text exposition
 // format (version 0.0.4), sorted by name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -118,61 +110,6 @@ func appendSample(buf []byte, name string, v float64) []byte {
 	buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
 	return append(buf, '\n')
 }
-
-// Counter is a monotonically increasing integer metric.
-type Counter struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// NewCounter registers a counter with the registry.
-func NewCounter(r *Registry, name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(c)
-	return c
-}
-
-// Add increments the counter by d (d must be >= 0).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-func (c *Counter) metricName() string { return c.name }
-func (c *Counter) metricHelp() string { return c.help }
-func (c *Counter) metricType() string { return "counter" }
-func (c *Counter) writeSamples(buf []byte) []byte {
-	return appendSample(buf, c.name, float64(c.v.Load()))
-}
-func (c *Counter) samples(out map[string]float64) { out[c.name] = float64(c.v.Load()) }
-
-// Gauge is a float metric that can go up and down. The value is stored as
-// IEEE-754 bits in an atomic word, so Set and reads never tear.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// NewGauge registers a gauge with the registry.
-func NewGauge(r *Registry, name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) metricName() string { return g.name }
-func (g *Gauge) metricHelp() string { return g.help }
-func (g *Gauge) metricType() string { return "gauge" }
-func (g *Gauge) writeSamples(buf []byte) []byte {
-	return appendSample(buf, g.name, g.Value())
-}
-func (g *Gauge) samples(out map[string]float64) { out[g.name] = g.Value() }
 
 // funcMetric evaluates a function at export time. It bridges values that
 // already live elsewhere — the telemetry work counters, the Go runtime —

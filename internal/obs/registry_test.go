@@ -10,18 +10,10 @@ import (
 
 func TestCounterGaugeExport(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter(r, "test_ops_total", "Ops.")
-	g := NewGauge(r, "test_depth", "Depth.")
-	c.Add(3)
-	c.Add(2)
-	g.Set(1.5)
-	g.Set(-2.25)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	if g.Value() != -2.25 {
-		t.Fatalf("gauge = %v, want -2.25", g.Value())
-	}
+	ops, depth := 0.0, 1.5
+	NewCounterFunc(r, "test_ops_total", "Ops.", func() float64 { return ops })
+	NewGaugeFunc(r, "test_depth", "Depth.", func() float64 { return depth })
+	ops, depth = 5, -2.25 // func metrics read their value at export time
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -42,13 +34,13 @@ func TestCounterGaugeExport(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	NewCounter(r, "dup_total", "x")
+	NewCounterFunc(r, "dup_total", "x", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	NewCounter(r, "dup_total", "x")
+	NewGaugeFunc(r, "dup_total", "x", func() float64 { return 0 })
 }
 
 func TestRegisterIfAbsentToleratesDuplicate(t *testing.T) {
@@ -64,11 +56,20 @@ func TestRegisterIfAbsentToleratesDuplicate(t *testing.T) {
 	}
 }
 
+// Names returns the registered metric names in registry order, which
+// register keeps sorted.
+func (r *Registry) Names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.order...)
+}
+
 func TestRegistryNamesSorted(t *testing.T) {
 	r := NewRegistry()
-	NewCounter(r, "zzz_total", "z")
-	NewCounter(r, "aaa_total", "a")
-	NewGauge(r, "mmm", "m")
+	zero := func() float64 { return 0 }
+	NewCounterFunc(r, "zzz_total", "z", zero)
+	NewCounterFunc(r, "aaa_total", "a", zero)
+	NewGaugeFunc(r, "mmm", "m", zero)
 	names := r.Names()
 	want := []string{"aaa_total", "mmm", "zzz_total"}
 	if len(names) != len(want) {
@@ -183,8 +184,7 @@ func TestBucketHelpers(t *testing.T) {
 
 func TestParsePrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter(r, "rt_total", "x")
-	c.Add(7)
+	NewCounterFunc(r, "rt_total", "x", func() float64 { return 7 })
 	h := NewHistogram(r, "rt_seconds", "x", []float64{1})
 	h.Observe(0.5)
 	h.Observe(3)

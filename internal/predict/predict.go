@@ -108,30 +108,6 @@ func DeadReckon(tr *mobility.Trace, observed, horizon int) (*mobility.Trace, err
 	return out, nil
 }
 
-// MeanError reports the mean per-node position error (meters) between a
-// predicted trace and the actual continuation actual[offset:], snapshot by
-// snapshot, truncated to the shorter of the two.
-func MeanError(predicted *mobility.Trace, actual *mobility.Trace, offset int) (float64, error) {
-	if predicted.N() != actual.N() {
-		return 0, fmt.Errorf("predict: node counts differ: %d vs %d", predicted.N(), actual.N())
-	}
-	steps := predicted.T()
-	if rest := actual.T() - offset; rest < steps {
-		steps = rest
-	}
-	if steps <= 0 {
-		return 0, fmt.Errorf("predict: no overlapping snapshots")
-	}
-	total, count := 0.0, 0
-	for h := 0; h < steps; h++ {
-		for v := 0; v < predicted.N(); v++ {
-			total += predicted.Positions[h][v].Dist(actual.Positions[offset+h][v])
-			count++
-		}
-	}
-	return total / float64(count), nil
-}
-
 func groupCentroids(pts []geom.Point, groupOf []int, groups int) []geom.Point {
 	sums := make([]geom.Point, groups)
 	counts := make([]int, groups)

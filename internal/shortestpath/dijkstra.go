@@ -40,18 +40,6 @@ func DijkstraWithParents(g *graph.Graph, src graph.NodeID) (dist []float64, pare
 	return dist, parent
 }
 
-// BoundedDijkstra returns distances from src, exploring only nodes within
-// maxDist; nodes farther away (or unreachable) get +Inf. It scatters one
-// ballFinder run into a dense row.
-func BoundedDijkstra(g *graph.Graph, src graph.NodeID, maxDist float64) []float64 {
-	ids, ds := newBallFinder(g).ball(src, maxDist, nil, nil)
-	dist := newDistSlice(g.N())
-	for i, v := range ids {
-		dist[v] = ds[i]
-	}
-	return dist
-}
-
 // dijkstraInto runs Dijkstra from src into the provided dist slice
 // (pre-filled with +Inf). If parent is non-nil it is filled with
 // shortest-path predecessors.

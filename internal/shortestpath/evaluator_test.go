@@ -163,6 +163,10 @@ func TestEvaluatorDistBallsLengthMismatch(t *testing.T) {
 	e.DistBalls(readBalls{tab, 1}, NewMergers(tab.N()), 1, []graph.NodeID{0, 1}, make([]Ball, 1))
 }
 
+// Endpoints returns the distinct shortcut endpoints the oracle covers.
+// Callers must not modify the returned slice.
+func (o *Overlay) Endpoints() []graph.NodeID { return o.endpoints }
+
 func TestOverlayEndpointsDistinct(t *testing.T) {
 	g := lineGraph(t, 6)
 	ov := NewOverlay(NewTable(g, 0), []graph.Edge{{U: 0, V: 3}, {U: 3, V: 5}, {U: 0, V: 5}})

@@ -185,10 +185,6 @@ func (o *Overlay) distSparse(ss SparseSource, u, w graph.NodeID) float64 {
 	return best
 }
 
-// Endpoints returns the distinct shortcut endpoints the oracle covers.
-// Callers must not modify the returned slice.
-func (o *Overlay) Endpoints() []graph.NodeID { return o.endpoints }
-
 // DistRow fills out[x] with the augmented distance from u to every node x,
 // in O(k² + n·k) — one pass over the terminal graph plus one pass over each
 // terminal's base distance row. len(out) must equal the node count. On a

@@ -121,6 +121,18 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
+// BoundedDijkstra drives ballFinder for the tests: it returns distances
+// from src, exploring only nodes within maxDist; nodes farther away (or
+// unreachable) get +Inf. It scatters one ballFinder run into a dense row.
+func BoundedDijkstra(g *graph.Graph, src graph.NodeID, maxDist float64) []float64 {
+	ids, ds := newBallFinder(g).ball(src, maxDist, nil, nil)
+	dist := newDistSlice(g.N())
+	for i, v := range ids {
+		dist[v] = ds[i]
+	}
+	return dist
+}
+
 func TestBoundedDijkstra(t *testing.T) {
 	g := lineGraph(t, 10)
 	dist := BoundedDijkstra(g, 0, 3.5)

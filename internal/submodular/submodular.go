@@ -1,30 +1,17 @@
-// Package submodular provides a generic greedy maximizer for monotone set
-// functions under a cardinality constraint, plus exhaustive property
-// checkers used by the test suite to verify the paper's structural claims
-// (μ and ν are submodular, σ in general is not — §IV-B, §V-A, §V-B).
-//
-// When the objective is monotone submodular, Greedy achieves the (1 − 1/e)
-// approximation of Nemhauser–Wolsey–Fisher; LazyGreedy returns the identical
-// selection while skipping re-evaluations whose stale upper bound cannot
-// win. For non-submodular objectives (σ), Greedy is still well-defined —
-// it is exactly the "greedy on σ" arm of the sandwich algorithm — but
-// LazyGreedy must not be used, since stale bounds are no longer valid.
+// Package submodular provides the budgeted greedy maximizer for monotone
+// set functions, WeightedGreedy, plus the references the test suite checks
+// the paper's structural claims against: exhaustive monotonicity and
+// submodularity checkers (μ and ν are submodular, σ in general is not —
+// §IV-B, §V-A, §V-B) and CELF lazy greedy, which returns the plain
+// greedy's selection when the objective is submodular.
 package submodular
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // Value evaluates a set function on a selection of ground-set elements.
 // Implementations must be deterministic and treat the selection as a set
 // (order-insensitive).
 type Value func(selection []int) float64
-
-// Marginal evaluates the gain of adding element e to the current selection.
-// The current selection is passed for context; implementations typically
-// maintain incremental state via the Accept callback of Greedy instead.
-type Marginal func(current []int, e int) float64
 
 // Oracle is the incremental interface the greedy maximizers drive. It
 // avoids recomputing the full objective from scratch at every probe.
@@ -33,53 +20,6 @@ type Oracle interface {
 	Gain(e int) float64
 	// Accept commits element e into S.
 	Accept(e int)
-}
-
-// funcOracle adapts a plain Value function into an Oracle, recomputing from
-// scratch. Fine for tests and small ground sets.
-type funcOracle struct {
-	f   Value
-	cur []int
-	val float64
-}
-
-// NewFuncOracle wraps a Value function as an Oracle with empty initial
-// selection.
-func NewFuncOracle(f Value) Oracle {
-	return &funcOracle{f: f, val: f(nil)}
-}
-
-func (o *funcOracle) Gain(e int) float64 {
-	return o.f(append(append([]int(nil), o.cur...), e)) - o.val
-}
-
-func (o *funcOracle) Accept(e int) {
-	o.cur = append(o.cur, e)
-	o.val = o.f(o.cur)
-}
-
-// Greedy selects up to k elements from the ground set [0, n) maximizing the
-// oracle's objective, stopping early when every remaining marginal gain is
-// ≤ 0. Ties break toward the smallest element, making runs deterministic.
-func Greedy(n, k int, o Oracle) []int {
-	var sel []int
-	for len(sel) < k {
-		bestE, bestGain := -1, 0.0
-		for e := 0; e < n; e++ {
-			if contains(sel, e) {
-				continue
-			}
-			if g := o.Gain(e); g > bestGain {
-				bestE, bestGain = e, g
-			}
-		}
-		if bestE < 0 {
-			break
-		}
-		o.Accept(bestE)
-		sel = append(sel, bestE)
-	}
-	return sel
 }
 
 // WeightedGreedy selects elements from the ground set [0, n) under a
@@ -101,9 +41,10 @@ func Greedy(n, k int, o Oracle) []int {
 // Elements priced at +Inf are never affordable; NaN and non-positive
 // prices are the caller's bug (core.NewInstance rejects them up front).
 // With every cost(e) == 1 and budget == k, WeightedGreedy selects exactly
-// what Greedy(n, k, o) selects: the first-round ratio argmax is the gain
-// argmax with identical tie-breaking, and the fallback singleton is the
-// first pick, which monotonicity keeps from overtaking the prefix.
+// what the plain greedy selects under cardinality k: the first-round
+// ratio argmax is the gain argmax with identical tie-breaking, and the
+// fallback singleton is the first pick, which monotonicity keeps from
+// overtaking the prefix.
 func WeightedGreedy(n int, budget float64, cost func(int) float64, o Oracle) []int {
 	var sel []int
 	selected := make([]bool, n)
@@ -154,7 +95,7 @@ func WeightedGreedy(n int, budget float64, cost func(int) float64, o Oracle) []i
 
 // LazyGreedy is CELF lazy greedy: valid only for submodular objectives,
 // where a stale marginal gain upper-bounds the true one. Identical output
-// to Greedy under submodularity.
+// to the plain greedy under submodularity.
 func LazyGreedy(n, k int, o Oracle) []int {
 	pq := make(gainQueue, 0, n)
 	for e := 0; e < n; e++ {
@@ -266,23 +207,6 @@ func enumerate(n int) [][]int {
 }
 
 func isSubset(xMask, yMask int) bool { return xMask&^yMask == 0 }
-
-func contains(sel []int, e int) bool {
-	for _, s := range sel {
-		if s == e {
-			return true
-		}
-	}
-	return false
-}
-
-// SortedCopy returns a sorted copy of a selection; handy for stable
-// comparisons in tests.
-func SortedCopy(sel []int) []int {
-	out := append([]int(nil), sel...)
-	sort.Ints(out)
-	return out
-}
 
 type gainEntry struct {
 	e     int

@@ -21,6 +21,62 @@ func coverageValue(sets [][]int) Value {
 	}
 }
 
+// funcOracle adapts a plain Value function into an Oracle, recomputing from
+// scratch. Fine for tests and small ground sets.
+type funcOracle struct {
+	f   Value
+	cur []int
+	val float64
+}
+
+// NewFuncOracle wraps a Value function as an Oracle with empty initial
+// selection.
+func NewFuncOracle(f Value) Oracle {
+	return &funcOracle{f: f, val: f(nil)}
+}
+
+func (o *funcOracle) Gain(e int) float64 {
+	return o.f(append(append([]int(nil), o.cur...), e)) - o.val
+}
+
+func (o *funcOracle) Accept(e int) {
+	o.cur = append(o.cur, e)
+	o.val = o.f(o.cur)
+}
+
+// Greedy selects up to k elements from the ground set [0, n) maximizing the
+// oracle's objective, stopping early when every remaining marginal gain is
+// ≤ 0. Ties break toward the smallest element, making runs deterministic.
+func Greedy(n, k int, o Oracle) []int {
+	var sel []int
+	for len(sel) < k {
+		bestE, bestGain := -1, 0.0
+		for e := 0; e < n; e++ {
+			if contains(sel, e) {
+				continue
+			}
+			if g := o.Gain(e); g > bestGain {
+				bestE, bestGain = e, g
+			}
+		}
+		if bestE < 0 {
+			break
+		}
+		o.Accept(bestE)
+		sel = append(sel, bestE)
+	}
+	return sel
+}
+
+func contains(sel []int, e int) bool {
+	for _, s := range sel {
+		if s == e {
+			return true
+		}
+	}
+	return false
+}
+
 func TestCheckersOnCoverage(t *testing.T) {
 	f := coverageValue([][]int{{0, 1}, {1, 2}, {3}, {0, 1, 2, 3}})
 	if !IsMonotone(4, f) {
@@ -150,15 +206,4 @@ func bestSubsetValue(n, k int, f Value) float64 {
 	}
 	rec(0, nil)
 	return best
-}
-
-func TestSortedCopy(t *testing.T) {
-	in := []int{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
-		t.Fatalf("SortedCopy = %v", out)
-	}
-	if in[0] != 3 {
-		t.Fatal("input mutated")
-	}
 }

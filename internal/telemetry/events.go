@@ -51,9 +51,8 @@ type RoundEvent struct {
 	Shards     int   `json:"shards"`
 	// Incremental-evaluation work of the round (Search.LastEvalStats):
 	// RowsMerged/RowsUnchanged split the endpoint distance rows by whether
-	// the committed shortcut's O(n) merge changed them (both 0 on the
-	// rebuild evaluation path); PairsRescanned counts the pairs the round's
-	// gains scans covered. PairsSkipped always reads 0: every gains refresh
+	// the committed shortcut's merge changed them; PairsRescanned counts
+	// the pairs the round's gains scans covered. PairsSkipped always reads 0: every gains refresh
 	// is a cold scan of all unsatisfied pairs, so none is carried over. It
 	// is kept for the readers of the pairs_skipped field. All 0 for
 	// emitters without incremental state.

@@ -164,9 +164,6 @@ func (r *RingSink) Emit(e Event) {
 	r.mu.Unlock()
 }
 
-// Cap returns the ring's capacity in events.
-func (r *RingSink) Cap() int { return len(r.buf) }
-
 // Total returns how many events were ever recorded (including those the
 // ring has since overwritten).
 func (r *RingSink) Total() int64 {

@@ -157,8 +157,8 @@ func TestFanoutConcurrentStress(t *testing.T) {
 
 func TestRingSinkWraparoundKeepsNewest(t *testing.T) {
 	r := NewRing(4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap() = %d, want 4", r.Cap())
+	if len(r.buf) != 4 {
+		t.Fatalf("capacity = %d, want 4", len(r.buf))
 	}
 	for i := 0; i < 10; i++ {
 		r.Emit(RoundEvent{Round: i})
@@ -192,8 +192,8 @@ func TestRingSinkPartialFill(t *testing.T) {
 
 func TestRingSinkClampsCapacity(t *testing.T) {
 	r := NewRing(0)
-	if r.Cap() != 1 {
-		t.Fatalf("NewRing(0).Cap() = %d, want 1", r.Cap())
+	if len(r.buf) != 1 {
+		t.Fatalf("NewRing(0) capacity = %d, want 1", len(r.buf))
 	}
 	r.Emit(RoundEvent{Round: 7})
 	r.Emit(RoundEvent{Round: 8})

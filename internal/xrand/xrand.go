@@ -92,13 +92,6 @@ func NewFromState(seed int64, draws uint64) *Rand {
 	return r
 }
 
-// Split derives a new independent Rand from r. The derived stream is a
-// deterministic function of r's current state, so a fixed sequence of Split
-// calls is reproducible.
-func (r *Rand) Split() *Rand {
-	return New(r.src.Int63())
-}
-
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (r *Rand) Int63() int64 { return r.src.Int63() }
 
@@ -202,13 +195,4 @@ func (r *Rand) SampleDistinct(n, count int) []int {
 		out = append(out, v)
 	}
 	return out
-}
-
-// Exp returns an exponential variate with rate lambda (mean 1/lambda).
-// It panics if lambda <= 0.
-func (r *Rand) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("xrand: Exp requires lambda > 0")
-	}
-	return r.src.ExpFloat64() / lambda
 }

@@ -75,6 +75,13 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// Split derives a new independent Rand from r. The derived stream is a
+// deterministic function of r's current state, so a fixed sequence of Split
+// calls is reproducible.
+func (r *Rand) Split() *Rand {
+	return New(r.src.Int63())
+}
+
 func TestSplitIndependentButDeterministic(t *testing.T) {
 	a1 := New(7).Split()
 	a2 := New(7).Split()
@@ -215,6 +222,15 @@ func TestSampleDistinctPanics(t *testing.T) {
 		}
 	}()
 	New(1).SampleDistinct(3, 4)
+}
+
+// Exp returns an exponential variate with rate lambda (mean 1/lambda).
+// It panics if lambda <= 0.
+func (r *Rand) Exp(lambda float64) float64 {
+	if lambda <= 0 {
+		panic("xrand: Exp requires lambda > 0")
+	}
+	return r.src.ExpFloat64() / lambda
 }
 
 func TestExp(t *testing.T) {
